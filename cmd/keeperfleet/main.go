@@ -1,20 +1,25 @@
 // Command keeperfleet is the fleet front end: a router that places tenants
-// on ssdkeeperd nodes via a consistent-hash ring and proxies /io and
-// /io/batch to each tenant's owner over the daemons' own wire protocol.
-// Clients talk to one address; the fleet behind it can be rebalanced live —
-// a tenant migration drains the tenant on its source node, replays the
-// handoff batch on the target, and flips the ring override, losing and
+// on ssdkeeperd nodes via a consistent-hash ring and forwards every request
+// to its tenant's owner over the persistent framed wire transport
+// (internal/wire) — the only router↔node data plane. HTTP to the nodes
+// (-nodes) is control plane: drain/handoff/release and the membership
+// probes. Clients talk to one address, over wire (-wire-listen) or through
+// the HTTP /io and /io/batch adaptors; the fleet behind it can be rebalanced
+// live — a tenant migration drains the tenant on its source node, replays
+// the handoff batch on the target, and flips the ring override, losing and
 // duplicating nothing.
 //
-// Endpoints: /io and /io/batch (proxied data plane), /fleet/status (JSON
+// Endpoints: /io and /io/batch (client-facing adaptors), /fleet/status (JSON
 // placement), POST /fleet/migrate?tenant=N&to=URL (manual migration),
 // /metrics (fleet series), /healthz, /readyz.
 //
-// Usage:
+// Usage (every node runs ssdkeeperd -wire-listen; -wire-nodes entry i is
+// the wire address of -nodes entry i):
 //
-//	keeperfleet -addr :8090 -nodes http://localhost:8081,http://localhost:8082,http://localhost:8083
-//	keeperfleet -addr :8090 -nodes ... -rebalance          # auto-migrate hot tenants
-//	keeperfleet -addr :8090 -nodes ... -gate-policy reject # 503+Retry-After during handoffs
+//	keeperfleet -addr :8090 -nodes http://localhost:8081,http://localhost:8082 \
+//	    -wire-nodes localhost:9081,localhost:9082 -wire-listen :9090
+//	keeperfleet -addr :8090 -nodes ... -wire-nodes ... -rebalance          # auto-migrate hot tenants
+//	keeperfleet -addr :8090 -nodes ... -wire-nodes ... -gate-policy reject # 503+Retry-After during handoffs
 package main
 
 import (
@@ -26,6 +31,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -37,15 +43,15 @@ import (
 func main() {
 	var (
 		addr       = flag.String("addr", ":8090", "router listen address")
-		nodes      = flag.String("nodes", "", "comma-separated node base URLs (required)")
-		wireNodes  = flag.String("wire-nodes", "", "comma-separated wire (host:port) addresses, parallel to -nodes; empty entries keep that node on HTTP. Enables the persistent framed data plane")
+		nodes      = flag.String("nodes", "", "comma-separated node base URLs (required; control plane)")
+		wireNodes  = flag.String("wire-nodes", "", "comma-separated node wire (host:port) addresses (required; the data plane): entry i is the -wire-listen address of -nodes entry i")
 		wireConns  = flag.Int("wire-conns", 4, "persistent wire connections per node")
 		wireListen = flag.String("wire-listen", "", "also serve the wire protocol to clients on this address (full wire path: client → router → node)")
 		vnodes     = flag.Int("vnodes", 64, "virtual nodes per node on the ring")
 		tenants    = flag.Int("tenants", 4, "tenant ID space routed")
 		gatePolicy = flag.String("gate-policy", fleet.GateQueue, "migrating-tenant policy: queue or reject")
 		gateWait   = flag.Duration("gate-wait", 15*time.Second, "max time a queued request waits for a migration")
-		timeout    = flag.Duration("timeout", 60*time.Second, "per proxied request timeout")
+		timeout    = flag.Duration("timeout", 60*time.Second, "how long the HTTP adaptors wait for a forwarded request, and the control-plane call timeout")
 		rebalance  = flag.Bool("rebalance", false, "enable the automatic rebalancer")
 		probeEvery = flag.Duration("probe-every", 2*time.Second, "membership probe interval")
 		balEvery   = flag.Duration("rebalance-every", 5*time.Second, "rebalancer decision interval")
@@ -59,12 +65,12 @@ func main() {
 	if len(list) == 0 {
 		fatal(fmt.Errorf("need -nodes (comma-separated base URLs)"))
 	}
-	var wireList []string
-	if *wireNodes != "" {
-		wireList = splitWireNodes(*wireNodes)
-		if len(wireList) != len(list) {
-			fatal(fmt.Errorf("-wire-nodes has %d entries for %d nodes", len(wireList), len(list)))
-		}
+	wireList := strings.Split(*wireNodes, ",") // empty entries kept: positions pair with -nodes
+	for i := range wireList {
+		wireList[i] = strings.TrimSpace(wireList[i])
+	}
+	if len(wireList) != len(list) || slices.Contains(wireList, "") {
+		fatal(fmt.Errorf("need -wire-nodes: one wire host:port per -nodes entry, in the same order (got %q for %d nodes)", *wireNodes, len(list)))
 	}
 
 	router, err := fleet.NewRouter(fleet.Config{
@@ -120,8 +126,8 @@ func main() {
 		}()
 	}
 	if !*quiet {
-		fmt.Fprintf(os.Stderr, "keeperfleet: routing %d tenants over %d nodes on %s (gate %s, rebalance %v, wire nodes %d)\n",
-			*tenants, len(list), *addr, *gatePolicy, *rebalance, len(wireList))
+		fmt.Fprintf(os.Stderr, "keeperfleet: routing %d tenants over %d nodes on %s (gate %s, rebalance %v)\n",
+			*tenants, len(list), *addr, *gatePolicy, *rebalance)
 		if *wireListen != "" {
 			fmt.Fprintf(os.Stderr, "keeperfleet: wire listener on %s\n", *wireListen)
 		}
@@ -157,16 +163,6 @@ func splitNodes(s string) []string {
 		}
 	}
 	return out
-}
-
-// splitWireNodes keeps empty entries: position i pairs with -nodes entry i,
-// and an empty slot means that node stays on the HTTP data plane.
-func splitWireNodes(s string) []string {
-	parts := strings.Split(s, ",")
-	for i := range parts {
-		parts[i] = strings.TrimSpace(parts[i])
-	}
-	return parts
 }
 
 func fatal(err error) {

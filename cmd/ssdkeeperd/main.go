@@ -64,7 +64,7 @@ import (
 func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
-		wireListen = flag.String("wire-listen", "", "also serve the framed wire data plane on this address (persistent multiplexed connections; the fleet router's fast path)")
+		wireListen = flag.String("wire-listen", "", "also serve the framed wire protocol on this address (persistent multiplexed connections; required for a node behind keeperfleet, whose only data plane it is)")
 		modelPath  = flag.String("model", "", "trained model checkpoint (empty: self-train a quick model at startup)")
 		modelDir   = flag.String("model-dir", "", "versioned checkpoint registry; serves the latest version and enables POST /model/reload and SIGHUP hot reload")
 		noKeeper   = flag.Bool("no-keeper", false, "serve without the online keeper (static shared allocation)")

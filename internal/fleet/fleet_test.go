@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -15,13 +16,31 @@ import (
 	"ssdkeeper/internal/nand"
 	"ssdkeeper/internal/serve"
 	"ssdkeeper/internal/ssd"
+	"ssdkeeper/internal/trace"
+	"ssdkeeper/internal/wire"
 )
 
 // testNode is one in-process fleet member: a serve node plus its HTTP
-// binding, exactly what a real deployment runs per process.
+// (control plane) and wire (data plane) bindings, exactly what a real
+// deployment runs per process.
 type testNode struct {
-	srv *serve.Server
-	ts  *httptest.Server
+	srv  *serve.Server
+	ts   *httptest.Server
+	wire string
+}
+
+// startWireListener serves the wire protocol for a backend on an ephemeral
+// port and returns the dial address.
+func startWireListener(t testing.TB, b wire.Backend) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := wire.NewServer(b)
+	go ws.Serve(ln)
+	t.Cleanup(func() { ws.Close() })
+	return ln.Addr().String()
 }
 
 func startNode(t *testing.T) *testNode {
@@ -35,28 +54,92 @@ func startNode(t *testing.T) *testNode {
 		t.Fatal(err)
 	}
 	s.Start()
-	return &testNode{srv: s, ts: httptest.NewServer(s.Handler(10 * time.Second))}
-}
-
-func (n *testNode) stop() {
-	n.srv.Drain()
-	n.ts.Close()
+	n := &testNode{srv: s, ts: httptest.NewServer(s.Handler(10 * time.Second))}
+	t.Cleanup(func() {
+		n.srv.Drain()
+		n.ts.Close()
+	})
+	n.wire = startWireListener(t, s.Node)
+	return n
 }
 
 func startFleet(t *testing.T, nodes int, gatePolicy string) ([]*testNode, *Router) {
 	t.Helper()
 	members := make([]*testNode, nodes)
 	addrs := make([]string, nodes)
+	waddrs := make([]string, nodes)
 	for i := range members {
 		members[i] = startNode(t)
-		addrs[i] = members[i].ts.URL
-		t.Cleanup(members[i].stop)
+		addrs[i], waddrs[i] = members[i].ts.URL, members[i].wire
 	}
-	r, err := NewRouter(Config{Nodes: addrs, GatePolicy: gatePolicy, GateWait: 10 * time.Second})
+	r, err := NewRouter(Config{
+		Nodes: addrs, WireNodes: waddrs,
+		GatePolicy: gatePolicy, GateWait: 10 * time.Second,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(r.Close)
 	return members, r
+}
+
+// front is one of the router's three client-facing fronts reduced to "send
+// one read and classify the answer": reason is "" for ok and the rejection
+// token otherwise; err is an outright failure.
+type front struct {
+	name string
+	do   func(tenant int, pageNo int64) (reason string, err error)
+}
+
+// startFronts serves the router on HTTP and on wire and returns the three
+// fronts over them: JSON /io, line-protocol /io/batch, and the wire listener.
+func startFronts(t *testing.T, r *Router) []front {
+	t.Helper()
+	hs := httptest.NewServer(r.Handler())
+	t.Cleanup(hs.Close)
+	wc := wire.NewClient(startWireListener(t, r.WireBackend()), 4)
+	t.Cleanup(wc.Close)
+	client := &http.Client{Timeout: 30 * time.Second}
+	return []front{
+		{"io", func(tenant int, pageNo int64) (string, error) {
+			code, body := postIO(t, client, hs.URL, tenant, pageNo)
+			switch {
+			case code == http.StatusOK:
+				return "", nil
+			case code == http.StatusServiceUnavailable && strings.Contains(body, "migrating"):
+				return "migrating", nil
+			case code == http.StatusTooManyRequests:
+				return "queue_full", nil
+			}
+			return "", fmt.Errorf("/io = %d: %s", code, body)
+		}},
+		{"batch", func(tenant int, pageNo int64) (string, error) {
+			line := fmt.Sprintf("%d R %d 16384\n", tenant, pageNo*16384)
+			resp, err := client.Post(hs.URL+"/io/batch", "text/plain", strings.NewReader(line))
+			if err != nil {
+				return "", err
+			}
+			defer resp.Body.Close()
+			data, _ := io.ReadAll(resp.Body)
+			f := strings.Fields(string(data))
+			switch {
+			case resp.StatusCode == http.StatusOK && len(f) == 2 && f[0] == "ok":
+				return "", nil
+			case resp.StatusCode == http.StatusOK && len(f) == 2 && f[0] == "rej" && f[1] != "upstream":
+				return f[1], nil
+			}
+			return "", fmt.Errorf("/io/batch = %d: %q", resp.StatusCode, data)
+		}},
+		{"wire", func(tenant int, pageNo int64) (string, error) {
+			_, _, reason, err := wc.Do(serve.Request{
+				Tenant: tenant, Op: trace.Read, Offset: pageNo * 16384, Size: 16384,
+			}, 30*time.Second)
+			if err == nil && reason == "upstream" {
+				err = fmt.Errorf("rej upstream")
+			}
+			return reason, err
+		}},
+	}
 }
 
 func postIO(t *testing.T, client *http.Client, base string, tenant int, pageNo int64) (int, string) {
@@ -177,38 +260,38 @@ func TestRouterStatusAndMetrics(t *testing.T) {
 }
 
 // TestMigrationUnderLoad is the fleet's zero-loss/zero-duplication
-// guarantee under -race: clients hammer one tenant through the router while
-// that tenant is migrated between nodes (twice — there and back). Every
-// client request must be answered ok — the queue gate hides the handoff —
-// and afterwards the client success count must equal the sum of client
-// completions across all nodes: nothing lost, nothing double-counted.
+// guarantee under -race: clients spread over the router's three fronts
+// (/io, /io/batch, wire) hammer one tenant while that tenant is migrated
+// between nodes (twice — there and back). No request may fail — the queue
+// gate hides the handoff — and afterwards the client success count must
+// equal the sum of client completions across all nodes: nothing lost,
+// nothing double-counted, whichever front carried the request.
 func TestMigrationUnderLoad(t *testing.T) {
 	nodes, router := startFleet(t, 3, GateQueue)
-	front := httptest.NewServer(router.Handler())
-	defer front.Close()
+	fronts := startFronts(t, router)
 
 	const (
 		tenant  = 1
-		clients = 8
+		clients = 9
 		perEach = 40
 	)
 	var ok, rejected, failed atomic.Uint64
 	var wg sync.WaitGroup
-	client := &http.Client{Timeout: 20 * time.Second}
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
+			f := fronts[c%len(fronts)]
 			for i := 0; i < perEach; i++ {
-				code, body := postIO(t, client, front.URL, tenant, int64(c*perEach+i)%256)
+				reason, err := f.do(tenant, int64(c*perEach+i)%256)
 				switch {
-				case code == http.StatusOK:
-					ok.Add(1)
-				case code == http.StatusServiceUnavailable || code == http.StatusTooManyRequests:
-					rejected.Add(1)
-				default:
+				case err != nil:
 					failed.Add(1)
-					t.Errorf("client %d req %d: status %d: %s", c, i, code, body)
+					t.Errorf("%s client %d req %d: %v", f.name, c, i, err)
+				case reason == "":
+					ok.Add(1)
+				default:
+					rejected.Add(1)
 				}
 			}
 		}(c)
@@ -256,7 +339,7 @@ func TestMigrationUnderLoad(t *testing.T) {
 // TestGateRejectPolicy: with GateReject the router answers 503+Retry-After
 // during a handoff instead of queueing.
 func TestGateRejectPolicy(t *testing.T) {
-	nodes, router := startFleet(t, 2, GateReject)
+	_, router := startFleet(t, 2, GateReject)
 	front := httptest.NewServer(router.Handler())
 	defer front.Close()
 
@@ -274,14 +357,207 @@ func TestGateRejectPolicy(t *testing.T) {
 	if code, body := postIO(t, http.DefaultClient, front.URL, 0, 0); code != http.StatusOK {
 		t.Fatalf("ungated tenant /io = %d: %s", code, body)
 	}
-	_ = nodes
+}
+
+// TestGateWaitTimeout: under the queue policy a request gated by a
+// migration that never finishes must come back as a migrating rejection
+// after GateWait — on every front — not block forever.
+func TestGateWaitTimeout(t *testing.T) {
+	n := startNode(t)
+	const gateWait = 150 * time.Millisecond
+	r, err := NewRouter(Config{
+		Nodes: []string{n.ts.URL}, WireNodes: []string{n.wire},
+		GatePolicy: GateQueue, GateWait: gateWait,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	fronts := startFronts(t, r)
+
+	gate := make(chan struct{})
+	r.publish(func(tab *routeTable) { tab.migrating[0] = gate })
+	for _, f := range fronts {
+		start := time.Now()
+		if reason, err := f.do(0, 0); err != nil || reason != "migrating" {
+			t.Fatalf("%s: gated request = reason %q err %v, want migrating", f.name, reason, err)
+		}
+		if e := time.Since(start); e < gateWait-10*time.Millisecond {
+			t.Errorf("%s answered in %v, before the %v gate wait expired", f.name, e, gateWait)
+		}
+	}
+
+	// Release the gate: every front flows again.
+	r.publish(func(tab *routeTable) { delete(tab.migrating, 0) })
+	close(gate)
+	for _, f := range fronts {
+		if reason, err := f.do(0, 0); err != nil || reason != "" {
+			t.Fatalf("%s: ungated request = reason %q err %v", f.name, reason, err)
+		}
+	}
+}
+
+// migratingOnce is a node that answers its first request "migrating" — it
+// gated the tenant between the router's table load and the forward — and
+// every later one ok.
+type migratingOnce struct{ n atomic.Int64 }
+
+func (b *migratingOnce) SubmitTo(req serve.Request, c serve.Completion) error {
+	if b.n.Add(1) == 1 {
+		return serve.ErrTenantMigrating
+	}
+	c.Complete(serve.Response{Latency: 1000, At: 1}, nil)
+	return nil
+}
+
+// TestMigratingRetryEveryFront pins that the router has one forwarding path:
+// whichever front a request arrives on, a node's "migrating" rejection is
+// waited out and retried under the queue policy and surfaced under reject,
+// and the request counts once in proxied_total however many attempts it
+// took. (/io/batch used to render "rej migrating" under queue, and /io
+// counted proxied only after a reply.)
+func TestMigratingRetryEveryFront(t *testing.T) {
+	up := httptest.NewServer(http.NewServeMux()) // ring/control plane only
+	defer up.Close()
+	for _, policy := range []string{GateQueue, GateReject} {
+		want := ""
+		if policy == GateReject {
+			want = "migrating"
+		}
+		for i, name := range []string{"io", "batch", "wire"} {
+			t.Run(policy+"/"+name, func(t *testing.T) {
+				r, err := NewRouter(Config{
+					Nodes:      []string{up.URL},
+					WireNodes:  []string{startWireListener(t, &migratingOnce{})},
+					GatePolicy: policy,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer r.Close()
+				f := startFronts(t, r)[i]
+				if reason, err := f.do(0, 0); err != nil || reason != want {
+					t.Fatalf("reason %q err %v, want reason %q", reason, err, want)
+				}
+				var buf strings.Builder
+				r.WriteMetrics(&buf)
+				if !strings.Contains(buf.String(), "ssdkeeper_fleet_proxied_total 1\n") {
+					t.Errorf("one client request did not count once:\n%s", buf.String())
+				}
+			})
+		}
+	}
+}
+
+// TestNewRouterRequiresWire: wire is the only data plane, so a fleet with a
+// node the router cannot reach over wire is refused at construction.
+func TestNewRouterRequiresWire(t *testing.T) {
+	nodes := []string{"http://a", "http://b"}
+	for _, wn := range [][]string{nil, {"a:1"}, {"a:1", ""}} {
+		if _, err := NewRouter(Config{Nodes: nodes, WireNodes: wn}); err == nil {
+			t.Errorf("NewRouter accepted WireNodes %q for 2 nodes", wn)
+		}
+	}
+}
+
+// strandBackend completes the first limit requests inline and strands the
+// rest without answering; with kill set it tears the server down instead,
+// so in-flight requests die with their connection.
+type strandBackend struct {
+	limit int64
+	n     atomic.Int64
+	kill  atomic.Bool
+	ws    *wire.Server
+}
+
+func (b *strandBackend) SubmitTo(req serve.Request, c serve.Completion) error {
+	if b.kill.Load() {
+		go b.ws.Close() // not inline: Close waits for this read loop
+		return nil
+	}
+	if b.n.Add(1) <= b.limit {
+		c.Complete(serve.Response{Latency: 1000, At: 1}, nil)
+	}
+	return nil
+}
+
+// TestBatchWireUpstreamDies: an owner that answers part of a batch and
+// strands or drops the rest must yield partial "ok" replies with the
+// remainder "rej upstream" — bounded by the request timeout, never a hang.
+func TestBatchWireUpstreamDies(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bk := &strandBackend{limit: 4}
+	ws := wire.NewServer(bk)
+	bk.ws = ws
+	go ws.Serve(ln)
+	defer ws.Close()
+	up := httptest.NewServer(http.NewServeMux()) // ring/control plane only
+	defer up.Close()
+
+	r, err := NewRouter(Config{
+		Nodes: []string{up.URL}, WireNodes: []string{ln.Addr().String()},
+		WireConns:  1, // single conn: submissions reach the backend in line order
+		ReqTimeout: 400 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	front := httptest.NewServer(r.Handler())
+	defer front.Close()
+
+	postBatch := func() []string {
+		t.Helper()
+		resp, err := http.Post(front.URL+"/io/batch", "text/plain",
+			strings.NewReader(strings.Repeat("1 R 0 16384\n", 8)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+		if len(lines) != 8 {
+			t.Fatalf("batch answered %d lines, want 8: %q", len(lines), data)
+		}
+		return lines
+	}
+
+	start := time.Now()
+	lines := postBatch()
+	elapsed := time.Since(start)
+	for i, ln := range lines {
+		want := "ok 1000"
+		if i >= 4 {
+			want = "rej upstream"
+		}
+		if ln != want {
+			t.Errorf("line %d = %q, want %q", i, ln, want)
+		}
+	}
+	if elapsed < 300*time.Millisecond {
+		t.Errorf("stranded batch answered in %v, before the %v deadline", elapsed, 400*time.Millisecond)
+	}
+	if elapsed > 5*time.Second {
+		t.Errorf("stranded batch took %v", elapsed)
+	}
+
+	// Now the upstream dies under the batch: the connection sweep must fail
+	// every line promptly — no ok, no hang.
+	bk.kill.Store(true)
+	for i, ln := range postBatch() {
+		if ln != "rej upstream" {
+			t.Errorf("post-death line %d = %q, want rej upstream", i, ln)
+		}
+	}
 }
 
 // TestMembershipProbe: the prober reads readiness and per-tenant load from
 // a live node's real endpoints.
 func TestMembershipProbe(t *testing.T) {
 	n := startNode(t)
-	defer n.stop()
 
 	// Complete one request so the metrics have a nonzero completion.
 	code, body := postIO(t, http.DefaultClient, n.ts.URL, 2, 0)

@@ -12,8 +12,7 @@ import (
 // arrives as an immutable snapshot — a stalled scraper can never stall the
 // proxy hot path or a migration.
 type metrics struct {
-	proxied      atomic.Uint64 // requests forwarded to owner nodes (any plane)
-	wireProxied  atomic.Uint64 // of those, carried by the wire data plane
+	proxied      atomic.Uint64 // client requests forwarded to owner nodes, counted once each
 	proxyErrs    atomic.Uint64 // forwards that failed at the transport
 	gateWaits    atomic.Uint64 // requests held at the router for a migration
 	gateRejects  atomic.Uint64 // requests answered 503 for a migration
@@ -63,9 +62,6 @@ func (r *Router) WriteMetrics(w io.Writer) {
 	fmt.Fprintf(w, "# HELP ssdkeeper_fleet_proxied_total Requests forwarded to owner nodes.\n")
 	fmt.Fprintf(w, "# TYPE ssdkeeper_fleet_proxied_total counter\n")
 	fmt.Fprintf(w, "ssdkeeper_fleet_proxied_total %d\n", r.met.proxied.Load())
-	fmt.Fprintf(w, "# HELP ssdkeeper_fleet_wire_proxied_total Proxied requests carried by the persistent wire data plane.\n")
-	fmt.Fprintf(w, "# TYPE ssdkeeper_fleet_wire_proxied_total counter\n")
-	fmt.Fprintf(w, "ssdkeeper_fleet_wire_proxied_total %d\n", r.met.wireProxied.Load())
 	fmt.Fprintf(w, "# HELP ssdkeeper_fleet_proxy_errors_total Forwards that failed at the transport.\n")
 	fmt.Fprintf(w, "# TYPE ssdkeeper_fleet_proxy_errors_total counter\n")
 	fmt.Fprintf(w, "ssdkeeper_fleet_proxy_errors_total %d\n", r.met.proxyErrs.Load())

@@ -1,8 +1,9 @@
 // Package fleet composes serving nodes (internal/serve) into a fleet: a
-// consistent-hash ring places tenants on nodes, a router process proxies
-// client I/O to each tenant's owner node over the existing wire protocol,
-// a membership prober tracks node readiness and load from /readyz and
-// /metrics, and a rebalancer migrates hot tenants between nodes live —
+// consistent-hash ring places tenants on nodes, a router forwards client
+// I/O to each tenant's owner node over the persistent framed transport of
+// internal/wire (the only router↔node data plane; HTTP to a node is
+// control plane), a membership prober tracks node readiness and load from
+// /readyz and /metrics, and a rebalancer migrates hot tenants live —
 // using the node core's tenant-granular drain/handoff primitives — without
 // losing or duplicating a single completion.
 //
@@ -16,6 +17,7 @@ package fleet
 import (
 	"fmt"
 	"sort"
+	"strconv"
 )
 
 // defaultVNodes is the virtual-node count per physical node. 64 points per
@@ -115,7 +117,10 @@ func (r *Ring) Nodes() []string { return append([]string(nil), r.nodes...) }
 // Owner returns the node address that owns the tenant: the first ring point
 // clockwise from the tenant's hash.
 func (r *Ring) Owner(tenant int) string {
-	h := fnv1a(fmt.Sprintf("tenant:%d", tenant))
+	// Rendered into a stack buffer: this runs per forwarded request, and
+	// the string conversion of a non-escaping short slice does not allocate.
+	var buf [32]byte
+	h := fnv1a(string(strconv.AppendInt(append(buf[:0], "tenant:"...), int64(tenant), 10)))
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
 		i = 0 // wrap past the highest point

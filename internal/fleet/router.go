@@ -32,8 +32,9 @@ const (
 
 // Config parameterizes a Router.
 type Config struct {
-	// Nodes is the fleet's node base URLs (http://host:port). The ring is
-	// built over the set; order does not matter.
+	// Nodes is the fleet's node base URLs (http://host:port): the ring is
+	// built over the set, and the control plane (drain/handoff/release,
+	// probes) speaks HTTP to them.
 	Nodes []string
 	// VNodes is the virtual-node count per node (default 64).
 	VNodes int
@@ -45,16 +46,14 @@ type Config struct {
 	// GateWait bounds how long a queued request waits for a migration
 	// before giving up with 503 (default 15s).
 	GateWait time.Duration
-	// ReqTimeout bounds each proxied request (default 60s; batches ride
-	// the same budget).
+	// ReqTimeout bounds how long the HTTP adaptors wait for a forwarded
+	// request (a whole batch rides one budget) and each control-plane
+	// call (default 60s).
 	ReqTimeout time.Duration
-	// Conns sizes the per-node connection pool (default 64).
-	Conns int
-	// WireNodes, when set, enables the wire data plane: entry i is the
-	// wire (host:port) address of Nodes[i], or "" to keep that node on
-	// HTTP. Proxied I/O rides persistent multiplexed wire connections;
-	// HTTP remains the control plane (drain/handoff/release, status) and
-	// the compatibility data plane for clients that speak it.
+	// WireNodes is the data plane, required: entry i is the wire
+	// (host:port) address of Nodes[i]. Every forwarded request rides a
+	// persistent multiplexed wire connection to its owner; the router
+	// never sends I/O to a node over HTTP.
 	WireNodes []string
 	// WireConns sizes the per-node wire connection pool (default 4; each
 	// connection pipelines any number of in-flight requests, so this is
@@ -77,9 +76,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.ReqTimeout == 0 {
 		c.ReqTimeout = 60 * time.Second
-	}
-	if c.Conns == 0 {
-		c.Conns = 64
 	}
 	if c.WireConns == 0 {
 		c.WireConns = 4
@@ -111,14 +107,14 @@ func (t *routeTable) owner(tenant int) string {
 // nodes stay ignorant of each other.
 type Router struct {
 	cfg     Config
-	client  *http.Client
+	client  *http.Client // control plane only: drain, handoff, release
 	table   atomic.Pointer[routeTable]
 	met     metrics
 	members *Membership // optional; enriches /fleet/status and /metrics
 
-	// wires maps a node's base URL to its persistent wire client (absent
-	// for HTTP-only nodes). Built once at construction; connections dial
-	// lazily and redial after failures.
+	// wires maps every node's base URL to its persistent wire client.
+	// Built once at construction; connections dial lazily and redial
+	// after failures.
 	wires map[string]*wire.Client
 
 	// migMu serializes migrations: one tenant moves at a time, so the
@@ -138,25 +134,20 @@ func NewRouter(cfg Config) (*Router, error) {
 	if cfg.GatePolicy != GateQueue && cfg.GatePolicy != GateReject {
 		return nil, fmt.Errorf("fleet: unknown gate policy %q", cfg.GatePolicy)
 	}
-	if len(cfg.WireNodes) != 0 && len(cfg.WireNodes) != len(cfg.Nodes) {
-		return nil, fmt.Errorf("fleet: %d wire addresses for %d nodes", len(cfg.WireNodes), len(cfg.Nodes))
+	if len(cfg.WireNodes) != len(cfg.Nodes) {
+		return nil, fmt.Errorf("fleet: %d wire addresses for %d nodes (WireNodes pairs with Nodes by position)",
+			len(cfg.WireNodes), len(cfg.Nodes))
 	}
 	r := &Router{
-		cfg: cfg,
-		client: &http.Client{
-			Timeout: cfg.ReqTimeout,
-			Transport: &http.Transport{
-				MaxIdleConns:        cfg.Conns * len(ring.Nodes()),
-				MaxIdleConnsPerHost: cfg.Conns,
-				IdleConnTimeout:     90 * time.Second,
-			},
-		},
+		cfg:    cfg,
+		client: &http.Client{Timeout: cfg.ReqTimeout},
+		wires:  make(map[string]*wire.Client, len(cfg.Nodes)),
 	}
-	r.wires = make(map[string]*wire.Client)
 	for i, wa := range cfg.WireNodes {
-		if wa != "" {
-			r.wires[cfg.Nodes[i]] = wire.NewClient(wa, cfg.WireConns)
+		if wa == "" {
+			return nil, fmt.Errorf("fleet: node %s has no wire address", cfg.Nodes[i])
 		}
+		r.wires[cfg.Nodes[i]] = wire.NewClient(wa, cfg.WireConns)
 	}
 	r.table.Store(&routeTable{
 		version:   1,
@@ -168,7 +159,7 @@ func NewRouter(cfg Config) (*Router, error) {
 }
 
 // Close tears down the router's persistent wire connections. In-flight
-// calls fail with a transport error; HTTP proxying is unaffected.
+// requests complete with wire.ErrUpstream.
 func (r *Router) Close() {
 	for _, wc := range r.wires {
 		wc.Close()
@@ -205,9 +196,7 @@ func (r *Router) Owner(tenant int) string { return r.table.Load().owner(tenant) 
 
 // resolve returns the tenant's owner once any in-flight migration of that
 // tenant has been dealt with per the gate policy. A nil error with an empty
-// address never happens; a gate rejection returns errMigrating.
-var errMigrating = fmt.Errorf("fleet: tenant migrating")
-
+// address never happens; a gate rejection returns serve.ErrTenantMigrating.
 func (r *Router) resolve(tenant int) (string, error) {
 	deadline := time.Now().Add(r.cfg.GateWait)
 	for {
@@ -218,13 +207,13 @@ func (r *Router) resolve(tenant int) (string, error) {
 		}
 		if r.cfg.GatePolicy == GateReject {
 			r.met.gateRejects.Add(1)
-			return "", errMigrating
+			return "", serve.ErrTenantMigrating
 		}
 		r.met.gateWaits.Add(1)
 		wait := time.Until(deadline)
 		if wait <= 0 {
 			r.met.gateRejects.Add(1)
-			return "", errMigrating
+			return "", serve.ErrTenantMigrating
 		}
 		t := time.NewTimer(wait)
 		select {
@@ -233,14 +222,14 @@ func (r *Router) resolve(tenant int) (string, error) {
 			// Re-load the table: the migration published a new owner.
 		case <-t.C:
 			r.met.gateRejects.Add(1)
-			return "", errMigrating
+			return "", serve.ErrTenantMigrating
 		}
 	}
 }
 
-// Handler returns the router's HTTP surface: the proxied data plane
-// (/io, /io/batch), the fleet control plane (/fleet/status, /fleet/migrate),
-// and the usual /metrics, /healthz, /readyz.
+// Handler returns the router's HTTP surface: the client-facing /io and
+// /io/batch adaptors over SubmitTo, the fleet control plane (/fleet/status,
+// /fleet/migrate), and the usual /metrics, /healthz, /readyz.
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/io", r.handleIO)
@@ -258,131 +247,110 @@ func (r *Router) Handler() http.Handler {
 	return mux
 }
 
-func writeGateReject(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", "1")
-	http.Error(w, "tenant migrating", http.StatusServiceUnavailable)
+// waiter is the HTTP adaptors' serve.Completion: it collects the outcomes of
+// the requests one handler forwarded and wakes the handler when the last one
+// lands. Completions arrive on other goroutines (upstream connection readers,
+// gated forwards): Complete fills its slot and publishes it through set, and
+// the handler reads a slot's outcome only after loading set. Pooled; a waiter
+// whose handler gave up at ReqTimeout is left to the garbage collector,
+// because late completions still hold its slots.
+type waiter struct {
+	slots   []slot
+	pending atomic.Int64
+	done    chan struct{} // capacity 1: the last completion never blocks
 }
 
-// ioBodyPool recycles /io request bodies and ioRespPool the rendered
-// responses, so the proxy fast path reads, decodes, forwards, and renders
-// without per-request allocations of its own.
-var (
-	ioBodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-	ioRespPool = sync.Pool{New: func() any {
-		b := make([]byte, 0, 64)
-		return &b
-	}}
-)
+// slot is one forwarded request and its outcome.
+type slot struct {
+	w    *waiter
+	req  serve.Request
+	err  error // before forwarding: the decode failure, if any
+	resp serve.Response
+	set  atomic.Bool
+}
 
-// handleIO proxies one JSON request to its tenant's owner — over the
-// persistent wire transport when the owner has one, over HTTP otherwise
-// (the body is decoded only to learn the tenant, then forwarded verbatim).
-// A "migrating" rejection from a node that gated the tenant under our feet
-// is retried through resolve (the request never reached a device, so the
-// retry cannot duplicate work). One client request counts as one proxied
-// request no matter how many retry attempts it takes.
+// Complete implements serve.Completion.
+func (s *slot) Complete(resp serve.Response, err error) {
+	s.resp, s.err = resp, err
+	s.set.Store(true)
+	if s.w.pending.Add(-1) == 0 {
+		s.w.done <- struct{}{}
+	}
+}
+
+var waiterPool = sync.Pool{New: func() any {
+	return &waiter{done: make(chan struct{}, 1)}
+}}
+
+// forwardAll sends every slot through SubmitTo — lines that failed to decode
+// complete in place — and waits for the outcomes, bounded by ReqTimeout. It
+// reports whether they all landed; after false the caller renders the slots
+// that did and must not repool the waiter.
+func (r *Router) forwardAll(wt *waiter) bool {
+	if len(wt.slots) == 0 {
+		return true
+	}
+	wt.pending.Store(int64(len(wt.slots)))
+	for i := range wt.slots {
+		s := &wt.slots[i]
+		err := s.err
+		if err == nil {
+			err = r.SubmitTo(s.req, s)
+		}
+		if err != nil {
+			s.Complete(serve.Response{}, err)
+		}
+	}
+	t := time.NewTimer(r.cfg.ReqTimeout)
+	defer t.Stop()
+	select {
+	case <-wt.done:
+		return true
+	case <-t.C:
+		return false
+	}
+}
+
+// writeReject answers a rejected request the way the owner node's own /io
+// would have, plus 502 for a node that died under the request.
+func writeReject(w http.ResponseWriter, err error) {
+	if errors.Is(err, wire.ErrUpstream) {
+		http.Error(w, err.Error(), http.StatusBadGateway)
+		return
+	}
+	serve.WriteReject(w, err)
+}
+
+// handleIO is the JSON adaptor: decode, forward through SubmitTo, render.
 func (r *Router) handleIO(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	bodyBuf := ioBodyPool.Get().(*bytes.Buffer)
-	bodyBuf.Reset()
-	defer ioBodyPool.Put(bodyBuf)
-	if _, err := bodyBuf.ReadFrom(http.MaxBytesReader(w, req.Body, 1<<20)); err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, 1<<20))
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	body := bodyBuf.Bytes()
 	sreq, err := serve.DecodeJSONRequest(body)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if sreq.Tenant < 0 || sreq.Tenant >= r.cfg.Tenants {
-		http.Error(w, fmt.Sprintf("tenant %d outside [0,%d)", sreq.Tenant, r.cfg.Tenants), http.StatusBadRequest)
+	wt := waiterPool.Get().(*waiter)
+	wt.slots = append(wt.slots[:0], slot{w: wt, req: sreq})
+	if !r.forwardAll(wt) {
+		serve.WriteReject(w, serve.ErrCanceled)
 		return
 	}
-	for attempt := 0; ; attempt++ {
-		owner, err := r.resolve(sreq.Tenant)
-		if err != nil {
-			writeGateReject(w)
-			return
-		}
-		if wc := r.wires[owner]; wc != nil {
-			lat, at, reason, err := wc.Do(sreq, r.cfg.ReqTimeout)
-			if err != nil {
-				r.met.proxyErrs.Add(1)
-				http.Error(w, fmt.Sprintf("upstream %s: %v", owner, err), http.StatusBadGateway)
-				return
-			}
-			if attempt == 0 { // one client request counts once, whatever the retries do
-				r.met.proxied.Add(1)
-				r.met.wireProxied.Add(1)
-			}
-			if reason == "migrating" && r.cfg.GatePolicy == GateQueue && attempt < 4 {
-				continue
-			}
-			if reason != "" {
-				writeReasonReject(w, reason)
-				return
-			}
-			bp := ioRespPool.Get().(*[]byte)
-			out := serve.AppendIOResponse((*bp)[:0], lat, at)
-			w.Header().Set("Content-Type", "application/json")
-			w.Write(out)
-			*bp = out[:0]
-			ioRespPool.Put(bp)
-			return
-		}
-		resp, err := r.client.Post(owner+"/io", "application/json", bytes.NewReader(body))
-		if err != nil {
-			r.met.proxyErrs.Add(1)
-			http.Error(w, fmt.Sprintf("upstream %s: %v", owner, err), http.StatusBadGateway)
-			return
-		}
-		respBody, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		resp.Body.Close()
-		if attempt == 0 {
-			r.met.proxied.Add(1)
-		}
-		if resp.StatusCode == http.StatusServiceUnavailable &&
-			strings.Contains(string(respBody), "migrating") &&
-			r.cfg.GatePolicy == GateQueue && attempt < 4 {
-			// The node gated this tenant between our table load and the
-			// forward; wait the migration out and retry at the new owner.
-			continue
-		}
-		for _, h := range []string{"Content-Type", "Retry-After"} {
-			if v := resp.Header.Get(h); v != "" {
-				w.Header().Set(h, v)
-			}
-		}
-		w.WriteHeader(resp.StatusCode)
-		w.Write(respBody)
-		return
+	s := &wt.slots[0]
+	if s.err != nil {
+		writeReject(w, s.err)
+	} else {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(serve.AppendIOResponse(nil, int64(s.resp.Latency), int64(s.resp.At)))
 	}
-}
-
-// writeReasonReject maps a wire rejection token onto the HTTP status the
-// node's own front end would have used, so clients cannot tell which data
-// plane carried their request.
-func writeReasonReject(w http.ResponseWriter, reason string) {
-	var status int
-	switch reason {
-	case "queue_full":
-		status = http.StatusTooManyRequests
-	case "migrating", "draining":
-		status = http.StatusServiceUnavailable
-	case "timeout":
-		status = http.StatusGatewayTimeout
-	default:
-		status = http.StatusBadRequest
-	}
-	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", "1")
-	}
-	http.Error(w, wire.ReasonError(reason).Error(), status)
+	waiterPool.Put(wt)
 }
 
 // Batch bounds, aligned with the node-side decoder (serve/http.go): the
@@ -392,104 +360,6 @@ const (
 	maxBatchBody  = 4 << 20
 	maxBatchLines = 65536
 )
-
-// batchLine is one scanned line's routing and outcome. Wire outcomes land
-// from connection read goroutines: the observer fills lat/ok/reason, then
-// publishes with an atomic store to state; the renderer reads fields only
-// after observing the store (lines never resolved by the deadline render
-// as upstream failures without touching the racy fields).
-type batchLine struct {
-	req    serve.Request
-	owner  int16  // index into batchState.owners; -1 for local rejections
-	pos    int32  // position within the owner's sub-batch
-	state  uint32 // wire lines: 0 in flight, 1 resolved (atomic)
-	ok     bool
-	lat    int64
-	reason string // interned rejection token for local/wire rejections
-}
-
-// ownerBatch is one node's slice of a batch: for HTTP owners the
-// accumulated sub-batch body and the reply arena; for wire owners just the
-// line count (requests pipeline individually, no body is built).
-type ownerBatch struct {
-	addr  string
-	wc    *wire.Client
-	n     int32
-	body  []byte  // HTTP: sub-batch request body
-	arena []byte  // HTTP: reply bytes, gathered without per-line strings
-	offs  []int32 // HTTP: arena offsets; reply i is arena[offs[i]:offs[i+1]]
-	fail  bool    // HTTP: whole sub-batch failed
-}
-
-// batchState is a batch's whole scratch space, pooled so the steady-state
-// scatter/gather path allocates nothing. A state whose wire outcomes all
-// arrived goes back to the pool; one abandoned at the deadline is left to
-// the garbage collector, because late observers still hold it.
-type batchState struct {
-	lines       []batchLine
-	owners      []ownerBatch
-	tenantOwner []int16 // per tenant: -2 unresolved, -1 gate-rejected, else owner index
-	remaining   atomic.Int64
-	wireDone    chan struct{}
-}
-
-func (st *batchState) Done(tag uint64, latencyNS, _ int64, reason string, err error) {
-	l := &st.lines[tag]
-	switch {
-	case err != nil:
-		l.reason = wire.ReasonUpstream
-	case reason != "":
-		l.reason = reason
-	default:
-		l.ok = true
-		l.lat = latencyNS
-	}
-	atomic.StoreUint32(&l.state, 1)
-	if st.remaining.Add(-1) == 0 {
-		close(st.wireDone)
-	}
-}
-
-var batchStatePool = sync.Pool{New: func() any { return new(batchState) }}
-
-func (r *Router) getBatchState() *batchState {
-	st := batchStatePool.Get().(*batchState)
-	st.lines = st.lines[:0]
-	st.owners = st.owners[:0] // slots are reset as ownerIndex reuses them
-	if cap(st.tenantOwner) < r.cfg.Tenants {
-		st.tenantOwner = make([]int16, r.cfg.Tenants)
-	}
-	st.tenantOwner = st.tenantOwner[:r.cfg.Tenants]
-	for i := range st.tenantOwner {
-		st.tenantOwner[i] = -2
-	}
-	st.remaining.Store(0)
-	st.wireDone = make(chan struct{})
-	return st
-}
-
-// ownerIndex interns an owner address into the batch's owner list. A slot
-// within the pooled slice's capacity is reused in place — its body, arena,
-// and offs keep the capacity they grew in earlier batches, which is what
-// keeps the steady-state HTTP scatter/gather path allocation-free.
-func (st *batchState) ownerIndex(r *Router, addr string) int16 {
-	for i := range st.owners {
-		if st.owners[i].addr == addr {
-			return int16(i)
-		}
-	}
-	n := len(st.owners)
-	if n < cap(st.owners) {
-		st.owners = st.owners[:n+1]
-		ob := &st.owners[n]
-		ob.addr, ob.wc = addr, r.wires[addr]
-		ob.n, ob.fail = 0, false
-		ob.body, ob.arena, ob.offs = ob.body[:0], ob.arena[:0], ob.offs[:0]
-	} else {
-		st.owners = append(st.owners, ownerBatch{addr: addr, wc: r.wires[addr]})
-	}
-	return int16(n)
-}
 
 var (
 	batchScanPool = sync.Pool{New: func() any {
@@ -501,25 +371,21 @@ var (
 	}}
 )
 
-// handleBatch proxies a line-protocol batch, splitting it by owner node.
-// Lines keep their positions: owners are resolved once per (batch, tenant),
-// wire owners have each line pipelined individually onto their persistent
-// connections (tagged with the line index, so replies demux straight into
-// place), HTTP owners receive sub-batches preserving relative order, and
-// the replies are gathered back into one response in the original line
-// order. Steady state allocates nothing: the scan buffer, line table,
-// per-owner bodies, and reply arenas are all pooled, and lines are decoded
-// with DecodeLineBytes straight off the scanner's buffer.
+// handleBatch is the line-protocol adaptor: decode every line, forward each
+// through SubmitTo (so a line gets the same gate wait and migrating retry as
+// a /io or wire request), and render the outcomes in line order. A line
+// still unanswered at ReqTimeout renders "rej upstream".
 func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	st := r.getBatchState()
-	abandoned := false
+	wt := waiterPool.Get().(*waiter)
+	wt.slots = wt.slots[:0]
+	reusable := true
 	defer func() {
-		if !abandoned {
-			batchStatePool.Put(st)
+		if reusable {
+			waiterPool.Put(wt)
 		}
 	}()
 
@@ -532,36 +398,12 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 		if len(raw) == 0 {
 			continue
 		}
-		if len(st.lines) >= maxBatchLines {
+		if len(wt.slots) >= maxBatchLines {
 			http.Error(w, fmt.Sprintf("batch exceeds %d lines", maxBatchLines), http.StatusBadRequest)
 			return
 		}
 		sreq, err := serve.DecodeLineBytes(raw)
-		if err != nil || sreq.Tenant < 0 || sreq.Tenant >= r.cfg.Tenants {
-			st.lines = append(st.lines, batchLine{owner: -1, reason: "invalid"})
-			continue
-		}
-		own := st.tenantOwner[sreq.Tenant]
-		if own == -2 { // first line of this tenant: resolve once per batch
-			addr, err := r.resolve(sreq.Tenant)
-			if err != nil {
-				own = -1
-			} else {
-				own = st.ownerIndex(r, addr)
-			}
-			st.tenantOwner[sreq.Tenant] = own
-		}
-		if own == -1 {
-			st.lines = append(st.lines, batchLine{owner: -1, reason: "migrating"})
-			continue
-		}
-		ob := &st.owners[own]
-		if ob.wc == nil {
-			ob.body = append(ob.body, raw...)
-			ob.body = append(ob.body, '\n')
-		}
-		st.lines = append(st.lines, batchLine{req: sreq, owner: own, pos: ob.n})
-		ob.n++
+		wt.slots = append(wt.slots, slot{w: wt, req: sreq, err: err})
 	}
 	if err := sc.Err(); err != nil {
 		if errors.Is(err, bufio.ErrTooLong) {
@@ -570,57 +412,8 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	reusable = r.forwardAll(wt)
 
-	// Scatter. Wire lines pipeline one by one (the outbox coalesces their
-	// frames into few writes); HTTP owners get one goroutine each.
-	wireLines := int64(0)
-	for i := range st.owners {
-		if st.owners[i].wc != nil {
-			wireLines += int64(st.owners[i].n)
-		}
-	}
-	st.remaining.Store(wireLines)
-	var wg sync.WaitGroup
-	for i := range st.owners {
-		ob := &st.owners[i]
-		if ob.wc != nil {
-			continue
-		}
-		wg.Add(1)
-		go func(ob *ownerBatch) {
-			defer wg.Done()
-			r.gatherHTTP(ob)
-		}(ob)
-	}
-	if wireLines > 0 {
-		r.met.proxied.Add(uint64(wireLines))
-		r.met.wireProxied.Add(uint64(wireLines))
-		for i := range st.lines {
-			l := &st.lines[i]
-			if l.owner < 0 {
-				continue
-			}
-			wc := st.owners[l.owner].wc
-			if wc == nil {
-				continue
-			}
-			if err := wc.Start(l.req, uint64(i), st); err != nil {
-				st.Done(uint64(i), 0, 0, "", err)
-			}
-		}
-	}
-	wg.Wait()
-	if wireLines > 0 {
-		t := time.NewTimer(r.cfg.ReqTimeout)
-		select {
-		case <-st.wireDone:
-			t.Stop()
-		case <-t.C:
-			abandoned = true // late observers still hold st; leave it to GC
-		}
-	}
-
-	// Gather: render replies in original line order.
 	w.Header().Set("Content-Type", "text/plain")
 	bw := batchWriterPool.Get().(*bufio.Writer)
 	bw.Reset(w)
@@ -630,68 +423,26 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 		batchWriterPool.Put(bw)
 	}()
 	var num [20]byte
-	for i := range st.lines {
-		l := &st.lines[i]
+	for i := range wt.slots {
+		s := &wt.slots[i]
 		switch {
-		case l.owner < 0:
+		case !s.set.Load():
+			bw.WriteString("rej upstream")
+		case s.err != nil:
 			bw.WriteString("rej ")
-			bw.WriteString(l.reason)
-		case st.owners[l.owner].wc != nil:
-			if atomic.LoadUint32(&l.state) != 1 {
-				bw.WriteString("rej upstream")
-			} else if l.ok {
-				bw.WriteString("ok ")
-				bw.Write(strconv.AppendInt(num[:0], l.lat, 10))
-			} else {
-				bw.WriteString("rej ")
-				bw.WriteString(l.reason)
-			}
+			bw.WriteString(wire.RejectReason(s.err))
 		default:
-			ob := &st.owners[l.owner]
-			if ob.fail || int(l.pos) >= len(ob.offs)-1 {
-				bw.WriteString("rej upstream")
-			} else {
-				bw.Write(ob.arena[ob.offs[l.pos]:ob.offs[l.pos+1]])
-			}
+			bw.WriteString("ok ")
+			bw.Write(strconv.AppendInt(num[:0], int64(s.resp.Latency), 10))
 		}
 		bw.WriteByte('\n')
-	}
-}
-
-// gatherHTTP forwards one HTTP owner's sub-batch and collects its reply
-// lines into the owner's arena. Missing trailer lines (node died mid-reply)
-// leave offs short; the renderer answers "rej upstream" for those.
-func (r *Router) gatherHTTP(ob *ownerBatch) {
-	resp, err := r.client.Post(ob.addr+"/io/batch", "text/plain", bytes.NewReader(ob.body))
-	if err != nil {
-		r.met.proxyErrs.Add(1)
-		ob.fail = true
-		return
-	}
-	defer resp.Body.Close()
-	r.met.proxied.Add(uint64(ob.n))
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		ob.fail = true
-		return
-	}
-	bufp := batchScanPool.Get().(*[]byte)
-	defer batchScanPool.Put(bufp)
-	rs := bufio.NewScanner(resp.Body)
-	rs.Buffer(*bufp, maxBatchBody)
-	ob.offs = append(ob.offs, int32(len(ob.arena)))
-	got := int32(0)
-	for rs.Scan() && got < ob.n {
-		ob.arena = append(ob.arena, rs.Bytes()...)
-		ob.offs = append(ob.offs, int32(len(ob.arena)))
-		got++
 	}
 }
 
 // statusReply is /fleet/status's JSON document.
 type statusReply struct {
 	Nodes       []string          `json:"nodes"`
-	WireNodes   map[string]string `json:"wire_nodes,omitempty"` // node URL → wire addr
+	WireNodes   map[string]string `json:"wire_nodes"` // node URL → wire addr
 	RingVersion uint64            `json:"ring_version"`
 	Tenants     map[string]string `json:"tenants"` // tenant → owner
 	Migrating   []int             `json:"migrating,omitempty"`
@@ -704,6 +455,7 @@ func (r *Router) handleStatus(w http.ResponseWriter, req *http.Request) {
 	st := statusReply{
 		Nodes:       tab.ring.Nodes(),
 		RingVersion: tab.version,
+		WireNodes:   map[string]string{},
 		Tenants:     map[string]string{},
 		Migrations: map[string]uint64{
 			"started":   r.met.migStarted.Load(),
@@ -714,11 +466,8 @@ func (r *Router) handleStatus(w http.ResponseWriter, req *http.Request) {
 	for t := 0; t < r.cfg.Tenants; t++ {
 		st.Tenants[strconv.Itoa(t)] = tab.owner(t)
 	}
-	if len(r.wires) > 0 {
-		st.WireNodes = map[string]string{}
-		for node, wc := range r.wires {
-			st.WireNodes[node] = wc.Addr()
-		}
+	for node, wc := range r.wires {
+		st.WireNodes[node] = wc.Addr()
 	}
 	for t := range tab.migrating {
 		st.Migrating = append(st.Migrating, t)

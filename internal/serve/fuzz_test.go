@@ -2,12 +2,14 @@ package serve
 
 import (
 	"testing"
+
+	"ssdkeeper/internal/trace"
 )
 
-// FuzzDecode drives both daemon request decoders — the HTTP/JSON form and
-// the load-generator line protocol — with arbitrary input: neither may
-// panic, and whatever the line decoder accepts must survive an
-// encode/decode round trip. The seeds reuse the trace parser's fuzz corpus
+// FuzzDecode drives both daemon request decoders — the HTTP/JSON adaptor and
+// the line grammar — with arbitrary input: neither may panic, whatever
+// either accepts must classify under Validate, and whatever the line decoder
+// accepts must survive an encode/decode round trip. The seeds reuse the trace parser's fuzz corpus
 // shapes (MSR-style CSV rows) alongside native forms, since operators pipe
 // trace-derived files into /io/batch.
 func FuzzDecode(f *testing.F) {
@@ -33,8 +35,8 @@ func FuzzDecode(f *testing.F) {
 	f.Add(`{"tenant":0,"op":"read","offset":0,"size":1,"extra":true}`)
 	f.Add(`{"tenant":`)
 	f.Add(`[]`)
-	// Shapes aimed at the hand-rolled scanner's edges: null fields, leading
-	// zeros, case-folded and duplicate keys, escapes, trailing data.
+	// JSON edges: null fields, leading zeros, case-folded and duplicate
+	// keys, escapes, trailing data.
 	f.Add(`{"tenant":null,"op":"read","offset":null,"size":4}`)
 	f.Add(`{"tenant":01,"op":"r","offset":0,"size":1}`)
 	f.Add(`{"Tenant":1,"OP":"w","offset":0,"size":1}`)
@@ -58,25 +60,11 @@ func FuzzDecode(f *testing.F) {
 			// Validation must classify, never panic, whatever was decoded.
 			_ = req.Validate(4, 64<<20)
 		}
-		// Differential check of the hand-rolled JSON scanner against the
-		// encoding/json reference, per the contract in jsonfast.go: a fast
-		// accept must be a stdlib accept with an identical Request, and on
-		// all-ASCII escape-free inputs a stdlib accept must be a fast accept.
-		req, err := DecodeJSONRequest([]byte(in))
-		std, stdErr := decodeJSONRequestStd([]byte(in))
-		if err == nil {
-			if stdErr != nil {
-				t.Fatalf("fast JSON decoder accepted %q as %+v but stdlib rejects: %v", in, req, stdErr)
-			}
-			if req != std {
-				t.Fatalf("JSON decoders disagree on %q: fast %+v, stdlib %+v", in, req, std)
-			}
-			if req.Op != 0 && req.Op != 1 {
+		if req, err := DecodeJSONRequest([]byte(in)); err == nil {
+			if req.Op != trace.Read && req.Op != trace.Write {
 				t.Fatalf("JSON decoder produced op %d from %q", req.Op, in)
 			}
 			_ = req.Validate(4, 64<<20)
-		} else if stdErr == nil && asciiNoBackslash(in) {
-			t.Fatalf("stdlib accepted %q as %+v but fast JSON decoder rejects: %v", in, std, err)
 		}
 	})
 }

@@ -121,7 +121,10 @@ func rejectStatus(err error) int {
 	}
 }
 
-func writeReject(w http.ResponseWriter, err error) {
+// WriteReject answers a rejected request with rejectStatus's mapping and the
+// Retry-After hint where a retry can succeed. Exported so the fleet router's
+// HTTP adaptor answers a node's rejection exactly as the node would have.
+func WriteReject(w http.ResponseWriter, err error) {
 	status := rejectStatus(err)
 	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", retryAfterSeconds)
@@ -130,9 +133,7 @@ func writeReject(w http.ResponseWriter, err error) {
 }
 
 // bodyBufPool recycles /io request-body buffers, and ioRespPool the rendered
-// response bytes: with the hand-rolled decoder and renderer, the /io JSON
-// hot path performs no per-request allocations of its own (what remains is
-// net/http's).
+// response bytes.
 var (
 	bodyBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 	ioRespPool  = sync.Pool{New: func() any {
@@ -144,8 +145,7 @@ var (
 // AppendIOResponse renders the /io completion without reflection. The byte
 // form (including the trailing newline) is identical to what
 // json.Encoder.Encode produced for jsonResponse, so clients see no change.
-// Exported because the fleet router renders the same body on its wire proxy
-// fast path.
+// Exported because the fleet router's /io adaptor renders the same body.
 func AppendIOResponse(dst []byte, latencyNS, simNS int64) []byte {
 	dst = append(dst, `{"latency_ns":`...)
 	dst = strconv.AppendInt(dst, latencyNS, 10)
@@ -175,7 +175,7 @@ func (s *Server) handleIO(w http.ResponseWriter, r *http.Request, reqTimeout tim
 	defer cancel()
 	resp, err := s.Submit(ctx, req)
 	if err != nil {
-		writeReject(w, err)
+		WriteReject(w, err)
 		return
 	}
 	bp := ioRespPool.Get().(*[]byte)

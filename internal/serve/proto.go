@@ -54,17 +54,6 @@ func (r Request) Validate(tenants int, maxBytes int64) error {
 	return nil
 }
 
-// parseOp accepts the spellings used across the repo's trace formats.
-func parseOp(s string) (trace.Op, error) {
-	switch s {
-	case "R", "r", "read", "Read", "READ":
-		return trace.Read, nil
-	case "W", "w", "write", "Write", "WRITE":
-		return trace.Write, nil
-	}
-	return 0, fmt.Errorf("unknown op %q", s)
-}
-
 // jsonRequest is the HTTP/JSON wire form of a request.
 type jsonRequest struct {
 	Tenant int    `json:"tenant"`
@@ -80,18 +69,21 @@ type jsonResponse struct {
 	SimNS     int64 `json:"sim_ns"`
 }
 
-// decodeJSONRequestStd is the encoding/json reference decoder. The serving
-// path uses the allocation-free scanner in jsonfast.go; this implementation
-// remains as the semantic oracle the differential tests and fuzz target
-// compare against.
-func decodeJSONRequestStd(data []byte) (Request, error) {
+// DecodeJSONRequest parses one JSON-encoded request with encoding/json.
+// Unknown fields are rejected so client typos fail loudly instead of silently
+// defaulting. JSON /io is a compatibility adaptor at the node and the router
+// (every benchmarked path rides the wire frame, whose tail is the line
+// grammar below), so it pays the stdlib decoder's ~2 µs and 9 allocations
+// rather than carrying a second hand-written codec; DESIGN.md §14 records
+// the measurement.
+func DecodeJSONRequest(data []byte) (Request, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var jr jsonRequest
 	if err := dec.Decode(&jr); err != nil {
 		return Request{}, fmt.Errorf("serve: bad JSON request: %w", err)
 	}
-	op, err := parseOp(jr.Op)
+	op, err := parseOpBytes([]byte(jr.Op))
 	if err != nil {
 		return Request{}, fmt.Errorf("serve: bad JSON request: %w", err)
 	}
@@ -109,9 +101,11 @@ func lineSep(b byte) bool {
 	return false
 }
 
-// parseIntBytes is strconv.ParseInt(string(b), 10, 64) without the string
+// ParseIntBytes is strconv.ParseInt(string(b), 10, 64) without the string
 // conversion. Overflow-safe: accumulates negated so int64 min parses.
-func parseIntBytes(b []byte) (int64, error) {
+// Exported, with ParseUintBytes, because the wire frame codec parses its seq
+// tag and reply numbers with the same two functions.
+func ParseIntBytes(b []byte) (int64, error) {
 	if len(b) == 0 {
 		return 0, fmt.Errorf("empty number")
 	}
@@ -148,8 +142,8 @@ func parseIntBytes(b []byte) (int64, error) {
 
 const minInt64 = -1 << 63
 
-// parseUintBytes parses an unsigned decimal (no sign) without allocating.
-func parseUintBytes(b []byte) (uint64, error) {
+// ParseUintBytes parses an unsigned decimal (no sign) without allocating.
+func ParseUintBytes(b []byte) (uint64, error) {
 	if len(b) == 0 {
 		return 0, fmt.Errorf("empty number")
 	}
@@ -167,9 +161,9 @@ func parseUintBytes(b []byte) (uint64, error) {
 	return n, nil
 }
 
-// parseOpBytes is parseOp on a byte slice. The string(b) conversions in the
-// switch do not allocate: the compiler recognizes the compare-against-
-// constant pattern.
+// parseOpBytes accepts the op spellings used across the repo's trace
+// formats. The string(b) conversions in the switch do not allocate: the
+// compiler recognizes the compare-against-constant pattern.
 func parseOpBytes(b []byte) (trace.Op, error) {
 	switch {
 	case len(b) == 1 && (b[0] == 'R' || b[0] == 'r'):
@@ -219,7 +213,7 @@ func DecodeLineBytes(line []byte) (Request, error) {
 	if n != 4 && n != 5 {
 		return Request{}, fmt.Errorf("serve: line has %d fields, want 4 or 5 (tenant op offset size [key])", n)
 	}
-	tenant, err := parseIntBytes(fields[0])
+	tenant, err := ParseIntBytes(fields[0])
 	if err != nil {
 		return Request{}, fmt.Errorf("serve: bad tenant %q: %w", fields[0], err)
 	}
@@ -227,17 +221,17 @@ func DecodeLineBytes(line []byte) (Request, error) {
 	if err != nil {
 		return Request{}, fmt.Errorf("serve: %w", err)
 	}
-	offset, err := parseIntBytes(fields[2])
+	offset, err := ParseIntBytes(fields[2])
 	if err != nil {
 		return Request{}, fmt.Errorf("serve: bad offset %q: %w", fields[2], err)
 	}
-	size, err := parseIntBytes(fields[3])
+	size, err := ParseIntBytes(fields[3])
 	if err != nil {
 		return Request{}, fmt.Errorf("serve: bad size %q: %w", fields[3], err)
 	}
 	var key uint64
 	if n == 5 {
-		key, err = parseUintBytes(fields[4])
+		key, err = ParseUintBytes(fields[4])
 		if err != nil {
 			return Request{}, fmt.Errorf("serve: bad key %q: %w", fields[4], err)
 		}

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"strings"
 	"testing"
 
 	"ssdkeeper/internal/sim"
@@ -125,19 +124,36 @@ func TestRequestRecord(t *testing.T) {
 
 func TestParseOpSpellings(t *testing.T) {
 	for _, s := range []string{"R", "r", "read", "Read", "READ"} {
-		if op, err := parseOp(s); err != nil || op != trace.Read {
-			t.Errorf("parseOp(%q) = %v, %v", s, op, err)
+		if op, err := parseOpBytes([]byte(s)); err != nil || op != trace.Read {
+			t.Errorf("parseOpBytes(%q) = %v, %v", s, op, err)
 		}
 	}
 	for _, s := range []string{"W", "w", "write", "Write", "WRITE"} {
-		if op, err := parseOp(s); err != nil || op != trace.Write {
-			t.Errorf("parseOp(%q) = %v, %v", s, op, err)
+		if op, err := parseOpBytes([]byte(s)); err != nil || op != trace.Write {
+			t.Errorf("parseOpBytes(%q) = %v, %v", s, op, err)
 		}
 	}
-	if _, err := parseOp("trim"); err == nil {
-		t.Error("parseOp accepted unknown op")
+	if _, err := parseOpBytes([]byte("trim")); err == nil {
+		t.Error("parseOpBytes accepted unknown op")
 	}
-	if _, err := parseOp(strings.Repeat("R", 2)); err == nil {
-		t.Error("parseOp accepted RR")
+	if _, err := parseOpBytes([]byte("RR")); err == nil {
+		t.Error("parseOpBytes accepted RR")
+	}
+}
+
+// TestAppendIOResponse checks the manual renderer byte-for-byte against what
+// json.Encoder produces for jsonResponse, and that rendering allocates
+// nothing when the destination has capacity.
+func TestAppendIOResponse(t *testing.T) {
+	got := string(AppendIOResponse(nil, 123456, -7))
+	want := "{\"latency_ns\":123456,\"sim_ns\":-7}\n"
+	if got != want {
+		t.Errorf("AppendIOResponse = %q, want %q", got, want)
+	}
+	buf := make([]byte, 0, 64)
+	if n := testing.AllocsPerRun(200, func() {
+		buf = AppendIOResponse(buf[:0], 987654321, 123456789)
+	}); n != 0 {
+		t.Errorf("AppendIOResponse allocates %.1f objects per call, want 0", n)
 	}
 }

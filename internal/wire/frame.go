@@ -1,4 +1,4 @@
-// Package wire is the fleet's fast data plane: a persistent, multiplexed,
+// Package wire is the fleet's data plane: a persistent, multiplexed,
 // newline-framed transport between the router and its nodes. Each frame is
 // one text line tagged with a connection-local sequence number, so many
 // in-flight requests share one TCP connection and replies return in
@@ -84,7 +84,7 @@ func ParseRequest(line []byte) (uint64, serve.Request, error) {
 	for i < len(line) && !wireSep(line[i]) {
 		i++
 	}
-	seq, err := parseUintWire(line[:i])
+	seq, err := serve.ParseUintBytes(line[:i])
 	if err != nil || seq == 0 {
 		return 0, serve.Request{}, fmt.Errorf("wire: bad request seq %q", line[:i])
 	}
@@ -128,7 +128,7 @@ func ParseReply(line []byte) (Reply, error) {
 	if n < 3 {
 		return Reply{}, fmt.Errorf("wire: reply has %d fields, want 3 or 4", n)
 	}
-	seq, err := parseUintWire(f[0])
+	seq, err := serve.ParseUintBytes(f[0])
 	if err != nil || seq == 0 {
 		return Reply{}, fmt.Errorf("wire: bad reply seq %q", f[0])
 	}
@@ -137,11 +137,11 @@ func ParseReply(line []byte) (Reply, error) {
 		if n != 4 {
 			return Reply{}, fmt.Errorf("wire: ok reply has %d fields, want 4", n)
 		}
-		lat, err := parseIntWire(f[2])
+		lat, err := serve.ParseIntBytes(f[2])
 		if err != nil {
 			return Reply{}, fmt.Errorf("wire: bad latency %q: %w", f[2], err)
 		}
-		at, err := parseIntWire(f[3])
+		at, err := serve.ParseIntBytes(f[3])
 		if err != nil {
 			return Reply{}, fmt.Errorf("wire: bad sim time %q: %w", f[3], err)
 		}
@@ -155,35 +155,3 @@ func ParseReply(line []byte) (Reply, error) {
 // wireSep matches the separators frames use (space or tab; the request tail
 // additionally accepts the full serve line-protocol separator set).
 func wireSep(b byte) bool { return b == ' ' || b == '\t' || b == '\r' }
-
-// parseUintWire parses an unsigned decimal without allocating.
-func parseUintWire(b []byte) (uint64, error) {
-	if len(b) == 0 {
-		return 0, fmt.Errorf("empty number")
-	}
-	var n uint64
-	for _, c := range b {
-		if c < '0' || c > '9' {
-			return 0, fmt.Errorf("bad digit %q", c)
-		}
-		d := uint64(c - '0')
-		if n > (^uint64(0)-d)/10 {
-			return 0, fmt.Errorf("overflows uint64")
-		}
-		n = n*10 + d
-	}
-	return n, nil
-}
-
-// parseIntWire parses a non-negative decimal int64 without allocating
-// (replies never carry negative numbers).
-func parseIntWire(b []byte) (int64, error) {
-	n, err := parseUintWire(b)
-	if err != nil {
-		return 0, err
-	}
-	if n > 1<<63-1 {
-		return 0, fmt.Errorf("overflows int64")
-	}
-	return int64(n), nil
-}

@@ -57,3 +57,14 @@ func ReasonError(reason string) error {
 	}
 	return fmt.Errorf("serve: rejected: %s", reason)
 }
+
+// RejectReason renders an error as a reply reason: the serve vocabulary,
+// plus "upstream" for proxy transport failures (a router-side listener
+// completes with ErrUpstream when the owner node died under the request).
+// Exported because the router's /io/batch adaptor renders the same tokens.
+func RejectReason(err error) string {
+	if errors.Is(err, ErrUpstream) {
+		return ReasonUpstream
+	}
+	return serve.RejectReason(err)
+}

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bufio"
-	"errors"
 	"net"
 	"sync"
 
@@ -155,20 +154,10 @@ type Done struct {
 	scratch []byte
 }
 
-// rejectToken renders an error as a reply reason: the serve vocabulary,
-// plus "upstream" for proxy transport failures (a router-side listener
-// completes with ErrUpstream when the owner node died under the request).
-func rejectToken(err error) string {
-	if errors.Is(err, ErrUpstream) {
-		return ReasonUpstream
-	}
-	return serve.RejectReason(err)
-}
-
 // Complete implements serve.Completion.
 func (d *Done) Complete(resp serve.Response, err error) {
 	if err != nil {
-		d.scratch = AppendRej(d.scratch[:0], d.seq, rejectToken(err))
+		d.scratch = AppendRej(d.scratch[:0], d.seq, RejectReason(err))
 	} else {
 		d.scratch = AppendOK(d.scratch[:0], d.seq, int64(resp.Latency), int64(resp.At))
 	}

@@ -32,11 +32,12 @@
 # BENCH_server.json is byte-identical whether or not Part 3 runs.
 #
 # Part 4 benchmarks the fleet data plane and writes BENCH_fleet.json: for
-# each node count in FLEET_SWEEP it boots that many wire-enabled nodes plus
-# one keeperfleet router and measures router-vs-direct throughput and
-# round-trip p99 over both transports (HTTP JSON proxy vs the persistent
-# framed wire protocol), on the single-request and batch paths. Skip with
-# FLEET=0; runs even under SERVER=0.
+# each node count in FLEET_SWEEP it boots that many nodes plus one
+# keeperfleet router and measures router-vs-direct throughput and round-trip
+# p99 over the wire protocol, on the single-request and pipelined-chunk
+# paths. (The committed BENCH_fleet.json also carries the HTTP-proxy columns
+# measured before wire became the only data plane; they are history.) Skip
+# with FLEET=0; runs even under SERVER=0.
 #
 # Part 5 (directly after Part 1 in the file, since it needs no daemons)
 # merges a "health" block into BENCH_simcore.json: degraded-device
@@ -328,9 +329,8 @@ fi # SERVER
 [ "${FLEET:-1}" = "0" ] && exit 0
 
 # ---- Part 4: fleet data-plane sweep -> BENCH_fleet.json --------------------
-# Router-vs-direct throughput and round-trip p99 on both data planes (HTTP
-# proxy vs persistent framed wire), for the single-request and batch paths,
-# across 1/2/4-node fleets. Nodes run at a high accel so the simulated
+# Router-vs-direct throughput and round-trip p99 over wire, for the
+# single-request and batch (pipelined chunk) paths, across 1/2/4-node fleets. Nodes run at a high accel so the simulated
 # devices finish in almost no wall time and the transport — not the device —
 # bounds throughput; every keeperload run replays the identical request
 # stream against the router and then directly against the nodes, so each
@@ -379,7 +379,6 @@ for k in $FLEET_SWEEP; do
   NPIDS=()
   NODE_URLS=""
   WIRE_ADDRS=""
-  DIRECT_HTTP=""
   DIRECT_WIRE=""
   for i in $(seq 1 "$k"); do
     np=$((FPORT + i)); wp=$((FPORT + 1000 + i))
@@ -389,11 +388,10 @@ for k in $FLEET_SWEEP; do
     NPIDS+=($!)
     NODE_URLS="$NODE_URLS,http://127.0.0.1:$np"
     WIRE_ADDRS="$WIRE_ADDRS,127.0.0.1:$wp"
-    DIRECT_HTTP="$DIRECT_HTTP,http://127.0.0.1:$np"
     DIRECT_WIRE="$DIRECT_WIRE,127.0.0.1:$wp"
   done
   NODE_URLS="${NODE_URLS#,}"; WIRE_ADDRS="${WIRE_ADDRS#,}"
-  DIRECT_HTTP="${DIRECT_HTTP#,}"; DIRECT_WIRE="${DIRECT_WIRE#,}"
+  DIRECT_WIRE="${DIRECT_WIRE#,}"
   for i in $(seq 1 "$k"); do
     wait_http "http://127.0.0.1:$((FPORT + i))" "$BIN/fleet-node-$((FPORT + i)).log"
   done
@@ -403,12 +401,8 @@ for k in $FLEET_SWEEP; do
   RPID=$!
   wait_http "http://127.0.0.1:$FPORT" "$BIN/fleet-router.log"
 
-  fleet_load "$BIN/fleet-$k-http-io.json" -addr "http://127.0.0.1:$FPORT" \
-    -direct "$DIRECT_HTTP"
   fleet_load "$BIN/fleet-$k-wire-io.json" -wire -addr "127.0.0.1:$((FPORT + 1000))" \
     -direct "$DIRECT_WIRE"
-  fleet_load "$BIN/fleet-$k-http-batch.json" -addr "http://127.0.0.1:$FPORT" \
-    -direct "$DIRECT_HTTP" -batch "$FLEET_BATCH"
   fleet_load "$BIN/fleet-$k-wire-batch.json" -wire -addr "127.0.0.1:$((FPORT + 1000))" \
     -direct "$DIRECT_WIRE" -batch "$FLEET_BATCH"
 
@@ -425,19 +419,11 @@ for k in $FLEET_SWEEP; do
   done
 
   point=$(jq -n --argjson nodes "$k" \
-    --argjson hio "$(fleet_extract "$BIN/fleet-$k-http-io.json")" \
     --argjson wio "$(fleet_extract "$BIN/fleet-$k-wire-io.json")" \
-    --argjson hb "$(fleet_extract "$BIN/fleet-$k-http-batch.json")" \
     --argjson wb "$(fleet_extract "$BIN/fleet-$k-wire-batch.json")" \
-    '{nodes: $nodes,
-      io: {http: $hio, wire: $wio,
-           wire_over_http_rps: (if $hio.throughput_rps > 0
-             then ($wio.throughput_rps / $hio.throughput_rps * 100 | round) / 100 else 0 end)},
-      batch: {http: $hb, wire: $wb,
-           wire_over_http_rps: (if $hb.throughput_rps > 0
-             then ($wb.throughput_rps / $hb.throughput_rps * 100 | round) / 100 else 0 end)}}')
+    '{nodes: $nodes, io: {wire: $wio}, batch: {wire: $wb}}')
   fleet_points="$fleet_points${fleet_points:+,}$point"
-  echo "fleet sweep: $k node(s): io wire/http rps ratio $(echo "$point" | jq -r '.io.wire_over_http_rps'), batch ratio $(echo "$point" | jq -r '.batch.wire_over_http_rps')" >&2
+  echo "fleet sweep: $k node(s): io $(echo "$point" | jq -r '.io.wire.throughput_rps | round') req/s, batch $(echo "$point" | jq -r '.batch.wire.throughput_rps | round') req/s through the router" >&2
 done
 
 jq -n \
@@ -450,6 +436,6 @@ jq -n \
   --arg cpu "${cpu:-unknown}" \
   '{requests_per_point: $n, accel: $accel, workers: $workers,
     batch_size: $batch, tenants: $tenants, cpu: $cpu,
-    note: "fleet data-plane sweep: closed loop through one keeperfleet router; http = per-request JSON proxy, wire = persistent framed transport with pipelining and write coalescing; each point also replays the identical stream directly against the nodes, so router_overhead_p99_ms = router rtt p99 - direct rtt p99; accel is high enough that transport, not the simulated device, bounds throughput",
+    note: "fleet data-plane sweep: closed loop over wire (persistent framed transport with pipelining and write coalescing) through one keeperfleet router; each point also replays the identical stream directly against the nodes, so router_overhead_p99_ms = router rtt p99 - direct rtt p99; accel is high enough that transport, not the simulated device, bounds throughput",
     sweep: $points}' > "$FLEET_OUT"
 echo "wrote $FLEET_OUT" >&2

@@ -5,22 +5,21 @@
 # keeperfleet router. The node ports are load-bearing: the consistent-hash
 # ring is a pure function of the node URLs (pinned by TestRingGoldenURLs),
 # which places tenants 0, 1, 3 on :8082, tenant 2 on :8081, and leaves
-# :8083 empty — the natural migration target.
+# :8083 empty — the natural migration target. Every node serves the wire
+# protocol on its HTTP port + 1000 and the router forwards over those
+# (-wire-nodes) — the only router↔node data plane; the node URLs carry the
+# control plane (drain/handoff/release, probes).
 #
-# The script boots the fleet, drives keeperload through the router, and
-# mid-load force-migrates hot tenant 0 from :8082 to :8083. It asserts:
+# The script boots the fleet, drives keeperload over wire through the
+# router's wire listener, and mid-load force-migrates hot tenant 0 from
+# :8082 to :8083; a short burst through the router's HTTP /io and /io/batch
+# adaptors follows. It asserts:
 #   - every request is answered (ok + rejected == sent, zero failed; the
 #     documented 503 window during a handoff counts as answered),
 #   - the router reports the migration completed and the new placement,
 #   - the target node replayed the handoff batch and serves tenant 0,
 #   - the source node is ready again after the release,
 #   - router and nodes all shut down cleanly on SIGTERM.
-#
-# WIRE=1 runs the same scenario over the persistent framed wire data plane:
-# every node gets a -wire-listen (its HTTP port + 1000), the router proxies
-# over -wire-nodes and serves wire itself, and keeperload drives -wire
-# against the router's wire listener. The migration, loss/duplication, and
-# shutdown assertions are identical — the contract holds on both planes.
 #
 # A second topology then exercises the device-health tier: the node owning
 # tenants 0, 1, 3 boots with a fault plan that kills a die mid-load. The
@@ -29,14 +28,13 @@
 # the load generator still loses zero requests.
 #
 # Usage: scripts/smoke_fleet.sh [router-port]
-#        WIRE=1 scripts/smoke_fleet.sh
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 NODES=(127.0.0.1:8081 127.0.0.1:8082 127.0.0.1:8083)
 RPORT="${1:-8090}"
-WIRE="${WIRE:-0}"
 ROUTER="http://127.0.0.1:$RPORT"
+RWIRE="127.0.0.1:$((RPORT + 1000))"
 SRC="http://127.0.0.1:8082"    # owns tenants 0, 1, 3 per the ring golden
 DST="http://127.0.0.1:8083"    # starts empty
 BIN="$(mktemp -d)"
@@ -75,23 +73,17 @@ fail() {
   exit 1
 }
 
-plane="http"
-[ "$WIRE" = "1" ] && plane="wire"
-echo "booting 3 nodes + router (data plane: $plane)..." >&2
+echo "booting 3 nodes + router..." >&2
 NPIDS=()
 NODE_URLS=""
 WIRE_NODES=""
 for addr in "${NODES[@]}"; do
   port="${addr##*:}"
-  wflag=()
-  if [ "$WIRE" = "1" ]; then
-    wflag=(-wire-listen "127.0.0.1:$((port + 1000))")
-    WIRE_NODES="$WIRE_NODES,127.0.0.1:$((port + 1000))"
-  fi
-  "$BIN/ssdkeeperd" -addr "$addr" -accel 20 -no-keeper \
-    ${wflag[@]+"${wflag[@]}"} 2>"$BIN/node-$port.log" &
+  "$BIN/ssdkeeperd" -addr "$addr" -wire-listen "127.0.0.1:$((port + 1000))" \
+    -accel 20 -no-keeper 2>"$BIN/node-$port.log" &
   NPIDS+=($!)
   NODE_URLS="$NODE_URLS,http://$addr"
+  WIRE_NODES="$WIRE_NODES,127.0.0.1:$((port + 1000))"
 done
 NODE_URLS="${NODE_URLS#,}"
 WIRE_NODES="${WIRE_NODES#,}"
@@ -99,12 +91,8 @@ for addr in "${NODES[@]}"; do
   wait_ready "http://$addr" "$BIN/node-${addr##*:}.log"
 done
 
-rflag=()
-if [ "$WIRE" = "1" ]; then
-  rflag=(-wire-nodes "$WIRE_NODES" -wire-listen "127.0.0.1:$((RPORT + 1000))")
-fi
 "$BIN/keeperfleet" -addr "127.0.0.1:$RPORT" -nodes "$NODE_URLS" \
-  ${rflag[@]+"${rflag[@]}"} 2>"$BIN/router.log" &
+  -wire-nodes "$WIRE_NODES" -wire-listen "$RWIRE" 2>"$BIN/router.log" &
 RPID=$!
 wait_ready "$ROUTER" "$BIN/router.log"
 
@@ -114,14 +102,12 @@ grep -q "\"0\":\"$SRC\"" "$BIN/status0.json" \
   || fail "tenant 0 not on $SRC at boot: $(cat "$BIN/status0.json")"
 grep -q "$DST" "$BIN/status0.json" || fail "$DST missing from status"
 
-echo "driving load through the router ($plane), migrating tenant 0 mid-flight..." >&2
-if [ "$WIRE" = "1" ]; then
-  "$BIN/keeperload" -wire -addr "127.0.0.1:$((RPORT + 1000))" -n 3000 -concurrency 32 \
-    -write-ratios 0.9,0.1,0.8,0.2 -json > "$BIN/load.json" &
-else
-  "$BIN/keeperload" -addr "$ROUTER" -n 3000 -concurrency 32 \
-    -write-ratios 0.9,0.1,0.8,0.2 -json > "$BIN/load.json" &
-fi
+# Open loop at a fixed rate, so the load lasts 3 s whatever the host's speed
+# and the migration one second in always lands mid-flight (closed-loop wire
+# load finishes 3000 requests before the sleep does).
+echo "driving load through the router's wire front, migrating tenant 0 mid-flight..." >&2
+"$BIN/keeperload" -wire -addr "$RWIRE" -mode open -iops 1000 -n 3000 -concurrency 32 \
+  -write-ratios 0.9,0.1,0.8,0.2 -json > "$BIN/load.json" &
 LPID=$!
 sleep 1
 
@@ -163,6 +149,18 @@ post=$(metric "$DST" 'ssdkeeper_completed_total{tenant="0"')
 # The source released the parked tenant and is ready again.
 curl -sf "$SRC/readyz" >/dev/null || fail "source not ready after release"
 
+# The HTTP adaptors ride the same forwarding path: a short burst through
+# /io and another through /io/batch must be answered in full.
+for mode in "io:1" "batch:8"; do
+  "$BIN/keeperload" -addr "$ROUTER" -n 200 -concurrency 8 -batch "${mode##*:}" \
+    -write-ratios 0.9,0.1,0.8,0.2 -json > "$BIN/burst.json" \
+    || fail "/${mode%%:*} burst through the router failed"
+  bok=$(json_count ok "$BIN/burst.json")
+  bfailed=$(json_count failed "$BIN/burst.json")
+  [ "$bfailed" = "0" ] && [ "$bok" = "200" ] \
+    || fail "/${mode%%:*} burst: $bok ok, $bfailed failed of 200"
+done
+
 echo "shutting down..." >&2
 kill -TERM "$RPID"
 wait "$RPID" || fail "router exited non-zero on SIGTERM"
@@ -173,7 +171,7 @@ for i in "${!NPIDS[@]}"; do
     || fail "node ${NODES[$i]}: no clean-drain report in log"
 done
 
-echo "smoke_fleet.sh: migration checks passed over $plane ($ok ok, $rejected rejected in the handoff window, $done_migs migration)" >&2
+echo "smoke_fleet.sh: migration checks passed ($ok ok, $rejected rejected in the handoff window, $done_migs migration)" >&2
 
 ############################################################################
 # Health phase: the same golden topology, but the tenant-0 owner (:8082)
@@ -196,7 +194,8 @@ for addr in "${NODES[@]}"; do
   if [ "http://$addr" = "$SRC" ]; then
     hflag=(-fault-plan "$BIN/faults.plan" -audit-every 250ms -degraded-score 0.95)
   fi
-  "$BIN/ssdkeeperd" -addr "$addr" -accel 20 -no-keeper \
+  "$BIN/ssdkeeperd" -addr "$addr" -wire-listen "127.0.0.1:$((port + 1000))" \
+    -accel 20 -no-keeper \
     ${hflag[@]+"${hflag[@]}"} 2>"$BIN/health-node-$port.log" &
   NPIDS+=($!)
 done
@@ -208,13 +207,14 @@ done
 # tenants and would always read as hot): the only migration the health
 # phase can produce is the quarantine evacuation.
 "$BIN/keeperfleet" -addr "127.0.0.1:$RPORT" -nodes "$NODE_URLS" \
+  -wire-nodes "$WIRE_NODES" -wire-listen "$RWIRE" \
   -rebalance -probe-every 300ms -rebalance-every 300ms -hot-factor 100 \
   2>"$BIN/health-router.log" &
 RPID=$!
 wait_ready "$ROUTER" "$BIN/health-router.log"
 
 echo "driving load through the die failure..." >&2
-"$BIN/keeperload" -addr "$ROUTER" -n 30000 -concurrency 32 \
+"$BIN/keeperload" -wire -addr "$RWIRE" -mode open -iops 5000 -n 30000 -concurrency 32 \
   -write-ratios 0.9,0.1,0.8,0.2 -json > "$BIN/health-load.json" &
 LPID=$!
 
@@ -264,4 +264,4 @@ for i in "${!NPIDS[@]}"; do
     || fail "node ${NODES[$i]}: no clean-drain report in log"
 done
 
-echo "smoke_fleet.sh: all checks passed over $plane ($ok ok through the die failure, $qmigs quarantine migration)" >&2
+echo "smoke_fleet.sh: all checks passed ($ok ok through the die failure, $qmigs quarantine migration)" >&2
