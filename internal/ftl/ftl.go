@@ -121,12 +121,13 @@ type FTL struct {
 	probe  sim.Probe
 	health *nand.Health // nil = immortal device, zero-cost fast path
 
-	planes  []plane
-	mapping map[Key]int64 // logical page -> PPN
+	planes []plane
+	table  pageTable // logical page -> PPN
 
-	channels map[int][]int    // tenant -> channel set; nil entry = all channels
-	modes    map[int]PageMode // tenant -> page allocation mode
-	rr       []int            // per-die round-robin plane cursor
+	channels    [][]int    // indexed by tenant; nil or absent = all channels
+	modes       []PageMode // indexed by tenant; absent = static
+	allChannels []int      // 0..Channels-1, handed out read-only
+	rr          []int      // per-die round-robin plane cursor
 
 	gcLowWater int // free blocks per plane that triggers GC
 
@@ -164,26 +165,27 @@ func New(cfg nand.Config, load Load) (*FTL, error) {
 		low = 1
 	}
 	f := &FTL{
-		cfg:        cfg,
-		load:       load,
-		probe:      sim.NopProbe{},
-		planes:     make([]plane, cfg.TotalPlanes()),
-		mapping:    make(map[Key]int64),
-		channels:   make(map[int][]int),
-		modes:      make(map[int]PageMode),
-		rr:         make([]int, cfg.TotalDies()),
-		gcLowWater: low,
+		cfg:         cfg,
+		load:        load,
+		probe:       sim.NopProbe{},
+		planes:      make([]plane, cfg.TotalPlanes()),
+		allChannels: make([]int, cfg.Channels),
+		rr:          make([]int, cfg.TotalDies()),
+		gcLowWater:  low,
 	}
 	for i := range f.planes {
 		f.planes[i].active = -1
+	}
+	for i := range f.allChannels {
+		f.allChannels[i] = i
 	}
 	return f, nil
 }
 
 // Reset restores the FTL to its factory-fresh state — no mappings, no
 // tenant bindings, every block erased-and-never-used with zero wear — while
-// keeping all materialized block storage, maps, and slices for reuse. An
-// enabled CMT is emptied but stays enabled. A reset FTL behaves identically
+// keeping all materialized block storage, mapping-table leaves, and slices
+// for reuse. An enabled CMT is emptied but stays enabled. A reset FTL behaves identically
 // to one just built by New over the same geometry; only the allocation
 // pattern differs. Run loops (internal/simrun) use it to rebuild a device
 // per session without re-materializing plane state.
@@ -205,7 +207,7 @@ func (f *FTL) Reset() {
 		p.active = -1
 		p.full = p.full[:0]
 	}
-	clear(f.mapping)
+	f.table.reset()
 	clear(f.channels)
 	clear(f.modes)
 	clear(f.rr)
@@ -250,48 +252,66 @@ func (f *FTL) SetHealth(h *nand.Health) { f.health = h }
 // is and reads follow the mapping, exactly as a real re-allocation would
 // behave without migration.
 func (f *FTL) SetTenantChannels(tenant int, channels []int) error {
+	if tenant < 0 || tenant >= MaxTenants {
+		return fmt.Errorf("ftl: tenant %d: %w", tenant, ErrAddressRange)
+	}
 	for _, c := range channels {
 		if c < 0 || c >= f.cfg.Channels {
 			return fmt.Errorf("ftl: channel %d outside device (%d channels)", c, f.cfg.Channels)
 		}
 	}
-	if len(channels) == 0 {
-		delete(f.channels, tenant) // back to all channels
+	if len(channels) == 0 { // back to all channels
+		if tenant < len(f.channels) {
+			f.channels[tenant] = nil
+		}
 		return nil
+	}
+	if tenant >= len(f.channels) {
+		f.channels = append(f.channels, make([][]int, tenant+1-len(f.channels))...)
 	}
 	f.channels[tenant] = append([]int(nil), channels...)
 	return nil
 }
 
-// SetTenantMode sets the page allocation mode for a tenant's writes.
+// SetTenantMode sets the page allocation mode for a tenant's writes. A
+// tenant outside [0, MaxTenants) cannot write, so setting its mode is a
+// no-op.
 func (f *FTL) SetTenantMode(tenant int, mode PageMode) {
+	if tenant < 0 || tenant >= MaxTenants {
+		return
+	}
+	if tenant >= len(f.modes) {
+		f.modes = append(f.modes, make([]PageMode, tenant+1-len(f.modes))...)
+	}
 	f.modes[tenant] = mode
 }
 
 // TenantChannels returns the channel set for a tenant (all channels if
-// unset).
+// unset). The result is the FTL's own slice, shared by every caller and by
+// the page path: it is read-only.
 func (f *FTL) TenantChannels(tenant int) []int {
-	if set, ok := f.channels[tenant]; ok {
-		return set
+	if uint(tenant) < uint(len(f.channels)) && f.channels[tenant] != nil {
+		return f.channels[tenant]
 	}
-	all := make([]int, f.cfg.Channels)
-	for i := range all {
-		all[i] = i
-	}
-	return all
+	return f.allChannels
 }
 
 // TenantMode returns the page allocation mode for a tenant (static if
 // unset).
-func (f *FTL) TenantMode(tenant int) PageMode { return f.modes[tenant] }
+func (f *FTL) TenantMode(tenant int) PageMode {
+	if uint(tenant) < uint(len(f.modes)) {
+		return f.modes[tenant]
+	}
+	return StaticAlloc
+}
 
 // Lookup returns the physical address of a logical page, if mapped.
 func (f *FTL) Lookup(k Key) (nand.Addr, bool) {
-	ppn, ok := f.mapping[k]
-	if !ok {
+	e := f.table.get(k)
+	if e == 0 {
 		return nand.Addr{}, false
 	}
-	return f.cfg.AddrOf(ppn), true
+	return f.cfg.AddrOf(e - 1), true
 }
 
 // PredictDie returns, without mutating any state, the flat die index an
@@ -333,6 +353,9 @@ func (f *FTL) MapRead(k Key) (nand.Addr, error) {
 	if a, ok := f.Lookup(k); ok {
 		return a, nil
 	}
+	if err := checkKey(k); err != nil {
+		return nand.Addr{}, err
+	}
 	a, _, err := f.place(k, StaticAlloc)
 	if err != nil {
 		return nand.Addr{}, err
@@ -346,9 +369,12 @@ func (f *FTL) MapRead(k Key) (nand.Addr, error) {
 // the caller must account for (the FTL metadata effects of the plan are
 // already applied; the caller charges its time on the die).
 func (f *FTL) MapWrite(k Key) (nand.Addr, *GCPlan, error) {
+	if err := checkKey(k); err != nil {
+		return nand.Addr{}, nil, err
+	}
 	mode := f.TenantMode(k.Tenant)
-	if old, ok := f.mapping[k]; ok {
-		f.invalidate(old)
+	if e := f.table.get(k); e != 0 {
+		f.invalidate(e - 1)
 	}
 	a, gc, err := f.place(k, mode)
 	if err != nil {
@@ -436,7 +462,7 @@ func (f *FTL) place(k Key, mode PageMode) (nand.Addr, *GCPlan, error) {
 	}
 	base.Block = blockID
 	base.Page = page
-	f.mapping[k] = f.cfg.PPN(base)
+	f.table.set(k, f.cfg.PlanePPN(planeID, blockID, page))
 
 	var gc *GCPlan
 	if f.planes[planeID].freeBlocks(f.cfg.BlocksPerPlane) <= f.gcLowWater {
@@ -536,12 +562,11 @@ func (f *FTL) popFree(p *plane, planeID int) (int, bool) {
 
 // invalidate clears the valid bit of a physical page.
 func (f *FTL) invalidate(ppn int64) {
-	a := f.cfg.AddrOf(ppn)
-	p := &f.planes[f.cfg.PlaneID(a)]
-	b := f.blockAt(p, a.Block)
-	if b.valid[a.Page] {
-		b.valid[a.Page] = false
-		b.owners[a.Page] = owner{}
+	planeID, blockID, page := f.cfg.SplitPPN(ppn)
+	b := f.blockAt(&f.planes[planeID], blockID)
+	if b.valid[page] {
+		b.valid[page] = false
+		b.owners[page] = owner{}
 		b.validCount--
 		f.invalidations++
 	}
@@ -571,6 +596,6 @@ func (f *FTL) Counters() Counters {
 		GCErases:      f.gcErases,
 		WLRuns:        f.wlRuns,
 		WLMovedPages:  f.wlMoved,
-		Mapped:        len(f.mapping),
+		Mapped:        f.table.mapped,
 	}
 }

@@ -46,9 +46,7 @@ func (f *FTL) collect(planeID int) *GCPlan {
 		if !victim.valid[page] {
 			continue
 		}
-		k := Key{Tenant: victim.owners[page].tenant, LPN: victim.owners[page].lpn}
-		blockID, newPage, err := f.appendPage(planeID, k)
-		if err != nil {
+		if err := f.relocate(planeID, victim, page); err != nil {
 			// The plane ran out of space mid-move. The victim still
 			// holds valid data, so it must NOT be erased; put it
 			// back in the candidate list and report only the moves
@@ -56,13 +54,6 @@ func (f *FTL) collect(planeID int) *GCPlan {
 			aborted = true
 			break
 		}
-		addr := f.cfg.PlaneAddr(planeID)
-		addr.Block = blockID
-		addr.Page = newPage
-		f.mapping[k] = f.cfg.PPN(addr)
-		victim.valid[page] = false
-		victim.owners[page] = owner{}
-		victim.validCount--
 		moved++
 	}
 
@@ -102,6 +93,22 @@ func (f *FTL) collect(planeID int) *GCPlan {
 		DieTime:    dieTime,
 	}
 	return &f.plan
+}
+
+// relocate moves one valid page of victim into the write stream of its own
+// plane and remaps it: the step GC, wear leveling and block retirement
+// share. On error (the plane is out of free blocks) nothing has changed.
+func (f *FTL) relocate(planeID int, victim *block, page int) error {
+	k := Key{Tenant: victim.owners[page].tenant, LPN: victim.owners[page].lpn}
+	blockID, newPage, err := f.appendPage(planeID, k)
+	if err != nil {
+		return err
+	}
+	f.table.set(k, f.cfg.PlanePPN(planeID, blockID, newPage))
+	victim.valid[page] = false
+	victim.owners[page] = owner{}
+	victim.validCount--
+	return nil
 }
 
 // eraseBlock resets a block and returns it to the plane's recycled pool.

@@ -1,8 +1,6 @@
 package ftl
 
 import (
-	"sort"
-
 	"ssdkeeper/internal/nand"
 	"ssdkeeper/internal/sim"
 )
@@ -70,8 +68,8 @@ func (f *FTL) redirect(set []int, ch, dieInCh int) (newCh, newDie int, live bool
 // state, and every valid logical page mapped to it is rebuilt onto live dies
 // through the owning tenant's normal placement path (so the rebuild respects
 // channel allocations and triggers GC where it must). Rebuild order is
-// sorted by (tenant, LPN) so the relocation — and therefore every subsequent
-// allocation decision — is deterministic despite map iteration.
+// (tenant, LPN) — the mapping table's walk order — so the relocation, and
+// therefore every subsequent allocation decision, is deterministic.
 //
 // Returns the number of pages rebuilt and the per-destination-die time the
 // rebuild occupies (program per page, plus any GC the rebuild triggered);
@@ -84,33 +82,27 @@ func (f *FTL) FailDie(die int) (rebuilt int, perDie []sim.Time) {
 	}
 	f.health.FailDie(die)
 
-	var keys []Key
-	for k, ppn := range f.mapping {
-		if f.cfg.DieID(f.cfg.AddrOf(ppn)) == die {
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Tenant != keys[j].Tenant {
-			return keys[i].Tenant < keys[j].Tenant
-		}
-		return keys[i].LPN < keys[j].LPN
-	})
-
 	perDie = make([]sim.Time, f.cfg.TotalDies())
 	pageTime := f.cfg.ReadLatency + f.cfg.WriteLatency
-	for _, k := range keys {
-		f.invalidate(f.mapping[k])
+	// Rebuilding while walking is safe: a rebuilt page and anything the GC
+	// it triggers relocates land on live dies, so no entry still to be
+	// visited changes in a way the die test below can see.
+	f.table.walk(func(k Key, ppn int64) bool {
+		if plane, _, _ := f.cfg.SplitPPN(ppn); plane/f.cfg.PlanesPerDie != die {
+			return true
+		}
+		f.invalidate(ppn)
 		a, gc, err := f.place(k, f.TenantMode(k.Tenant))
 		if err != nil {
-			break
+			return false
 		}
 		perDie[f.cfg.DieID(a)] += pageTime
 		if gc != nil {
 			perDie[gc.Plane/f.cfg.PlanesPerDie] += gc.DieTime
 		}
 		rebuilt++
-	}
+		return true
+	})
 	f.probe.DieFailed(die, rebuilt)
 	return rebuilt, perDie
 }
@@ -157,18 +149,9 @@ func (f *FTL) RetireBlock(planeID, blockID int) (moved int, dieTime sim.Time) {
 		if !victim.valid[page] {
 			continue
 		}
-		k := Key{Tenant: victim.owners[page].tenant, LPN: victim.owners[page].lpn}
-		newBlock, newPage, err := f.appendPage(planeID, k)
-		if err != nil {
+		if err := f.relocate(planeID, victim, page); err != nil {
 			break
 		}
-		addr := f.cfg.PlaneAddr(planeID)
-		addr.Block = newBlock
-		addr.Page = newPage
-		f.mapping[k] = f.cfg.PPN(addr)
-		victim.valid[page] = false
-		victim.owners[page] = owner{}
-		victim.validCount--
 		moved++
 	}
 	dieTime = sim.Time(moved) * (f.cfg.ReadLatency + f.cfg.WriteLatency)

@@ -50,22 +50,13 @@ func (f *FTL) levelWear(planeID int) (moved int, dieTime sim.Time) {
 		if !victim.valid[page] {
 			continue
 		}
-		k := Key{Tenant: victim.owners[page].tenant, LPN: victim.owners[page].lpn}
-		blockID, newPage, err := f.appendPage(planeID, k)
-		if err != nil {
+		if err := f.relocate(planeID, victim, page); err != nil {
 			// Out of space mid-migration: put the victim back and
 			// charge only what was done, exactly as GC does.
 			p.full = append(p.full, victimID)
 			f.wlMoved += uint64(moved)
 			return moved, sim.Time(moved) * (f.cfg.ReadLatency + f.cfg.WriteLatency)
 		}
-		addr := f.cfg.PlaneAddr(planeID)
-		addr.Block = blockID
-		addr.Page = newPage
-		f.mapping[k] = f.cfg.PPN(addr)
-		victim.valid[page] = false
-		victim.owners[page] = owner{}
-		victim.validCount--
 		moved++
 	}
 	f.eraseBlock(p, victimID)

@@ -121,7 +121,12 @@ func (c Config) Validate() error {
 }
 
 // DiesPerChannel returns the number of dies attached to one channel.
-func (c Config) DiesPerChannel() int { return c.ChipsPerChannel * c.DiesPerChip }
+//
+// The geometry codec below (DiesPerChannel, PlaneID, DieID, PlaneAddr, PPN,
+// PlanePPN, SplitPPN, AddrOf) runs several times per simulated page, so it
+// takes the configuration by pointer: a value receiver copies the whole
+// struct per call, inlined or not.
+func (c *Config) DiesPerChannel() int { return c.ChipsPerChannel * c.DiesPerChip }
 
 // TotalDies returns the number of dies in the device.
 func (c Config) TotalDies() int { return c.Channels * c.DiesPerChannel() }
@@ -162,20 +167,20 @@ func (a Addr) String() string {
 
 // PlaneID flattens the plane coordinates of a into a device-wide index in
 // [0, TotalPlanes).
-func (c Config) PlaneID(a Addr) int {
+func (c *Config) PlaneID(a Addr) int {
 	die := (a.Channel*c.ChipsPerChannel+a.Chip)*c.DiesPerChip + a.Die
 	return die*c.PlanesPerDie + a.Plane
 }
 
 // DieID flattens the die coordinates of a into a device-wide index in
 // [0, TotalDies).
-func (c Config) DieID(a Addr) int {
+func (c *Config) DieID(a Addr) int {
 	return (a.Channel*c.ChipsPerChannel+a.Chip)*c.DiesPerChip + a.Die
 }
 
 // PlaneAddr reconstructs the channel/chip/die/plane coordinates of a flat
 // plane index (Block and Page are zero).
-func (c Config) PlaneAddr(plane int) Addr {
+func (c *Config) PlaneAddr(plane int) Addr {
 	die := plane / c.PlanesPerDie
 	chip := die / c.DiesPerChip
 	return Addr{
@@ -187,17 +192,29 @@ func (c Config) PlaneAddr(plane int) Addr {
 }
 
 // PPN encodes a as a flat physical page number.
-func (c Config) PPN(a Addr) int64 {
-	plane := int64(c.PlaneID(a))
-	return (plane*int64(c.BlocksPerPlane)+int64(a.Block))*int64(c.PagesPerBlock) + int64(a.Page)
+func (c *Config) PPN(a Addr) int64 {
+	return c.PlanePPN(c.PlaneID(a), a.Block, a.Page)
+}
+
+// PlanePPN encodes a page of a flat plane index as a flat physical page
+// number; SplitPPN is its inverse.
+func (c *Config) PlanePPN(plane, block, page int) int64 {
+	return (int64(plane)*int64(c.BlocksPerPlane)+int64(block))*int64(c.PagesPerBlock) + int64(page)
+}
+
+// SplitPPN decodes a flat physical page number into its flat plane index
+// and the block and page within that plane.
+func (c *Config) SplitPPN(ppn int64) (plane, block, page int) {
+	page = int(ppn % int64(c.PagesPerBlock))
+	ppn /= int64(c.PagesPerBlock)
+	block = int(ppn % int64(c.BlocksPerPlane))
+	plane = int(ppn / int64(c.BlocksPerPlane))
+	return plane, block, page
 }
 
 // AddrOf decodes a flat physical page number into coordinates.
-func (c Config) AddrOf(ppn int64) Addr {
-	page := int(ppn % int64(c.PagesPerBlock))
-	ppn /= int64(c.PagesPerBlock)
-	block := int(ppn % int64(c.BlocksPerPlane))
-	plane := int(ppn / int64(c.BlocksPerPlane))
+func (c *Config) AddrOf(ppn int64) Addr {
+	plane, block, page := c.SplitPPN(ppn)
 	a := c.PlaneAddr(plane)
 	a.Block = block
 	a.Page = page

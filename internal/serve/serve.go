@@ -35,6 +35,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ssdkeeper/internal/ftl"
 	"ssdkeeper/internal/keeper"
 	"ssdkeeper/internal/learn"
 	"ssdkeeper/internal/nand"
@@ -187,6 +188,12 @@ func (c Config) Validate() error {
 		return fmt.Errorf("serve: negative shard bounds in %+v", c)
 	case c.Tenants < 0, c.QueueLen < 0, c.QueueDepth < 0, c.MaxBytes < 0:
 		return fmt.Errorf("serve: negative bounds in %+v", c)
+	case c.Tenants > ftl.MaxTenants || c.MaxBytes > ftl.MaxLPN*int64(c.Device.PageSize):
+		// Admission checks requests against Tenants and MaxBytes; beyond
+		// the FTL's address space a request would pass it and then fail in
+		// the device, which poisons the node.
+		return fmt.Errorf("serve: %d tenants of %d bytes exceed the FTL's address space (%d tenants of %d pages)",
+			c.Tenants, c.MaxBytes, ftl.MaxTenants, int64(ftl.MaxLPN))
 	case c.Accel < 0:
 		return fmt.Errorf("serve: negative accel %v", c.Accel)
 	case c.ExploreRate < 0 || c.ExploreRate > 1:

@@ -85,6 +85,16 @@ func TestNewRejectsBadConfig(t *testing.T) {
 		t.Error("negative queue length accepted")
 	}
 	cfg = testConfig(clk)
+	cfg.MaxBytes = 1 << 50
+	if _, err := New(cfg, nil); err == nil {
+		t.Error("address space beyond the FTL's accepted")
+	}
+	cfg = testConfig(clk)
+	cfg.Tenants = 1000000
+	if _, err := New(cfg, nil); err == nil {
+		t.Error("tenant space beyond the FTL's accepted")
+	}
+	cfg = testConfig(clk)
 	cfg.Device.Channels = 0
 	if _, err := New(cfg, nil); err == nil {
 		t.Error("invalid device geometry accepted")

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -92,7 +93,7 @@ type tenantState struct {
 	rejFull   atomic.Uint64
 	canceled  atomic.Uint64
 
-	queued    []*Pending // admitted, waiting for device capacity
+	queued    pendingFIFO // admitted, waiting for device capacity
 	inflight  int
 	completed [2]uint64
 	hist      [2]stats.Histogram // sim response latency by op
@@ -113,6 +114,55 @@ type tenantState struct {
 	// set by drainTenant so any submission that raced past the handler's
 	// gate check is rejected, cleared by release/replay.
 	gated bool
+}
+
+// pendingFIFO is a tenant's admission queue. Admission bounds it at
+// QueueLen live entries; the type's job is that the backing array is bounded
+// by the live entries too, not by how many requests have ever passed through,
+// and that a popped *Pending is not kept reachable from it.
+type pendingFIFO struct {
+	buf  []*Pending // live entries are buf[head:]
+	head int
+}
+
+func (q *pendingFIFO) len() int { return len(q.buf) - q.head }
+
+// live returns the queued entries, oldest first; valid until the next push.
+func (q *pendingFIFO) live() []*Pending { return q.buf[q.head:] }
+
+func (q *pendingFIFO) push(p *Pending) {
+	if len(q.buf) == cap(q.buf) && q.head > len(q.buf)/2 {
+		// Mostly dead prefix: slide the live entries to the array head
+		// instead of growing. Each slide is paid for by the pops that
+		// advanced head past the midpoint.
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, p)
+}
+
+func (q *pendingFIFO) pop() *Pending {
+	p := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return p
+}
+
+// remove deletes p from the queue if present (a canceled request).
+func (q *pendingFIFO) remove(p *Pending) {
+	for i := q.head; i < len(q.buf); i++ {
+		if q.buf[i] == p {
+			q.buf = slices.Delete(q.buf, i, i+1) // zeroes the vacated tail slot
+			if q.head == len(q.buf) {
+				q.buf, q.head = q.buf[:0], 0
+			}
+			return
+		}
+	}
 }
 
 // shard is one independent serving slice: device, engine, controller,
@@ -392,7 +442,7 @@ func (sd *shard) admit(p *Pending) {
 	if ts.inflight < sd.node.cfg.QueueDepth {
 		sd.dispatch(p, ts)
 	} else {
-		ts.queued = append(ts.queued, p)
+		ts.queued.push(p)
 	}
 }
 
@@ -443,10 +493,8 @@ func (sd *shard) dispatch(p *Pending, ts *tenantState) {
 // capacity. A queued request's arrival stays its admission time, so the
 // recorded latency includes the time spent waiting for capacity.
 func (sd *shard) dispatchQueued(ts *tenantState) {
-	for ts.inflight < sd.node.cfg.QueueDepth && len(ts.queued) > 0 {
-		p := ts.queued[0]
-		ts.queued = ts.queued[1:]
-		sd.dispatch(p, ts)
+	for ts.inflight < sd.node.cfg.QueueDepth && ts.queued.len() > 0 {
+		sd.dispatch(ts.queued.pop(), ts)
 	}
 }
 
@@ -463,12 +511,7 @@ func (sd *shard) freeSlot(p *Pending, ts *tenantState) {
 // already won the resolution CAS) and frees its slot.
 func (sd *shard) reap(p *Pending) {
 	ts := &sd.tenants[p.req.Tenant]
-	for i, q := range ts.queued {
-		if q == p {
-			ts.queued = append(ts.queued[:i], ts.queued[i+1:]...)
-			break
-		}
-	}
+	ts.queued.remove(p)
 	sd.freeSlot(p, ts)
 }
 
@@ -490,7 +533,7 @@ func (sd *shard) drainTenant(tenant int) ([]trace.Record, tenantSummary) {
 	sd.advanceTo(sd.node.wallTarget())
 	for {
 		sd.dispatchQueued(ts)
-		if ts.inflight == 0 && len(ts.queued) == 0 {
+		if ts.inflight == 0 && ts.queued.len() == 0 {
 			break
 		}
 		if !sd.eng.Step() {
@@ -498,10 +541,10 @@ func (sd *shard) drainTenant(tenant int) ([]trace.Record, tenantSummary) {
 		}
 	}
 	// Sweep canceled-but-unreaped stragglers so the queue is truly empty.
-	for _, p := range ts.queued {
+	for _, p := range ts.queued.live() {
 		sd.freeSlot(p, ts)
 	}
-	ts.queued = nil
+	ts.queued = pendingFIFO{}
 	ts.gated = true
 	if sd.ctrl != nil {
 		sd.ctrl.Tick(sd.eng.Now())
@@ -581,14 +624,14 @@ func (sd *shard) drainNow() ssd.Result {
 	sd.draining = true
 	for ti := range sd.tenants {
 		ts := &sd.tenants[ti]
-		for _, p := range ts.queued {
+		for _, p := range ts.queued.live() {
 			if p.state.CompareAndSwap(stateQueued, stateResolved) {
 				sd.node.rejDrain.Add(1)
 				p.resolve(outcome{err: ErrDraining})
 			}
 			sd.freeSlot(p, ts)
 		}
-		ts.queued = nil
+		ts.queued = pendingFIFO{}
 	}
 	// No more arrivals: run the engine dry so every in-flight request
 	// completes and resolves its waiter.
@@ -633,7 +676,7 @@ func (sd *shard) snapshot() *shardSnapshot {
 	for i := range sd.tenants {
 		ts := &sd.tenants[i]
 		snap.tenants[i] = tenantSnapshot{
-			queued:    len(ts.queued),
+			queued:    ts.queued.len(),
 			inflight:  ts.inflight,
 			completed: ts.completed,
 			replayed:  ts.replayed,

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"reflect"
 	"strings"
 	"sync"
@@ -330,6 +331,54 @@ func TestMetricsShardedSeries(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics missing %q", want)
+		}
+	}
+}
+
+// TestPendingFIFOBoundedByLiveEntries pins the admission queue's memory
+// contract: however many requests pass through, the backing array is sized by
+// the entries queued at once, and nothing popped or removed stays reachable
+// from it.
+func TestPendingFIFOBoundedByLiveEntries(t *testing.T) {
+	const maxLive = 64
+	var q pendingFIFO
+	rng := rand.New(rand.NewSource(5))
+	var want []*Pending // reference queue
+	for i := 0; i < 200000; i++ {
+		switch {
+		case len(want) == 0 || (len(want) < maxLive && rng.Intn(2) == 0):
+			p := &Pending{}
+			q.push(p)
+			want = append(want, p)
+		case rng.Intn(16) == 0: // a cancellation somewhere in the queue
+			j := rng.Intn(len(want))
+			q.remove(want[j])
+			want = append(want[:j], want[j+1:]...)
+		default:
+			if got := q.pop(); got != want[0] {
+				t.Fatalf("step %d: pop returned the wrong entry", i)
+			}
+			want = want[1:]
+		}
+		if q.len() != len(want) {
+			t.Fatalf("step %d: len %d, want %d", i, q.len(), len(want))
+		}
+	}
+	for i, p := range q.live() {
+		if p != want[i] {
+			t.Fatalf("live()[%d] differs from the reference queue", i)
+		}
+	}
+	if c := cap(q.buf); c > 4*maxLive {
+		t.Errorf("backing array grew to %d slots for at most %d live entries", c, maxLive)
+	}
+	live := map[*Pending]bool{}
+	for _, p := range want {
+		live[p] = true
+	}
+	for i, p := range q.buf[:cap(q.buf)] {
+		if p != nil && !live[p] {
+			t.Errorf("slot %d still references a dequeued request", i)
 		}
 	}
 }

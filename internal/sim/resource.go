@@ -29,6 +29,11 @@ type Resource struct {
 	fin     func(uint64)
 	waiters []waiter // inlined min-heap ordered by (prio, seq)
 	seq     uint64
+	// queuedHold is the sum of the queued waiters' hold times, kept by
+	// pushWaiter/popWaiter so Load — which dynamic page allocation calls
+	// for every channel and die of a tenant's set on every write — does
+	// not walk the queue.
+	queuedHold Time
 
 	// Telemetry, exposed for dynamic page allocation and statistics.
 	busyUntil Time
@@ -96,6 +101,7 @@ func (r *Resource) Reset() {
 		r.waiters[i] = waiter{}
 	}
 	r.waiters = r.waiters[:0]
+	r.queuedHold = 0
 	r.seq = 0
 	r.busyUntil = 0
 	r.busyTime = 0
@@ -159,6 +165,7 @@ func (r *Resource) pushWaiter(w waiter) {
 	}
 	h[i] = w
 	r.waiters = h
+	r.queuedHold += w.hold
 }
 
 // popWaiter removes and returns the best waiter, zeroing the vacated slot so
@@ -171,6 +178,7 @@ func (r *Resource) popWaiter() waiter {
 	h[n] = waiter{}
 	h = h[:n]
 	r.waiters = h
+	r.queuedHold -= root.hold
 	if n > 0 {
 		i := 0
 		for {
@@ -255,10 +263,7 @@ func (r *Resource) Load(now Time) Time {
 	if r.busy && r.busyUntil > now {
 		load = r.busyUntil - now
 	}
-	for i := range r.waiters {
-		load += r.waiters[i].hold
-	}
-	return load
+	return load + r.queuedHold
 }
 
 // Stats is a snapshot of resource utilization counters.

@@ -459,3 +459,45 @@ func TestResourceResetBehavesFresh(t *testing.T) {
 		t.Errorf("stats diverge after reset: %+v vs %+v", firstStats, secondStats)
 	}
 }
+
+// Property: Load's running sum equals its definition — remaining hold of the
+// current operation plus the hold of every queued waiter — after any
+// sequence of uses, completions and resets.
+func TestResourceLoadMatchesQueueSum(t *testing.T) {
+	summed := func(r *Resource, now Time) Time {
+		var load Time
+		if r.busy && r.busyUntil > now {
+			load = r.busyUntil - now
+		}
+		for i := range r.waiters {
+			load += r.waiters[i].hold
+		}
+		return load
+	}
+	rng := rand.New(rand.NewSource(7))
+	e := NewEngine()
+	r := NewResource(e, "die")
+	for trial := 0; trial < 40; trial++ {
+		for op := 0; op < 200; op++ {
+			switch rng.Intn(3) {
+			case 0, 1:
+				r.Use(rng.Intn(3), Time(1+rng.Intn(1000)), nil)
+			case 2:
+				e.Step() // finish the current hold, grant the next waiter
+			}
+			if got, want := r.Load(e.Now()), summed(r, e.Now()); got != want {
+				t.Fatalf("trial %d op %d: Load = %v, queue sums to %v (%d waiting)",
+					trial, op, got, want, r.QueueLen())
+			}
+		}
+		if trial%2 == 0 {
+			e.Run()
+		} else { // reset mid-queue
+			e.Reset()
+			r.Reset()
+		}
+		if got := r.Load(e.Now()); got != 0 {
+			t.Fatalf("trial %d: Load = %v on an idle resource", trial, got)
+		}
+	}
+}

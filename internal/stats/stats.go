@@ -5,7 +5,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"ssdkeeper/internal/sim"
@@ -153,19 +152,20 @@ func (l Latency) Snapshot() Latency {
 
 // Collector accumulates per-tenant latencies for one simulation run. A
 // collector is reusable: Reset clears it for the next run while keeping the
-// per-tenant accumulators (and their histogram storage) on a free list, so
-// loops that run thousands of simulations (the 42-strategy label loop)
-// allocate no fresh accumulators after the first run.
+// per-tenant accumulators (and their histogram storage) in place, so loops
+// that run thousands of simulations (the 42-strategy label loop) allocate no
+// fresh accumulators after the first run.
 type Collector struct {
-	perTenant map[int]*Latency
+	// perTenant is indexed by tenant id (non-negative) and grows to the
+	// largest id seen; the device refuses ids at or above ftl.MaxTenants
+	// before they get here. A tenant counts as observed once its
+	// accumulator holds a sample.
+	perTenant []Latency
 	device    Latency
-	free      []*Latency // reset accumulators awaiting reuse
 }
 
 // NewCollector returns an empty collector.
-func NewCollector() *Collector {
-	return &Collector{perTenant: make(map[int]*Latency)}
-}
+func NewCollector() *Collector { return &Collector{} }
 
 // AddRead records a completed read for a tenant.
 func (c *Collector) AddRead(tenant int, d sim.Time) {
@@ -180,28 +180,18 @@ func (c *Collector) AddWrite(tenant int, d sim.Time) {
 }
 
 func (c *Collector) tenant(id int) *Latency {
-	l, ok := c.perTenant[id]
-	if !ok {
-		if n := len(c.free); n > 0 {
-			l = c.free[n-1]
-			c.free = c.free[:n-1]
-		} else {
-			l = &Latency{}
-		}
-		c.perTenant[id] = l
+	if id >= len(c.perTenant) {
+		c.perTenant = append(c.perTenant, make([]Latency, id+1-len(c.perTenant))...)
 	}
-	return l
+	return &c.perTenant[id]
 }
 
-// Reset clears the collector for a new run. Tenant accumulators are
-// recycled onto the free list, so the set of observed tenants (and
-// therefore Tenants and the per-tenant result map) starts empty, exactly as
-// on a fresh collector.
+// Reset clears the collector for a new run. The set of observed tenants
+// (and therefore Tenants and the per-tenant result map) starts empty,
+// exactly as on a fresh collector.
 func (c *Collector) Reset() {
-	for id, l := range c.perTenant {
-		l.Reset()
-		c.free = append(c.free, l)
-		delete(c.perTenant, id)
+	for i := range c.perTenant {
+		c.perTenant[i].Reset()
 	}
 	c.device.Reset()
 }
@@ -212,19 +202,20 @@ func (c *Collector) Device() Latency { return c.device }
 // Tenant returns the latency accumulated for one tenant (zero value if the
 // tenant issued no requests).
 func (c *Collector) Tenant(id int) Latency {
-	if l, ok := c.perTenant[id]; ok {
-		return *l
+	if id >= 0 && id < len(c.perTenant) {
+		return c.perTenant[id]
 	}
 	return Latency{}
 }
 
-// Tenants returns the tenant IDs observed, sorted.
+// Tenants returns the tenant IDs observed, ascending.
 func (c *Collector) Tenants() []int {
-	ids := make([]int, 0, len(c.perTenant))
+	var ids []int
 	for id := range c.perTenant {
-		ids = append(ids, id)
+		if l := &c.perTenant[id]; l.Read.Count+l.Write.Count > 0 {
+			ids = append(ids, id)
+		}
 	}
-	sort.Ints(ids)
 	return ids
 }
 

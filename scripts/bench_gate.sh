@@ -21,7 +21,10 @@
 #   4. Wire data plane: the four wire codec benchmarks (encode/parse for
 #      request and reply frames) and BenchmarkProxyTransport/wire — the
 #      router's one forwarding path, driven the way its wire listener
-#      drives it — must report 0 allocs/op.
+#      drives it — must report 0 allocs/op. So must BenchmarkFTLPagePath
+#      (MapRead + MapWrite with GC on a seasoned device, an unbound and a
+#      channel-bound tenant): the simulator's per-page path neither hashes
+#      nor allocates (DESIGN.md §9).
 #   5. Device-health overhead: BenchmarkSimulatorHealthOverhead interleaves
 #      no-fault and armed-but-empty-plan simulator runs in GC-isolated
 #      pairs and reports their time ratio; the median over HEALTH_COUNT
@@ -54,6 +57,8 @@ go test -run '^$' -bench 'BenchmarkWire(Encode|Parse)(Request|Reply)$' -benchmem
   -benchtime "$BENCHTIME" -cpu 1 ./internal/wire/ | tee -a "$RAW" >&2
 go test -run '^$' -bench 'BenchmarkProxyTransport$/^wire$' -benchmem -benchtime "$BENCHTIME" \
   -cpu 1 ./internal/fleet/ | tee -a "$RAW" >&2
+go test -run '^$' -bench 'BenchmarkFTLPagePath$' -benchmem -benchtime "$BENCHTIME" \
+  -cpu 1 ./internal/ftl/ | tee -a "$RAW" >&2
 
 # ns <benchmark-substring>: ns/op of the first matching result line.
 ns() {
@@ -96,9 +101,9 @@ else
 fi
 
 # Gates 2 and 4: zero allocations in the shared /io renderer, the wire
-# codec, and the router's forwarding path.
+# codec, the router's forwarding path, and the FTL's per-page path.
 for b in ServeIO/render/fast WireEncodeRequest WireParseRequest WireEncodeReply \
-  WireParseReply ProxyTransport/wire; do
+  WireParseReply ProxyTransport/wire FTLPagePath; do
   got=$(allocs "Benchmark$b")
   if [ "${got:-1}" != "0" ]; then
     echo "bench_gate: FAIL - Benchmark$b reports ${got:-?} allocs/op, want 0" >&2
