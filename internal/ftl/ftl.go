@@ -55,8 +55,10 @@ type Load interface {
 	DieLoad(die int) sim.Time
 }
 
-// zeroLoad is used when no telemetry is wired; dynamic allocation then
-// degenerates to round-robin via tie-breaking.
+// zeroLoad is used when no telemetry is wired. Every load ties at zero and
+// the least-loaded scans compare with a strict <, so dynamic allocation then
+// picks the first channel of the tenant's set and that channel's first die
+// every time; only the planes of that die rotate.
 type zeroLoad struct{}
 
 func (zeroLoad) ChannelLoad(int) sim.Time { return 0 }

@@ -117,6 +117,28 @@ func TestDynamicAllocRotatesPlanes(t *testing.T) {
 	}
 }
 
+// TestDynamicAllocWithoutLoadPinsFirstChannelAndDie: with no Load wired every
+// candidate ties at zero, and ties go to the first one scanned — not round
+// the set.
+func TestDynamicAllocWithoutLoadPinsFirstChannelAndDie(t *testing.T) {
+	cfg := nand.TinyConfig()
+	f := mustFTL(t, cfg, nil)
+	if err := f.SetTenantChannels(0, []int{2, 0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	f.SetTenantMode(0, DynamicAlloc)
+	for lpn := int64(0); lpn < 16; lpn++ {
+		a, _, err := f.MapWrite(Key{Tenant: 0, LPN: lpn})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Channel != 2 || a.Chip != 0 || a.Die != 0 {
+			t.Fatalf("lpn %d on channel %d chip %d die %d, want the set's first channel 2 and its first die",
+				lpn, a.Channel, a.Chip, a.Die)
+		}
+	}
+}
+
 func TestOverwriteInvalidatesOldPage(t *testing.T) {
 	cfg := nand.TinyConfig()
 	f := mustFTL(t, cfg, nil)

@@ -202,4 +202,3 @@ func TestRetireBlockRelocatesAndQuarantines(t *testing.T) {
 		t.Errorf("second RetireBlock moved %d pages, want 0", again)
 	}
 }
-

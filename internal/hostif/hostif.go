@@ -65,7 +65,7 @@ type queue struct {
 	// onComplete is the completion callback every command of this queue
 	// shares, created once at queue construction so dispatch allocates no
 	// per-command closure.
-	onComplete func(sim.Time)
+	onComplete ssd.Completer
 }
 
 // Host drives a device through per-tenant queues.
@@ -113,12 +113,12 @@ func (h *Host) queueOf(tenant int) *queue {
 			}
 		}
 		q = &queue{tenant: tenant, weight: w}
-		q.onComplete = func(sim.Time) {
+		q.onComplete = ssd.CompleterFunc(func(sim.Time) {
 			q.inFlight--
 			h.total--
 			// Completion frees budget; keep the pipeline full.
 			_ = h.dispatch()
-		}
+		})
 		h.queues[tenant] = q
 		h.order = append(h.order, tenant)
 		sort.Ints(h.order)

@@ -216,5 +216,8 @@ func (d *Device) Submit(r trace.Record, done func(lat sim.Time)) error {
 	if _, ok := d.leases[r.Tenant]; !ok {
 		return fmt.Errorf("ocssd: tenant %d has no lease", r.Tenant)
 	}
-	return d.dev.Submit(r, done)
+	if done == nil {
+		return d.dev.Submit(r, nil)
+	}
+	return d.dev.Submit(r, ssd.CompleterFunc(done))
 }

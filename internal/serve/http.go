@@ -381,6 +381,8 @@ func tenantErrStatus(err error) int {
 		return http.StatusConflict
 	case errors.Is(err, ErrDraining):
 		return http.StatusServiceUnavailable
+	case errors.Is(err, ErrBadHandoff):
+		return http.StatusBadRequest
 	default:
 		return http.StatusConflict
 	}

@@ -55,7 +55,8 @@ type Node struct {
 	ksrc *policy.Source
 
 	errMu     sync.Mutex
-	submitErr error // first device submit failure; poisons the node
+	submitErr error       // first device submit failure; poisons the node
+	poisoned  atomic.Bool // set once submitErr is; the per-request check
 
 	drainMu  sync.Mutex
 	drained  bool
@@ -141,6 +142,7 @@ func (n *Node) poison(err error) {
 	n.errMu.Lock()
 	if n.submitErr == nil {
 		n.submitErr = err
+		n.poisoned.Store(true)
 	}
 	n.errMu.Unlock()
 }
@@ -189,11 +191,8 @@ func (n *Node) submit(req Request, c Completion) (*Pending, error) {
 		n.rejMigr.Add(1)
 		return nil, ErrTenantMigrating
 	}
-	n.errMu.Lock()
-	err := n.submitErr
-	n.errMu.Unlock()
-	if err != nil {
-		return nil, err
+	if n.poisoned.Load() {
+		return nil, n.Err()
 	}
 	sd := n.shards[shardIndex(req.Tenant, req.Key, len(n.shards))]
 	ts := &sd.tenants[req.Tenant]
@@ -208,15 +207,15 @@ func (n *Node) submit(req Request, c Completion) (*Pending, error) {
 			break
 		}
 	}
-	p := &Pending{
-		req:    req,
-		shard:  sd,
-		stamp:  n.wallTarget(),
-		notify: c,
+	var p *Pending
+	if c != nil {
+		p = pendingPool.Get().(*Pending)
+		p.arrival, p.reaped = 0, false
+		p.state.Store(stateQueued)
+	} else {
+		p = &Pending{done: make(chan outcome, 1)}
 	}
-	if c == nil {
-		p.done = make(chan outcome, 1)
-	}
+	p.req, p.shard, p.stamp, p.notify = req, sd, n.wallTarget(), c
 	ts.admitted[req.Op].Add(1)
 	if !sd.enter() {
 		// The shard closed between the draining check and here.

@@ -41,15 +41,17 @@ func (r Request) Validate(tenants int, maxBytes int64) error {
 	switch {
 	case r.Tenant < 0 || r.Tenant >= tenants:
 		return fmt.Errorf("tenant %d outside [0,%d)", r.Tenant, tenants)
+	case r.Op != trace.Read && r.Op != trace.Write:
+		return fmt.Errorf("op %d is neither read nor write", r.Op)
 	case r.Size <= 0:
 		return fmt.Errorf("non-positive size %d", r.Size)
 	case r.Size > maxRequestBytes:
 		return fmt.Errorf("size %d exceeds %d-byte request cap", r.Size, maxRequestBytes)
 	case r.Offset < 0:
 		return fmt.Errorf("negative offset %d", r.Offset)
-	case r.Offset+int64(r.Size) > maxBytes:
-		return fmt.Errorf("extent [%d,%d) outside the %d-byte tenant space",
-			r.Offset, r.Offset+int64(r.Size), maxBytes)
+	case r.Offset > maxBytes-int64(r.Size): // not Offset+Size: that sum can wrap
+		return fmt.Errorf("extent of %d bytes at offset %d outside the %d-byte tenant space",
+			r.Size, r.Offset, maxBytes)
 	}
 	return nil
 }

@@ -221,7 +221,16 @@ type outcome struct {
 // Pending is one admitted request between admission and completion. The
 // state word is the CAS state machine shared by the shard goroutine and the
 // waiter; everything else is written once at admission (req, stamp, shard)
-// or owned by the shard goroutine (arrival, reaped).
+// or owned by the shard goroutine (arrival, reaped). It is also the
+// request's device completion (Done, shard.go).
+//
+// Who may hold one: a SubmitAsync Pending belongs to its caller, who may
+// Wait on it at any later time, so it is never reused. A SubmitTo Pending is
+// handed to nobody — only the shard (mailbox, tenant queue, device) ever
+// references it — so it comes from pendingPool and goes back at the one point
+// where the last of those references is gone: the end of Done. Every other
+// end of life (admit-time reject, dispatch error, drain reject) is rare and
+// left to the GC.
 type Pending struct {
 	req     Request
 	shard   *shard
@@ -231,6 +240,15 @@ type Pending struct {
 	reaped  bool         // queue slot released (shard-goroutine-only)
 	done    chan outcome // buffered 1; filled exactly once (nil with notify)
 	notify  Completion   // callback delivery; nil for channel waiters
+}
+
+var pendingPool = sync.Pool{New: func() any { return new(Pending) }}
+
+// recycle returns a callback Pending to the pool, dropping what it points at
+// so an idle pool pins neither a connection's Completion nor a drained shard.
+func (p *Pending) recycle() {
+	p.shard, p.notify = nil, nil
+	pendingPool.Put(p)
 }
 
 // resolve delivers the outcome exactly once (the caller holds the CAS win

@@ -369,7 +369,7 @@ func keeperConfig() keeper.Config {
 }
 
 // forcedModel always predicts the given class (output bias driven high).
-func forcedModel(t *testing.T, classes, class int) *nn.Network {
+func forcedModel(t testing.TB, classes, class int) *nn.Network {
 	t.Helper()
 	net, err := nn.NewMLP([]int{features.Dim, 8, classes}, nn.Logistic{}, 5)
 	if err != nil {

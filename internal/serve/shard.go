@@ -98,14 +98,13 @@ type tenantState struct {
 	completed [2]uint64
 	hist      [2]stats.Histogram // sim response latency by op
 
-	// records is the tenant's dispatched-record log: every record that
-	// reached the device, at its admission-time arrival stamp, in dispatch
-	// order. It is what DrainTenant hands to a migration target, and what
-	// a batch replay consumes to reproduce this tenant's device footprint.
-	// Nil when Config.DisableTenantLog is set. Replayed handoff records
-	// are logged too (at their replay arrivals), so a re-migration carries
-	// the tenant's full history.
-	records []trace.Record
+	// log is the tenant's dispatched-record log. It is what DrainTenant
+	// hands to a migration target, and what a batch replay consumes to
+	// reproduce this tenant's device footprint. Empty when
+	// Config.DisableTenantLog is set. Replayed handoff records are logged
+	// too (at their replay arrivals), so a re-migration carries the
+	// tenant's full history.
+	log tenantLog
 	// replayed counts handoff records re-dispatched here; they are logged
 	// and counted as device requests but excluded from the serving
 	// latency histograms (their latency is replay mechanics, not service).
@@ -446,9 +445,8 @@ func (sd *shard) admit(p *Pending) {
 	}
 }
 
-// dispatch hands a request to the device. The completion callback runs
-// inside the engine — shard-goroutine context — so it touches shard state
-// freely; only the resolution CAS and the occupancy release are shared.
+// dispatch hands a request to the device, with the Pending itself as the
+// device completion (Pending.Done), so dispatching allocates nothing.
 func (sd *shard) dispatch(p *Pending, ts *tenantState) {
 	if !p.state.CompareAndSwap(stateQueued, stateDispatched) {
 		sd.freeSlot(p, ts) // canceled between queueing and dispatch
@@ -456,23 +454,7 @@ func (sd *shard) dispatch(p *Pending, ts *tenantState) {
 	}
 	ts.inflight++
 	rec := p.req.Record(p.arrival)
-	err := sd.dev.SubmitAt(rec, p.arrival, func(lat sim.Time) {
-		ts.inflight--
-		ts.occupancy.Add(-1)
-		ts.completed[p.req.Op]++
-		ts.hist[p.req.Op].Add(lat)
-		if sd.ctrl != nil {
-			// Feed the outcome of this epoch's binding back to the learner.
-			// Handoff replays (replayTenant) are state transfer, not served
-			// traffic, and deliberately stay out of the feed.
-			sd.ctrl.Complete(lat)
-		}
-		if p.state.CompareAndSwap(stateDispatched, stateResolved) {
-			p.resolve(outcome{resp: Response{Latency: lat, At: sd.eng.Now()}})
-		}
-		sd.dispatchQueued(ts)
-	})
-	if err != nil {
+	if err := sd.dev.SubmitAt(rec, p.arrival, p); err != nil {
 		// A submit failure is a server bug or a device-full condition;
 		// fail this request and remember the first error for /healthz.
 		ts.inflight--
@@ -485,7 +467,37 @@ func (sd *shard) dispatch(p *Pending, ts *tenantState) {
 	}
 	sd.dispatched++
 	if !sd.node.cfg.DisableTenantLog {
-		ts.records = append(ts.records, rec)
+		ts.log.append(rec)
+	}
+}
+
+// Done implements ssd.Completer: the device completion of a dispatched
+// request. It runs inside the engine — shard-goroutine context — so it
+// touches shard state freely; only the resolution CAS and the occupancy
+// release are shared.
+func (p *Pending) Done(lat sim.Time) {
+	sd := p.shard
+	ts := &sd.tenants[p.req.Tenant]
+	ts.inflight--
+	ts.occupancy.Add(-1)
+	ts.completed[p.req.Op]++
+	ts.hist[p.req.Op].Add(lat)
+	if sd.ctrl != nil {
+		// Feed the outcome of this epoch's binding back to the learner.
+		// Handoff replays (replayTenant) are state transfer, not served
+		// traffic, and deliberately stay out of the feed.
+		sd.ctrl.Complete(lat)
+	}
+	if p.state.CompareAndSwap(stateDispatched, stateResolved) {
+		p.resolve(outcome{resp: Response{Latency: lat, At: sd.eng.Now()}})
+	}
+	sd.dispatchQueued(ts)
+	if p.notify != nil {
+		// The single recycle site: the outcome is delivered, the device
+		// dropped its reference before calling Done, the mailbox and the
+		// queue gave theirs up before dispatch, and a callback request has
+		// no waiter holding a handle.
+		p.recycle()
 	}
 }
 
@@ -520,10 +532,10 @@ func (sd *shard) reap(p *Pending) {
 // normal engine path (the engine steps forward event by event, which may
 // surface other tenants' completions early relative to wall time; their
 // sim-time latencies are unaffected). It then gates the tenant inside the
-// shard, detaches it from the keeper's feature window, and returns a copy
-// of its dispatched-record log plus a summary. The log replayed as a batch
-// reproduces the tenant's device footprint — the tenant-granular face of
-// the drain==batch-replay invariant.
+// shard, detaches it from the keeper's feature window, and returns its
+// dispatched-record log, materialised as trace records, plus a summary. The
+// log replayed as a batch reproduces the tenant's device footprint — the
+// tenant-granular face of the drain==batch-replay invariant.
 func (sd *shard) drainTenant(tenant int) ([]trace.Record, tenantSummary) {
 	ts := &sd.tenants[tenant]
 	if sd.draining {
@@ -550,8 +562,7 @@ func (sd *shard) drainTenant(tenant int) ([]trace.Record, tenantSummary) {
 		sd.ctrl.Tick(sd.eng.Now())
 		sd.ctrl.DetachTenant(tenant)
 	}
-	recs := append([]trace.Record(nil), ts.records...)
-	return recs, sd.summarize(ts)
+	return ts.log.records(tenant), sd.summarize(ts)
 }
 
 // replayTenant re-dispatches a handoff record log into this shard's device
@@ -571,6 +582,11 @@ func (sd *shard) replayTenant(tenant int, recs []trace.Record) (int, error) {
 	ts.gated = false
 	sd.advanceTo(sd.node.wallTarget())
 	replayed := 0
+	done := ssd.CompleterFunc(func(sim.Time) {
+		ts.inflight--
+		ts.replayed++
+		sd.dispatchQueued(ts)
+	})
 	for _, r := range recs {
 		for ts.inflight >= sd.node.cfg.QueueDepth {
 			if !sd.eng.Step() {
@@ -579,19 +595,14 @@ func (sd *shard) replayTenant(tenant int, recs []trace.Record) (int, error) {
 		}
 		r.Time = sd.eng.Now()
 		r.Tenant = tenant
-		err := sd.dev.SubmitAt(r, r.Time, func(lat sim.Time) {
-			ts.inflight--
-			ts.replayed++
-			sd.dispatchQueued(ts)
-		})
-		if err != nil {
+		if err := sd.dev.SubmitAt(r, r.Time, done); err != nil {
 			sd.node.poison(err)
 			return replayed, err
 		}
 		ts.inflight++
 		sd.dispatched++
 		if !sd.node.cfg.DisableTenantLog {
-			ts.records = append(ts.records, r)
+			ts.log.append(r)
 		}
 		replayed++
 	}
@@ -610,7 +621,7 @@ func (sd *shard) summarize(ts *tenantState) tenantSummary {
 		Completed: ts.completed,
 		Hist:      ts.hist,
 		Replayed:  ts.replayed,
-		Records:   len(ts.records),
+		Records:   ts.log.n,
 	}
 }
 

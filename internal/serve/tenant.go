@@ -1,9 +1,10 @@
 package serve
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"ssdkeeper/internal/stats"
 	"ssdkeeper/internal/trace"
@@ -21,6 +22,10 @@ import (
 // ErrNoTenantLog means DrainTenant was called on a node built with
 // DisableTenantLog: there is no record log to hand off.
 var ErrNoTenantLog = errors.New("serve: tenant record log disabled")
+
+// ErrBadHandoff means ReplayTenant refused a record log because one of its
+// records breaks the admission rules; nothing was replayed.
+var ErrBadHandoff = errors.New("serve: invalid handoff record")
 
 // tenantSummary is one shard's view of a tenant's serving state, copied
 // inside the shard goroutine at drain time.
@@ -89,12 +94,20 @@ func (n *Node) DrainTenant(tenant int) (*TenantDrain, error) {
 
 	td := &TenantDrain{Tenant: tenant}
 	var hist stats.Histogram
+	merged := false
 	for _, sd := range n.shards {
 		r, ok := sd.sendMsg(shardMsg{kind: msgDrainTenant, tenant: tenant})
 		if !ok {
 			continue // shard closed under a concurrent whole-node drain
 		}
-		td.Records = append(td.Records, r.records...)
+		// A tenant without spread keys lives on one shard: its log, just
+		// materialised for this call, is the handoff as is.
+		if len(td.Records) == 0 {
+			td.Records = r.records
+		} else if len(r.records) > 0 {
+			td.Records = append(td.Records, r.records...)
+			merged = true
+		}
 		td.CompletedReads += r.tenant.Completed[trace.Read]
 		td.CompletedWrites += r.tenant.Completed[trace.Write]
 		td.Replayed += r.tenant.Replayed
@@ -104,11 +117,13 @@ func (n *Node) DrainTenant(tenant int) (*TenantDrain, error) {
 			td.SimNS = int64(r.now)
 		}
 	}
-	// Shard logs are each dispatch-ordered; a stable merge by arrival time
-	// yields one fleet-wide order a target can replay directly.
-	sort.SliceStable(td.Records, func(i, j int) bool {
-		return td.Records[i].Time < td.Records[j].Time
-	})
+	if merged {
+		// Shard logs are each dispatch-ordered; a stable merge by arrival
+		// time yields one fleet-wide order a target can replay directly.
+		slices.SortStableFunc(td.Records, func(a, b trace.Record) int {
+			return cmp.Compare(a.Time, b.Time)
+		})
+	}
 	if hist.Count() > 0 {
 		td.P50NS = int64(hist.P50())
 		td.P99NS = int64(hist.P99())
@@ -136,6 +151,15 @@ func (n *Node) ReplayTenant(tenant int, records []trace.Record) (int, error) {
 	}
 	if n.draining.Load() {
 		return 0, ErrDraining
+	}
+	// Handoff records are outside input (/tenant/handoff JSON). One the
+	// device would refuse poisons the whole node, so all of them pass the
+	// admission rules before the first is replayed.
+	for i, r := range records {
+		req := Request{Tenant: tenant, Op: r.Op, Offset: r.Offset, Size: r.Size}
+		if err := req.Validate(n.cfg.Tenants, n.cfg.MaxBytes); err != nil {
+			return 0, fmt.Errorf("%w: record %d: %w", ErrBadHandoff, i, err)
+		}
 	}
 	// Accept the handoff whether the tenant is live here (fresh target) or
 	// parked (returning to a node it once drained from). Either way the

@@ -3,7 +3,11 @@ package serve
 import (
 	"context"
 	"errors"
+	"math"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ssdkeeper/internal/simrun"
@@ -244,5 +248,58 @@ func TestTenantHandoffPreservesReplayInvariant(t *testing.T) {
 	}
 	if drainRes.Conflicts != replayRes.Conflicts {
 		t.Errorf("conflicts %d != replay %d", drainRes.Conflicts, replayRes.Conflicts)
+	}
+}
+
+// TestReplayTenantRefusesBadRecords: handoff records are outside input. One
+// the device would refuse must be turned away before anything is replayed —
+// 400 over HTTP — leaving the node healthy and the tenant's gate as it was,
+// not poisoning the node mid-replay.
+func TestReplayTenantRefusesBadRecords(t *testing.T) {
+	clk := newFakeClock()
+	cfg := testConfig(clk)
+	good := writeReq(1, 0).Record(0)
+	bad := map[string]trace.Record{
+		"zero size":       {Op: trace.Read, Offset: 0, Size: 0},
+		"negative offset": {Op: trace.Read, Offset: -page, Size: page},
+		"past MaxBytes":   {Op: trace.Write, Offset: 64 << 20, Size: page},
+		"huge offset":     {Op: trace.Read, Offset: math.MaxInt64 - 100, Size: page},
+		"oversized":       {Op: trace.Write, Offset: 0, Size: maxRequestBytes + 1},
+		"unknown op":      {Op: trace.Op(7), Offset: 0, Size: page},
+	}
+	for name, rec := range bad {
+		s := testServer(t, cfg, nil)
+		done, err := s.ReplayTenant(1, []trace.Record{good, rec, good})
+		if !errors.Is(err, ErrBadHandoff) || done != 0 {
+			t.Errorf("%s: replayed %d, err %v; want 0, ErrBadHandoff", name, done, err)
+		}
+		if err := s.Err(); err != nil {
+			t.Errorf("%s: node poisoned: %v", name, err)
+		}
+		if !s.Ready() || s.TenantParked(1) {
+			t.Errorf("%s: a refused handoff moved the tenant's gate", name)
+		}
+		if _, err := s.SubmitAsync(readReq(1, 0)); err != nil {
+			t.Errorf("%s: tenant rejected after a refused handoff: %v", name, err)
+		}
+		if res := s.Drain(); res.Requests != 1 {
+			t.Errorf("%s: device saw %d requests, want only the live one", name, res.Requests)
+		}
+	}
+
+	// A parked tenant stays parked, and the HTTP surface answers 400.
+	s := testServer(t, cfg, nil)
+	defer s.Drain()
+	if _, err := s.DrainTenant(1); err != nil {
+		t.Fatal(err)
+	}
+	body := `{"records":[{"Time":0,"Tenant":1,"Op":0,"Offset":-1,"Size":16384}]}`
+	rr := httptest.NewRecorder()
+	s.Handler(0).ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/tenant/handoff?tenant=1", strings.NewReader(body)))
+	if rr.Code != http.StatusBadRequest {
+		t.Errorf("bad handoff answered %d, want 400: %s", rr.Code, rr.Body)
+	}
+	if !s.TenantParked(1) || s.Err() != nil {
+		t.Errorf("after a refused handoff: parked %v, err %v; want parked, healthy", s.TenantParked(1), s.Err())
 	}
 }

@@ -332,7 +332,7 @@ type request struct {
 	arrival   sim.Time
 	tenant    int
 	read      bool
-	done      func(lat sim.Time)
+	done      Completer
 }
 
 // pageDone retires one page of the request, completing it when the fan-out
@@ -353,7 +353,7 @@ func (rq *request) pageDone() {
 	done := rq.done
 	d.freeRequest(rq)
 	if done != nil {
-		done(lat)
+		done.Done(lat)
 	}
 }
 
@@ -416,16 +416,32 @@ func (d *Device) freePageOp(op *pageOp) {
 	d.opFree = append(d.opFree, op)
 }
 
-// Submit issues one request at the current simulated time. The callback
-// done (may be nil) runs at completion with the response latency.
-func (d *Device) Submit(r trace.Record, done func(lat sim.Time)) error {
+// Completer receives a request's response latency when its last page lands.
+// It is the device's only completion path: a caller that serves many
+// requests implements Done on the record it already keeps per request (as
+// pageOp does for sim.Completion), so submitting allocates nothing.
+type Completer interface {
+	Done(lat sim.Time)
+}
+
+// CompleterFunc adapts a plain function to Completer. Converting a nil
+// function yields a non-nil Completer that panics when called; pass a nil
+// Completer for "no completion".
+type CompleterFunc func(lat sim.Time)
+
+// Done implements Completer.
+func (f CompleterFunc) Done(lat sim.Time) { f(lat) }
+
+// Submit issues one request at the current simulated time. done (may be
+// nil) receives the response latency at completion.
+func (d *Device) Submit(r trace.Record, done Completer) error {
 	return d.SubmitAt(r, d.eng.Now(), done)
 }
 
 // SubmitAt issues a request whose response latency is measured from the
 // given arrival instant, which must not be in the future. Run uses it to
 // charge host-queue waiting time to requests held back by MaxOutstanding.
-func (d *Device) SubmitAt(r trace.Record, arrival sim.Time, done func(lat sim.Time)) error {
+func (d *Device) SubmitAt(r trace.Record, arrival sim.Time, done Completer) error {
 	startLPN, n := d.pagesOf(r)
 	if n == 0 {
 		return fmt.Errorf("ssd: zero-page request at offset %d size %d", r.Offset, r.Size)
@@ -559,14 +575,14 @@ func (d *Device) RunContext(ctx context.Context, t trace.Trace, onArrival func(i
 	var submitErr error
 	var backlog []trace.Record // host-side FIFO when MaxOutstanding binds
 	var dispatch func(r trace.Record)
-	onDone := func(sim.Time) {
+	onDone := CompleterFunc(func(sim.Time) {
 		if len(backlog) == 0 || submitErr != nil {
 			return
 		}
 		next := backlog[0]
 		backlog = backlog[1:]
 		dispatch(next)
-	}
+	})
 	dispatch = func(r trace.Record) {
 		if err := d.SubmitAt(r, r.Time, onDone); err != nil {
 			submitErr = err

@@ -24,7 +24,12 @@
 #      drives it — must report 0 allocs/op. So must BenchmarkFTLPagePath
 #      (MapRead + MapWrite with GC on a seasoned device, an unbound and a
 #      channel-bound tenant): the simulator's per-page path neither hashes
-#      nor allocates (DESIGN.md §9).
+#      nor allocates (DESIGN.md §9). And so must BenchmarkNodeSubmitTo (the
+#      serve core's callback path: keeper on, tenant log on), which may also
+#      not exceed 40 B/op — the log's 24 B per
+#      record plus amortised keeper epochs; a log that regrows by copying, or
+#      a per-request closure or Pending, breaks one of the two (DESIGN.md
+#      §11, §13).
 #   5. Device-health overhead: BenchmarkSimulatorHealthOverhead interleaves
 #      no-fault and armed-but-empty-plan simulator runs in GC-isolated
 #      pairs and reports their time ratio; the median over HEALTH_COUNT
@@ -51,7 +56,7 @@ trap 'rm -f "$RAW" "$RAW.health"' EXIT
 
 echo "bench_gate: running gated benchmarks (benchtime=$BENCHTIME, -cpu 1)..." >&2
 go test -run '^$' -bench 'BenchmarkPredict$' -benchmem -benchtime "$BENCHTIME" -cpu 1 . | tee "$RAW" >&2
-go test -run '^$' -bench 'BenchmarkServeIO$' -benchmem -benchtime "$BENCHTIME" -cpu 1 \
+go test -run '^$' -bench 'Benchmark(ServeIO|NodeSubmitTo)$' -benchmem -benchtime "$BENCHTIME" -cpu 1 \
   ./internal/serve/ | tee -a "$RAW" >&2
 go test -run '^$' -bench 'BenchmarkWire(Encode|Parse)(Request|Reply)$' -benchmem \
   -benchtime "$BENCHTIME" -cpu 1 ./internal/wire/ | tee -a "$RAW" >&2
@@ -67,6 +72,10 @@ ns() {
 # allocs <benchmark-substring>: allocs/op of the first matching result line.
 allocs() {
   awk -v b="$1" 'index($1, b) && $NF == "allocs/op" {printf "%d", $(NF-1); exit}' "$RAW"
+}
+# bytes <benchmark-substring>: B/op of the first matching result line.
+bytes() {
+  awk -v b="$1" 'index($1, b) && $(NF-2) == "B/op" {printf "%d", $(NF-3); exit}' "$RAW"
 }
 
 f64_call=$(ns "BenchmarkPredict/float64/call")
@@ -101,9 +110,10 @@ else
 fi
 
 # Gates 2 and 4: zero allocations in the shared /io renderer, the wire
-# codec, the router's forwarding path, and the FTL's per-page path.
+# codec, the router's forwarding path, the FTL's per-page path, and the
+# serve core's callback path.
 for b in ServeIO/render/fast WireEncodeRequest WireParseRequest WireEncodeReply \
-  WireParseReply ProxyTransport/wire FTLPagePath; do
+  WireParseReply ProxyTransport/wire FTLPagePath NodeSubmitTo; do
   got=$(allocs "Benchmark$b")
   if [ "${got:-1}" != "0" ]; then
     echo "bench_gate: FAIL - Benchmark$b reports ${got:-?} allocs/op, want 0" >&2
@@ -112,6 +122,14 @@ for b in ServeIO/render/fast WireEncodeRequest WireParseRequest WireEncodeReply 
     echo "bench_gate: ok - Benchmark$b 0 allocs/op" >&2
   fi
 done
+
+node_bytes=$(bytes "BenchmarkNodeSubmitTo")
+if [ -z "$node_bytes" ] || [ "$node_bytes" -gt 40 ]; then
+  echo "bench_gate: FAIL - BenchmarkNodeSubmitTo allocates ${node_bytes:-?} B/op, want <= 40" >&2
+  fail=1
+else
+  echo "bench_gate: ok - BenchmarkNodeSubmitTo ${node_bytes} B/op <= 40" >&2
+fi
 
 # Gate 5: no-fault health overhead. The benchmark reports a same-run
 # interleaved ratio, so runner speed cancels; the median over HEALTH_COUNT
