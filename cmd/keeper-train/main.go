@@ -62,7 +62,6 @@ func main() {
 		outDataset = flag.String("dataset", "", "dataset path (written, or read with -reuse)")
 		reuse      = flag.Bool("reuse", false, "load the dataset instead of generating it")
 		name       = flag.String("name", "", "model name recorded in the checkpoint (default: -out base name)")
-		quantize   = flag.Bool("quantize", false, "record int8 deployment precision in the checkpoint (weights stay float; consumers quantize at load) and report int8 accuracy")
 		inspect    = flag.String("inspect", "", "verify a checkpoint against this binary's schema and exit")
 		quiet      = flag.Bool("q", false, "suppress progress output")
 
@@ -200,10 +199,10 @@ func main() {
 	if eval, err := experiments.EvaluateModel(res.Model, res.TestSamples); err == nil {
 		fmt.Fprintln(os.Stderr, eval.String())
 	}
-	if *quantize {
-		if eval, err := experiments.EvaluateModel(res.Model.Quantized(nn.Int8), res.TestSamples); err == nil {
-			fmt.Fprintf(os.Stderr, "int8 deployment: %s\n", eval.String())
-		}
+	// The paper's §IV.D footprint argument: what the same weights would
+	// cost in decisions if stored on the int8 grid (simulated, not served).
+	if eval, err := experiments.EvaluateModel(res.Model.Quantized(nn.Int8), res.TestSamples); err == nil {
+		fmt.Fprintf(os.Stderr, "int8 weights (simulated): %s\n", eval.String())
 	}
 
 	modelName := *name
@@ -225,18 +224,14 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	prec := nn.Float64
-	if *quantize {
-		prec = nn.Int8
-	}
-	if err := policy.SaveCheckpointPrecision(f, res.Model, meta, env.Device.Channels, env.Strategies, prec); err != nil {
+	if err := policy.SaveCheckpoint(f, res.Model, meta, env.Device.Channels, env.Strategies); err != nil {
 		fatal(err)
 	}
 	if err := f.Close(); err != nil {
 		fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "wrote %s (checkpoint format %d, schema %s, precision %s)\n",
-		*outModel, policy.FormatVersion, policy.SchemaHash(env.Device.Channels, env.Strategies), prec)
+	fmt.Fprintf(os.Stderr, "wrote %s (checkpoint format %d, schema %s)\n",
+		*outModel, policy.FormatVersion, policy.SchemaHash(env.Device.Channels, env.Strategies))
 }
 
 // inspectCheckpoint loads and verifies one checkpoint against the schema
@@ -248,14 +243,13 @@ func inspectCheckpoint(env experiments.Env, path string) error {
 		return err
 	}
 	defer f.Close()
-	net, meta, prec, err := policy.LoadCheckpointPrecision(f, env.Device.Channels, env.Strategies)
+	net, meta, err := policy.LoadCheckpoint(f, env.Device.Channels, env.Strategies)
 	if err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
 	fmt.Printf("%s: ok\n", path)
 	fmt.Printf("  schema      %s\n", policy.SchemaHash(env.Device.Channels, env.Strategies))
 	fmt.Printf("  geometry    %d -> %d classes (%d params)\n", net.InputDim(), net.OutputDim(), net.ParamCount())
-	fmt.Printf("  precision   %s\n", prec)
 	if meta.Name != "" {
 		fmt.Printf("  name        %s\n", meta.Name)
 	}

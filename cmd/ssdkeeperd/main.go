@@ -51,7 +51,6 @@ import (
 	"ssdkeeper/internal/keeper"
 	"ssdkeeper/internal/learn"
 	"ssdkeeper/internal/nand"
-	"ssdkeeper/internal/nn"
 	"ssdkeeper/internal/policy"
 	"ssdkeeper/internal/serve"
 	"ssdkeeper/internal/sim"
@@ -84,7 +83,6 @@ func main() {
 		auditEvery = flag.Duration("audit-every", time.Second, "device-health audit sweep interval (wall; 0 disables the auditor)")
 		degraded   = flag.Float64("degraded-score", 0.5, "health score in [0,1] below which the auditor flips the node degraded (/readyz 503)")
 		trainWork  = flag.Int("train-workloads", 12, "workloads to label when self-training")
-		quantize   = flag.Bool("quantize", false, "serve ANN decisions through the int8 fixed-point kernel (batched, allocation-free); float weights are quantized at load and on every reload")
 		quiet      = flag.Bool("q", false, "suppress startup progress output")
 
 		learnOn       = flag.Bool("learn", false, "run the continuous learner in-daemon: harvest epoch samples, retrain, shadow, auto-promote (requires -model-dir)")
@@ -127,13 +125,12 @@ func main() {
 	var k *keeper.Keeper
 	var reg *policy.Registry
 	var modelVersion string
-	var modelPrecision nn.Precision
 	if !*noKeeper {
-		prov, r, err := loadProvider(ctx, env, *modelDir, *modelPath, *trainWork, *quantize, *quiet)
+		prov, r, err := loadProvider(ctx, env, *modelDir, *modelPath, *trainWork, *quiet)
 		if err != nil {
 			fatal(err)
 		}
-		reg, modelVersion, modelPrecision = r, prov.Version(), prov.Precision()
+		reg, modelVersion = r, prov.Version()
 		k, err = keeper.NewWithProvider(keeper.Config{
 			Device:         env.Device,
 			Options:        env.Options,
@@ -162,10 +159,6 @@ func main() {
 			if reg == nil {
 				fatal(errors.New("-learn needs -model-dir (the learner writes and promotes registry checkpoints)"))
 			}
-			prec := nn.Float64
-			if *quantize {
-				prec = nn.Int8
-			}
 			var logf func(string, ...any)
 			if !*quiet {
 				logf = func(format string, args ...any) {
@@ -183,7 +176,7 @@ func main() {
 				MinComparable: *learnComp,
 				DemoteMargin:  *learnDemote,
 				Logf:          logf,
-			}, &learn.RegistryActuator{Reg: reg, Src: k.Source(), Precision: prec, Keep: *modelKeep})
+			}, &learn.RegistryActuator{Reg: reg, Src: k.Source(), Keep: *modelKeep})
 			if err != nil {
 				fatal(err)
 			}
@@ -241,7 +234,7 @@ func main() {
 	}
 
 	if k != nil && reg != nil {
-		s.SetReloader(registryReloader(reg, k.Source(), *quantize))
+		s.SetReloader(registryReloader(reg, k.Source()))
 		hup := make(chan os.Signal, 1)
 		signal.Notify(hup, syscall.SIGHUP)
 		defer signal.Stop(hup)
@@ -286,7 +279,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, ", wire %s", *wireListen)
 		}
 		if modelVersion != "" {
-			fmt.Fprintf(os.Stderr, ", model %s, precision %s", modelVersion, modelPrecision)
+			fmt.Fprintf(os.Stderr, ", model %s", modelVersion)
 		}
 		fmt.Fprintln(os.Stderr, ")")
 	}
@@ -328,9 +321,8 @@ func main() {
 // -model checkpoint file, or a quick self-training run so the daemon is
 // usable out of the box (smoke tests and demos; real deployments train with
 // keeper-train). The registry (non-nil only with -model-dir) also backs the
-// hot-reload endpoint. Checkpoints carry their own deployment precision;
-// quantize forces the int8 kernel regardless of what the artifact declares.
-func loadProvider(ctx context.Context, env experiments.Env, dir, path string, workloads int, quantize, quiet bool) (*policy.Model, *policy.Registry, error) {
+// hot-reload endpoint.
+func loadProvider(ctx context.Context, env experiments.Env, dir, path string, workloads int, quiet bool) (*policy.Model, *policy.Registry, error) {
 	if dir != "" {
 		reg, err := policy.NewRegistry(dir, env.Device.Channels, env.Strategies)
 		if err != nil {
@@ -340,14 +332,8 @@ func loadProvider(ctx context.Context, env experiments.Env, dir, path string, wo
 		if err != nil {
 			return nil, nil, err
 		}
-		if quantize {
-			if m, err = m.WithPrecision(nn.Int8); err != nil {
-				return nil, nil, err
-			}
-		}
 		if !quiet {
-			fmt.Fprintf(os.Stderr, "ssdkeeperd: loaded model %s from %s (precision %s)\n",
-				m.Version(), dir, m.Precision())
+			fmt.Fprintf(os.Stderr, "ssdkeeperd: loaded model %s from %s\n", m.Version(), dir)
 		}
 		return m, reg, nil
 	}
@@ -357,14 +343,11 @@ func loadProvider(ctx context.Context, env experiments.Env, dir, path string, wo
 			return nil, nil, err
 		}
 		defer f.Close()
-		net, _, prec, err := policy.LoadCheckpointPrecision(f, env.Device.Channels, env.Strategies)
+		net, _, err := policy.LoadCheckpoint(f, env.Device.Channels, env.Strategies)
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s: %w", path, err)
 		}
-		if quantize {
-			prec = nn.Int8
-		}
-		m, err := policy.NewModelPrecision(filepath.Base(path), net, env.Strategies, prec)
+		m, err := policy.NewModel(filepath.Base(path), net, env.Strategies)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -396,11 +379,7 @@ func loadProvider(ctx context.Context, env experiments.Env, dir, path string, wo
 		fmt.Fprintf(os.Stderr, "ssdkeeperd: self-trained model: loss %.3f, test accuracy %.1f%%\n",
 			res.History.FinalLoss, 100*res.History.FinalAcc)
 	}
-	prec := nn.Float64
-	if quantize {
-		prec = nn.Int8
-	}
-	m, err := policy.NewModelPrecision("self-trained", res.Model, env.Strategies, prec)
+	m, err := policy.NewModel("self-trained", res.Model, env.Strategies)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -410,10 +389,7 @@ func loadProvider(ctx context.Context, env experiments.Env, dir, path string, wo
 // registryReloader maps the /model/reload protocol onto the checkpoint
 // registry and the keeper's policy source. version "" resolves to the
 // registry's latest; role=shadow with version "none" clears the candidate.
-// With quantize set, every model a reload publishes is forced onto the int8
-// kernel, so a daemon started with -quantize keeps serving quantized across
-// hot swaps.
-func registryReloader(reg *policy.Registry, src *policy.Source, quantize bool) serve.Reloader {
+func registryReloader(reg *policy.Registry, src *policy.Source) serve.Reloader {
 	return func(role, version string) (serve.ReloadStatus, error) {
 		if role == "shadow" && version == "none" {
 			st := serve.ReloadStatus{Role: role}
@@ -431,11 +407,6 @@ func registryReloader(reg *policy.Registry, src *policy.Source, quantize bool) s
 		}
 		if err != nil {
 			return serve.ReloadStatus{}, err
-		}
-		if quantize {
-			if m, err = m.WithPrecision(nn.Int8); err != nil {
-				return serve.ReloadStatus{}, err
-			}
 		}
 		st := serve.ReloadStatus{Role: role, Version: m.Version()}
 		if role == "shadow" {

@@ -23,8 +23,8 @@ const Levels = 20
 
 // LegacyDim is the paper's original feature-vector dimensionality: 1
 // intensity + MaxTenants characteristics + MaxTenants proportions. Models
-// checkpointed before the health tier use this input width and still load
-// (see internal/policy's legacy schema acceptance).
+// checkpointed before the health tier use this input width; internal/policy
+// widens them to Dim at load.
 const LegacyDim = 1 + 2*MaxTenants
 
 // HealthDim is the number of device-health features appended to the vector:
@@ -75,14 +75,6 @@ func (v Vector) Input() []float64 {
 // extended slice — the allocation-free form of Input for serving hot paths
 // that reuse an encoding buffer across decisions.
 func (v Vector) AppendInput(dst []float64) []float64 {
-	dst = v.AppendLegacyInput(dst)
-	return append(dst, v.DeadDieFrac, v.RetryRate, v.WearSpread)
-}
-
-// AppendLegacyInput appends only the original LegacyDim workload inputs —
-// the encoding for checkpoints trained before the feature schema grew the
-// health dimensions.
-func (v Vector) AppendLegacyInput(dst []float64) []float64 {
 	dst = append(dst, float64(v.Intensity)/float64(Levels-1))
 	for _, r := range v.ReadChar {
 		if r {
@@ -91,7 +83,8 @@ func (v Vector) AppendLegacyInput(dst []float64) []float64 {
 			dst = append(dst, 0)
 		}
 	}
-	return append(dst, v.Prop[:]...)
+	dst = append(dst, v.Prop[:]...)
+	return append(dst, v.DeadDieFrac, v.RetryRate, v.WearSpread)
 }
 
 // Traits converts the observed characteristics into strategy-binding traits.

@@ -37,15 +37,6 @@ func TestVectorInputDimAndEncoding(t *testing.T) {
 	if in[9] != 0.25 || in[10] != 0.5 || in[11] != 0.75 {
 		t.Errorf("health features = %v, want [0.25 0.5 0.75]", in[9:])
 	}
-	legacy := v.AppendLegacyInput(nil)
-	if len(legacy) != LegacyDim {
-		t.Fatalf("legacy input dim %d, want %d", len(legacy), LegacyDim)
-	}
-	for i := range legacy {
-		if legacy[i] != in[i] {
-			t.Errorf("legacy input diverges at %d: %v vs %v", i, legacy[i], in[i])
-		}
-	}
 }
 
 func TestVectorStringMatchesPaperNotation(t *testing.T) {

@@ -156,47 +156,6 @@ func (k *Keeper) Predict(v features.Vector) (alloc.Strategy, int, error) {
 	return strat, alloc.Index(k.cfg.Strategies, strat), nil
 }
 
-// PredictBatch maps many feature vectors to strategies in one pass over the
-// model's weight matrices — deciding for a whole fleet of shards or epochs
-// at the cost of loading each weight row once. out must have len(vs)
-// entries; idx, when non-nil, receives each strategy's index in the space
-// (-1 if outside it). Like Predict it borrows a pooled per-caller policy
-// instance, so it is safe for concurrent use with no shared lock; policies
-// that do not implement policy.BatchPolicy fall back to per-vector Decide.
-func (k *Keeper) PredictBatch(vs []features.Vector, out []alloc.Strategy, idx []int) error {
-	if len(out) != len(vs) {
-		return fmt.Errorf("keeper: %d strategy slots for %d vectors", len(out), len(vs))
-	}
-	if idx != nil && len(idx) != len(vs) {
-		return fmt.Errorf("keeper: %d index slots for %d vectors", len(idx), len(vs))
-	}
-	prov := k.source.Active()
-	pp, _ := k.pool.Get().(*pooledPolicy)
-	if pp == nil || pp.version != prov.Version() {
-		pp = &pooledPolicy{version: prov.Version(), pol: prov.NewPolicy()}
-	}
-	var err error
-	if bp, ok := pp.pol.(policy.BatchPolicy); ok {
-		err = bp.DecideBatch(vs, out)
-	} else {
-		for i, v := range vs {
-			if out[i], err = pp.pol.Decide(v); err != nil {
-				break
-			}
-		}
-	}
-	k.pool.Put(pp)
-	if err != nil {
-		return err
-	}
-	if idx != nil {
-		for i := range out {
-			idx[i] = alloc.Index(k.cfg.Strategies, out[i])
-		}
-	}
-	return nil
-}
-
 // Switch records one channel re-allocation during a run.
 type Switch struct {
 	At       sim.Time

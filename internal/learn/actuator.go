@@ -35,9 +35,6 @@ type Actuator interface {
 type RegistryActuator struct {
 	Reg *policy.Registry
 	Src *policy.Source
-	// Precision forces promoted and shadowed models onto a specific
-	// inference kernel (the daemon's -quantize); Float64 serves as stored.
-	Precision nn.Precision
 	// Keep bounds the registry to this many checkpoints after each save
 	// (0: no GC).
 	Keep int
@@ -50,7 +47,7 @@ func (a *RegistryActuator) SaveCandidate(net *nn.Network, meta policy.Meta, prot
 	if err != nil {
 		return "", err
 	}
-	if err := a.Reg.SaveCheckpoint(version, net, meta, a.Precision); err != nil {
+	if err := a.Reg.SaveCheckpoint(version, net, meta); err != nil {
 		return "", err
 	}
 	if a.Keep > 0 {
@@ -65,20 +62,9 @@ func (a *RegistryActuator) SaveCandidate(net *nn.Network, meta policy.Meta, prot
 	return version, nil
 }
 
-func (a *RegistryActuator) load(version string) (*policy.Model, error) {
-	m, err := a.Reg.Load(version)
-	if err != nil {
-		return nil, err
-	}
-	if a.Precision != nn.Float64 {
-		return m.WithPrecision(a.Precision)
-	}
-	return m, nil
-}
-
 // InstallShadow publishes the version as the shadow candidate.
 func (a *RegistryActuator) InstallShadow(version string) error {
-	m, err := a.load(version)
+	m, err := a.Reg.Load(version)
 	if err != nil {
 		return err
 	}
@@ -94,7 +80,7 @@ func (a *RegistryActuator) ClearShadow() error {
 
 // Promote atomically activates the version.
 func (a *RegistryActuator) Promote(version string) (string, error) {
-	m, err := a.load(version)
+	m, err := a.Reg.Load(version)
 	if err != nil {
 		return "", err
 	}
@@ -132,7 +118,7 @@ func (a *HTTPActuator) SaveCandidate(net *nn.Network, meta policy.Meta, protect 
 	if err != nil {
 		return "", err
 	}
-	if err := a.Reg.SaveCheckpoint(version, net, meta, nn.Float64); err != nil {
+	if err := a.Reg.SaveCheckpoint(version, net, meta); err != nil {
 		return "", err
 	}
 	if a.Keep > 0 {

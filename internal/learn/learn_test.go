@@ -7,7 +7,6 @@ import (
 
 	"ssdkeeper/internal/alloc"
 	"ssdkeeper/internal/features"
-	"ssdkeeper/internal/nn"
 	"ssdkeeper/internal/policy"
 	"ssdkeeper/internal/sim"
 )
@@ -189,7 +188,7 @@ func TestRetrainDeterministic(t *testing.T) {
 			t.Fatalf("meta provenance = %q/%q, want online/v001", meta.Source, meta.Parent)
 		}
 		var w bytes.Buffer
-		if err := policy.SaveCheckpointPrecision(&w, net, meta, 8, strategies, nn.Float64); err != nil {
+		if err := policy.SaveCheckpoint(&w, net, meta, 8, strategies); err != nil {
 			t.Fatal(err)
 		}
 		return w.Bytes()

@@ -11,23 +11,13 @@ import "fmt"
 type Inference struct {
 	net *Network
 	as  [][]float64
-
-	// Batch scratch: one flat activation plane per layer plus the row
-	// headers ForwardBatch returns, grown on demand and reused across
-	// calls.
-	batchAs [][]float64
-	rows    [][]float64
 }
 
 // CloneForInference returns an inference handle sharing the network's
 // weights with private scratch. The handle is NOT safe for concurrent use
 // with itself — clone once per goroutine.
 func (n *Network) CloneForInference() *Inference {
-	inf := &Inference{
-		net:     n,
-		as:      make([][]float64, 0, len(n.Layers)),
-		batchAs: make([][]float64, len(n.Layers)),
-	}
+	inf := &Inference{net: n, as: make([][]float64, 0, len(n.Layers))}
 	for _, l := range n.Layers {
 		inf.as = append(inf.as, make([]float64, l.Out))
 	}
@@ -56,71 +46,6 @@ func (inf *Inference) Predict(x []float64) (int, error) {
 		return 0, err
 	}
 	return argmax(logits), nil
-}
-
-// ForwardBatch computes logits for every input in one pass over the weight
-// matrices: each weight row is loaded once and applied to the whole batch.
-// The per-sample accumulation order is exactly Forward's (bias first, then
-// inputs in ascending index), so each returned row is bit-identical to a
-// standalone Forward of the same input. Returned rows are scratch owned by
-// this handle.
-func (inf *Inference) ForwardBatch(xs [][]float64) ([][]float64, error) {
-	n := len(xs)
-	if n == 0 {
-		return nil, nil
-	}
-	dim := inf.net.InputDim()
-	for s, x := range xs {
-		if len(x) != dim {
-			return nil, fmt.Errorf("nn: batch input %d dim %d, want %d", s, len(x), dim)
-		}
-	}
-	if cap(inf.rows) < n {
-		inf.rows = make([][]float64, n)
-	}
-	out := inf.rows[:n]
-	ins := xs
-	for li, l := range inf.net.Layers {
-		if need := n * l.Out; cap(inf.batchAs[li]) < need {
-			inf.batchAs[li] = make([]float64, need)
-		}
-		plane := inf.batchAs[li][:n*l.Out]
-		for o := 0; o < l.Out; o++ {
-			row := l.W[o*l.In : (o+1)*l.In]
-			bo := l.B[o]
-			for s, in := range ins {
-				acc := bo
-				for i, v := range in {
-					acc += row[i] * v
-				}
-				plane[s*l.Out+o] = l.Act.F(acc)
-			}
-		}
-		if li == 0 {
-			ins = out
-		}
-		for s := 0; s < n; s++ {
-			out[s] = plane[s*l.Out : (s+1)*l.Out]
-		}
-	}
-	return out, nil
-}
-
-// PredictBatch writes the argmax class of each input into classes, deciding
-// for the whole batch in one pass over the weight matrices. classes must
-// have len(xs) entries.
-func (inf *Inference) PredictBatch(xs [][]float64, classes []int) error {
-	if len(classes) != len(xs) {
-		return fmt.Errorf("nn: %d class slots for %d inputs", len(classes), len(xs))
-	}
-	logits, err := inf.ForwardBatch(xs)
-	if err != nil {
-		return err
-	}
-	for s, row := range logits {
-		classes[s] = argmax(row)
-	}
-	return nil
 }
 
 // forwardInto is the shared forward kernel: it fills as[li] with layer li's

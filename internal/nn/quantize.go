@@ -39,23 +39,6 @@ func (p Precision) String() string {
 	}
 }
 
-// ParsePrecision parses a precision name as rendered by String. The empty
-// string parses as Float64, matching the checkpoint convention that an
-// absent precision field means an unquantized model.
-func ParsePrecision(s string) (Precision, error) {
-	switch s {
-	case "", "float64":
-		return Float64, nil
-	case "float32":
-		return Float32, nil
-	case "float16":
-		return Float16, nil
-	case "int8":
-		return Int8, nil
-	}
-	return Float64, fmt.Errorf("nn: unknown precision %q", s)
-}
-
 // Bytes returns the per-parameter storage cost.
 func (p Precision) Bytes() int {
 	switch p {

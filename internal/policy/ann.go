@@ -10,140 +10,53 @@ import (
 
 // ANNPolicy is one consumer's inference instance over a shared, read-only
 // classifier: argmax over the network's logits indexes the strategy space.
-// Depending on the model's deployment precision it carries either a float64
-// nn.Inference or an int8 nn.QuantizedInference; both are per-caller arenas
-// over shared weights, so any number of ANNPolicy instances run concurrently
-// over the same model without locking — but a single instance is not safe
-// for concurrent use.
+// It carries a per-caller nn.Inference arena over the shared weights, so any
+// number of ANNPolicy instances run concurrently over the same model without
+// locking — but a single instance is not safe for concurrent use.
 type ANNPolicy struct {
-	inf        *nn.Inference          // float64 path (nil when quantized)
-	qinf       *nn.QuantizedInference // int8 path (nil when float)
+	inf        *nn.Inference
 	strategies []alloc.Strategy
-	dim        int // the model's input width: features.Dim or features.LegacyDim
-
-	// Batch scratch, reused across DecideBatch calls: a flat input plane
-	// (rows sliced per vector) and the per-vector class indices.
-	inputs  []float64
-	rows    [][]float64
-	classes []int
+	input      []float64 // encoding scratch, reused across Decide calls
 }
 
-// NewANN builds a float64 inference policy over a trained network and its
-// strategy space. The network's geometry must match: features.Dim inputs
-// (or features.LegacyDim for pre-health checkpoints, which are served
-// through the legacy encoding), one output class per strategy.
+// NewANN builds an inference policy over a trained network and its strategy
+// space. The network's geometry must match: features.Dim inputs, one output
+// class per strategy.
 func NewANN(model *nn.Network, strategies []alloc.Strategy) (*ANNPolicy, error) {
 	if err := checkGeometry(model, strategies); err != nil {
 		return nil, err
 	}
-	return &ANNPolicy{inf: model.CloneForInference(), strategies: strategies, dim: model.InputDim()}, nil
+	return newANN(model, strategies), nil
 }
 
-// NewQuantizedANN builds an int8 inference policy over a shared quantized
-// deployment artifact.
-func NewQuantizedANN(q *nn.QuantizedNet, strategies []alloc.Strategy) (*ANNPolicy, error) {
-	switch {
-	case q == nil:
-		return nil, fmt.Errorf("policy: nil quantized network")
-	case len(strategies) == 0:
-		return nil, fmt.Errorf("policy: empty strategy space")
-	case q.InputDim() != features.Dim && q.InputDim() != features.LegacyDim:
-		return nil, fmt.Errorf("policy: network input dim %d, want features.Dim %d (or legacy %d)",
-			q.InputDim(), features.Dim, features.LegacyDim)
-	case q.OutputDim() != len(strategies):
-		return nil, fmt.Errorf("policy: network has %d classes for %d strategies",
-			q.OutputDim(), len(strategies))
+func newANN(model *nn.Network, strategies []alloc.Strategy) *ANNPolicy {
+	return &ANNPolicy{
+		inf:        model.CloneForInference(),
+		strategies: strategies,
+		input:      make([]float64, 0, features.Dim),
 	}
-	return &ANNPolicy{qinf: q.CloneForInference(), strategies: strategies, dim: q.InputDim()}, nil
-}
-
-// appendInput encodes v at the model's input width: legacy-dim models get the
-// pre-health encoding (health features dropped), current models the full one.
-func (p *ANNPolicy) appendInput(dst []float64, v features.Vector) []float64 {
-	if p.dim == features.LegacyDim {
-		return v.AppendLegacyInput(dst)
-	}
-	return v.AppendInput(dst)
 }
 
 // Decide runs one forward pass and returns the argmax strategy.
 func (p *ANNPolicy) Decide(v features.Vector) (alloc.Strategy, error) {
-	p.growBatch(1)
-	x := p.appendInput(p.inputs[:0], v)
-	var idx int
-	var err error
-	if p.qinf != nil {
-		idx, err = p.qinf.Predict(x)
-	} else {
-		idx, err = p.inf.Predict(x)
-	}
+	idx, err := p.inf.Predict(v.AppendInput(p.input[:0]))
 	if err != nil {
 		return alloc.Strategy{}, err
 	}
 	return p.strategies[idx], nil
 }
 
-// growBatch sizes the reusable input plane and class scratch for n vectors.
-func (p *ANNPolicy) growBatch(n int) {
-	if need := n * p.dim; cap(p.inputs) < need {
-		p.inputs = make([]float64, 0, need)
-	}
-	if cap(p.rows) < n {
-		p.rows = make([][]float64, n)
-	}
-	if cap(p.classes) < n {
-		p.classes = make([]int, n)
-	}
-}
-
-// DecideBatch decides for every vector in one pass over the weight matrices
-// (nn ForwardBatch), writing the chosen strategies into out. out must have
-// len(vs) entries. Steady-state it allocates nothing: the encoded inputs and
-// class indices live in per-policy scratch.
-func (p *ANNPolicy) DecideBatch(vs []features.Vector, out []alloc.Strategy) error {
-	if len(out) != len(vs) {
-		return fmt.Errorf("policy: %d strategy slots for %d vectors", len(out), len(vs))
-	}
-	if len(vs) == 0 {
-		return nil
-	}
-	p.growBatch(len(vs))
-	flat := p.inputs[:0]
-	rows := p.rows[:len(vs)]
-	for i, v := range vs {
-		start := len(flat)
-		flat = p.appendInput(flat, v)
-		rows[i] = flat[start:len(flat):len(flat)]
-	}
-	p.inputs = flat
-	classes := p.classes[:len(vs)]
-	var err error
-	if p.qinf != nil {
-		err = p.qinf.PredictBatch(rows, classes)
-	} else {
-		err = p.inf.PredictBatch(rows, classes)
-	}
-	if err != nil {
-		return err
-	}
-	for i, c := range classes {
-		out[i] = p.strategies[c]
-	}
-	return nil
-}
-
 // checkGeometry validates a network against the feature schema and strategy
-// space the binary was built with. Legacy-width (pre-health) networks pass:
-// they serve through the legacy input encoding.
+// space the binary was built with.
 func checkGeometry(model *nn.Network, strategies []alloc.Strategy) error {
 	switch {
 	case model == nil:
 		return fmt.Errorf("policy: nil network")
 	case len(strategies) == 0:
 		return fmt.Errorf("policy: empty strategy space")
-	case model.InputDim() != features.Dim && model.InputDim() != features.LegacyDim:
-		return fmt.Errorf("policy: network input dim %d, want features.Dim %d (or legacy %d)",
-			model.InputDim(), features.Dim, features.LegacyDim)
+	case model.InputDim() != features.Dim:
+		return fmt.Errorf("policy: network input dim %d, want features.Dim %d",
+			model.InputDim(), features.Dim)
 	case model.OutputDim() != len(strategies):
 		return fmt.Errorf("policy: network has %d classes for %d strategies",
 			model.OutputDim(), len(strategies))
@@ -152,47 +65,26 @@ func checkGeometry(model *nn.Network, strategies []alloc.Strategy) error {
 }
 
 // Model is a versioned ANN artifact: a trained network bound to the strategy
-// space it classifies over and the precision it deploys at, typically loaded
-// from a checkpoint by the Registry. The network is treated as read-only;
-// NewPolicy hands each consumer its own inference scratch. For Int8 the
-// quantized deployment artifact is built once here and shared by every
-// policy instance.
+// space it classifies over, typically loaded from a checkpoint by the
+// Registry. The network is treated as read-only; NewPolicy hands each
+// consumer its own inference scratch.
 type Model struct {
 	version    string
 	meta       Meta
 	net        *nn.Network
-	qnet       *nn.QuantizedNet // non-nil iff precision == nn.Int8
-	precision  nn.Precision
 	strategies []alloc.Strategy
 }
 
-// NewModel wraps a trained network as a versioned float64 provider,
-// validating its geometry once so NewPolicy cannot fail later.
+// NewModel wraps a trained network as a versioned provider, validating its
+// geometry once so NewPolicy cannot fail later.
 func NewModel(version string, net *nn.Network, strategies []alloc.Strategy) (*Model, error) {
-	return NewModelPrecision(version, net, strategies, nn.Float64)
-}
-
-// NewModelPrecision wraps a trained network as a versioned provider deployed
-// at the given precision. Int8 builds the quantized artifact eagerly (the
-// conversion is deterministic, so every consumer shares one artifact and
-// serves identical decisions). Precisions without a dedicated kernel
-// (Float32, Float16) are rejected: simulate them with net.Quantized instead.
-func NewModelPrecision(version string, net *nn.Network, strategies []alloc.Strategy, p nn.Precision) (*Model, error) {
 	if version == "" {
 		return nil, fmt.Errorf("policy: model needs a version name")
 	}
 	if err := checkGeometry(net, strategies); err != nil {
 		return nil, err
 	}
-	m := &Model{version: version, net: net, strategies: strategies, precision: p}
-	switch p {
-	case nn.Float64:
-	case nn.Int8:
-		m.qnet = net.QuantizeInt8()
-	default:
-		return nil, fmt.Errorf("policy: no serving kernel for precision %s (only float64 and int8 deploy)", p)
-	}
-	return m, nil
+	return &Model{version: version, net: net, strategies: strategies}, nil
 }
 
 // Version returns the artifact's version name.
@@ -205,38 +97,6 @@ func (m *Model) Meta() Meta { return m.meta }
 // Net returns the underlying network. Callers must treat it as read-only.
 func (m *Model) Net() *nn.Network { return m.net }
 
-// Precision returns the deployment precision this model serves at.
-func (m *Model) Precision() nn.Precision { return m.precision }
-
-// WithPrecision returns a model identical to m but deployed at precision p
-// (the daemon's -quantize flag forces Int8 this way). The version name is
-// unchanged: precision is a serving property, not a different artifact.
-func (m *Model) WithPrecision(p nn.Precision) (*Model, error) {
-	if p == m.precision {
-		return m, nil
-	}
-	nm, err := NewModelPrecision(m.version, m.net, m.strategies, p)
-	if err != nil {
-		return nil, err
-	}
-	nm.meta = m.meta
-	return nm, nil
-}
-
-// NewPolicy instantiates a consumer-owned inference policy at the model's
-// deployment precision. Geometry was validated at construction, so this
-// cannot fail.
-func (m *Model) NewPolicy() Policy {
-	var p Policy
-	var err error
-	if m.qnet != nil {
-		p, err = NewQuantizedANN(m.qnet, m.strategies)
-	} else {
-		p, err = NewANN(m.net, m.strategies)
-	}
-	if err != nil {
-		// Unreachable: NewModelPrecision validated the same geometry.
-		panic(fmt.Sprintf("policy: model %q invalid after construction: %v", m.version, err))
-	}
-	return p
-}
+// NewPolicy instantiates a consumer-owned inference policy over the geometry
+// NewModel validated.
+func (m *Model) NewPolicy() Policy { return newANN(m.net, m.strategies) }

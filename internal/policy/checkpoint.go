@@ -20,7 +20,6 @@ import (
 //	  "format_version": 2,
 //	  "feature_schema_hash": "…",   // binds the file to the feature/strategy schema
 //	  "model_sha256": "…",          // content checksum over the embedded model
-//	  "precision": "int8",          // deployment precision (absent ⇒ float64)
 //	  "meta": { … },                // training provenance
 //	  "model": { "version":1, "layers":[…] }   // the nn serialization, verbatim
 //	}
@@ -31,7 +30,9 @@ import (
 // with a clear error instead of silently misclassifying. The checksum
 // catches truncation and bit rot. Files written before the envelope existed
 // (a bare {"version":1,"layers":…} model) still load, with geometry-only
-// validation.
+// validation. Whatever the file's age, what LoadCheckpoint returns is a
+// features.Dim-input float64 network: pre-health models are widened here
+// (conform), so nothing downstream knows a second input width existed.
 
 // FormatVersion is the current checkpoint envelope format. Version 1 is the
 // bare nn model file, retroactively.
@@ -70,9 +71,10 @@ type envelope struct {
 	FormatVersion int    `json:"format_version"`
 	SchemaHash    string `json:"feature_schema_hash"`
 	Checksum      string `json:"model_sha256"`
-	// Precision is the deployment precision the model was validated for
-	// ("int8", ...). Absent or empty means float64, so files written
-	// before the field existed load unchanged.
+	// Precision is read, never written: binaries that shipped an int8
+	// serving kernel stamped "int8" here. The stored weights are the
+	// verbatim float64 ones either way, so both known stamps load; an
+	// unknown one is refused (see LoadCheckpoint).
 	Precision string          `json:"precision,omitempty"`
 	Meta      Meta            `json:"meta"`
 	Model     json.RawMessage `json:"model"`
@@ -85,8 +87,8 @@ type envelope struct {
 // binary was built with. Any change to features.Dim/Levels/MaxTenants, the
 // channel count, or the strategy space's composition or order changes the
 // hash and invalidates old checkpoints. v2 is the health-extended schema
-// (features.Dim inputs); checkpoints carrying the v1 hash still load as
-// legacy-dim models (see LegacySchemaHash).
+// (features.Dim inputs); checkpoints carrying the v1 hash still load (see
+// LegacySchemaHash).
 func SchemaHash(channels int, strategies []alloc.Strategy) string {
 	return schemaHash("features/v2", features.Dim, channels, strategies)
 }
@@ -94,9 +96,8 @@ func SchemaHash(channels int, strategies []alloc.Strategy) string {
 // LegacySchemaHash reproduces the pre-health schema fingerprint: the v1
 // format string over features.LegacyDim inputs, byte-for-byte what older
 // binaries wrote into their envelopes. A checkpoint carrying this hash is
-// accepted and served through the legacy input encoding
-// (features.Vector.AppendLegacyInput), so models trained before the health
-// features existed keep working on devices that never fault.
+// accepted and widened to features.Dim at load, so models trained before the
+// health features existed keep working and ignore device health.
 func LegacySchemaHash(channels int, strategies []alloc.Strategy) string {
 	return schemaHash("features/v1", features.LegacyDim, channels, strategies)
 }
@@ -116,18 +117,9 @@ func schemaHash(version string, dim, channels int, strategies []alloc.Strategy) 
 }
 
 // SaveCheckpoint writes net wrapped in the versioned envelope. channels and
-// strategies describe the schema the model was trained against.
+// strategies describe the schema the model was trained against. The weights
+// are stored as trained (full float64, checksummed verbatim).
 func SaveCheckpoint(w io.Writer, net *nn.Network, meta Meta, channels int, strategies []alloc.Strategy) error {
-	return SaveCheckpointPrecision(w, net, meta, channels, strategies, nn.Float64)
-}
-
-// SaveCheckpointPrecision is SaveCheckpoint with an explicit deployment
-// precision recorded in the envelope. The model weights are stored as
-// trained (full float64, checksummed verbatim); the precision field declares
-// which inference kernel consumers must deploy them with. Float64 writes the
-// same bytes SaveCheckpoint always has, so the format stays compatible in
-// both directions.
-func SaveCheckpointPrecision(w io.Writer, net *nn.Network, meta Meta, channels int, strategies []alloc.Strategy, p nn.Precision) error {
 	if err := checkGeometry(net, strategies); err != nil {
 		return err
 	}
@@ -137,22 +129,11 @@ func SaveCheckpointPrecision(w io.Writer, net *nn.Network, meta Meta, channels i
 	}
 	model := bytes.TrimSpace(buf.Bytes())
 	sum := sha256.Sum256(model)
-	precision := ""
-	if p != nn.Float64 {
-		precision = p.String()
-	}
-	// A legacy-width model re-saved by this binary keeps the legacy hash, so
-	// the envelope stays truthful about the encoding the weights expect.
-	hash := SchemaHash(channels, strategies)
-	if net.InputDim() == features.LegacyDim {
-		hash = LegacySchemaHash(channels, strategies)
-	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(envelope{
 		FormatVersion: FormatVersion,
-		SchemaHash:    hash,
+		SchemaHash:    SchemaHash(channels, strategies),
 		Checksum:      hex.EncodeToString(sum[:]),
-		Precision:     precision,
 		Meta:          meta,
 		Model:         model,
 	})
@@ -162,83 +143,76 @@ func SaveCheckpointPrecision(w io.Writer, net *nn.Network, meta Meta, channels i
 // format version, the feature-schema hash against the running binary's
 // schema, the content checksum, and the network geometry. A pre-envelope
 // bare model file (nn.Save output) is accepted with geometry validation
-// only.
-//
-// LoadCheckpoint is the float-only entry point: a checkpoint that declares a
-// non-float64 deployment precision is refused with a clear error, because
-// running it through the float64 kernel would silently serve decisions the
-// model was never validated for. Precision-aware consumers (the registry,
-// ssdkeeperd, keeper-train -inspect) use LoadCheckpointPrecision.
+// only. A checkpoint under the legacy pre-health schema (the v1 hash, or a
+// bare file of features.LegacyDim inputs) comes back widened to features.Dim.
 func LoadCheckpoint(r io.Reader, channels int, strategies []alloc.Strategy) (*nn.Network, Meta, error) {
-	net, meta, p, err := LoadCheckpointPrecision(r, channels, strategies)
-	if err != nil {
-		return nil, Meta{}, err
-	}
-	if p != nn.Float64 {
-		return nil, Meta{}, fmt.Errorf(
-			"policy: checkpoint declares %s deployment precision but this consumer only runs the float64 path: "+
-				"load it through a precision-aware consumer (ssdkeeperd serves it quantized automatically) "+
-				"or re-export the model without -quantize", p)
-	}
-	return net, meta, nil
-}
-
-// LoadCheckpointPrecision is LoadCheckpoint for precision-aware consumers:
-// it additionally returns the deployment precision declared in the envelope
-// (Float64 when the field is absent, including for every pre-precision and
-// pre-envelope file).
-func LoadCheckpointPrecision(r io.Reader, channels int, strategies []alloc.Strategy) (*nn.Network, Meta, nn.Precision, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
-		return nil, Meta{}, nn.Float64, fmt.Errorf("policy: read checkpoint: %w", err)
+		return nil, Meta{}, fmt.Errorf("policy: read checkpoint: %w", err)
 	}
 	var env envelope
 	if err := json.Unmarshal(raw, &env); err != nil {
-		return nil, Meta{}, nn.Float64, fmt.Errorf("policy: decode checkpoint: %w", err)
+		return nil, Meta{}, fmt.Errorf("policy: decode checkpoint: %w", err)
 	}
 	if env.FormatVersion == 0 && len(env.Layers) > 0 {
-		// Pre-envelope bare model file.
+		// Pre-envelope bare model file: its input width is all that tells
+		// which schema it was trained against.
 		net, err := nn.Load(bytes.NewReader(raw))
 		if err != nil {
-			return nil, Meta{}, nn.Float64, err
+			return nil, Meta{}, err
 		}
-		if err := checkGeometry(net, strategies); err != nil {
-			return nil, Meta{}, nn.Float64, err
+		if err := conform(net, net.InputDim() == features.LegacyDim, strategies); err != nil {
+			return nil, Meta{}, err
 		}
-		return net, Meta{Name: "legacy"}, nn.Float64, nil
+		return net, Meta{Name: "legacy"}, nil
 	}
 	if env.FormatVersion != FormatVersion {
-		return nil, Meta{}, nn.Float64, fmt.Errorf("policy: checkpoint format version %d, this binary reads %d",
+		return nil, Meta{}, fmt.Errorf("policy: checkpoint format version %d, this binary reads %d",
 			env.FormatVersion, FormatVersion)
 	}
-	precision, err := nn.ParsePrecision(env.Precision)
-	if err != nil {
-		return nil, Meta{}, nn.Float64, fmt.Errorf("policy: checkpoint %w (written by a newer binary?)", err)
+	switch env.Precision {
+	case "", "float64", "int8":
+	default:
+		return nil, Meta{}, fmt.Errorf("policy: checkpoint declares unknown precision %q (written by a newer binary?)",
+			env.Precision)
 	}
-	if want := SchemaHash(channels, strategies); env.SchemaHash != want {
-		if env.SchemaHash != LegacySchemaHash(channels, strategies) {
-			return nil, Meta{}, nn.Float64, fmt.Errorf(
-				"policy: checkpoint feature-schema hash %s matches neither this binary's schema %s "+
-					"(dim=%d, %d strategies over %d channels) nor the legacy pre-health schema: "+
-					"retrain the model against the current schema",
-				env.SchemaHash, want, features.Dim, len(strategies), channels)
-		}
-		// Legacy pre-health checkpoint: accepted; checkGeometry below
-		// enforces the LegacyDim input width and the serving layer
-		// encodes with AppendLegacyInput.
+	legacy := env.SchemaHash == LegacySchemaHash(channels, strategies)
+	if want := SchemaHash(channels, strategies); env.SchemaHash != want && !legacy {
+		return nil, Meta{}, fmt.Errorf(
+			"policy: checkpoint feature-schema hash %s matches neither this binary's schema %s "+
+				"(dim=%d, %d strategies over %d channels) nor the legacy pre-health schema: "+
+				"retrain the model against the current schema",
+			env.SchemaHash, want, features.Dim, len(strategies), channels)
 	}
 	model := bytes.TrimSpace(env.Model)
 	sum := sha256.Sum256(model)
 	if got := hex.EncodeToString(sum[:]); got != env.Checksum {
-		return nil, Meta{}, nn.Float64, fmt.Errorf("policy: checkpoint checksum mismatch: file says %s, content hashes to %s (corrupt or hand-edited model)",
+		return nil, Meta{}, fmt.Errorf("policy: checkpoint checksum mismatch: file says %s, content hashes to %s (corrupt or hand-edited model)",
 			env.Checksum, got)
 	}
 	net, err := nn.Load(bytes.NewReader(model))
 	if err != nil {
-		return nil, Meta{}, nn.Float64, err
+		return nil, Meta{}, err
 	}
-	if err := checkGeometry(net, strategies); err != nil {
-		return nil, Meta{}, nn.Float64, err
+	if err := conform(net, legacy, strategies); err != nil {
+		return nil, Meta{}, err
 	}
-	return net, env.Meta, precision, nil
+	return net, env.Meta, nil
+}
+
+// conform brings a freshly decoded network to the one shape the rest of the
+// program serves. A legacy (pre-health) network gets zero weights for the
+// three health inputs — exactly the decision the legacy encoding made by
+// dropping them: acc + 0·x adds nothing, so every logit is bit-identical.
+func conform(net *nn.Network, legacy bool, strategies []alloc.Strategy) error {
+	if legacy {
+		if net.InputDim() != features.LegacyDim {
+			return fmt.Errorf("policy: legacy pre-health checkpoint has %d inputs, want %d",
+				net.InputDim(), features.LegacyDim)
+		}
+		if err := net.WidenInput(features.Dim); err != nil {
+			return err
+		}
+	}
+	return checkGeometry(net, strategies)
 }

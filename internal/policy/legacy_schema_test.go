@@ -2,6 +2,10 @@ package policy
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 
@@ -11,7 +15,7 @@ import (
 )
 
 // legacyNet builds a network with the pre-health input width, standing in for
-// a checkpoint trained before the feature schema grew the health dimensions.
+// a model trained before the feature schema grew the health dimensions.
 func legacyNet(t *testing.T, classes int) *nn.Network {
 	t.Helper()
 	net, err := nn.NewMLP([]int{features.LegacyDim, 8, classes}, nn.Logistic{}, 11)
@@ -21,91 +25,100 @@ func legacyNet(t *testing.T, classes int) *nn.Network {
 	return net
 }
 
+// legacyEnvelope wraps net the way pre-health binaries did: the v2 envelope
+// under the v1 schema hash. No writer in the tree produces this any more.
+func legacyEnvelope(t *testing.T, net *nn.Network, meta Meta, strategies []alloc.Strategy) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := net.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	model := bytes.TrimSpace(buf.Bytes())
+	sum := sha256.Sum256(model)
+	raw, err := json.Marshal(envelope{
+		FormatVersion: FormatVersion,
+		SchemaHash:    LegacySchemaHash(testChannels, strategies),
+		Checksum:      hex.EncodeToString(sum[:]),
+		Meta:          meta,
+		Model:         model,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
 // TestLegacyDimCheckpointRoundTrip pins the schema-bump compat contract: a
-// legacy-width model saves under the v1 hash, loads back without error, and
-// serves through the legacy input encoding — health features are dropped, so
-// its decisions are independent of device health.
+// legacy-width checkpoint (v1 hash, or a bare pre-envelope file) loads
+// widened to features.Dim, its logits are bit-identical to the original
+// network's over the legacy encoding whatever the device health, and it
+// saves again under the current hash.
 func TestLegacyDimCheckpointRoundTrip(t *testing.T) {
 	strategies := testStrategies()
 	net := legacyNet(t, len(strategies))
-
-	var buf bytes.Buffer
-	if err := SaveCheckpoint(&buf, net, Meta{Name: "old"}, testChannels, strategies); err != nil {
+	var bare bytes.Buffer
+	if err := net.Save(&bare); err != nil {
 		t.Fatal(err)
 	}
-	if want := LegacySchemaHash(testChannels, strategies); !strings.Contains(buf.String(), want) {
-		t.Fatalf("legacy-width model did not save under the legacy hash %s", want)
-	}
-	loaded, meta, err := LoadCheckpoint(bytes.NewReader(buf.Bytes()), testChannels, strategies)
-	if err != nil {
-		t.Fatalf("legacy-hash checkpoint refused: %v", err)
-	}
-	if meta.Name != "old" {
-		t.Errorf("meta lost: %+v", meta)
-	}
-	if loaded.InputDim() != features.LegacyDim {
-		t.Fatalf("loaded input dim %d", loaded.InputDim())
-	}
-
-	p, err := NewANN(loaded, strategies)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range pinnedVectors(16) {
-		healthy := v
-		sick := v
-		sick.DeadDieFrac, sick.RetryRate, sick.WearSpread = 0.5, 0.3, 0.9
-		a, err := p.Decide(healthy)
+	for name, raw := range map[string][]byte{
+		"v1-hash": legacyEnvelope(t, net, Meta{Name: "old"}, strategies),
+		"bare":    bare.Bytes(),
+	} {
+		loaded, meta, err := LoadCheckpoint(bytes.NewReader(raw), testChannels, strategies)
 		if err != nil {
+			t.Fatalf("%s: legacy checkpoint refused: %v", name, err)
+		}
+		if want := map[string]string{"v1-hash": "old", "bare": "legacy"}[name]; meta.Name != want {
+			t.Errorf("%s: meta name %q, want %q", name, meta.Name, want)
+		}
+		if loaded.InputDim() != features.Dim {
+			t.Fatalf("%s: loaded input dim %d, want features.Dim %d", name, loaded.InputDim(), features.Dim)
+		}
+		for _, v := range pinnedVectors(16) {
+			sick := v
+			sick.DeadDieFrac, sick.RetryRate, sick.WearSpread = 0.5, 0.3, 0.9
+			want, err := net.Forward(v.Input()[:features.LegacyDim])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append([]float64(nil), want...)
+			for _, in := range []features.Vector{v, sick} {
+				got, err := loaded.Forward(in.Input())
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j := range want {
+					if got[j] != want[j] {
+						t.Fatalf("%s: logit %d = %v, legacy network says %v (health %v)",
+							name, j, got[j], want[j], in.DeadDieFrac)
+					}
+				}
+			}
+		}
+		var resaved bytes.Buffer
+		if err := SaveCheckpoint(&resaved, loaded, meta, testChannels, strategies); err != nil {
 			t.Fatal(err)
 		}
-		b, err := p.Decide(sick)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Name(testChannels) != b.Name(testChannels) {
-			t.Fatalf("legacy model saw health features: %s vs %s",
-				a.Name(testChannels), b.Name(testChannels))
-		}
-		want, err := loaded.Predict(v.AppendLegacyInput(nil))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Name(testChannels) != strategies[want].Name(testChannels) {
-			t.Fatalf("legacy encoding diverges from direct Predict")
+		if !strings.Contains(resaved.String(), SchemaHash(testChannels, strategies)) {
+			t.Errorf("%s: widened model did not save under the current hash", name)
 		}
 	}
 }
 
-// TestLegacyDimModelQuantizes: the int8 serving path accepts legacy-width
-// models and batch decisions agree with the scalar path.
-func TestLegacyDimModelQuantizes(t *testing.T) {
+// TestLegacyHashNeedsLegacyWidth: the v1 hash promises LegacyDim inputs; a
+// current-width model under it is a mislabelled file, and a legacy-width
+// model is no longer something this binary writes.
+func TestLegacyHashNeedsLegacyWidth(t *testing.T) {
 	strategies := testStrategies()
-	net := legacyNet(t, len(strategies))
-	m, err := NewModelPrecision("v1-legacy", net, strategies, nn.Int8)
-	if err != nil {
-		t.Fatal(err)
+	raw := legacyEnvelope(t, testNet(t, len(strategies), 7), Meta{}, strategies)
+	if _, _, err := LoadCheckpoint(bytes.NewReader(raw), testChannels, strategies); err == nil {
+		t.Error("features.Dim-input model accepted under the legacy hash")
 	}
-	p := m.NewPolicy().(*ANNPolicy)
-	vs := pinnedVectors(32)
-	single := make([]string, len(vs))
-	for i, v := range vs {
-		s, err := p.Decide(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		single[i] = s.Name(testChannels)
+	if err := SaveCheckpoint(io.Discard, legacyNet(t, len(strategies)), Meta{}, testChannels, strategies); err == nil {
+		t.Error("SaveCheckpoint wrote a legacy-width model")
 	}
-	batchP := m.NewPolicy().(*ANNPolicy)
-	out := make([]alloc.Strategy, len(vs))
-	if err := batchP.DecideBatch(vs, out); err != nil {
-		t.Fatal(err)
-	}
-	for i := range vs {
-		if out[i].Name(testChannels) != single[i] {
-			t.Fatalf("vector %d: batch %s vs scalar %s", i,
-				out[i].Name(testChannels), single[i])
-		}
+	if _, err := NewModel("v1", legacyNet(t, len(strategies)), strategies); err == nil {
+		t.Error("NewModel accepted a legacy-width network")
 	}
 }
 

@@ -1,45 +1,29 @@
 package policy
 
 import (
-	"context"
+	"bytes"
 	"encoding/json"
 	"os"
-	"path/filepath"
+	"strings"
 	"testing"
 
 	"ssdkeeper/internal/alloc"
 	"ssdkeeper/internal/dataset"
 	"ssdkeeper/internal/features"
 	"ssdkeeper/internal/nand"
-	"ssdkeeper/internal/nn"
-	"ssdkeeper/internal/ssd"
-	"ssdkeeper/internal/workload"
 )
 
-// Golden decision-parity fixtures: a committed dataset of labelled feature
-// vectors (testdata/parity_samples.jsonl), a committed trained checkpoint
-// (testdata/parity_model.json), and the decisions both serving kernels made
-// on it when the fixtures were generated (testdata/parity_golden.json).
-//
-// TestInt8DecisionParityGolden replays both kernels over the committed
-// artifacts and pins the outcome:
-//
-//   - every float64 decision must match the golden file exactly (checkpoint
-//     loading is bit-identical, so any drift is a real inference change);
-//   - every int8 decision must match the golden file exactly (the int8
-//     quantization grid is deterministic);
-//   - int8 must agree with float64 on at least minParityAgreement of the
-//     vectors. Quantization moves logits by up to ~1% of their dynamic
-//     range, which can flip an argmax only when the top two classes are
-//     nearly tied — and near-ties are, by construction of the label
-//     tolerance, decisions where either strategy performs equivalently.
-//
-// Regenerate with: UPDATE_PARITY_GOLDEN=1 go test ./internal/policy -run
-// TestUpdateParityGolden (slow: it simulates the labelling sweep). The
-// pinned float64 decisions assume the IEEE-754 evaluation order of the
-// committed kernels; regenerate on the architecture CI runs if they drift.
-const minParityAgreement = 0.95
-
+// Golden legacy-load fixtures: testdata/parity_model.json is a genuine
+// pre-health checkpoint — v1 schema hash, features.LegacyDim inputs, written
+// by the binary that still had that schema — over the standard evaluation
+// environment; testdata/parity_samples.jsonl is a committed dataset of
+// labelled feature vectors, and testdata/parity_golden.json the decision the
+// model made on each when the fixtures were generated (then through the
+// legacy 9-input encoding). Nothing in the tree can write such a checkpoint
+// any more, so the model and samples are fixed; only the decisions can be
+// re-derived: UPDATE_PARITY_GOLDEN=1 go test ./internal/policy -run
+// TestLegacyFixtureGolden. The pinned decisions assume IEEE-754 evaluation
+// order of the forward kernel; any drift is a real inference change.
 const (
 	paritySamplesPath = "testdata/parity_samples.jsonl"
 	parityModelPath   = "testdata/parity_model.json"
@@ -48,40 +32,49 @@ const (
 
 // parityGolden is the committed decision record.
 type parityGolden struct {
-	Agreement float64 `json:"agreement"`
-	Float64   []int   `json:"float64"`
-	Int8      []int   `json:"int8"`
+	Float64 []int `json:"float64"`
 }
 
-// parityEnv mirrors the standard evaluation environment (experiments.NewEnv,
-// which this package cannot import without a cycle): Table I device, default
-// options and seasoning, the four-tenant strategy space, 16K saturation.
-func parityEnv() dataset.Config {
-	cfg := nand.EvalConfig()
-	return dataset.Config{
-		Device:     cfg,
-		Options:    ssd.DefaultOptions(),
-		Strategies: alloc.FourTenantSpace(cfg.Channels),
-		Workloads:  96,
-		Requests:   600,
-		MaxIOPS:    16000,
-		Season:     workload.DefaultSeasoning(),
-		Seed:       1,
+// TestLegacyFixtureGolden loads the committed v1 checkpoint through the one
+// load path and pins what comes out: a features.Dim-input model that decides
+// every committed vector as the golden records, ignores device health, and
+// saves again under the current schema hash.
+func TestLegacyFixtureGolden(t *testing.T) {
+	f, err := os.Open(paritySamplesPath)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// decideAll runs one kernel over every sample vector and returns the chosen
-// class per sample.
-func decideAll(t *testing.T, net *nn.Network, strategies []alloc.Strategy, samples []dataset.Sample, p nn.Precision) []int {
-	t.Helper()
-	m, err := NewModelPrecision("parity", net, strategies, p)
+	samples, err := dataset.LoadSamples(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The standard evaluation environment (experiments.NewEnv, which this
+	// package cannot import without a cycle): Table I device, the
+	// four-tenant strategy space.
+	channels := nand.EvalConfig().Channels
+	strategies := alloc.FourTenantSpace(channels)
+	raw, err := os.ReadFile(parityModelPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(raw, []byte(LegacySchemaHash(channels, strategies))) {
+		t.Fatal("fixture is not a v1-hash checkpoint any more")
+	}
+	net, meta, err := LoadCheckpoint(bytes.NewReader(raw), channels, strategies)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if net.InputDim() != features.Dim {
+		t.Fatalf("legacy fixture loaded with %d inputs, want features.Dim %d", net.InputDim(), features.Dim)
+	}
+	m, err := NewModel("parity", net, strategies)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pol := m.NewPolicy()
-	out := make([]int, len(samples))
-	for i, s := range samples {
-		chosen, err := pol.Decide(s.Vector)
+	decide := func(v features.Vector) int {
+		chosen, err := pol.Decide(v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,150 +82,51 @@ func decideAll(t *testing.T, net *nn.Network, strategies []alloc.Strategy, sampl
 		if idx < 0 {
 			t.Fatalf("decision %+v outside the strategy space", chosen)
 		}
-		out[i] = idx
+		return idx
 	}
-	return out
-}
-
-func agreementOf(a, b []int) float64 {
-	same := 0
-	for i := range a {
-		if a[i] == b[i] {
-			same++
+	got := make([]int, len(samples))
+	for i, s := range samples {
+		got[i] = decide(s.Vector)
+		sick := s.Vector
+		sick.DeadDieFrac, sick.RetryRate, sick.WearSpread = 0.5, 0.3, 0.9
+		if d := decide(sick); d != got[i] {
+			t.Errorf("sample %d (%s): decided %d healthy, %d sick — legacy model saw health features",
+				i, s.Vector, got[i], d)
 		}
 	}
-	return float64(same) / float64(len(a))
-}
 
-// TestInt8DecisionParityGolden is the committed-parity gate; see the comment
-// on minParityAgreement for what each assertion pins.
-func TestInt8DecisionParityGolden(t *testing.T) {
-	f, err := os.Open(paritySamplesPath)
-	if err != nil {
-		t.Fatalf("%v (regenerate with UPDATE_PARITY_GOLDEN=1)", err)
+	if os.Getenv("UPDATE_PARITY_GOLDEN") != "" {
+		out, err := json.MarshalIndent(parityGolden{Float64: got}, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(parityGoldenPath, append(out, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s", parityGoldenPath)
 	}
-	samples, err := dataset.LoadSamples(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := parityEnv()
-	mf, err := os.Open(parityModelPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net, _, err := LoadCheckpoint(mf, cfg.Device.Channels, cfg.Strategies)
-	mf.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(parityGoldenPath)
+	goldenRaw, err := os.ReadFile(parityGoldenPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var golden parityGolden
-	if err := json.Unmarshal(raw, &golden); err != nil {
+	if err := json.Unmarshal(goldenRaw, &golden); err != nil {
 		t.Fatal(err)
 	}
-	if len(golden.Float64) != len(samples) || len(golden.Int8) != len(samples) {
-		t.Fatalf("golden has %d/%d decisions for %d samples",
-			len(golden.Float64), len(golden.Int8), len(samples))
+	if len(golden.Float64) != len(samples) {
+		t.Fatalf("golden has %d decisions for %d samples", len(golden.Float64), len(samples))
 	}
-
-	floatDec := decideAll(t, net, cfg.Strategies, samples, nn.Float64)
-	int8Dec := decideAll(t, net, cfg.Strategies, samples, nn.Int8)
 	for i := range samples {
-		if floatDec[i] != golden.Float64[i] {
-			t.Errorf("sample %d (%s): float64 decided %d, golden %d",
-				i, samples[i].Vector, floatDec[i], golden.Float64[i])
-		}
-		if int8Dec[i] != golden.Int8[i] {
-			t.Errorf("sample %d (%s): int8 decided %d, golden %d",
-				i, samples[i].Vector, int8Dec[i], golden.Int8[i])
+		if got[i] != golden.Float64[i] {
+			t.Errorf("sample %d (%s): decided %d, golden %d", i, samples[i].Vector, got[i], golden.Float64[i])
 		}
 	}
-	agree := agreementOf(floatDec, int8Dec)
-	if agree < minParityAgreement {
-		t.Errorf("int8 agrees with float64 on %.1f%% of decisions, want >= %.0f%%",
-			100*agree, 100*minParityAgreement)
-	}
-	if agree != golden.Agreement {
-		t.Errorf("recomputed agreement %.4f != golden %.4f", agree, golden.Agreement)
-	}
-}
 
-// TestUpdateParityGolden regenerates the committed fixtures. Guarded: the
-// labelling sweep simulates every strategy for every workload.
-func TestUpdateParityGolden(t *testing.T) {
-	if os.Getenv("UPDATE_PARITY_GOLDEN") == "" {
-		t.Skip("set UPDATE_PARITY_GOLDEN=1 to regenerate the parity fixtures")
-	}
-	cfg := parityEnv()
-	samples, err := dataset.Generate(context.Background(), cfg, func(done, total int) {
-		if done%16 == 0 {
-			t.Logf("labelling %d/%d", done, total)
-		}
-	})
-	if err != nil {
+	var resaved strings.Builder
+	if err := SaveCheckpoint(&resaved, net, meta, channels, strategies); err != nil {
 		t.Fatal(err)
 	}
-
-	// Train the fixture model. Determinism here is a convenience, not a
-	// requirement: the trained weights are committed as a checkpoint, and
-	// the golden decisions are derived from that artifact.
-	net, err := nn.NewMLP([]int{features.Dim, 16, len(cfg.Strategies)}, nn.Logistic{}, 1)
-	if err != nil {
-		t.Fatal(err)
+	if !strings.Contains(resaved.String(), SchemaHash(channels, strategies)) {
+		t.Error("widened fixture did not save under the current schema hash")
 	}
-	ds := dataset.ToNN(samples)
-	ds.Shuffle(1)
-	train, test := ds.Split(0.8)
-	hist, err := nn.Train(net, train, test, nn.TrainConfig{
-		Iterations: 80, BatchSize: 16, Optimizer: nn.NewAdam(0.02), Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("fixture model: loss %.3f, test accuracy %.1f%%", hist.FinalLoss, 100*hist.FinalAcc)
-
-	if err := os.MkdirAll(filepath.Dir(paritySamplesPath), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	sf, err := os.Create(paritySamplesPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dataset.Save(sf, samples); err != nil {
-		t.Fatal(err)
-	}
-	if err := sf.Close(); err != nil {
-		t.Fatal(err)
-	}
-	mf, err := os.Create(parityModelPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := SaveCheckpoint(mf, net, Meta{Name: "parity-fixture"}, cfg.Device.Channels, cfg.Strategies); err != nil {
-		t.Fatal(err)
-	}
-	if err := mf.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	floatDec := decideAll(t, net, cfg.Strategies, samples, nn.Float64)
-	int8Dec := decideAll(t, net, cfg.Strategies, samples, nn.Int8)
-	golden := parityGolden{
-		Agreement: agreementOf(floatDec, int8Dec),
-		Float64:   floatDec,
-		Int8:      int8Dec,
-	}
-	raw, err := json.MarshalIndent(golden, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(parityGoldenPath, append(raw, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s, %s, %s (agreement %.1f%%)",
-		paritySamplesPath, parityModelPath, parityGoldenPath, 100*golden.Agreement)
 }

@@ -37,17 +37,6 @@ type Policy interface {
 	Decide(v features.Vector) (alloc.Strategy, error)
 }
 
-// BatchPolicy is implemented by policies that can decide for many feature
-// vectors in one pass over their model (amortizing weight loads, loop
-// control and bounds checks): the fleet-scale serving path where one host
-// decides for every shard and epoch at once. Like Decide, DecideBatch is
-// owned by a single consumer. Callers fall back to per-vector Decide when a
-// policy does not implement it.
-type BatchPolicy interface {
-	Policy
-	DecideBatch(vs []features.Vector, out []alloc.Strategy) error
-}
-
 // Provider is a versioned, immutable policy artifact. Version identifies the
 // artifact (checkpoint file name, "static", ...); NewPolicy instantiates a
 // fresh consumer-owned Policy over it. Providers are safe to share across
@@ -66,18 +55,6 @@ type StaticPolicy struct {
 // Decide returns the pinned strategy.
 func (p StaticPolicy) Decide(features.Vector) (alloc.Strategy, error) {
 	return p.Strategy, nil
-}
-
-// DecideBatch fills out with the pinned strategy, keeping StaticPolicy
-// usable wherever a BatchPolicy is preferred.
-func (p StaticPolicy) DecideBatch(vs []features.Vector, out []alloc.Strategy) error {
-	if len(out) != len(vs) {
-		return fmt.Errorf("policy: %d strategy slots for %d vectors", len(out), len(vs))
-	}
-	for i := range out {
-		out[i] = p.Strategy
-	}
-	return nil
 }
 
 // StaticProvider publishes a StaticPolicy under a version name.

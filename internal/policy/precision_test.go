@@ -6,73 +6,73 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"ssdkeeper/internal/alloc"
-	"ssdkeeper/internal/nn"
 )
 
-// TestCheckpointPrecisionRoundTrip: the precision marker survives save/load,
-// and a float64 save is byte-identical to the pre-precision format (the
-// field is omitted), so existing artifacts and their checksums are
-// untouched.
-func TestCheckpointPrecisionRoundTrip(t *testing.T) {
+// stampPrecision rewrites a freshly saved envelope into the bytes a binary
+// with an int8 serving kernel wrote: a "precision" field between the checksum
+// and the meta. Nothing in the tree writes the field any more.
+func stampPrecision(t *testing.T, env []byte, precision string) []byte {
+	t.Helper()
+	stamped := bytes.Replace(env, []byte(`,"meta":`), []byte(`,"precision":"`+precision+`","meta":`), 1)
+	if bytes.Equal(stamped, env) {
+		t.Fatal("fixture: no meta field to anchor the precision stamp on")
+	}
+	return stamped
+}
+
+// decisions runs a fresh policy over the pinned vectors.
+func decisions(t *testing.T, m *Model) []string {
+	t.Helper()
+	pol := m.NewPolicy()
+	var out []string
+	for _, v := range pinnedVectors(32) {
+		s, err := pol.Decide(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, s.Name(testChannels))
+	}
+	return out
+}
+
+// TestPrecisionStampRoundTrip: writers emit no precision field; a file
+// stamped by an older binary ("int8" or "float64") loads as the same float64
+// network the unstamped file holds, and saving it again drops the stamp.
+func TestPrecisionStampRoundTrip(t *testing.T) {
 	strategies := testStrategies()
 	net := testNet(t, len(strategies), 7)
-
-	var legacy, f64, i8 bytes.Buffer
-	if err := SaveCheckpoint(&legacy, net, Meta{Name: "p"}, testChannels, strategies); err != nil {
+	var plain bytes.Buffer
+	if err := SaveCheckpoint(&plain, net, Meta{Name: "p"}, testChannels, strategies); err != nil {
 		t.Fatal(err)
 	}
-	if err := SaveCheckpointPrecision(&f64, net, Meta{Name: "p"}, testChannels, strategies, nn.Float64); err != nil {
-		t.Fatal(err)
+	if strings.Contains(plain.String(), "precision") {
+		t.Fatalf("SaveCheckpoint still writes a precision field: %s", plain.String()[:200])
 	}
-	if err := SaveCheckpointPrecision(&i8, net, Meta{Name: "p"}, testChannels, strategies, nn.Int8); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(legacy.Bytes(), f64.Bytes()) {
-		t.Error("float64 SaveCheckpointPrecision output differs from SaveCheckpoint (format drift)")
-	}
-
-	_, _, p, err := LoadCheckpointPrecision(bytes.NewReader(f64.Bytes()), testChannels, strategies)
-	if err != nil || p != nn.Float64 {
-		t.Fatalf("float64 checkpoint: precision %v, err %v", p, err)
-	}
-	loaded, meta, p, err := LoadCheckpointPrecision(bytes.NewReader(i8.Bytes()), testChannels, strategies)
-	if err != nil || p != nn.Int8 {
-		t.Fatalf("int8 checkpoint: precision %v, err %v", p, err)
-	}
-	if meta.Name != "p" {
-		t.Errorf("meta lost: %+v", meta)
-	}
-	// Weights are stored at full precision regardless of the marker.
 	x := pinnedVectors(1)[0].Input()
 	want, _ := net.Forward(x)
 	wantCopy := append([]float64(nil), want...)
-	got, _ := loaded.Forward(x)
-	for j := range wantCopy {
-		if got[j] != wantCopy[j] {
-			t.Fatalf("int8-marked checkpoint altered stored weights (logit %d: %v != %v)",
-				j, got[j], wantCopy[j])
+	for _, stamp := range []string{"int8", "float64"} {
+		loaded, meta, err := LoadCheckpoint(bytes.NewReader(stampPrecision(t, plain.Bytes(), stamp)), testChannels, strategies)
+		if err != nil {
+			t.Fatalf("%s-stamped checkpoint refused: %v", stamp, err)
 		}
-	}
-}
-
-// TestLoadCheckpointRefusesInt8: the float-only loader must not silently
-// serve a model that was validated for int8 deployment at a different
-// numerics; the error tells the operator where to take it.
-func TestLoadCheckpointRefusesInt8(t *testing.T) {
-	strategies := testStrategies()
-	net := testNet(t, len(strategies), 7)
-	var buf bytes.Buffer
-	if err := SaveCheckpointPrecision(&buf, net, Meta{}, testChannels, strategies, nn.Int8); err != nil {
-		t.Fatal(err)
-	}
-	_, _, err := LoadCheckpoint(bytes.NewReader(buf.Bytes()), testChannels, strategies)
-	if err == nil {
-		t.Fatal("float-only LoadCheckpoint accepted an int8 checkpoint")
-	}
-	if !strings.Contains(err.Error(), "precision-aware") {
-		t.Errorf("refusal error %q does not point at a precision-aware consumer", err)
+		if meta.Name != "p" {
+			t.Errorf("%s: meta lost: %+v", stamp, meta)
+		}
+		got, _ := loaded.Forward(x)
+		for j := range wantCopy {
+			if got[j] != wantCopy[j] {
+				t.Fatalf("%s-stamped checkpoint altered stored weights (logit %d: %v != %v)",
+					stamp, j, got[j], wantCopy[j])
+			}
+		}
+		var resaved bytes.Buffer
+		if err := SaveCheckpoint(&resaved, loaded, meta, testChannels, strategies); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(resaved.Bytes(), plain.Bytes()) {
+			t.Errorf("%s-stamped checkpoint does not re-save to the unstamped bytes", stamp)
+		}
 	}
 }
 
@@ -82,14 +82,10 @@ func TestLoadCheckpointUnknownPrecision(t *testing.T) {
 	strategies := testStrategies()
 	net := testNet(t, len(strategies), 7)
 	var buf bytes.Buffer
-	if err := SaveCheckpointPrecision(&buf, net, Meta{}, testChannels, strategies, nn.Int8); err != nil {
+	if err := SaveCheckpoint(&buf, net, Meta{}, testChannels, strategies); err != nil {
 		t.Fatal(err)
 	}
-	mangled := bytes.Replace(buf.Bytes(), []byte(`"int8"`), []byte(`"int4"`), 1)
-	if bytes.Equal(mangled, buf.Bytes()) {
-		t.Fatal("fixture: precision marker not found in envelope")
-	}
-	_, _, _, err := LoadCheckpointPrecision(bytes.NewReader(mangled), testChannels, strategies)
+	_, _, err := LoadCheckpoint(bytes.NewReader(stampPrecision(t, buf.Bytes(), "bf16")), testChannels, strategies)
 	if err == nil {
 		t.Fatal("unknown precision accepted")
 	}
@@ -98,113 +94,44 @@ func TestLoadCheckpointUnknownPrecision(t *testing.T) {
 	}
 }
 
-// TestRegistryLoadsInt8Checkpoint: an int8 artifact dropped into a registry
-// directory serves quantized with no extra flags.
+// TestRegistryLoadsInt8Checkpoint: an int8-stamped artifact left in a
+// registry directory serves, and decides exactly as the same file without
+// the stamp.
 func TestRegistryLoadsInt8Checkpoint(t *testing.T) {
 	strategies := testStrategies()
 	net := testNet(t, len(strategies), 7)
+	var plain bytes.Buffer
+	if err := SaveCheckpoint(&plain, net, Meta{}, testChannels, strategies); err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
-	f, err := os.Create(filepath.Join(dir, "v001.json"))
-	if err != nil {
-		t.Fatal(err)
+	for name, raw := range map[string][]byte{
+		"v001.json": plain.Bytes(),
+		"v002.json": stampPrecision(t, plain.Bytes(), "int8"),
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := SaveCheckpointPrecision(f, net, Meta{}, testChannels, strategies, nn.Int8); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
 	reg, err := NewRegistry(dir, testChannels, strategies)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := reg.Latest()
+	stamped, err := reg.Latest()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Precision() != nn.Int8 {
-		t.Fatalf("registry model precision = %v, want int8", m.Precision())
+	if stamped.Version() != "v002" {
+		t.Fatalf("latest = %s, want the stamped v002", stamped.Version())
 	}
-	pol := m.NewPolicy()
-	for _, v := range pinnedVectors(16) {
-		if _, err := pol.Decide(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestModelWithPrecision covers the daemon's -quantize path: same version,
-// same metadata, swapped kernel; unsupported deploy precisions are refused.
-func TestModelWithPrecision(t *testing.T) {
-	strategies := testStrategies()
-	net := testNet(t, len(strategies), 7)
-	m, err := NewModel("v1", net, strategies)
+	unstamped, err := reg.Load("v001")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Precision() != nn.Float64 {
-		t.Fatalf("default precision = %v", m.Precision())
-	}
-	q, err := m.WithPrecision(nn.Int8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.Version() != "v1" || q.Precision() != nn.Int8 {
-		t.Fatalf("WithPrecision: version %q precision %v", q.Version(), q.Precision())
-	}
-	if same, err := q.WithPrecision(nn.Int8); err != nil || same != q {
-		t.Errorf("WithPrecision to the same precision should return the receiver")
-	}
-	if _, err := m.WithPrecision(nn.Float16); err == nil {
-		t.Error("float16 deployment accepted (no kernel exists)")
-	}
-	if _, err := NewModelPrecision("v1", net, strategies, nn.Float32); err == nil {
-		t.Error("float32 deployment accepted (no kernel exists)")
-	}
-}
-
-// TestDecideBatchMatchesDecide: for both kernels, the batched decision path
-// must choose exactly what per-vector Decide chooses.
-func TestDecideBatchMatchesDecide(t *testing.T) {
-	strategies := testStrategies()
-	net := testNet(t, len(strategies), 7)
-	vs := pinnedVectors(33)
-
-	for _, prec := range []nn.Precision{nn.Float64, nn.Int8} {
-		m, err := NewModelPrecision("v1", net, strategies, prec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pol := m.NewPolicy().(*ANNPolicy)
-		out := make([]alloc.Strategy, len(vs))
-		if err := pol.DecideBatch(vs, out); err != nil {
-			t.Fatal(err)
-		}
-		for i, v := range vs {
-			want, err := pol.Decide(v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !alloc.Equal(out[i], want) {
-				t.Fatalf("%s vector %d: batch chose %+v, Decide chose %+v", prec, i, out[i], want)
-			}
-		}
-		if err := pol.DecideBatch(vs, out[:1]); err == nil {
-			t.Error("mismatched out length accepted")
-		}
-		if err := pol.DecideBatch(nil, nil); err != nil {
-			t.Errorf("empty batch: %v", err)
-		}
-	}
-
-	// StaticPolicy's batch form fills the pinned strategy.
-	st := StaticPolicy{Strategy: strategies[2]}
-	out := make([]alloc.Strategy, 4)
-	if err := st.DecideBatch(vs[:4], out); err != nil {
-		t.Fatal(err)
-	}
-	for _, got := range out {
-		if !alloc.Equal(got, strategies[2]) {
-			t.Fatalf("static batch = %+v", got)
+	got, want := decisions(t, stamped), decisions(t, unstamped)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("vector %d: stamped file decides %s, unstamped %s", i, got[i], want[i])
 		}
 	}
 }

@@ -14,11 +14,11 @@ import (
 
 // Registry loads versioned model checkpoints from a directory. Every *.json
 // file is one version, named by its base name without the extension
-// (models/v003.json → version "v003"); Latest is the lexically greatest
-// version, so zero-padded names sort naturally. The registry holds no cache
-// and no lock — Load re-reads and re-verifies the file, and the returned
-// *Model is immutable, so concurrent loads (e.g. a reload HTTP handler
-// racing a SIGHUP) are safe.
+// (models/v003.json → version "v003"); Latest is the last version in
+// Versions order — vNNN names by number, anything else lexically. The
+// registry holds no cache and no lock — Load re-reads and re-verifies the
+// file, and the returned *Model is immutable, so concurrent loads (e.g. a
+// reload HTTP handler racing a SIGHUP) are safe.
 type Registry struct {
 	dir        string
 	channels   int
@@ -41,7 +41,9 @@ func NewRegistry(dir string, channels int, strategies []alloc.Strategy) (*Regist
 // Dir returns the registry's directory.
 func (r *Registry) Dir() string { return r.dir }
 
-// Versions lists the available checkpoint versions in ascending order.
+// Versions lists the available checkpoint versions in ascending order: vNNN
+// names by their number (NextVersion's v%03d outgrows its padding at v1000,
+// which as a string sorts before v999), every other name lexically.
 func (r *Registry) Versions() ([]string, error) {
 	entries, err := os.ReadDir(r.dir)
 	if err != nil {
@@ -54,14 +56,27 @@ func (r *Registry) Versions() ([]string, error) {
 		}
 		versions = append(versions, strings.TrimSuffix(e.Name(), ".json"))
 	}
-	sort.Strings(versions)
+	sort.Slice(versions, func(i, j int) bool {
+		ki, kj := versionSortKey(versions[i]), versionSortKey(versions[j])
+		if ki != kj {
+			return ki < kj
+		}
+		return versions[i] < versions[j]
+	})
 	return versions, nil
 }
 
-// Load reads, verifies, and wraps one version as a provider. The registry is
-// precision-aware: a checkpoint that declares int8 deployment precision
-// comes back as an int8-serving model, so quantized artifacts flow through
-// -model-dir and /model/reload with no extra flags.
+// versionSortKey pads a vNNN name's number to a fixed width, so comparing
+// keys as strings orders those names numerically and is still one total
+// order over whatever else sits in the directory.
+func versionSortKey(v string) string {
+	if n, ok := versionNumber(v); ok {
+		return fmt.Sprintf("v%019d", n)
+	}
+	return v
+}
+
+// Load reads, verifies, and wraps one version as a provider.
 func (r *Registry) Load(version string) (*Model, error) {
 	if err := checkVersionName(version); err != nil {
 		return nil, err
@@ -71,11 +86,11 @@ func (r *Registry) Load(version string) (*Model, error) {
 		return nil, fmt.Errorf("policy: version %q: %w", version, err)
 	}
 	defer f.Close()
-	net, meta, precision, err := LoadCheckpointPrecision(f, r.channels, r.strategies)
+	net, meta, err := LoadCheckpoint(f, r.channels, r.strategies)
 	if err != nil {
 		return nil, fmt.Errorf("policy: version %q: %w", version, err)
 	}
-	m, err := NewModelPrecision(version, net, r.strategies, precision)
+	m, err := NewModel(version, net, r.strategies)
 	if err != nil {
 		return nil, err
 	}
@@ -83,7 +98,7 @@ func (r *Registry) Load(version string) (*Model, error) {
 	return m, nil
 }
 
-// Latest loads the lexically greatest version.
+// Latest loads the last version in Versions order.
 func (r *Registry) Latest() (*Model, error) {
 	versions, err := r.Versions()
 	if err != nil {
@@ -129,7 +144,7 @@ func versionNumber(v string) (int, bool) {
 // written to a temp file in the registry directory and renamed into place,
 // so a concurrent Load (the daemon's reload handler) never sees a partial
 // file. The registry's own schema stamps the envelope.
-func (r *Registry) SaveCheckpoint(version string, net *nn.Network, meta Meta, p nn.Precision) error {
+func (r *Registry) SaveCheckpoint(version string, net *nn.Network, meta Meta) error {
 	if err := checkVersionName(version); err != nil {
 		return err
 	}
@@ -142,7 +157,7 @@ func (r *Registry) SaveCheckpoint(version string, net *nn.Network, meta Meta, p 
 		return fmt.Errorf("policy: save %q: %w", version, err)
 	}
 	defer os.Remove(tmp.Name())
-	if err := SaveCheckpointPrecision(tmp, net, meta, r.channels, r.strategies, p); err != nil {
+	if err := SaveCheckpoint(tmp, net, meta, r.channels, r.strategies); err != nil {
 		tmp.Close()
 		return fmt.Errorf("policy: save %q: %w", version, err)
 	}

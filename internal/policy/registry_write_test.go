@@ -3,14 +3,13 @@ package policy
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
-
-	"ssdkeeper/internal/nn"
 )
 
 func writeVersion(t *testing.T, reg *Registry, version string, seed int64) {
 	t.Helper()
-	if err := reg.SaveCheckpoint(version, testNet(t, len(testStrategies()), seed), Meta{Name: version}, nn.Float64); err != nil {
+	if err := reg.SaveCheckpoint(version, testNet(t, len(testStrategies()), seed), Meta{Name: version}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -32,6 +31,42 @@ func TestRegistryNextVersion(t *testing.T) {
 	}
 }
 
+// TestRegistryOrdersVersionsByNumber: NextVersion numbers with v%03d, so the
+// checkpoint after v999 is v1000, which sorts before v999 as a string. Latest
+// must still be the newest and GC must still delete the oldest.
+func TestRegistryOrdersVersionsByNumber(t *testing.T) {
+	reg, err := NewRegistry(t.TempDir(), testChannels, testStrategies())
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeVersion(t, reg, "v998", 1)
+	writeVersion(t, reg, "v999", 2)
+	writeVersion(t, reg, "baseline", 3)
+	next, err := reg.NextVersion()
+	if err != nil || next != "v1000" {
+		t.Fatalf("NextVersion = %q (%v), want v1000", next, err)
+	}
+	writeVersion(t, reg, next, 4)
+	versions, err := reg.Versions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(versions, " "), "baseline v998 v999 v1000"; got != want {
+		t.Fatalf("versions = %q, want %q", got, want)
+	}
+	latest, err := reg.Latest()
+	if err != nil || latest.Version() != "v1000" {
+		t.Fatalf("Latest = %v (%v), want v1000", latest, err)
+	}
+	deleted, err := reg.GC(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(deleted, " "), "baseline v998"; got != want {
+		t.Fatalf("GC(2) deleted %q, want %q", got, want)
+	}
+}
+
 // TestRegistrySaveCheckpoint: a saved version loads back verified, refuses to
 // be overwritten, and leaves no temp debris behind.
 func TestRegistrySaveCheckpoint(t *testing.T) {
@@ -42,7 +77,7 @@ func TestRegistrySaveCheckpoint(t *testing.T) {
 	}
 	meta := Meta{Name: "online", Source: SourceOnline, Parent: "v001", Samples: 64}
 	net := testNet(t, len(testStrategies()), 5)
-	if err := reg.SaveCheckpoint("v002", net, meta, nn.Float64); err != nil {
+	if err := reg.SaveCheckpoint("v002", net, meta); err != nil {
 		t.Fatal(err)
 	}
 	m, err := reg.Load("v002")
@@ -52,7 +87,7 @@ func TestRegistrySaveCheckpoint(t *testing.T) {
 	if got := m.Meta(); got.Source != SourceOnline || got.Parent != "v001" {
 		t.Errorf("loaded provenance = %q/%q, want online/v001", got.Source, got.Parent)
 	}
-	if err := reg.SaveCheckpoint("v002", net, meta, nn.Float64); err == nil {
+	if err := reg.SaveCheckpoint("v002", net, meta); err == nil {
 		t.Error("overwriting an existing version succeeded")
 	}
 	entries, err := os.ReadDir(dir)
@@ -64,7 +99,7 @@ func TestRegistrySaveCheckpoint(t *testing.T) {
 			t.Errorf("registry debris after save: %s", e.Name())
 		}
 	}
-	if err := reg.SaveCheckpoint("../escape", net, meta, nn.Float64); err == nil {
+	if err := reg.SaveCheckpoint("../escape", net, meta); err == nil {
 		t.Error("path-escaping version name accepted")
 	}
 }
