@@ -172,6 +172,19 @@ func TestCLITrainAndReuse(t *testing.T) {
 			t.Errorf("missing artifact %s", f)
 		}
 	}
+
+	// The sidecar learner is gone (ssdkeeperd -learn is the one deployment):
+	// keeper-train refuses each flag of the -follow family.
+	for _, flag := range []string{
+		"-follow", "-follow-interval", "-model-dir", "-model-keep", "-learn-min-samples",
+		"-learn-retrain-every", "-learn-min-epochs", "-learn-agree", "-learn-min-comparable",
+		"-learn-demote-margin",
+	} {
+		out, err := exec.Command(filepath.Join(bins, "keeper-train"), flag, "1").CombinedOutput()
+		if err == nil || !strings.Contains(string(out), "flag provided but not defined: "+flag) {
+			t.Errorf("keeper-train %s: err %v, output %q; want the flag undefined", flag, err, out)
+		}
+	}
 }
 
 func TestCLIExperimentsFig2Quick(t *testing.T) {

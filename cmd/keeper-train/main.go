@@ -18,13 +18,8 @@
 //	keeper-train -optimizer sgd-momentum -iterations 300 ...
 //	keeper-train -inspect model.json                          # verify a checkpoint
 //
-// With -follow, keeper-train becomes the sidecar half of the continuous
-// learner instead: it polls a running ssdkeeperd's /learn/samples export,
-// retrains on the live outcome feed, writes candidates into the shared
-// -model-dir, and drives shadow installs and promotions through the daemon's
-// /model/reload endpoint:
-//
-//	keeper-train -follow http://127.0.0.1:8080 -model-dir models/
+// Training here is offline only; the continuous learner that retrains on live
+// traffic runs inside the daemon (ssdkeeperd -learn).
 package main
 
 import (
@@ -40,7 +35,6 @@ import (
 	"ssdkeeper/internal/dataset"
 	"ssdkeeper/internal/experiments"
 	"ssdkeeper/internal/keeper"
-	"ssdkeeper/internal/learn"
 	"ssdkeeper/internal/nn"
 	"ssdkeeper/internal/policy"
 )
@@ -64,35 +58,12 @@ func main() {
 		name       = flag.String("name", "", "model name recorded in the checkpoint (default: -out base name)")
 		inspect    = flag.String("inspect", "", "verify a checkpoint against this binary's schema and exit")
 		quiet      = flag.Bool("q", false, "suppress progress output")
-
-		follow     = flag.String("follow", "", "sidecar mode: base URL of a running ssdkeeperd to learn from")
-		modelDir   = flag.String("model-dir", "", "checkpoint registry shared with the daemon (required with -follow)")
-		followInt  = flag.Duration("follow-interval", time.Second, "sample poll and learner step interval")
-		learnMin   = flag.Int("learn-min-samples", 64, "outcome samples before the first retrain")
-		learnEvery = flag.Int("learn-retrain-every", 64, "new outcome samples between retrains")
-		learnEpoch = flag.Int("learn-min-epochs", 8, "shadow decisions before the promotion gate rules")
-		learnAgree = flag.Float64("learn-agree", 0, "min shadow agreement ratio to promote")
-		learnComp  = flag.Int("learn-min-comparable", 0, "comparable outcomes the gate's regret estimate needs")
-		learnDem   = flag.Float64("learn-demote-margin", 0.10, "relative regret growth that demotes a promotion")
-		modelKeep  = flag.Int("model-keep", 8, "checkpoints to keep in the registry (0: no GC)")
 	)
 	flag.Parse()
 
 	env := experiments.NewEnv()
 	if *inspect != "" {
 		if err := inspectCheckpoint(env, *inspect); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *follow != "" {
-		if err := followDaemon(ctx, env, followConfig{
-			base: *follow, modelDir: *modelDir, interval: *followInt,
-			seed: *seed, hidden: *hidden, iterations: *iterations, batch: *batch,
-			minSamples: *learnMin, retrainEvery: *learnEvery,
-			minEpochs: *learnEpoch, agreeMin: *learnAgree, minComparable: *learnComp,
-			demoteMargin: *learnDem, keep: *modelKeep, quiet: *quiet,
-		}); err != nil {
 			fatal(err)
 		}
 		return
@@ -266,70 +237,6 @@ func inspectCheckpoint(env experiments.Env, path string) error {
 	}
 	if meta.Parent != "" {
 		fmt.Printf("  parent      %s\n", meta.Parent)
-	}
-	return nil
-}
-
-// followConfig carries the -follow flag family into the sidecar loop.
-type followConfig struct {
-	base     string
-	modelDir string
-	interval time.Duration
-
-	seed       int64
-	hidden     int
-	iterations int
-	batch      int
-
-	minSamples    int
-	retrainEvery  int
-	minEpochs     int
-	agreeMin      float64
-	minComparable int
-	demoteMargin  float64
-	keep          int
-	quiet         bool
-}
-
-// followDaemon runs the sidecar trainer: a Learner fed by the daemon's
-// /learn/samples export, acting on the shared registry plus the daemon's
-// /model/reload endpoint. Returns when ctx is canceled (clean exit).
-func followDaemon(ctx context.Context, env experiments.Env, fc followConfig) error {
-	if fc.modelDir == "" {
-		return fmt.Errorf("-follow needs -model-dir (the registry shared with the daemon)")
-	}
-	reg, err := policy.NewRegistry(fc.modelDir, env.Device.Channels, env.Strategies)
-	if err != nil {
-		return err
-	}
-	logf := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, format+"\n", args...)
-	}
-	if fc.quiet {
-		logf = nil
-	}
-	lrn, err := learn.New(learn.Config{
-		Classes:       len(env.Strategies),
-		Seed:          fc.seed,
-		Hidden:        fc.hidden,
-		Iterations:    fc.iterations,
-		Batch:         fc.batch,
-		MinSamples:    fc.minSamples,
-		RetrainEvery:  fc.retrainEvery,
-		MinEpochs:     fc.minEpochs,
-		AgreeMin:      fc.agreeMin,
-		MinComparable: fc.minComparable,
-		DemoteMargin:  fc.demoteMargin,
-		Logf:          logf,
-	}, &learn.HTTPActuator{Reg: reg, Base: fc.base, Keep: fc.keep})
-	if err != nil {
-		return err
-	}
-	if !fc.quiet {
-		fmt.Fprintf(os.Stderr, "following %s (registry %s, poll %v)\n", fc.base, reg.Dir(), fc.interval)
-	}
-	if err := learn.FollowLoop(ctx, fc.base, lrn, fc.interval, logf); err != nil && ctx.Err() == nil {
-		return err
 	}
 	return nil
 }

@@ -20,9 +20,7 @@
 // outcome sample, a replay buffer accumulates them, and an in-process learner
 // periodically retrains, installs the candidate as shadow, auto-promotes it
 // when the gate clears, and demotes back to last-good on post-promotion
-// regression (see internal/learn). The same feed is exported at
-// GET /learn/samples, so a sidecar (keeper-train -follow) can run the learner
-// out of process against the shared -model-dir.
+// regression (see internal/learn). Without -learn no sample is emitted.
 //
 // Usage:
 //
@@ -146,42 +144,36 @@ func main() {
 		}
 	}
 
-	// The sample journal is wired whenever a keeper serves (the export
-	// endpoint is useful on its own for a sidecar trainer); the in-daemon
-	// learner additionally needs the checkpoint registry to act on.
-	var sampleLog *learn.Log
+	// The learner is the shards' sample sink; without -learn epochs emit
+	// nothing.
 	var learner *learn.Learner
 	var sink learn.Sink
-	if k != nil {
-		sampleLog = learn.NewLog(8192)
-		sink = sampleLog
-		if *learnOn {
-			if reg == nil {
-				fatal(errors.New("-learn needs -model-dir (the learner writes and promotes registry checkpoints)"))
-			}
-			var logf func(string, ...any)
-			if !*quiet {
-				logf = func(format string, args ...any) {
-					fmt.Fprintf(os.Stderr, "ssdkeeperd: "+format+"\n", args...)
-				}
-			}
-			var err error
-			learner, err = learn.New(learn.Config{
-				Classes:       len(env.Strategies),
-				Seed:          *learnSeed,
-				MinSamples:    *learnMin,
-				RetrainEvery:  *learnRetrain,
-				MinEpochs:     *learnEpochs,
-				AgreeMin:      *learnAgree,
-				MinComparable: *learnComp,
-				DemoteMargin:  *learnDemote,
-				Logf:          logf,
-			}, &learn.RegistryActuator{Reg: reg, Src: k.Source(), Keep: *modelKeep})
-			if err != nil {
-				fatal(err)
-			}
-			sink = learn.MultiSink{sampleLog, learner}
+	if *learnOn && k != nil {
+		if reg == nil {
+			fatal(errors.New("-learn needs -model-dir (the learner writes and promotes registry checkpoints)"))
 		}
+		var logf func(string, ...any)
+		if !*quiet {
+			logf = func(format string, args ...any) {
+				fmt.Fprintf(os.Stderr, "ssdkeeperd: "+format+"\n", args...)
+			}
+		}
+		var err error
+		learner, err = learn.New(learn.Config{
+			Classes:       len(env.Strategies),
+			Seed:          *learnSeed,
+			MinSamples:    *learnMin,
+			RetrainEvery:  *learnRetrain,
+			MinEpochs:     *learnEpochs,
+			AgreeMin:      *learnAgree,
+			MinComparable: *learnComp,
+			DemoteMargin:  *learnDemote,
+			Logf:          logf,
+		}, &learn.RegistryActuator{Reg: reg, Src: k.Source(), Keep: *modelKeep})
+		if err != nil {
+			fatal(err)
+		}
+		sink = learner
 	}
 
 	var auditLog func(string, ...any)
@@ -210,9 +202,6 @@ func main() {
 	}, k)
 	if err != nil {
 		fatal(err)
-	}
-	if sampleLog != nil {
-		s.SetSampleLog(sampleLog)
 	}
 	s.Start()
 

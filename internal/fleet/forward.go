@@ -14,8 +14,8 @@ import (
 func (r *Router) WireBackend() wire.Backend { return r }
 
 // SubmitTo implements wire.Backend and is the router's one forwarding path:
-// the wire listener calls it from its read goroutine, and the HTTP /io and
-// /io/batch adaptors call it with a waiting completion. The fast path spawns
+// the wire listener calls it from its read goroutine, and the HTTP front
+// (serve.Front) calls it with a waiting completion. The fast path spawns
 // no goroutine and allocates nothing: one atomic table load resolves the
 // owner and the request is pipelined onto the owner's wire client; the
 // completion flows back through a pooled forwarder. Only the gated paths
@@ -62,7 +62,7 @@ func (r *Router) forward(owner string, req serve.Request, c serve.Completion, at
 	if err := r.wires[owner].Start(req, 0, fw); err != nil {
 		fwdPool.Put(fw)
 		r.met.proxyErrs.Add(1)
-		c.Complete(serve.Response{}, wire.ErrUpstream)
+		c.Complete(serve.Response{}, serve.ErrUpstream)
 	}
 }
 
@@ -85,11 +85,11 @@ func (f *fwd) Done(_ uint64, latencyNS, simNS int64, reason string, err error) {
 	switch {
 	case err != nil:
 		r.met.proxyErrs.Add(1)
-		c.Complete(serve.Response{}, wire.ErrUpstream)
+		c.Complete(serve.Response{}, serve.ErrUpstream)
 	case reason == "migrating" && r.cfg.GatePolicy == GateQueue && attempt < 4:
 		go r.forwardGated(req, c, attempt+1)
 	case reason != "":
-		c.Complete(serve.Response{}, wire.ReasonError(reason))
+		c.Complete(serve.Response{}, serve.ReasonError(reason))
 	default:
 		c.Complete(serve.Response{Latency: sim.Time(latencyNS), At: sim.Time(simNS)}, nil)
 	}

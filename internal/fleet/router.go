@@ -1,10 +1,8 @@
 package fleet
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -46,7 +44,7 @@ type Config struct {
 	// GateWait bounds how long a queued request waits for a migration
 	// before giving up with 503 (default 15s).
 	GateWait time.Duration
-	// ReqTimeout bounds how long the HTTP adaptors wait for a forwarded
+	// ReqTimeout bounds how long the HTTP front waits for a forwarded
 	// request (a whole batch rides one budget) and each control-plane
 	// call (default 60s).
 	ReqTimeout time.Duration
@@ -159,7 +157,7 @@ func NewRouter(cfg Config) (*Router, error) {
 }
 
 // Close tears down the router's persistent wire connections. In-flight
-// requests complete with wire.ErrUpstream.
+// requests complete with serve.ErrUpstream.
 func (r *Router) Close() {
 	for _, wc := range r.wires {
 		wc.Close()
@@ -227,13 +225,14 @@ func (r *Router) resolve(tenant int) (string, error) {
 	}
 }
 
-// Handler returns the router's HTTP surface: the client-facing /io and
-// /io/batch adaptors over SubmitTo, the fleet control plane (/fleet/status,
-// /fleet/migrate), and the usual /metrics, /healthz, /readyz.
+// Handler returns the router's HTTP surface: the client-facing request front
+// (serve.Front: /io and /io/batch, the same adaptor a node mounts, here over
+// the router's SubmitTo), the fleet control plane (/fleet/status,
+// /fleet/migrate), and the usual /metrics, /healthz, /readyz. A request no
+// owner answered within ReqTimeout is refused as serve.ErrUpstream.
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/io", r.handleIO)
-	mux.HandleFunc("/io/batch", r.handleBatch)
+	serve.NewFront(r, r.cfg.ReqTimeout, serve.ErrUpstream).Mount(mux)
 	mux.HandleFunc("/fleet/status", r.handleStatus)
 	mux.HandleFunc("/fleet/migrate", r.handleMigrate)
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
@@ -245,198 +244,6 @@ func (r *Router) Handler() http.Handler {
 	// The router holds no device state; it is ready as soon as it routes.
 	mux.HandleFunc("/readyz", ok)
 	return mux
-}
-
-// waiter is the HTTP adaptors' serve.Completion: it collects the outcomes of
-// the requests one handler forwarded and wakes the handler when the last one
-// lands. Completions arrive on other goroutines (upstream connection readers,
-// gated forwards): Complete fills its slot and publishes it through set, and
-// the handler reads a slot's outcome only after loading set. Pooled; a waiter
-// whose handler gave up at ReqTimeout is left to the garbage collector,
-// because late completions still hold its slots.
-type waiter struct {
-	slots   []slot
-	pending atomic.Int64
-	done    chan struct{} // capacity 1: the last completion never blocks
-}
-
-// slot is one forwarded request and its outcome.
-type slot struct {
-	w    *waiter
-	req  serve.Request
-	err  error // before forwarding: the decode failure, if any
-	resp serve.Response
-	set  atomic.Bool
-}
-
-// Complete implements serve.Completion.
-func (s *slot) Complete(resp serve.Response, err error) {
-	s.resp, s.err = resp, err
-	s.set.Store(true)
-	if s.w.pending.Add(-1) == 0 {
-		s.w.done <- struct{}{}
-	}
-}
-
-var waiterPool = sync.Pool{New: func() any {
-	return &waiter{done: make(chan struct{}, 1)}
-}}
-
-// forwardAll sends every slot through SubmitTo — lines that failed to decode
-// complete in place — and waits for the outcomes, bounded by ReqTimeout. It
-// reports whether they all landed; after false the caller renders the slots
-// that did and must not repool the waiter.
-func (r *Router) forwardAll(wt *waiter) bool {
-	if len(wt.slots) == 0 {
-		return true
-	}
-	wt.pending.Store(int64(len(wt.slots)))
-	for i := range wt.slots {
-		s := &wt.slots[i]
-		err := s.err
-		if err == nil {
-			err = r.SubmitTo(s.req, s)
-		}
-		if err != nil {
-			s.Complete(serve.Response{}, err)
-		}
-	}
-	t := time.NewTimer(r.cfg.ReqTimeout)
-	defer t.Stop()
-	select {
-	case <-wt.done:
-		return true
-	case <-t.C:
-		return false
-	}
-}
-
-// writeReject answers a rejected request the way the owner node's own /io
-// would have, plus 502 for a node that died under the request.
-func writeReject(w http.ResponseWriter, err error) {
-	if errors.Is(err, wire.ErrUpstream) {
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	serve.WriteReject(w, err)
-}
-
-// handleIO is the JSON adaptor: decode, forward through SubmitTo, render.
-func (r *Router) handleIO(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, 1<<20))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	sreq, err := serve.DecodeJSONRequest(body)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	wt := waiterPool.Get().(*waiter)
-	wt.slots = append(wt.slots[:0], slot{w: wt, req: sreq})
-	if !r.forwardAll(wt) {
-		serve.WriteReject(w, serve.ErrCanceled)
-		return
-	}
-	s := &wt.slots[0]
-	if s.err != nil {
-		writeReject(w, s.err)
-	} else {
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(serve.AppendIOResponse(nil, int64(s.resp.Latency), int64(s.resp.At)))
-	}
-	waiterPool.Put(wt)
-}
-
-// Batch bounds, aligned with the node-side decoder (serve/http.go): the
-// body cap matches, the line cap matches, and an oversized line answers a
-// clear 400 instead of silently truncating the batch.
-const (
-	maxBatchBody  = 4 << 20
-	maxBatchLines = 65536
-)
-
-var (
-	batchScanPool = sync.Pool{New: func() any {
-		b := make([]byte, 64<<10)
-		return &b
-	}}
-	batchWriterPool = sync.Pool{New: func() any {
-		return bufio.NewWriterSize(nil, 32<<10)
-	}}
-)
-
-// handleBatch is the line-protocol adaptor: decode every line, forward each
-// through SubmitTo (so a line gets the same gate wait and migrating retry as
-// a /io or wire request), and render the outcomes in line order. A line
-// still unanswered at ReqTimeout renders "rej upstream".
-func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	wt := waiterPool.Get().(*waiter)
-	wt.slots = wt.slots[:0]
-	reusable := true
-	defer func() {
-		if reusable {
-			waiterPool.Put(wt)
-		}
-	}()
-
-	bufp := batchScanPool.Get().(*[]byte)
-	defer batchScanPool.Put(bufp)
-	sc := bufio.NewScanner(http.MaxBytesReader(w, req.Body, maxBatchBody))
-	sc.Buffer(*bufp, maxBatchBody)
-	for sc.Scan() {
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		if len(wt.slots) >= maxBatchLines {
-			http.Error(w, fmt.Sprintf("batch exceeds %d lines", maxBatchLines), http.StatusBadRequest)
-			return
-		}
-		sreq, err := serve.DecodeLineBytes(raw)
-		wt.slots = append(wt.slots, slot{w: wt, req: sreq, err: err})
-	}
-	if err := sc.Err(); err != nil {
-		if errors.Is(err, bufio.ErrTooLong) {
-			err = fmt.Errorf("batch line exceeds %d bytes", maxBatchBody)
-		}
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	reusable = r.forwardAll(wt)
-
-	w.Header().Set("Content-Type", "text/plain")
-	bw := batchWriterPool.Get().(*bufio.Writer)
-	bw.Reset(w)
-	defer func() {
-		bw.Flush()
-		bw.Reset(nil)
-		batchWriterPool.Put(bw)
-	}()
-	var num [20]byte
-	for i := range wt.slots {
-		s := &wt.slots[i]
-		switch {
-		case !s.set.Load():
-			bw.WriteString("rej upstream")
-		case s.err != nil:
-			bw.WriteString("rej ")
-			bw.WriteString(wire.RejectReason(s.err))
-		default:
-			bw.WriteString("ok ")
-			bw.Write(strconv.AppendInt(num[:0], int64(s.resp.Latency), 10))
-		}
-		bw.WriteByte('\n')
-	}
 }
 
 // statusReply is /fleet/status's JSON document.

@@ -26,9 +26,9 @@
 //	                 source, and demotes back to the last-good version if
 //	                 post-promotion regret regresses.
 //
-// The subsystem runs in-daemon (ssdkeeperd -learn) or as a sidecar
-// (keeper-train -follow <addr>) consuming the daemon's /learn/samples
-// export; the Actuator interface abstracts the difference.
+// The subsystem runs inside the daemon it steers (ssdkeeperd -learn): the
+// shards' sample feed is the learner's Offer, and its Actuator acts on the
+// daemon's own checkpoint registry and policy source.
 package learn
 
 import (
@@ -92,16 +92,6 @@ func (s Sample) HasOutcome() bool { return s.Completed > 0 }
 // block for long: it runs inside the shard goroutine that paces the device.
 type Sink interface {
 	Offer(s Sample)
-}
-
-// MultiSink fans each sample out to every sink in order.
-type MultiSink []Sink
-
-// Offer forwards the sample to every sink.
-func (m MultiSink) Offer(s Sample) {
-	for _, sk := range m {
-		sk.Offer(s)
-	}
 }
 
 // Key is a quantized feature vector: samples whose vectors collapse onto the

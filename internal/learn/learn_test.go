@@ -79,34 +79,6 @@ func TestVectorKeyQuantization(t *testing.T) {
 	}
 }
 
-func TestLogSinceAndEviction(t *testing.T) {
-	l := NewLog(4)
-	for i := 0; i < 6; i++ {
-		l.Offer(outcomeSample(i, 0, sim.Millisecond))
-	}
-	if l.Len() != 4 {
-		t.Fatalf("Len = %d, want 4 after eviction", l.Len())
-	}
-	// Sequences 0 and 1 fell off; a follower asking from 0 sees the gap.
-	samples, first, next := l.Since(0, 0)
-	if first != 2 || next != 6 || len(samples) != 4 {
-		t.Fatalf("Since(0) = %d samples [%d, %d), want 4 [2, 6)", len(samples), first, next)
-	}
-	if samples[0].At != outcomeSample(2, 0, 0).At {
-		t.Errorf("oldest retained sample is %v, want epoch 2's", samples[0].At)
-	}
-	// Paged read resumes exactly where the previous page ended.
-	page1, _, n1 := l.Since(2, 3)
-	page2, _, n2 := l.Since(n1, 3)
-	if len(page1) != 3 || len(page2) != 1 || n2 != 6 {
-		t.Errorf("paging: %d then %d ending %d, want 3 then 1 ending 6", len(page1), len(page2), n2)
-	}
-	// A caught-up follower polls past the end and gets nothing.
-	if samples, _, next := l.Since(6, 0); len(samples) != 0 || next != 6 {
-		t.Errorf("caught-up poll returned %d samples, next %d", len(samples), next)
-	}
-}
-
 // TestReservoirDeterminism pins the reproducibility contract: the same stream
 // through the same seed yields the same buffer, slot for slot.
 func TestReservoirDeterminism(t *testing.T) {

@@ -19,9 +19,9 @@ import (
 //	  └──────────demote to last-good─────────────────┘
 //
 // Offer is the only concurrent entry point (every shard's sink feeds it);
-// everything else runs on whichever single goroutine calls Step — the
-// daemon's learner ticker, or the sidecar's follow loop. Status is published
-// through an atomic pointer so the metrics renderer reads it lock-free.
+// everything else runs on the single goroutine that calls Step — the daemon's
+// learner ticker. Status is published through an atomic pointer so the
+// metrics renderer reads it lock-free.
 type Learner struct {
 	cfg Config
 	act Actuator

@@ -47,16 +47,16 @@ func TestDrainMatchesBatchReplayWithFaults(t *testing.T) {
 	s := testServer(t, cfg, nil)
 
 	dispatched := []Request{readReq(0, 0), writeReq(0, 1), writeReq(0, 2), readReq(0, 3)}
-	var handles []*Pending
+	var handles []submitted
 	for _, req := range dispatched {
-		p, err := s.SubmitAsync(req)
+		p, err := submit(s, req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		handles = append(handles, p)
 	}
 	for i := int64(4); i < 8; i++ {
-		p, err := s.SubmitAsync(writeReq(0, i))
+		p, err := submit(s, writeReq(0, i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func TestDrainMatchesBatchReplayWithFaults(t *testing.T) {
 	drainRes := s.Drain()
 	ctx := context.Background()
 	for i, p := range handles {
-		_, err := s.Wait(ctx, p)
+		_, err := p.wait(ctx)
 		if i < 4 && err != nil {
 			t.Errorf("dispatched request %d failed: %v", i, err)
 		}
@@ -126,9 +126,9 @@ func TestDrainTenantMatchesBatchReplayWithFaults(t *testing.T) {
 	s := testServer(t, cfg, nil)
 
 	reqs := []Request{readReq(1, 0), writeReq(1, 1), writeReq(1, 2), readReq(1, 3)}
-	var handles []*Pending
+	var handles []submitted
 	for _, req := range reqs {
-		p, err := s.SubmitAsync(req)
+		p, err := submit(s, req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func TestDrainTenantMatchesBatchReplayWithFaults(t *testing.T) {
 	}
 	ctx := context.Background()
 	for i, p := range handles {
-		if _, err := s.Wait(ctx, p); err != nil {
+		if _, err := p.wait(ctx); err != nil {
 			t.Errorf("request %d failed across tenant drain: %v", i, err)
 		}
 	}
@@ -225,9 +225,9 @@ func TestAuditorFlipsDegraded(t *testing.T) {
 	s.Start()
 	defer s.Drain()
 
-	var handles []*Pending
+	var handles []submitted
 	for i := int64(0); i < 4; i++ {
-		p, err := s.SubmitAsync(readReq(0, i))
+		p, err := submit(s, readReq(0, i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,7 +239,7 @@ func TestAuditorFlipsDegraded(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	for i, p := range handles {
-		if _, err := s.Wait(ctx, p); err != nil {
+		if _, err := p.wait(ctx); err != nil {
 			t.Fatalf("request %d failed: %v", i, err)
 		}
 	}

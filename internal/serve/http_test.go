@@ -50,8 +50,10 @@ func TestHTTPEndToEnd(t *testing.T) {
 		t.Errorf("latency_ns %d, want > 0", jr.LatencyNS)
 	}
 
-	// A batch over the line protocol: every line answered in order.
-	batch := "0 R 0 16384\n1 W 16384 16384\nnot a line\n2 R 32768 16384\n"
+	// A batch over the line protocol: every line answered in order. (What
+	// the front refuses, and how, is fleet's
+	// TestNodeAndRouterFrontsAnswerIdentically.)
+	batch := "0 R 0 16384\n1 W 16384 16384\n2 R 32768 16384\n"
 	resp, err = http.Post(ts.URL+"/io/batch", "text/plain", strings.NewReader(batch))
 	if err != nil {
 		t.Fatal(err)
@@ -59,12 +61,12 @@ func TestHTTPEndToEnd(t *testing.T) {
 	body, _ = io.ReadAll(resp.Body)
 	resp.Body.Close()
 	lines := strings.Split(strings.TrimSpace(string(body)), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("batch answered %d lines, want 4: %q", len(lines), body)
+	if len(lines) != 3 {
+		t.Fatalf("batch answered %d lines, want 3: %q", len(lines), body)
 	}
-	for i, want := range []string{"ok ", "ok ", "rej invalid", "ok "} {
-		if !strings.HasPrefix(lines[i], want) {
-			t.Errorf("batch line %d = %q, want prefix %q", i, lines[i], want)
+	for i, line := range lines {
+		if !strings.HasPrefix(line, "ok ") {
+			t.Errorf("batch line %d = %q, want ok", i, line)
 		}
 	}
 
@@ -91,24 +93,6 @@ func TestHTTPEndToEnd(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("metrics missing %q", want)
 		}
-	}
-
-	// Method and decode errors.
-	resp, err = http.Get(ts.URL + "/io")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /io = %d, want 405", resp.StatusCode)
-	}
-	resp, err = http.Post(ts.URL+"/io", "application/json", strings.NewReader("{nope"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad JSON = %d, want 400", resp.StatusCode)
 	}
 
 	// Drain flips the surface: healthz 503, new I/O 503 with Retry-After.

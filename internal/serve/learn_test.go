@@ -2,12 +2,8 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -41,8 +37,8 @@ func (a *nullActuator) Promote(string) (string, error) { return "v001", nil }
 func TestSampleFeedFromNode(t *testing.T) {
 	clk := newFakeClock()
 	cfg := testConfig(clk)
-	log := learn.NewLog(0)
-	cfg.Sink = log
+	sink := &sampleSink{}
+	cfg.Sink = sink
 	kCfg := keeperConfig()
 	k, err := keeper.New(kCfg, forcedModel(t, len(kCfg.Strategies), 1))
 	if err != nil {
@@ -56,7 +52,7 @@ func TestSampleFeedFromNode(t *testing.T) {
 	for wave := 0; wave < 2; wave++ {
 		for i := 0; i < 20; i++ {
 			req := writeReq(i%4, int64(wave*20+i))
-			if _, err := s.SubmitAsync(req); err != nil {
+			if _, err := submit(s, req); err != nil {
 				t.Fatal(err)
 			}
 			clk.Advance(2 * time.Millisecond)
@@ -65,9 +61,9 @@ func TestSampleFeedFromNode(t *testing.T) {
 		s.SimNow()
 	}
 
-	samples, first, _ := log.Since(0, 0)
-	if len(samples) == 0 || first != 0 {
-		t.Fatalf("no samples after two epochs (first=%d)", first)
+	samples := sink.all()
+	if len(samples) == 0 {
+		t.Fatal("no samples after two epochs")
 	}
 	for i, smp := range samples {
 		if smp.Shard != 0 {
@@ -119,118 +115,6 @@ func TestLearnerMetricsSeries(t *testing.T) {
 	}
 }
 
-// TestLearnSamplesEndpoint: the export pages through the journal by absolute
-// sequence, answers a caught-up poll with an empty page, and is 501 when no
-// journal is wired.
-func TestLearnSamplesEndpoint(t *testing.T) {
-	cfg := Config{
-		Device:  nand.EvalConfig(),
-		Options: ssd.DefaultOptions(),
-		Accel:   200,
-	}
-	log := learn.NewLog(0)
-	cfg.Sink = log
-	kCfg := keeperConfig()
-	k, err := keeper.New(kCfg, forcedModel(t, len(kCfg.Strategies), 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(cfg, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetSampleLog(log)
-	s.Start()
-	defer s.Drain()
-	ts := httptest.NewServer(s.Handler(10 * time.Second))
-	defer ts.Close()
-
-	// Drive traffic until epochs have flushed into the journal.
-	deadline := time.Now().Add(10 * time.Second)
-	for log.Len() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no samples flushed within the deadline")
-		}
-		resp, err := http.Post(ts.URL+"/io", "application/json",
-			strings.NewReader(`{"tenant":0,"op":"write","offset":0,"size":16384}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}
-
-	get := func(q string) (page struct {
-		First   uint64         `json:"first"`
-		Next    uint64         `json:"next"`
-		Samples []learn.Sample `json:"samples"`
-	}) {
-		t.Helper()
-		resp, err := http.Get(ts.URL + "/learn/samples" + q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			body, _ := io.ReadAll(resp.Body)
-			t.Fatalf("GET /learn/samples%s = %d: %s", q, resp.StatusCode, body)
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
-			t.Fatal(err)
-		}
-		return page
-	}
-
-	page := get("")
-	if len(page.Samples) == 0 || page.First != 0 {
-		t.Fatalf("first page: %d samples from %d", len(page.Samples), page.First)
-	}
-	if page.Next != page.First+uint64(len(page.Samples)) {
-		t.Errorf("page sequences inconsistent: first %d + %d samples != next %d",
-			page.First, len(page.Samples), page.Next)
-	}
-	// A caught-up follower gets an empty page, not null.
-	caught := get(fmt.Sprintf("?since=%d", page.Next))
-	if caught.Samples == nil || len(caught.Samples) != 0 {
-		t.Errorf("caught-up poll returned %v, want an empty page", caught.Samples)
-	}
-
-	// Malformed cursor and wrong method are client errors.
-	if resp, err := http.Get(ts.URL + "/learn/samples?since=banana"); err != nil {
-		t.Fatal(err)
-	} else {
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("bad cursor = %d, want 400", resp.StatusCode)
-		}
-	}
-	if resp, err := http.Post(ts.URL+"/learn/samples", "", nil); err != nil {
-		t.Fatal(err)
-	} else {
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusMethodNotAllowed {
-			t.Errorf("POST = %d, want 405", resp.StatusCode)
-		}
-	}
-
-	// A node with no journal answers 501.
-	bare, err := New(Config{Device: nand.EvalConfig(), Options: ssd.DefaultOptions()}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bare.Drain()
-	bts := httptest.NewServer(bare.Handler(time.Second))
-	defer bts.Close()
-	if resp, err := http.Get(bts.URL + "/learn/samples"); err != nil {
-		t.Fatal(err)
-	} else {
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotImplemented {
-			t.Errorf("journal-less export = %d, want 501", resp.StatusCode)
-		}
-	}
-}
-
 // TestSampleEmissionConcurrent hammers a multi-shard node with concurrent
 // traffic while every shard emits into one shared sink and a learner steps on
 // another goroutine — the race test for the outcome feed (run under -race in
@@ -243,19 +127,19 @@ func TestSampleEmissionConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log := learn.NewLog(0)
 	lrn, err := learn.New(learn.Config{Classes: 3, MinSamples: 8, RetrainEvery: 8, Iterations: 2},
 		&nullActuator{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sink := &sampleSink{next: lrn}
 	cfg := Config{
 		Device:      nand.EvalConfig(),
 		Options:     ssd.DefaultOptions(),
 		Accel:       1000,
 		Now:         time.Now,
 		ShardCount:  4,
-		Sink:        learn.MultiSink{log, lrn},
+		Sink:        sink,
 		Learner:     lrn,
 		ExploreRate: 0.25,
 		ExploreSeed: 7,
@@ -275,7 +159,7 @@ func TestSampleEmissionConcurrent(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				req := writeReq(w%4, int64(i))
 				req.Key = uint64(w*perWorker + i + 1)
-				if _, err := s.Submit(ctx, req); err != nil &&
+				if _, err := submitWait(ctx, s, req); err != nil &&
 					!errors.Is(err, ErrQueueFull) && !errors.Is(err, ErrCanceled) {
 					t.Errorf("worker %d: %v", w, err)
 					return
@@ -311,14 +195,14 @@ func TestSampleEmissionConcurrent(t *testing.T) {
 	if err := s.Err(); err != nil {
 		t.Fatalf("server poisoned: %v", err)
 	}
-	if log.Len() == 0 {
+	samples := sink.all()
+	if len(samples) == 0 {
 		t.Fatal("no samples emitted under concurrent load")
 	}
 	if st := lrn.Status(); st.Samples == 0 {
 		t.Error("learner saw no samples")
 	}
 	// Shard stamps cover more than one shard under spread keys.
-	samples, _, _ := log.Since(0, 0)
 	shards := map[int]bool{}
 	for _, smp := range samples {
 		shards[smp.Shard] = true

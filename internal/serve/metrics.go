@@ -90,17 +90,16 @@ func (n *Node) WriteMetrics(w io.Writer) {
 
 	fmt.Fprintf(w, "# HELP ssdkeeper_rejected_total Requests rejected, by reason.\n")
 	fmt.Fprintf(w, "# TYPE ssdkeeper_rejected_total counter\n")
-	var full, canceled uint64
+	var full uint64
 	for _, sd := range n.shards {
 		for t := range sd.tenants {
 			full += sd.tenants[t].rejFull.Load()
-			canceled += sd.tenants[t].canceled.Load()
 		}
 	}
 	fmt.Fprintf(w, "ssdkeeper_rejected_total{reason=\"queue_full\"} %d\n", full)
 	fmt.Fprintf(w, "ssdkeeper_rejected_total{reason=\"draining\"} %d\n", n.rejDrain.Load())
 	fmt.Fprintf(w, "ssdkeeper_rejected_total{reason=\"invalid\"} %d\n", n.rejBad.Load())
-	fmt.Fprintf(w, "ssdkeeper_rejected_total{reason=\"canceled\"} %d\n", canceled)
+	fmt.Fprintf(w, "ssdkeeper_rejected_total{reason=\"canceled\"} %d\n", n.rejCanceled.Load())
 	fmt.Fprintf(w, "ssdkeeper_rejected_total{reason=\"migrating\"} %d\n", n.rejMigr.Load())
 
 	fmt.Fprintf(w, "# HELP ssdkeeper_tenants_parked Tenants whose admission gate is shut for drain/handoff.\n")

@@ -20,7 +20,7 @@ import (
 // release). It knows nothing about HTTP — the Server front end binds it to
 // the wire, and the fleet router drives remote nodes through that same
 // binding. Build one with NewNode, start pacing with Start, submit with
-// Submit, and stop it with Drain.
+// SubmitTo, and stop it with Drain.
 type Node struct {
 	cfg    Config
 	epoch  time.Time // wall anchor of sim time zero, shared by all shards
@@ -33,6 +33,9 @@ type Node struct {
 	rejBad   atomic.Uint64
 	rejDrain atomic.Uint64
 	rejMigr  atomic.Uint64
+	// rejCanceled counts requests the HTTP front stopped waiting for (they
+	// still ran; nobody read the reply).
+	rejCanceled atomic.Uint64
 
 	// Auditor state: degraded flips once a shard's health score crosses the
 	// configured threshold and holds the node out of readiness; the loop
@@ -156,77 +159,56 @@ func (n *Node) ShardFor(req Request) int {
 	return shardIndex(req.Tenant, req.Key, len(n.shards))
 }
 
-// SubmitAsync validates and admits a request, returning a handle to wait
-// on. Admission stamps the request with the current wall-derived simulated
-// time — it arrives "now" regardless of mailbox lag. Rejections
-// (validation, backpressure, draining, tenant migration) are synchronous
-// errors: the bounded slot is reserved with one atomic before the mailbox,
-// so ErrQueueFull never needs a shard round trip.
-func (n *Node) SubmitAsync(req Request) (*Pending, error) {
-	return n.submit(req, nil)
-}
-
-// SubmitTo admits a request for callback delivery: instead of a handle to
-// wait on, c.Complete receives the outcome exactly once, from the shard
-// goroutine. A synchronous error means the request was rejected and c will
-// never be called. This is the wire listener's path — completions fan into
-// a connection's reply writer with no per-request goroutine and no waiter
-// channel. Callback requests cannot be canceled; they resolve at completion
-// or at drain.
+// SubmitTo validates and admits a request: c.Complete receives the outcome
+// exactly once, from the owning shard's goroutine. Admission stamps the
+// request with the current wall-derived simulated time — it arrives "now"
+// regardless of mailbox lag. Rejections (validation, backpressure, draining,
+// tenant migration) are synchronous errors, after which c is never called:
+// the bounded slot is reserved with one atomic before the mailbox, so
+// ErrQueueFull never needs a shard round trip. An admitted request cannot be
+// withdrawn; it resolves at completion or at drain.
 func (n *Node) SubmitTo(req Request, c Completion) error {
-	_, err := n.submit(req, c)
-	return err
-}
-
-func (n *Node) submit(req Request, c Completion) (*Pending, error) {
 	if err := req.Validate(n.cfg.Tenants, n.cfg.MaxBytes); err != nil {
 		n.rejBad.Add(1)
-		return nil, fmt.Errorf("serve: invalid request: %w", err)
+		return fmt.Errorf("serve: invalid request: %w", err)
 	}
 	if n.draining.Load() {
 		n.rejDrain.Add(1)
-		return nil, ErrDraining
+		return ErrDraining
 	}
 	if n.gates[req.Tenant].Load() != tenantActive {
 		n.rejMigr.Add(1)
-		return nil, ErrTenantMigrating
+		return ErrTenantMigrating
 	}
 	if n.poisoned.Load() {
-		return nil, n.Err()
+		return n.Err()
 	}
 	sd := n.shards[shardIndex(req.Tenant, req.Key, len(n.shards))]
 	ts := &sd.tenants[req.Tenant]
 	bound := int64(n.cfg.QueueDepth + n.cfg.QueueLen)
 	for {
-		c := ts.occupancy.Load()
-		if c >= bound {
+		occ := ts.occupancy.Load()
+		if occ >= bound {
 			ts.rejFull.Add(1)
-			return nil, ErrQueueFull
+			return ErrQueueFull
 		}
-		if ts.occupancy.CompareAndSwap(c, c+1) {
+		if ts.occupancy.CompareAndSwap(occ, occ+1) {
 			break
 		}
 	}
-	var p *Pending
-	if c != nil {
-		p = pendingPool.Get().(*Pending)
-		p.arrival, p.reaped = 0, false
-		p.state.Store(stateQueued)
-	} else {
-		p = &Pending{done: make(chan outcome, 1)}
-	}
-	p.req, p.shard, p.stamp, p.notify = req, sd, n.wallTarget(), c
 	ts.admitted[req.Op].Add(1)
 	if !sd.enter() {
 		// The shard closed between the draining check and here.
 		ts.occupancy.Add(-1)
 		ts.admitted[req.Op].Add(^uint64(0))
 		n.rejDrain.Add(1)
-		return nil, ErrDraining
+		return ErrDraining
 	}
+	p := pendingPool.Get().(*Pending)
+	p.req, p.shard, p.stamp, p.arrival, p.notify = req, sd, n.wallTarget(), 0, c
 	sd.mailbox <- shardMsg{kind: msgSubmit, p: p}
 	sd.leave()
-	return p, nil
+	return nil
 }
 
 // Drain stops admission, rejects everything still queued, completes all

@@ -25,7 +25,7 @@ func benchBatch(lines int) []byte {
 // BenchmarkServeIO measures the two pieces of the JSON /io adaptor this
 // package owns — request decode and response render — in isolation from
 // net/http transport costs. decode is encoding/json (the adaptor's accepted
-// cost, DESIGN.md §14); render/fast is AppendIOResponse, which both the node
+// cost, DESIGN.md §14); render/fast is appendIOResponse, which both the node
 // and the router render with and which bench_gate.sh holds at 0 allocs/op;
 // render/std is the json.Encoder it replaced, kept as the comparison.
 func BenchmarkServeIO(b *testing.B) {
@@ -44,7 +44,7 @@ func BenchmarkServeIO(b *testing.B) {
 		b.ReportAllocs()
 		buf := make([]byte, 0, 64)
 		for i := 0; i < b.N; i++ {
-			buf = AppendIOResponse(buf[:0], int64(i)*1000, int64(i))
+			buf = appendIOResponse(buf[:0], int64(i)*1000, int64(i))
 		}
 	})
 	b.Run("render/std", func(b *testing.B) {

@@ -145,15 +145,15 @@ func TestParseOpSpellings(t *testing.T) {
 // json.Encoder produces for jsonResponse, and that rendering allocates
 // nothing when the destination has capacity.
 func TestAppendIOResponse(t *testing.T) {
-	got := string(AppendIOResponse(nil, 123456, -7))
+	got := string(appendIOResponse(nil, 123456, -7))
 	want := "{\"latency_ns\":123456,\"sim_ns\":-7}\n"
 	if got != want {
-		t.Errorf("AppendIOResponse = %q, want %q", got, want)
+		t.Errorf("appendIOResponse = %q, want %q", got, want)
 	}
 	buf := make([]byte, 0, 64)
 	if n := testing.AllocsPerRun(200, func() {
-		buf = AppendIOResponse(buf[:0], 987654321, 123456789)
+		buf = appendIOResponse(buf[:0], 987654321, 123456789)
 	}); n != 0 {
-		t.Errorf("AppendIOResponse allocates %.1f objects per call, want 0", n)
+		t.Errorf("appendIOResponse allocates %.1f objects per call, want 0", n)
 	}
 }

@@ -91,10 +91,10 @@ func TestReloadSwapsPolicyAcrossShards(t *testing.T) {
 	s.SetReloader(sourceReloader(k.Source(), map[string]policy.Provider{"v2": v2}))
 
 	cover := tenantsCoveringShards(t, s.cfg.Tenants, len(s.shards))
-	var pending []*Pending
+	var pending []submitted
 	submitAll := func(pageNo int64) {
 		for _, tn := range cover {
-			p, err := s.SubmitAsync(writeReq(tn, pageNo))
+			p, err := submit(s, writeReq(tn, pageNo))
 			if err != nil {
 				t.Fatalf("submit rejected during reload window: %v", err)
 			}
@@ -160,7 +160,7 @@ func TestReloadSwapsPolicyAcrossShards(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	for _, p := range pending {
-		if _, err := s.Wait(ctx, p); err != nil {
+		if _, err := p.wait(ctx); err != nil {
 			t.Fatalf("request lost across reload: %v", err)
 		}
 	}
@@ -191,7 +191,7 @@ func TestShadowCountersInMetrics(t *testing.T) {
 	// A diverging candidate: static strategy != forced class 1.
 	k.Source().SetShadow(policy.StaticProvider{Ver: "cand", Strategy: kCfg.Strategies[2]})
 	for i := 0; i < 6; i++ {
-		if _, err := s.SubmitAsync(writeReq(0, int64(i))); err != nil {
+		if _, err := submit(s, writeReq(0, int64(i))); err != nil {
 			t.Fatal(err)
 		}
 		clk.Advance(10 * time.Millisecond)

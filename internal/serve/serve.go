@@ -3,17 +3,19 @@
 // layers. The transport-free node core (Node, node.go) owns the shard set,
 // admission, the online keeper controllers, and the per-tenant lifecycle —
 // including tenant-granular drain and handoff replay, the primitives the
-// fleet tier (internal/fleet) composes into live migration. The thin front
-// end (Server, http.go) binds a node to HTTP: tenants submit I/O as JSON or
-// a compact line protocol, and the same binding lets another process (a
-// fleet router, a load generator) drive the node remotely.
+// fleet tier (internal/fleet) composes into live migration. Its one request
+// entry point is SubmitTo(request, Completion), the Backend surface; the
+// wire listener (internal/wire) and the HTTP front (Front, front.go) are
+// both adaptors over it, and because the fleet router is a Backend too, a
+// client cannot tell a router's fronts from a node's. Server (http.go) binds
+// a node to HTTP: the front plus the control, lifecycle and metrics routes.
 //
 // Concurrency model: a simulation engine is single-goroutine by design, so
 // each shard runs one goroutine that owns its engine, device, controller,
-// and queues outright (see shard.go). Handlers validate, reserve a bounded
-// admission slot with one atomic, and push the request into the shard's
-// mailbox; they wait for completion on a per-request channel filled by the
-// engine's completion callback. One shard wakeup drains a batch of
+// and queues outright (see shard.go). A submitter validates, reserves a
+// bounded admission slot with one atomic, and pushes the request into the
+// shard's mailbox; from that send on the request belongs to the shard, which
+// calls its Completion exactly once. One shard wakeup drains a batch of
 // submissions, so the cost of waking the actor amortizes across bursts, and
 // no lock is ever held across the engine.
 //
@@ -28,11 +30,9 @@
 package serve
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ssdkeeper/internal/ftl"
@@ -44,21 +44,27 @@ import (
 	"ssdkeeper/internal/ssd"
 )
 
-// Admission and lifecycle errors, mapped onto HTTP statuses by the handler
-// layer (429, 503, 400).
+// Admission and lifecycle errors. reject.go maps each onto its reason token
+// and HTTP status.
 var (
 	// ErrQueueFull is backpressure: the tenant's admission queue is at its
 	// bound. Clients should retry after backing off.
 	ErrQueueFull = errors.New("serve: tenant queue full")
 	// ErrDraining means the server is shutting down and admits nothing.
 	ErrDraining = errors.New("serve: draining")
-	// ErrCanceled means the client gave up before completion.
+	// ErrCanceled means the node's HTTP front stopped waiting for the
+	// request (its timeout ended or the client went away). The request
+	// itself still runs to completion; only its reply is dropped.
 	ErrCanceled = errors.New("serve: request canceled")
 	// ErrTenantMigrating means the tenant's admission gate is closed for a
 	// drain/handoff: the tenant is being (or has been) migrated off this
 	// node. Clients should retry against the fleet router, which re-routes
 	// once the migration completes.
 	ErrTenantMigrating = errors.New("serve: tenant migrating")
+	// ErrUpstream is the fleet router's refusal, the one that does not
+	// originate in a node: the owner node failed (connection died, dial
+	// refused, reply never came) with the request in flight.
+	ErrUpstream = errors.New("wire: upstream failed")
 )
 
 // Config parameterizes a Node (and the Server wrapping it).
@@ -102,12 +108,6 @@ type Config struct {
 	// Now is the wall clock (default time.Now); tests inject a manual
 	// clock to make pacing deterministic.
 	Now func() time.Time
-	// DisableTenantLog turns off the per-tenant dispatched-record log.
-	// The log is what DrainTenant hands to a migration target (and what
-	// the drain==batch-replay invariant replays), so it is on by default;
-	// a standalone node that will never migrate tenants can disable it to
-	// cap memory at the cost of tenant-granular drain.
-	DisableTenantLog bool
 
 	// Sink, when set (and a keeper is serving), receives one learn.Sample
 	// per shard adaptation epoch — the outcome feed of the continuous
@@ -116,7 +116,7 @@ type Config struct {
 	// cost.
 	Sink learn.Sink
 	// Learner, when set, is surfaced in /metrics (the node does not drive
-	// it — the daemon's ticker or the sidecar's follow loop calls Step).
+	// it — the daemon's ticker calls Step).
 	Learner *learn.Learner
 	// ExploreRate enables ε-greedy strategy exploration on every shard
 	// controller: each adaptation epoch applies a uniformly random strategy
@@ -212,111 +212,42 @@ type Response struct {
 	At      sim.Time // simulated completion time
 }
 
-// outcome is what a pending request's waiter receives.
-type outcome struct {
-	resp Response
-	err  error
-}
-
-// Pending is one admitted request between admission and completion. The
-// state word is the CAS state machine shared by the shard goroutine and the
-// waiter; everything else is written once at admission (req, stamp, shard)
-// or owned by the shard goroutine (arrival, reaped). It is also the
-// request's device completion (Done, shard.go).
-//
-// Who may hold one: a SubmitAsync Pending belongs to its caller, who may
-// Wait on it at any later time, so it is never reused. A SubmitTo Pending is
-// handed to nobody — only the shard (mailbox, tenant queue, device) ever
-// references it — so it comes from pendingPool and goes back at the one point
-// where the last of those references is gone: the end of Done. Every other
-// end of life (admit-time reject, dispatch error, drain reject) is rare and
-// left to the GC.
+// Pending is one admitted request between admission and completion, and the
+// request's own device completion (Done, shard.go). It is owned by exactly
+// one goroutine at a time: the submitter fills it in and gives it up with the
+// mailbox send; from then on only the shard goroutine touches it (mailbox
+// message, tenant queue slot, the device's completion reference), and the
+// shard resolves it exactly once — which is all that exactly-once delivery
+// rests on. Every Pending comes from pendingPool and goes back in resolve.
 type Pending struct {
 	req     Request
 	shard   *shard
 	stamp   sim.Time // wall-derived sim time at admission; the arrival target
 	arrival sim.Time // sim time the shard admitted it; latency measures from here
-	state   atomic.Int32
-	reaped  bool         // queue slot released (shard-goroutine-only)
-	done    chan outcome // buffered 1; filled exactly once (nil with notify)
-	notify  Completion   // callback delivery; nil for channel waiters
+	notify  Completion
 }
 
 var pendingPool = sync.Pool{New: func() any { return new(Pending) }}
 
-// recycle returns a callback Pending to the pool, dropping what it points at
-// so an idle pool pins neither a connection's Completion nor a drained shard.
-func (p *Pending) recycle() {
+// resolve delivers the outcome and returns the Pending to the pool, dropping
+// what it points at so an idle pool pins neither a connection's Completion
+// nor a drained shard. The caller (the shard goroutine) holds the last
+// reference and must not touch p afterwards.
+func (p *Pending) resolve(resp Response, err error) {
+	p.notify.Complete(resp, err)
 	p.shard, p.notify = nil, nil
 	pendingPool.Put(p)
-}
-
-// resolve delivers the outcome exactly once (the caller holds the CAS win
-// into stateResolved): to the notify callback for SubmitTo requests, to the
-// buffered channel for Submit/SubmitAsync waiters.
-func (p *Pending) resolve(out outcome) {
-	if p.notify != nil {
-		p.notify.Complete(out.resp, out.err)
-		return
-	}
-	p.done <- out
 }
 
 // Completion receives an admitted request's outcome exactly once. Complete
 // is invoked from the owning shard's goroutine, so implementations must not
 // block (enqueue and return); err is non-nil when the request was rejected
-// after admission (drain).
+// after admission (drain, a gate that shut behind it).
 type Completion interface {
 	Complete(resp Response, err error)
 }
 
-// Wait blocks until the request completes, the node drains, or ctx ends.
-// A context cancellation while the request is still queued frees its queue
-// slot synchronously; once in the device the simulated work always
-// completes (there is no abort in the device model) but the response is
-// abandoned.
-func (n *Node) Wait(ctx context.Context, p *Pending) (Response, error) {
-	select {
-	case out := <-p.done:
-		return out.resp, out.err
-	case <-ctx.Done():
-		sd := p.shard
-		ts := &sd.tenants[p.req.Tenant]
-		switch {
-		case p.state.CompareAndSwap(stateQueued, stateResolved):
-			ts.canceled.Add(1)
-			// Round-trip a reap through the mailbox so the queue slot is
-			// free before we return: a retry after cancellation must be
-			// admissible immediately.
-			if sd.enter() {
-				reply := make(chan shardReply, 1)
-				sd.mailbox <- shardMsg{kind: msgReap, p: p, reply: reply}
-				sd.leave()
-				<-reply
-			}
-			return Response{}, fmt.Errorf("%w: %w", ErrCanceled, ctx.Err())
-		case p.state.CompareAndSwap(stateDispatched, stateResolved):
-			ts.canceled.Add(1)
-			return Response{}, fmt.Errorf("%w: %w", ErrCanceled, ctx.Err())
-		default:
-			// Resolution won the race; the outcome is (or is about to be)
-			// in the buffered channel.
-			out := <-p.done
-			return out.resp, out.err
-		}
-	}
-}
-
-// Submit admits a request and waits for its completion.
-func (n *Node) Submit(ctx context.Context, req Request) (Response, error) {
-	p, err := n.SubmitAsync(req)
-	if err != nil {
-		return Response{}, err
-	}
-	return n.Wait(ctx, p)
-}
-
-// Server is the HTTP front end over a node core: the node plus the wire
+// Server is the HTTP front end over a node core: the node plus the HTTP
 // surface (Handler) and the model-reload hook. Everything transport-free
 // lives on the embedded Node; Server adds only what binds it to clients.
 type Server struct {
@@ -324,15 +255,7 @@ type Server struct {
 
 	reloadMu sync.Mutex
 	reloader Reloader
-
-	sampleLog *learn.Log
 }
-
-// SetSampleLog installs the sample journal behind GET /learn/samples, the
-// export a sidecar trainer (keeper-train -follow) polls. The daemon wires
-// the same log into Config.Sink so every shard's epochs land in it. Call
-// before Handler is serving traffic.
-func (s *Server) SetSampleLog(l *learn.Log) { s.sampleLog = l }
 
 // New builds a server: a fresh node core wrapped in the HTTP front end.
 // See NewNode for the core's semantics.

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
@@ -120,7 +122,7 @@ func TestSubmitCompletesWithClockAdvance(t *testing.T) {
 	s := testServer(t, testConfig(clk), nil)
 	defer s.Drain()
 
-	p, err := s.SubmitAsync(readReq(0, 3))
+	p, err := submit(s, readReq(0, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +132,7 @@ func TestSubmitCompletesWithClockAdvance(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	resp, err := s.Wait(ctx, p)
+	resp, err := p.wait(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +169,7 @@ func TestValidationRejects(t *testing.T) {
 		{Tenant: 0, Op: trace.Read, Offset: 64 << 20, Size: page},
 	}
 	for i, req := range bad {
-		if _, err := s.SubmitAsync(req); err == nil {
+		if _, err := submit(s, req); err == nil {
 			t.Errorf("bad request %d accepted: %+v", i, req)
 		}
 	}
@@ -187,19 +189,19 @@ func TestBackpressurePerTenant(t *testing.T) {
 
 	// The clock never advances, so nothing completes: tenant 0's capacity is
 	// exactly QueueDepth in-flight + QueueLen queued.
-	var accepted []*Pending
+	var accepted []submitted
 	for i := 0; i < 4; i++ {
-		p, err := s.SubmitAsync(writeReq(0, int64(i)))
+		p, err := submit(s, writeReq(0, int64(i)))
 		if err != nil {
 			t.Fatalf("request %d rejected: %v", i, err)
 		}
 		accepted = append(accepted, p)
 	}
-	if _, err := s.SubmitAsync(writeReq(0, 4)); !errors.Is(err, ErrQueueFull) {
+	if _, err := submit(s, writeReq(0, 4)); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overload error = %v, want ErrQueueFull", err)
 	}
 	// Backpressure is per tenant: tenant 1 is still admissible.
-	p1, err := s.SubmitAsync(writeReq(1, 0))
+	p1, err := submit(s, writeReq(1, 0))
 	if err != nil {
 		t.Fatalf("tenant 1 rejected while tenant 0 is full: %v", err)
 	}
@@ -211,7 +213,7 @@ func TestBackpressurePerTenant(t *testing.T) {
 	ctx := context.Background()
 	var completed, drained int
 	for _, p := range accepted {
-		_, err := s.Wait(ctx, p)
+		_, err := p.wait(ctx)
 		switch {
 		case err == nil:
 			completed++
@@ -225,37 +227,76 @@ func TestBackpressurePerTenant(t *testing.T) {
 	if completed != 3 || drained != 2 {
 		t.Errorf("completed=%d drained=%d, want 3 and 2", completed, drained)
 	}
-	if _, err := s.SubmitAsync(writeReq(1, 1)); !errors.Is(err, ErrDraining) {
+	if _, err := submit(s, writeReq(1, 1)); !errors.Is(err, ErrDraining) {
 		t.Errorf("post-drain submit error = %v, want ErrDraining", err)
 	}
 }
 
-func TestWaitCancelFreesQueueSlot(t *testing.T) {
+// TestAbandonedRequestCompletesOnce: the HTTP front stops waiting at its
+// timeout — 504 on /io, "rej timeout" on a batch line — but an admitted
+// request cannot be withdrawn. It keeps its slot, runs on the device exactly
+// once, and only then is the next submit admissible; the give-ups are what
+// ssdkeeper_rejected_total{reason="canceled"} counts. Run under -race: the
+// late completions land in waiters their handlers already left.
+func TestAbandonedRequestCompletesOnce(t *testing.T) {
 	clk := newFakeClock()
 	cfg := testConfig(clk)
 	cfg.QueueDepth = 1
 	cfg.QueueLen = 1
 	s := testServer(t, cfg, nil)
-	defer s.Drain()
+	h := s.Handler(50 * time.Millisecond)
+	post := func(path, body string) *httptest.ResponseRecorder {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		return rr
+	}
 
-	if _, err := s.SubmitAsync(writeReq(0, 0)); err != nil {
-		t.Fatal(err)
+	// The clock is frozen, so nothing completes: the /io request sits in the
+	// device, the batch's first line in the queue, and its second is refused.
+	rr := post("/io", `{"tenant":0,"op":"write","offset":0,"size":16384}`)
+	if rr.Code != http.StatusGatewayTimeout || rr.Body.String() != ErrCanceled.Error()+"\n" {
+		t.Fatalf("abandoned /io = %d %q, want 504 %q", rr.Code, rr.Body, ErrCanceled)
 	}
-	queued, err := s.SubmitAsync(writeReq(0, 1))
+	rr = post("/io/batch", "0 W 16384 16384\n0 W 32768 16384\n")
+	if rr.Code != http.StatusOK || rr.Body.String() != "rej timeout\nrej queue_full\n" {
+		t.Fatalf("abandoned batch = %d %q", rr.Code, rr.Body)
+	}
+	// Giving up withdrew nothing: both slots are still held.
+	occupancy := &s.shards[0].tenants[0].occupancy
+	if _, err := submit(s, writeReq(0, 3)); !errors.Is(err, ErrQueueFull) || occupancy.Load() != 2 {
+		t.Fatalf("submit behind two abandoned requests: err %v, occupancy %d; want ErrQueueFull, 2", err, occupancy.Load())
+	}
+
+	clk.Advance(time.Second)
+	s.SimNow()
+	if got := s.TenantCompleted(0); got != 2 || occupancy.Load() != 0 {
+		t.Fatalf("after the clock advanced: completed %d, occupancy %d; want 2, 0", got, occupancy.Load())
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	next, err := submit(s, writeReq(0, 3))
 	if err != nil {
+		t.Fatalf("submit after the abandoned requests completed: %v", err)
+	}
+	clk.Advance(time.Second)
+	s.SimNow()
+	if _, err := next.wait(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.SubmitAsync(writeReq(0, 2)); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("third submit error = %v, want ErrQueueFull", err)
+
+	var buf strings.Builder
+	s.WriteMetrics(&buf)
+	for _, want := range []string{
+		`ssdkeeper_rejected_total{reason="canceled"} 2`,
+		`ssdkeeper_completed_total{tenant="0",op="write"} 3`,
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("metrics missing %q", want)
+		}
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := s.Wait(ctx, queued); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("canceled wait error = %v, want ErrCanceled", err)
-	}
-	// The canceled request's queue slot is free again.
-	if _, err := s.SubmitAsync(writeReq(0, 3)); err != nil {
-		t.Errorf("submit after cancel rejected: %v", err)
+	// Exactly once: the device saw each admitted request one time.
+	if res := s.Drain(); res.Requests != 3 {
+		t.Errorf("device executed %d requests, want 3", res.Requests)
 	}
 }
 
@@ -273,9 +314,9 @@ func TestDrainMatchesBatchReplay(t *testing.T) {
 
 	// Phase 1: four requests dispatched immediately at sim time 0.
 	dispatched := []Request{readReq(0, 0), writeReq(0, 1), writeReq(0, 2), readReq(0, 3)}
-	var handles []*Pending
+	var handles []submitted
 	for _, req := range dispatched {
-		p, err := s.SubmitAsync(req)
+		p, err := submit(s, req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,7 +325,7 @@ func TestDrainMatchesBatchReplay(t *testing.T) {
 	// Phase 2: with the clock frozen nothing completes, so four more only
 	// queue; they must not reach the device.
 	for i := int64(4); i < 8; i++ {
-		p, err := s.SubmitAsync(writeReq(0, i))
+		p, err := submit(s, writeReq(0, i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,7 +335,7 @@ func TestDrainMatchesBatchReplay(t *testing.T) {
 	drainRes := s.Drain()
 	ctx := context.Background()
 	for i, p := range handles {
-		_, err := s.Wait(ctx, p)
+		_, err := p.wait(ctx)
 		if i < 4 && err != nil {
 			t.Errorf("dispatched request %d failed: %v", i, err)
 		}
@@ -339,7 +380,7 @@ func TestDrainIdempotent(t *testing.T) {
 	clk := newFakeClock()
 	s := testServer(t, testConfig(clk), nil)
 	s.Start() // exercise pacer shutdown too
-	if _, err := s.SubmitAsync(readReq(0, 0)); err != nil {
+	if _, err := submit(s, readReq(0, 0)); err != nil {
 		t.Fatal(err)
 	}
 	first := s.Drain()
@@ -406,7 +447,7 @@ func TestOnlineKeeperEpochFires(t *testing.T) {
 		if i%3 == 0 {
 			req.Op = trace.Write
 		}
-		if _, err := s.SubmitAsync(req); err != nil {
+		if _, err := submit(s, req); err != nil {
 			t.Fatal(err)
 		}
 		clk.Advance(time.Millisecond)
@@ -437,7 +478,7 @@ func TestOnlineKeeperEpochFires(t *testing.T) {
 	}
 	// New traffic in the current window makes the next boundary fire again.
 	for i := 0; i < 8; i++ {
-		if _, err := s.SubmitAsync(writeReq(i%4, int64(100+i))); err != nil {
+		if _, err := submit(s, writeReq(i%4, int64(100+i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -465,10 +506,10 @@ func TestMetricsRendering(t *testing.T) {
 	clk := newFakeClock()
 	s := testServer(t, testConfig(clk), nil)
 
-	if _, err := s.SubmitAsync(readReq(0, 0)); err != nil {
+	if _, err := submit(s, readReq(0, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.SubmitAsync(writeReq(1, 0)); err != nil {
+	if _, err := submit(s, writeReq(1, 0)); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(time.Second)

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,25 +16,17 @@ import (
 
 // Per-shard actor model: each shard owns a complete serving stack — a
 // seasoned device, its engine, its keeper controller, its admission queues —
-// and a single goroutine is the only code that touches any of it. Handlers
-// never lock a shard; they push a message into the shard's bounded mailbox
-// and wait on the request's reply channel. One wakeup drains up to BatchMax
-// messages, so a burst of submissions costs one scheduler round trip, not
-// one per request.
+// and a single goroutine is the only code that touches any of it.
+// Submitters never lock a shard; they push a message into the shard's bounded
+// mailbox, and the shard calls the request's Completion when it resolves.
+// One wakeup drains up to BatchMax messages, so a burst of submissions costs
+// one scheduler round trip, not one per request.
 //
-// The only state shared between handler goroutines and the shard goroutine
-// is atomic: the per-tenant occupancy counter (admission bounds are enforced
-// synchronously, before the mailbox), the admission/rejection counters, and
-// each Pending's state word.
-
-// Pending lifecycle, a CAS state machine shared by the shard goroutine
-// (dispatch, completion, drain) and the waiter (cancellation). Whoever wins
-// the transition into stateResolved delivers the outcome — exactly once.
-const (
-	stateQueued     int32 = iota // admitted; not yet in the device
-	stateDispatched              // submitted to the device
-	stateResolved                // outcome delivered (or abandoned by cancel)
-)
+// The only state shared between submitting goroutines and the shard
+// goroutine is atomic: the per-tenant occupancy counter (admission bounds
+// are enforced synchronously, before the mailbox) and the admission and
+// rejection counters. A Pending is never shared: the mailbox send hands it
+// from the submitter to the shard.
 
 // Tenant gate states (Node.gates): the per-tenant admission lifecycle.
 // Draining marks a DrainTenant in progress; Parked means the tenant's
@@ -53,7 +44,6 @@ const (
 	msgSubmit        msgKind = iota // p: an admitted request
 	msgAdvance                      // advance to the wall target; reply sim now
 	msgSnapshot                     // advance and reply a metrics snapshot
-	msgReap                         // p: canceled while queued; free its slot
 	msgDrain                        // reject queued, run dry, reply final result
 	msgDrainTenant                  // quiesce one tenant; reply its record log
 	msgReplayTenant                 // replay a handoff record log for one tenant
@@ -91,7 +81,6 @@ type tenantState struct {
 	occupancy atomic.Int64
 	admitted  [2]atomic.Uint64 // by op
 	rejFull   atomic.Uint64
-	canceled  atomic.Uint64
 
 	queued    pendingFIFO // admitted, waiting for device capacity
 	inflight  int
@@ -100,10 +89,9 @@ type tenantState struct {
 
 	// log is the tenant's dispatched-record log. It is what DrainTenant
 	// hands to a migration target, and what a batch replay consumes to
-	// reproduce this tenant's device footprint. Empty when
-	// Config.DisableTenantLog is set. Replayed handoff records are logged
-	// too (at their replay arrivals), so a re-migration carries the
-	// tenant's full history.
+	// reproduce this tenant's device footprint. Replayed handoff records
+	// are logged too (at their replay arrivals), so a re-migration carries
+	// the tenant's full history.
 	log tenantLog
 	// replayed counts handoff records re-dispatched here; they are logged
 	// and counted as device requests but excluded from the serving
@@ -149,19 +137,6 @@ func (q *pendingFIFO) pop() *Pending {
 		q.buf, q.head = q.buf[:0], 0
 	}
 	return p
-}
-
-// remove deletes p from the queue if present (a canceled request).
-func (q *pendingFIFO) remove(p *Pending) {
-	for i := q.head; i < len(q.buf); i++ {
-		if q.buf[i] == p {
-			q.buf = slices.Delete(q.buf, i, i+1) // zeroes the vacated tail slot
-			if q.head == len(q.buf) {
-				q.buf, q.head = q.buf[:0], 0
-			}
-			return
-		}
-	}
 }
 
 // shard is one independent serving slice: device, engine, controller,
@@ -371,9 +346,6 @@ func (sd *shard) handle(msg shardMsg) {
 			sd.advanceTo(sd.node.wallTarget())
 		}
 		msg.reply <- shardReply{now: sd.eng.Now(), snap: sd.snapshot()}
-	case msgReap:
-		sd.reap(msg.p)
-		msg.reply <- shardReply{}
 	case msgDrain:
 		msg.reply <- shardReply{res: sd.drainNow()}
 	case msgDrainTenant:
@@ -409,9 +381,10 @@ func (sd *shard) advanceTo(target sim.Time) {
 func (sd *shard) admit(p *Pending) {
 	ts := &sd.tenants[p.req.Tenant]
 	if sd.draining || ts.gated {
-		// Raced past the handler's draining/gate check; undo the optimistic
+		// Raced past SubmitTo's draining/gate check; undo the optimistic
 		// admission accounting and reject.
 		ts.admitted[p.req.Op].Add(^uint64(0))
+		ts.occupancy.Add(-1)
 		rejErr := ErrDraining
 		if !sd.draining {
 			rejErr = ErrTenantMigrating
@@ -419,14 +392,7 @@ func (sd *shard) admit(p *Pending) {
 		} else {
 			sd.node.rejDrain.Add(1)
 		}
-		if p.state.CompareAndSwap(stateQueued, stateResolved) {
-			p.resolve(outcome{err: rejErr})
-		}
-		sd.freeSlot(p, ts)
-		return
-	}
-	if p.state.Load() == stateResolved { // canceled before processing
-		sd.freeSlot(p, ts)
+		p.resolve(Response{}, rejErr)
 		return
 	}
 	target := p.stamp
@@ -448,10 +414,6 @@ func (sd *shard) admit(p *Pending) {
 // dispatch hands a request to the device, with the Pending itself as the
 // device completion (Pending.Done), so dispatching allocates nothing.
 func (sd *shard) dispatch(p *Pending, ts *tenantState) {
-	if !p.state.CompareAndSwap(stateQueued, stateDispatched) {
-		sd.freeSlot(p, ts) // canceled between queueing and dispatch
-		return
-	}
 	ts.inflight++
 	rec := p.req.Record(p.arrival)
 	if err := sd.dev.SubmitAt(rec, p.arrival, p); err != nil {
@@ -460,21 +422,18 @@ func (sd *shard) dispatch(p *Pending, ts *tenantState) {
 		ts.inflight--
 		ts.occupancy.Add(-1)
 		sd.node.poison(err)
-		if p.state.CompareAndSwap(stateDispatched, stateResolved) {
-			p.resolve(outcome{err: err})
-		}
+		p.resolve(Response{}, err)
 		return
 	}
 	sd.dispatched++
-	if !sd.node.cfg.DisableTenantLog {
-		ts.log.append(rec)
-	}
+	ts.log.append(rec)
 }
 
 // Done implements ssd.Completer: the device completion of a dispatched
 // request. It runs inside the engine — shard-goroutine context — so it
-// touches shard state freely; only the resolution CAS and the occupancy
-// release are shared.
+// touches shard state freely; only the occupancy release is shared. The
+// device dropped its reference before calling Done and the mailbox and the
+// queue gave theirs up before dispatch, so resolve recycles the last one.
 func (p *Pending) Done(lat sim.Time) {
 	sd := p.shard
 	ts := &sd.tenants[p.req.Tenant]
@@ -488,17 +447,8 @@ func (p *Pending) Done(lat sim.Time) {
 		// traffic, and deliberately stay out of the feed.
 		sd.ctrl.Complete(lat)
 	}
-	if p.state.CompareAndSwap(stateDispatched, stateResolved) {
-		p.resolve(outcome{resp: Response{Latency: lat, At: sd.eng.Now()}})
-	}
+	p.resolve(Response{Latency: lat, At: sd.eng.Now()}, nil)
 	sd.dispatchQueued(ts)
-	if p.notify != nil {
-		// The single recycle site: the outcome is delivered, the device
-		// dropped its reference before calling Done, the mailbox and the
-		// queue gave theirs up before dispatch, and a callback request has
-		// no waiter holding a handle.
-		p.recycle()
-	}
 }
 
 // dispatchQueued moves queued requests into the device while the tenant has
@@ -508,23 +458,6 @@ func (sd *shard) dispatchQueued(ts *tenantState) {
 	for ts.inflight < sd.node.cfg.QueueDepth && ts.queued.len() > 0 {
 		sd.dispatch(ts.queued.pop(), ts)
 	}
-}
-
-// freeSlot releases a request's occupancy slot exactly once across the
-// reap / dispatch-skip / drain paths. reaped is shard-goroutine-only.
-func (sd *shard) freeSlot(p *Pending, ts *tenantState) {
-	if !p.reaped {
-		p.reaped = true
-		ts.occupancy.Add(-1)
-	}
-}
-
-// reap removes a canceled request from its tenant's queue (the waiter
-// already won the resolution CAS) and frees its slot.
-func (sd *shard) reap(p *Pending) {
-	ts := &sd.tenants[p.req.Tenant]
-	ts.queued.remove(p)
-	sd.freeSlot(p, ts)
 }
 
 // drainTenant quiesces exactly one tenant on this shard: everything already
@@ -549,14 +482,9 @@ func (sd *shard) drainTenant(tenant int) ([]trace.Record, tenantSummary) {
 			break
 		}
 		if !sd.eng.Step() {
-			break // canceled stragglers: queue holds only resolved entries
+			break
 		}
 	}
-	// Sweep canceled-but-unreaped stragglers so the queue is truly empty.
-	for _, p := range ts.queued.live() {
-		sd.freeSlot(p, ts)
-	}
-	ts.queued = pendingFIFO{}
 	ts.gated = true
 	if sd.ctrl != nil {
 		sd.ctrl.Tick(sd.eng.Now())
@@ -601,9 +529,7 @@ func (sd *shard) replayTenant(tenant int, recs []trace.Record) (int, error) {
 		}
 		ts.inflight++
 		sd.dispatched++
-		if !sd.node.cfg.DisableTenantLog {
-			ts.log.append(r)
-		}
+		ts.log.append(r)
 		replayed++
 	}
 	for ts.inflight > 0 && sd.eng.Step() {
@@ -636,16 +562,14 @@ func (sd *shard) drainNow() ssd.Result {
 	for ti := range sd.tenants {
 		ts := &sd.tenants[ti]
 		for _, p := range ts.queued.live() {
-			if p.state.CompareAndSwap(stateQueued, stateResolved) {
-				sd.node.rejDrain.Add(1)
-				p.resolve(outcome{err: ErrDraining})
-			}
-			sd.freeSlot(p, ts)
+			sd.node.rejDrain.Add(1)
+			ts.occupancy.Add(-1)
+			p.resolve(Response{}, ErrDraining)
 		}
 		ts.queued = pendingFIFO{}
 	}
 	// No more arrivals: run the engine dry so every in-flight request
-	// completes and resolves its waiter.
+	// completes and resolves.
 	sd.eng.Run()
 	sd.finalRes = sd.dev.Snapshot(sd.dispatched)
 	sd.final = sd.snapshot()

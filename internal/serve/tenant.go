@@ -19,10 +19,6 @@ import (
 // usable standalone over HTTP (/tenant/drain, /tenant/handoff,
 // /tenant/release).
 
-// ErrNoTenantLog means DrainTenant was called on a node built with
-// DisableTenantLog: there is no record log to hand off.
-var ErrNoTenantLog = errors.New("serve: tenant record log disabled")
-
 // ErrBadHandoff means ReplayTenant refused a record log because one of its
 // records breaks the admission rules; nothing was replayed.
 var ErrBadHandoff = errors.New("serve: invalid handoff record")
@@ -76,13 +72,10 @@ func (n *Node) DrainTenant(tenant int) (*TenantDrain, error) {
 	if tenant < 0 || tenant >= n.cfg.Tenants {
 		return nil, fmt.Errorf("serve: tenant %d out of range [0,%d)", tenant, n.cfg.Tenants)
 	}
-	if n.cfg.DisableTenantLog {
-		return nil, ErrNoTenantLog
-	}
 	if n.draining.Load() {
 		return nil, ErrDraining
 	}
-	// The gate flip is the linearization point: from here on SubmitAsync
+	// The gate flip is the linearization point: from here on SubmitTo
 	// rejects the tenant, so the quiesce below sees a finite workload.
 	// (A submission that raced past the gate check lands in a shard
 	// mailbox behind msgDrainTenant and is rejected by the shard-local

@@ -29,9 +29,9 @@ func TestDrainTenantMatchesBatchReplay(t *testing.T) {
 	s := testServer(t, cfg, nil)
 
 	reqs := []Request{readReq(1, 0), writeReq(1, 1), writeReq(1, 2), readReq(1, 3)}
-	var handles []*Pending
+	var handles []submitted
 	for _, req := range reqs {
-		p, err := s.SubmitAsync(req)
+		p, err := submit(s, req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +45,7 @@ func TestDrainTenantMatchesBatchReplay(t *testing.T) {
 	// The quiesce completes everything admitted: no waiter may see an error.
 	ctx := context.Background()
 	for i, p := range handles {
-		if _, err := s.Wait(ctx, p); err != nil {
+		if _, err := p.wait(ctx); err != nil {
 			t.Errorf("request %d failed across tenant drain: %v", i, err)
 		}
 	}
@@ -105,7 +105,7 @@ func TestDrainTenantIsolatesTenant(t *testing.T) {
 	if !s.Ready() {
 		t.Fatal("fresh node not ready")
 	}
-	if _, err := s.SubmitAsync(readReq(1, 0)); err != nil {
+	if _, err := submit(s, readReq(1, 0)); err != nil {
 		t.Fatal(err)
 	}
 	td, err := s.DrainTenant(1)
@@ -121,14 +121,14 @@ func TestDrainTenantIsolatesTenant(t *testing.T) {
 	if s.Ready() {
 		t.Error("node ready with a parked tenant")
 	}
-	if _, err := s.SubmitAsync(readReq(1, 1)); !errors.Is(err, ErrTenantMigrating) {
+	if _, err := submit(s, readReq(1, 1)); !errors.Is(err, ErrTenantMigrating) {
 		t.Errorf("parked tenant admission error = %v, want ErrTenantMigrating", err)
 	}
 	if _, err := s.DrainTenant(1); !errors.Is(err, ErrTenantMigrating) {
 		t.Errorf("second DrainTenant error = %v, want ErrTenantMigrating", err)
 	}
 	// Unrelated tenants are untouched.
-	p, err := s.SubmitAsync(readReq(0, 0))
+	p, err := submit(s, readReq(0, 0))
 	if err != nil {
 		t.Fatalf("tenant 0 rejected during tenant 1 drain: %v", err)
 	}
@@ -140,24 +140,11 @@ func TestDrainTenantIsolatesTenant(t *testing.T) {
 	if !s.Ready() {
 		t.Error("node not ready after release")
 	}
-	if _, err := s.SubmitAsync(readReq(1, 2)); err != nil {
+	if _, err := submit(s, readReq(1, 2)); err != nil {
 		t.Errorf("released tenant rejected: %v", err)
 	}
 	if err := s.ReleaseTenant(1); err == nil {
 		t.Error("releasing a non-parked tenant succeeded")
-	}
-}
-
-// TestDrainTenantRequiresLog: a node built with DisableTenantLog cannot
-// hand off tenants.
-func TestDrainTenantRequiresLog(t *testing.T) {
-	clk := newFakeClock()
-	cfg := testConfig(clk)
-	cfg.DisableTenantLog = true
-	s := testServer(t, cfg, nil)
-	defer s.Drain()
-	if _, err := s.DrainTenant(0); !errors.Is(err, ErrNoTenantLog) {
-		t.Errorf("DrainTenant with log disabled = %v, want ErrNoTenantLog", err)
 	}
 }
 
@@ -175,7 +162,7 @@ func TestTenantHandoffPreservesReplayInvariant(t *testing.T) {
 
 	source := testServer(t, cfg, nil)
 	for _, req := range []Request{writeReq(1, 0), readReq(1, 1), writeReq(1, 2)} {
-		if _, err := source.SubmitAsync(req); err != nil {
+		if _, err := submit(source, req); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -201,7 +188,7 @@ func TestTenantHandoffPreservesReplayInvariant(t *testing.T) {
 	live := []Request{readReq(1, 3), writeReq(1, 4)}
 	ctx := context.Background()
 	for _, req := range live {
-		p, err := target.SubmitAsync(req)
+		p, err := submit(target, req)
 		if err != nil {
 			t.Fatalf("live submission after handoff: %v", err)
 		}
@@ -279,7 +266,7 @@ func TestReplayTenantRefusesBadRecords(t *testing.T) {
 		if !s.Ready() || s.TenantParked(1) {
 			t.Errorf("%s: a refused handoff moved the tenant's gate", name)
 		}
-		if _, err := s.SubmitAsync(readReq(1, 0)); err != nil {
+		if _, err := submit(s, readReq(1, 0)); err != nil {
 			t.Errorf("%s: tenant rejected after a refused handoff: %v", name, err)
 		}
 		if res := s.Drain(); res.Requests != 1 {

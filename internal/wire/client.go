@@ -207,7 +207,7 @@ func (cc *clientConn) read(conn net.Conn) {
 		}
 		cl.latNS, cl.simNS = rep.LatencyNS, rep.SimNS
 		if !rep.OK {
-			cl.reason = ReasonString(rep.Reason)
+			cl.reason = serve.ReasonString(rep.Reason)
 		}
 		cl.deliver()
 	}

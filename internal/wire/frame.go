@@ -13,8 +13,9 @@
 // numbers start at 1 and are unique per connection for the connection's
 // lifetime; seq 0 is invalid, which lets a listener distinguish "unparseable
 // frame" (close the connection) from "bad request" (reply rej invalid).
-// Reason tokens are the serve.RejectReason vocabulary plus "upstream", the
-// router's token for a node that died with requests in flight.
+// Reason tokens are serve's reject vocabulary (serve/reject.go), which
+// includes "upstream", the router's token for a node that died with requests
+// in flight.
 //
 // Both endpoints coalesce writes: frames rendered by concurrent completions
 // (or concurrent client calls) land in a double-buffered outbox whose writer
@@ -97,7 +98,7 @@ func ParseRequest(line []byte) (uint64, serve.Request, error) {
 
 // Reply is one parsed reply frame. Reason aliases the input line — it is
 // valid only until the caller's read buffer is reused; retain it through
-// ReasonString, which interns the fixed token set without allocating.
+// serve.ReasonString, which interns the fixed token set without allocating.
 type Reply struct {
 	Seq       uint64
 	OK        bool

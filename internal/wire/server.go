@@ -8,13 +8,11 @@ import (
 	"ssdkeeper/internal/serve"
 )
 
-// Backend is what a wire listener serves: the serve.Node callback-submission
-// surface. *serve.Node implements it directly; the fleet router implements
-// it too, which is how a router exposes the wire protocol to its own
-// clients while proxying over wire to nodes.
-type Backend interface {
-	SubmitTo(req serve.Request, c serve.Completion) error
-}
+// Backend is what a wire listener serves: serve's request surface.
+// *serve.Node implements it directly; the fleet router implements it too,
+// which is how a router exposes the wire protocol to its own clients while
+// proxying over wire to nodes.
+type Backend = serve.Backend
 
 // Server accepts persistent wire connections and feeds decoded requests
 // straight into the backend. There is no per-request goroutine: the
@@ -119,7 +117,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			if seq == 0 {
 				break // untagged garbage: replies can't be matched, hang up
 			}
-			scratch = AppendRej(scratch[:0], seq, "invalid")
+			scratch = AppendRej(scratch[:0], seq, serve.RejectReason(err))
 			out.append(scratch)
 			continue
 		}
@@ -157,7 +155,7 @@ type Done struct {
 // Complete implements serve.Completion.
 func (d *Done) Complete(resp serve.Response, err error) {
 	if err != nil {
-		d.scratch = AppendRej(d.scratch[:0], d.seq, RejectReason(err))
+		d.scratch = AppendRej(d.scratch[:0], d.seq, serve.RejectReason(err))
 	} else {
 		d.scratch = AppendOK(d.scratch[:0], d.seq, int64(resp.Latency), int64(resp.At))
 	}

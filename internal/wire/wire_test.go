@@ -72,31 +72,44 @@ func TestReplyFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReasonStringInterns: every token of serve's vocabulary survives a rej
+// frame and comes back interned (the client retains it past its read
+// buffer); an unknown token passes through as text.
 func TestReasonStringInterns(t *testing.T) {
-	for _, tok := range []string{"queue_full", "migrating", "draining", "timeout", "invalid", "upstream"} {
-		b := []byte(tok)
-		if got := ReasonString(b); got != tok {
+	for _, tok := range []string{"queue_full", "migrating", "draining", "timeout", "invalid", "upstream", "weird"} {
+		buf := AppendRej(nil, 3, tok)
+		rep, err := ParseReply(buf[:len(buf)-1])
+		if err != nil {
+			t.Fatalf("parse %q: %v", buf, err)
+		}
+		if got := serve.ReasonString(rep.Reason); got != tok {
 			t.Fatalf("ReasonString(%q) = %q", tok, got)
 		}
-	}
-	if got := ReasonString([]byte("weird")); got != "weird" {
-		t.Fatalf("unknown token: %q", got)
+		if n := testing.AllocsPerRun(100, func() { serve.ReasonString(rep.Reason) }); tok != "weird" && n != 0 {
+			t.Errorf("interning %q allocates %.0f times", tok, n)
+		}
 	}
 }
 
+// TestReasonErrorRoundTrip: an error a backend refuses with crosses the wire
+// as its token and maps back onto the same error, so a proxy preserves error
+// identity end to end.
 func TestReasonErrorRoundTrip(t *testing.T) {
-	for _, err := range []error{serve.ErrQueueFull, serve.ErrTenantMigrating, serve.ErrDraining, serve.ErrCanceled} {
-		tok := serve.RejectReason(err)
-		back := ReasonError(tok)
-		if !errors.Is(back, err) {
-			t.Fatalf("ReasonError(%q) = %v, want %v", tok, back, err)
+	for _, err := range []error{serve.ErrQueueFull, serve.ErrTenantMigrating, serve.ErrDraining, serve.ErrCanceled, serve.ErrUpstream} {
+		buf := AppendRej(nil, 9, serve.RejectReason(err))
+		rep, perr := ParseReply(buf[:len(buf)-1])
+		if perr != nil {
+			t.Fatalf("parse %q: %v", buf, perr)
+		}
+		if back := serve.ReasonError(serve.ReasonString(rep.Reason)); !errors.Is(back, err) {
+			t.Fatalf("%v crossed the wire as %q and came back %v", err, rep.Reason, back)
 		}
 	}
-	if ReasonError("") != nil {
+	if serve.ReasonError("") != nil {
 		t.Fatal("empty reason should map to nil")
 	}
-	if !errors.Is(ReasonError(ReasonUpstream), ErrUpstream) {
-		t.Fatal("upstream token should map to ErrUpstream")
+	if got := serve.RejectReason(serve.ReasonError("invalid")); got != "invalid" {
+		t.Fatalf("invalid round trip = %q", got)
 	}
 }
 

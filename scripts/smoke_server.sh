@@ -10,7 +10,8 @@
 #
 # Phase 2 (backpressure): restart with a decelerated clock (the device runs
 # 50x slower than wall time) and tight queues, overload one tenant with a
-# closed-loop worker pool, and assert 429s are produced and counted.
+# closed-loop worker pool, and assert 429s are produced and counted; then
+# post one over-sized /io/batch and assert a reply line per request line.
 #
 # Phase 3 (hot reload): train two versioned checkpoints with keeper-train,
 # boot with -model-dir holding only v001, drop v002 in mid-run, POST
@@ -23,7 +24,8 @@
 # Phase 4 (continuous learning): boot -learn with a deliberately weak v001
 # (one training iteration) and loose gate thresholds, keep load flowing, and
 # assert that the closed loop completes end to end:
-#   - epoch samples land in the learner and the /learn/samples export,
+#   - epoch samples land in the learner (and the sidecar's /learn/samples
+#     export is gone: 404),
 #   - a retrain fires and installs a candidate as shadow,
 #   - the gate auto-promotes: /metrics flips the active model off v001,
 #   - SIGTERM still drains cleanly with requests answered throughout.
@@ -116,9 +118,20 @@ full=$(metric 'ssdkeeper_rejected_total{reason="queue_full"}')
 [ -n "$full" ] && [ "$full" -ge 1 ] \
   || fail "phase 2: queue_full counter is $full"
 
+# A batch burst straight at the node's front, 64 lines against the same 4+4
+# slots: every request line gets its reply line, the overflow refused in band.
+for i in $(seq 0 63); do echo "0 R $((i * 16384)) 16384"; done > "$BIN/batch.txt"
+curl -sf --data-binary @"$BIN/batch.txt" "$URL/io/batch" > "$BIN/batch.out" \
+  || fail "phase 2: POST /io/batch failed"
+lines=$(wc -l < "$BIN/batch.out")
+[ "$lines" -eq 64 ] || fail "phase 2: /io/batch answered $lines lines for 64"
+grep -q '^ok ' "$BIN/batch.out" || fail "phase 2: /io/batch completed nothing"
+grep -q '^rej queue_full$' "$BIN/batch.out" \
+  || fail "phase 2: /io/batch overflow was not refused in band"
+
 kill -TERM "$DPID"
 wait "$DPID" || fail "phase 2: daemon exited non-zero on SIGTERM"
-echo "phase 2 ok: $rejected rejected at the client, $full queue-full at the server" >&2
+echo "phase 2 ok: $rejected rejected at the client, $full queue-full at the server, batch $lines/64 answered" >&2
 
 echo "phase 3: live model reload (accel 20, -model-dir)..." >&2
 MODELS="$BIN/models"
@@ -220,8 +233,8 @@ retrains=$(awk '$1 == "ssdkeeper_learn_retrains_total" {print $2}' "$BIN/metrics
 samples=$(awk '$1 == "ssdkeeper_learn_samples_total" {print $2}' "$BIN/metrics.txt")
 [ -n "$samples" ] && [ "$samples" -ge 1 ] \
   || fail "phase 4: no learner samples counted"
-curl -sf "$URL/learn/samples" | grep -q '"next"' \
-  || fail "phase 4: /learn/samples export not serving"
+[ "$(curl -s -o /dev/null -w '%{http_code}' "$URL/learn/samples")" = 404 ] \
+  || fail "phase 4: the sidecar's /learn/samples export is still routed"
 [ "$answered" -ge 200 ] || fail "phase 4: only $answered requests answered"
 
 kill -TERM "$DPID"
