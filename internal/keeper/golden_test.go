@@ -77,8 +77,10 @@ func goldenOf(r ssd.Result, sw []Switch) goldenResult {
 
 // TestGoldenReplay pins "simulated results are bit-identical" as a tier-1
 // fact: the paper's canonical mix (write ratios 0.9/0.1/0.8/0.2) on the
-// seasoned evaluation geometry, under the keeper and under static Shared, with
-// and without a die failure, must reproduce testdata/golden_replay.json —
+// seasoned evaluation geometry, under the keeper and under static Shared —
+// plain, through a die failure, and with a bounded mapping cache (the last two
+// stretch die holds, so their events take the engine's heap fallback rather
+// than its constant-hold lanes) — must reproduce testdata/golden_replay.json —
 // the whole ssd.Result, including ftl.Counters.Mapped and every bus and die
 // counter. A change to the simulator's host-side data structures must leave
 // the file untouched; a change to the model regenerates it on purpose with
@@ -109,9 +111,15 @@ func TestGoldenReplay(t *testing.T) {
 	}
 
 	got := map[string]goldenResult{}
-	for name, fault := range map[string]*nand.FaultPlan{"": nil, "_diefail": plan} {
+	for _, c := range []struct {
+		name  string
+		fault *nand.FaultPlan
+		cmt   int
+	}{{name: ""}, {name: "_diefail", fault: plan}, {name: "_cmt", cmt: 1024}} {
+		name := c.name
 		opts := ssd.DefaultOptions()
-		opts.FaultPlan = fault
+		opts.FaultPlan = c.fault
+		opts.CMTEntries = c.cmt
 
 		k, err := New(Config{
 			Device: dev, Options: opts, Strategies: strategies, SaturationIOPS: 16000,
@@ -127,14 +135,35 @@ func TestGoldenReplay(t *testing.T) {
 		}
 		got["keeper"+name] = goldenOf(rep.Result, rep.Switches)
 
-		res, err := simrun.NewRunner().Run(context.Background(), simrun.Config{
+		sess, err := simrun.NewRunner().NewSession(simrun.Config{
 			Device: dev, Options: opts, Season: workload.DefaultSeasoning(),
 			Strategy: alloc.Strategy{Kind: alloc.Shared}, Traits: mix.Traits(),
-		}, tr)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sess.Run(context.Background(), tr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got["shared"+name] = goldenOf(res.Result, nil)
+
+		// Where the engine queued this replay's events changes nothing
+		// above, only host time; the split is pinned so a change that sends
+		// the common event back to the heap is seen. The plain replay has
+		// three hold lengths and GC; the other two stretch holds, so they
+		// also pin that the heap fallback fires in (at, seq) order.
+		src := sess.Device().Engine().Sources()
+		fired := src.Lane + src.InOrder + src.Heap
+		t.Logf("shared%s: %d events, %+v, %.1f%% from the heap", name, fired, src, 100*float64(src.Heap)/float64(fired))
+		switch {
+		case src.InOrder != uint64(len(tr)):
+			t.Errorf("shared%s: %d of %d arrivals came from the in-order lane", name, src.InOrder, len(tr))
+		case name == "" && src.Heap*10 > fired:
+			t.Errorf("shared: %d of %d events came from the heap, want at most a tenth", src.Heap, fired)
+		case name != "" && src.Heap == 0:
+			t.Errorf("shared%s: no event reached the heap; the scenario no longer covers the fallback", name)
+		}
 	}
 
 	path := filepath.Join("testdata", "golden_replay.json")

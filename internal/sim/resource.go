@@ -1,5 +1,7 @@
 package sim
 
+import "fmt"
+
 // Resource models a unit of hardware that can serve one operation at a time,
 // such as a flash channel bus or a die. Operations request the resource with
 // Use; when the resource is free the operation occupies it for a fixed
@@ -11,28 +13,33 @@ package sim
 // the paper's read-priority channel arbitration — reads enqueue with a lower
 // priority value than writes.
 //
-// The wait queue is an inlined 4-ary min-heap over []waiter (no
-// container/heap interface boxing), and release events go through the
-// engine's typed ScheduleCall fast path with a completion function created
-// once per resource — granting and releasing allocate nothing per
-// operation.
+// Only numPrio priority levels exist and arrival order within a level is
+// queue order, so the wait queue is one FIFO ring per level: enqueue is an
+// append, dequeue takes the head of the first non-empty ring, and nothing is
+// ever compared or sifted. Release events go through the engine's typed
+// AfterCall fast path with a completion function created once per resource —
+// granting and releasing allocate nothing per operation.
 type Resource struct {
 	eng  *Engine
 	name string
 
 	probe Probe
-	kind  ResourceKind
-	index int
+	// probeNop caches whether probe is the no-op default, so an
+	// uninstrumented grant or enqueue skips the interface call (as
+	// Engine.probeNop does for Step).
+	probeNop bool
+	kind     ResourceKind
+	index    int
 
-	busy    bool
-	cur     waiter // the waiter currently holding the resource
-	fin     func(uint64)
-	waiters []waiter // inlined min-heap ordered by (prio, seq)
-	seq     uint64
-	// queuedHold is the sum of the queued waiters' hold times, kept by
-	// pushWaiter/popWaiter so Load — which dynamic page allocation calls
+	busy   bool
+	cur    Completion // what to run when the current hold ends; may be nil
+	fin    func(uint64)
+	queues [numPrio]ring[waiter] // waiters by priority, each in arrival order
+	nwait  int                   // waiters across all queues
+	// queuedHold is the sum of the queued waiters' hold times, kept on
+	// enqueue and dequeue so Load — which dynamic page allocation calls
 	// for every channel and die of a tenant's set on every write — does
-	// not walk the queue.
+	// not walk the queues.
 	queuedHold Time
 
 	// Telemetry, exposed for dynamic page allocation and statistics.
@@ -43,6 +50,11 @@ type Resource struct {
 	waitTime  Time   // total time spent waiting across all grants
 	maxQueue  int
 }
+
+// numPrio is the number of priority levels a Resource arbitrates between:
+// the device model's read, write and background (GC) classes. Valid
+// priorities are 0 <= prio < numPrio.
+const numPrio = 3
 
 // Completion is the typed completion callback for UseCompletion: a pooled
 // operation record implements it once and is re-armed across stages, so
@@ -61,29 +73,17 @@ type funcCompletion func()
 // OnComplete implements Completion.
 func (f funcCompletion) OnComplete() { f() }
 
-// waiter is one queued request for the resource.
+// waiter is one request for the resource, from Use to its grant.
 type waiter struct {
-	prio int
-	seq  uint64
 	at   Time // enqueue time, for wait accounting
 	hold Time
 	done Completion
 }
 
-// wbefore orders waiters by (prio, seq): better priority first, FIFO among
-// equals. Sequence numbers are unique per resource, so the order is total
-// and independent of heap arity.
-func (w *waiter) wbefore(o *waiter) bool {
-	if w.prio != o.prio {
-		return w.prio < o.prio
-	}
-	return w.seq < o.seq
-}
-
 // NewResource creates a resource bound to an engine. The name appears only in
 // diagnostics.
 func NewResource(eng *Engine, name string) *Resource {
-	r := &Resource{eng: eng, name: name, probe: NopProbe{}}
+	r := &Resource{eng: eng, name: name, probe: NopProbe{}, probeNop: true}
 	// One completion closure for the resource's lifetime; every release
 	// event reuses it through the typed schedule path.
 	r.fin = r.finish
@@ -91,18 +91,17 @@ func NewResource(eng *Engine, name string) *Resource {
 }
 
 // Reset returns the resource to its just-constructed state — idle, empty
-// queue, zeroed telemetry and sequence counter — keeping the wait heap's
-// capacity. The owning engine must have been Reset as well (so no release
-// event for a previous hold is still pending).
+// queue, zeroed telemetry — keeping the wait rings' capacity. The owning
+// engine must have been Reset as well (so no release event for a previous
+// hold is still pending).
 func (r *Resource) Reset() {
 	r.busy = false
-	r.cur = waiter{}
-	for i := range r.waiters {
-		r.waiters[i] = waiter{}
+	r.cur = nil
+	for i := range r.queues {
+		r.queues[i].reset()
 	}
-	r.waiters = r.waiters[:0]
+	r.nwait = 0
 	r.queuedHold = 0
-	r.seq = 0
 	r.busyUntil = 0
 	r.busyTime = 0
 	r.grants = 0
@@ -116,6 +115,7 @@ func (r *Resource) Reset() {
 // the no-op default.
 func (r *Resource) Instrument(p Probe, kind ResourceKind, index int) {
 	r.probe = orNop(p)
+	_, r.probeNop = r.probe.(NopProbe)
 	r.kind = kind
 	r.index = index
 }
@@ -136,75 +136,27 @@ func (r *Resource) Use(prio int, hold Time, done func()) {
 }
 
 // UseCompletion is Use with a typed completion callback; c may be nil. It is
-// the allocation-free path for callers that pool their operation records.
+// the allocation-free path for callers that pool their operation records. A
+// priority outside [0, numPrio) panics: like a schedule in the past, it can
+// only be a modelling bug.
 func (r *Resource) UseCompletion(prio int, hold Time, c Completion) {
-	r.seq++
-	w := waiter{prio: prio, seq: r.seq, at: r.eng.Now(), hold: hold, done: c}
+	if uint(prio) >= numPrio {
+		panic(fmt.Sprintf("sim: resource %s: priority %d outside [0, %d)", r.name, prio, numPrio))
+	}
+	w := waiter{at: r.eng.Now(), hold: hold, done: c}
 	if !r.busy {
 		r.grant(w)
 		return
 	}
-	r.pushWaiter(w)
-	if len(r.waiters) > r.maxQueue {
-		r.maxQueue = len(r.waiters)
+	*r.queues[prio].alloc() = w
+	r.nwait++
+	r.queuedHold += hold
+	if r.nwait > r.maxQueue {
+		r.maxQueue = r.nwait
 	}
-	r.probe.ResourceQueued(r.kind, r.index, len(r.waiters))
-}
-
-// pushWaiter inserts w into the wait heap, sifting up by (prio, seq).
-func (r *Resource) pushWaiter(w waiter) {
-	h := append(r.waiters, w)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / heapArity
-		if !w.wbefore(&h[p]) {
-			break
-		}
-		h[i] = h[p]
-		i = p
+	if !r.probeNop {
+		r.probe.ResourceQueued(r.kind, r.index, r.nwait)
 	}
-	h[i] = w
-	r.waiters = h
-	r.queuedHold += w.hold
-}
-
-// popWaiter removes and returns the best waiter, zeroing the vacated slot so
-// its completion callback is released.
-func (r *Resource) popWaiter() waiter {
-	h := r.waiters
-	root := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = waiter{}
-	h = h[:n]
-	r.waiters = h
-	r.queuedHold -= root.hold
-	if n > 0 {
-		i := 0
-		for {
-			c := heapArity*i + 1
-			if c >= n {
-				break
-			}
-			m := c
-			end := c + heapArity
-			if end > n {
-				end = n
-			}
-			for j := c + 1; j < end; j++ {
-				if h[j].wbefore(&h[m]) {
-					m = j
-				}
-			}
-			if !h[m].wbefore(&last) {
-				break
-			}
-			h[i] = h[m]
-			i = m
-		}
-		h[i] = last
-	}
-	return root
 }
 
 // grant occupies the resource for w and schedules the release.
@@ -217,11 +169,13 @@ func (r *Resource) grant(w waiter) {
 		r.contended++
 		r.waitTime += wait
 	}
-	r.probe.ResourceGranted(r.kind, r.index, w.hold, wait)
+	if !r.probeNop {
+		r.probe.ResourceGranted(r.kind, r.index, w.hold, wait)
+	}
 	r.busyTime += w.hold
 	r.busyUntil = now + w.hold
-	r.cur = w
-	r.eng.ScheduleCall(now+w.hold, r.fin, 0)
+	r.cur = w.done
+	r.eng.AfterCall(w.hold, r.fin, 0)
 }
 
 // finish ends the current hold: it runs the holder's completion and then
@@ -229,19 +183,30 @@ func (r *Resource) grant(w waiter) {
 // hold shares (the holder is unique until release, so its state lives in
 // r.cur rather than a per-event closure).
 func (r *Resource) finish(uint64) {
-	w := r.cur
-	r.cur = waiter{} // release the completion reference
-	if w.done != nil {
-		w.done.OnComplete()
+	done := r.cur
+	r.cur = nil // release the completion reference
+	if done != nil {
+		done.OnComplete()
 	}
 	r.release()
 }
 
-// release frees the resource and grants the best waiter, if any.
+// release frees the resource and grants the best waiter, if any: the oldest
+// of the best non-empty priority level.
 func (r *Resource) release() {
 	r.busy = false
-	if len(r.waiters) > 0 {
-		r.grant(r.popWaiter())
+	if r.nwait == 0 {
+		return
+	}
+	for p := range r.queues {
+		if q := &r.queues[p]; q.n > 0 {
+			w := *q.at(0)
+			q.drop()
+			r.nwait--
+			r.queuedHold -= w.hold
+			r.grant(w)
+			return
+		}
 	}
 }
 
@@ -250,7 +215,7 @@ func (r *Resource) Busy() bool { return r.busy }
 
 // QueueLen returns the number of operations waiting (not counting the
 // current holder).
-func (r *Resource) QueueLen() int { return len(r.waiters) }
+func (r *Resource) QueueLen() int { return r.nwait }
 
 // BusyUntil returns the time at which the current hold ends; if the resource
 // is idle the value is in the past and callers should clamp to now.

@@ -332,29 +332,50 @@ type request struct {
 	arrival   sim.Time
 	tenant    int
 	read      bool
+	failed    bool // a later page could not be mapped: retire, report nothing
 	done      Completer
 }
 
 // pageDone retires one page of the request, completing it when the fan-out
-// drains.
+// drains. A request SubmitAt failed part-way has no latency to report: its
+// issued pages only return the record and the in-flight slot.
 func (rq *request) pageDone() {
 	rq.remaining--
 	if rq.remaining > 0 {
 		return
 	}
 	d := rq.d
+	d.inFlight--
+	if rq.failed {
+		d.freeRequest(rq)
+		return
+	}
 	lat := d.eng.Now() - rq.arrival
 	if rq.read {
 		d.col.AddRead(rq.tenant, lat)
 	} else {
 		d.col.AddWrite(rq.tenant, lat)
 	}
-	d.inFlight--
 	done := rq.done
 	d.freeRequest(rq)
 	if done != nil {
 		done.Done(lat)
 	}
+}
+
+// failRequest settles a request whose page `issued` could not be mapped, so
+// the error leaks neither the pooled record nor the in-flight slot (a
+// MaxOutstanding device would stay one slot short for ever). With nothing
+// issued both are returned at once; otherwise the pages already on the
+// device retire the record when the last of them lands.
+func (d *Device) failRequest(rq *request, issued int) {
+	if issued == 0 {
+		d.inFlight--
+		d.freeRequest(rq)
+		return
+	}
+	rq.remaining = issued
+	rq.failed = true
 }
 
 // pageOp is one page operation's two-stage resource walk: reads hold the
@@ -399,6 +420,7 @@ func (d *Device) newRequest() *request {
 
 func (d *Device) freeRequest(rq *request) {
 	rq.done = nil
+	rq.failed = false
 	d.reqFree = append(d.reqFree, rq)
 }
 
@@ -462,12 +484,14 @@ func (d *Device) SubmitAt(r trace.Record, arrival sim.Time, done Completer) erro
 		if r.Op == trace.Read {
 			addr, err := d.ftl.MapRead(k)
 			if err != nil {
+				d.failRequest(rq, i)
 				return err
 			}
 			d.readPage(addr, pen, rq)
 		} else {
 			addr, gc, err := d.ftl.MapWrite(k)
 			if err != nil {
+				d.failRequest(rq, i)
 				return err
 			}
 			d.writePage(addr, pen, rq)

@@ -1,9 +1,11 @@
 package ssd
 
 import (
+	"errors"
 	"math"
 	"testing"
 
+	"ssdkeeper/internal/ftl"
 	"ssdkeeper/internal/nand"
 	"ssdkeeper/internal/sim"
 	"ssdkeeper/internal/trace"
@@ -371,4 +373,117 @@ func TestSubmitAtRejectsFutureArrival(t *testing.T) {
 	if err == nil {
 		t.Error("future arrival accepted")
 	}
+}
+
+// countingCompleter records how often the device reported a latency.
+type countingCompleter struct{ calls int }
+
+func (c *countingCompleter) Done(sim.Time) { c.calls++ }
+
+// assertSettled drains the engine and checks that a failed SubmitAt left the
+// device as it found it: the in-flight count and the request free list back
+// at their prior values, nothing reported to the completer or the collector.
+func assertSettled(t *testing.T, d *Device, inFlight, free int, done *countingCompleter, recorded uint64) {
+	t.Helper()
+	d.eng.Run()
+	if d.inFlight != inFlight {
+		t.Errorf("inFlight = %d after a failed submit, was %d before it", d.inFlight, inFlight)
+	}
+	if len(d.reqFree) != free {
+		t.Errorf("request free list holds %d records, held %d before the failed submit", len(d.reqFree), free)
+	}
+	if done.calls != 0 {
+		t.Errorf("completer called %d times for a request that failed", done.calls)
+	}
+	if got := d.col.Device().Read.Count + d.col.Device().Write.Count; got != recorded {
+		t.Errorf("collector holds %d latencies, held %d before the failed submit", got, recorded)
+	}
+}
+
+// A mapping error part-way through a request's fan-out must not leak the
+// pooled request record or its in-flight slot. Here the second page of a read
+// lies past the mapping table's range.
+func TestSubmitAtAddressRangeOnSecondPageSettles(t *testing.T) {
+	cfg := testConfig()
+	d := mustDevice(t, cfg, DefaultOptions())
+	run(t, d, trace.Trace{{Op: trace.Read, Size: cfg.PageSize}}) // one record in the free list
+	inFlight, free := d.inFlight, len(d.reqFree)
+	if free == 0 {
+		t.Fatal("no pooled request record to lose")
+	}
+	recorded := d.col.Device().Read.Count
+	var done countingCompleter
+	last := int64(ftl.MaxLPN-1) * int64(cfg.PageSize)
+	err := d.Submit(trace.Record{Op: trace.Read, Offset: last, Size: 2 * cfg.PageSize}, &done)
+	if !errors.Is(err, ftl.ErrAddressRange) {
+		t.Fatalf("want ErrAddressRange, got %v", err)
+	}
+	if d.inFlight != inFlight+1 {
+		t.Errorf("inFlight = %d while the first page is on the device, want %d", d.inFlight, inFlight+1)
+	}
+	assertSettled(t, d, inFlight, free, &done, recorded)
+
+	// With the very first page out of range nothing was issued: the record
+	// and the slot come back before SubmitAt returns.
+	err = d.Submit(trace.Record{Op: trace.Write, Offset: last + int64(cfg.PageSize), Size: cfg.PageSize}, &done)
+	if !errors.Is(err, ftl.ErrAddressRange) {
+		t.Fatalf("want ErrAddressRange, got %v", err)
+	}
+	if d.inFlight != inFlight || len(d.reqFree) != free {
+		t.Errorf("inFlight %d, %d free records straight after a first-page failure; want %d and %d",
+			d.inFlight, len(d.reqFree), inFlight, free)
+	}
+	assertSettled(t, d, inFlight, free, &done, recorded)
+}
+
+// The same on a full plane: distinct pages fill a one-plane device until a
+// two-page write maps its first page and finds no block for its second. A
+// MaxOutstanding device that leaked the slot would be one short for ever.
+func TestSubmitAtDeviceFullSettles(t *testing.T) {
+	cfg := testConfig()
+	cfg.Channels, cfg.ChipsPerChannel, cfg.DiesPerChip, cfg.PlanesPerDie = 1, 1, 1, 1
+	cfg.BlocksPerPlane, cfg.PagesPerBlock = 8, 4
+	page := func(lpn int) trace.Record {
+		return trace.Record{Op: trace.Write, Offset: int64(lpn) * int64(cfg.PageSize), Size: cfg.PageSize}
+	}
+	// Capacity in distinct pages, found by filling a scratch device.
+	probe := mustDevice(t, cfg, DefaultOptions())
+	capacity := 0
+	for ; capacity <= cfg.BlocksPerPlane*cfg.PagesPerBlock; capacity++ {
+		if err := probe.Submit(page(capacity), nil); err != nil {
+			if !errors.Is(err, ftl.ErrDeviceFull) {
+				t.Fatal(err)
+			}
+			break
+		}
+		probe.eng.Run()
+	}
+	if capacity < 2 || capacity > cfg.BlocksPerPlane*cfg.PagesPerBlock {
+		t.Fatalf("one-plane device took %d distinct pages", capacity)
+	}
+
+	d := mustDevice(t, cfg, Options{MaxOutstanding: 1})
+	for lpn := 0; lpn < capacity-1; lpn++ {
+		if err := d.Submit(page(lpn), nil); err != nil {
+			t.Fatal(err)
+		}
+		d.eng.Run()
+	}
+	inFlight, free := d.inFlight, len(d.reqFree)
+	recorded := d.col.Device().Write.Count
+	var done countingCompleter
+	two := page(capacity - 1)
+	two.Size = 2 * cfg.PageSize
+	if err := d.Submit(two, &done); !errors.Is(err, ftl.ErrDeviceFull) {
+		t.Fatalf("want ErrDeviceFull on the second page, got %v", err)
+	}
+	assertSettled(t, d, inFlight, free, &done, recorded)
+	if err := d.Submit(page(capacity), &done); !errors.Is(err, ftl.ErrDeviceFull) {
+		t.Fatalf("want ErrDeviceFull on the only page, got %v", err)
+	}
+	if d.inFlight != inFlight || len(d.reqFree) != free {
+		t.Errorf("inFlight %d, %d free records straight after a first-page failure; want %d and %d",
+			d.inFlight, len(d.reqFree), inFlight, free)
+	}
+	assertSettled(t, d, inFlight, free, &done, recorded)
 }

@@ -20,7 +20,10 @@
 #      drives it — must report 0 allocs/op. So must BenchmarkFTLPagePath
 #      (MapRead + MapWrite with GC on a seasoned device, an unbound and a
 #      channel-bound tenant): the simulator's per-page path neither hashes
-#      nor allocates (DESIGN.md §9). And so must BenchmarkNodeSubmitTo (the
+#      nor allocates (DESIGN.md §9). So must BenchmarkEngineHold, idle and
+#      contended (hold -> finish -> regrant through a sim.Resource): the
+#      engine's lanes and the resource's wait rings grow to the holds in
+#      flight and then reuse their slots. And so must BenchmarkNodeSubmitTo (the
 #      serve core's callback path: keeper on, tenant log on), which may also
 #      not exceed 40 B/op — the log's 24 B per
 #      record plus amortised keeper epochs; a log that regrows by copying, or
@@ -56,6 +59,8 @@ go test -run '^$' -bench 'BenchmarkProxyTransport$/^wire$' -benchmem -benchtime 
   -cpu 1 ./internal/fleet/ | tee -a "$RAW" >&2
 go test -run '^$' -bench 'BenchmarkFTLPagePath$' -benchmem -benchtime "$BENCHTIME" \
   -cpu 1 ./internal/ftl/ | tee -a "$RAW" >&2
+go test -run '^$' -bench 'BenchmarkEngineHold$' -benchmem -benchtime "$BENCHTIME" \
+  -cpu 1 ./internal/sim/ | tee -a "$RAW" >&2
 
 # ns <benchmark-substring>: ns/op of the first matching result line.
 ns() {
@@ -87,10 +92,11 @@ done
 fail=0
 
 # Gates 2 and 4: zero allocations in the shared /io renderer, the wire
-# codec, the router's forwarding path, the FTL's per-page path, and the
-# serve core's callback path.
+# codec, the router's forwarding path, the FTL's per-page path, the event
+# core's hold path, and the serve core's callback path.
 for b in ServeIO/render/fast WireEncodeRequest WireParseRequest WireEncodeReply \
-  WireParseReply ProxyTransport/wire FTLPagePath NodeSubmitTo; do
+  WireParseReply ProxyTransport/wire FTLPagePath EngineHold/idle EngineHold/contended \
+  NodeSubmitTo; do
   got=$(allocs "Benchmark$b")
   if [ "${got:-1}" != "0" ]; then
     echo "bench_gate: FAIL - Benchmark$b reports ${got:-?} allocs/op, want 0" >&2
