@@ -14,14 +14,18 @@ import (
 	"testing"
 )
 
-// buildTools compiles every cmd/ binary into a shared temp dir once.
-func buildTools(t *testing.T) string {
+// buildTools compiles the named cmd/ binaries (by default the offline
+// pipeline's) into a temp dir.
+func buildTools(t *testing.T, tools ...string) string {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("skipping CLI smoke tests in -short mode")
 	}
+	if len(tools) == 0 {
+		tools = []string{"ssdsim", "tracegen", "traceinfo", "keeper-train", "experiments"}
+	}
 	dir := t.TempDir()
-	for _, tool := range []string{"ssdsim", "tracegen", "traceinfo", "keeper-train", "experiments"} {
+	for _, tool := range tools {
 		out := filepath.Join(dir, tool)
 		cmd := exec.Command("go", "build", "-o", out, "./cmd/"+tool)
 		cmd.Dir = repoRoot(t)
@@ -194,6 +198,27 @@ func TestCLIExperimentsFig2Quick(t *testing.T) {
 	for _, want := range []string{"Figure 2(a)", "Figure 2(c)", "best strategy per write proportion"} {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("fig2 output missing %q", want)
+		}
+	}
+}
+
+// TestCLIRemovedFlags: settings that shadowed a reader or had one value in
+// use are gone. Node health is judged when /readyz or /metrics is read (no
+// audit interval), the fleet probes and rebalances on one tick (no separate
+// rebalance interval), and keeperload makes one pass with one connection
+// pool (no direct replay, label or pool size).
+func TestCLIRemovedFlags(t *testing.T) {
+	bins := buildTools(t, "ssdkeeperd", "keeperfleet", "keeperload")
+	for _, c := range []struct{ tool, flag string }{
+		{"ssdkeeperd", "-audit-every"},
+		{"keeperfleet", "-rebalance-every"},
+		{"keeperload", "-direct"},
+		{"keeperload", "-via"},
+		{"keeperload", "-conns"},
+	} {
+		out, err := exec.Command(filepath.Join(bins, c.tool), c.flag, "1").CombinedOutput()
+		if err == nil || !strings.Contains(string(out), "flag provided but not defined: "+c.flag) {
+			t.Errorf("%s %s: err %v, output %q; want the flag undefined", c.tool, c.flag, err, out)
 		}
 	}
 }

@@ -53,10 +53,9 @@ func main() {
 		gateWait   = flag.Duration("gate-wait", 15*time.Second, "max time a queued request waits for a migration")
 		timeout    = flag.Duration("timeout", 60*time.Second, "how long the HTTP adaptors wait for a forwarded request, and the control-plane call timeout")
 		rebalance  = flag.Bool("rebalance", false, "enable the automatic rebalancer")
-		probeEvery = flag.Duration("probe-every", 2*time.Second, "membership probe interval")
-		balEvery   = flag.Duration("rebalance-every", 5*time.Second, "rebalancer decision interval")
+		probeEvery = flag.Duration("probe-every", 2*time.Second, "membership probe interval; with -rebalance, each probe sweep is followed by one rebalancer decision on it")
 		hotFactor  = flag.Float64("hot-factor", 1.5, "node is hot when its load exceeds hot-factor x fleet mean")
-		minLoad    = flag.Uint64("min-load", 100, "minimum per-interval completions before a node counts as hot")
+		minLoad    = flag.Uint64("min-load", 100, "minimum completions per probe interval before a node counts as hot")
 		quiet      = flag.Bool("q", false, "suppress startup output")
 	)
 	flag.Parse()
@@ -64,6 +63,9 @@ func main() {
 	list := splitNodes(*nodes)
 	if len(list) == 0 {
 		fatal(fmt.Errorf("need -nodes (comma-separated base URLs)"))
+	}
+	if *probeEvery <= 0 {
+		fatal(fmt.Errorf("-probe-every must be positive"))
 	}
 	wireList := strings.Split(*wireNodes, ",") // empty entries kept: positions pair with -nodes
 	for i := range wireList {
@@ -91,18 +93,16 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	members := fleet.NewMembership(list, *tenants, *probeEvery)
+	members := fleet.NewMembership(list, *probeEvery)
 	router.SetMembership(members)
-	go members.Run(ctx, *probeEvery)
-
+	var rb *fleet.Rebalancer
 	if *rebalance {
-		rb := fleet.NewRebalancer(router, members)
+		rb = fleet.NewRebalancer(router, members)
 		rb.HotFactor = *hotFactor
 		rb.MinLoad = *minLoad
 		rb.Log = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "keeperfleet: "+format+"\n", args...)
 		}
-		go rb.Run(ctx, *balEvery)
 	}
 
 	srv := &http.Server{Addr: *addr, Handler: router.Handler()}
@@ -136,10 +136,26 @@ func main() {
 		}
 	}
 
-	select {
-	case err := <-errc:
-		fatal(err)
-	case <-ctx.Done():
+	// One clock for membership and rebalancing, on the main goroutine: each
+	// tick probes every node, then the rebalancer decides on exactly that
+	// sweep. A signal stops the loop between sweeps, so shutdown never cuts
+	// a migration short.
+	tick := time.NewTicker(*probeEvery)
+	defer tick.Stop()
+	for running := true; running; {
+		members.Poll()
+		if rb != nil {
+			if _, _, err := rb.Step(); err != nil {
+				rb.Log("%v", err)
+			}
+		}
+		select {
+		case err := <-errc:
+			fatal(err)
+		case <-ctx.Done():
+			running = false
+		case <-tick.C:
+		}
 	}
 	if ws != nil {
 		ws.Close()

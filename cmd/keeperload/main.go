@@ -15,14 +15,7 @@
 // the -addr targets are wire listener host:port addresses (a node's
 // -wire-listen, or a router's). With -batch N over wire, each chunk of N
 // requests is pipelined onto one connection and the replies collected out
-// of band.
-//
-// -via labels what -addr points at (router or direct); when -direct gives
-// the nodes' own addresses, the identical workload is replayed against them
-// after the main pass and the report includes the router's overhead — the
-// wall-clock round-trip p99 through the router minus the direct p99. (The
-// simulated device latency is transport-independent, so router overhead is
-// only visible in round-trip time.)
+// of band; a single request is a chunk of one on the same path.
 //
 // Usage:
 //
@@ -30,7 +23,6 @@
 //	keeperload -addr http://localhost:8081,http://localhost:8082 -n 5000
 //	keeperload -mode open -iops 2000 -n 5000 -write-ratios 0.9,0.1,0.8,0.2
 //	keeperload -wire -addr localhost:9090 -n 10000            # router wire listener
-//	keeperload -wire -addr localhost:9090 -direct localhost:9081,localhost:9082
 //	keeperload -n 1000 -json > result.json
 package main
 
@@ -79,7 +71,6 @@ type nodeReport struct {
 type report struct {
 	Mode        string         `json:"mode"`
 	Transport   string         `json:"transport"`
-	Via         string         `json:"via,omitempty"`
 	Batch       int            `json:"batch,omitempty"`
 	Requests    int            `json:"requests"`
 	OK          uint64         `json:"ok"`
@@ -91,10 +82,6 @@ type report struct {
 	RTTP99Ms    float64        `json:"rtt_p99_ms"`
 	Tenants     []tenantReport `json:"tenants"`
 	Nodes       []nodeReport   `json:"nodes,omitempty"`
-	// Direct is the replay of the same workload against -direct targets;
-	// RouterOverheadP99Ms is this run's RTT p99 minus the direct pass's.
-	Direct              *report `json:"direct,omitempty"`
-	RouterOverheadP99Ms float64 `json:"router_overhead_p99_ms,omitempty"`
 }
 
 // tenantStats accumulates one tenant's outcomes; counters are guarded by mu
@@ -114,12 +101,9 @@ func main() {
 		addr      = flag.String("addr", "http://localhost:8080", "target base URL (or wire host:port with -wire), comma-separated to round-robin")
 		mode      = flag.String("mode", "closed", "closed (worker pool) or open (fixed rate)")
 		n         = flag.Int("n", 1000, "total requests")
-		workers   = flag.Int("concurrency", 32, "closed-loop worker count (also bounds open-loop in-flight)")
-		conns     = flag.Int("conns", 0, "idle HTTP connections kept to the daemon (0: match -concurrency)")
+		workers   = flag.Int("concurrency", 32, "closed-loop worker count (also bounds open-loop in-flight and the HTTP connection pool)")
 		useWire   = flag.Bool("wire", false, "drive the persistent framed wire protocol instead of HTTP (-addr entries are host:port)")
 		wireConns = flag.Int("wire-conns", 4, "persistent wire connections per target")
-		via       = flag.String("via", "router", "what -addr points at, router or direct (report label)")
-		direct    = flag.String("direct", "", "node addresses for a second direct pass; reports router overhead (router RTT p99 - direct RTT p99)")
 		batch     = flag.Int("batch", 1, "requests per batch: >1 drives /io/batch (HTTP) or pipelined chunks (wire)")
 		spread    = flag.Bool("spread", false, "set a distinct shard key per request, spreading tenants across daemon shards")
 		iops      = flag.Float64("iops", 2000, "open-loop aggregate arrival rate (req/s, wall)")
@@ -128,7 +112,7 @@ func main() {
 		size      = flag.Int("size", 16*1024, "request size in bytes")
 		maxBytes  = flag.Int64("max-bytes", 64<<20, "per-tenant address space to spread offsets over")
 		seed      = flag.Int64("seed", 1, "workload seed")
-		timeout   = flag.Duration("timeout", 30*time.Second, "per-request timeout")
+		timeout   = flag.Duration("timeout", 30*time.Second, "per-request HTTP timeout (a wire call waits for its reply or its connection's death)")
 		asJSON    = flag.Bool("json", false, "write the report as JSON to stdout")
 	)
 	flag.Parse()
@@ -140,16 +124,13 @@ func main() {
 	if *tenants < 1 || *n < 1 || *workers < 1 || *batch < 1 {
 		fatal(fmt.Errorf("need positive -tenants, -n, -concurrency, -batch"))
 	}
-	if *via != "router" && *via != "direct" {
-		fatal(fmt.Errorf("-via must be router or direct"))
-	}
 	addrs := parseAddrs(*addr)
 	if len(addrs) == 0 {
 		fatal(fmt.Errorf("need at least one -addr target"))
 	}
 
-	// Pre-generate the request stream so both modes (and the optional direct
-	// pass) replay the identical sequence for a given seed.
+	// Pre-generate the request stream so both modes replay the identical
+	// sequence for a given seed.
 	rng := rand.New(rand.NewSource(*seed))
 	pages := *maxBytes / int64(*size)
 	if pages < 1 {
@@ -176,44 +157,29 @@ func main() {
 	// A dedicated transport with a connection pool sized to the worker count:
 	// the default transport caps idle connections per host at 2, so a large
 	// -concurrency would otherwise churn through TCP handshakes mid-run.
-	nc := *conns
-	if nc <= 0 {
-		nc = *workers
-	}
 	r := &runner{
 		reqs:    reqs,
 		mode:    *mode,
 		workers: *workers,
 		iops:    *iops,
 		batch:   *batch,
-		timeout: *timeout,
 		useWire: *useWire,
 		wconns:  *wireConns,
 		tenants: *tenants,
 		client: &http.Client{
 			Timeout: *timeout,
 			Transport: &http.Transport{
-				MaxIdleConns:        nc,
-				MaxIdleConnsPerHost: nc,
-				MaxConnsPerHost:     nc,
+				MaxIdleConns:        *workers,
+				MaxIdleConnsPerHost: *workers,
+				MaxConnsPerHost:     *workers,
 				IdleConnTimeout:     90 * time.Second,
 			},
 		},
 	}
 
 	rep := r.run(addrs)
-	rep.Via = *via
 	for t := range rep.Tenants {
 		rep.Tenants[t].WriteFrac = writeRatio[t]
-	}
-	if *direct != "" {
-		dr := r.run(parseAddrs(*direct))
-		dr.Via = "direct"
-		for t := range dr.Tenants {
-			dr.Tenants[t].WriteFrac = writeRatio[t]
-		}
-		rep.Direct = &dr
-		rep.RouterOverheadP99Ms = rep.RTTP99Ms - dr.RTTP99Ms
 	}
 
 	if *asJSON {
@@ -224,12 +190,6 @@ func main() {
 		}
 	} else {
 		printReport(&rep)
-		if rep.Direct != nil {
-			fmt.Printf("direct pass:\n")
-			printReport(rep.Direct)
-			fmt.Printf("router overhead: rtt p99 %+.3fms (router %.3fms - direct %.3fms)\n",
-				rep.RouterOverheadP99Ms, rep.RTTP99Ms, rep.Direct.RTTP99Ms)
-		}
 	}
 	if rep.OK == 0 {
 		fatal(fmt.Errorf("no request succeeded"))
@@ -241,8 +201,8 @@ func printReport(rep *report) {
 	if rep.Batch > 1 {
 		batch = fmt.Sprintf(", batch %d", rep.Batch)
 	}
-	fmt.Printf("%s loop over %s via %s%s: %d ok, %d rejected, %d failed in %.2fs (%.0f req/s)\n",
-		rep.Mode, rep.Transport, rep.Via, batch, rep.OK, rep.Rejected, rep.Failed, rep.WallSeconds, rep.Throughput)
+	fmt.Printf("%s loop over %s%s: %d ok, %d rejected, %d failed in %.2fs (%.0f req/s)\n",
+		rep.Mode, rep.Transport, batch, rep.OK, rep.Rejected, rep.Failed, rep.WallSeconds, rep.Throughput)
 	fmt.Printf("  round trip: p50 %.3fms p99 %.3fms\n", rep.RTTP50Ms, rep.RTTP99Ms)
 	for _, tr := range rep.Tenants {
 		fmt.Printf("  tenant %d (w=%.2f): ok %d rej %d, p50 %.3fms p99 %.3fms max %.3fms\n",
@@ -255,15 +215,12 @@ func printReport(rep *report) {
 }
 
 // runner executes the pre-generated request stream against one target set.
-// The same runner runs the main pass and the optional -direct pass so the
-// two are comparable request for request.
 type runner struct {
 	reqs    []serve.Request
 	mode    string
 	workers int
 	iops    float64
 	batch   int
-	timeout time.Duration
 	useWire bool
 	wconns  int
 	tenants int
@@ -271,9 +228,6 @@ type runner struct {
 }
 
 func (r *runner) run(addrs []string) report {
-	if len(addrs) == 0 {
-		fatal(fmt.Errorf("need at least one target address"))
-	}
 	perTenant := make([]*tenantStats, r.tenants)
 	for i := range perTenant {
 		perTenant[i] = &tenantStats{}
@@ -306,8 +260,6 @@ func (r *runner) run(addrs []string) report {
 		t0 := time.Now()
 		var anyOK bool
 		switch {
-		case r.useWire && hi-lo == 1:
-			anyOK = r.wireOne(wcs[k], r.reqs[lo], perTenant, perNode[k])
 		case r.useWire:
 			anyOK = r.wireBatch(wcs[k], lo, hi, perTenant, perNode[k])
 		case hi-lo == 1:
@@ -517,28 +469,6 @@ func (r *runner) httpBatch(base string, lo, hi int, perTenant []*tenantStats, ns
 	return anyOK
 }
 
-// wireOne issues one blocking wire call.
-func (r *runner) wireOne(wc *wire.Client, req serve.Request, perTenant []*tenantStats, ns *tenantStats) bool {
-	ts := perTenant[req.Tenant]
-	latNS, _, reason, err := wc.Do(req, r.timeout)
-	switch {
-	case err != nil:
-		recordFail(ts)
-		recordFail(ns)
-	case reason == "":
-		recordOK(ts, sim.Time(latNS), req.Op == trace.Write)
-		recordOK(ns, sim.Time(latNS), req.Op == trace.Write)
-		return true
-	case rejection(reason):
-		recordRej(ts)
-		recordRej(ns)
-	default:
-		recordFail(ts)
-		recordFail(ns)
-	}
-	return false
-}
-
 // chunkOutcome is one pipelined call's result, written by the connection's
 // read goroutine at its own index (the WaitGroup is the publication
 // barrier).
@@ -559,8 +489,9 @@ func (o *chunkObs) Done(tag uint64, latencyNS, _ int64, reason string, err error
 }
 
 // wireBatch pipelines reqs[lo:hi] onto the client and waits for every
-// reply. A dead connection fails the remainder promptly through the
-// client's sweep, so the wait cannot outlive the transport.
+// reply (a chunk of one is a single request). A dead connection fails the
+// remainder promptly through the client's sweep, so the wait cannot outlive
+// the transport.
 func (r *runner) wireBatch(wc *wire.Client, lo, hi int, perTenant []*tenantStats, ns *tenantStats) bool {
 	n := hi - lo
 	obs := &chunkObs{res: make([]chunkOutcome, n)}

@@ -78,8 +78,7 @@ func main() {
 		fresh      = flag.Bool("fresh", false, "skip device seasoning (no GC pressure)")
 		faultPlan  = flag.String("fault-plan", "", `file holding a device fault-plan DSL (e.g. "die:ch2:die1@30s,retire:ch0:blk12@45s"; # comments and newlines allowed), injected into every serving shard`)
 		faultSeed  = flag.Int64("fault-seed", 1, "seed of the fault plan's read-retry hash")
-		auditEvery = flag.Duration("audit-every", time.Second, "device-health audit sweep interval (wall; 0 disables the auditor)")
-		degraded   = flag.Float64("degraded-score", 0.5, "health score in [0,1] below which the auditor flips the node degraded (/readyz 503)")
+		degraded   = flag.Float64("degraded-score", 0.5, "device-health score in [0,1] below which the node flips degraded (/readyz 503), judged whenever /readyz or /metrics is read; 0 disables it")
 		trainWork  = flag.Int("train-workloads", 12, "workloads to label when self-training")
 		quiet      = flag.Bool("q", false, "suppress startup progress output")
 
@@ -196,7 +195,6 @@ func main() {
 		Learner:       learner,
 		ExploreRate:   *learnExplore,
 		ExploreSeed:   *learnSeed,
-		AuditEvery:    *auditEvery,
 		DegradedScore: *degraded,
 		AuditLog:      auditLog,
 	}, k)

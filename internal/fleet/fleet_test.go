@@ -131,15 +131,37 @@ func startFronts(t *testing.T, r *Router) []front {
 			return "", fmt.Errorf("/io/batch = %d: %q", resp.StatusCode, data)
 		}},
 		{"wire", func(tenant int, pageNo int64) (string, error) {
-			_, _, reason, err := wc.Do(serve.Request{
+			reason, err := wireCall(wc, serve.Request{
 				Tenant: tenant, Op: trace.Read, Offset: pageNo * 16384, Size: 16384,
-			}, 30*time.Second)
+			})
 			if err == nil && reason == "upstream" {
 				err = fmt.Errorf("rej upstream")
 			}
 			return reason, err
 		}},
 	}
+}
+
+// wireReply is what a wire call's observer was handed.
+type wireReply struct {
+	reason string
+	err    error
+}
+
+type wireObs chan wireReply
+
+func (o wireObs) Done(_ uint64, _, _ int64, reason string, err error) { o <- wireReply{reason, err} }
+
+// wireCall issues one request through the wire client's one delivery path,
+// Start and its observer, and blocks for the reply. No deadline of its own:
+// the router answers every call, "upstream" when no owner did in time.
+func wireCall(c *wire.Client, req serve.Request) (reason string, err error) {
+	o := make(wireObs, 1)
+	if err := c.Start(req, 0, o); err != nil {
+		return "", err
+	}
+	r := <-o
+	return r.reason, r.err
 }
 
 func postIO(t *testing.T, client *http.Client, base string, tenant int, pageNo int64) (int, string) {
@@ -564,7 +586,7 @@ func TestMembershipProbe(t *testing.T) {
 		t.Fatalf("/io = %d: %s", code, body)
 	}
 
-	m := NewMembership([]string{n.ts.URL}, 4, 5*time.Second)
+	m := NewMembership([]string{n.ts.URL}, 5*time.Second)
 	m.Poll()
 	snap := m.Snapshot()
 	if len(snap) != 1 {

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,80 +10,60 @@ import (
 	"time"
 )
 
-// NodeStatus is one probe sweep's view of a node. CompletedByTenant and
-// P99ByTenant come from the node's /metrics; Ready from /readyz (which a
-// node holds false while draining or while a tenant handoff is in flight,
-// so the rebalancer never targets a node mid-migration).
+// NodeStatus is one probe sweep's view of a node. CompletedByTenant comes
+// from the node's /metrics; Ready from /readyz (which a node holds false
+// while draining, while degraded, or while a tenant handoff is in flight, so
+// the rebalancer never targets a node mid-migration).
 type NodeStatus struct {
 	Addr              string
 	Ready             bool
 	Err               error
 	CompletedByTenant map[int]uint64
-	P99ByTenant       map[int]float64 // seconds, reads and writes max'd
 	// HealthScore is the node's worst shard device-health score from
 	// ssdkeeper_health_score (1 healthy, 0 dead; 1 when the series is
 	// absent, e.g. an older node). Degraded mirrors ssdkeeper_degraded: the
-	// node's auditor has quarantined it, so the rebalancer should evacuate
-	// its tenants rather than merely avoid placing new ones.
+	// node has quarantined itself for device health, so the rebalancer
+	// should evacuate its tenants rather than merely avoid placing new ones.
 	HealthScore float64
 	Degraded    bool
-	ProbedAt    time.Time
 }
 
 // Membership probes fleet nodes for readiness and load. Snapshots are
-// immutable copies; the prober is the only writer.
+// immutable copies; Poll is the only writer. It keeps no clock of its own:
+// whoever drives it (keeperfleet's one probe ticker) calls Poll and then, on
+// the same sweep, the rebalancer's Step.
 type Membership struct {
-	addrs   []string
-	client  *http.Client
-	tenants int
+	addrs  []string
+	client *http.Client
 
 	mu     sync.RWMutex
 	status map[string]NodeStatus
 }
 
-// NewMembership builds a prober over the node base URLs.
-func NewMembership(addrs []string, tenants int, timeout time.Duration) *Membership {
+// NewMembership builds a prober over the node base URLs; timeout bounds each
+// probe request (0 means 5s).
+func NewMembership(addrs []string, timeout time.Duration) *Membership {
 	if timeout <= 0 {
 		timeout = 5 * time.Second
 	}
-	if tenants <= 0 {
-		tenants = 4
-	}
 	return &Membership{
-		addrs:   append([]string(nil), addrs...),
-		client:  &http.Client{Timeout: timeout},
-		tenants: tenants,
-		status:  map[string]NodeStatus{},
+		addrs:  append([]string(nil), addrs...),
+		client: &http.Client{Timeout: timeout},
+		status: map[string]NodeStatus{},
 	}
 }
 
 // Poll runs one probe sweep over all nodes (serially; fleets this layer
-// targets are small and the probes are cheap).
+// targets are small and the probes are cheap) and publishes it whole, so a
+// snapshot never mixes two sweeps.
 func (m *Membership) Poll() {
+	status := make(map[string]NodeStatus, len(m.addrs))
 	for _, addr := range m.addrs {
-		st := m.probe(addr)
-		m.mu.Lock()
-		m.status[addr] = st
-		m.mu.Unlock()
+		status[addr] = m.probe(addr)
 	}
-}
-
-// Run polls every interval until ctx ends.
-func (m *Membership) Run(ctx context.Context, interval time.Duration) {
-	if interval <= 0 {
-		interval = 2 * time.Second
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	m.Poll()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			m.Poll()
-		}
-	}
+	m.mu.Lock()
+	m.status = status
+	m.mu.Unlock()
 }
 
 // Snapshot returns a copy of the latest status for every probed node.
@@ -104,9 +83,7 @@ func (m *Membership) probe(addr string) NodeStatus {
 	st := NodeStatus{
 		Addr:              addr,
 		CompletedByTenant: map[int]uint64{},
-		P99ByTenant:       map[int]float64{},
 		HealthScore:       1,
-		ProbedAt:          time.Now(),
 	}
 	resp, err := m.client.Get(addr + "/readyz")
 	if err != nil {
@@ -131,14 +108,6 @@ func (m *Membership) probe(addr string) NodeStatus {
 	for _, s := range promSamples(string(body), "ssdkeeper_completed_total") {
 		if t, ok := s.tenant(); ok {
 			st.CompletedByTenant[t] += uint64(s.value)
-		}
-	}
-	for _, s := range promSamples(string(body), "ssdkeeper_latency_seconds") {
-		if s.labels["quantile"] != "0.99" {
-			continue
-		}
-		if t, ok := s.tenant(); ok && s.value > st.P99ByTenant[t] {
-			st.P99ByTenant[t] = s.value
 		}
 	}
 	if ss := promSamples(string(body), "ssdkeeper_health_score"); len(ss) > 0 {

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -10,17 +9,20 @@ import (
 // Rebalancer is the fleet-level analogue of the keeper's online loop: where
 // the keeper re-binds channels inside one device when the workload mix
 // shifts, the rebalancer re-places tenants across devices when one node
-// runs hot. It watches per-node per-tenant completion rates from the
+// runs hot. It reads per-node per-tenant completion counts from the
 // membership prober, and when a node's load exceeds the fleet mean by
 // HotFactor it migrates that node's hottest movable tenant to the
-// least-loaded ready node.
+// least-loaded ready node. Like the keeper, it decides where its inputs are
+// read: the caller runs Step right after Membership.Poll, so every
+// per-node delta in one decision spans the same probe interval.
 type Rebalancer struct {
 	// HotFactor is the imbalance trigger: a node is hot when its
-	// completions-per-interval exceed HotFactor × the fleet mean (default
-	// 1.5). Values ≤ 1 would thrash; fillDefaults refuses them.
+	// completions per probe interval exceed HotFactor × the fleet mean
+	// (default 1.5). Values ≤ 1 would thrash.
 	HotFactor float64
-	// MinLoad is the minimum per-interval completion count before a node
-	// can be considered hot (default 100) — an idle fleet never migrates.
+	// MinLoad is the minimum completion count per probe interval (between
+	// two Steps) before a node can be considered hot (default 100) — an
+	// idle fleet never migrates.
 	MinLoad uint64
 	// Cooldown is the minimum time between migrations (default 10s), so
 	// one hot window cannot bounce a tenant back and forth.
@@ -53,11 +55,14 @@ func (rb *Rebalancer) logf(format string, args ...any) {
 	}
 }
 
-// Step runs one rebalancing decision over the latest membership snapshot.
-// It returns the migrated tenant and target, or tenant -1 when it chose not
-// to act. The first sweep only establishes the completion baseline.
+// Step runs one rebalancing decision over the latest membership sweep. It
+// returns the migrated tenant and target, or tenant -1 when it chose not to
+// act. The first sweep only establishes the completion baseline. A failed
+// migration aborts cleanly (the router rolls the tenant back to its
+// source), so the caller logs the error and the next sweep retries.
 func (rb *Rebalancer) Step() (tenant int, target string, err error) {
 	statuses := rb.members.Snapshot()
+	first := len(rb.last) == 0
 
 	// Per-node load this interval = sum of per-tenant completion deltas
 	// since the previous sweep, attributed by current ownership.
@@ -92,7 +97,7 @@ func (rb *Rebalancer) Step() (tenant int, target string, err error) {
 		rb.last[st.Addr] = cur
 		loads = append(loads, nl)
 	}
-	if len(loads) < 2 {
+	if first || len(loads) < 2 {
 		return -1, "", nil
 	}
 	if time.Since(rb.lastMigrate) < rb.Cooldown {
@@ -200,25 +205,4 @@ func (rb *Rebalancer) Step() (tenant int, target string, err error) {
 	}
 	rb.lastMigrate = time.Now()
 	return best, cold.addr, nil
-}
-
-// Run polls and steps every interval until ctx ends. Errors are logged, not
-// fatal: a failed migration aborts cleanly (the router rolls the tenant
-// back to its source) and the next interval retries from fresh state.
-func (rb *Rebalancer) Run(ctx context.Context, interval time.Duration) {
-	if interval <= 0 {
-		interval = 5 * time.Second
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			if _, _, err := rb.Step(); err != nil {
-				rb.logf("%v", err)
-			}
-		}
-	}
 }

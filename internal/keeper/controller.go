@@ -31,11 +31,14 @@ import (
 // (in order) as soon as time passes them, each seeing the features
 // collected since the previous boundary.
 type Controller struct {
-	// SkipIdle, when set, suppresses adaptation at epoch boundaries whose
-	// window saw no arrivals: the binding is left alone and no switch is
-	// recorded. A live server sets it so an idle device is not re-bound
-	// once per window on zero information; trace replay leaves it unset,
-	// keeping the historical fire-every-boundary semantics.
+	// SkipIdle marks the live mode. It suppresses adaptation at epoch
+	// boundaries whose window saw no arrivals: the binding is left alone
+	// and no switch is recorded. A live server sets it so an idle device is
+	// not re-bound once per window on zero information; and because a live
+	// controller runs for as long as the process does, it keeps only the
+	// switch count and the last switch, not the history (Switches is empty).
+	// Trace replay leaves it unset, keeping the historical
+	// fire-every-boundary semantics and the full history.
 	SkipIdle bool
 
 	// Sink, when set, receives one learn.Sample per adaptation epoch: the
@@ -49,9 +52,11 @@ type Controller struct {
 	dev      *ssd.Device
 	col      *features.Collector
 	next     sim.Time
-	observed int  // arrivals observed in the current window
-	done     bool // single-shot adaptation already fired
-	switches []Switch
+	observed int      // arrivals observed in the current window
+	done     bool     // single-shot adaptation already fired
+	switches []Switch // the full history; trace mode only (see SkipIdle)
+	nswitch  int
+	last     Switch
 	err      error
 
 	// Per-controller policy instances, instantiated lazily from the
@@ -150,9 +155,13 @@ func (c *Controller) adapt(now sim.Time) error {
 	if err := simrun.Apply(c.dev, applied, vec.Traits(), c.k.cfg.Hybrid); err != nil {
 		return err
 	}
-	c.switches = append(c.switches, Switch{
+	c.last = Switch{
 		At: now, Vector: vec, Strategy: applied, Index: alloc.Index(c.k.cfg.Strategies, applied),
-	})
+	}
+	c.nswitch++
+	if !c.SkipIdle {
+		c.switches = append(c.switches, c.last)
+	}
 	shadowIdx, shadowAgreed, shadowErred := -1, false, false
 	if c.shadowPol != nil {
 		switch shadow, err := c.shadowPol.Decide(vec); {
@@ -317,22 +326,19 @@ func (c *Controller) AttachTenant(tenant int) { c.col.ClearTenant(tenant) }
 // controller stops adapting and observing.
 func (c *Controller) Err() error { return c.err }
 
-// Switches returns a copy of the re-allocations performed so far.
+// Switches returns a copy of the re-allocations performed so far. A live
+// (SkipIdle) controller keeps no history and returns none; read it through
+// SwitchCount and LastSwitch.
 func (c *Controller) Switches() []Switch {
 	return append([]Switch(nil), c.switches...)
 }
 
-// SwitchCount returns the number of re-allocations performed so far without
-// copying (the daemon's metrics path polls it).
-func (c *Controller) SwitchCount() int { return len(c.switches) }
+// SwitchCount returns the number of re-allocations performed so far (the
+// daemon's metrics path polls it).
+func (c *Controller) SwitchCount() int { return c.nswitch }
 
 // LastSwitch returns the most recent re-allocation, if any.
-func (c *Controller) LastSwitch() (Switch, bool) {
-	if len(c.switches) == 0 {
-		return Switch{}, false
-	}
-	return c.switches[len(c.switches)-1], true
-}
+func (c *Controller) LastSwitch() (Switch, bool) { return c.last, c.nswitch > 0 }
 
 // PolicyVersion returns the version of the policy applied at the last
 // adaptation epoch ("" before the first). A hot swap becomes visible here

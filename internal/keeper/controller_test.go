@@ -241,15 +241,17 @@ func TestControllerSkipIdleWindows(t *testing.T) {
 	if got := c.SwitchCount(); got != 1 {
 		t.Fatalf("switches after idle gap = %d, want 1", got)
 	}
+	if last, _ := c.LastSwitch(); last.At != 10*sim.Millisecond {
+		t.Errorf("first switch at %v, want 10ms", last.At)
+	}
 	// Traffic in window [40,50)ms re-arms the 50ms boundary.
 	c.Observe(46*sim.Millisecond, rec)
 	c.Tick(55 * sim.Millisecond)
 	if got := c.SwitchCount(); got != 2 {
 		t.Fatalf("switches after traffic resumed = %d, want 2", got)
 	}
-	sw := c.Switches()
-	if sw[0].At != 10*sim.Millisecond || sw[1].At != 50*sim.Millisecond {
-		t.Errorf("switch times %v and %v, want 10ms and 50ms", sw[0].At, sw[1].At)
+	if last, _ := c.LastSwitch(); last.At != 50*sim.Millisecond {
+		t.Errorf("second switch at %v, want 50ms", last.At)
 	}
 	if err := c.Err(); err != nil {
 		t.Fatal(err)
@@ -341,11 +343,55 @@ func TestControllerSkipIdleSingleShot(t *testing.T) {
 	if got := c.SwitchCount(); got != 1 {
 		t.Fatalf("single shot after traffic switched %d times, want 1", got)
 	}
-	if sw := c.Switches(); sw[0].At != 11*cfg.Window {
-		t.Errorf("switch at %v, want %v", sw[0].At, 11*cfg.Window)
+	if last, _ := c.LastSwitch(); last.At != 11*cfg.Window {
+		t.Errorf("switch at %v, want %v", last.At, 11*cfg.Window)
 	}
 	c.Tick(20 * cfg.Window)
 	if got := c.SwitchCount(); got != 1 {
 		t.Errorf("single shot fired again: %d switches", got)
+	}
+}
+
+// TestControllerLiveHistoryBounded: a live (SkipIdle) controller adapts every
+// epoch for as long as the process runs, so it keeps the switch count and the
+// last switch, never the list — the count stays exact and what it retains
+// does not grow with the epochs served.
+func TestControllerLiveHistoryBounded(t *testing.T) {
+	cfg := testConfig()
+	cfg.Window = sim.Millisecond
+	cfg.AdaptEvery = sim.Millisecond
+	k, err := New(cfg, forcedModel(t, len(cfg.Strategies), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := simrun.NewRunner().NewSession(simrun.Config{Device: cfg.Device, Options: cfg.Options})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := k.Controller(sess.Device())
+	c.SkipIdle = true
+
+	const epochs = 10000
+	rec := trace.Record{Tenant: 0, Op: trace.Write, Offset: 0, Size: 4096}
+	for i := 0; i < epochs; i++ {
+		// One arrival per window, then the boundary that closes it.
+		c.Observe(sim.Time(i)*sim.Millisecond+sim.Microsecond, rec)
+		c.Tick(sim.Time(i+1) * sim.Millisecond)
+	}
+	if err := c.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.SwitchCount(); got != epochs {
+		t.Fatalf("SwitchCount = %d after %d live epochs", got, epochs)
+	}
+	last, ok := c.LastSwitch()
+	if !ok || last.At != epochs*sim.Millisecond || last.Index != 1 {
+		t.Errorf("LastSwitch = %+v, %v; want the epoch at %v deciding class 1", last, ok, epochs*sim.Millisecond)
+	}
+	if n, capacity := len(c.switches), cap(c.switches); n != 0 || capacity != 0 {
+		t.Errorf("live controller retains a %d-entry history (cap %d), want none", n, capacity)
+	}
+	if sw := c.Switches(); len(sw) != 0 {
+		t.Errorf("live controller Switches() returned %d entries, want none", len(sw))
 	}
 }

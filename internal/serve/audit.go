@@ -1,16 +1,17 @@
 package serve
 
-import "time"
-
-// The node auditor is the serving tier's health watchdog. Each sweep pulls
-// every shard's device health snapshot (through the shard mailbox, so the
-// counters are read in the owning goroutine) and folds it into a score in
-// [0,1], where 1.0 is a fully healthy device. Once any shard's score falls
-// below Config.DegradedScore the node flips to degraded: Ready() goes false,
-// /readyz answers 503 "degraded", and the fleet prober sees it on the next
-// probe so the rebalancer can migrate tenants away. Degraded is sticky —
-// dead dies do not resurrect, so a sick unit stays quarantined until it is
-// drained and replaced.
+// Node health is judged where it is read. Every read that reports it —
+// Ready and Degraded (and so /readyz), WriteMetrics (ssdkeeper_degraded) and
+// Audit — pulls every shard's device health snapshot (through the shard
+// mailbox, so the counters are read in the owning goroutine; the snapshot
+// also advances the engine to the wall target, so due fault events fire
+// first) and folds it into a score in [0,1], where 1.0 is a fully healthy
+// device. Once any shard's score falls below Config.DegradedScore the node
+// flips to degraded: Ready() goes false, /readyz answers 503 "degraded", and
+// the fleet prober sees it on its next probe so the rebalancer can migrate
+// tenants away. Degraded is sticky — dead dies do not resurrect, so a sick
+// unit stays quarantined until it is drained and replaced — and once flipped
+// the readiness reads stop sweeping.
 
 // shardHealthScore folds one shard's health snapshot into a score in [0,1].
 // Dead dies dominate (full weight), read-retry pressure is normalized by the
@@ -41,64 +42,41 @@ func shardHealthScore(snap *shardSnapshot) float64 {
 	return score
 }
 
-// Audit runs one auditor sweep: it snapshots every shard, scores each, and
-// flips the node to degraded if the worst score is below the configured
-// threshold. It returns the worst (minimum) shard score. Safe to call at any
-// time — tests and external schedulers can drive it without the loop.
-func (n *Node) Audit() float64 {
+// worstHealth is the minimum shard health score (1 for no shards).
+func worstHealth(snaps []*shardSnapshot) float64 {
 	worst := 1.0
-	for _, sd := range n.shards {
-		snap := sd.final
-		if r, ok := sd.send(msgSnapshot); ok {
-			snap = r.snap
-		}
-		if snap == nil {
-			continue
-		}
+	for _, snap := range snaps {
 		if s := shardHealthScore(snap); s < worst {
 			worst = s
-		}
-	}
-	if worst < n.cfg.DegradedScore && n.degraded.CompareAndSwap(false, true) {
-		if n.cfg.AuditLog != nil {
-			n.cfg.AuditLog("serve: node degraded: worst shard health score %.3f below threshold %.3f",
-				worst, n.cfg.DegradedScore)
 		}
 	}
 	return worst
 }
 
-// HealthScore runs one sweep and returns the worst shard health score. Like
-// Audit (which it is), the sweep flips the node to degraded when the score
-// crosses the threshold.
-func (n *Node) HealthScore() float64 { return n.Audit() }
-
-// Degraded reports whether the auditor has quarantined this node.
-func (n *Node) Degraded() bool { return n.degraded.Load() }
-
-// auditLoop sweeps shard health every AuditEvery until stopAuditor fires.
-func (n *Node) auditLoop() {
-	defer close(n.auditDone)
-	t := time.NewTicker(n.cfg.AuditEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-n.auditStop:
-			return
-		case <-t.C:
-			n.Audit()
-		}
+// judge flips the node to degraded when the worst shard score is below the
+// threshold. The compare-and-swap makes the flip happen, and log, exactly
+// once however many reads race to it; a zero threshold never flips.
+func (n *Node) judge(worst float64) {
+	if worst < n.cfg.DegradedScore && n.degraded.CompareAndSwap(false, true) && n.cfg.AuditLog != nil {
+		n.cfg.AuditLog("serve: node degraded: worst shard health score %.3f below threshold %.3f",
+			worst, n.cfg.DegradedScore)
 	}
 }
 
-// stopAuditor stops the audit loop and waits for it to exit, so Drain never
-// races a concurrent sweep against shard shutdown. Idempotent; a no-op when
-// the loop was never started.
-func (n *Node) stopAuditor() {
-	n.auditOnce.Do(func() {
-		close(n.auditStop)
-		if n.auditRunning.Load() {
-			<-n.auditDone
-		}
-	})
+// Audit snapshots every shard, judges the worst score against the threshold
+// and returns it. Safe to call at any time.
+func (n *Node) Audit() float64 {
+	worst := worstHealth(n.snapshots())
+	n.judge(worst)
+	return worst
+}
+
+// Degraded reports whether the node is quarantined for device health,
+// judging it first unless it has already flipped (or health judgement is
+// off: a zero DegradedScore).
+func (n *Node) Degraded() bool {
+	if n.cfg.DegradedScore > 0 && !n.degraded.Load() {
+		n.Audit()
+	}
+	return n.degraded.Load()
 }

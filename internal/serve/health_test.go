@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -195,102 +198,97 @@ func TestAuditHealthyNode(t *testing.T) {
 	}
 }
 
-// TestAuditorFlipsDegraded runs the auditor loop against live shards (this
-// test is the -race exercise for the sweep): a die failure drops the worst
-// shard score below the threshold, the wall-clock auditor notices without
-// any explicit Audit call, readiness flips to degraded, and the health
-// counters land in /metrics.
-func TestAuditorFlipsDegraded(t *testing.T) {
-	clk := newFakeClock()
-	cfg := testConfig(clk)
-	cfg.Options.FaultPlan = &nand.FaultPlan{
-		Seed: 7,
-		Events: []nand.FaultEvent{
-			{Kind: nand.FaultDieFail, At: sim.Millisecond, Channel: 0, Die: 0},
-		},
-	}
-	cfg.AuditEvery = 2 * time.Millisecond
-	// EvalConfig has 16 dies; one failure scores 1 - 1/16 = 0.9375.
-	cfg.DegradedScore = 0.95
-	var audited []string
-	var auditedMu chan struct{} // buffered-1 semaphore: AuditLog may race the test goroutine
-	auditedMu = make(chan struct{}, 1)
-	auditedMu <- struct{}{}
-	cfg.AuditLog = func(format string, args ...interface{}) {
-		<-auditedMu
-		audited = append(audited, format)
-		auditedMu <- struct{}{}
-	}
-	s := testServer(t, cfg, nil)
-	s.Start()
-	defer s.Drain()
+// TestHealthJudgedOnRead: health is judged by the reads that report it. A
+// started node whose devices lose a die runs no goroutine besides its shards;
+// once simulated time passes the failure, the very first Ready() is false,
+// /readyz answers 503 naming the state, ssdkeeper_degraded reads 1, and the
+// flip logs exactly once however many reads follow. The same node with a
+// zero DegradedScore stays ready through the same failure.
+func TestHealthJudgedOnRead(t *testing.T) {
+	for _, threshold := range []float64{0.95, 0} {
+		t.Run(fmt.Sprint(threshold), func(t *testing.T) {
+			clk := newFakeClock()
+			cfg := testConfig(clk)
+			cfg.ShardCount = 2
+			cfg.Options.FaultPlan = &nand.FaultPlan{
+				Seed: 7,
+				Events: []nand.FaultEvent{
+					{Kind: nand.FaultDieFail, At: sim.Millisecond, Channel: 0, Die: 0},
+				},
+			}
+			// EvalConfig has 16 dies; one failure scores 1 - 1/16 = 0.9375.
+			cfg.DegradedScore = threshold
+			var logged atomic.Int32
+			cfg.AuditLog = func(string, ...any) { logged.Add(1) }
 
-	var handles []submitted
-	for i := int64(0); i < 4; i++ {
-		p, err := submit(s, readReq(0, i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		handles = append(handles, p)
-	}
-	// Carry simulated time past the failure; the audit sweep's snapshot
-	// advances the engine to the wall target, firing the fault event.
-	clk.Advance(100 * time.Millisecond)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	for i, p := range handles {
-		if _, err := p.wait(ctx); err != nil {
-			t.Fatalf("request %d failed: %v", i, err)
-		}
-	}
+			before := runtime.NumGoroutine()
+			s := testServer(t, cfg, nil)
+			s.Start()
+			defer s.Drain()
+			// Goroutines left over from earlier tests can only exit meanwhile.
+			if extra := runtime.NumGoroutine() - before; extra > cfg.ShardCount {
+				t.Errorf("started node runs %d goroutines, want at most its %d shards", extra, cfg.ShardCount)
+			}
+			if !s.Ready() {
+				t.Fatal("node not ready before the die failure")
+			}
 
-	deadline := time.Now().Add(10 * time.Second)
-	for !s.Degraded() && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if !s.Degraded() {
-		t.Fatal("auditor never flipped the node degraded")
-	}
-	if s.Ready() {
-		t.Error("degraded node still reports ready")
-	}
-	if got := s.Audit(); got >= cfg.DegradedScore {
-		t.Errorf("health score %v, want below threshold %v", got, cfg.DegradedScore)
-	}
-	<-auditedMu
-	logged := len(audited)
-	auditedMu <- struct{}{}
-	if logged != 1 {
-		t.Errorf("degraded transition logged %d times, want exactly once", logged)
-	}
+			clk.Advance(100 * time.Millisecond) // 100 simulated ms: past the failure
+			degrade := threshold > 0
+			if got := s.Ready(); got == degrade {
+				t.Fatalf("first Ready() after the failure = %v, want %v", got, !degrade)
+			}
 
-	ts := httptest.NewServer(s.Handler(time.Second))
-	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/readyz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("/readyz status %d, want 503", resp.StatusCode)
-	}
-	if !strings.Contains(string(body), "degraded") {
-		t.Errorf("/readyz body %q does not name the degraded state", body)
-	}
+			ts := httptest.NewServer(s.Handler(time.Second))
+			defer ts.Close()
+			resp, err := http.Get(ts.URL + "/readyz")
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			wantCode := http.StatusOK
+			if degrade {
+				wantCode = http.StatusServiceUnavailable
+				if !strings.Contains(string(body), "degraded") {
+					t.Errorf("/readyz body %q does not name the degraded state", body)
+				}
+			}
+			if resp.StatusCode != wantCode {
+				t.Errorf("/readyz status %d, want %d", resp.StatusCode, wantCode)
+			}
 
-	var buf bytes.Buffer
-	s.WriteMetrics(&buf)
-	metrics := buf.String()
-	for _, want := range []string{
-		"ssdkeeper_die_failures_total 1",
-		"ssdkeeper_degraded 1",
-	} {
-		if !strings.Contains(metrics, want) {
-			t.Errorf("metrics missing %q", want)
-		}
-	}
-	if !strings.Contains(metrics, "ssdkeeper_health_score 0.9") {
-		t.Errorf("metrics health score not in the degraded band:\n%s", metrics)
+			var buf bytes.Buffer
+			s.WriteMetrics(&buf)
+			metrics := buf.String()
+			wantDegraded := "ssdkeeper_degraded 0"
+			if degrade {
+				wantDegraded = "ssdkeeper_degraded 1"
+			}
+			for _, want := range []string{"ssdkeeper_die_failures_total 2", wantDegraded} {
+				if !strings.Contains(metrics, want) {
+					t.Errorf("metrics missing %q", want)
+				}
+			}
+			if !strings.Contains(metrics, "ssdkeeper_health_score 0.9") {
+				t.Errorf("metrics health score not in the one-dead-die band:\n%s", metrics)
+			}
+
+			for i := 0; i < 3; i++ {
+				if got := s.Audit(); got >= 0.95 {
+					t.Errorf("health score %v, want one dead die's 0.9375", got)
+				}
+				if s.Degraded() != degrade || s.Ready() == degrade {
+					t.Errorf("read %d: degraded %v ready %v, want degraded %v", i, s.Degraded(), s.Ready(), degrade)
+				}
+			}
+			wantLogs := int32(0)
+			if degrade {
+				wantLogs = 1
+			}
+			if got := logged.Load(); got != wantLogs {
+				t.Errorf("degraded transition logged %d times, want %d", got, wantLogs)
+			}
+		})
 	}
 }

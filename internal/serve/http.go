@@ -23,8 +23,9 @@ import (
 //	POST /tenant/release?tenant=N  reopen a parked tenant's gate
 //	GET  /metrics   Prometheus text exposition
 //	GET  /healthz   liveness: "ok" | 503 "draining"/device error
-//	GET  /readyz    readiness: "ok" | 503 while draining, poisoned, or a
-//	                tenant handoff is in flight (fleet membership polls this)
+//	GET  /readyz    readiness: "ok" | 503 while draining, poisoned, degraded
+//	                (device health, judged by this read), or a tenant
+//	                handoff is in flight (fleet membership polls this)
 //	     /debug/pprof/*  standard profiles
 //
 // Backpressure: a full tenant queue answers 429 with a Retry-After hint; a

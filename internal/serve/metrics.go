@@ -21,14 +21,7 @@ import (
 // are atomics, and the writer — possibly a slow scraper — is fed entirely
 // from the copies. A stalled /metrics client can no longer stall admission.
 func (n *Node) WriteMetrics(w io.Writer) {
-	snaps := make([]*shardSnapshot, len(n.shards))
-	for i, sd := range n.shards {
-		if r, ok := sd.send(msgSnapshot); ok {
-			snaps[i] = r.snap
-		} else {
-			snaps[i] = sd.final // closed post-drain: frozen final state
-		}
-	}
+	snaps := n.snapshots()
 
 	fmt.Fprintf(w, "# HELP ssdkeeper_up Whether the server is accepting requests.\n")
 	fmt.Fprintf(w, "# TYPE ssdkeeper_up gauge\n")
@@ -261,20 +254,17 @@ func (n *Node) WriteMetrics(w io.Writer) {
 	}
 
 	// Device health: raw counters summed across shards, per-shard scores, and
-	// the auditor's verdict. All of it comes from the snapshots, so a sick
-	// device is visible here even when the audit loop is disabled.
+	// the verdict, judged here on the same snapshots (audit.go).
 	var dieFail, retries, retired, slow int64
-	worst := 1.0
 	for _, snap := range snaps {
 		hs := snap.health
 		dieFail += hs.DieFailures
 		retries += hs.ReadRetries
 		retired += hs.BlocksRetired
 		slow += hs.SlowPrograms
-		if s := shardHealthScore(snap); s < worst {
-			worst = s
-		}
 	}
+	worst := worstHealth(snaps)
+	n.judge(worst)
 	fmt.Fprintf(w, "# HELP ssdkeeper_die_failures_total NAND dies failed across all shards.\n")
 	fmt.Fprintf(w, "# TYPE ssdkeeper_die_failures_total counter\n")
 	fmt.Fprintf(w, "ssdkeeper_die_failures_total %d\n", dieFail)
@@ -292,10 +282,10 @@ func (n *Node) WriteMetrics(w io.Writer) {
 	for i, snap := range snaps {
 		fmt.Fprintf(w, "ssdkeeper_shard_health_score{shard=\"%d\"} %g\n", i, shardHealthScore(snap))
 	}
-	fmt.Fprintf(w, "# HELP ssdkeeper_health_score Worst shard health score (the auditor's input).\n")
+	fmt.Fprintf(w, "# HELP ssdkeeper_health_score Worst shard health score (what the degraded verdict judges).\n")
 	fmt.Fprintf(w, "# TYPE ssdkeeper_health_score gauge\n")
 	fmt.Fprintf(w, "ssdkeeper_health_score %g\n", worst)
-	fmt.Fprintf(w, "# HELP ssdkeeper_degraded Whether the auditor has quarantined this node.\n")
+	fmt.Fprintf(w, "# HELP ssdkeeper_degraded Whether device health has quarantined this node.\n")
 	fmt.Fprintf(w, "# TYPE ssdkeeper_degraded gauge\n")
 	degraded := 0
 	if n.degraded.Load() {

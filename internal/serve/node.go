@@ -37,14 +37,10 @@ type Node struct {
 	// still ran; nobody read the reply).
 	rejCanceled atomic.Uint64
 
-	// Auditor state: degraded flips once a shard's health score crosses the
-	// configured threshold and holds the node out of readiness; the loop
-	// goroutine (armed by Start when AuditEvery > 0) stops at Drain.
-	degraded     atomic.Bool
-	auditRunning atomic.Bool
-	auditStop    chan struct{}
-	auditDone    chan struct{}
-	auditOnce    sync.Once
+	// degraded flips, for good, the first time a health read finds a
+	// shard's score below the configured threshold (audit.go), and holds the
+	// node out of readiness.
+	degraded atomic.Bool
 
 	// gates is the per-tenant admission lifecycle (tenantActive /
 	// tenantDraining / tenantParked); parked counts the non-active gates so
@@ -81,12 +77,10 @@ func NewNode(cfg Config, k *keeper.Keeper) (*Node, error) {
 			k.Config().Device, cfg.Device)
 	}
 	n := &Node{
-		cfg:       cfg,
-		epoch:     cfg.Now(), // sim time zero is the construction instant
-		startc:    make(chan struct{}),
-		gates:     make([]atomic.Int32, cfg.Tenants),
-		auditStop: make(chan struct{}),
-		auditDone: make(chan struct{}),
+		cfg:    cfg,
+		epoch:  cfg.Now(), // sim time zero is the construction instant
+		startc: make(chan struct{}),
+		gates:  make([]atomic.Int32, cfg.Tenants),
 	}
 	if k != nil {
 		n.ksrc = k.Source()
@@ -114,10 +108,6 @@ func NewNode(cfg Config, k *keeper.Keeper) (*Node, error) {
 func (n *Node) Start() {
 	if n.started.CompareAndSwap(false, true) {
 		close(n.startc)
-		if n.cfg.AuditEvery > 0 {
-			n.auditRunning.Store(true)
-			go n.auditLoop()
-		}
 	}
 }
 
@@ -224,7 +214,6 @@ func (n *Node) Drain() ssd.Result {
 	defer n.drainMu.Unlock()
 	if !n.drained {
 		n.draining.Store(true)
-		n.stopAuditor()
 		n.perShard = make([]ssd.Result, len(n.shards))
 		// The drain message queues FIFO behind in-flight submissions, so
 		// every admitted request is either dispatched or drain-rejected —
@@ -328,10 +317,11 @@ func (n *Node) Draining() bool { return n.draining.Load() }
 // startable, not draining, not poisoned, not health-degraded, and with no
 // tenant handoff in flight. Fleet membership keys off this (via /readyz),
 // which is why it is stricter than liveness: a node mid-handoff or with a
-// sick device is alive but not a placement target.
+// sick device is alive but not a placement target. Device health is judged
+// by this call (see Degraded).
 func (n *Node) Ready() bool {
 	return !n.draining.Load() && n.Err() == nil && n.parked.Load() == 0 &&
-		!n.degraded.Load()
+		!n.Degraded()
 }
 
 // Err returns the first device submit failure, if any (surfaced by
@@ -354,14 +344,25 @@ func (n *Node) Controller() *keeper.Controller { return n.shards[0].ctrl }
 // time; after Drain it reads the frozen final snapshots.
 func (n *Node) KeeperSwitches() int {
 	total := 0
-	for _, sd := range n.shards {
-		if r, ok := sd.send(msgSnapshot); ok {
-			total += r.snap.switches
-		} else if sd.final != nil {
-			total += sd.final.switches
-		}
+	for _, snap := range n.snapshots() {
+		total += snap.switches
 	}
 	return total
+}
+
+// snapshots copies every shard's state, in shard order: a live shard
+// advances to the wall target and snapshots in its own goroutine (one
+// mailbox round trip); a drained one answers with its frozen final state.
+func (n *Node) snapshots() []*shardSnapshot {
+	snaps := make([]*shardSnapshot, len(n.shards))
+	for i, sd := range n.shards {
+		if r, ok := sd.send(msgSnapshot); ok {
+			snaps[i] = r.snap
+		} else {
+			snaps[i] = sd.final
+		}
+	}
+	return snaps
 }
 
 // TenantCompleted returns the number of client requests this node has
@@ -371,12 +372,8 @@ func (n *Node) KeeperSwitches() int {
 // this across nodes against the clients' success count.
 func (n *Node) TenantCompleted(tenant int) uint64 {
 	var total uint64
-	for _, sd := range n.shards {
-		snap := sd.final
-		if r, ok := sd.send(msgSnapshot); ok {
-			snap = r.snap
-		}
-		if snap != nil && tenant >= 0 && tenant < len(snap.tenants) {
+	for _, snap := range n.snapshots() {
+		if tenant >= 0 && tenant < len(snap.tenants) {
 			total += snap.tenants[tenant].completed[0] + snap.tenants[tenant].completed[1]
 		}
 	}

@@ -109,6 +109,13 @@ func TestReloadSwapsPolicyAcrossShards(t *testing.T) {
 	}
 	clk.Advance(15 * time.Millisecond)
 	s.SimNow() // ticks every shard past the 50ms boundary
+	// A shard's controller is live (SkipIdle): it keeps the last switch, not
+	// the history, so each epoch's decision is read as it lands.
+	for i, sd := range s.shards {
+		if last, ok := sd.ctrl.LastSwitch(); !ok || last.Index != 1 {
+			t.Errorf("shard %d pre-reload epoch decided class %d (fired %v), want 1", i, last.Index, ok)
+		}
+	}
 
 	// Hot reload mid-run, between epochs.
 	st, err := s.Reload("active", "v2")
@@ -135,14 +142,10 @@ func TestReloadSwapsPolicyAcrossShards(t *testing.T) {
 	s.SimNow()
 
 	for i, sd := range s.shards {
-		sw := sd.ctrl.Switches()
-		if len(sw) < 2 {
-			t.Fatalf("shard %d fired %d epochs, want >= 2", i, len(sw))
+		if n := sd.ctrl.SwitchCount(); n < 2 {
+			t.Fatalf("shard %d fired %d epochs, want >= 2", i, n)
 		}
-		if first := sw[0]; first.Index != 1 {
-			t.Errorf("shard %d pre-reload epoch decided class %d, want 1", i, first.Index)
-		}
-		if last := sw[len(sw)-1]; last.Index != 2 {
+		if last, _ := sd.ctrl.LastSwitch(); last.Index != 2 {
 			t.Errorf("shard %d post-reload epoch decided class %d, want 2", i, last.Index)
 		}
 	}

@@ -78,11 +78,6 @@ type Config struct {
 	// goroutine; tenants route to shards by stable hash, optionally spread
 	// across all shards by a per-request key.
 	ShardCount int
-	// MailboxLen bounds each shard's submission mailbox (default 1024).
-	MailboxLen int
-	// BatchMax bounds how many mailbox messages one shard wakeup processes
-	// before re-arming its pacing timer (default 256).
-	BatchMax int
 
 	// Tenants is the tenant-ID space served (default features.MaxTenants
 	// via the keeper; 4). Requests outside it are rejected as invalid.
@@ -100,11 +95,6 @@ type Config struct {
 	// Accel is the pacing factor: simulated nanoseconds per wall
 	// nanosecond (default 1.0).
 	Accel float64
-	// TickEvery caps the pacer sleep (default 2ms wall). Completions wake
-	// shards exactly when due via the engine's next-event time; the tick
-	// bounds how stale keeper epochs and the wall target can get when no
-	// events are pending.
-	TickEvery time.Duration
 	// Now is the wall clock (default time.Now); tests inject a manual
 	// clock to make pacing deterministic.
 	Now func() time.Time
@@ -127,30 +117,21 @@ type Config struct {
 	// it, so multi-shard runs stay deterministic under a fake clock.
 	ExploreSeed int64
 
-	// AuditEvery enables the node auditor: a loop that sweeps every shard's
-	// device health each interval and flips the node to degraded (Ready()
-	// false, /readyz 503 "degraded") once any shard's health score falls
-	// below DegradedScore. Zero disables the loop; Audit can still be
-	// called manually (tests, external schedulers).
-	AuditEvery time.Duration
-	// DegradedScore is the auditor's readiness threshold in [0,1]; a shard
-	// scoring below it degrades the node (default 0.5). A healthy device
-	// scores 1.0; dead dies, read-retry storms, and wear spread pull the
-	// score down (see HealthScore).
+	// DegradedScore is the device-health readiness threshold in [0,1]. The
+	// reads that report health — Ready, Degraded (/readyz), WriteMetrics,
+	// Audit — judge it: the first to find a shard scoring below the
+	// threshold flips the node to degraded for good (Ready() false, /readyz
+	// 503 "degraded"). A healthy device scores 1.0; dead dies, read-retry
+	// storms, and wear spread pull the score down (see shardHealthScore).
+	// Zero never degrades.
 	DegradedScore float64
-	// AuditLog, when set, receives one line per degradation flip.
+	// AuditLog, when set, receives the one line the degraded flip logs.
 	AuditLog func(format string, args ...any)
 }
 
 func (c *Config) fillDefaults() {
 	if c.ShardCount == 0 {
 		c.ShardCount = 1
-	}
-	if c.MailboxLen == 0 {
-		c.MailboxLen = 1024
-	}
-	if c.BatchMax == 0 {
-		c.BatchMax = 256
 	}
 	if c.Tenants == 0 {
 		c.Tenants = 4
@@ -167,14 +148,8 @@ func (c *Config) fillDefaults() {
 	if c.Accel == 0 {
 		c.Accel = 1
 	}
-	if c.TickEvery == 0 {
-		c.TickEvery = 2 * time.Millisecond
-	}
 	if c.Now == nil {
 		c.Now = time.Now
-	}
-	if c.DegradedScore == 0 {
-		c.DegradedScore = 0.5
 	}
 }
 
@@ -184,8 +159,8 @@ func (c Config) Validate() error {
 		return err
 	}
 	switch {
-	case c.ShardCount < 0, c.MailboxLen < 0, c.BatchMax < 0:
-		return fmt.Errorf("serve: negative shard bounds in %+v", c)
+	case c.ShardCount < 0:
+		return fmt.Errorf("serve: negative shard count %d", c.ShardCount)
 	case c.Tenants < 0, c.QueueLen < 0, c.QueueDepth < 0, c.MaxBytes < 0:
 		return fmt.Errorf("serve: negative bounds in %+v", c)
 	case c.Tenants > ftl.MaxTenants || c.MaxBytes > ftl.MaxLPN*int64(c.Device.PageSize):
@@ -198,8 +173,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("serve: negative accel %v", c.Accel)
 	case c.ExploreRate < 0 || c.ExploreRate > 1:
 		return fmt.Errorf("serve: explore rate %v outside [0,1]", c.ExploreRate)
-	case c.AuditEvery < 0:
-		return fmt.Errorf("serve: negative audit interval %v", c.AuditEvery)
 	case c.DegradedScore < 0 || c.DegradedScore > 1:
 		return fmt.Errorf("serve: degraded score %v outside [0,1]", c.DegradedScore)
 	}

@@ -19,7 +19,7 @@ import (
 // and a single goroutine is the only code that touches any of it.
 // Submitters never lock a shard; they push a message into the shard's bounded
 // mailbox, and the shard calls the request's Completion when it resolves.
-// One wakeup drains up to BatchMax messages, so a burst of submissions costs
+// One wakeup drains up to batchMax messages, so a burst of submissions costs
 // one scheduler round trip, not one per request.
 //
 // The only state shared between submitting goroutines and the shard
@@ -36,6 +36,18 @@ const (
 	tenantActive int32 = iota
 	tenantDraining
 	tenantParked
+)
+
+// Shard loop bounds. mailboxLen is each shard's submission mailbox
+// capacity; batchMax bounds the mailbox messages one wakeup processes before
+// re-arming the pacing timer; tickEvery caps the pacer sleep — completions
+// wake a shard exactly when due via the engine's next-event time, and the
+// tick bounds how stale keeper epochs and the wall target can get when no
+// events are pending.
+const (
+	mailboxLen = 1024
+	batchMax   = 256
+	tickEvery  = 2 * time.Millisecond
 )
 
 type msgKind uint8
@@ -187,7 +199,7 @@ func newShard(id int, n *Node, k *keeper.Keeper) (*shard, error) {
 		dev:     dev,
 		eng:     dev.Engine(),
 		tenants: make([]tenantState, n.cfg.Tenants),
-		mailbox: make(chan shardMsg, n.cfg.MailboxLen),
+		mailbox: make(chan shardMsg, mailboxLen),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
@@ -290,9 +302,9 @@ func (sd *shard) loop() {
 }
 
 // drainMailbox batches: having woken for one message, consume whatever else
-// is already queued (up to BatchMax) before going back to sleep.
+// is already queued (up to batchMax) before going back to sleep.
 func (sd *shard) drainMailbox() {
-	for i := 1; i < sd.node.cfg.BatchMax; i++ {
+	for i := 1; i < batchMax; i++ {
 		select {
 		case msg := <-sd.mailbox:
 			sd.handle(msg)
@@ -320,7 +332,7 @@ func (sd *shard) sweepMailbox() {
 // time and one pacer tick (keeper epoch boundaries are not engine events,
 // so the tick cap keeps adaptation tracking time across idle gaps).
 func (sd *shard) nextWake() time.Duration {
-	d := sd.node.cfg.TickEvery
+	d := tickEvery
 	if at, ok := sd.eng.NextAt(); ok {
 		if w := sd.node.wallUntil(at); w < d {
 			d = w

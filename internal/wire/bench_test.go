@@ -3,7 +3,6 @@ package wire
 import (
 	"net"
 	"testing"
-	"time"
 
 	"ssdkeeper/internal/serve"
 	"ssdkeeper/internal/trace"
@@ -74,15 +73,16 @@ func BenchmarkWireCall(b *testing.B) {
 	c := NewClient(ln.Addr().String(), 2)
 	defer c.Close()
 	req := serve.Request{Tenant: 1, Op: trace.Read, Offset: 4096, Size: 4096}
-	if _, _, _, err := c.Do(req, 5*time.Second); err != nil {
-		b.Fatal(err)
+	if r := doCall(c, req); r.err != nil {
+		b.Fatal(r.err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
+		obs := make(waitObs, 1)
 		for pb.Next() {
-			if _, _, reason, err := c.Do(req, 5*time.Second); err != nil || reason != "" {
-				b.Errorf("reason=%q err=%v", reason, err)
+			if r := obs.call(c, req); r.err != nil || r.reason != "" {
+				b.Errorf("%+v", r)
 				return
 			}
 		}

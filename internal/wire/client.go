@@ -16,16 +16,14 @@ import (
 // ErrClientClosed reports a call issued after Close.
 var ErrClientClosed = errors.New("wire: client closed")
 
-// errTimeout reports a blocking call that outlived its budget; the request
-// may still complete on the node (the reply is discarded), exactly like an
-// abandoned HTTP request.
-var errTimeout = errors.New("wire: call timed out")
-
-// Observer receives an asynchronous call's outcome, exactly once, from the
-// connection's read goroutine — implementations must not block. reason is ""
-// for success and an interned rejection token otherwise; err is non-nil only
-// for transport failure (connection died before a reply), in which case the
-// outcome is unknown. tag is the caller's correlation value, untouched.
+// Observer receives a call's outcome, exactly once, from the connection's
+// read goroutine — implementations must not block. It is the client's one
+// way to deliver a reply: a caller that wants to block waits on whatever its
+// observer signals, and a caller that wants a deadline keeps its own. reason
+// is "" for success and an interned rejection token otherwise; err is
+// non-nil only for transport failure (connection died before a reply), in
+// which case the outcome is unknown. tag is the caller's correlation value,
+// untouched.
 type Observer interface {
 	Done(tag uint64, latencyNS, simNS int64, reason string, err error)
 }
@@ -59,38 +57,9 @@ func NewClient(addr string, conns int) *Client {
 // Addr returns the listener address the client dials.
 func (c *Client) Addr() string { return c.addr }
 
-// Do issues one call and blocks for its outcome. reason is "" on success;
-// a non-empty reason is an in-protocol rejection (the request reached the
-// node and was refused). A non-nil error is a transport failure or timeout.
-func (c *Client) Do(req serve.Request, timeout time.Duration) (latencyNS, simNS int64, reason string, err error) {
-	cc := c.pick()
-	cl := getCall()
-	if err := cc.send(req, cl); err != nil {
-		putCall(cl)
-		return 0, 0, "", err
-	}
-	t := getTimer(timeout)
-	select {
-	case <-cl.done:
-	case <-t.C:
-		if cc.forget(cl.seq) {
-			// The reader never saw this call; it is ours to retire.
-			putTimer(t)
-			putCall(cl)
-			return 0, 0, "", errTimeout
-		}
-		// Lost the race: the reader owns the call and delivery is imminent.
-		<-cl.done
-	}
-	putTimer(t)
-	latencyNS, simNS, reason, err = cl.latNS, cl.simNS, cl.reason, cl.err
-	putCall(cl)
-	return latencyNS, simNS, reason, err
-}
-
-// Start issues one call asynchronously: obs.Done fires from the connection's
-// read goroutine when the reply (or the connection's death) arrives. A
-// synchronous error means the call was never sent and obs will not fire.
+// Start issues one call: obs.Done fires from the connection's read goroutine
+// when the reply (or the connection's death) arrives. A synchronous error
+// means the call was never sent and obs will not fire.
 func (c *Client) Start(req serve.Request, tag uint64, obs Observer) error {
 	cl := getCall()
 	cl.tag, cl.obs = tag, obs
@@ -146,13 +115,13 @@ func (cc *clientConn) send(req serve.Request, cl *call) error {
 	cc.pending[cl.seq] = cl
 	// Render and enqueue while still holding cc.mu: the moment the call is
 	// registered in pending, a connection failure may sweep it — delivering
-	// its outcome and, on the observer path, returning it to the pool — so
-	// touching cl after an unlock would race with that sweep. The append is
-	// a bounded memcpy into the outbox, not I/O; fail() takes cc.mu before
-	// it closes the outbox, so the sweep cannot run until we are done with
-	// the call. A false return (the outbox writer saw the connection die
-	// and self-closed) drops the frame; the read goroutine's fail sweep
-	// then delivers this call's transport error.
+	// its outcome and returning it to the pool — so touching cl after an
+	// unlock would race with that sweep. The append is a bounded memcpy into
+	// the outbox, not I/O; fail() takes cc.mu before it closes the outbox,
+	// so the sweep cannot run until we are done with the call. A false
+	// return (the outbox writer saw the connection die and self-closed)
+	// drops the frame; the read goroutine's fail sweep then delivers this
+	// call's transport error.
 	cl.scratch = AppendRequest(cl.scratch[:0], cl.seq, req)
 	cc.out.append(cl.scratch)
 	cc.mu.Unlock()
@@ -174,10 +143,6 @@ func (cc *clientConn) dialLocked() error {
 	cc.conn = conn
 	cc.out = newOutbox()
 	cc.pending = make(map[uint64]*call)
-	// cc.seq is deliberately NOT reset: seqs stay monotonic across redials
-	// so a timed-out caller's forget(seq) from a previous connection
-	// generation can never collide with (and silently abandon) a live call
-	// that redrew the same number on the fresh pending map.
 	go cc.out.run(conn)
 	go cc.read(conn)
 	return nil
@@ -203,7 +168,7 @@ func (cc *clientConn) read(conn net.Conn) {
 		delete(cc.pending, rep.Seq)
 		cc.mu.Unlock()
 		if cl == nil {
-			continue // abandoned by a timed-out caller
+			continue // a seq this connection never sent
 		}
 		cl.latNS, cl.simNS = rep.LatencyNS, rep.SimNS
 		if !rep.OK {
@@ -239,18 +204,6 @@ func (cc *clientConn) fail(conn net.Conn, err error) {
 	}
 }
 
-// forget removes a pending call, reporting whether the caller now owns it
-// (true) or the reader already took it and will deliver (false).
-func (cc *clientConn) forget(seq uint64) bool {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	if _, ok := cc.pending[seq]; ok {
-		delete(cc.pending, seq)
-		return true
-	}
-	return false
-}
-
 func (cc *clientConn) shutdown() {
 	cc.mu.Lock()
 	cc.closed = true
@@ -261,14 +214,12 @@ func (cc *clientConn) shutdown() {
 	}
 }
 
-// call is one in-flight request. Pooled: the blocking path recycles it
-// after the caller copies the outcome; the observer path recycles it right
-// after delivery. done has capacity 1 and is drained before reuse.
+// call is one in-flight request. Pooled: it returns to the pool right after
+// its observer has run.
 type call struct {
 	seq     uint64
 	tag     uint64
 	obs     Observer
-	done    chan struct{}
 	scratch []byte
 	latNS   int64
 	simNS   int64
@@ -276,59 +227,23 @@ type call struct {
 	err     error
 }
 
-// deliver hands the outcome over: to the observer for async calls (and the
-// call returns to the pool), to the done channel for blocking callers (who
-// recycle it after reading the fields).
+// deliver hands the outcome to the observer and recycles the call.
 func (cl *call) deliver() {
-	if cl.obs != nil {
-		obs := cl.obs
-		obs.Done(cl.tag, cl.latNS, cl.simNS, cl.reason, cl.err)
-		putCall(cl)
-		return
-	}
-	cl.done <- struct{}{}
+	cl.obs.Done(cl.tag, cl.latNS, cl.simNS, cl.reason, cl.err)
+	putCall(cl)
 }
 
-var callPool = sync.Pool{New: func() any {
-	return &call{done: make(chan struct{}, 1)}
-}}
+var callPool = sync.Pool{New: func() any { return new(call) }}
 
 func getCall() *call {
 	cl := callPool.Get().(*call)
-	cl.tag, cl.obs = 0, nil
 	cl.latNS, cl.simNS = 0, 0
 	cl.reason, cl.err = "", nil
 	return cl
 }
 
+// putCall drops the observer so an idle pool pins no caller.
 func putCall(cl *call) {
-	select { // drop a stale completion signal before reuse
-	case <-cl.done:
-	default:
-	}
+	cl.obs = nil
 	callPool.Put(cl)
-}
-
-// timerPool recycles timers for the blocking-call timeout so Do stays
-// allocation-free in steady state.
-var timerPool = sync.Pool{New: func() any {
-	t := time.NewTimer(time.Hour)
-	t.Stop()
-	return t
-}}
-
-func getTimer(d time.Duration) *time.Timer {
-	t := timerPool.Get().(*time.Timer)
-	t.Reset(d)
-	return t
-}
-
-func putTimer(t *time.Timer) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-	timerPool.Put(t)
 }

@@ -138,6 +138,32 @@ func (b *stallBackend) SubmitTo(req serve.Request, c serve.Completion) error {
 	return nil
 }
 
+// result is one call's outcome as its observer saw it.
+type result struct {
+	latNS, simNS int64
+	reason       string
+	err          error
+}
+
+// waitObs blocks a test on the client's one delivery path: Start the call,
+// then receive what Done hands over. One waitObs carries one call at a time,
+// so a goroutine reuses its own and a steady loop allocates nothing.
+type waitObs chan result
+
+func (o waitObs) Done(_ uint64, latNS, simNS int64, reason string, err error) {
+	o <- result{latNS, simNS, reason, err}
+}
+
+func (o waitObs) call(c *Client, req serve.Request) result {
+	if err := c.Start(req, 0, o); err != nil {
+		return result{err: err}
+	}
+	return <-o
+}
+
+// doCall issues one request and blocks for its outcome.
+func doCall(c *Client, req serve.Request) result { return make(waitObs, 1).call(c, req) }
+
 func startWire(t *testing.T, b Backend) (*Server, string) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -161,10 +187,11 @@ func TestClientServerPipelined(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			obs := make(waitObs, 1)
 			for i := 0; i < 50; i++ {
-				lat, at, reason, err := c.Do(serve.Request{Tenant: g % 4, Op: trace.Read, Offset: int64(i) * 4096, Size: 4096}, 5*time.Second)
-				if err != nil || reason != "" || lat != 1000 || at != 77 {
-					errs <- fmt.Errorf("goroutine %d call %d: lat=%d at=%d reason=%q err=%v", g, i, lat, at, reason, err)
+				r := obs.call(c, serve.Request{Tenant: g % 4, Op: trace.Read, Offset: int64(i) * 4096, Size: 4096})
+				if r.err != nil || r.reason != "" || r.latNS != 1000 || r.simNS != 77 {
+					errs <- fmt.Errorf("goroutine %d call %d: %+v", g, i, r)
 					return
 				}
 			}
@@ -181,9 +208,8 @@ func TestClientSynchronousReject(t *testing.T) {
 	_, addr := startWire(t, echoBackend{})
 	c := NewClient(addr, 1)
 	defer c.Close()
-	_, _, reason, err := c.Do(serve.Request{Tenant: 99, Op: trace.Read, Size: 4096}, 5*time.Second)
-	if err != nil || reason != "queue_full" {
-		t.Fatalf("reason=%q err=%v, want queue_full rejection", reason, err)
+	if r := doCall(c, serve.Request{Tenant: 99, Op: trace.Read, Size: 4096}); r.err != nil || r.reason != "queue_full" {
+		t.Fatalf("%+v, want queue_full rejection", r)
 	}
 }
 
@@ -199,8 +225,7 @@ func TestServerDeathFailsInflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, _, _, err := c.Do(serve.Request{Tenant: 0, Op: trace.Read, Size: 4096}, 10*time.Second)
-			errs <- err
+			errs <- doCall(c, serve.Request{Tenant: 0, Op: trace.Read, Size: 4096}).err
 		}()
 	}
 	// Give the calls a moment to get in flight, then kill the server.
@@ -221,22 +246,8 @@ func TestServerDeathFailsInflight(t *testing.T) {
 	srv2 := NewServer(echoBackend{})
 	go srv2.Serve(ln)
 	defer srv2.Close()
-	if _, _, reason, err := c.Do(serve.Request{Tenant: 0, Op: trace.Read, Size: 4096}, 5*time.Second); err != nil || reason != "" {
-		t.Fatalf("post-redial call: reason=%q err=%v", reason, err)
-	}
-}
-
-func TestClientTimeout(t *testing.T) {
-	_, addr := startWire(t, &stallBackend{})
-	c := NewClient(addr, 1)
-	defer c.Close()
-	start := time.Now()
-	_, _, _, err := c.Do(serve.Request{Tenant: 0, Op: trace.Read, Size: 4096}, 30*time.Millisecond)
-	if err == nil {
-		t.Fatal("stalled call returned success")
-	}
-	if d := time.Since(start); d > 2*time.Second {
-		t.Fatalf("timeout took %v", d)
+	if r := doCall(c, serve.Request{Tenant: 0, Op: trace.Read, Size: 4096}); r.err != nil || r.reason != "" {
+		t.Fatalf("post-redial call: %+v", r)
 	}
 }
 
@@ -286,17 +297,17 @@ func TestWireAgainstNode(t *testing.T) {
 	c := NewClient(addr, 2)
 	defer c.Close()
 	for i := 0; i < 32; i++ {
-		lat, at, reason, err := c.Do(serve.Request{Tenant: i % 2, Op: trace.Read, Offset: int64(i) * 4096, Size: 4096}, 10*time.Second)
-		if err != nil || reason != "" {
-			t.Fatalf("call %d: reason=%q err=%v", i, reason, err)
+		r := doCall(c, serve.Request{Tenant: i % 2, Op: trace.Read, Offset: int64(i) * 4096, Size: 4096})
+		if r.err != nil || r.reason != "" {
+			t.Fatalf("call %d: %+v", i, r)
 		}
-		if lat <= 0 || at <= 0 {
-			t.Fatalf("call %d: lat=%d at=%d, want positive", i, lat, at)
+		if r.latNS <= 0 || r.simNS <= 0 {
+			t.Fatalf("call %d: lat=%d at=%d, want positive", i, r.latNS, r.simNS)
 		}
 	}
 	// Invalid tenant travels back as an in-band rejection.
-	if _, _, reason, err := c.Do(serve.Request{Tenant: 77, Op: trace.Read, Size: 4096}, 5*time.Second); err != nil || reason != "invalid" {
-		t.Fatalf("invalid tenant: reason=%q err=%v", reason, err)
+	if r := doCall(c, serve.Request{Tenant: 77, Op: trace.Read, Size: 4096}); r.err != nil || r.reason != "invalid" {
+		t.Fatalf("invalid tenant: %+v", r)
 	}
 }
 

@@ -23,9 +23,10 @@
 #
 # A second topology then exercises the device-health tier: the node owning
 # tenants 0, 1, 3 boots with a fault plan that kills a die mid-load. The
-# script asserts the auditor flips that node's /readyz to degraded, the
-# router's rebalancer quarantines a tenant off it onto a healthy node, and
-# the load generator still loses zero requests.
+# script asserts that node's /readyz reads degraded (health is judged by the
+# reads that report it: the router's probes and this script's), the router's
+# rebalancer quarantines a tenant off it onto a healthy node, and the load
+# generator still loses zero requests.
 #
 # Usage: scripts/smoke_fleet.sh [router-port]
 set -euo pipefail
@@ -177,8 +178,9 @@ echo "smoke_fleet.sh: migration checks passed ($ok ok, $rejected rejected in the
 # Health phase: the same golden topology, but the tenant-0 owner (:8082)
 # boots with a fault plan. 40 simulated seconds in (2s wall at -accel 20,
 # landing mid-load), a die dies and reads start paying retry tails; the
-# node's auditor must flip it degraded, the router's rebalancer must
-# quarantine a tenant off it, and no request may be lost.
+# node's next /readyz or /metrics read must flip it degraded, the router's
+# rebalancer must quarantine a tenant off it on the probe sweep that sees
+# it, and no request may be lost.
 echo "health phase: rebooting the fleet with a failing die on $SRC..." >&2
 cat > "$BIN/faults.plan" <<'EOF'
 # One die of sixteen dies 40 simulated seconds in; the marginal flash that
@@ -192,7 +194,7 @@ for addr in "${NODES[@]}"; do
   port="${addr##*:}"
   hflag=()
   if [ "http://$addr" = "$SRC" ]; then
-    hflag=(-fault-plan "$BIN/faults.plan" -audit-every 250ms -degraded-score 0.95)
+    hflag=(-fault-plan "$BIN/faults.plan" -degraded-score 0.95)
   fi
   "$BIN/ssdkeeperd" -addr "$addr" -wire-listen "127.0.0.1:$((port + 1000))" \
     -accel 20 -no-keeper \
@@ -208,7 +210,7 @@ done
 # phase can produce is the quarantine evacuation.
 "$BIN/keeperfleet" -addr "127.0.0.1:$RPORT" -nodes "$NODE_URLS" \
   -wire-nodes "$WIRE_NODES" -wire-listen "$RWIRE" \
-  -rebalance -probe-every 300ms -rebalance-every 300ms -hot-factor 100 \
+  -rebalance -probe-every 300ms -hot-factor 100 \
   2>"$BIN/health-router.log" &
 RPID=$!
 wait_ready "$ROUTER" "$BIN/health-router.log"
@@ -218,14 +220,14 @@ echo "driving load through the die failure..." >&2
   -write-ratios 0.9,0.1,0.8,0.2 -json > "$BIN/health-load.json" &
 LPID=$!
 
-# The auditor notices the dead die and holds the node out of readiness.
+# A health read notices the dead die and holds the node out of readiness.
 degraded=""
 for _ in $(seq 1 100); do
   degraded=$(metric "$SRC" 'ssdkeeper_degraded' || true)
   [ "$degraded" = "1" ] && break
   sleep 0.3
 done
-[ "$degraded" = "1" ] || fail "auditor never flipped $SRC degraded"
+[ "$degraded" = "1" ] || fail "$SRC never read degraded"
 if curl -sf "$SRC/readyz" >/dev/null 2>&1; then
   fail "$SRC still ready while degraded"
 fi
