@@ -177,8 +177,8 @@ func TestCLITrainAndReuse(t *testing.T) {
 		}
 	}
 
-	// The sidecar learner is gone (ssdkeeperd -learn is the one deployment):
-	// keeper-train refuses each flag of the -follow family.
+	// The sidecar learner is gone, like the in-daemon one: keeper-train
+	// refuses each flag of the -follow family.
 	for _, flag := range []string{
 		"-follow", "-follow-interval", "-model-dir", "-model-keep", "-learn-min-samples",
 		"-learn-retrain-every", "-learn-min-epochs", "-learn-agree", "-learn-min-comparable",
@@ -215,6 +215,18 @@ func TestCLIRemovedFlags(t *testing.T) {
 		{"keeperload", "-direct"},
 		{"keeperload", "-via"},
 		{"keeperload", "-conns"},
+		// The in-daemon learner and its checkpoint GC.
+		{"ssdkeeperd", "-learn"},
+		{"ssdkeeperd", "-learn-interval"},
+		{"ssdkeeperd", "-learn-min-samples"},
+		{"ssdkeeperd", "-learn-retrain-every"},
+		{"ssdkeeperd", "-learn-min-epochs"},
+		{"ssdkeeperd", "-learn-agree"},
+		{"ssdkeeperd", "-learn-min-comparable"},
+		{"ssdkeeperd", "-learn-explore"},
+		{"ssdkeeperd", "-learn-demote-margin"},
+		{"ssdkeeperd", "-learn-seed"},
+		{"ssdkeeperd", "-model-keep"},
 	} {
 		out, err := exec.Command(filepath.Join(bins, c.tool), c.flag, "1").CombinedOutput()
 		if err == nil || !strings.Contains(string(out), "flag provided but not defined: "+c.flag) {

@@ -18,8 +18,8 @@
 //	keeper-train -optimizer sgd-momentum -iterations 300 ...
 //	keeper-train -inspect model.json                          # verify a checkpoint
 //
-// Training here is offline only; the continuous learner that retrains on live
-// traffic runs inside the daemon (ssdkeeperd -learn).
+// The serving daemon loads what this writes and never retrains on live
+// traffic.
 package main
 
 import (

@@ -15,20 +15,15 @@
 // publishes the new policy, and every shard picks it up at its next
 // adaptation epoch; role=shadow installs a candidate for shadow evaluation
 // (agreement/divergence counters in /metrics) without touching the device.
-//
-// With -learn the daemon closes the loop: every adaptation epoch emits an
-// outcome sample, a replay buffer accumulates them, and an in-process learner
-// periodically retrains, installs the candidate as shadow, auto-promotes it
-// when the gate clears, and demotes back to last-good on post-promotion
-// regression (see internal/learn). Without -learn no sample is emitted.
+// The daemon never retrains on live traffic: new models come from
+// keeper-train, offline, as in the paper.
 //
 // Usage:
 //
 //	ssdkeeperd -addr :8080 -model model.json -accel 1.0
-//	ssdkeeperd -addr :8080 -model-dir models/        # registry + hot reload
-//	ssdkeeperd -addr :8080 -model-dir models/ -learn # + continuous learning
-//	ssdkeeperd -addr :8080 -train-workloads 12      # self-train a quick model
-//	ssdkeeperd -no-keeper                           # serve without adaptation
+//	ssdkeeperd -addr :8080 -model-dir models/     # registry + hot reload
+//	ssdkeeperd -addr :8080 -train-workloads 12   # self-train a quick model
+//	ssdkeeperd -no-keeper                        # serve without adaptation
 package main
 
 import (
@@ -47,7 +42,6 @@ import (
 	"ssdkeeper/internal/dataset"
 	"ssdkeeper/internal/experiments"
 	"ssdkeeper/internal/keeper"
-	"ssdkeeper/internal/learn"
 	"ssdkeeper/internal/nand"
 	"ssdkeeper/internal/policy"
 	"ssdkeeper/internal/serve"
@@ -81,18 +75,6 @@ func main() {
 		degraded   = flag.Float64("degraded-score", 0.5, "device-health score in [0,1] below which the node flips degraded (/readyz 503), judged whenever /readyz or /metrics is read; 0 disables it")
 		trainWork  = flag.Int("train-workloads", 12, "workloads to label when self-training")
 		quiet      = flag.Bool("q", false, "suppress startup progress output")
-
-		learnOn       = flag.Bool("learn", false, "run the continuous learner in-daemon: harvest epoch samples, retrain, shadow, auto-promote (requires -model-dir)")
-		learnInterval = flag.Duration("learn-interval", time.Second, "how often the learner ingests samples and advances its state machine (wall)")
-		learnMin      = flag.Int("learn-min-samples", 64, "outcome samples buffered before the first retrain")
-		learnRetrain  = flag.Int("learn-retrain-every", 64, "new outcome samples between retrains")
-		learnEpochs   = flag.Int("learn-min-epochs", 8, "shadow decisions before the promotion gate rules")
-		learnAgree    = flag.Float64("learn-agree", 0, "minimum shadow agreement ratio to promote")
-		learnComp     = flag.Int("learn-min-comparable", 0, "comparable outcome samples the promotion regret estimate must rest on")
-		learnExplore  = flag.Float64("learn-explore", 0, "epsilon-greedy exploration rate: probability an adaptation epoch applies a random strategy")
-		learnDemote   = flag.Float64("learn-demote-margin", 0.10, "relative regret growth over the promotion baseline that triggers demotion")
-		learnSeed     = flag.Int64("learn-seed", 1, "seeds the replay buffer and every retrain")
-		modelKeep     = flag.Int("model-keep", 8, "checkpoints the learner's registry GC retains (0: unbounded; active/shadow/last-good never deleted)")
 	)
 	flag.Parse()
 
@@ -143,38 +125,6 @@ func main() {
 		}
 	}
 
-	// The learner is the shards' sample sink; without -learn epochs emit
-	// nothing.
-	var learner *learn.Learner
-	var sink learn.Sink
-	if *learnOn && k != nil {
-		if reg == nil {
-			fatal(errors.New("-learn needs -model-dir (the learner writes and promotes registry checkpoints)"))
-		}
-		var logf func(string, ...any)
-		if !*quiet {
-			logf = func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "ssdkeeperd: "+format+"\n", args...)
-			}
-		}
-		var err error
-		learner, err = learn.New(learn.Config{
-			Classes:       len(env.Strategies),
-			Seed:          *learnSeed,
-			MinSamples:    *learnMin,
-			RetrainEvery:  *learnRetrain,
-			MinEpochs:     *learnEpochs,
-			AgreeMin:      *learnAgree,
-			MinComparable: *learnComp,
-			DemoteMargin:  *learnDemote,
-			Logf:          logf,
-		}, &learn.RegistryActuator{Reg: reg, Src: k.Source(), Keep: *modelKeep})
-		if err != nil {
-			fatal(err)
-		}
-		sink = learner
-	}
-
 	var auditLog func(string, ...any)
 	if !*quiet {
 		auditLog = func(format string, args ...any) {
@@ -191,10 +141,6 @@ func main() {
 		MaxBytes:      *maxBytes,
 		Accel:         *accel,
 		ShardCount:    *shards,
-		Sink:          sink,
-		Learner:       learner,
-		ExploreRate:   *learnExplore,
-		ExploreSeed:   *learnSeed,
 		DegradedScore: *degraded,
 		AuditLog:      auditLog,
 	}, k)
@@ -202,23 +148,6 @@ func main() {
 		fatal(err)
 	}
 	s.Start()
-
-	if learner != nil {
-		go func() {
-			tick := time.NewTicker(*learnInterval)
-			defer tick.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case now := <-tick.C:
-					if err := learner.Step(now); err != nil {
-						fmt.Fprintf(os.Stderr, "ssdkeeperd: %v\n", err)
-					}
-				}
-			}
-		}()
-	}
 
 	if k != nil && reg != nil {
 		s.SetReloader(registryReloader(reg, k.Source()))

@@ -1,11 +1,8 @@
 package keeper
 
 import (
-	"math/rand"
-
 	"ssdkeeper/internal/alloc"
 	"ssdkeeper/internal/features"
-	"ssdkeeper/internal/learn"
 	"ssdkeeper/internal/policy"
 	"ssdkeeper/internal/sim"
 	"ssdkeeper/internal/simrun"
@@ -21,6 +18,9 @@ import (
 //
 // The controller is single-goroutine, like the engine of the device it
 // re-binds: callers serialize Observe/Tick with the simulation they pace.
+// It sees arrivals only, never completions: an adaptation epoch is Decide,
+// re-bind, record the switch, count the shadow's (dis)agreement. Models are
+// trained offline (keeper.Train, keeper-train), as in the paper.
 //
 // Epoch semantics (Algorithm 2, generalized): the first window covers
 // [0, Window). When simulated time reaches an epoch boundary the collected
@@ -40,13 +40,6 @@ type Controller struct {
 	// Trace replay leaves it unset, keeping the historical
 	// fire-every-boundary semantics and the full history.
 	SkipIdle bool
-
-	// Sink, when set, receives one learn.Sample per adaptation epoch: the
-	// vector observed, the strategy applied, and the latency/throughput the
-	// device realized under it until the next epoch fired. Nil keeps the
-	// historical behavior at zero cost. Set before traffic starts; Offer is
-	// called from whichever goroutine drives the controller.
-	Sink learn.Sink
 
 	k        *Keeper
 	dev      *ssd.Device
@@ -77,20 +70,6 @@ type Controller struct {
 	shadowAgree   uint64
 	shadowDiverge uint64
 	shadowErrs    uint64
-
-	// Outcome feed: the sample opened at the last adaptation epoch, flushed
-	// with its realized outcome when the next epoch fires. Complete
-	// accumulates into the open epoch; idle (skipped) boundaries extend it.
-	pending     learn.Sample
-	hasPending  bool
-	epCompleted uint64
-	epLatSum    sim.Time
-
-	// ε-greedy exploration: with probability exploreRate an epoch applies a
-	// uniformly random strategy instead of the policy's choice, feeding the
-	// outcome index measurements the greedy policy would never take.
-	exploreRate float64
-	exploreRng  *rand.Rand
 
 	// Health-feature state: retries seen up to the previous epoch boundary,
 	// so each window's retry rate is a per-window delta, and the arrival
@@ -133,9 +112,7 @@ func (c *Controller) refresh() {
 // adapt predicts from the current window and re-binds the device at epoch
 // boundary time now. When a shadow candidate is installed it decides on the
 // same vector and the comparison is counted; shadow failures are counted,
-// not fatal — a broken candidate must not take down the active loop. With a
-// Sink installed the previous epoch's sample is flushed with its realized
-// outcome and a new one opens on this epoch's decision.
+// not fatal — a broken candidate must not take down the active loop.
 func (c *Controller) adapt(now sim.Time) error {
 	c.refresh()
 	vec := c.col.Vector(now)
@@ -144,53 +121,25 @@ func (c *Controller) adapt(now sim.Time) error {
 	if err != nil {
 		return err
 	}
-	// Exploration overrides the applied strategy only; shadow comparison and
-	// the sample's agreement fields stay against the policy's own choice, so
-	// an exploring epoch never pollutes the promotion gate's tallies.
-	applied, explored := strat, false
-	if c.exploreRng != nil && c.exploreRng.Float64() < c.exploreRate {
-		applied = c.k.cfg.Strategies[c.exploreRng.Intn(len(c.k.cfg.Strategies))]
-		explored = !alloc.Equal(applied, strat)
-	}
-	if err := simrun.Apply(c.dev, applied, vec.Traits(), c.k.cfg.Hybrid); err != nil {
+	if err := simrun.Apply(c.dev, strat, vec.Traits(), c.k.cfg.Hybrid); err != nil {
 		return err
 	}
 	c.last = Switch{
-		At: now, Vector: vec, Strategy: applied, Index: alloc.Index(c.k.cfg.Strategies, applied),
+		At: now, Vector: vec, Strategy: strat, Index: alloc.Index(c.k.cfg.Strategies, strat),
 	}
 	c.nswitch++
 	if !c.SkipIdle {
 		c.switches = append(c.switches, c.last)
 	}
-	shadowIdx, shadowAgreed, shadowErred := -1, false, false
 	if c.shadowPol != nil {
 		switch shadow, err := c.shadowPol.Decide(vec); {
 		case err != nil:
 			c.shadowErrs++
-			shadowErred = true
 		case alloc.Equal(shadow, strat):
 			c.shadowAgree++
-			shadowIdx, shadowAgreed = alloc.Index(c.k.cfg.Strategies, shadow), true
 		default:
 			c.shadowDiverge++
-			shadowIdx = alloc.Index(c.k.cfg.Strategies, shadow)
 		}
-	}
-	if c.Sink != nil {
-		c.flushSample(now)
-		c.pending = learn.Sample{
-			At:            now,
-			Vector:        vec,
-			Strategy:      applied,
-			StrategyIndex: alloc.Index(c.k.cfg.Strategies, applied),
-			Explore:       explored,
-			PolicyVersion: c.polVer,
-			ShadowVersion: c.shadowVer,
-			ShadowIndex:   shadowIdx,
-			ShadowAgreed:  shadowAgreed,
-			ShadowErred:   shadowErred,
-		}
-		c.hasPending = true
 	}
 	return nil
 }
@@ -220,49 +169,6 @@ func (c *Controller) mergeHealth(vec *features.Vector) {
 		hs.WearSpread = 1
 	}
 	vec.WearSpread = hs.WearSpread
-}
-
-// flushSample closes the open epoch's sample with the completions realized
-// since it was decided and hands it to the sink, then resets the outcome
-// accumulators for the epoch starting at now.
-func (c *Controller) flushSample(now sim.Time) {
-	if c.hasPending {
-		c.pending.Epoch = now - c.pending.At
-		c.pending.Completed = c.epCompleted
-		c.pending.LatencySum = c.epLatSum
-		c.Sink.Offer(c.pending)
-		c.hasPending = false
-	}
-	c.epCompleted, c.epLatSum = 0, 0
-}
-
-// Complete records one request completion's simulated latency against the
-// open adaptation epoch. A no-op without a sink; called from the same
-// goroutine that drives Observe/Tick (the shard's completion callbacks run
-// in engine context, which the shard goroutine owns).
-func (c *Controller) Complete(lat sim.Time) {
-	if c.Sink == nil {
-		return
-	}
-	c.epCompleted++
-	c.epLatSum += lat
-}
-
-// EnableExploration turns on ε-greedy strategy exploration: each adaptation
-// epoch applies a uniformly random strategy with probability rate. The
-// sample emitted for an exploring epoch is flagged Explore, so the learner
-// can use its outcome while keeping it out of regret estimates. rate <= 0
-// disables exploration.
-func (c *Controller) EnableExploration(rate float64, seed int64) {
-	if rate <= 0 {
-		c.exploreRate, c.exploreRng = 0, nil
-		return
-	}
-	if rate > 1 {
-		rate = 1
-	}
-	c.exploreRate = rate
-	c.exploreRng = rand.New(rand.NewSource(seed))
 }
 
 // advance fires every epoch boundary at or before now, in order. It is a

@@ -39,8 +39,9 @@ import (
 const FormatVersion = 2
 
 // Training provenance sources: offline is the keeper-train pipeline over
-// synthetic labelled workloads; online is the continuous learner retraining
-// on live traffic samples.
+// synthetic labelled workloads; online marks checkpoints that earlier daemons
+// retrained in-process on live traffic. Nothing writes online any more, but
+// such files still load and keep their stamp.
 const (
 	SourceOffline = "offline"
 	SourceOnline  = "online"
@@ -60,9 +61,9 @@ type Meta struct {
 	// labelled workloads) or SourceOnline (live-traffic samples). Absent in
 	// files written before continuous learning existed.
 	Source string `json:"source,omitempty"`
-	// Parent is the version whose live traffic the training samples were
-	// harvested under — the checkpoint's ancestor in the online-learning
-	// lineage. Only online checkpoints carry one.
+	// Parent is the version whose live traffic an online checkpoint's
+	// training samples were harvested under. Only online checkpoints carry
+	// one.
 	Parent string `json:"parent,omitempty"`
 }
 

@@ -277,7 +277,13 @@ func TestRegistry(t *testing.T) {
 	}
 	for _, v := range []string{"v001", "v002", "v010"} {
 		net := testNet(t, len(strategies), int64(len(v)))
-		f, err := writeCheckpoint(dir, v, net, strategies)
+		meta := Meta{Name: v}
+		if v == "v002" {
+			// Checkpoints stamped with online provenance (written by earlier
+			// daemons that retrained in-process) load like any other.
+			meta.Source, meta.Parent = SourceOnline, "v001"
+		}
+		f, err := writeCheckpoint(dir, v, net, meta, strategies)
 		if err != nil {
 			t.Fatalf("write %s: %v (%s)", v, err, f)
 		}
@@ -309,6 +315,11 @@ func TestRegistry(t *testing.T) {
 	if _, err := m.NewPolicy().Decide(features.Vector{Intensity: 10}); err != nil {
 		t.Errorf("loaded policy decide: %v", err)
 	}
+	if m, err := reg.Load("v002"); err != nil {
+		t.Fatal(err)
+	} else if got := m.Meta(); got.Source != SourceOnline || got.Parent != "v001" {
+		t.Errorf("loaded provenance = %q/%q, want online/v001", got.Source, got.Parent)
+	}
 	for _, bad := range []string{"", "../escape", "a/b", "x..y"} {
 		if _, err := reg.Load(bad); err == nil {
 			t.Errorf("version name %q accepted", bad)
@@ -319,9 +330,36 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
-func writeCheckpoint(dir, version string, net *nn.Network, strategies []alloc.Strategy) (string, error) {
+// TestRegistryOrdersVersionsByNumber: vNNN names order by number, so v1000
+// (which as a string sorts before v999) is the newest and Latest serves it.
+func TestRegistryOrdersVersionsByNumber(t *testing.T) {
+	dir := t.TempDir()
+	strategies := testStrategies()
+	reg, err := NewRegistry(dir, testChannels, strategies)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range []string{"v998", "v999", "baseline", "v1000"} {
+		if _, err := writeCheckpoint(dir, v, testNet(t, len(strategies), int64(i+1)), Meta{Name: v}, strategies); err != nil {
+			t.Fatal(err)
+		}
+	}
+	versions, err := reg.Versions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(versions, " "), "baseline v998 v999 v1000"; got != want {
+		t.Fatalf("versions = %q, want %q", got, want)
+	}
+	latest, err := reg.Latest()
+	if err != nil || latest.Version() != "v1000" {
+		t.Fatalf("Latest = %v (%v), want v1000", latest, err)
+	}
+}
+
+func writeCheckpoint(dir, version string, net *nn.Network, meta Meta, strategies []alloc.Strategy) (string, error) {
 	var buf bytes.Buffer
-	if err := SaveCheckpoint(&buf, net, Meta{Name: version}, testChannels, strategies); err != nil {
+	if err := SaveCheckpoint(&buf, net, meta, testChannels, strategies); err != nil {
 		return "", err
 	}
 	path := dir + "/" + version + ".json"

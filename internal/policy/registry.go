@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"ssdkeeper/internal/alloc"
-	"ssdkeeper/internal/nn"
 )
 
 // Registry loads versioned model checkpoints from a directory. Every *.json
@@ -42,7 +41,7 @@ func NewRegistry(dir string, channels int, strategies []alloc.Strategy) (*Regist
 func (r *Registry) Dir() string { return r.dir }
 
 // Versions lists the available checkpoint versions in ascending order: vNNN
-// names by their number (NextVersion's v%03d outgrows its padding at v1000,
+// names by their number (three-digit names outgrow their padding at v1000,
 // which as a string sorts before v999), every other name lexically.
 func (r *Registry) Versions() ([]string, error) {
 	entries, err := os.ReadDir(r.dir)
@@ -110,24 +109,6 @@ func (r *Registry) Latest() (*Model, error) {
 	return r.Load(versions[len(versions)-1])
 }
 
-// NextVersion returns the next free vNNN version name: one past the highest
-// numeric vNNN already present ("v001" in an empty or non-numeric registry).
-// Non-vNNN names (hand-placed checkpoints) are ignored for numbering but
-// still count as versions everywhere else.
-func (r *Registry) NextVersion() (string, error) {
-	versions, err := r.Versions()
-	if err != nil {
-		return "", err
-	}
-	max := 0
-	for _, v := range versions {
-		if n, ok := versionNumber(v); ok && n > max {
-			max = n
-		}
-	}
-	return fmt.Sprintf("v%03d", max+1), nil
-}
-
 // versionNumber parses a vNNN version name.
 func versionNumber(v string) (int, bool) {
 	if len(v) < 2 || v[0] != 'v' {
@@ -138,69 +119,6 @@ func versionNumber(v string) (int, bool) {
 		return 0, false
 	}
 	return n, true
-}
-
-// SaveCheckpoint writes net as a new version, atomically: the envelope is
-// written to a temp file in the registry directory and renamed into place,
-// so a concurrent Load (the daemon's reload handler) never sees a partial
-// file. The registry's own schema stamps the envelope.
-func (r *Registry) SaveCheckpoint(version string, net *nn.Network, meta Meta) error {
-	if err := checkVersionName(version); err != nil {
-		return err
-	}
-	final := filepath.Join(r.dir, version+".json")
-	if _, err := os.Stat(final); err == nil {
-		return fmt.Errorf("policy: version %q already exists", version)
-	}
-	tmp, err := os.CreateTemp(r.dir, version+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("policy: save %q: %w", version, err)
-	}
-	defer os.Remove(tmp.Name())
-	if err := SaveCheckpoint(tmp, net, meta, r.channels, r.strategies); err != nil {
-		tmp.Close()
-		return fmt.Errorf("policy: save %q: %w", version, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("policy: save %q: %w", version, err)
-	}
-	if err := os.Rename(tmp.Name(), final); err != nil {
-		return fmt.Errorf("policy: save %q: %w", version, err)
-	}
-	return nil
-}
-
-// GC deletes old checkpoints beyond the newest keep versions, never touching
-// the protected ones (the caller passes the active and shadow versions, plus
-// anything else it may roll back to). A long-running learner writes a new
-// checkpoint every retrain; without GC the model dir grows unboundedly.
-// Returns the versions deleted. keep <= 0 disables GC entirely.
-func (r *Registry) GC(keep int, protect ...string) ([]string, error) {
-	if keep <= 0 {
-		return nil, nil
-	}
-	versions, err := r.Versions()
-	if err != nil {
-		return nil, err
-	}
-	if len(versions) <= keep {
-		return nil, nil
-	}
-	protected := make(map[string]bool, len(protect))
-	for _, p := range protect {
-		protected[p] = true
-	}
-	var deleted []string
-	for _, v := range versions[:len(versions)-keep] {
-		if protected[v] {
-			continue
-		}
-		if err := os.Remove(filepath.Join(r.dir, v+".json")); err != nil {
-			return deleted, fmt.Errorf("policy: gc %q: %w", v, err)
-		}
-		deleted = append(deleted, v)
-	}
-	return deleted, nil
 }
 
 // checkVersionName rejects version strings that could escape the registry

@@ -3,9 +3,6 @@ package serve
 import (
 	"context"
 	"fmt"
-	"sync"
-
-	"ssdkeeper/internal/learn"
 )
 
 // outcome is what a submitted request resolved to.
@@ -48,27 +45,4 @@ func submitWait(ctx context.Context, b Backend, req Request) (Response, error) {
 		return Response{}, err
 	}
 	return c.wait(ctx)
-}
-
-// sampleSink collects the samples shards emit, forwarding each to next when
-// set.
-type sampleSink struct {
-	mu      sync.Mutex
-	samples []learn.Sample
-	next    learn.Sink
-}
-
-func (k *sampleSink) Offer(s learn.Sample) {
-	k.mu.Lock()
-	k.samples = append(k.samples, s)
-	k.mu.Unlock()
-	if k.next != nil {
-		k.next.Offer(s)
-	}
-}
-
-func (k *sampleSink) all() []learn.Sample {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return append([]learn.Sample(nil), k.samples...)
 }

@@ -218,41 +218,6 @@ func (n *Node) WriteMetrics(w io.Writer) {
 		}
 	}
 
-	if lrn := n.cfg.Learner; lrn != nil {
-		// One atomic load of the learner's published snapshot; the learner
-		// goroutine refreshes it at each Step, so rendering stays lock-free.
-		st := lrn.Status()
-		fmt.Fprintf(w, "# HELP ssdkeeper_learn_samples_total Adaptation-epoch outcome samples harvested.\n")
-		fmt.Fprintf(w, "# TYPE ssdkeeper_learn_samples_total counter\n")
-		fmt.Fprintf(w, "ssdkeeper_learn_samples_total %d\n", st.Samples)
-		fmt.Fprintf(w, "# HELP ssdkeeper_learn_buffer Replay-buffer occupancy.\n")
-		fmt.Fprintf(w, "# TYPE ssdkeeper_learn_buffer gauge\n")
-		fmt.Fprintf(w, "ssdkeeper_learn_buffer %d\n", st.Buffered)
-		fmt.Fprintf(w, "# HELP ssdkeeper_learn_retrains_total Candidate models retrained from live samples.\n")
-		fmt.Fprintf(w, "# TYPE ssdkeeper_learn_retrains_total counter\n")
-		fmt.Fprintf(w, "ssdkeeper_learn_retrains_total %d\n", st.Retrains)
-		fmt.Fprintf(w, "# HELP ssdkeeper_learn_promotions_total Candidates auto-promoted to active.\n")
-		fmt.Fprintf(w, "# TYPE ssdkeeper_learn_promotions_total counter\n")
-		fmt.Fprintf(w, "ssdkeeper_learn_promotions_total %d\n", st.Promotions)
-		fmt.Fprintf(w, "# HELP ssdkeeper_learn_demotions_total Promotions rolled back to the last-good version on regression.\n")
-		fmt.Fprintf(w, "# TYPE ssdkeeper_learn_demotions_total counter\n")
-		fmt.Fprintf(w, "ssdkeeper_learn_demotions_total %d\n", st.Demotions)
-		fmt.Fprintf(w, "# HELP ssdkeeper_learn_discards_total Candidates discarded at the promotion gate.\n")
-		fmt.Fprintf(w, "# TYPE ssdkeeper_learn_discards_total counter\n")
-		fmt.Fprintf(w, "ssdkeeper_learn_discards_total %d\n", st.Discards)
-		fmt.Fprintf(w, "# HELP ssdkeeper_learn_state Promotion state machine position (value is always 1).\n")
-		fmt.Fprintf(w, "# TYPE ssdkeeper_learn_state gauge\n")
-		fmt.Fprintf(w, "ssdkeeper_learn_state{state=%q} 1\n", st.State)
-		if st.Candidate != "" {
-			fmt.Fprintf(w, "# HELP ssdkeeper_learn_candidate_info Candidate under shadow evaluation or post-promotion watch (value is always 1).\n")
-			fmt.Fprintf(w, "# TYPE ssdkeeper_learn_candidate_info gauge\n")
-			fmt.Fprintf(w, "ssdkeeper_learn_candidate_info{version=%q} 1\n", st.Candidate)
-		}
-		fmt.Fprintf(w, "# HELP ssdkeeper_learn_regret Rolling relative latency regret of the serving policy vs the best-measured strategy.\n")
-		fmt.Fprintf(w, "# TYPE ssdkeeper_learn_regret gauge\n")
-		fmt.Fprintf(w, "ssdkeeper_learn_regret %g\n", st.Regret)
-	}
-
 	// Device health: raw counters summed across shards, per-shard scores, and
 	// the verdict, judged here on the same snapshots (audit.go).
 	var dieFail, retries, retired, slow int64

@@ -37,7 +37,6 @@ import (
 
 	"ssdkeeper/internal/ftl"
 	"ssdkeeper/internal/keeper"
-	"ssdkeeper/internal/learn"
 	"ssdkeeper/internal/nand"
 	"ssdkeeper/internal/sim"
 	"ssdkeeper/internal/simrun"
@@ -99,24 +98,6 @@ type Config struct {
 	// clock to make pacing deterministic.
 	Now func() time.Time
 
-	// Sink, when set (and a keeper is serving), receives one learn.Sample
-	// per shard adaptation epoch — the outcome feed of the continuous
-	// learner. Offer is called from shard goroutines; implementations must
-	// be concurrency-safe and fast. Nil keeps epochs sample-free at zero
-	// cost.
-	Sink learn.Sink
-	// Learner, when set, is surfaced in /metrics (the node does not drive
-	// it — the daemon's ticker calls Step).
-	Learner *learn.Learner
-	// ExploreRate enables ε-greedy strategy exploration on every shard
-	// controller: each adaptation epoch applies a uniformly random strategy
-	// with this probability, feeding the learner outcomes the greedy policy
-	// would never measure. Zero disables exploration.
-	ExploreRate float64
-	// ExploreSeed seeds exploration; each shard derives its own stream from
-	// it, so multi-shard runs stay deterministic under a fake clock.
-	ExploreSeed int64
-
 	// DegradedScore is the device-health readiness threshold in [0,1]. The
 	// reads that report health — Ready, Degraded (/readyz), WriteMetrics,
 	// Audit — judge it: the first to find a shard scoring below the
@@ -171,8 +152,6 @@ func (c Config) Validate() error {
 			c.Tenants, c.MaxBytes, ftl.MaxTenants, int64(ftl.MaxLPN))
 	case c.Accel < 0:
 		return fmt.Errorf("serve: negative accel %v", c.Accel)
-	case c.ExploreRate < 0 || c.ExploreRate > 1:
-		return fmt.Errorf("serve: explore rate %v outside [0,1]", c.ExploreRate)
 	case c.DegradedScore < 0 || c.DegradedScore > 1:
 		return fmt.Errorf("serve: degraded score %v outside [0,1]", c.DegradedScore)
 	}

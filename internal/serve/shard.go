@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"ssdkeeper/internal/keeper"
-	"ssdkeeper/internal/learn"
 	"ssdkeeper/internal/sim"
 	"ssdkeeper/internal/simrun"
 	"ssdkeeper/internal/ssd"
@@ -208,27 +207,9 @@ func newShard(id int, n *Node, k *keeper.Keeper) (*shard, error) {
 		// A live device can idle for many windows; adapting on empty
 		// windows would re-bind channels on zero information.
 		sd.ctrl.SkipIdle = true
-		if n.cfg.Sink != nil {
-			sd.ctrl.Sink = shardSink{id: id, sink: n.cfg.Sink}
-		}
-		// Each shard gets its own exploration stream so one shard's draws
-		// never perturb another's.
-		sd.ctrl.EnableExploration(n.cfg.ExploreRate, n.cfg.ExploreSeed+int64(id))
 	}
 	go sd.loop()
 	return sd, nil
-}
-
-// shardSink stamps each emitted sample with its shard before fanning out to
-// the node-level sink.
-type shardSink struct {
-	id   int
-	sink learn.Sink
-}
-
-func (s shardSink) Offer(smp learn.Sample) {
-	smp.Shard = s.id
-	s.sink.Offer(smp)
 }
 
 // enter pins the shard open for one mailbox send; the caller must call
@@ -453,12 +434,6 @@ func (p *Pending) Done(lat sim.Time) {
 	ts.occupancy.Add(-1)
 	ts.completed[p.req.Op]++
 	ts.hist[p.req.Op].Add(lat)
-	if sd.ctrl != nil {
-		// Feed the outcome of this epoch's binding back to the learner.
-		// Handoff replays (replayTenant) are state transfer, not served
-		// traffic, and deliberately stay out of the feed.
-		sd.ctrl.Complete(lat)
-	}
 	p.resolve(Response{Latency: lat, At: sd.eng.Now()}, nil)
 	sd.dispatchQueued(ts)
 }

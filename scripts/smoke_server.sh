@@ -21,15 +21,6 @@
 #   - every request submitted across the swap is answered,
 #   - SIGTERM still drains cleanly.
 #
-# Phase 4 (continuous learning): boot -learn with a deliberately weak v001
-# (one training iteration) and loose gate thresholds, keep load flowing, and
-# assert that the closed loop completes end to end:
-#   - epoch samples land in the learner (and the sidecar's /learn/samples
-#     export is gone: 404),
-#   - a retrain fires and installs a candidate as shadow,
-#   - the gate auto-promotes: /metrics flips the active model off v001,
-#   - SIGTERM still drains cleanly with requests answered throughout.
-#
 # Usage: scripts/smoke_server.sh [port]
 set -euo pipefail
 
@@ -191,55 +182,4 @@ wait "$DPID" || fail "phase 3: daemon exited non-zero on SIGTERM"
 grep -q "drained clean" "$LOG" || fail "phase 3: no clean-drain report in log"
 echo "phase 3 ok: reload v001 -> v002 under load, $ok/1000 answered, clean drain" >&2
 
-echo "phase 4: continuous learning (-learn, weak v001, auto-promotion)..." >&2
-LEARNDIR="$BIN/learn-models"
-mkdir -p "$LEARNDIR"
-# A one-iteration model: barely trained, so the online retrain has something
-# to improve on. The loose gate flags (agree 0, comparable 0) make promotion
-# deterministic once the shadow has decided enough epochs; the huge demote
-# margin keeps the post-promotion watch from flaking the smoke — demotion is
-# covered by unit test.
-"$BIN/keeper-train" -dataset "$BIN/data.jsonl" -reuse -iterations 1 \
-  -batch 16 -hidden 16 -out "$LEARNDIR/v001.json" -q
-
-"$BIN/ssdkeeperd" -addr "$ADDR" -accel 20 -window 50ms -adapt-every 50ms \
-  -model-dir "$LEARNDIR" -learn -learn-interval 200ms \
-  -learn-min-samples 24 -learn-retrain-every 16 -learn-min-epochs 6 \
-  -learn-explore 0.25 -learn-demote-margin 10 -model-keep 4 2>"$LOG" &
-DPID=$!
-wait_ready
-
-# Keep epochs firing (SkipIdle means idle windows emit nothing) and poll for
-# the closed loop: samples -> retrain -> shadow -> promotion off v001.
-promoted=""
-answered=0
-for _ in $(seq 1 40); do
-  "$BIN/keeperload" -addr "$URL" -n 200 -concurrency 16 \
-    -write-ratios 0.9,0.1,0.8,0.2 -json > "$BIN/load4.json"
-  answered=$((answered + $(json_count ok "$BIN/load4.json")))
-  scrape
-  if grep -q 'ssdkeeper_model_info{role="active",version="v001"}' "$BIN/metrics.txt"; then
-    continue
-  fi
-  promotions=$(awk '$1 == "ssdkeeper_learn_promotions_total" {print $2}' "$BIN/metrics.txt")
-  [ -n "$promotions" ] && [ "$promotions" -ge 1 ] && promoted=yes && break
-done
-[ "$promoted" = yes ] \
-  || fail "phase 4: learner never promoted a retrained candidate off v001"
-
-retrains=$(awk '$1 == "ssdkeeper_learn_retrains_total" {print $2}' "$BIN/metrics.txt")
-[ -n "$retrains" ] && [ "$retrains" -ge 1 ] \
-  || fail "phase 4: promotion without a recorded retrain (retrains=$retrains)"
-samples=$(awk '$1 == "ssdkeeper_learn_samples_total" {print $2}' "$BIN/metrics.txt")
-[ -n "$samples" ] && [ "$samples" -ge 1 ] \
-  || fail "phase 4: no learner samples counted"
-[ "$(curl -s -o /dev/null -w '%{http_code}' "$URL/learn/samples")" = 404 ] \
-  || fail "phase 4: the sidecar's /learn/samples export is still routed"
-[ "$answered" -ge 200 ] || fail "phase 4: only $answered requests answered"
-
-kill -TERM "$DPID"
-wait "$DPID" || fail "phase 4: daemon exited non-zero on SIGTERM"
-grep -q "drained clean" "$LOG" || fail "phase 4: no clean-drain report in log"
-grep -q "promoted" "$LOG" || fail "phase 4: no promotion logged by the learner"
-echo "phase 4 ok: $retrains retrain(s), promoted off v001 ($samples samples), clean drain" >&2
 echo "smoke_server.sh: all checks passed" >&2
