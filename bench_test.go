@@ -195,7 +195,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := workload.Run(workload.RunConfig{
+		if _, err := replay(simrun.Config{
 			Device: env.Device, Options: env.Options,
 			Strategy: alloc.Strategy{Kind: alloc.Shared},
 			Traits:   spec.Traits(), Season: env.Season,
@@ -247,7 +247,7 @@ func BenchmarkSimulatorHealth(b *testing.B) {
 			opts.FaultPlan = c.plan
 			var readP99 float64
 			for i := 0; i < b.N; i++ {
-				res, err := workload.Run(workload.RunConfig{
+				res, err := replay(simrun.Config{
 					Device: env.Device, Options: opts,
 					Strategy: alloc.Strategy{Kind: alloc.Shared},
 					Traits:   spec.Traits(), Season: env.Season,
@@ -285,7 +285,7 @@ func BenchmarkSimulatorHealthOverhead(b *testing.B) {
 		opts := env.Options
 		opts.FaultPlan = plan
 		start := time.Now()
-		if _, err := workload.Run(workload.RunConfig{
+		if _, err := replay(simrun.Config{
 			Device: env.Device, Options: opts,
 			Strategy: alloc.Strategy{Kind: alloc.Shared},
 			Traits:   spec.Traits(), Season: env.Season,
@@ -320,6 +320,16 @@ func BenchmarkSimulatorHealthOverhead(b *testing.B) {
 	if len(plain) > 0 {
 		b.ReportMetric(float64(median(withHP))/float64(median(plain)), "armed-over-nofault")
 	}
+}
+
+// benchRunner is reused by every replay: a reset engine replays exactly like
+// a fresh one, so the timed loops measure the simulation, not its set-up.
+var benchRunner = simrun.NewRunner()
+
+// replay runs one simulation on benchRunner.
+func replay(rc simrun.Config, t trace.Trace) (ssd.Result, error) {
+	res, err := benchRunner.Run(context.Background(), rc, t)
+	return res.Result, err
 }
 
 // median of a duration sample; GC pauses and scheduler hiccups land on
@@ -471,7 +481,7 @@ func BenchmarkAblationReadPriority(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var total float64
 			for i := 0; i < b.N; i++ {
-				res, err := workload.Run(workload.RunConfig{
+				res, err := replay(simrun.Config{
 					Device: env.Device, Options: ssd.Options{ReadPriority: prio},
 					Strategy: alloc.Strategy{Kind: alloc.Shared},
 					Traits:   traits, Season: env.Season,
@@ -505,15 +515,15 @@ func BenchmarkAblationPageAlloc(b *testing.B) {
 				var total float64
 				var moved uint64
 				for i := 0; i < b.N; i++ {
-					rc := workload.RunConfig{
+					rc := simrun.Config{
 						Device: env.Device, Options: env.Options,
 						Strategy: strategy, Traits: traits,
 						Hybrid: mode == "hybrid",
 					}
 					if seasoned {
-						rc.Season = workload.DefaultSeasoning()
+						rc.Season = simrun.DefaultSeasoning()
 					}
-					res, err := workload.Run(rc, tr)
+					res, err := replay(rc, tr)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -623,7 +633,7 @@ func BenchmarkGCPressure(b *testing.B) {
 	runner := simrun.NewRunner()
 	for i := 0; i < b.N; i++ {
 		sess, err := runner.NewSession(simrun.Config{
-			Device: cfg, Season: workload.DefaultSeasoning(),
+			Device: cfg, Season: simrun.DefaultSeasoning(),
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -656,7 +666,7 @@ func BenchmarkAblationQueueDepth(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				opts := env.Options
 				opts.MaxOutstanding = depth
-				res, err := workload.Run(workload.RunConfig{
+				res, err := replay(simrun.Config{
 					Device: env.Device, Options: opts,
 					Strategy: alloc.Strategy{Kind: alloc.TwoGroup, WriteChannels: 1},
 					Traits:   traits, Season: env.Season,
@@ -686,7 +696,7 @@ func BenchmarkAblationCacheRegister(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				opts := env.Options
 				opts.NoCacheRegister = noCache
-				res, err := workload.Run(workload.RunConfig{
+				res, err := replay(simrun.Config{
 					Device: env.Device, Options: opts,
 					Strategy: alloc.Strategy{Kind: alloc.Shared},
 					Traits:   traits, Season: env.Season,
@@ -717,7 +727,7 @@ func BenchmarkAblationWearLeveling(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := env.Device
 				cfg.WearThreshold = threshold
-				dev, err := workload.NewDevice(workload.RunConfig{
+				dev, err := NewDevice(simrun.Config{
 					Device: cfg, Options: env.Options,
 					Strategy: alloc.Strategy{Kind: alloc.Shared},
 					Traits:   traits, Season: env.Season,
@@ -752,7 +762,7 @@ func BenchmarkAblationCMT(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				opts := env.Options
 				opts.CMTEntries = entries
-				res, err := workload.Run(workload.RunConfig{
+				res, err := replay(simrun.Config{
 					Device: env.Device, Options: opts,
 					Strategy: alloc.Strategy{Kind: alloc.Shared},
 					Traits:   traits, Season: env.Season,
@@ -779,7 +789,7 @@ func BenchmarkAblationArbitration(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sess, err := runner.NewSession(simrun.Config{
 					Device: env.Device, Options: env.Options,
-					Season: workload.DefaultSeasoning(),
+					Season: simrun.DefaultSeasoning(),
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -6,6 +6,8 @@ package ssdkeeper_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -163,6 +165,27 @@ func TestCLITrainAndReuse(t *testing.T) {
 		t.Errorf("retrain stderr: %q", errOut)
 	}
 
+	// keeper-train -inspect reads only the checkpoint envelope it writes: the
+	// bare nn serialization inside it (what pre-envelope files held) is
+	// refused.
+	var env struct{ Model json.RawMessage }
+	raw, err := os.ReadFile(modelPath)
+	if err == nil {
+		err = json.Unmarshal(raw, &env)
+	}
+	if err != nil || len(env.Model) == 0 {
+		t.Fatalf("checkpoint %s has no model payload: %v", modelPath, err)
+	}
+	barePath := filepath.Join(work, "bare.json")
+	if err := os.WriteFile(barePath, env.Model, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command(filepath.Join(bins, "keeper-train"), "-inspect", barePath).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), "format version 0") {
+		t.Errorf("keeper-train -inspect on a bare model: err %v, output %q; want exit 1 naming format version 0", err, out)
+	}
+
 	// experiments: reuse both artifacts for fig6 (cheap, model-driven).
 	outDir := filepath.Join(work, "results")
 	stdout, _ := runTool(t, filepath.Join(bins, "experiments"),
@@ -227,6 +250,10 @@ func TestCLIRemovedFlags(t *testing.T) {
 		{"ssdkeeperd", "-learn-demote-margin"},
 		{"ssdkeeperd", "-learn-seed"},
 		{"ssdkeeperd", "-model-keep"},
+		// -model takes a checkpoint file or a registry directory, and the
+		// router has one migration gate: hold, then 503 after -gate-wait.
+		{"ssdkeeperd", "-model-dir"},
+		{"keeperfleet", "-gate-policy"},
 	} {
 		out, err := exec.Command(filepath.Join(bins, c.tool), c.flag, "1").CombinedOutput()
 		if err == nil || !strings.Contains(string(out), "flag provided but not defined: "+c.flag) {

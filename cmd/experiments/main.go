@@ -196,8 +196,8 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		// Versioned keeper-train checkpoint or legacy bare model; either
-		// way the schema is verified against this binary's strategy space.
+		// A keeper-train checkpoint, its schema verified against this
+		// binary's strategy space.
 		net, _, err = policy.LoadCheckpoint(f, env.Device.Channels, env.Strategies)
 		f.Close()
 		if err != nil {

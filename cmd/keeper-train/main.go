@@ -189,7 +189,6 @@ func main() {
 		Activation: *actName,
 		Loss:       res.History.FinalLoss,
 		Accuracy:   res.History.FinalAcc,
-		Source:     policy.SourceOffline,
 	}
 	f, err := os.Create(*outModel)
 	if err != nil {
@@ -231,12 +230,6 @@ func inspectCheckpoint(env experiments.Env, path string) error {
 		fmt.Printf("  training    %d samples, %d iterations, %s/%s\n",
 			meta.Samples, meta.Iterations, meta.Optimizer, meta.Activation)
 		fmt.Printf("  eval        loss %.3f, test accuracy %.1f%%\n", meta.Loss, 100*meta.Accuracy)
-	}
-	if meta.Source != "" {
-		fmt.Printf("  source      %s\n", meta.Source)
-	}
-	if meta.Parent != "" {
-		fmt.Printf("  parent      %s\n", meta.Parent)
 	}
 	return nil
 }

@@ -18,8 +18,10 @@
 //
 //	keeperfleet -addr :8090 -nodes http://localhost:8081,http://localhost:8082 \
 //	    -wire-nodes localhost:9081,localhost:9082 -wire-listen :9090
-//	keeperfleet -addr :8090 -nodes ... -wire-nodes ... -rebalance          # auto-migrate hot tenants
-//	keeperfleet -addr :8090 -nodes ... -wire-nodes ... -gate-policy reject # 503+Retry-After during handoffs
+//	keeperfleet -addr :8090 -nodes ... -wire-nodes ... -rebalance   # auto-migrate hot tenants
+//
+// A migrating tenant's requests wait at the router for the handoff (at most
+// -gate-wait, then 503 + Retry-After) and go on to the new owner.
 package main
 
 import (
@@ -49,7 +51,6 @@ func main() {
 		wireListen = flag.String("wire-listen", "", "also serve the wire protocol to clients on this address (full wire path: client → router → node)")
 		vnodes     = flag.Int("vnodes", 64, "virtual nodes per node on the ring")
 		tenants    = flag.Int("tenants", 4, "tenant ID space routed")
-		gatePolicy = flag.String("gate-policy", fleet.GateQueue, "migrating-tenant policy: queue or reject")
 		gateWait   = flag.Duration("gate-wait", 15*time.Second, "max time a queued request waits for a migration")
 		timeout    = flag.Duration("timeout", 60*time.Second, "how long the HTTP adaptors wait for a forwarded request, and the control-plane call timeout")
 		rebalance  = flag.Bool("rebalance", false, "enable the automatic rebalancer")
@@ -79,7 +80,6 @@ func main() {
 		Nodes:      list,
 		VNodes:     *vnodes,
 		Tenants:    *tenants,
-		GatePolicy: *gatePolicy,
 		GateWait:   *gateWait,
 		ReqTimeout: *timeout,
 		WireNodes:  wireList,
@@ -126,8 +126,8 @@ func main() {
 		}()
 	}
 	if !*quiet {
-		fmt.Fprintf(os.Stderr, "keeperfleet: routing %d tenants over %d nodes on %s (gate %s, rebalance %v)\n",
-			*tenants, len(list), *addr, *gatePolicy, *rebalance)
+		fmt.Fprintf(os.Stderr, "keeperfleet: routing %d tenants over %d nodes on %s (gate wait %v, rebalance %v)\n",
+			*tenants, len(list), *addr, *gateWait, *rebalance)
 		if *wireListen != "" {
 			fmt.Fprintf(os.Stderr, "keeperfleet: wire listener on %s\n", *wireListen)
 		}

@@ -8,9 +8,9 @@
 // gracefully: admission stops, queued requests are rejected, in-flight
 // requests complete, and the daemon exits 0 with a final device summary.
 //
-// Models come from a versioned checkpoint registry (-model-dir, newest
-// version wins), a single checkpoint file (-model), or a quick self-training
-// run. With -model-dir the daemon supports drain-free hot reload: POST
+// Models come from -model — a versioned checkpoint registry directory (newest
+// version wins) or a single checkpoint file — or a quick self-training run.
+// With a registry directory the daemon supports drain-free hot reload: POST
 // /model/reload?version=vNNN (or SIGHUP for the latest version) atomically
 // publishes the new policy, and every shard picks it up at its next
 // adaptation epoch; role=shadow installs a candidate for shadow evaluation
@@ -21,7 +21,7 @@
 // Usage:
 //
 //	ssdkeeperd -addr :8080 -model model.json -accel 1.0
-//	ssdkeeperd -addr :8080 -model-dir models/     # registry + hot reload
+//	ssdkeeperd -addr :8080 -model models/         # registry + hot reload
 //	ssdkeeperd -addr :8080 -train-workloads 12   # self-train a quick model
 //	ssdkeeperd -no-keeper                        # serve without adaptation
 package main
@@ -36,6 +36,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"time"
 
@@ -46,18 +47,15 @@ import (
 	"ssdkeeper/internal/policy"
 	"ssdkeeper/internal/serve"
 	"ssdkeeper/internal/sim"
+	"ssdkeeper/internal/simrun"
 	"ssdkeeper/internal/wire"
-
-	"ssdkeeper/internal/workload"
-	"strings"
 )
 
 func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
 		wireListen = flag.String("wire-listen", "", "also serve the framed wire protocol on this address (persistent multiplexed connections; required for a node behind keeperfleet, whose only data plane it is)")
-		modelPath  = flag.String("model", "", "trained model checkpoint (empty: self-train a quick model at startup)")
-		modelDir   = flag.String("model-dir", "", "versioned checkpoint registry; serves the latest version and enables POST /model/reload and SIGHUP hot reload")
+		modelPath  = flag.String("model", "", "trained model checkpoint file, or a versioned checkpoint registry directory whose latest version is served and which enables POST /model/reload and SIGHUP hot reload (empty: self-train a quick model at startup)")
 		noKeeper   = flag.Bool("no-keeper", false, "serve without the online keeper (static shared allocation)")
 		accel      = flag.Float64("accel", 1.0, "simulated nanoseconds per wall nanosecond")
 		shards     = flag.Int("shards", 1, "independent device shards (each with its own engine and keeper)")
@@ -83,7 +81,7 @@ func main() {
 
 	env := experiments.NewEnv()
 	if *fresh {
-		env.Season = workload.Seasoning{} // factory-fresh device, GC idle
+		env.Season = simrun.Seasoning{} // factory-fresh device, GC idle
 	}
 
 	// The fault plan applies to the serving shards only — self-training and
@@ -105,7 +103,7 @@ func main() {
 	var reg *policy.Registry
 	var modelVersion string
 	if !*noKeeper {
-		prov, r, err := loadProvider(ctx, env, *modelDir, *modelPath, *trainWork, *quiet)
+		prov, r, err := loadProvider(ctx, env, *modelPath, *trainWork, *quiet)
 		if err != nil {
 			fatal(err)
 		}
@@ -232,28 +230,32 @@ func main() {
 	}
 }
 
-// loadProvider resolves the policy provider the daemon starts with, in
-// precedence order: the latest version from a -model-dir registry, a single
-// -model checkpoint file, or a quick self-training run so the daemon is
-// usable out of the box (smoke tests and demos; real deployments train with
-// keeper-train). The registry (non-nil only with -model-dir) also backs the
-// hot-reload endpoint.
-func loadProvider(ctx context.Context, env experiments.Env, dir, path string, workloads int, quiet bool) (*policy.Model, *policy.Registry, error) {
-	if dir != "" {
-		reg, err := policy.NewRegistry(dir, env.Device.Channels, env.Strategies)
-		if err != nil {
-			return nil, nil, err
-		}
-		m, err := reg.Latest()
-		if err != nil {
-			return nil, nil, err
-		}
-		if !quiet {
-			fmt.Fprintf(os.Stderr, "ssdkeeperd: loaded model %s from %s\n", m.Version(), dir)
-		}
-		return m, reg, nil
-	}
+// loadProvider resolves the policy provider the daemon starts with: the
+// -model path's latest version when it is a registry directory, the
+// checkpoint it names when it is a file, or a quick self-training run so the
+// daemon is usable out of the box (smoke tests and demos; real deployments
+// train with keeper-train). The registry (non-nil only for a directory) also
+// backs the hot-reload endpoint.
+func loadProvider(ctx context.Context, env experiments.Env, path string, workloads int, quiet bool) (*policy.Model, *policy.Registry, error) {
 	if path != "" {
+		info, err := os.Stat(path)
+		if err != nil {
+			return nil, nil, err
+		}
+		if info.IsDir() {
+			reg, err := policy.NewRegistry(path, env.Device.Channels, env.Strategies)
+			if err != nil {
+				return nil, nil, err
+			}
+			m, err := reg.Latest()
+			if err != nil {
+				return nil, nil, err
+			}
+			if !quiet {
+				fmt.Fprintf(os.Stderr, "ssdkeeperd: loaded model %s from %s\n", m.Version(), path)
+			}
+			return m, reg, nil
+		}
 		f, err := os.Open(path)
 		if err != nil {
 			return nil, nil, err

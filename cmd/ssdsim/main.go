@@ -104,7 +104,7 @@ func main() {
 		Hybrid:   *hybrid,
 	}
 	if *seasoned {
-		rc.Season = workload.DefaultSeasoning()
+		rc.Season = simrun.DefaultSeasoning()
 	}
 	var opts []simrun.Option
 	if *counters {

@@ -42,7 +42,7 @@ type Config struct {
 	Requests   int              // requests per mixed workload (paper: 2M)
 	MaxIOPS    float64          // intensity sampling range / level-19 rate
 	Hybrid     bool             // run label simulations with hybrid page allocation
-	Season     workload.Seasoning
+	Season     simrun.Seasoning
 	// TieTolerance denoises labels: among strategies whose total latency
 	// is within this fraction of the minimum, the earliest strategy in
 	// the space wins. Simulated latencies of near-equivalent strategies

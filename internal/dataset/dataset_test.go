@@ -10,6 +10,7 @@ import (
 	"ssdkeeper/internal/alloc"
 	"ssdkeeper/internal/features"
 	"ssdkeeper/internal/nand"
+	"ssdkeeper/internal/simrun"
 	"ssdkeeper/internal/ssd"
 	"ssdkeeper/internal/workload"
 )
@@ -31,7 +32,7 @@ func quickConfig() Config {
 		Workloads: 4,
 		Requests:  800,
 		MaxIOPS:   16000,
-		Season:    workload.DefaultSeasoning(),
+		Season:    simrun.DefaultSeasoning(),
 		Seed:      7,
 		Workers:   2,
 	}

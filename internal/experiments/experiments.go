@@ -18,7 +18,6 @@ import (
 	"ssdkeeper/internal/simrun"
 	"ssdkeeper/internal/ssd"
 	"ssdkeeper/internal/trace"
-	"ssdkeeper/internal/workload"
 )
 
 // Scale sets every experiment's size knobs. DefaultScale finishes in minutes
@@ -107,7 +106,7 @@ func QuickScale() Scale {
 type Env struct {
 	Device  nand.Config
 	Options ssd.Options
-	Season  workload.Seasoning
+	Season  simrun.Seasoning
 	// SaturationIOPS calibrates the intensity-level axis (level 19 = a
 	// saturated device) and bounds dataset intensity sampling.
 	SaturationIOPS float64
@@ -121,7 +120,7 @@ func NewEnv() Env {
 	return Env{
 		Device:  cfg,
 		Options: ssd.DefaultOptions(),
-		Season:  workload.DefaultSeasoning(),
+		Season:  simrun.DefaultSeasoning(),
 		// Measured: seasoned mixed traffic saturates the Table I
 		// device's 16 dies between 14K and 20K requests/s; level 19
 		// is pinned just above that knee.

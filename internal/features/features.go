@@ -1,9 +1,9 @@
 // Package features implements SSDKeeper's features collector (Section IV.B):
-// it observes the request stream over a time window and produces the
-// 9-dimensional feature vector the strategy learner and channel allocator
-// consume — the overall intensity level of the mixed workload (1-D), the
-// read/write characteristic of each of the four workloads (4-D), and the
-// request proportion of each workload (4-D).
+// it observes the request stream over a time window and produces the feature
+// vector the strategy learner and channel allocator consume — the overall
+// intensity level of the mixed workload (1-D), the read/write characteristic
+// of each of the four workloads (4-D), and the request proportion of each
+// workload (4-D) — extended with three device-health features.
 package features
 
 import (
@@ -21,21 +21,11 @@ const MaxTenants = 4
 // levels").
 const Levels = 20
 
-// LegacyDim is the paper's original feature-vector dimensionality: 1
-// intensity + MaxTenants characteristics + MaxTenants proportions. Models
-// checkpointed before the health tier use this input width; internal/policy
-// widens them to Dim at load.
-const LegacyDim = 1 + 2*MaxTenants
-
-// HealthDim is the number of device-health features appended to the vector:
-// dead-die fraction, read-retry rate, and wear spread. All three are zero on
-// a healthy device, so a faulted-trained model sees the legacy distribution
-// when nothing is wrong.
-const HealthDim = 3
-
-// Dim is the feature-vector dimensionality (schema v2): the paper's
-// workload features plus the device-health features.
-const Dim = LegacyDim + HealthDim
+// Dim is the feature-vector dimensionality (schema v2): the paper's 1
+// intensity + MaxTenants characteristics + MaxTenants proportions, plus three
+// device-health features (dead-die fraction, read-retry rate, wear spread),
+// all zero on a healthy device.
+const Dim = 1 + 2*MaxTenants + 3
 
 // Vector is the collected feature vector in the paper's notation, e.g.
 // [5][1,0,1,0][0.1,0.2,0.3,0.4], extended with device-health features

@@ -17,8 +17,8 @@ func TestVectorInputDimAndEncoding(t *testing.T) {
 		DeadDieFrac: 0.25, RetryRate: 0.5, WearSpread: 0.75,
 	}
 	in := v.Input()
-	if len(in) != Dim || Dim != 12 || LegacyDim != 9 {
-		t.Fatalf("input dim %d, want Dim=12 over LegacyDim=9", len(in))
+	if len(in) != Dim || Dim != 12 {
+		t.Fatalf("input dim %d, want Dim=12", len(in))
 	}
 	if math.Abs(in[0]-5.0/19.0) > 1e-12 {
 		t.Errorf("intensity normalized to %v", in[0])

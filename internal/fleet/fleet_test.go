@@ -63,7 +63,7 @@ func startNode(t *testing.T) *testNode {
 	return n
 }
 
-func startFleet(t *testing.T, nodes int, gatePolicy string) ([]*testNode, *Router) {
+func startFleet(t *testing.T, nodes int) ([]*testNode, *Router) {
 	t.Helper()
 	members := make([]*testNode, nodes)
 	addrs := make([]string, nodes)
@@ -74,7 +74,7 @@ func startFleet(t *testing.T, nodes int, gatePolicy string) ([]*testNode, *Route
 	}
 	r, err := NewRouter(Config{
 		Nodes: addrs, WireNodes: waddrs,
-		GatePolicy: gatePolicy, GateWait: 10 * time.Second,
+		GateWait: 10 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +179,7 @@ func postIO(t *testing.T, client *http.Client, base string, tenant int, pageNo i
 // TestRouterProxiesIO: requests reach the owner node and answer 200; the
 // batch path splits by owner and reassembles line order.
 func TestRouterProxiesIO(t *testing.T) {
-	_, router := startFleet(t, 2, GateQueue)
+	_, router := startFleet(t, 2)
 	front := httptest.NewServer(router.Handler())
 	defer front.Close()
 
@@ -218,7 +218,7 @@ func TestRouterProxiesIO(t *testing.T) {
 // TestRouterStatusAndMetrics: the control surface reflects placement and
 // migrations.
 func TestRouterStatusAndMetrics(t *testing.T) {
-	nodes, router := startFleet(t, 2, GateQueue)
+	nodes, router := startFleet(t, 2)
 	front := httptest.NewServer(router.Handler())
 	defer front.Close()
 
@@ -283,7 +283,7 @@ func TestRouterStatusAndMetrics(t *testing.T) {
 // equal the sum of client completions across all nodes: nothing lost,
 // nothing double-counted, whichever front carried the request.
 func TestMigrationUnderLoad(t *testing.T) {
-	nodes, router := startFleet(t, 3, GateQueue)
+	nodes, router := startFleet(t, 3)
 	fronts := startFronts(t, router)
 
 	const (
@@ -352,38 +352,15 @@ func TestMigrationUnderLoad(t *testing.T) {
 	}
 }
 
-// TestGateRejectPolicy: with GateReject the router answers 503+Retry-After
-// during a handoff instead of queueing.
-func TestGateRejectPolicy(t *testing.T) {
-	_, router := startFleet(t, 2, GateReject)
-	front := httptest.NewServer(router.Handler())
-	defer front.Close()
-
-	// Hold the gate open manually by starting a migration against a source
-	// that is slow to drain — simpler: gate via the internal table as the
-	// migration path does, then assert the handler's behavior.
-	gate := make(chan struct{})
-	router.publish(func(tab *routeTable) { tab.migrating[0] = gate })
-	code, _ := postIO(t, http.DefaultClient, front.URL, 0, 0)
-	if code != http.StatusServiceUnavailable {
-		t.Fatalf("gated tenant /io = %d, want 503", code)
-	}
-	router.publish(func(tab *routeTable) { delete(tab.migrating, 0) })
-	close(gate)
-	if code, body := postIO(t, http.DefaultClient, front.URL, 0, 0); code != http.StatusOK {
-		t.Fatalf("ungated tenant /io = %d: %s", code, body)
-	}
-}
-
-// TestGateWaitTimeout: under the queue policy a request gated by a
-// migration that never finishes must come back as a migrating rejection
-// after GateWait — on every front — not block forever.
+// TestGateWaitTimeout: a request gated by a migration that never finishes
+// must come back as a migrating rejection after GateWait — on every front —
+// not block forever.
 func TestGateWaitTimeout(t *testing.T) {
 	n := startNode(t)
 	const gateWait = 150 * time.Millisecond
 	r, err := NewRouter(Config{
 		Nodes: []string{n.ts.URL}, WireNodes: []string{n.wire},
-		GatePolicy: GateQueue, GateWait: gateWait,
+		GateWait: gateWait,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -428,40 +405,32 @@ func (b *migratingOnce) SubmitTo(req serve.Request, c serve.Completion) error {
 
 // TestMigratingRetryEveryFront pins that the router has one forwarding path:
 // whichever front a request arrives on, a node's "migrating" rejection is
-// waited out and retried under the queue policy and surfaced under reject,
-// and the request counts once in proxied_total however many attempts it
-// took. (/io/batch used to render "rej migrating" under queue, and /io
-// counted proxied only after a reply.)
+// waited out and retried, and the request counts once in proxied_total
+// however many attempts it took. (/io/batch used to render "rej migrating",
+// and /io counted proxied only after a reply.)
 func TestMigratingRetryEveryFront(t *testing.T) {
 	up := httptest.NewServer(http.NewServeMux()) // ring/control plane only
 	defer up.Close()
-	for _, policy := range []string{GateQueue, GateReject} {
-		want := ""
-		if policy == GateReject {
-			want = "migrating"
-		}
-		for i, name := range []string{"io", "batch", "wire"} {
-			t.Run(policy+"/"+name, func(t *testing.T) {
-				r, err := NewRouter(Config{
-					Nodes:      []string{up.URL},
-					WireNodes:  []string{startWireListener(t, &migratingOnce{})},
-					GatePolicy: policy,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer r.Close()
-				f := startFronts(t, r)[i]
-				if reason, err := f.do(0, 0); err != nil || reason != want {
-					t.Fatalf("reason %q err %v, want reason %q", reason, err, want)
-				}
-				var buf strings.Builder
-				r.WriteMetrics(&buf)
-				if !strings.Contains(buf.String(), "ssdkeeper_fleet_proxied_total 1\n") {
-					t.Errorf("one client request did not count once:\n%s", buf.String())
-				}
+	for i, name := range []string{"io", "batch", "wire"} {
+		t.Run("queue/"+name, func(t *testing.T) {
+			r, err := NewRouter(Config{
+				Nodes:     []string{up.URL},
+				WireNodes: []string{startWireListener(t, &migratingOnce{})},
 			})
-		}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			f := startFronts(t, r)[i]
+			if reason, err := f.do(0, 0); err != nil || reason != "" {
+				t.Fatalf("reason %q err %v, want the retry to succeed", reason, err)
+			}
+			var buf strings.Builder
+			r.WriteMetrics(&buf)
+			if !strings.Contains(buf.String(), "ssdkeeper_fleet_proxied_total 1\n") {
+				t.Errorf("one client request did not count once:\n%s", buf.String())
+			}
+		})
 	}
 }
 

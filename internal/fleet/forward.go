@@ -22,11 +22,11 @@ func (r *Router) WireBackend() wire.Backend { return r }
 // (tenant mid-migration, retry after a "migrating" rejection) detach onto a
 // goroutine, because they may block on the gate.
 //
-// Under the queue gate policy a "migrating" rejection from a node that gated
-// the tenant between the table load and the forward waits the migration out
-// and retries at the new owner, up to 4 times (the request never reached a
-// device, so the retry cannot duplicate work). One client request counts
-// once in proxied_total, before its first forward, whatever the retries do.
+// A "migrating" rejection from a node that gated the tenant between the table
+// load and the forward waits the migration out and retries at the new owner,
+// up to 4 times (the request never reached a device, so the retry cannot
+// duplicate work). One client request counts once in proxied_total, before
+// its first forward, whatever the retries do.
 func (r *Router) SubmitTo(req serve.Request, c serve.Completion) error {
 	if req.Tenant < 0 || req.Tenant >= r.cfg.Tenants {
 		return fmt.Errorf("fleet: tenant %d outside [0,%d)", req.Tenant, r.cfg.Tenants)
@@ -41,8 +41,8 @@ func (r *Router) SubmitTo(req serve.Request, c serve.Completion) error {
 	return nil
 }
 
-// forwardGated resolves through the migration gate (blocking per policy)
-// and then forwards; it runs on its own goroutine.
+// forwardGated resolves through the migration gate (blocking for at most
+// GateWait) and then forwards; it runs on its own goroutine.
 func (r *Router) forwardGated(req serve.Request, c serve.Completion, attempt int) {
 	owner, err := r.resolve(req.Tenant)
 	if err != nil {
@@ -86,7 +86,7 @@ func (f *fwd) Done(_ uint64, latencyNS, simNS int64, reason string, err error) {
 	case err != nil:
 		r.met.proxyErrs.Add(1)
 		c.Complete(serve.Response{}, serve.ErrUpstream)
-	case reason == "migrating" && r.cfg.GatePolicy == GateQueue && attempt < 4:
+	case reason == "migrating" && attempt < 4:
 		go r.forwardGated(req, c, attempt+1)
 	case reason != "":
 		c.Complete(serve.Response{}, serve.ReasonError(reason))

@@ -71,8 +71,7 @@ func TestNodeAndRouterFrontsAnswerIdentically(t *testing.T) {
 	defer nodeFront.Close()
 	r, err := NewRouter(Config{
 		Nodes: []string{nodeFront.URL}, WireNodes: []string{startWireListener(t, s.Node)},
-		WireConns:  1, // one connection: a batch's lines reach the node in line order
-		GatePolicy: GateReject,
+		WireConns: 1, // one connection: a batch's lines reach the node in line order
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -144,6 +143,8 @@ func TestNodeAndRouterFrontsAnswerIdentically(t *testing.T) {
 		{name: "/io unknown field", path: "/io", body: `{"tenant":0,"op":"read","offset":0,"size":16384,"sz":1}`, status: 400},
 		{name: "GET /io", get: true, path: "/io", status: 405, want: "POST only\n"},
 		{name: "GET /io/batch", get: true, path: "/io/batch", status: 405, want: "POST only\n"},
+		// The node parks tenant 2 itself, so the router's gate is open: it
+		// retries the node's "migrating" rejection, then surfaces it as is.
 		{name: "/io for a migrating tenant", path: "/io", body: `{"tenant":2,"op":"read","offset":0,"size":16384}`,
 			setup: func() {
 				if _, err := s.DrainTenant(2); err != nil {

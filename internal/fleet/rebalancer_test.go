@@ -20,7 +20,7 @@ type nodeSweep struct {
 // once on its own sweep, and checks the decision, the resulting owner, and
 // the decision log.
 func TestRebalancerStep(t *testing.T) {
-	nodes, router := startFleet(t, 3, GateQueue)
+	nodes, router := startFleet(t, 3)
 	addrs := make([]string, len(nodes))
 	for i, n := range nodes {
 		addrs[i] = n.ts.URL

@@ -16,18 +16,6 @@ import (
 	"ssdkeeper/internal/wire"
 )
 
-// Migration gate policies: what the router does with a migrating tenant's
-// requests while its handoff is in flight.
-const (
-	// GateQueue holds the request at the router until the migration
-	// completes (bounded by Config.GateWait), then forwards to the new
-	// owner. Clients see added latency, not errors.
-	GateQueue = "queue"
-	// GateReject answers 503 with Retry-After immediately — the documented
-	// migration window; clients retry and land on the new owner.
-	GateReject = "reject"
-)
-
 // Config parameterizes a Router.
 type Config struct {
 	// Nodes is the fleet's node base URLs (http://host:port): the ring is
@@ -39,10 +27,10 @@ type Config struct {
 	// Tenants is the tenant-ID space routed (default 4, matching the
 	// nodes' default).
 	Tenants int
-	// GatePolicy is GateQueue (default) or GateReject.
-	GatePolicy string
-	// GateWait bounds how long a queued request waits for a migration
-	// before giving up with 503 (default 15s).
+	// GateWait bounds how long a migrating tenant's request is held at the
+	// router, waiting for the migration to complete so it can be forwarded
+	// to the new owner, before giving up with 503 (default 15s). Clients
+	// see added latency, not errors.
 	GateWait time.Duration
 	// ReqTimeout bounds how long the HTTP front waits for a forwarded
 	// request (a whole batch rides one budget) and each control-plane
@@ -65,9 +53,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.Tenants == 0 {
 		c.Tenants = 4
-	}
-	if c.GatePolicy == "" {
-		c.GatePolicy = GateQueue
 	}
 	if c.GateWait == 0 {
 		c.GateWait = 15 * time.Second
@@ -128,9 +113,6 @@ func NewRouter(cfg Config) (*Router, error) {
 	ring, err := NewRing(cfg.Nodes, cfg.VNodes)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.GatePolicy != GateQueue && cfg.GatePolicy != GateReject {
-		return nil, fmt.Errorf("fleet: unknown gate policy %q", cfg.GatePolicy)
 	}
 	if len(cfg.WireNodes) != len(cfg.Nodes) {
 		return nil, fmt.Errorf("fleet: %d wire addresses for %d nodes (WireNodes pairs with Nodes by position)",
@@ -193,8 +175,8 @@ func (r *Router) publish(mutate func(*routeTable)) *routeTable {
 func (r *Router) Owner(tenant int) string { return r.table.Load().owner(tenant) }
 
 // resolve returns the tenant's owner once any in-flight migration of that
-// tenant has been dealt with per the gate policy. A nil error with an empty
-// address never happens; a gate rejection returns serve.ErrTenantMigrating.
+// tenant has completed. A migration that outlives GateWait returns
+// serve.ErrTenantMigrating.
 func (r *Router) resolve(tenant int) (string, error) {
 	deadline := time.Now().Add(r.cfg.GateWait)
 	for {
@@ -202,10 +184,6 @@ func (r *Router) resolve(tenant int) (string, error) {
 		gate, mig := tab.migrating[tenant]
 		if !mig {
 			return tab.owner(tenant), nil
-		}
-		if r.cfg.GatePolicy == GateReject {
-			r.met.gateRejects.Add(1)
-			return "", serve.ErrTenantMigrating
 		}
 		r.met.gateWaits.Add(1)
 		wait := time.Until(deadline)
@@ -312,7 +290,7 @@ func (r *Router) handleMigrate(w http.ResponseWriter, req *http.Request) {
 // Migrate moves one tenant to the target node, live:
 //
 //  1. gate — publish the tenant as MIGRATING; new requests queue at the
-//     router (or 503 per policy) while everything already admitted at the
+//     router (503 after GateWait) while everything already admitted at the
 //     source completes normally;
 //  2. drain — POST source /tenant/drain quiesces the tenant's queues across
 //     the source's shards and returns its dispatched-record log;

@@ -39,7 +39,7 @@ func parityMix(t *testing.T, pageSize int) trace.Trace {
 // its own session.
 func TestControllerTraceParity(t *testing.T) {
 	cfg := testConfig()
-	cfg.Season = workload.DefaultSeasoning()
+	cfg.Season = simrun.DefaultSeasoning()
 	cfg.AdaptEvery = 150 * sim.Millisecond
 	cfg.Hybrid = true
 	model := forcedModel(t, len(cfg.Strategies), 2)

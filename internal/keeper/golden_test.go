@@ -124,7 +124,7 @@ func TestGoldenReplay(t *testing.T) {
 		k, err := New(Config{
 			Device: dev, Options: opts, Strategies: strategies, SaturationIOPS: 16000,
 			Window: 50 * sim.Millisecond, AdaptEvery: 50 * sim.Millisecond,
-			Hybrid: true, Season: workload.DefaultSeasoning(),
+			Hybrid: true, Season: simrun.DefaultSeasoning(),
 		}, model)
 		if err != nil {
 			t.Fatal(err)
@@ -136,7 +136,7 @@ func TestGoldenReplay(t *testing.T) {
 		got["keeper"+name] = goldenOf(rep.Result, rep.Switches)
 
 		sess, err := simrun.NewRunner().NewSession(simrun.Config{
-			Device: dev, Options: opts, Season: workload.DefaultSeasoning(),
+			Device: dev, Options: opts, Season: simrun.DefaultSeasoning(),
 			Strategy: alloc.Strategy{Kind: alloc.Shared}, Traits: mix.Traits(),
 		})
 		if err != nil {

@@ -15,7 +15,6 @@ import (
 	"ssdkeeper/internal/alloc"
 	"ssdkeeper/internal/dataset"
 	"ssdkeeper/internal/features"
-	"ssdkeeper/internal/ftl"
 	"ssdkeeper/internal/nand"
 	"ssdkeeper/internal/nn"
 	"ssdkeeper/internal/policy"
@@ -23,7 +22,6 @@ import (
 	"ssdkeeper/internal/simrun"
 	"ssdkeeper/internal/ssd"
 	"ssdkeeper/internal/trace"
-	"ssdkeeper/internal/workload"
 )
 
 // Config parameterizes a Keeper.
@@ -48,7 +46,7 @@ type Config struct {
 	AdaptEvery sim.Time
 	// Season ages the device before the run; must match the seasoning
 	// used during dataset generation.
-	Season workload.Seasoning
+	Season simrun.Seasoning
 }
 
 // Validate reports the first invalid field.
@@ -78,7 +76,6 @@ func (c Config) Validate() error {
 // no shared lock.
 type Keeper struct {
 	cfg    Config
-	model  *nn.Network // retained by New for persistence; nil for provider-built keepers
 	source *policy.Source
 	runner *simrun.Runner
 
@@ -98,12 +95,7 @@ func New(cfg Config, model *nn.Network) (*Keeper, error) {
 	if err != nil {
 		return nil, fmt.Errorf("keeper: %w", err)
 	}
-	k, err := NewWithProvider(cfg, prov)
-	if err != nil {
-		return nil, err
-	}
-	k.model = model
-	return k, nil
+	return NewWithProvider(cfg, prov)
 }
 
 // NewWithProvider returns a Keeper whose decisions come from the given
@@ -121,10 +113,6 @@ func NewWithProvider(cfg Config, prov policy.Provider) (*Keeper, error) {
 
 // Config returns the keeper's configuration.
 func (k *Keeper) Config() Config { return k.cfg }
-
-// Model returns the network passed to New (for persistence), or nil when
-// the keeper was built from a provider.
-func (k *Keeper) Model() *nn.Network { return k.model }
 
 // Source returns the policy source. Swapping its active provider re-points
 // every controller at the next adaptation epoch; installing a shadow starts
@@ -215,16 +203,6 @@ func (k *Keeper) RunContext(ctx context.Context, t trace.Trace) (Report, error) 
 		return Report{}, err
 	}
 	return Report{Result: res.Result, Switches: ctrl.switches}, nil
-}
-
-// HybridModeFor returns the page mode the hybrid page allocator gives a
-// tenant with the observed characteristic (Section IV.E): dynamic for
-// write-dominated, static for read-dominated.
-func HybridModeFor(writeDominated bool) ftl.PageMode {
-	if writeDominated {
-		return ftl.DynamicAlloc
-	}
-	return ftl.StaticAlloc
 }
 
 // TrainConfig bundles the dataset and optimization settings for Train.

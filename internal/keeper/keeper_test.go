@@ -7,10 +7,10 @@ import (
 	"ssdkeeper/internal/alloc"
 	"ssdkeeper/internal/dataset"
 	"ssdkeeper/internal/features"
-	"ssdkeeper/internal/ftl"
 	"ssdkeeper/internal/nand"
 	"ssdkeeper/internal/nn"
 	"ssdkeeper/internal/sim"
+	"ssdkeeper/internal/simrun"
 	"ssdkeeper/internal/ssd"
 	"ssdkeeper/internal/workload"
 )
@@ -110,7 +110,7 @@ func TestPredictMapsClassToStrategy(t *testing.T) {
 
 func TestRunSwitchesAfterWindow(t *testing.T) {
 	cfg := testConfig()
-	cfg.Season = workload.DefaultSeasoning()
+	cfg.Season = simrun.DefaultSeasoning()
 	k, err := New(cfg, forcedModel(t, len(cfg.Strategies), 2))
 	if err != nil {
 		t.Fatal(err)
@@ -220,15 +220,6 @@ func TestRunPeriodicAdaptation(t *testing.T) {
 	}
 }
 
-func TestHybridModeFor(t *testing.T) {
-	if HybridModeFor(true) != ftl.DynamicAlloc {
-		t.Error("write-dominated should get dynamic")
-	}
-	if HybridModeFor(false) != ftl.StaticAlloc {
-		t.Error("read-dominated should get static")
-	}
-}
-
 func TestTrainOnSamplesProducesWorkingKeeper(t *testing.T) {
 	cfg := testConfig()
 	dsCfg := dataset.Config{
@@ -238,7 +229,7 @@ func TestTrainOnSamplesProducesWorkingKeeper(t *testing.T) {
 		Workloads:  6,
 		Requests:   500,
 		MaxIOPS:    cfg.SaturationIOPS,
-		Season:     workload.DefaultSeasoning(),
+		Season:     simrun.DefaultSeasoning(),
 		Seed:       4,
 	}
 	samples, err := dataset.Generate(context.Background(), dsCfg, nil)
@@ -276,7 +267,7 @@ func TestTrainEndToEnd(t *testing.T) {
 			Workloads:  4,
 			Requests:   400,
 			MaxIOPS:    cfg.SaturationIOPS,
-			Season:     workload.DefaultSeasoning(),
+			Season:     simrun.DefaultSeasoning(),
 			Seed:       2,
 		},
 		Hidden:     8,
@@ -309,13 +300,9 @@ func TestReportChosenDefaultsToShared(t *testing.T) {
 
 func TestKeeperAccessors(t *testing.T) {
 	cfg := testConfig()
-	model := testModel(t, len(cfg.Strategies))
-	k, err := New(cfg, model)
+	k, err := New(cfg, testModel(t, len(cfg.Strategies)))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if k.Model() != model {
-		t.Error("Model() accessor broken")
 	}
 	if k.Config().Window != cfg.Window {
 		t.Error("Config() accessor broken")

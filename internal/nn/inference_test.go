@@ -80,49 +80,3 @@ func TestInferenceConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
-
-// TestWidenInputBitIdentical: zero-weight inputs add nothing, so a widened
-// network's logits equal the original's bit for bit whatever the new inputs
-// carry, and the widened network still trains (its gradient buffers follow).
-func TestWidenInputBitIdentical(t *testing.T) {
-	net, err := NewMLP([]int{9, 16, 7}, Logistic{}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wide, err := NewMLP([]int{9, 16, 7}, Logistic{}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wide.WidenInput(12); err != nil {
-		t.Fatal(err)
-	}
-	if wide.InputDim() != 12 || wide.ParamCount() != net.ParamCount()+3*16 {
-		t.Fatalf("widened to %d inputs, %d params", wide.InputDim(), wide.ParamCount())
-	}
-	rng := rand.New(rand.NewSource(1))
-	x := make([]float64, 12)
-	for i := 0; i < 50; i++ {
-		for j := range x {
-			x[j] = rng.Float64()
-		}
-		want, err := net.Forward(x[:9])
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := wide.CloneForInference().Forward(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("input %d logit %d: widened %v != original %v", i, j, got[j], want[j])
-			}
-		}
-	}
-	if _, err := wide.lossGrad(x, 2); err != nil {
-		t.Fatalf("widened network does not train: %v", err)
-	}
-	if err := wide.WidenInput(9); err == nil {
-		t.Error("narrowing accepted")
-	}
-}

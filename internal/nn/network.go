@@ -96,23 +96,6 @@ func (n *Network) InputDim() int { return n.Layers[0].In }
 // OutputDim returns the number of classes.
 func (n *Network) OutputDim() int { return n.Layers[len(n.Layers)-1].Out }
 
-// WidenInput grows the first layer, in place, to accept in inputs; every
-// added input gets weight zero. acc + 0·x is exact for finite x, so the
-// widened network's logits are bit-identical to the original's over the
-// leading inputs, whatever the added ones carry.
-func (n *Network) WidenInput(in int) error {
-	l := n.Layers[0]
-	if in < l.In {
-		return fmt.Errorf("nn: cannot widen a %d-input network to %d inputs", l.In, in)
-	}
-	w := make([]float64, in*l.Out)
-	for o := 0; o < l.Out; o++ {
-		copy(w[o*in:], l.W[o*l.In:(o+1)*l.In])
-	}
-	l.In, l.W, l.gw = in, w, make([]float64, len(w))
-	return nil
-}
-
 // Forward computes logits for one input. The returned slice is scratch owned
 // by the network: copy it before the next call if you need to keep it.
 func (n *Network) Forward(x []float64) ([]float64, error) {

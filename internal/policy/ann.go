@@ -70,7 +70,6 @@ func checkGeometry(model *nn.Network, strategies []alloc.Strategy) error {
 // consumer its own inference scratch.
 type Model struct {
 	version    string
-	meta       Meta
 	net        *nn.Network
 	strategies []alloc.Strategy
 }
@@ -89,10 +88,6 @@ func NewModel(version string, net *nn.Network, strategies []alloc.Strategy) (*Mo
 
 // Version returns the artifact's version name.
 func (m *Model) Version() string { return m.version }
-
-// Meta returns the training metadata recorded in the checkpoint envelope
-// (zero for in-memory models).
-func (m *Model) Meta() Meta { return m.meta }
 
 // Net returns the underlying network. Callers must treat it as read-only.
 func (m *Model) Net() *nn.Network { return m.net }

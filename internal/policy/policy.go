@@ -124,24 +124,6 @@ func (o *OraclePolicy) Decide(v features.Vector) (alloc.Strategy, error) {
 	return o.answers[best], nil
 }
 
-// OracleProvider publishes an OraclePolicy under a version name. The oracle
-// itself is read-only after construction, so every consumer shares it.
-type OracleProvider struct {
-	Ver    string
-	Oracle *OraclePolicy
-}
-
-// Version returns the provider's version name ("oracle" when unset).
-func (p OracleProvider) Version() string {
-	if p.Ver == "" {
-		return "oracle"
-	}
-	return p.Ver
-}
-
-// NewPolicy returns the shared oracle (its Decide only reads).
-func (p OracleProvider) NewPolicy() Policy { return p.Oracle }
-
 // Source publishes the active and shadow providers to concurrent consumers.
 // Swaps are atomic: a consumer sees either the old or the new provider,
 // never a mix. The shadow slot holds a candidate under evaluation (nil when

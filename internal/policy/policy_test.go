@@ -2,6 +2,11 @@ package policy
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"strings"
@@ -137,32 +142,59 @@ func TestLoadCheckpointRefusesCorruption(t *testing.T) {
 	}
 }
 
-// TestLoadCheckpointLegacy: bare nn.Save output (pre-envelope) still loads.
-func TestLoadCheckpointLegacy(t *testing.T) {
+// TestLoadCheckpointRefusesPreviousFormats: the loader reads only what
+// keeper-train writes. A bare nn.Save file (no envelope) and an envelope under
+// the pre-health features/v1 hash are refused with errors that say why, and a
+// 9-input network can be neither saved nor served.
+func TestLoadCheckpointRefusesPreviousFormats(t *testing.T) {
 	strategies := testStrategies()
-	net := testNet(t, len(strategies), 7)
-	var buf bytes.Buffer
-	if err := net.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, meta, err := LoadCheckpoint(bytes.NewReader(buf.Bytes()), testChannels, strategies)
+	net9, err := nn.NewMLP([]int{9, 8, len(strategies)}, nn.Logistic{}, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta.Name != "legacy" {
-		t.Errorf("legacy meta name %q", meta.Name)
-	}
-	if loaded.OutputDim() != len(strategies) {
-		t.Errorf("legacy load output dim %d", loaded.OutputDim())
-	}
-	// A legacy file with the wrong geometry is still refused.
-	wrong := testNet(t, len(strategies)+2, 7)
-	buf.Reset()
-	if err := wrong.Save(&buf); err != nil {
+	var bare bytes.Buffer
+	if err := net9.Save(&bare); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadCheckpoint(bytes.NewReader(buf.Bytes()), testChannels, strategies); err == nil {
-		t.Fatal("legacy geometry mismatch accepted")
+	// The v1 hash as pre-health binaries computed it: 9 inputs.
+	var schema strings.Builder
+	fmt.Fprintf(&schema, "features/v1 dim=9 levels=%d tenants=%d channels=%d strategies=",
+		features.Levels, features.MaxTenants, testChannels)
+	for i, s := range strategies {
+		if i > 0 {
+			schema.WriteByte(',')
+		}
+		schema.WriteString(s.Name(testChannels))
+	}
+	hash := sha256.Sum256([]byte(schema.String()))
+	model := bytes.TrimSpace(bare.Bytes())
+	sum := sha256.Sum256(model)
+	v1, err := json.Marshal(envelope{
+		FormatVersion: FormatVersion,
+		SchemaHash:    hex.EncodeToString(hash[:8]),
+		Checksum:      hex.EncodeToString(sum[:]),
+		Model:         model,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]struct {
+		raw  []byte
+		want string
+	}{
+		"bare":    {bare.Bytes(), "format version 0"},
+		"v1-hash": {v1, "feature-schema hash"},
+	} {
+		_, _, err := LoadCheckpoint(bytes.NewReader(c.raw), testChannels, strategies)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s checkpoint: err %v, want one naming %q", name, err, c.want)
+		}
+	}
+	if err := SaveCheckpoint(io.Discard, net9, Meta{}, testChannels, strategies); err == nil {
+		t.Error("SaveCheckpoint wrote a 9-input model")
+	}
+	if _, err := NewModel("v1", net9, strategies); err == nil {
+		t.Error("NewModel accepted a 9-input network")
 	}
 }
 
@@ -277,13 +309,7 @@ func TestRegistry(t *testing.T) {
 	}
 	for _, v := range []string{"v001", "v002", "v010"} {
 		net := testNet(t, len(strategies), int64(len(v)))
-		meta := Meta{Name: v}
-		if v == "v002" {
-			// Checkpoints stamped with online provenance (written by earlier
-			// daemons that retrained in-process) load like any other.
-			meta.Source, meta.Parent = SourceOnline, "v001"
-		}
-		f, err := writeCheckpoint(dir, v, net, meta, strategies)
+		f, err := writeCheckpoint(dir, v, net, Meta{Name: v}, strategies)
 		if err != nil {
 			t.Fatalf("write %s: %v (%s)", v, err, f)
 		}
@@ -314,11 +340,6 @@ func TestRegistry(t *testing.T) {
 	}
 	if _, err := m.NewPolicy().Decide(features.Vector{Intensity: 10}); err != nil {
 		t.Errorf("loaded policy decide: %v", err)
-	}
-	if m, err := reg.Load("v002"); err != nil {
-		t.Fatal(err)
-	} else if got := m.Meta(); got.Source != SourceOnline || got.Parent != "v001" {
-		t.Errorf("loaded provenance = %q/%q, want online/v001", got.Source, got.Parent)
 	}
 	for _, bad := range []string{"", "../escape", "a/b", "x..y"} {
 		if _, err := reg.Load(bad); err == nil {

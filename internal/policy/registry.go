@@ -85,16 +85,11 @@ func (r *Registry) Load(version string) (*Model, error) {
 		return nil, fmt.Errorf("policy: version %q: %w", version, err)
 	}
 	defer f.Close()
-	net, meta, err := LoadCheckpoint(f, r.channels, r.strategies)
+	net, _, err := LoadCheckpoint(f, r.channels, r.strategies)
 	if err != nil {
 		return nil, fmt.Errorf("policy: version %q: %w", version, err)
 	}
-	m, err := NewModel(version, net, r.strategies)
-	if err != nil {
-		return nil, err
-	}
-	m.meta = meta
-	return m, nil
+	return NewModel(version, net, r.strategies)
 }
 
 // Latest loads the last version in Versions order.

@@ -42,7 +42,7 @@ func (s *Server) SetReloader(fn Reloader) { s.reloader = fn }
 // interleaving their read-swap sequences.
 func (s *Server) Reload(role, version string) (ReloadStatus, error) {
 	if s.reloader == nil {
-		return ReloadStatus{}, fmt.Errorf("serve: no model registry configured (start with -model-dir)")
+		return ReloadStatus{}, fmt.Errorf("serve: no model registry configured (start with -model <dir>)")
 	}
 	switch role {
 	case "active", "shadow":
@@ -60,7 +60,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.reloader == nil {
-		http.Error(w, "no model registry configured (start with -model-dir)", http.StatusNotImplemented)
+		http.Error(w, "no model registry configured (start with -model <dir>)", http.StatusNotImplemented)
 		return
 	}
 	role := r.URL.Query().Get("role")

@@ -532,7 +532,6 @@ func (sd *shard) replayTenant(tenant int, recs []trace.Record) (int, error) {
 func (sd *shard) summarize(ts *tenantState) tenantSummary {
 	return tenantSummary{
 		Completed: ts.completed,
-		Hist:      ts.hist,
 		Replayed:  ts.replayed,
 		Records:   ts.log.n,
 	}

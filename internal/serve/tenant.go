@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"slices"
 
-	"ssdkeeper/internal/stats"
 	"ssdkeeper/internal/trace"
 )
 
@@ -27,7 +26,6 @@ var ErrBadHandoff = errors.New("serve: invalid handoff record")
 // inside the shard goroutine at drain time.
 type tenantSummary struct {
 	Completed [2]uint64
-	Hist      [2]stats.Histogram
 	Replayed  uint64
 	Records   int
 }
@@ -46,11 +44,6 @@ type TenantDrain struct {
 	CompletedReads  uint64 `json:"completed_reads"`
 	CompletedWrites uint64 `json:"completed_writes"`
 	Replayed        uint64 `json:"replayed"`
-
-	// P50NS/P99NS summarize the tenant's simulated response latency on
-	// this node (reads and writes merged), for rebalancer decisions.
-	P50NS int64 `json:"p50_ns"`
-	P99NS int64 `json:"p99_ns"`
 
 	// SimNS is the source node's simulated time when the drain completed.
 	SimNS int64 `json:"sim_ns"`
@@ -86,7 +79,6 @@ func (n *Node) DrainTenant(tenant int) (*TenantDrain, error) {
 	n.parked.Add(1)
 
 	td := &TenantDrain{Tenant: tenant}
-	var hist stats.Histogram
 	merged := false
 	for _, sd := range n.shards {
 		r, ok := sd.sendMsg(shardMsg{kind: msgDrainTenant, tenant: tenant})
@@ -104,8 +96,6 @@ func (n *Node) DrainTenant(tenant int) (*TenantDrain, error) {
 		td.CompletedReads += r.tenant.Completed[trace.Read]
 		td.CompletedWrites += r.tenant.Completed[trace.Write]
 		td.Replayed += r.tenant.Replayed
-		hist.Merge(&r.tenant.Hist[trace.Read])
-		hist.Merge(&r.tenant.Hist[trace.Write])
 		if int64(r.now) > td.SimNS {
 			td.SimNS = int64(r.now)
 		}
@@ -116,10 +106,6 @@ func (n *Node) DrainTenant(tenant int) (*TenantDrain, error) {
 		slices.SortStableFunc(td.Records, func(a, b trace.Record) int {
 			return cmp.Compare(a.Time, b.Time)
 		})
-	}
-	if hist.Count() > 0 {
-		td.P50NS = int64(hist.P50())
-		td.P99NS = int64(hist.P99())
 	}
 	n.gates[tenant].Store(tenantParked)
 	return td, nil

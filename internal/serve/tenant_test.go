@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"ssdkeeper/internal/simrun"
 	"ssdkeeper/internal/trace"
@@ -63,6 +64,11 @@ func TestDrainTenantMatchesBatchReplay(t *testing.T) {
 	}
 	if td.Replayed != 0 {
 		t.Errorf("replayed = %d on a never-migrated tenant", td.Replayed)
+	}
+	// Every control round trip buffers one shardReply in its reply channel:
+	// the drain summary carries counts, not latency histograms.
+	if size := unsafe.Sizeof(shardReply{}); size > 512 {
+		t.Errorf("shardReply is %d B, want <= 512", size)
 	}
 
 	// Tenant 1 only ever touched the device, so the node's whole-drain

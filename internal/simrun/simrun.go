@@ -1,8 +1,8 @@
 // Package simrun is the simulation-run layer: the one place that owns the
 // construct-wire-replay lifecycle of a simulated SSD (nand geometry → ssd
 // controller → FTL → seasoning → strategy binding → trace replay → stats).
-// Every consumer — workload.Run, the figure drivers, the dataset labeler,
-// the online keeper, the CLIs and the root façade — runs simulations
+// Every consumer — the figure drivers, the dataset labeler, the online
+// keeper, the CLIs and the root façade — runs simulations
 // through a Runner instead of wiring device + FTL + engine by hand.
 //
 // A Runner owns one simulation engine and one probe, and reuses both across

@@ -7,6 +7,7 @@ import (
 	"ssdkeeper/internal/ftl"
 	"ssdkeeper/internal/nand"
 	"ssdkeeper/internal/sim"
+	"ssdkeeper/internal/simrun"
 	"ssdkeeper/internal/ssd"
 	"ssdkeeper/internal/trace"
 	"ssdkeeper/internal/workload"
@@ -223,7 +224,7 @@ func BenchmarkReferenceFloor(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	season := workload.DefaultSeasoning()
+	season := simrun.DefaultSeasoning()
 	perReq := func(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(tr)), "ns/req")
 	}

@@ -1,19 +1,15 @@
-// Package workload builds multi-tenant workloads and runs them on the
-// simulated SSD under a chosen channel-allocation strategy. It is the layer
-// the motivation experiment (Figure 2), the label-generation pipeline, and
-// the evaluation mixes all share.
+// Package workload builds the multi-tenant workloads the motivation
+// experiment (Figure 2), the label-generation pipeline, and the evaluation
+// mixes share; internal/simrun runs them on the simulated SSD.
 package workload
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"ssdkeeper/internal/alloc"
 	"ssdkeeper/internal/nand"
 	"ssdkeeper/internal/sim"
-	"ssdkeeper/internal/simrun"
 	"ssdkeeper/internal/ssd"
 	"ssdkeeper/internal/trace"
 )
@@ -147,53 +143,6 @@ func RandomMixSpec(rng *rand.Rand, requests int, maxIOPS float64) MixSpec {
 		spec.Tenants = append(spec.Tenants, TenantSpec{WriteRatio: wr, Share: shares[i]})
 	}
 	return spec
-}
-
-// Seasoning aliases the simulation-run layer's aging description (see
-// simrun.Seasoning and ftl.Season).
-type Seasoning = simrun.Seasoning
-
-// DefaultSeasoning returns the aging used throughout the evaluation (see
-// simrun.DefaultSeasoning).
-func DefaultSeasoning() Seasoning { return simrun.DefaultSeasoning() }
-
-// RunConfig aliases the simulation-run layer's configuration: everything
-// needed to build a device and replay a trace under one strategy.
-type RunConfig = simrun.Config
-
-// NewDevice builds a device with the strategy bound and the seasoning
-// applied, ready to accept the trace. The device lives on its own
-// single-use runner; loops that run many simulations should hold a
-// simrun.Runner instead and reuse its engine.
-func NewDevice(rc RunConfig) (*ssd.Device, error) {
-	sess, err := simrun.NewRunner().NewSession(rc)
-	if err != nil {
-		return nil, err
-	}
-	return sess.Device(), nil
-}
-
-// runnerPool recycles runners across Run calls. A reset engine behaves
-// identically to a fresh one, so pooled reuse keeps results byte-for-byte
-// unchanged while callers that invoke Run in a loop (or from several
-// goroutines) stop paying an engine + collector allocation per run.
-var runnerPool = sync.Pool{New: func() any { return simrun.NewRunner() }}
-
-// Run replays the trace under the run configuration and returns the device
-// result. Runners are pooled and reused across calls.
-func Run(rc RunConfig, t trace.Trace) (ssd.Result, error) {
-	r := runnerPool.Get().(*simrun.Runner)
-	res, err := r.Run(context.Background(), rc, t)
-	runnerPool.Put(r)
-	if err != nil {
-		return ssd.Result{}, err
-	}
-	return res.Result, nil
-}
-
-// Apply binds a strategy onto a device's FTL (see simrun.Apply).
-func Apply(dev *ssd.Device, s alloc.Strategy, traits []alloc.TenantTraits, hybrid bool) error {
-	return simrun.Apply(dev, s, traits, hybrid)
 }
 
 // TraitsFromTrace classifies each of the first n tenants of a trace by its

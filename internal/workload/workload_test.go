@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -9,6 +10,7 @@ import (
 	"ssdkeeper/internal/alloc"
 	"ssdkeeper/internal/ftl"
 	"ssdkeeper/internal/nand"
+	"ssdkeeper/internal/simrun"
 	"ssdkeeper/internal/ssd"
 	"ssdkeeper/internal/trace"
 )
@@ -23,6 +25,21 @@ func twoTenantSpec(wp float64, requests int, iops float64) MixSpec {
 		IOPS:     iops,
 		Seed:     42,
 	}
+}
+
+// run replays t on a fresh simrun runner.
+func run(rc simrun.Config, t trace.Trace) (ssd.Result, error) {
+	res, err := simrun.NewRunner().Run(context.Background(), rc, t)
+	return res.Result, err
+}
+
+// newDevice builds the device rc describes, ready for traffic.
+func newDevice(rc simrun.Config) (*ssd.Device, error) {
+	sess, err := simrun.NewRunner().NewSession(rc)
+	if err != nil {
+		return nil, err
+	}
+	return sess.Device(), nil
 }
 
 func TestMixSpecValidate(t *testing.T) {
@@ -101,19 +118,19 @@ func TestRunStrategiesDiffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(s alloc.Strategy) ssd.Result {
-		res, err := Run(RunConfig{
+	runStrategy := func(s alloc.Strategy) ssd.Result {
+		res, err := run(simrun.Config{
 			Device: cfg, Options: ssd.DefaultOptions(),
 			Strategy: s, Traits: spec.Traits(),
-			Season: DefaultSeasoning(),
+			Season: simrun.DefaultSeasoning(),
 		}, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	shared := run(alloc.Strategy{Kind: alloc.Shared})
-	grouped := run(alloc.Strategy{Kind: alloc.TwoGroup, WriteChannels: 7})
+	shared := runStrategy(alloc.Strategy{Kind: alloc.Shared})
+	grouped := runStrategy(alloc.Strategy{Kind: alloc.TwoGroup, WriteChannels: 7})
 	if shared.Device.Total() == grouped.Device.Total() {
 		t.Error("strategies produced identical latency; binding has no effect")
 	}
@@ -127,12 +144,12 @@ func TestRunStrategiesDiffer(t *testing.T) {
 
 func TestApplyHybridSetsModes(t *testing.T) {
 	cfg := nand.TinyConfig()
-	dev, err := NewDevice(RunConfig{Device: cfg, Options: ssd.DefaultOptions()})
+	dev, err := newDevice(simrun.Config{Device: cfg, Options: ssd.DefaultOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	traits := []alloc.TenantTraits{{WriteDominated: true}, {WriteDominated: false}}
-	if err := Apply(dev, alloc.Strategy{Kind: alloc.Isolated}, traits, true); err != nil {
+	if err := simrun.Apply(dev, alloc.Strategy{Kind: alloc.Isolated}, traits, true); err != nil {
 		t.Fatal(err)
 	}
 	if got := dev.FTL().TenantMode(0); got != ftl.DynamicAlloc {
@@ -142,7 +159,7 @@ func TestApplyHybridSetsModes(t *testing.T) {
 		t.Errorf("read-dominated tenant mode %v, want static", got)
 	}
 	// Non-hybrid: everything static.
-	if err := Apply(dev, alloc.Strategy{Kind: alloc.Isolated}, traits, false); err != nil {
+	if err := simrun.Apply(dev, alloc.Strategy{Kind: alloc.Isolated}, traits, false); err != nil {
 		t.Fatal(err)
 	}
 	if got := dev.FTL().TenantMode(0); got != ftl.StaticAlloc {
@@ -152,11 +169,11 @@ func TestApplyHybridSetsModes(t *testing.T) {
 
 func TestNewDeviceSeasonsBeforeTraffic(t *testing.T) {
 	cfg := nand.EvalConfig()
-	dev, err := NewDevice(RunConfig{
+	dev, err := newDevice(simrun.Config{
 		Device: cfg, Options: ssd.DefaultOptions(),
 		Strategy: alloc.Strategy{Kind: alloc.Shared},
 		Traits:   []alloc.TenantTraits{{}},
-		Season:   DefaultSeasoning(),
+		Season:   simrun.DefaultSeasoning(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -185,11 +202,11 @@ func TestRunPropagatesDeviceFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(RunConfig{
+	_, err = run(simrun.Config{
 		Device: cfg, Options: ssd.DefaultOptions(),
 		Strategy: alloc.Strategy{Kind: alloc.TwoGroup, WriteChannels: 1},
 		Traits:   spec.Traits(),
-		Season:   Seasoning{ValidFrac: 0.9, FreeBlocks: 4, Seed: 1},
+		Season:   simrun.Seasoning{ValidFrac: 0.9, FreeBlocks: 4, Seed: 1},
 	}, tr)
 	if !errors.Is(err, ftl.ErrDeviceFull) {
 		t.Errorf("want ErrDeviceFull, got %v", err)
@@ -216,7 +233,7 @@ func TestTotalLatencyMatchesDeviceTotal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(RunConfig{
+	res, err := run(simrun.Config{
 		Device: cfg, Options: ssd.DefaultOptions(),
 		Strategy: alloc.Strategy{Kind: alloc.Shared}, Traits: spec.Traits(),
 	}, tr)

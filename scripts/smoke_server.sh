@@ -14,12 +14,14 @@
 # post one over-sized /io/batch and assert a reply line per request line.
 #
 # Phase 3 (hot reload): train two versioned checkpoints with keeper-train,
-# boot with -model-dir holding only v001, drop v002 in mid-run, POST
-# /model/reload while load is in flight, and assert that
+# boot with -model on a registry directory holding only v001, drop v002 in
+# mid-run, POST /model/reload while load is in flight, and assert that
 #   - the reload response and /metrics both report v002 active,
 #   - a shadow candidate installs and clears through the endpoint,
 #   - every request submitted across the swap is answered,
 #   - SIGTERM still drains cleanly.
+# Then boot with -model on the v001 file itself and assert it serves that
+# checkpoint and answers /model/reload with 501 (no registry to reload from).
 #
 # Usage: scripts/smoke_server.sh [port]
 set -euo pipefail
@@ -124,7 +126,7 @@ kill -TERM "$DPID"
 wait "$DPID" || fail "phase 2: daemon exited non-zero on SIGTERM"
 echo "phase 2 ok: $rejected rejected at the client, $full queue-full at the server, batch $lines/64 answered" >&2
 
-echo "phase 3: live model reload (accel 20, -model-dir)..." >&2
+echo "phase 3: live model reload (accel 20, -model <dir>)..." >&2
 MODELS="$BIN/models"
 STAGE="$BIN/stage"
 mkdir -p "$MODELS" "$STAGE"
@@ -137,7 +139,7 @@ mkdir -p "$MODELS" "$STAGE"
   || fail "phase 3: keeper-train -inspect rejected its own checkpoint"
 
 "$BIN/ssdkeeperd" -addr "$ADDR" -accel 20 -window 50ms -adapt-every 50ms \
-  -model-dir "$MODELS" 2>"$LOG" &
+  -model "$MODELS" 2>"$LOG" &
 DPID=$!
 wait_ready
 # `grep -q` straight off curl would SIGPIPE it under pipefail; snapshot first.
@@ -180,6 +182,18 @@ ok=$(json_count ok "$BIN/load3.json")
 kill -TERM "$DPID"
 wait "$DPID" || fail "phase 3: daemon exited non-zero on SIGTERM"
 grep -q "drained clean" "$LOG" || fail "phase 3: no clean-drain report in log"
-echo "phase 3 ok: reload v001 -> v002 under load, $ok/1000 answered, clean drain" >&2
+
+"$BIN/ssdkeeperd" -addr "$ADDR" -accel 20 -window 50ms -adapt-every 50ms \
+  -model "$MODELS/v001.json" 2>"$LOG" &
+DPID=$!
+wait_ready
+scrape
+grep -q 'ssdkeeper_model_info{role="active",version="v001.json"}' "$BIN/metrics.txt" \
+  || fail "phase 3: -model on a file does not serve it"
+code=$(curl -s -o /dev/null -w '%{http_code}' -X POST "$URL/model/reload")
+[ "$code" = "501" ] || fail "phase 3: /model/reload on a single-file daemon answered $code, want 501"
+kill -TERM "$DPID"
+wait "$DPID" || fail "phase 3: single-file daemon exited non-zero on SIGTERM"
+echo "phase 3 ok: reload v001 -> v002 under load, $ok/1000 answered, clean drain; single file serves, reload 501" >&2
 
 echo "smoke_server.sh: all checks passed" >&2
