@@ -128,24 +128,6 @@ func TestPublicAPILearningFlow(t *testing.T) {
 	}
 }
 
-func TestPublicAPIOpenChannelFlow(t *testing.T) {
-	dev, err := ssdkeeper.NewOpenChannel(ssdkeeper.EvalConfig(), ssdkeeper.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := ssdkeeper.Strategy{Kind: ssdkeeper.FourWay, Parts: []int{5, 1, 1, 1}}
-	binding, err := s.Bind(8, make([]ssdkeeper.TenantTraits, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dev.Apply(binding); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(dev.Leased(0)); got != 5 {
-		t.Errorf("tenant 0 leased %d channels, want 5", got)
-	}
-}
-
 func TestPublicAPIRunLayer(t *testing.T) {
 	cfg := ssdkeeper.EvalConfig()
 	spec := ssdkeeper.MixSpec{

@@ -22,7 +22,6 @@ import (
 	"ssdkeeper/internal/experiments"
 	"ssdkeeper/internal/features"
 	"ssdkeeper/internal/ftl"
-	"ssdkeeper/internal/hostif"
 	"ssdkeeper/internal/keeper"
 	"ssdkeeper/internal/nand"
 	"ssdkeeper/internal/nn"
@@ -653,34 +652,6 @@ func BenchmarkGCPressure(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationQueueDepth bounds the host queue depth, showing how
-// backpressure tames the unbounded-queue latency blowups of saturated
-// partitions (the paper's setup, like SSDSim's, is unbounded).
-func BenchmarkAblationQueueDepth(b *testing.B) {
-	env, _ := quickEnvScale()
-	tr, traits := ablationMix(b, env.Device)
-	for _, depth := range []int{0, 16, 64} {
-		name := map[int]string{0: "unbounded", 16: "qd16", 64: "qd64"}[depth]
-		b.Run(name, func(b *testing.B) {
-			var total float64
-			for i := 0; i < b.N; i++ {
-				opts := env.Options
-				opts.MaxOutstanding = depth
-				res, err := replay(simrun.Config{
-					Device: env.Device, Options: opts,
-					Strategy: alloc.Strategy{Kind: alloc.TwoGroup, WriteChannels: 1},
-					Traits:   traits, Season: env.Season,
-				}, tr)
-				if err != nil {
-					b.Fatal(err)
-				}
-				total = res.Device.Total()
-			}
-			b.ReportMetric(total, "us-total")
-		})
-	}
-}
-
 // BenchmarkAblationCacheRegister removes the per-plane cache register
 // (Figure 1), serializing array time and bus transfer on each die.
 func BenchmarkAblationCacheRegister(b *testing.B) {
@@ -773,46 +744,6 @@ func BenchmarkAblationCMT(b *testing.B) {
 				total = res.Device.Total()
 			}
 			b.ReportMetric(total, "us-total")
-		})
-	}
-}
-
-// BenchmarkAblationArbitration compares the host interface's queue
-// arbitration disciplines under a saturating two-tenant burst.
-func BenchmarkAblationArbitration(b *testing.B) {
-	env, _ := quickEnvScale()
-	tr, _ := ablationMix(b, env.Device)
-	runner := simrun.NewRunner()
-	for _, arb := range []string{"rr", "wrr4:1"} {
-		b.Run(arb, func(b *testing.B) {
-			var t0, t1 float64
-			for i := 0; i < b.N; i++ {
-				sess, err := runner.NewSession(simrun.Config{
-					Device: env.Device, Options: env.Options,
-					Season: simrun.DefaultSeasoning(),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				dev := sess.Device()
-				cfg := hostif.Config{QueueDepth: 8, Outstanding: 8}
-				if arb != "rr" {
-					cfg.Arbitration = hostif.WeightedRoundRobin
-					cfg.Weights = map[int]int{0: 4, 1: 1}
-				}
-				h, err := hostif.New(dev, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := h.Run(tr)
-				if err != nil {
-					b.Fatal(err)
-				}
-				t0 = res.PerTenant[0].Write.Mean()
-				t1 = res.PerTenant[1].Write.Mean()
-			}
-			b.ReportMetric(t0, "us-tenant0-write")
-			b.ReportMetric(t1, "us-tenant1-write")
 		})
 	}
 }

@@ -225,15 +225,6 @@ func (f *FTL) Reset() {
 	f.cmt.Reset()
 }
 
-// SetLoad replaces the load telemetry source (used when the device is
-// constructed after the FTL).
-func (f *FTL) SetLoad(load Load) {
-	if load == nil {
-		load = zeroLoad{}
-	}
-	f.load = load
-}
-
 // SetProbe attaches a probe notified of garbage-collection passes and
 // mapping-cache outcomes. A nil probe restores the no-op default.
 func (f *FTL) SetProbe(p sim.Probe) {
@@ -314,36 +305,6 @@ func (f *FTL) Lookup(k Key) (nand.Addr, bool) {
 		return nand.Addr{}, false
 	}
 	return f.cfg.AddrOf(e - 1), true
-}
-
-// PredictDie returns, without mutating any state, the flat die index an
-// operation on k would target: the mapped location for existing data, or
-// the tenant's placement rule for new writes and preload reads. Dynamic-
-// allocation targets cannot be known in advance (they depend on load at the
-// instant of the write), so those return ok=false. Conflict-aware host
-// schedulers use this to steer dispatch away from busy dies.
-func (f *FTL) PredictDie(k Key, isWrite bool) (die int, ok bool) {
-	if a, mapped := f.Lookup(k); mapped && !isWrite {
-		return f.cfg.DieID(a), true
-	}
-	if isWrite && f.TenantMode(k.Tenant) == DynamicAlloc {
-		return 0, false
-	}
-	// Static placement is a pure function of the LPN and channel set
-	// (and, on a degraded device, of which dies are live).
-	set := f.TenantChannels(k.Tenant)
-	l := k.LPN
-	ch := set[int(l%int64(len(set)))]
-	l /= int64(len(set))
-	dieInCh := int(l % int64(f.cfg.DiesPerChannel()))
-	if f.health != nil {
-		if c2, d2, live := f.redirect(set, ch, dieInCh); live {
-			ch, dieInCh = c2, d2
-		}
-	}
-	chip := dieInCh / f.cfg.DiesPerChip
-	d := dieInCh % f.cfg.DiesPerChip
-	return f.cfg.DieID(nand.Addr{Channel: ch, Chip: chip, Die: d}), true
 }
 
 // MapRead returns the physical address to read for a logical page. Reads of

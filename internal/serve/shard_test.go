@@ -13,6 +13,7 @@ import (
 	"ssdkeeper/internal/nand"
 	"ssdkeeper/internal/simrun"
 	"ssdkeeper/internal/ssd"
+	"ssdkeeper/internal/stats"
 	"ssdkeeper/internal/trace"
 )
 
@@ -178,6 +179,34 @@ func TestDrainMatchesBatchReplaySharded(t *testing.T) {
 		if got.Conflicts != replayRes.Conflicts {
 			t.Errorf("shard %d: conflicts %d != replay %d", sh, got.Conflicts, replayRes.Conflicts)
 		}
+	}
+}
+
+// TestDrainShardedFairnessMatchesCollector pins the merged Fairness to the
+// definition a single shard's collector reports: Jain's index over each
+// tenant's mean read plus mean write latency. Tenant 0 (shard 1) sends one
+// read and tenant 1 (shard 0) two, on separate channels, so both see the same
+// mean and the index is 1; weighting by request count would say 0.9.
+func TestDrainShardedFairnessMatchesCollector(t *testing.T) {
+	clk := newFakeClock()
+	cfg := testConfig(clk)
+	cfg.ShardCount = 2
+	s := testServer(t, cfg, nil)
+	for _, req := range []Request{readReq(0, 0), readReq(1, 0), readReq(1, 1)} {
+		if _, err := submit(s, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res := s.Drain()
+	if len(res.PerTenant) != 2 {
+		t.Fatalf("merged result has %d tenants, want 2", len(res.PerTenant))
+	}
+	t0, t1 := res.PerTenant[0].Total(), res.PerTenant[1].Total()
+	if t0 != t1 {
+		t.Fatalf("tenant totals %v and %v differ; the case needs equal means", t0, t1)
+	}
+	if want := stats.JainIndex([]float64{t0, t1}); res.Fairness != want {
+		t.Errorf("merged Fairness = %v, want %v", res.Fairness, want)
 	}
 }
 

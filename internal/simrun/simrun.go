@@ -181,8 +181,8 @@ func (r *Runner) NewSession(cfg Config) (*Session, error) {
 }
 
 // Device exposes the session's device, for drivers that pump the engine
-// themselves (host interface, open-channel wrapper) or rebind strategies
-// mid-run (the keeper).
+// themselves (the serve tier's shards) or rebind strategies mid-run (the
+// keeper).
 func (s *Session) Device() *ssd.Device { return s.dev }
 
 // Run replays the trace and returns the result with the runner's counters

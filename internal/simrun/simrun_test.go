@@ -206,7 +206,7 @@ func TestRunnerDeviceReuseMatchesFreshAcrossConfigs(t *testing.T) {
 		}(),
 		func() simrun.Config { // different options: forces a rebuild
 			rc := testConfig(cfg, traits)
-			rc.Options.MaxOutstanding = 8
+			rc.Options.NoCacheRegister = true
 			return rc
 		}(),
 		testConfig(cfg, traits), // back to the first: rebuild again

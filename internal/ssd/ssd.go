@@ -53,12 +53,6 @@ type Options struct {
 	// (approximated as an extended die hold), serializing back-to-back
 	// operations on the same die.
 	NoCacheRegister bool
-	// MaxOutstanding bounds the number of requests in flight inside the
-	// device during Run, modelling host queue depth (NCQ): arrivals
-	// beyond the bound wait in a host-side FIFO and their response
-	// latency includes that wait. Zero leaves the queue unbounded (the
-	// SSDSim default, and the paper's setup).
-	MaxOutstanding int
 	// CMTEntries bounds the FTL's cached mapping table (DFTL-style):
 	// page accesses whose translation entry is not cached pay one
 	// translation-page read on the die before the operation. Zero
@@ -90,8 +84,7 @@ type Device struct {
 
 	health *nand.Health // nil unless Options.FaultPlan is set
 
-	col      *stats.Collector
-	inFlight int
+	col *stats.Collector
 
 	// Free lists for the per-request and per-page operation records the
 	// replay hot path fans out into. The engine is single-goroutine, so
@@ -220,9 +213,9 @@ func (d *Device) applyFault(ev nand.FaultEvent) {
 // Reset returns the device to its just-constructed state so a run loop can
 // reuse it for the next session instead of rebuilding: the FTL is factory-
 // reset (keeping its materialized block storage), every bus and die resource
-// is idled and its telemetry zeroed, and the in-flight counter cleared. The
-// engine and collector are owned by the caller (internal/simrun) and must be
-// Reset separately; geometry, options, and probes are unchanged.
+// is idled and its telemetry zeroed. The engine and collector are owned by
+// the caller (internal/simrun) and must be Reset separately; geometry,
+// options, and probes are unchanged.
 func (d *Device) Reset() {
 	d.ftl.Reset() // also empties the CMT, which stays enabled
 	for _, b := range d.buses {
@@ -231,7 +224,6 @@ func (d *Device) Reset() {
 	for _, dr := range d.dies {
 		dr.Reset()
 	}
-	d.inFlight = 0
 	if d.health != nil {
 		// Factory health, and the fault plan re-armed on the (caller-
 		// reset) engine so the next session replays it identically.
@@ -338,14 +330,13 @@ type request struct {
 
 // pageDone retires one page of the request, completing it when the fan-out
 // drains. A request SubmitAt failed part-way has no latency to report: its
-// issued pages only return the record and the in-flight slot.
+// issued pages only return the record.
 func (rq *request) pageDone() {
 	rq.remaining--
 	if rq.remaining > 0 {
 		return
 	}
 	d := rq.d
-	d.inFlight--
 	if rq.failed {
 		d.freeRequest(rq)
 		return
@@ -364,13 +355,11 @@ func (rq *request) pageDone() {
 }
 
 // failRequest settles a request whose page `issued` could not be mapped, so
-// the error leaks neither the pooled record nor the in-flight slot (a
-// MaxOutstanding device would stay one slot short for ever). With nothing
-// issued both are returned at once; otherwise the pages already on the
-// device retire the record when the last of them lands.
+// the error does not leak the pooled record. With nothing issued it is
+// returned at once; otherwise the pages already on the device retire the
+// record when the last of them lands.
 func (d *Device) failRequest(rq *request, issued int) {
 	if issued == 0 {
-		d.inFlight--
 		d.freeRequest(rq)
 		return
 	}
@@ -461,8 +450,8 @@ func (d *Device) Submit(r trace.Record, done Completer) error {
 }
 
 // SubmitAt issues a request whose response latency is measured from the
-// given arrival instant, which must not be in the future. Run uses it to
-// charge host-queue waiting time to requests held back by MaxOutstanding.
+// given arrival instant, which must not be in the future. Run submits each
+// record at its trace timestamp.
 func (d *Device) SubmitAt(r trace.Record, arrival sim.Time, done Completer) error {
 	startLPN, n := d.pagesOf(r)
 	if n == 0 {
@@ -477,7 +466,6 @@ func (d *Device) SubmitAt(r trace.Record, arrival sim.Time, done Completer) erro
 	rq.tenant = r.Tenant
 	rq.read = r.Op == trace.Read
 	rq.done = done
-	d.inFlight++
 	for i := 0; i < n; i++ {
 		k := ftl.Key{Tenant: r.Tenant, LPN: startLPN + int64(i)}
 		pen := d.ftl.MapPenalty(k)
@@ -597,21 +585,6 @@ func (d *Device) RunContext(ctx context.Context, t trace.Trace, onArrival func(i
 		return Result{}, err
 	}
 	var submitErr error
-	var backlog []trace.Record // host-side FIFO when MaxOutstanding binds
-	var dispatch func(r trace.Record)
-	onDone := CompleterFunc(func(sim.Time) {
-		if len(backlog) == 0 || submitErr != nil {
-			return
-		}
-		next := backlog[0]
-		backlog = backlog[1:]
-		dispatch(next)
-	})
-	dispatch = func(r trace.Record) {
-		if err := d.SubmitAt(r, r.Time, onDone); err != nil {
-			submitErr = err
-		}
-	}
 	// inject is scheduled through the typed fast path: one closure for the
 	// whole replay, with the record index as the event argument, instead of
 	// one capturing closure per trace record.
@@ -625,12 +598,8 @@ func (d *Device) RunContext(ctx context.Context, t trace.Trace, onArrival func(i
 		if onArrival != nil {
 			onArrival(i, r)
 		}
-		if d.opts.MaxOutstanding > 0 && d.inFlight >= d.opts.MaxOutstanding {
-			backlog = append(backlog, r)
-		} else {
-			dispatch(r)
-		}
-		if submitErr != nil {
+		if err := d.SubmitAt(r, r.Time, nil); err != nil {
+			submitErr = err
 			return
 		}
 		if i+1 < len(t) {
@@ -651,7 +620,7 @@ func (d *Device) RunContext(ctx context.Context, t trace.Trace, onArrival func(i
 }
 
 // Snapshot assembles a Result at the current simulated time, for drivers
-// that pump the engine themselves (e.g. the multi-queue host interface).
+// that pump the engine themselves (e.g. the serve tier's shards at drain).
 func (d *Device) Snapshot(requests int) Result {
 	return d.result(d.eng.Now(), requests)
 }

@@ -336,36 +336,6 @@ func TestNoCacheRegisterSerializesDieOps(t *testing.T) {
 	}
 }
 
-func TestMaxOutstandingBoundsInFlight(t *testing.T) {
-	cfg := testConfig()
-	d := mustDevice(t, cfg, Options{MaxOutstanding: 2})
-	// 6 simultaneous writes to distinct channels: unbounded, all proceed
-	// in parallel; bounded at 2, they run in waves.
-	var tr trace.Trace
-	for i := 0; i < 6; i++ {
-		tr = append(tr, trace.Record{
-			Time: 0, Tenant: 0, Op: trace.Write,
-			Offset: int64(i) * int64(cfg.PageSize), Size: cfg.PageSize,
-		})
-	}
-	bounded := run(t, d, tr)
-	unbounded := run(t, mustDevice(t, cfg, DefaultOptions()), tr)
-	// Bounded: 3 waves of 240us -> max latency about 720us including
-	// host wait; unbounded: all about 240us.
-	if bounded.Device.Write.Max <= unbounded.Device.Write.Max {
-		t.Errorf("queue depth bound did not extend tail latency: %v vs %v",
-			bounded.Device.Write.Max, unbounded.Device.Write.Max)
-	}
-	want := 3 * (cfg.XferLatency + cfg.WriteLatency)
-	if bounded.Device.Write.Max != want {
-		t.Errorf("bounded max latency %v, want %v (3 waves incl. host wait)",
-			bounded.Device.Write.Max, want)
-	}
-	if bounded.Device.Write.Count != 6 {
-		t.Errorf("lost requests: %d of 6", bounded.Device.Write.Count)
-	}
-}
-
 func TestSubmitAtRejectsFutureArrival(t *testing.T) {
 	cfg := testConfig()
 	d := mustDevice(t, cfg, DefaultOptions())
@@ -381,14 +351,11 @@ type countingCompleter struct{ calls int }
 func (c *countingCompleter) Done(sim.Time) { c.calls++ }
 
 // assertSettled drains the engine and checks that a failed SubmitAt left the
-// device as it found it: the in-flight count and the request free list back
-// at their prior values, nothing reported to the completer or the collector.
-func assertSettled(t *testing.T, d *Device, inFlight, free int, done *countingCompleter, recorded uint64) {
+// device as it found it: the request free list back at its prior length,
+// nothing reported to the completer or the collector.
+func assertSettled(t *testing.T, d *Device, free int, done *countingCompleter, recorded uint64) {
 	t.Helper()
 	d.eng.Run()
-	if d.inFlight != inFlight {
-		t.Errorf("inFlight = %d after a failed submit, was %d before it", d.inFlight, inFlight)
-	}
 	if len(d.reqFree) != free {
 		t.Errorf("request free list holds %d records, held %d before the failed submit", len(d.reqFree), free)
 	}
@@ -401,13 +368,13 @@ func assertSettled(t *testing.T, d *Device, inFlight, free int, done *countingCo
 }
 
 // A mapping error part-way through a request's fan-out must not leak the
-// pooled request record or its in-flight slot. Here the second page of a read
-// lies past the mapping table's range.
+// pooled request record. Here the second page of a read lies past the
+// mapping table's range.
 func TestSubmitAtAddressRangeOnSecondPageSettles(t *testing.T) {
 	cfg := testConfig()
 	d := mustDevice(t, cfg, DefaultOptions())
 	run(t, d, trace.Trace{{Op: trace.Read, Size: cfg.PageSize}}) // one record in the free list
-	inFlight, free := d.inFlight, len(d.reqFree)
+	free := len(d.reqFree)
 	if free == 0 {
 		t.Fatal("no pooled request record to lose")
 	}
@@ -418,27 +385,25 @@ func TestSubmitAtAddressRangeOnSecondPageSettles(t *testing.T) {
 	if !errors.Is(err, ftl.ErrAddressRange) {
 		t.Fatalf("want ErrAddressRange, got %v", err)
 	}
-	if d.inFlight != inFlight+1 {
-		t.Errorf("inFlight = %d while the first page is on the device, want %d", d.inFlight, inFlight+1)
+	if len(d.reqFree) != free-1 {
+		t.Errorf("%d free records while the first page is on the device, want %d", len(d.reqFree), free-1)
 	}
-	assertSettled(t, d, inFlight, free, &done, recorded)
+	assertSettled(t, d, free, &done, recorded)
 
 	// With the very first page out of range nothing was issued: the record
-	// and the slot come back before SubmitAt returns.
+	// comes back before SubmitAt returns.
 	err = d.Submit(trace.Record{Op: trace.Write, Offset: last + int64(cfg.PageSize), Size: cfg.PageSize}, &done)
 	if !errors.Is(err, ftl.ErrAddressRange) {
 		t.Fatalf("want ErrAddressRange, got %v", err)
 	}
-	if d.inFlight != inFlight || len(d.reqFree) != free {
-		t.Errorf("inFlight %d, %d free records straight after a first-page failure; want %d and %d",
-			d.inFlight, len(d.reqFree), inFlight, free)
+	if len(d.reqFree) != free {
+		t.Errorf("%d free records straight after a first-page failure, want %d", len(d.reqFree), free)
 	}
-	assertSettled(t, d, inFlight, free, &done, recorded)
+	assertSettled(t, d, free, &done, recorded)
 }
 
 // The same on a full plane: distinct pages fill a one-plane device until a
-// two-page write maps its first page and finds no block for its second. A
-// MaxOutstanding device that leaked the slot would be one short for ever.
+// two-page write maps its first page and finds no block for its second.
 func TestSubmitAtDeviceFullSettles(t *testing.T) {
 	cfg := testConfig()
 	cfg.Channels, cfg.ChipsPerChannel, cfg.DiesPerChip, cfg.PlanesPerDie = 1, 1, 1, 1
@@ -462,14 +427,14 @@ func TestSubmitAtDeviceFullSettles(t *testing.T) {
 		t.Fatalf("one-plane device took %d distinct pages", capacity)
 	}
 
-	d := mustDevice(t, cfg, Options{MaxOutstanding: 1})
+	d := mustDevice(t, cfg, DefaultOptions())
 	for lpn := 0; lpn < capacity-1; lpn++ {
 		if err := d.Submit(page(lpn), nil); err != nil {
 			t.Fatal(err)
 		}
 		d.eng.Run()
 	}
-	inFlight, free := d.inFlight, len(d.reqFree)
+	free := len(d.reqFree)
 	recorded := d.col.Device().Write.Count
 	var done countingCompleter
 	two := page(capacity - 1)
@@ -477,13 +442,12 @@ func TestSubmitAtDeviceFullSettles(t *testing.T) {
 	if err := d.Submit(two, &done); !errors.Is(err, ftl.ErrDeviceFull) {
 		t.Fatalf("want ErrDeviceFull on the second page, got %v", err)
 	}
-	assertSettled(t, d, inFlight, free, &done, recorded)
+	assertSettled(t, d, free, &done, recorded)
 	if err := d.Submit(page(capacity), &done); !errors.Is(err, ftl.ErrDeviceFull) {
 		t.Fatalf("want ErrDeviceFull on the only page, got %v", err)
 	}
-	if d.inFlight != inFlight || len(d.reqFree) != free {
-		t.Errorf("inFlight %d, %d free records straight after a first-page failure; want %d and %d",
-			d.inFlight, len(d.reqFree), inFlight, free)
+	if len(d.reqFree) != free {
+		t.Errorf("%d free records straight after a first-page failure, want %d", len(d.reqFree), free)
 	}
-	assertSettled(t, d, inFlight, free, &done, recorded)
+	assertSettled(t, d, free, &done, recorded)
 }

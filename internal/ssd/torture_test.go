@@ -105,26 +105,6 @@ func TestTortureUnalignedExtents(t *testing.T) {
 	}
 }
 
-func TestTortureZeroTimeTraceWithQueueBound(t *testing.T) {
-	cfg := testConfig()
-	d := mustDevice(t, cfg, Options{MaxOutstanding: 1})
-	var tr trace.Trace
-	for i := 0; i < 100; i++ {
-		tr = append(tr, trace.Record{
-			Time: 0, Tenant: 0, Op: trace.Write,
-			Offset: int64(i) * int64(cfg.PageSize), Size: cfg.PageSize,
-		})
-	}
-	res := run(t, d, tr)
-	if res.Device.Write.Count != 100 {
-		t.Errorf("completed %d of 100 under queue depth 1", res.Device.Write.Count)
-	}
-	// Fully serialized: the makespan must cover 100 writes.
-	if res.Makespan < 100*(cfg.XferLatency+cfg.WriteLatency) {
-		t.Errorf("makespan %v too small for 100 serialized writes", res.Makespan)
-	}
-}
-
 func TestTortureDeterministicUnderStress(t *testing.T) {
 	cfg := nand.EvalConfig()
 	p := trace.Profile{

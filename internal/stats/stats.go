@@ -233,34 +233,6 @@ func (c *Collector) String() string {
 	return b.String()
 }
 
-// Normalize divides each value by base, returning 0 when base is 0. It is
-// the helper behind every "normalized latency" series in the figures.
-func Normalize(values []float64, base float64) []float64 {
-	out := make([]float64, len(values))
-	if base == 0 {
-		return out
-	}
-	for i, v := range values {
-		out[i] = v / base
-	}
-	return out
-}
-
-// ArgMin returns the index of the smallest value (first on ties) and -1 for
-// an empty slice.
-func ArgMin(values []float64) int {
-	if len(values) == 0 {
-		return -1
-	}
-	best := 0
-	for i, v := range values {
-		if v < values[best] {
-			best = i
-		}
-	}
-	return best
-}
-
 // JainIndex computes Jain's fairness index over a set of per-tenant
 // quantities: (sum x)^2 / (n * sum x^2). It is 1.0 when all tenants see the
 // same value and approaches 1/n as one tenant dominates — the standard

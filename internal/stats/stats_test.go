@@ -114,31 +114,6 @@ func TestCollectorPerTenantAndDevice(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	got := Normalize([]float64{2, 4, 8}, 4)
-	want := []float64{0.5, 1, 2}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("normalize = %v, want %v", got, want)
-		}
-	}
-	if z := Normalize([]float64{1, 2}, 0); z[0] != 0 || z[1] != 0 {
-		t.Error("zero base should yield zeros")
-	}
-}
-
-func TestArgMin(t *testing.T) {
-	if got := ArgMin([]float64{3, 1, 2}); got != 1 {
-		t.Errorf("argmin = %d, want 1", got)
-	}
-	if got := ArgMin([]float64{5, 5, 5}); got != 0 {
-		t.Errorf("argmin ties should pick first, got %d", got)
-	}
-	if got := ArgMin(nil); got != -1 {
-		t.Errorf("argmin of empty = %d, want -1", got)
-	}
-}
-
 func TestJainIndex(t *testing.T) {
 	if got := JainIndex([]float64{5, 5, 5, 5}); math.Abs(got-1) > 1e-12 {
 		t.Errorf("equal values index %v, want 1", got)

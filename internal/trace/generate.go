@@ -3,7 +3,6 @@ package trace
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"ssdkeeper/internal/sim"
 )
@@ -193,10 +192,4 @@ func BuildMix(names [4]string, profiles map[string]Profile, head int) (Trace, er
 		return nil, err
 	}
 	return mixed.Head(head), nil
-}
-
-// SortByTime sorts a trace in place by timestamp, preserving the relative
-// order of equal timestamps.
-func SortByTime(t Trace) {
-	sort.SliceStable(t, func(i, j int) bool { return t[i].Time < t[j].Time })
 }

@@ -306,14 +306,6 @@ func TestReadMSRSkipsBlankLinesAndNormalizesBase(t *testing.T) {
 	}
 }
 
-func TestSortByTime(t *testing.T) {
-	tr := Trace{{Time: 30, Size: 1}, {Time: 10, Size: 1}, {Time: 20, Size: 1}}
-	SortByTime(tr)
-	if err := tr.Validate(); err != nil {
-		t.Errorf("sorted trace invalid: %v", err)
-	}
-}
-
 func TestOpString(t *testing.T) {
 	if Read.String() != "Read" || Write.String() != "Write" {
 		t.Error("op strings wrong")
