@@ -1,12 +1,8 @@
-// Package ssdkeeper's root benchmark harness regenerates every table and
-// figure of the paper (one benchmark per artifact) and measures the ablations
-// called out in DESIGN.md. Custom metrics carry the experiment results:
-// latencies in us, accuracies in percent, improvements in percent — so
-// `go test -bench=. -benchmem` both exercises and reports the reproduction.
-//
-// The figure/table benchmarks run at QuickScale inside the timing loop; the
-// printed metrics are therefore smoke-sized. cmd/experiments regenerates the
-// full-sized artifacts.
+// Package ssdkeeper's root benchmark harness measures the simulator, the
+// inference path and the ablations called out in DESIGN.md. Custom metrics
+// carry the results: latencies in us, accuracies in percent — so
+// `go test -bench=. -benchmem` both exercises and reports them.
+// cmd/experiments regenerates the paper's tables and figures.
 package ssdkeeper
 
 import (
@@ -38,120 +34,22 @@ func quickEnvScale() (experiments.Env, experiments.Scale) {
 	return experiments.NewEnv(), experiments.QuickScale()
 }
 
-// quickSamplesModel memoizes a QuickScale dataset and trained model across
-// benchmarks (building them is itself benchmarked separately).
-var benchState struct {
-	samples []dataset.Sample
-	model   *nn.Network
-	test    []dataset.Sample
-}
+// benchSamples memoizes a QuickScale dataset across benchmarks (building it
+// is itself benchmarked separately).
+var benchState []dataset.Sample
 
-func benchSamplesModel(b *testing.B) ([]dataset.Sample, *nn.Network, []dataset.Sample) {
+func benchSamples(b *testing.B) []dataset.Sample {
 	b.Helper()
-	if benchState.model != nil {
-		return benchState.samples, benchState.model, benchState.test
+	if benchState != nil {
+		return benchState
 	}
 	env, scale := quickEnvScale()
 	samples, err := experiments.BuildDataset(context.Background(), env, scale, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := experiments.TrainBest(env, scale, samples)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchState.samples = samples
-	benchState.model = res.Model
-	benchState.test = res.TestSamples
-	return samples, res.Model, res.TestSamples
-}
-
-// BenchmarkFig2 regenerates the Figure 2 motivation sweep (9 write
-// proportions x 8 strategies) and reports the best strategy's gain over
-// Shared at 50% writes.
-func BenchmarkFig2(b *testing.B) {
-	env, scale := quickEnvScale()
-	var gain float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig2(context.Background(), env, scale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		p := res.Points[4] // 50%
-		best := 1.0
-		for _, r := range p.Rows {
-			if !r.Infeasible && r.NormTotal < best {
-				best = r.NormTotal
-			}
-		}
-		gain = 100 * (1 - best)
-	}
-	b.ReportMetric(gain, "%gain-at-50%")
-}
-
-// BenchmarkFig4Table3 regenerates the optimizer comparison: four training
-// runs on a shared dataset. Reports Adam-logistic's final accuracy (Table
-// III's winning row).
-func BenchmarkFig4Table3(b *testing.B) {
-	env, scale := quickEnvScale()
-	samples, _, _ := benchSamplesModel(b)
-	var acc float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runs, err := experiments.Fig4Table3(env, scale, samples)
-		if err != nil {
-			b.Fatal(err)
-		}
-		acc = runs[len(runs)-1].History.FinalAcc
-	}
-	b.ReportMetric(100*acc, "%adam-logistic-acc")
-}
-
-// BenchmarkTable3TrainingTime measures one full training run of the deployed
-// configuration — the Table III "Training Time" column.
-func BenchmarkTable3TrainingTime(b *testing.B) {
-	env, scale := quickEnvScale()
-	samples, _, _ := benchSamplesModel(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.TrainBest(env, scale, samples); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig5Table5 regenerates the end-to-end mix comparison and reports
-// the paper's headline metric: SSDKeeper's average total-latency improvement
-// over Shared.
-func BenchmarkFig5Table5(b *testing.B) {
-	env, scale := quickEnvScale()
-	_, model, _ := benchSamplesModel(b)
-	var improvement float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		reports, err := experiments.Fig5Table5(context.Background(), env, scale, model, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		improvement = 0
-		for _, r := range reports {
-			improvement += r.ImprovementPct
-		}
-		improvement /= float64(len(reports))
-	}
-	b.ReportMetric(improvement, "%avg-improvement")
-}
-
-// BenchmarkFig6 regenerates the strategy map.
-func BenchmarkFig6(b *testing.B) {
-	env, scale := quickEnvScale()
-	_, model, _ := benchSamplesModel(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig6(env, scale, model); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchState = samples
+	return samples
 }
 
 // BenchmarkDatasetGeneration measures the label-generation pipeline
@@ -429,7 +327,7 @@ func BenchmarkPredict(b *testing.B) {
 // BenchmarkNNTrainingEpoch measures one epoch of minibatch training on the
 // paper's network shape.
 func BenchmarkNNTrainingEpoch(b *testing.B) {
-	samples, _, _ := benchSamplesModel(b)
+	samples := benchSamples(b)
 	ds := dataset.ToNN(samples)
 	net, err := nn.NewMLP([]int{features.Dim, 64, 42}, nn.Logistic{}, 1)
 	if err != nil {
@@ -540,7 +438,7 @@ func BenchmarkAblationPageAlloc(b *testing.B) {
 // paper's 64 neurons and reports held-out regret.
 func BenchmarkAblationHidden(b *testing.B) {
 	env, scale := quickEnvScale()
-	samples, _, _ := benchSamplesModel(b)
+	samples := benchSamples(b)
 	for _, hidden := range []int{16, 64, 256} {
 		b.Run(map[int]string{16: "h16", 64: "h64", 256: "h256"}[hidden], func(b *testing.B) {
 			var regret float64
@@ -578,7 +476,7 @@ func BenchmarkAblationHidden(b *testing.B) {
 // quantifying how much each of the paper's three feature groups matters.
 func BenchmarkAblationFeatures(b *testing.B) {
 	env, scale := quickEnvScale()
-	samples, _, _ := benchSamplesModel(b)
+	samples := benchSamples(b)
 	masks := []struct {
 		name string
 		keep func(v features.Vector) features.Vector
@@ -744,31 +642,6 @@ func BenchmarkAblationCMT(b *testing.B) {
 				total = res.Device.Total()
 			}
 			b.ReportMetric(total, "us-total")
-		})
-	}
-}
-
-// BenchmarkAblationQuantization measures the deployed model at each storage
-// precision: held-out latency regret and parameter footprint. The paper
-// argues the model's FTL overhead is negligible (Section IV.D); quantization
-// shows how much smaller it can go.
-func BenchmarkAblationQuantization(b *testing.B) {
-	_, model, test := benchSamplesModel(b)
-	for _, p := range []nn.Precision{nn.Float64, nn.Float32, nn.Float16, nn.Int8} {
-		b.Run(p.String(), func(b *testing.B) {
-			var regret float64
-			var bytes int
-			for i := 0; i < b.N; i++ {
-				q := model.Quantized(p)
-				ev, err := experiments.EvaluateModel(q, test)
-				if err != nil {
-					b.Fatal(err)
-				}
-				regret = ev.MeanRegretPct
-				bytes = q.StorageBytes(p)
-			}
-			b.ReportMetric(regret, "%regret")
-			b.ReportMetric(float64(bytes), "model-bytes")
 		})
 	}
 }

@@ -170,11 +170,6 @@ func main() {
 	if eval, err := experiments.EvaluateModel(res.Model, res.TestSamples); err == nil {
 		fmt.Fprintln(os.Stderr, eval.String())
 	}
-	// The paper's §IV.D footprint argument: what the same weights would
-	// cost in decisions if stored on the int8 grid (simulated, not served).
-	if eval, err := experiments.EvaluateModel(res.Model.Quantized(nn.Int8), res.TestSamples); err == nil {
-		fmt.Fprintf(os.Stderr, "int8 weights (simulated): %s\n", eval.String())
-	}
 
 	modelName := *name
 	if modelName == "" {

@@ -13,8 +13,7 @@
 // With a registry directory the daemon supports drain-free hot reload: POST
 // /model/reload?version=vNNN (or SIGHUP for the latest version) atomically
 // publishes the new policy, and every shard picks it up at its next
-// adaptation epoch; role=shadow installs a candidate for shadow evaluation
-// (agreement/divergence counters in /metrics) without touching the device.
+// adaptation epoch.
 // The daemon never retrains on live traffic: new models come from
 // keeper-train, offline, as in the paper.
 //
@@ -154,7 +153,7 @@ func main() {
 		defer signal.Stop(hup)
 		go func() {
 			for range hup {
-				st, err := s.Reload("active", "")
+				st, err := s.Reload("")
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "ssdkeeperd: SIGHUP reload failed: %v\n", err)
 					continue
@@ -306,16 +305,9 @@ func loadProvider(ctx context.Context, env experiments.Env, path string, workloa
 
 // registryReloader maps the /model/reload protocol onto the checkpoint
 // registry and the keeper's policy source. version "" resolves to the
-// registry's latest; role=shadow with version "none" clears the candidate.
+// registry's latest.
 func registryReloader(reg *policy.Registry, src *policy.Source) serve.Reloader {
-	return func(role, version string) (serve.ReloadStatus, error) {
-		if role == "shadow" && version == "none" {
-			st := serve.ReloadStatus{Role: role}
-			if prev := src.SetShadow(nil); prev != nil {
-				st.Previous = prev.Version()
-			}
-			return st, nil
-		}
+	return func(version string) (serve.ReloadStatus, error) {
 		var m *policy.Model
 		var err error
 		if version == "" {
@@ -326,19 +318,11 @@ func registryReloader(reg *policy.Registry, src *policy.Source) serve.Reloader {
 		if err != nil {
 			return serve.ReloadStatus{}, err
 		}
-		st := serve.ReloadStatus{Role: role, Version: m.Version()}
-		if role == "shadow" {
-			if prev := src.SetShadow(m); prev != nil {
-				st.Previous = prev.Version()
-			}
-			return st, nil
-		}
 		prev, err := src.SetActive(m)
 		if err != nil {
 			return serve.ReloadStatus{}, err
 		}
-		st.Previous = prev.Version()
-		return st, nil
+		return serve.ReloadStatus{Version: m.Version(), Previous: prev.Version()}, nil
 	}
 }
 

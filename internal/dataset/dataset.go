@@ -56,7 +56,9 @@ type Config struct {
 	// and learns strategy choice on degraded devices too. The plan is held
 	// constant across the per-strategy loop — every strategy is measured
 	// under the same injuries — and the sample's vector carries the plan's
-	// ground-truth health features. Zero keeps the immortal pipeline.
+	// ground-truth health features. Zero keeps the immortal pipeline. Fault
+	// draws come from their own stream, so the workload specs are the same
+	// for every FaultFraction at one Seed.
 	FaultFraction float64
 	Seed          int64
 	Workers       int // 0 = GOMAXPROCS
@@ -76,6 +78,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("dataset: non-positive request count")
 	case c.MaxIOPS <= 0:
 		return fmt.Errorf("dataset: non-positive MaxIOPS")
+	case !(c.FaultFraction >= 0 && c.FaultFraction <= 1):
+		return fmt.Errorf("dataset: fault fraction %v outside [0,1]", c.FaultFraction)
 	}
 	return nil
 }
@@ -124,15 +128,18 @@ func Generate(ctx context.Context, cfg Config, progress func(done, total int)) (
 		inner = 1
 	}
 
-	// Draw every spec (and fault plan) up front from one PRNG so results do
-	// not depend on worker interleaving.
+	// Draw every spec and fault plan up front so results do not depend on
+	// worker interleaving. Faults come from a second stream: the specs at
+	// one seed are the same whatever FaultFraction is, and at zero the
+	// fault stream is never read.
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	faultRng := rand.New(rand.NewSource(cfg.Seed ^ faultStreamSalt))
 	specs := make([]workload.MixSpec, cfg.Workloads)
 	plans := make([]*nand.FaultPlan, cfg.Workloads)
 	for i := range specs {
 		specs[i] = workload.RandomMixSpec(rng, cfg.Requests, cfg.MaxIOPS)
-		if cfg.FaultFraction > 0 && rng.Float64() < cfg.FaultFraction {
-			plans[i] = RandomFaultPlan(rng, cfg.Device, specs[i])
+		if cfg.FaultFraction > 0 && faultRng.Float64() < cfg.FaultFraction {
+			plans[i] = RandomFaultPlan(faultRng, cfg.Device, specs[i])
 		}
 	}
 
@@ -184,6 +191,9 @@ schedule:
 	}
 	return samples, nil
 }
+
+// faultStreamSalt derives the fault-plan stream's seed from Config.Seed.
+const faultStreamSalt = 0x5eed_fa17
 
 // Infeasible is the latency recorded for a strategy whose channel partition
 // cannot hold its tenants' live data (ftl.ErrDeviceFull). It never wins the

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"ssdkeeper/internal/alloc"
@@ -111,6 +113,61 @@ func TestGenerateValidation(t *testing.T) {
 	bad.Requests = -1
 	if _, err := Generate(context.Background(), bad, nil); err == nil {
 		t.Error("negative requests accepted")
+	}
+	for _, f := range []float64{-1, 1.5, math.NaN()} {
+		bad = quickConfig()
+		bad.FaultFraction = f
+		if _, err := Generate(context.Background(), bad, nil); err == nil {
+			t.Errorf("fault fraction %v accepted", f)
+		}
+	}
+}
+
+// TestFaultFractionKeepsImmortalWorkloads: faults are drawn apart from the
+// workload specs, so a faulted dataset differs from the immortal one at the
+// same seed only in the samples that drew a fault — a faulted-versus-immortal
+// comparison changes the faults and nothing else.
+func TestFaultFractionKeepsImmortalWorkloads(t *testing.T) {
+	cfg := quickConfig()
+	immortal, err := Generate(context.Background(), cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.FaultFraction = 0.5
+	faulted, err := Generate(context.Background(), cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit := -1
+	for i := range faulted {
+		if !reflect.DeepEqual(faulted[i].Spec, immortal[i].Spec) {
+			t.Errorf("sample %d: spec changed under FaultFraction 0.5", i)
+		}
+		if faulted[i].Fault == nil {
+			if !reflect.DeepEqual(faulted[i], immortal[i]) {
+				t.Errorf("sample %d drew no fault but differs from the immortal sample", i)
+			}
+			continue
+		}
+		hit = i
+		if want := 1 / float64(cfg.Device.TotalDies()); faulted[i].Vector.DeadDieFrac != want {
+			t.Errorf("sample %d: DeadDieFrac %v, want %v (one dead die)", i, faulted[i].Vector.DeadDieFrac, want)
+		}
+	}
+	if hit < 0 {
+		t.Fatal("no sample drew a fault at FaultFraction 0.5")
+	}
+
+	var buf bytes.Buffer
+	if err := Save(&buf, faulted[hit:hit+1]); err != nil {
+		t.Fatal(err)
+	}
+	back, err := LoadSamples(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back[0].Fault, faulted[hit].Fault) {
+		t.Errorf("fault plan did not survive Save/LoadSamples:\n got %+v\nwant %+v", back[0].Fault, faulted[hit].Fault)
 	}
 }
 

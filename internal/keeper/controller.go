@@ -19,8 +19,8 @@ import (
 // The controller is single-goroutine, like the engine of the device it
 // re-binds: callers serialize Observe/Tick with the simulation they pace.
 // It sees arrivals only, never completions: an adaptation epoch is Decide,
-// re-bind, record the switch, count the shadow's (dis)agreement. Models are
-// trained offline (keeper.Train, keeper-train), as in the paper.
+// re-bind, record the switch. Models are trained offline (keeper.Train,
+// keeper-train), as in the paper.
 //
 // Epoch semantics (Algorithm 2, generalized): the first window covers
 // [0, Window). When simulated time reaches an epoch boundary the collected
@@ -62,15 +62,6 @@ type Controller struct {
 	pol    policy.Policy
 	polVer string
 
-	// Shadow evaluation: when the source publishes a shadow candidate, it
-	// decides on the same vector at every adaptation epoch and the
-	// (dis)agreement is counted. Shadow decisions never touch the device.
-	shadowPol     policy.Policy
-	shadowVer     string
-	shadowAgree   uint64
-	shadowDiverge uint64
-	shadowErrs    uint64
-
 	// Health-feature state: retries seen up to the previous epoch boundary,
 	// so each window's retry rate is a per-window delta, and the arrival
 	// count of the window being adapted on (advance resets c.observed before
@@ -90,8 +81,8 @@ func (k *Keeper) Controller(dev *ssd.Device) *Controller {
 	}
 }
 
-// refresh re-instantiates the controller's policy instances when the
-// source's published versions changed since the last epoch. Version strings
+// refresh re-instantiates the controller's policy instance when the
+// source's published version changed since the last epoch. Version strings
 // identify immutable providers, so a plain compare suffices.
 func (c *Controller) refresh() {
 	act := c.k.source.Active()
@@ -99,20 +90,10 @@ func (c *Controller) refresh() {
 		c.pol = act.NewPolicy()
 		c.polVer = act.Version()
 	}
-	sh := c.k.source.Shadow()
-	switch {
-	case sh == nil:
-		c.shadowPol, c.shadowVer = nil, ""
-	case c.shadowPol == nil || c.shadowVer != sh.Version():
-		c.shadowPol = sh.NewPolicy()
-		c.shadowVer = sh.Version()
-	}
 }
 
 // adapt predicts from the current window and re-binds the device at epoch
-// boundary time now. When a shadow candidate is installed it decides on the
-// same vector and the comparison is counted; shadow failures are counted,
-// not fatal — a broken candidate must not take down the active loop.
+// boundary time now.
 func (c *Controller) adapt(now sim.Time) error {
 	c.refresh()
 	vec := c.col.Vector(now)
@@ -130,16 +111,6 @@ func (c *Controller) adapt(now sim.Time) error {
 	c.nswitch++
 	if !c.SkipIdle {
 		c.switches = append(c.switches, c.last)
-	}
-	if c.shadowPol != nil {
-		switch shadow, err := c.shadowPol.Decide(vec); {
-		case err != nil:
-			c.shadowErrs++
-		case alloc.Equal(shadow, strat):
-			c.shadowAgree++
-		default:
-			c.shadowDiverge++
-		}
 	}
 	return nil
 }
@@ -250,10 +221,3 @@ func (c *Controller) LastSwitch() (Switch, bool) { return c.last, c.nswitch > 0 
 // adaptation epoch ("" before the first). A hot swap becomes visible here
 // one epoch after SetActive.
 func (c *Controller) PolicyVersion() string { return c.polVer }
-
-// ShadowStats returns the shadow-evaluation counters: epochs where the
-// candidate agreed with the active policy, epochs where it diverged, and
-// epochs where it errored. All zero when no shadow is installed.
-func (c *Controller) ShadowStats() (agree, diverge, errs uint64) {
-	return c.shadowAgree, c.shadowDiverge, c.shadowErrs
-}

@@ -99,7 +99,7 @@ func New(cfg Config, model *nn.Network) (*Keeper, error) {
 }
 
 // NewWithProvider returns a Keeper whose decisions come from the given
-// versioned provider (a registry checkpoint, a static strategy, an oracle).
+// versioned provider (a registry checkpoint or a static strategy).
 func NewWithProvider(cfg Config, prov policy.Provider) (*Keeper, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -115,8 +115,7 @@ func NewWithProvider(cfg Config, prov policy.Provider) (*Keeper, error) {
 func (k *Keeper) Config() Config { return k.cfg }
 
 // Source returns the policy source. Swapping its active provider re-points
-// every controller at the next adaptation epoch; installing a shadow starts
-// side-by-side evaluation.
+// every controller at the next adaptation epoch.
 func (k *Keeper) Source() *policy.Source { return k.source }
 
 // pooledPolicy is one recycled Predict instance, tagged with the provider

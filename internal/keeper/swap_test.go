@@ -113,63 +113,6 @@ func TestControllerHotSwapParity(t *testing.T) {
 	}
 }
 
-// TestControllerShadowCounters: a shadow candidate decides alongside the
-// active policy every epoch; agreement and divergence are counted and the
-// device only ever follows the active policy.
-func TestControllerShadowCounters(t *testing.T) {
-	cfg := testConfig()
-	cfg.Window = 10 * sim.Millisecond
-	cfg.AdaptEvery = 10 * sim.Millisecond
-
-	k, err := New(cfg, forcedModel(t, len(cfg.Strategies), 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Phase 1: an agreeing shadow (same forced class).
-	agreeProv, err := policy.NewModel("twin", forcedModel(t, len(cfg.Strategies), 1), cfg.Strategies)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k.Source().SetShadow(agreeProv)
-	c := driveEpochs(t, k, 3, 0, nil)
-	if agree, diverge, errs := c.ShadowStats(); agree != 3 || diverge != 0 || errs != 0 {
-		t.Errorf("agreeing shadow stats = %d/%d/%d, want 3/0/0", agree, diverge, errs)
-	}
-
-	// Phase 2: swap the shadow for a diverging candidate; the same
-	// controller picks it up at its next epoch.
-	divergeProv := policy.StaticProvider{Ver: "cand", Strategy: cfg.Strategies[2]}
-	k.Source().SetShadow(divergeProv)
-	for e := 4; e <= 6; e++ {
-		base := sim.Time(e-1) * 10 * sim.Millisecond
-		c.Observe(base+2*sim.Millisecond, trace.Record{Tenant: 0, Op: trace.Write, Size: 4096})
-		c.Tick(sim.Time(e) * 10 * sim.Millisecond)
-	}
-	if err := c.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if agree, diverge, errs := c.ShadowStats(); agree != 3 || diverge != 3 || errs != 0 {
-		t.Errorf("after diverging shadow: stats = %d/%d/%d, want 3/3/0", agree, diverge, errs)
-	}
-
-	// Every switch followed the active policy (class 1), never the shadow.
-	for i, sw := range c.Switches() {
-		if sw.Index != 1 {
-			t.Errorf("switch %d followed class %d; shadow leaked into the device", i, sw.Index)
-		}
-	}
-
-	// Clearing the shadow stops the comparison.
-	k.Source().SetShadow(nil)
-	base := sim.Time(6) * 10 * sim.Millisecond
-	c.Observe(base+2*sim.Millisecond, trace.Record{Tenant: 0, Op: trace.Write, Size: 4096})
-	c.Tick(70 * sim.Millisecond)
-	if agree, diverge, _ := c.ShadowStats(); agree != 3 || diverge != 3 {
-		t.Errorf("counters moved after shadow cleared: %d/%d", agree, diverge)
-	}
-}
-
 // TestKeeperPredictConcurrent exercises the pooled Predict path from many
 // goroutines (meaningful under -race: no shared scratch, no mutex) and
 // across a mid-flight hot swap.

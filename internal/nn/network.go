@@ -261,8 +261,7 @@ func (n *Network) Accuracy(xs [][]float64, labels []int) (float64, error) {
 	return float64(correct) / float64(len(xs)), nil
 }
 
-// ParamCount returns the number of trainable parameters, and StorageBytes
-// the footprint under the paper's 16-bytes-per-neuron accounting.
+// ParamCount returns the number of trainable parameters.
 func (n *Network) ParamCount() int {
 	total := 0
 	for _, l := range n.Layers {

@@ -168,6 +168,18 @@ func TestNewMLPValidation(t *testing.T) {
 	}
 }
 
+func TestStorageBytes(t *testing.T) {
+	net, err := NewMLP([]int{9, 64, 42}, Logistic{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The paper's envelope: the 9-64-42 model's float64 weights must fit in
+	// the device's SRAM (tens of KB).
+	if bytes := net.ParamCount() * 8; bytes > 64*1024 {
+		t.Errorf("model %dB exceeds the paper's SRAM envelope", bytes)
+	}
+}
+
 func TestForwardRejectsWrongDim(t *testing.T) {
 	net, _ := NewMLP([]int{3, 2}, ReLU{}, 1)
 	if _, err := net.Forward([]float64{1, 2}); err == nil {

@@ -89,9 +89,6 @@ func NewModel(version string, net *nn.Network, strategies []alloc.Strategy) (*Mo
 // Version returns the artifact's version name.
 func (m *Model) Version() string { return m.version }
 
-// Net returns the underlying network. Callers must treat it as read-only.
-func (m *Model) Net() *nn.Network { return m.net }
-
 // NewPolicy instantiates a consumer-owned inference policy over the geometry
 // NewModel validated.
 func (m *Model) NewPolicy() Policy { return newANN(m.net, m.strategies) }

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"ssdkeeper/internal/alloc"
-	"ssdkeeper/internal/dataset"
 	"ssdkeeper/internal/features"
 	"ssdkeeper/internal/nn"
 )
@@ -220,7 +219,7 @@ func TestANNPolicyMatchesNetworkPredict(t *testing.T) {
 	}
 }
 
-func TestStaticAndOracle(t *testing.T) {
+func TestStaticPolicy(t *testing.T) {
 	strategies := testStrategies()
 	sp := StaticProvider{Strategy: strategies[1]}
 	if sp.Version() != "static" {
@@ -231,32 +230,9 @@ func TestStaticAndOracle(t *testing.T) {
 		t.Errorf("static decide = %v, %v", got, err)
 	}
 
-	// Oracle answers the label of the nearest sample.
-	samples := []dataset.Sample{
-		{Vector: features.Vector{Intensity: 2}, Label: 0},
-		{Vector: features.Vector{Intensity: 18}, Label: 2},
-	}
-	oracle, err := NewOracle(samples, strategies)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err = oracle.Decide(features.Vector{Intensity: 16})
-	if err != nil || !alloc.Equal(got, strategies[2]) {
-		t.Errorf("oracle near 18 = %v, %v; want %v", got, err, strategies[2])
-	}
-	got, err = oracle.Decide(features.Vector{Intensity: 4})
-	if err != nil || !alloc.Equal(got, strategies[0]) {
-		t.Errorf("oracle near 2 = %v, %v; want %v", got, err, strategies[0])
-	}
-	if _, err := NewOracle(nil, strategies); err == nil {
-		t.Error("empty oracle accepted")
-	}
-	if _, err := NewOracle([]dataset.Sample{{Label: 9}}, strategies); err == nil {
-		t.Error("out-of-space label accepted")
-	}
 }
 
-func TestSourceSwapAndShadow(t *testing.T) {
+func TestSourceSwap(t *testing.T) {
 	strategies := testStrategies()
 	a := StaticProvider{Ver: "a", Strategy: strategies[0]}
 	b := StaticProvider{Ver: "b", Strategy: strategies[1]}
@@ -270,9 +246,6 @@ func TestSourceSwapAndShadow(t *testing.T) {
 	if got := src.Active().Version(); got != "a" {
 		t.Errorf("active = %q", got)
 	}
-	if src.Shadow() != nil {
-		t.Error("fresh source has a shadow")
-	}
 	prev, err := src.SetActive(b)
 	if err != nil || prev.Version() != "a" {
 		t.Errorf("SetActive returned %v, %v", prev, err)
@@ -282,18 +255,6 @@ func TestSourceSwapAndShadow(t *testing.T) {
 	}
 	if _, err := src.SetActive(nil); err == nil {
 		t.Error("nil active swap accepted")
-	}
-	if prev := src.SetShadow(a); prev != nil {
-		t.Errorf("first SetShadow returned %v", prev)
-	}
-	if got := src.Shadow().Version(); got != "a" {
-		t.Errorf("shadow = %q", got)
-	}
-	if prev := src.SetShadow(nil); prev == nil || prev.Version() != "a" {
-		t.Errorf("clearing shadow returned %v", prev)
-	}
-	if src.Shadow() != nil {
-		t.Error("shadow not cleared")
 	}
 }
 

@@ -37,9 +37,6 @@ func NewRegistry(dir string, channels int, strategies []alloc.Strategy) (*Regist
 	return &Registry{dir: dir, channels: channels, strategies: strategies}, nil
 }
 
-// Dir returns the registry's directory.
-func (r *Registry) Dir() string { return r.dir }
-
 // Versions lists the available checkpoint versions in ascending order: vNNN
 // names by their number (three-digit names outgrow their padding at v1000,
 // which as a string sorts before v999), every other name lexically.

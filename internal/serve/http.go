@@ -16,8 +16,8 @@ import (
 // The daemon's HTTP surface:
 //
 //	POST /io, /io/batch            the request front (front.go)
-//	POST /model/reload  hot-swap the active (or shadow) policy from the
-//	                checkpoint registry; see reload.go for the protocol
+//	POST /model/reload  hot-swap the active policy from the checkpoint
+//	                registry; see reload.go for the protocol
 //	POST /tenant/drain?tenant=N    quiesce one tenant; → 200 TenantDrain JSON
 //	POST /tenant/handoff?tenant=N  replay a TenantDrain's records here
 //	POST /tenant/release?tenant=N  reopen a parked tenant's gate

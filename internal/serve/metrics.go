@@ -159,44 +159,25 @@ func (n *Node) WriteMetrics(w io.Writer) {
 		switches := 0
 		var last keeper.Switch
 		hasLast := false
-		var agree, diverge, shErrs uint64
 		for _, snap := range snaps {
 			switches += snap.switches
 			if snap.hasLast && (!hasLast || snap.last.At > last.At) {
 				last, hasLast = snap.last, true
 			}
-			agree += snap.shadowAgree
-			diverge += snap.shadowDiv
-			shErrs += snap.shadowErrs
 		}
 
-		// Published versions come straight from the policy source, so a
+		// The published version comes straight from the policy source, so a
 		// reload is visible here immediately; the per-shard applied version
 		// follows at each shard's next adaptation epoch.
-		fmt.Fprintf(w, "# HELP ssdkeeper_model_info Published policy versions (value is always 1).\n")
+		fmt.Fprintf(w, "# HELP ssdkeeper_model_info Published policy version (value is always 1).\n")
 		fmt.Fprintf(w, "# TYPE ssdkeeper_model_info gauge\n")
 		fmt.Fprintf(w, "ssdkeeper_model_info{role=\"active\",version=%q} 1\n", n.ksrc.Active().Version())
-		if sh := n.ksrc.Shadow(); sh != nil {
-			fmt.Fprintf(w, "ssdkeeper_model_info{role=\"shadow\",version=%q} 1\n", sh.Version())
-		}
 		fmt.Fprintf(w, "# HELP ssdkeeper_shard_model_version Policy version applied at each shard's last adaptation epoch.\n")
 		fmt.Fprintf(w, "# TYPE ssdkeeper_shard_model_version gauge\n")
 		for i, snap := range snaps {
 			fmt.Fprintf(w, "ssdkeeper_shard_model_version{shard=\"%d\",version=%q} 1\n", i, snap.polVersion)
 		}
 
-		// Shadow counters render whenever a keeper is present (zero without
-		// a candidate installed) so dashboards and smoke tests can rely on
-		// the series existing.
-		fmt.Fprintf(w, "# HELP ssdkeeper_shadow_agree_total Adaptation epochs where the shadow policy agreed with the active one.\n")
-		fmt.Fprintf(w, "# TYPE ssdkeeper_shadow_agree_total counter\n")
-		fmt.Fprintf(w, "ssdkeeper_shadow_agree_total %d\n", agree)
-		fmt.Fprintf(w, "# HELP ssdkeeper_shadow_diverge_total Adaptation epochs where the shadow policy diverged from the active one.\n")
-		fmt.Fprintf(w, "# TYPE ssdkeeper_shadow_diverge_total counter\n")
-		fmt.Fprintf(w, "ssdkeeper_shadow_diverge_total %d\n", diverge)
-		fmt.Fprintf(w, "# HELP ssdkeeper_shadow_errors_total Adaptation epochs where the shadow policy failed to decide.\n")
-		fmt.Fprintf(w, "# TYPE ssdkeeper_shadow_errors_total counter\n")
-		fmt.Fprintf(w, "ssdkeeper_shadow_errors_total %d\n", shErrs)
 		fmt.Fprintf(w, "# HELP ssdkeeper_keeper_switches_total Online channel re-allocations performed (all shards).\n")
 		fmt.Fprintf(w, "# TYPE ssdkeeper_keeper_switches_total counter\n")
 		fmt.Fprintf(w, "ssdkeeper_keeper_switches_total %d\n", switches)

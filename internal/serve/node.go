@@ -50,8 +50,8 @@ type Node struct {
 	parked atomic.Int32
 
 	// ksrc is the keeper's policy source (nil without a keeper): /metrics
-	// reads the published active/shadow versions from it, and the reload
-	// surface swaps providers through it.
+	// reads the published active version from it, and the reload surface
+	// swaps providers through it.
 	ksrc *policy.Source
 
 	errMu     sync.Mutex

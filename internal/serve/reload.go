@@ -9,8 +9,10 @@ import (
 //
 //	POST /model/reload                       promote the registry's latest to active
 //	POST /model/reload?version=v007          promote a specific version
-//	POST /model/reload?role=shadow&version=v007   install a shadow candidate
-//	POST /model/reload?role=shadow&version=none   clear the shadow
+//
+// version is the only parameter. Any other is refused with 400 and changes
+// nothing, so a request written for an older protocol (role=shadow&version=…)
+// cannot turn into a promotion.
 //
 // The swap is atomic and drain-free: the handler loads and verifies the
 // checkpoint, then swaps the provider on the keeper's policy.Source. Each
@@ -21,17 +23,15 @@ import (
 
 // ReloadStatus reports the outcome of one reload.
 type ReloadStatus struct {
-	Role     string `json:"role"`               // "active" or "shadow"
-	Version  string `json:"version"`            // version now published ("" when cleared)
+	Version  string `json:"version"`            // version now active
 	Previous string `json:"previous,omitempty"` // version published before
 }
 
-// Reloader resolves a (role, version) reload request against the daemon's
-// checkpoint registry and swaps the provider on the policy source. role is
-// "active" or "shadow"; version "" means the registry's latest, and for the
-// shadow role "none" clears the candidate. Implementations must be safe for
+// Reloader resolves a reload request against the daemon's checkpoint
+// registry and promotes the checkpoint to active on the policy source;
+// version "" means the registry's latest. Implementations must be safe for
 // concurrent calls (the HTTP handler and a SIGHUP can race).
-type Reloader func(role, version string) (ReloadStatus, error)
+type Reloader func(version string) (ReloadStatus, error)
 
 // SetReloader installs the model-reload hook, enabling POST /model/reload.
 // Call before Handler is serving traffic.
@@ -40,18 +40,13 @@ func (s *Server) SetReloader(fn Reloader) { s.reloader = fn }
 // Reload runs the installed reload hook. Calls are serialized so concurrent
 // reloads (HTTP racing SIGHUP) resolve in some order rather than
 // interleaving their read-swap sequences.
-func (s *Server) Reload(role, version string) (ReloadStatus, error) {
+func (s *Server) Reload(version string) (ReloadStatus, error) {
 	if s.reloader == nil {
 		return ReloadStatus{}, fmt.Errorf("serve: no model registry configured (start with -model <dir>)")
 	}
-	switch role {
-	case "active", "shadow":
-	default:
-		return ReloadStatus{}, fmt.Errorf("serve: unknown reload role %q (want active or shadow)", role)
-	}
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
-	return s.reloader(role, version)
+	return s.reloader(version)
 }
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
@@ -63,11 +58,14 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no model registry configured (start with -model <dir>)", http.StatusNotImplemented)
 		return
 	}
-	role := r.URL.Query().Get("role")
-	if role == "" {
-		role = "active"
+	q := r.URL.Query()
+	for k := range q {
+		if k != "version" {
+			http.Error(w, fmt.Sprintf("unknown reload parameter %q (only version is accepted)", k), http.StatusBadRequest)
+			return
+		}
 	}
-	st, err := s.Reload(role, r.URL.Query().Get("version"))
+	st, err := s.Reload(q.Get("version"))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

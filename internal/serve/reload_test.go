@@ -40,32 +40,16 @@ func tenantsCoveringShards(t *testing.T, tenants, shards int) []int {
 // sourceReloader is a test stand-in for the daemon's registry-backed
 // reloader: "versions" it can serve are pinned providers.
 func sourceReloader(src *policy.Source, providers map[string]policy.Provider) Reloader {
-	return func(role, version string) (ReloadStatus, error) {
-		if role == "shadow" && version == "none" {
-			prev := src.SetShadow(nil)
-			st := ReloadStatus{Role: role}
-			if prev != nil {
-				st.Previous = prev.Version()
-			}
-			return st, nil
-		}
+	return func(version string) (ReloadStatus, error) {
 		prov, ok := providers[version]
 		if !ok {
 			return ReloadStatus{}, fmt.Errorf("unknown version %q", version)
-		}
-		st := ReloadStatus{Role: role, Version: prov.Version()}
-		if role == "shadow" {
-			if prev := src.SetShadow(prov); prev != nil {
-				st.Previous = prev.Version()
-			}
-			return st, nil
 		}
 		prev, err := src.SetActive(prov)
 		if err != nil {
 			return ReloadStatus{}, err
 		}
-		st.Previous = prev.Version()
-		return st, nil
+		return ReloadStatus{Version: prov.Version(), Previous: prev.Version()}, nil
 	}
 }
 
@@ -118,7 +102,7 @@ func TestReloadSwapsPolicyAcrossShards(t *testing.T) {
 	}
 
 	// Hot reload mid-run, between epochs.
-	st, err := s.Reload("active", "v2")
+	st, err := s.Reload("v2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,53 +153,6 @@ func TestReloadSwapsPolicyAcrossShards(t *testing.T) {
 	}
 }
 
-// TestShadowCountersInMetrics: installing a shadow candidate surfaces
-// agreement/divergence counters in /metrics while the device keeps following
-// the active policy.
-func TestShadowCountersInMetrics(t *testing.T) {
-	clk := newFakeClock()
-	cfg := testConfig(clk)
-	kCfg := keeperConfig()
-	k, err := keeper.New(kCfg, forcedModel(t, len(kCfg.Strategies), 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := testServer(t, cfg, k)
-	defer s.Drain()
-
-	// Counters render (as zero) before any shadow exists.
-	var buf strings.Builder
-	s.WriteMetrics(&buf)
-	if !strings.Contains(buf.String(), "ssdkeeper_shadow_agree_total 0") ||
-		!strings.Contains(buf.String(), "ssdkeeper_shadow_diverge_total 0") {
-		t.Fatalf("shadow counters absent without a candidate:\n%s", buf.String())
-	}
-
-	// A diverging candidate: static strategy != forced class 1.
-	k.Source().SetShadow(policy.StaticProvider{Ver: "cand", Strategy: kCfg.Strategies[2]})
-	for i := 0; i < 6; i++ {
-		if _, err := submit(s, writeReq(0, int64(i))); err != nil {
-			t.Fatal(err)
-		}
-		clk.Advance(10 * time.Millisecond)
-	}
-	clk.Advance(10 * time.Millisecond)
-	s.SimNow()
-
-	buf.Reset()
-	s.WriteMetrics(&buf)
-	out := buf.String()
-	if !strings.Contains(out, `ssdkeeper_model_info{role="shadow",version="cand"} 1`) {
-		t.Errorf("metrics missing shadow model_info:\n%s", out)
-	}
-	if !strings.Contains(out, "ssdkeeper_shadow_diverge_total 1") {
-		t.Errorf("diverging shadow not counted:\n%s", out)
-	}
-	if sw, ok := s.Controller().LastSwitch(); !ok || sw.Index != 1 {
-		t.Errorf("device followed the shadow: %+v (ok=%v)", sw, ok)
-	}
-}
-
 // TestReloadHTTP covers the endpoint surface: method guard, 501 without a
 // registry, JSON status with one, and error mapping.
 func TestReloadHTTP(t *testing.T) {
@@ -254,6 +191,22 @@ func TestReloadHTTP(t *testing.T) {
 		t.Errorf("GET /model/reload = %d, want 405", resp.StatusCode)
 	}
 
+	// Refused requests change nothing. A role parameter is refused rather
+	// than ignored: ignoring role=shadow would promote its version to active.
+	for _, bad := range []string{"?role=bogus", "?version=nope", "?role=shadow&version=v2"} {
+		resp, err = http.Post(ts.URL+"/model/reload"+bad, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST /model/reload%s = %d, want 400", bad, resp.StatusCode)
+		}
+		if got := k.Source().Active().Version(); got != "in-memory" {
+			t.Errorf("POST /model/reload%s changed the active version to %q", bad, got)
+		}
+	}
+
 	resp, err = http.Post(ts.URL+"/model/reload?version=v2", "", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -267,39 +220,10 @@ func TestReloadHTTP(t *testing.T) {
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatalf("bad reload response %q: %v", body, err)
 	}
-	if st.Role != "active" || st.Version != "v2" || st.Previous != "in-memory" {
+	if st.Version != "v2" || st.Previous != "in-memory" {
 		t.Errorf("reload status = %+v", st)
 	}
 	if got := k.Source().Active().Version(); got != "v2" {
 		t.Errorf("active after HTTP reload = %q", got)
-	}
-
-	for _, bad := range []string{"?role=bogus", "?version=nope"} {
-		resp, err = http.Post(ts.URL+"/model/reload"+bad, "", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("POST /model/reload%s = %d, want 400", bad, resp.StatusCode)
-		}
-	}
-
-	// Shadow install and clear through the endpoint.
-	resp, err = http.Post(ts.URL+"/model/reload?role=shadow&version=v2", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || k.Source().Shadow() == nil {
-		t.Errorf("shadow install = %d, shadow = %v", resp.StatusCode, k.Source().Shadow())
-	}
-	resp, err = http.Post(ts.URL+"/model/reload?role=shadow&version=none", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || k.Source().Shadow() != nil {
-		t.Errorf("shadow clear = %d, shadow = %v", resp.StatusCode, k.Source().Shadow())
 	}
 }

@@ -580,9 +580,6 @@ type shardSnapshot struct {
 	last         keeper.Switch
 	hasLast      bool
 	polVersion   string // policy version applied at the last adaptation epoch
-	shadowAgree  uint64
-	shadowDiv    uint64
-	shadowErrs   uint64
 	counterNames []string
 	counterVals  []int64
 	health       ssd.HealthSnapshot // zero value on an immortal device
@@ -608,7 +605,6 @@ func (sd *shard) snapshot() *shardSnapshot {
 		snap.switches = sd.ctrl.SwitchCount()
 		snap.last, snap.hasLast = sd.ctrl.LastSwitch()
 		snap.polVersion = sd.ctrl.PolicyVersion()
-		snap.shadowAgree, snap.shadowDiv, snap.shadowErrs = sd.ctrl.ShadowStats()
 	}
 	if cs := sd.runner.Counters(); cs != nil {
 		snap.counterNames = cs.Names()

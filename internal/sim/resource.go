@@ -210,16 +210,9 @@ func (r *Resource) release() {
 	}
 }
 
-// Busy reports whether the resource is currently held.
-func (r *Resource) Busy() bool { return r.busy }
-
 // QueueLen returns the number of operations waiting (not counting the
 // current holder).
 func (r *Resource) QueueLen() int { return r.nwait }
-
-// BusyUntil returns the time at which the current hold ends; if the resource
-// is idle the value is in the past and callers should clamp to now.
-func (r *Resource) BusyUntil() Time { return r.busyUntil }
 
 // Load returns an estimate of pending work used by dynamic page allocation:
 // the remaining hold time of the current operation plus queued hold times.

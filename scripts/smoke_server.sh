@@ -17,7 +17,8 @@
 # boot with -model on a registry directory holding only v001, drop v002 in
 # mid-run, POST /model/reload while load is in flight, and assert that
 #   - the reload response and /metrics both report v002 active,
-#   - a shadow candidate installs and clears through the endpoint,
+#   - a reload carrying the retired role parameter (role=shadow) is refused
+#     with 400, leaves v002 active, and /metrics has no shadow series,
 #   - every request submitted across the swap is answered,
 #   - SIGTERM still drains cleanly.
 # Then boot with -model on the v001 file itself and assert it serves that
@@ -163,17 +164,16 @@ scrape
 grep -q 'ssdkeeper_model_info{role="active",version="v002"}' "$BIN/metrics.txt" \
   || fail "phase 3: /metrics does not show v002 active after reload"
 
-# Shadow install and clear through the same endpoint.
-curl -sf -X POST "$URL/model/reload?role=shadow&version=v001" >/dev/null \
-  || fail "phase 3: shadow install failed"
+# The role parameter is gone: refused, not ignored (ignoring it would
+# promote v001 to active).
+code=$(curl -s -o /dev/null -w '%{http_code}' -X POST "$URL/model/reload?role=shadow&version=v001")
+[ "$code" = "400" ] || fail "phase 3: reload with role=shadow answered $code, want 400"
 scrape
-grep -q 'ssdkeeper_model_info{role="shadow",version="v001"}' "$BIN/metrics.txt" \
-  || fail "phase 3: shadow candidate not published"
-curl -sf -X POST "$URL/model/reload?role=shadow&version=none" >/dev/null \
-  || fail "phase 3: shadow clear failed"
-scrape
-grep -q 'ssdkeeper_shadow_agree_total' "$BIN/metrics.txt" \
-  || fail "phase 3: shadow counters missing from /metrics"
+grep -q 'ssdkeeper_model_info{role="active",version="v002"}' "$BIN/metrics.txt" \
+  || fail "phase 3: a refused role=shadow reload changed the active version"
+if grep -q 'ssdkeeper_shadow_' "$BIN/metrics.txt"; then
+  fail "phase 3: /metrics still carries shadow series"
+fi
 
 wait "$LPID" || fail "phase 3: load generator failed across the reload"
 ok=$(json_count ok "$BIN/load3.json")
@@ -194,6 +194,6 @@ code=$(curl -s -o /dev/null -w '%{http_code}' -X POST "$URL/model/reload")
 [ "$code" = "501" ] || fail "phase 3: /model/reload on a single-file daemon answered $code, want 501"
 kill -TERM "$DPID"
 wait "$DPID" || fail "phase 3: single-file daemon exited non-zero on SIGTERM"
-echo "phase 3 ok: reload v001 -> v002 under load, $ok/1000 answered, clean drain; single file serves, reload 501" >&2
+echo "phase 3 ok: reload v001 -> v002 under load, role=shadow refused, $ok/1000 answered, clean drain; single file serves, reload 501" >&2
 
 echo "smoke_server.sh: all checks passed" >&2

@@ -287,17 +287,6 @@ type (
 // TrainingHistory is a training run's loss/accuracy trajectory.
 type TrainingHistory = nn.History
 
-// Precision is a deployed-model storage format (float64 ... int8).
-type Precision = nn.Precision
-
-// Deployment precisions for Network.Quantized.
-const (
-	Float64 = nn.Float64
-	Float32 = nn.Float32
-	Float16 = nn.Float16
-	Int8    = nn.Int8
-)
-
 // Optimizer applies gradient updates (SGD, momentum, AdaGrad, RMSProp,
 // Adam).
 type Optimizer = nn.Optimizer
@@ -341,12 +330,11 @@ func LoadDataset(r io.Reader) ([]Sample, error) { return dataset.LoadSamples(r) 
 type Policy = policy.Policy
 
 // PolicyProvider is a versioned, immutable policy artifact (a loaded
-// checkpoint, a pinned strategy, an oracle), safe to share across
-// goroutines.
+// checkpoint or a pinned strategy), safe to share across goroutines.
 type PolicyProvider = policy.Provider
 
-// PolicySource atomically publishes the active (and optional shadow)
-// provider to concurrent consumers — the hot-reload primitive.
+// PolicySource atomically publishes the active provider to concurrent
+// consumers — the hot-reload primitive.
 type PolicySource = policy.Source
 
 // NewPolicySource returns a source serving the given active provider.
@@ -374,14 +362,6 @@ type StaticPolicy = policy.StaticPolicy
 
 // StaticProvider publishes a StaticPolicy under a version name.
 type StaticProvider = policy.StaticProvider
-
-// OraclePolicy answers from labelled ground truth (nearest labelled sample).
-type OraclePolicy = policy.OraclePolicy
-
-// NewOracle indexes labelled samples against a strategy space.
-func NewOracle(samples []Sample, strategies []Strategy) (*OraclePolicy, error) {
-	return policy.NewOracle(samples, strategies)
-}
 
 // CheckpointMeta is the training provenance recorded in a checkpoint.
 type CheckpointMeta = policy.Meta
@@ -427,7 +407,7 @@ func NewKeeper(cfg KeeperConfig, model *Network) (*Keeper, error) {
 }
 
 // NewKeeperWithPolicy returns a Keeper whose decisions come from a versioned
-// provider (a registry checkpoint, a static strategy, an oracle) instead of
+// provider (a registry checkpoint or a static strategy) instead of
 // an in-memory network. Swap providers at runtime via Keeper.Source.
 func NewKeeperWithPolicy(cfg KeeperConfig, prov PolicyProvider) (*Keeper, error) {
 	return keeper.NewWithProvider(cfg, prov)
