@@ -45,16 +45,28 @@ func startWireListener(t testing.TB, b wire.Backend) string {
 
 func startNode(t *testing.T) *testNode {
 	t.Helper()
-	s, err := serve.New(serve.Config{
+	n := newTestNode(t, serve.Config{
 		Device:  nand.EvalConfig(),
 		Options: ssd.DefaultOptions(),
 		Accel:   50, // completions land within a pacer tick
 	}, nil)
+	n.srv.Start()
+	return n
+}
+
+// newTestNode binds an un-started node to HTTP and wire; wrap, when set,
+// sits in front of the node's HTTP surface.
+func newTestNode(t *testing.T, cfg serve.Config, wrap func(http.Handler) http.Handler) *testNode {
+	t.Helper()
+	s, err := serve.New(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Start()
-	n := &testNode{srv: s, ts: httptest.NewServer(s.Handler(10 * time.Second))}
+	h := s.Handler(10 * time.Second)
+	if wrap != nil {
+		h = wrap(h)
+	}
+	n := &testNode{srv: s, ts: httptest.NewServer(h)}
 	t.Cleanup(func() {
 		n.srv.Drain()
 		n.ts.Close()

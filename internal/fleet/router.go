@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -293,9 +292,10 @@ func (r *Router) handleMigrate(w http.ResponseWriter, req *http.Request) {
 //     router (503 after GateWait) while everything already admitted at the
 //     source completes normally;
 //  2. drain — POST source /tenant/drain quiesces the tenant's queues across
-//     the source's shards and returns its dispatched-record log;
-//  3. handoff — POST target /tenant/handoff replays the log there, so the
-//     tenant's device footprint exists on the target before traffic does;
+//     the source's shards and answers with its dispatched-record log;
+//  3. handoff — POST target /tenant/handoff, its body the drain body as it
+//     streams in, replays the log there, so the tenant's device footprint
+//     exists on the target before traffic does;
 //  4. flip — publish the ring override and close the gate: queued requests
 //     proceed to the new owner;
 //  5. release — POST source /tenant/release reopens the source gate
@@ -343,27 +343,20 @@ func (r *Router) Migrate(tenant int, target string) error {
 	drainResp, err := r.client.Post(
 		fmt.Sprintf("%s/tenant/drain?tenant=%d", source, tenant), "", nil)
 	if err != nil {
+		// The source may have drained and lost only its answer: reopen it.
+		r.release(source, tenant)
 		return abort(fmt.Errorf("fleet: drain on %s: %w", source, err))
 	}
-	drainBody, _ := io.ReadAll(io.LimitReader(drainResp.Body, 1<<30))
-	drainResp.Body.Close()
 	if drainResp.StatusCode != http.StatusOK {
+		var msg [512]byte
+		k, _ := io.ReadFull(drainResp.Body, msg[:])
+		drainResp.Body.Close()
 		return abort(fmt.Errorf("fleet: drain on %s: %s: %s",
-			source, drainResp.Status, strings.TrimSpace(string(drainBody))))
+			source, drainResp.Status, strings.TrimSpace(string(msg[:k]))))
 	}
 
-	handResp, err := r.client.Post(
-		fmt.Sprintf("%s/tenant/handoff?tenant=%d", target, tenant),
-		"application/json", bytes.NewReader(drainBody))
-	if err == nil {
-		io.Copy(io.Discard, io.LimitReader(handResp.Body, 1<<20))
-		handResp.Body.Close()
-		if handResp.StatusCode != http.StatusOK {
-			err = fmt.Errorf("fleet: handoff on %s: %s", target, handResp.Status)
-		}
-	} else {
-		err = fmt.Errorf("fleet: handoff on %s: %w", target, err)
-	}
+	err = r.handoff(target, tenant, drainResp)
+	drainResp.Body.Close()
 	if err != nil {
 		// Roll back: reopen the source so the tenant keeps serving where
 		// its state still lives.
@@ -381,6 +374,29 @@ func (r *Router) Migrate(tenant int, target string) error {
 	r.release(source, tenant)
 	r.met.migCompleted.Add(1)
 	r.met.handoffNS.Add(time.Since(start).Nanoseconds())
+	return nil
+}
+
+// handoff streams a drain response body into the target's /tenant/handoff:
+// the router never holds the log. A source that dies mid-body leaves the
+// target a short body, which it refuses whole, or fails the send outright.
+func (r *Router) handoff(target string, tenant int, drain *http.Response) error {
+	req, err := http.NewRequest(http.MethodPost,
+		fmt.Sprintf("%s/tenant/handoff?tenant=%d", target, tenant), drain.Body)
+	if err != nil {
+		return fmt.Errorf("fleet: handoff on %s: %w", target, err)
+	}
+	req.ContentLength = drain.ContentLength
+	req.Header.Set("Content-Type", drain.Header.Get("Content-Type"))
+	resp, err := r.client.Do(req)
+	if err != nil {
+		return fmt.Errorf("fleet: handoff on %s: %w", target, err)
+	}
+	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("fleet: handoff on %s: %s", target, resp.Status)
+	}
 	return nil
 }
 

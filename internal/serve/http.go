@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -18,8 +17,8 @@ import (
 //	POST /io, /io/batch            the request front (front.go)
 //	POST /model/reload  hot-swap the active policy from the checkpoint
 //	                registry; see reload.go for the protocol
-//	POST /tenant/drain?tenant=N    quiesce one tenant; → 200 TenantDrain JSON
-//	POST /tenant/handoff?tenant=N  replay a TenantDrain's records here
+//	POST /tenant/drain?tenant=N    quiesce one tenant; → 200 its record log
+//	POST /tenant/handoff?tenant=N  replay a /tenant/drain body here
 //	POST /tenant/release?tenant=N  reopen a parked tenant's gate
 //	GET  /metrics   Prometheus text exposition
 //	GET  /healthz   liveness: "ok" | 503 "draining"/device error
@@ -33,9 +32,9 @@ import (
 // router retries once the migration completes). Each request's wait is
 // bounded by Handler's reqTimeout, so a stalled pacer cannot strand clients.
 
-// maxHandoffBytes bounds a tenant-handoff body; a record log is ~100 bytes
-// per dispatched request as JSON, so this covers long-lived tenants without
-// letting a bad client exhaust memory.
+// maxHandoffBytes bounds a tenant-handoff body without letting a bad client
+// exhaust memory. The body is the tenant log's own encoding, about 8 B per
+// dispatched request, so it admits some 30 M records.
 const maxHandoffBytes = 256 << 20
 
 // Handler returns the daemon's HTTP surface. reqTimeout bounds each
@@ -91,7 +90,7 @@ func (s *Server) Handler(reqTimeout time.Duration) http.Handler {
 }
 
 // jsonEnc pairs a growth buffer with a json.Encoder bound to it, so the
-// status endpoints (/model/reload, /tenant/*) render through a pooled
+// status endpoints (/model/reload, /tenant/handoff) render through a pooled
 // encoder instead of allocating one per response.
 type jsonEnc struct {
 	buf bytes.Buffer
@@ -153,12 +152,16 @@ func (s *Server) handleTenantDrain(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	td, err := s.DrainTenant(tenant)
+	_, log, err := s.drainLog(tenant)
 	if err != nil {
 		http.Error(w, err.Error(), tenantErrStatus(err))
 		return
 	}
-	writeJSON(w, td)
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.FormatInt(log.handoffLen(), 10))
+	// A failed write leaves the reader a short body, which its decoder
+	// refuses; the tenant stays parked here for the router to release.
+	_ = log.writeHandoff(w)
 }
 
 // handoffReply reports how many records a handoff replayed.
@@ -172,19 +175,8 @@ func (s *Server) handleTenantHandoff(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	// The body is a TenantDrain (as /tenant/drain produced it) or any JSON
-	// object with a "records" array.
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxHandoffBytes))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	var td TenantDrain
-	if err := json.Unmarshal(body, &td); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	done, err := s.ReplayTenant(tenant, td.Records)
+	// The body is a /tenant/drain body, decoded as it streams in.
+	done, err := s.replayHandoff(tenant, http.MaxBytesReader(w, r.Body, maxHandoffBytes))
 	if err != nil {
 		http.Error(w, err.Error(), tenantErrStatus(err))
 		return

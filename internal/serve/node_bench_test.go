@@ -21,8 +21,9 @@ func (nopCompletion) Complete(Response, error) {}
 // so at most QueueDepth+QueueLen requests per tenant are in flight whatever
 // b.N is, and Accel keeps the simulated arrival rate below saturation, so
 // the host is what is measured. bench_gate.sh holds it at 0 allocs/op and a
-// B/op ceiling: what remains is the log's 24 B/record (DESIGN.md §13), so a
-// log that regrows, or a per-request closure or Pending come back, fails CI.
+// B/op ceiling: what remains is the log's delta-encoded record, ~7 B here
+// (DESIGN.md §13), so a log that regrows, or a per-request closure or
+// Pending come back, fails CI.
 func BenchmarkNodeSubmitTo(b *testing.B) {
 	kCfg := keeperConfig()
 	k, err := keeper.New(kCfg, forcedModel(b, len(kCfg.Strategies), 1))

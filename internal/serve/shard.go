@@ -10,7 +10,6 @@ import (
 	"ssdkeeper/internal/simrun"
 	"ssdkeeper/internal/ssd"
 	"ssdkeeper/internal/stats"
-	"ssdkeeper/internal/trace"
 )
 
 // Per-shard actor model: each shard owns a complete serving stack — a
@@ -39,10 +38,14 @@ const (
 
 // Shard loop bounds. mailboxLen is each shard's submission mailbox
 // capacity; batchMax bounds the mailbox messages one wakeup processes before
-// re-arming the pacing timer; tickEvery caps the pacer sleep — completions
-// wake a shard exactly when due via the engine's next-event time, and the
-// tick bounds how stale keeper epochs and the wall target can get when no
-// events are pending.
+// re-arming the pacing timer; tickEvery caps the pacer sleep, so keeper
+// epochs and the wall target go no staler than that when no events are
+// pending. Below the cap the pacer sleeps until the engine's next event is
+// due in wall time, but on a time.Timer, and Go's netpoller waits for timers
+// in epoll_wait with millisecond resolution: a sub-millisecond sleep lasts
+// about a millisecond (a 100 µs timer fires ~1.08 ms after it is armed on
+// Linux). A busy shard is woken by its mailbox first; an idle one surfaces
+// a due completion up to ~1 ms late (DESIGN.md §11).
 const (
 	mailboxLen = 1024
 	batchMax   = 256
@@ -63,20 +66,20 @@ const (
 
 // shardMsg is one mailbox entry. Submissions carry only p; control messages
 // carry a kind and a buffered reply channel; tenant-lifecycle messages add
-// the tenant (and, for replay, the handoff records).
+// the tenant (and, for replay, the checked handoff log).
 type shardMsg struct {
-	kind    msgKind
-	p       *Pending
-	tenant  int
-	records []trace.Record
-	reply   chan shardReply
+	kind   msgKind
+	p      *Pending
+	tenant int
+	log    *tenantLog
+	reply  chan shardReply
 }
 
 type shardReply struct {
 	now      sim.Time
 	snap     *shardSnapshot
 	res      ssd.Result
-	records  []trace.Record
+	log      *tenantLog // drain: a copy of the tenant's log
 	tenant   tenantSummary
 	replayed int
 	err      error
@@ -244,7 +247,8 @@ func (sd *shard) sendMsg(msg shardMsg) (shardReply, bool) {
 }
 
 // minWake floors the pacing timer so float rounding near a due event cannot
-// busy-spin the loop.
+// busy-spin the loop. It is not the pacer's resolution: the timer rounds any
+// wait up to the netpoller's millisecond (see tickEvery).
 const minWake = 100 * time.Microsecond
 
 // loop is the shard goroutine: the only code that touches the engine,
@@ -342,10 +346,10 @@ func (sd *shard) handle(msg shardMsg) {
 	case msgDrain:
 		msg.reply <- shardReply{res: sd.drainNow()}
 	case msgDrainTenant:
-		recs, sum := sd.drainTenant(msg.tenant)
-		msg.reply <- shardReply{now: sd.eng.Now(), records: recs, tenant: sum}
+		log, sum := sd.drainTenant(msg.tenant)
+		msg.reply <- shardReply{log: log, tenant: sum}
 	case msgReplayTenant:
-		done, err := sd.replayTenant(msg.tenant, msg.records)
+		done, err := sd.replayTenant(msg.tenant, msg.log)
 		msg.reply <- shardReply{now: sd.eng.Now(), replayed: done, err: err}
 	case msgReleaseTenant:
 		ts := &sd.tenants[msg.tenant]
@@ -452,11 +456,11 @@ func (sd *shard) dispatchQueued(ts *tenantState) {
 // normal engine path (the engine steps forward event by event, which may
 // surface other tenants' completions early relative to wall time; their
 // sim-time latencies are unaffected). It then gates the tenant inside the
-// shard, detaches it from the keeper's feature window, and returns its
-// dispatched-record log, materialised as trace records, plus a summary. The
-// log replayed as a batch reproduces the tenant's device footprint — the
-// tenant-granular face of the drain==batch-replay invariant.
-func (sd *shard) drainTenant(tenant int) ([]trace.Record, tenantSummary) {
+// shard, detaches it from the keeper's feature window, and returns a copy of
+// its dispatched-record log plus a summary. The log replayed as a batch
+// reproduces the tenant's device footprint — the tenant-granular face of
+// the drain==batch-replay invariant.
+func (sd *shard) drainTenant(tenant int) (*tenantLog, tenantSummary) {
 	ts := &sd.tenants[tenant]
 	if sd.draining {
 		return nil, tenantSummary{}
@@ -477,10 +481,10 @@ func (sd *shard) drainTenant(tenant int) ([]trace.Record, tenantSummary) {
 		sd.ctrl.Tick(sd.eng.Now())
 		sd.ctrl.DetachTenant(tenant)
 	}
-	return ts.log.records(tenant), sd.summarize(ts)
+	return ts.log.clone(), sd.summarize(ts)
 }
 
-// replayTenant re-dispatches a handoff record log into this shard's device
+// replayTenant re-dispatches a checked handoff log into this shard's device
 // for one tenant, at the current simulated instant (arrival order
 // preserved, original timestamps discarded: the target's own admission
 // times are what its invariant replays). Replayed records share the
@@ -489,7 +493,7 @@ func (sd *shard) drainTenant(tenant int) ([]trace.Record, tenantSummary) {
 // not feed the keeper's feature window or the serving histograms. The call
 // returns once every replayed record has completed, so the tenant's
 // footprint is fully materialized before the router flips traffic over.
-func (sd *shard) replayTenant(tenant int, recs []trace.Record) (int, error) {
+func (sd *shard) replayTenant(tenant int, log *tenantLog) (int, error) {
 	ts := &sd.tenants[tenant]
 	if sd.draining {
 		return 0, ErrDraining
@@ -502,7 +506,11 @@ func (sd *shard) replayTenant(tenant int, recs []trace.Record) (int, error) {
 		ts.replayed++
 		sd.dispatchQueued(ts)
 	})
-	for _, r := range recs {
+	for it := log.iter(); ; {
+		r, ok := it.next()
+		if !ok {
+			break
+		}
 		for ts.inflight >= sd.node.cfg.QueueDepth {
 			if !sd.eng.Step() {
 				break

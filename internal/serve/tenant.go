@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"io"
 	"slices"
 
 	"ssdkeeper/internal/trace"
@@ -18,9 +19,10 @@ import (
 // usable standalone over HTTP (/tenant/drain, /tenant/handoff,
 // /tenant/release).
 
-// ErrBadHandoff means ReplayTenant refused a record log because one of its
-// records breaks the admission rules; nothing was replayed.
-var ErrBadHandoff = errors.New("serve: invalid handoff record")
+// ErrBadHandoff means a handoff was refused whole: a record breaks the
+// admission rules, or a /tenant/handoff body is cut, corrupt or not a
+// tenant log. Nothing was replayed.
+var ErrBadHandoff = errors.New("serve: invalid handoff")
 
 // tenantSummary is one shard's view of a tenant's serving state, copied
 // inside the shard goroutine at drain time.
@@ -32,21 +34,18 @@ type tenantSummary struct {
 
 // TenantDrain is the handoff package DrainTenant returns: the tenant's
 // merged dispatched-record log (time-ordered across shards) plus a summary
-// of the device state it represents. It round-trips as JSON over
-// /tenant/drain → /tenant/handoff.
+// of the device state it represents. Over HTTP the log alone travels, in
+// the tenant log's own encoding (see writeHandoff).
 type TenantDrain struct {
-	Tenant  int            `json:"tenant"`
-	Records []trace.Record `json:"records"`
+	Tenant  int
+	Records []trace.Record
 
 	// CompletedReads/Writes count client requests this node answered for
 	// the tenant; Replayed counts handoff records re-dispatched here by a
 	// previous migration (device footprint, not client completions).
-	CompletedReads  uint64 `json:"completed_reads"`
-	CompletedWrites uint64 `json:"completed_writes"`
-	Replayed        uint64 `json:"replayed"`
-
-	// SimNS is the source node's simulated time when the drain completed.
-	SimNS int64 `json:"sim_ns"`
+	CompletedReads  uint64
+	CompletedWrites uint64
+	Replayed        uint64
 }
 
 // DrainTenant quiesces exactly one tenant across the node's shards:
@@ -62,11 +61,22 @@ type TenantDrain struct {
 // log, replayed as a batch at its recorded arrival times, reproduces the
 // tenant's footprint on this node's devices (see TestDrainTenantMatchesBatchReplay).
 func (n *Node) DrainTenant(tenant int) (*TenantDrain, error) {
+	td, log, err := n.drainLog(tenant)
+	if err != nil {
+		return nil, err
+	}
+	td.Records = log.records(tenant)
+	return td, nil
+}
+
+// drainLog is DrainTenant without the materialisation: the summary, and a
+// copy of the tenant's log that /tenant/drain writes out as is.
+func (n *Node) drainLog(tenant int) (*TenantDrain, *tenantLog, error) {
 	if tenant < 0 || tenant >= n.cfg.Tenants {
-		return nil, fmt.Errorf("serve: tenant %d out of range [0,%d)", tenant, n.cfg.Tenants)
+		return nil, nil, fmt.Errorf("serve: tenant %d out of range [0,%d)", tenant, n.cfg.Tenants)
 	}
 	if n.draining.Load() {
-		return nil, ErrDraining
+		return nil, nil, ErrDraining
 	}
 	// The gate flip is the linearization point: from here on SubmitTo
 	// rejects the tenant, so the quiesce below sees a finite workload.
@@ -74,41 +84,46 @@ func (n *Node) DrainTenant(tenant int) (*TenantDrain, error) {
 	// mailbox behind msgDrainTenant and is rejected by the shard-local
 	// gate instead.)
 	if !n.gates[tenant].CompareAndSwap(tenantActive, tenantDraining) {
-		return nil, ErrTenantMigrating
+		return nil, nil, ErrTenantMigrating
 	}
 	n.parked.Add(1)
 
 	td := &TenantDrain{Tenant: tenant}
-	merged := false
+	var logs []*tenantLog
 	for _, sd := range n.shards {
 		r, ok := sd.sendMsg(shardMsg{kind: msgDrainTenant, tenant: tenant})
 		if !ok {
 			continue // shard closed under a concurrent whole-node drain
 		}
-		// A tenant without spread keys lives on one shard: its log, just
-		// materialised for this call, is the handoff as is.
-		if len(td.Records) == 0 {
-			td.Records = r.records
-		} else if len(r.records) > 0 {
-			td.Records = append(td.Records, r.records...)
-			merged = true
+		if r.log != nil && r.log.n > 0 {
+			logs = append(logs, r.log)
 		}
 		td.CompletedReads += r.tenant.Completed[trace.Read]
 		td.CompletedWrites += r.tenant.Completed[trace.Write]
 		td.Replayed += r.tenant.Replayed
-		if int64(r.now) > td.SimNS {
-			td.SimNS = int64(r.now)
-		}
 	}
-	if merged {
+	// A tenant without spread keys lives on one shard: that shard's copy is
+	// the handoff as is.
+	log := &tenantLog{}
+	switch {
+	case len(logs) == 1:
+		log = logs[0]
+	case len(logs) > 1:
 		// Shard logs are each dispatch-ordered; a stable merge by arrival
 		// time yields one fleet-wide order a target can replay directly.
-		slices.SortStableFunc(td.Records, func(a, b trace.Record) int {
+		var recs []trace.Record
+		for _, l := range logs {
+			recs = append(recs, l.records(tenant)...)
+		}
+		slices.SortStableFunc(recs, func(a, b trace.Record) int {
 			return cmp.Compare(a.Time, b.Time)
 		})
+		for _, r := range recs {
+			log.append(r)
+		}
 	}
 	n.gates[tenant].Store(tenantParked)
-	return td, nil
+	return td, log, nil
 }
 
 // ReplayTenant seats a handoff record log on this node: the records are
@@ -125,21 +140,55 @@ func (n *Node) DrainTenant(tenant int) (*TenantDrain, error) {
 // a documented simplification (the footprint is preserved; the spreading
 // re-establishes itself as live traffic arrives).
 func (n *Node) ReplayTenant(tenant int, records []trace.Record) (int, error) {
-	if tenant < 0 || tenant >= n.cfg.Tenants {
-		return 0, fmt.Errorf("serve: tenant %d out of range [0,%d)", tenant, n.cfg.Tenants)
+	if err := n.checkHandoffTenant(tenant); err != nil {
+		return 0, err
 	}
-	if n.draining.Load() {
-		return 0, ErrDraining
-	}
-	// Handoff records are outside input (/tenant/handoff JSON). One the
-	// device would refuse poisons the whole node, so all of them pass the
-	// admission rules before the first is replayed.
+	check := n.handoffCheck(tenant)
+	log := &tenantLog{}
 	for i, r := range records {
-		req := Request{Tenant: tenant, Op: r.Op, Offset: r.Offset, Size: r.Size}
-		if err := req.Validate(n.cfg.Tenants, n.cfg.MaxBytes); err != nil {
+		if err := check(r); err != nil {
 			return 0, fmt.Errorf("%w: record %d: %w", ErrBadHandoff, i, err)
 		}
+		log.append(r)
 	}
+	return n.replayLog(tenant, log)
+}
+
+// replayHandoff is ReplayTenant fed a /tenant/handoff body: the body is
+// decoded once, every record checked, into the log the shard replays.
+func (n *Node) replayHandoff(tenant int, body io.Reader) (int, error) {
+	if err := n.checkHandoffTenant(tenant); err != nil {
+		return 0, err
+	}
+	log, err := readHandoff(body, n.handoffCheck(tenant))
+	if err != nil {
+		return 0, fmt.Errorf("%w: %w", ErrBadHandoff, err)
+	}
+	return n.replayLog(tenant, log)
+}
+
+func (n *Node) checkHandoffTenant(tenant int) error {
+	if tenant < 0 || tenant >= n.cfg.Tenants {
+		return fmt.Errorf("serve: tenant %d out of range [0,%d)", tenant, n.cfg.Tenants)
+	}
+	if n.draining.Load() {
+		return ErrDraining
+	}
+	return nil
+}
+
+// handoffCheck holds handoff records — outside input — to the admission
+// rules. One the device would refuse poisons the whole node, so every
+// record passes before the first is replayed.
+func (n *Node) handoffCheck(tenant int) func(trace.Record) error {
+	return func(r trace.Record) error {
+		req := Request{Tenant: tenant, Op: r.Op, Offset: r.Offset, Size: r.Size}
+		return req.Validate(n.cfg.Tenants, n.cfg.MaxBytes)
+	}
+}
+
+// replayLog replays a checked log into the tenant's home shard.
+func (n *Node) replayLog(tenant int, log *tenantLog) (int, error) {
 	// Accept the handoff whether the tenant is live here (fresh target) or
 	// parked (returning to a node it once drained from). Either way the
 	// gate holds tenantDraining for the duration, so the node reports
@@ -153,7 +202,7 @@ func (n *Node) ReplayTenant(tenant int, records []trace.Record) (int, error) {
 	}
 	home := shardIndex(tenant, 0, len(n.shards))
 	r, ok := n.shards[home].sendMsg(shardMsg{
-		kind: msgReplayTenant, tenant: tenant, records: records,
+		kind: msgReplayTenant, tenant: tenant, log: log,
 	})
 	if !ok {
 		n.gates[tenant].Store(tenantParked)

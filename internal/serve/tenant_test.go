@@ -5,9 +5,7 @@ import (
 	"errors"
 	"math"
 	"net/http"
-	"net/http/httptest"
 	"reflect"
-	"strings"
 	"testing"
 	"unsafe"
 
@@ -286,9 +284,8 @@ func TestReplayTenantRefusesBadRecords(t *testing.T) {
 	if _, err := s.DrainTenant(1); err != nil {
 		t.Fatal(err)
 	}
-	body := `{"records":[{"Time":0,"Tenant":1,"Op":0,"Offset":-1,"Size":16384}]}`
-	rr := httptest.NewRecorder()
-	s.Handler(0).ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/tenant/handoff?tenant=1", strings.NewReader(body)))
+	body := handoffBody(t, []trace.Record{{Time: 0, Tenant: 1, Op: trace.Read, Offset: -1, Size: page}})
+	rr := postTenant(s, "handoff", 1, body)
 	if rr.Code != http.StatusBadRequest {
 		t.Errorf("bad handoff answered %d, want 400: %s", rr.Code, rr.Body)
 	}

@@ -1,7 +1,12 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -59,7 +64,9 @@ func plainLog(t *testing.T, reqs []Request, arrivals []sim.Time) []trace.Record 
 // TestChunkedLogEqualsPlainAppend: across the chunk boundaries, the log
 // DrainTenant materialises equals a plain []trace.Record append of the same
 // dispatches — on the node that served them, and on a handoff target that
-// re-logs them as replays and then logs live traffic on top.
+// re-logs them as replays and then logs live traffic on top. (n counts
+// records and logChunk is bytes, so the longer logs span tens of chunks
+// with records straddling their seams.)
 func TestChunkedLogEqualsPlainAppend(t *testing.T) {
 	for _, n := range []int{0, 1, logChunk - 1, logChunk, logChunk + 1, 3*logChunk + 7} {
 		rng := rand.New(rand.NewSource(int64(n)))
@@ -122,4 +129,193 @@ func TestChunkedLogEqualsPlainAppend(t *testing.T) {
 			}
 		}
 	}
+}
+
+// handoffBody encodes records as a /tenant/drain body.
+func handoffBody(t testing.TB, records []trace.Record) []byte {
+	t.Helper()
+	var l tenantLog
+	for _, r := range records {
+		l.append(r)
+	}
+	var buf bytes.Buffer
+	if err := l.writeHandoff(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if int64(buf.Len()) != l.handoffLen() {
+		t.Fatalf("handoff body is %d B, handoffLen says %d", buf.Len(), l.handoffLen())
+	}
+	return buf.Bytes()
+}
+
+func postTenant(s *Server, route string, tenant int, body []byte) *httptest.ResponseRecorder {
+	rr := httptest.NewRecorder()
+	s.Handler(0).ServeHTTP(rr, httptest.NewRequest(http.MethodPost,
+		fmt.Sprintf("/tenant/%s?tenant=%d", route, tenant), bytes.NewReader(body)))
+	return rr
+}
+
+// TestHandoffBodyRefusedWhole: a /tenant/handoff body cut at any byte, with
+// any one byte changed, or with a byte appended is refused with 400 before
+// anything replays — the tenant stays parked, the node healthy, the device
+// untouched — and the intact body then replays in full.
+func TestHandoffBodyRefusedWhole(t *testing.T) {
+	s := testServer(t, testConfig(newFakeClock()), nil)
+	if _, err := s.DrainTenant(1); err != nil {
+		t.Fatal(err)
+	}
+	recs := []trace.Record{
+		writeReq(1, 0).Record(10), writeReq(1, 1).Record(20), readReq(1, 0).Record(35),
+		{Time: 90, Tenant: 1, Op: trace.Write, Offset: 64 * page, Size: maxRequestBytes},
+	}
+	body := handoffBody(t, recs)
+	refuse := func(what string, b []byte) {
+		if rr := postTenant(s, "handoff", 1, b); rr.Code != http.StatusBadRequest {
+			t.Errorf("%s: answered %d, want 400: %s", what, rr.Code, rr.Body)
+		}
+	}
+	for i := range body {
+		refuse(fmt.Sprintf("cut at byte %d of %d", i, len(body)), body[:i])
+		for _, mask := range []byte{0x01, 0xff} {
+			b := bytes.Clone(body)
+			b[i] ^= mask
+			refuse(fmt.Sprintf("byte %d ^ %#x", i, mask), b)
+		}
+	}
+	refuse("trailing byte", append(bytes.Clone(body), 0))
+	if !s.TenantParked(1) || s.Err() != nil || s.Draining() {
+		t.Fatalf("after refused handoffs: parked %v, err %v, draining %v; want parked, healthy",
+			s.TenantParked(1), s.Err(), s.Draining())
+	}
+	if rr := postTenant(s, "handoff", 1, body); rr.Code != http.StatusOK {
+		t.Fatalf("intact body answered %d: %s", rr.Code, rr.Body)
+	}
+	if res := s.Drain(); res.Requests != len(recs) {
+		t.Errorf("device saw %d requests, want the intact body's %d", res.Requests, len(recs))
+	}
+}
+
+// TestDrainBodyEqualsDrainTenant: the records a /tenant/drain body decodes
+// to are DrainTenant's, record for record — for a tenant on one shard and
+// for one spread over two shards by keys, whose shard logs merge by time.
+func TestDrainBodyEqualsDrainTenant(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		clk := newFakeClock()
+		cfg := testConfig(clk)
+		cfg.ShardCount = shards
+		s := testServer(t, cfg, nil)
+		reqs := make([]Request, 300)
+		hit := map[int]bool{}
+		for i := range reqs {
+			reqs[i] = Request{
+				Tenant: 2, Op: trace.Op(i % 2), Offset: int64(i%97) * page,
+				Size: (1 + i%3) * page, Key: uint64(i % 5),
+			}
+			hit[shardIndex(2, reqs[i].Key, shards)] = true
+		}
+		if len(hit) != shards {
+			t.Fatalf("%d shards: the keys reach %d of them", shards, len(hit))
+		}
+		submitLogged(t, s, clk, reqs)
+
+		rr := postTenant(s, "drain", 2, nil)
+		if rr.Code != http.StatusOK {
+			t.Fatalf("%d shards: /tenant/drain answered %d: %s", shards, rr.Code, rr.Body)
+		}
+		if cl := rr.Header().Get("Content-Length"); cl != fmt.Sprint(rr.Body.Len()) {
+			t.Errorf("%d shards: Content-Length %s for a %d B body", shards, cl, rr.Body.Len())
+		}
+		log, err := readHandoff(rr.Body, s.handoffCheck(2))
+		if err != nil {
+			t.Fatalf("%d shards: decoding the drain body: %v", shards, err)
+		}
+		got := log.records(2)
+		if err := s.ReleaseTenant(2); err != nil {
+			t.Fatal(err)
+		}
+		td, err := s.DrainTenant(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Drain()
+		if len(got) != len(reqs) || len(td.Records) != len(reqs) {
+			t.Fatalf("%d shards: body has %d records, DrainTenant %d, want %d",
+				shards, len(got), len(td.Records), len(reqs))
+		}
+		for i := range got {
+			if got[i] != td.Records[i] {
+				t.Fatalf("%d shards: record %d: body %+v, DrainTenant %+v", shards, i, got[i], td.Records[i])
+			}
+		}
+	}
+}
+
+// FuzzTenantLog: arbitrary record sequences round-trip through the log —
+// appended, read back, and carried through a handoff body — at any position
+// across chunk seams; arbitrary bytes fed to the handoff decoder never panic
+// and never yield a record the admission rules refuse.
+func FuzzTenantLog(f *testing.F) {
+	rec := func(t, off int64, size uint32, op byte) []byte {
+		b := binary.LittleEndian.AppendUint64(nil, uint64(t))
+		b = binary.LittleEndian.AppendUint64(b, uint64(off))
+		return append(binary.LittleEndian.AppendUint32(b, size), op)
+	}
+	f.Add(uint16(0), []byte{})
+	f.Add(uint16(585), append(rec(5, 0, page, 1), rec(-3, -1<<62, 1<<32-1, 0)...))
+	f.Add(uint16(1200), rec(1<<62, 1<<40, 0, 1))
+	f.Add(uint16(0), handoffBody(f, []trace.Record{
+		writeReq(1, 3).Record(1000), readReq(1, 4).Record(2000), readReq(1, 4).Record(2000),
+	}))
+	f.Fuzz(func(t *testing.T, fill uint16, raw []byte) {
+		// Filler records put the fuzzed ones anywhere in the first chunks.
+		var want []trace.Record
+		for i := 0; i < int(fill%1500); i++ {
+			want = append(want, trace.Record{
+				Time: sim.Time(i) * 977, Op: trace.Op(i % 2), Offset: int64(i*7%64) * page, Size: page,
+			})
+		}
+		for b := raw; len(b) >= 21; b = b[21:] {
+			want = append(want, trace.Record{
+				Time:   sim.Time(binary.LittleEndian.Uint64(b)),
+				Offset: int64(binary.LittleEndian.Uint64(b[8:])),
+				Size:   int(binary.LittleEndian.Uint32(b[16:])),
+				Op:     trace.Op(b[20] & 1),
+			})
+		}
+		var l tenantLog
+		for _, r := range want {
+			l.append(r)
+		}
+		var body bytes.Buffer
+		if err := l.writeHandoff(&body); err != nil {
+			t.Fatal(err)
+		}
+		back, err := readHandoff(&body, func(trace.Record) error { return nil })
+		if err != nil {
+			t.Fatalf("own body refused: %v", err)
+		}
+		for name, got := range map[string][]trace.Record{"log": l.records(0), "body": back.records(0)} {
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d records, want %d", name, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s: record %d = %+v, want %+v", name, i, got[i], want[i])
+				}
+			}
+		}
+
+		check := func(r trace.Record) error {
+			return Request{Tenant: 1, Op: r.Op, Offset: r.Offset, Size: r.Size}.Validate(4, 64<<20)
+		}
+		decoded, err := readHandoff(bytes.NewReader(raw), check)
+		if err != nil {
+			return
+		}
+		for i, r := range decoded.records(1) {
+			if err := check(r); err != nil {
+				t.Fatalf("decoded record %d %+v breaks admission: %v", i, r, err)
+			}
+		}
+	})
 }

@@ -25,10 +25,10 @@
 #      engine's lanes and the resource's wait rings grow to the holds in
 #      flight and then reuse their slots. And so must BenchmarkNodeSubmitTo (the
 #      serve core's callback path: keeper on, tenant log on), which may also
-#      not exceed 40 B/op — the log's 24 B per
-#      record plus amortised keeper epochs; a log that regrows by copying, or
-#      a per-request closure or Pending, breaks one of the two (DESIGN.md
-#      §11, §13).
+#      not exceed 16 B/op — the log's ~7 B delta-encoded record plus
+#      amortised keeper epochs; a log that regrows by copying or stores
+#      records unencoded, or a per-request closure or Pending, breaks one of
+#      the two (DESIGN.md §11, §13).
 #   5. Device-health overhead: BenchmarkSimulatorHealthOverhead interleaves
 #      no-fault and armed-but-empty-plan simulator runs in GC-isolated
 #      pairs and reports their time ratio; the median over 3 repetitions of
@@ -107,11 +107,11 @@ for b in ServeIO/render/fast WireEncodeRequest WireParseRequest WireEncodeReply 
 done
 
 node_bytes=$(bytes "BenchmarkNodeSubmitTo")
-if [ -z "$node_bytes" ] || [ "$node_bytes" -gt 40 ]; then
-  echo "bench_gate: FAIL - BenchmarkNodeSubmitTo allocates ${node_bytes:-?} B/op, want <= 40" >&2
+if [ -z "$node_bytes" ] || [ "$node_bytes" -gt 16 ]; then
+  echo "bench_gate: FAIL - BenchmarkNodeSubmitTo allocates ${node_bytes:-?} B/op, want <= 16" >&2
   fail=1
 else
-  echo "bench_gate: ok - BenchmarkNodeSubmitTo ${node_bytes} B/op <= 40" >&2
+  echo "bench_gate: ok - BenchmarkNodeSubmitTo ${node_bytes} B/op <= 16" >&2
 fi
 
 # Gate 5: no-fault health overhead. The benchmark reports a same-run
