@@ -64,29 +64,40 @@ type zeroLoad struct{}
 func (zeroLoad) ChannelLoad(int) sim.Time { return 0 }
 func (zeroLoad) DieLoad(int) sim.Time     { return 0 }
 
-// owner records which logical page occupies a physical page.
-type owner struct {
-	tenant int
-	lpn    int64
+// owner is the reverse-map entry of one physical page: the logical page that
+// occupies it, packed as (tenant+2)<<32 | lpn, or 0 when the page holds no
+// valid data (never programmed, overwritten or relocated). tenant+2 is at
+// least 1 even for the cold tenant, so a valid page never packs to 0; a
+// tenant's LPN is below MaxLPN and a cold LPN below nand.MaxTotalPages, so
+// both fit the low 32 bits.
+type owner uint64
+
+// packOwner returns k's reverse-map entry.
+func packOwner(k Key) owner {
+	return owner(uint64(k.Tenant+2)<<32 | uint64(uint32(k.LPN)))
 }
 
-// block is the erase-unit state.
+// key unpacks a valid page's owner.
+func (o owner) key() Key {
+	return Key{Tenant: int(o>>32) - 2, LPN: int64(uint32(o))}
+}
+
+// block is the erase-unit state. Its page counters fit int32 because
+// nand.Config.Validate caps a device at 2^32-1 pages in at least two blocks.
 type block struct {
-	writePtr   int // next page to program; == PagesPerBlock when full
-	validCount int
-	owners     []owner // per page; owner of an invalidated page is cleared
-	valid      []bool
-	erases     int
+	writePtr   int32 // next page to program; == PagesPerBlock when full
+	validCount int32
+	erases     int32
+	owners     []owner // per page; 0 = invalid
 }
 
 // plane holds per-plane block bookkeeping. Blocks are materialized lazily:
 // with Table I geometry a device has 262144 blocks, almost all of which a
 // simulation never touches. Materialization is chunked: block structs and
-// their owner/valid page arrays are carved out of per-plane slabs of
-// blockChunk blocks, so touching a block costs 3 allocations per chunk
-// instead of 3 per block — seasoning a device (which touches every block of
-// every plane) drops from tens of thousands of allocations to a few
-// hundred.
+// their owner arrays are carved out of per-plane slabs of blockChunk blocks,
+// so touching a block costs 2 allocations per chunk instead of 2 per block —
+// seasoning a device (which touches every block of every plane) drops from
+// tens of thousands of allocations to a few hundred.
 type plane struct {
 	blocks    []*block // lazily filled; nil = never used
 	nextFresh int      // first never-used block index
@@ -97,7 +108,6 @@ type plane struct {
 	// Slab remainders for chunked block materialization.
 	slabBlocks []block
 	slabOwners []owner
-	slabValid  []bool
 }
 
 // blockChunk is how many blocks one slab materializes at a time. 64 covers
@@ -202,7 +212,6 @@ func (f *FTL) Reset() {
 			b.validCount = 0
 			b.erases = 0
 			clear(b.owners)
-			clear(b.valid)
 		}
 		p.nextFresh = 0
 		p.recycled = p.recycled[:0]
@@ -438,7 +447,7 @@ func (f *FTL) place(k Key, mode PageMode) (nand.Addr, *GCPlan, error) {
 // needed, and returns the (block, page) location.
 func (f *FTL) appendPage(planeID int, k Key) (blockID, page int, err error) {
 	p := &f.planes[planeID]
-	if p.active == -1 || f.blockAt(p, p.active).writePtr == f.cfg.PagesPerBlock {
+	if p.active == -1 || int(f.blockAt(p, p.active).writePtr) == f.cfg.PagesPerBlock {
 		// Pop the replacement before retiring the active block: if the
 		// plane is out of free blocks the active block must stay active
 		// (and out of the GC candidate list) so state remains
@@ -453,10 +462,9 @@ func (f *FTL) appendPage(planeID int, k Key) (blockID, page int, err error) {
 		p.active = id
 	}
 	b := f.blockAt(p, p.active)
-	page = b.writePtr
+	page = int(b.writePtr)
 	b.writePtr++
-	b.owners[page] = owner{tenant: k.Tenant, lpn: k.LPN}
-	b.valid[page] = true
+	b.owners[page] = packOwner(k)
 	b.validCount++
 	return p.active, page, nil
 }
@@ -477,15 +485,12 @@ func (f *FTL) blockAt(p *plane, id int) *block {
 		pages := f.cfg.PagesPerBlock
 		p.slabBlocks = make([]block, chunk)
 		p.slabOwners = make([]owner, chunk*pages)
-		p.slabValid = make([]bool, chunk*pages)
 	}
 	b := &p.slabBlocks[0]
 	p.slabBlocks = p.slabBlocks[1:]
 	pages := f.cfg.PagesPerBlock
 	b.owners = p.slabOwners[:pages:pages]
 	p.slabOwners = p.slabOwners[pages:]
-	b.valid = p.slabValid[:pages:pages]
-	p.slabValid = p.slabValid[pages:]
 	p.blocks[id] = b
 	return b
 }
@@ -523,13 +528,12 @@ func (f *FTL) popFree(p *plane, planeID int) (int, bool) {
 	return id, true
 }
 
-// invalidate clears the valid bit of a physical page.
+// invalidate clears the owner of a physical page.
 func (f *FTL) invalidate(ppn int64) {
 	planeID, blockID, page := f.cfg.SplitPPN(ppn)
 	b := f.blockAt(&f.planes[planeID], blockID)
-	if b.valid[page] {
-		b.valid[page] = false
-		b.owners[page] = owner{}
+	if b.owners[page] != 0 {
+		b.owners[page] = 0
 		b.validCount--
 		f.invalidations++
 	}

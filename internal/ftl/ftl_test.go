@@ -2,6 +2,7 @@ package ftl
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -486,12 +487,12 @@ func TestSeasonLayoutMatchesDirectDraws(t *testing.T) {
 		for page := 0; page < pages; page++ {
 			idx := b*pages + page
 			want := rng.Float64() < validFrac
-			if l.valid[idx] != want {
-				t.Fatalf("block %d page %d: valid=%v, rng says %v", b, page, l.valid[idx], want)
+			if (l.owners[idx] != 0) != want {
+				t.Fatalf("block %d page %d: owner %#x, rng says valid=%v", b, page, l.owners[idx], want)
 			}
 			if want {
-				if l.owners[idx] != (owner{tenant: coldTenant, lpn: lpn}) {
-					t.Fatalf("block %d page %d: owner %+v, want lpn %d", b, page, l.owners[idx], lpn)
+				if l.owners[idx] != packOwner(Key{Tenant: coldTenant, LPN: lpn}) {
+					t.Fatalf("block %d page %d: owner %#x, want cold lpn %d", b, page, l.owners[idx], lpn)
 				}
 				lpn++
 				count++
@@ -507,4 +508,118 @@ func TestSeasonLayoutSkipsHugeGeometries(t *testing.T) {
 	if l := seasonLayoutFor(64, 4090, 128, 0.5, 1); l != nil {
 		t.Error("huge layout was cached; should fall back to the direct loop")
 	}
+}
+
+// The memo and the rng loop must leave identical device state: every block's
+// owners and counters, and each plane's free and full bookkeeping.
+func TestSeasonMemoMatchesDirectLoop(t *testing.T) {
+	cfg := nand.TinyConfig()
+	const validFrac, freeBlocks, seed = 0.5, 5, 1
+	memo := mustFTL(t, cfg, nil)
+	if err := memo.Season(validFrac, freeBlocks, seed); err != nil {
+		t.Fatal(err)
+	}
+	fill := cfg.BlocksPerPlane - freeBlocks
+	if freeBlocks <= memo.gcLowWater {
+		t.Fatalf("freeBlocks %d at or below the low-water mark %d: Season raised it", freeBlocks, memo.gcLowWater)
+	}
+	if seasonLayoutFor(len(memo.planes), fill, cfg.PagesPerBlock, validFrac, seed) == nil {
+		t.Fatal("TinyConfig's layout is not memoized; Season took the direct loop")
+	}
+	direct := mustFTL(t, cfg, nil)
+	if err := direct.seasonDirect(fill, validFrac, seed); err != nil {
+		t.Fatal(err)
+	}
+	if memo.LiveColdPages() == 0 {
+		t.Fatal("seasoning left no cold pages")
+	}
+	for i := range memo.planes {
+		m, d := &memo.planes[i], &direct.planes[i]
+		if m.nextFresh != d.nextFresh || m.active != d.active || !slices.Equal(m.recycled, d.recycled) {
+			t.Fatalf("plane %d: free state (%d %d %v) vs direct (%d %d %v)",
+				i, m.nextFresh, m.active, m.recycled, d.nextFresh, d.active, d.recycled)
+		}
+		if !slices.Equal(m.full, d.full) {
+			t.Fatalf("plane %d: full %v, direct %v", i, m.full, d.full)
+		}
+		for id := range m.blocks {
+			mb, db := m.blocks[id], d.blocks[id]
+			if (mb == nil) != (db == nil) {
+				t.Fatalf("plane %d block %d: materialized %v, direct %v", i, id, mb != nil, db != nil)
+			}
+			if mb == nil {
+				continue
+			}
+			if mb.writePtr != db.writePtr || mb.validCount != db.validCount || mb.erases != db.erases {
+				t.Fatalf("plane %d block %d: ptr/valid/erases %d/%d/%d, direct %d/%d/%d", i, id,
+					mb.writePtr, mb.validCount, mb.erases, db.writePtr, db.validCount, db.erases)
+			}
+			if !slices.Equal(mb.owners, db.owners) {
+				t.Fatalf("plane %d block %d: owners differ from the direct loop's", i, id)
+			}
+		}
+	}
+}
+
+// A page's owner packs into one word that is never 0 for a valid page and
+// unpacks to the key it was packed from, at every corner of the address space.
+func TestOwnerPacking(t *testing.T) {
+	keys := []Key{{Tenant: coldTenant, LPN: nand.MaxTotalPages - 1}}
+	for _, tenant := range []int{coldTenant, 0, MaxTenants - 1} {
+		for _, lpn := range []int64{0, MaxLPN - 1} {
+			keys = append(keys, Key{Tenant: tenant, LPN: lpn})
+		}
+	}
+	seen := map[owner]Key{}
+	for _, k := range keys {
+		o := packOwner(k)
+		if o == 0 {
+			t.Errorf("%+v packs to 0, the invalid owner", k)
+		}
+		if got := o.key(); got != k {
+			t.Errorf("%+v packs to %#x, unpacks to %+v", k, uint64(o), got)
+		}
+		if prev, dup := seen[o]; dup {
+			t.Errorf("%+v and %+v pack to the same owner %#x", prev, k, uint64(o))
+		}
+		seen[o] = k
+	}
+}
+
+// BenchmarkFTLSeason is the device set-up of every replay session: a seasoned
+// evaluation device built from New, and one restored by Reset. The seasoning
+// memo is warmed before timing, as a process's second session finds it.
+// scripts/bench_gate.sh holds both cases' B/op and allocs/op at ceilings.
+func BenchmarkFTLSeason(b *testing.B) {
+	cfg := nand.EvalConfig()
+	season := func(b *testing.B, f *FTL) {
+		if err := f.Season(0.5, 5, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	build := func(b *testing.B) *FTL {
+		f, err := New(cfg, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		season(b, f)
+		return f
+	}
+	b.Run("new", func(b *testing.B) {
+		build(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			build(b)
+		}
+	})
+	b.Run("reset", func(b *testing.B) {
+		f := build(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			f.Reset()
+			season(b, f)
+		}
+	})
 }

@@ -43,7 +43,7 @@ func (f *FTL) collect(planeID int) *GCPlan {
 	moved := 0
 	aborted := false
 	for page := 0; page < f.cfg.PagesPerBlock; page++ {
-		if !victim.valid[page] {
+		if victim.owners[page] == 0 {
 			continue
 		}
 		if err := f.relocate(planeID, victim, page); err != nil {
@@ -99,14 +99,13 @@ func (f *FTL) collect(planeID int) *GCPlan {
 // plane and remaps it: the step GC, wear leveling and block retirement
 // share. On error (the plane is out of free blocks) nothing has changed.
 func (f *FTL) relocate(planeID int, victim *block, page int) error {
-	k := Key{Tenant: victim.owners[page].tenant, LPN: victim.owners[page].lpn}
+	k := victim.owners[page].key()
 	blockID, newPage, err := f.appendPage(planeID, k)
 	if err != nil {
 		return err
 	}
 	f.table.set(k, f.cfg.PlanePPN(planeID, blockID, newPage))
-	victim.valid[page] = false
-	victim.owners[page] = owner{}
+	victim.owners[page] = 0
 	victim.validCount--
 	return nil
 }
@@ -116,10 +115,7 @@ func (f *FTL) eraseBlock(p *plane, id int) {
 	b := f.blockAt(p, id)
 	b.writePtr = 0
 	b.validCount = 0
-	for i := range b.valid {
-		b.valid[i] = false
-		b.owners[i] = owner{}
-	}
+	clear(b.owners)
 	b.erases++
 	p.recycled = append(p.recycled, id)
 }
@@ -148,12 +144,13 @@ func (f *FTL) Wear() WearStats {
 				continue
 			}
 			s.Blocks++
-			s.TotalErases += uint64(b.erases)
-			if first || b.erases < s.MinErases {
-				s.MinErases = b.erases
+			e := int(b.erases)
+			s.TotalErases += uint64(e)
+			if first || e < s.MinErases {
+				s.MinErases = e
 			}
-			if first || b.erases > s.MaxErases {
-				s.MaxErases = b.erases
+			if first || e > s.MaxErases {
+				s.MaxErases = e
 			}
 			first = false
 		}

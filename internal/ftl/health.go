@@ -146,7 +146,7 @@ func (f *FTL) RetireBlock(planeID, blockID int) (moved int, dieTime sim.Time) {
 
 	victim := p.blocks[blockID]
 	for page := 0; page < f.cfg.PagesPerBlock && victim.validCount > 0; page++ {
-		if !victim.valid[page] {
+		if victim.owners[page] == 0 {
 			continue
 		}
 		if err := f.relocate(planeID, victim, page); err != nil {
@@ -166,7 +166,7 @@ func (f *FTL) BlockErases(planeID, blockID int) int {
 	if p.blocks == nil || p.blocks[blockID] == nil {
 		return 0
 	}
-	return p.blocks[blockID].erases
+	return int(p.blocks[blockID].erases)
 }
 
 // Health returns the attached health state (nil on an immortal device).

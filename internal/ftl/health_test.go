@@ -165,7 +165,7 @@ func TestRetireBlockRelocatesAndQuarantines(t *testing.T) {
 		t.Fatal("no active block found")
 	}
 	victim := f.planes[plane].active
-	valid := f.blockAt(&f.planes[plane], victim).validCount
+	valid := int(f.blockAt(&f.planes[plane], victim).validCount)
 	moved, dieTime := f.RetireBlock(plane, victim)
 	if moved != valid {
 		t.Errorf("moved %d pages, want %d", moved, valid)

@@ -13,7 +13,7 @@ import (
 // lookup is two bounds checks and two loads; nothing is hashed.
 //
 // Cost is bounded by refusing addresses instead of falling back to a sparse
-// structure: memory is one leaf (8 KiB) per leafPages-aligned LPN range
+// structure: memory is one leaf (4 KiB) per leafPages-aligned LPN range
 // touched, plus a directory that grows to the highest LPN seen — at most
 // MaxLPN/leafPages pointers (2 MiB) however far away a single page lands —
 // plus one directory header per tenant id up to the highest seen, at most
@@ -45,8 +45,9 @@ func checkKey(k Key) error {
 	return nil
 }
 
-// leaf maps leafPages consecutive LPNs of one tenant to ppn+1.
-type leaf [leafPages]int64
+// leaf maps leafPages consecutive LPNs of one tenant to ppn+1, which
+// nand.Config.Validate bounds to 32 bits.
+type leaf [leafPages]uint32
 
 // pageTable is the mapping table. Slot tenant+1 of dirs is the tenant's
 // directory, so the cold seasoning tenant (-1) is slot 0 and gets a
@@ -69,7 +70,7 @@ func (t *pageTable) get(k Key) int64 {
 	if i >= uint64(len(dir)) || dir[i] == nil {
 		return 0
 	}
-	return dir[i][k.LPN&(leafPages-1)]
+	return int64(dir[i][k.LPN&(leafPages-1)])
 }
 
 // set maps k to ppn. Callers bound the key: checkKey for tenants' pages,
@@ -92,7 +93,7 @@ func (t *pageTable) set(k Key, ppn int64) {
 	if *e == 0 {
 		t.mapped++
 	}
-	*e = ppn + 1
+	*e = uint32(ppn + 1)
 }
 
 // reset unmaps everything, keeping directories and leaves for reuse.
@@ -120,7 +121,7 @@ func (t *pageTable) walk(fn func(k Key, ppn int64) bool) {
 			for j := range l {
 				if e := l[j]; e != 0 {
 					k := Key{Tenant: slot - 1, LPN: int64(i)<<leafBits | int64(j)}
-					if !fn(k, e-1) {
+					if !fn(k, int64(e)-1) {
 						return
 					}
 				}

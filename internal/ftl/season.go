@@ -39,6 +39,13 @@ func (f *FTL) Season(validFrac float64, freeBlocks int, seed int64) error {
 	if layout := seasonLayoutFor(len(f.planes), fill, pages, validFrac, seed); layout != nil {
 		return f.applySeasonLayout(layout, fill)
 	}
+	return f.seasonDirect(fill, validFrac, seed)
+}
+
+// seasonDirect fills fill blocks of every plane, drawing each page's
+// validity from the rng: the loop a memoized layout replays.
+func (f *FTL) seasonDirect(fill int, validFrac float64, seed int64) error {
+	pages := f.cfg.PagesPerBlock
 	rng := rand.New(rand.NewSource(seed))
 	var lpn int64
 	for planeID := range f.planes {
@@ -49,11 +56,10 @@ func (f *FTL) Season(validFrac float64, freeBlocks int, seed int64) error {
 				return fmt.Errorf("ftl: plane %d ran out of blocks while seasoning", planeID)
 			}
 			b := f.blockAt(p, id)
-			b.writePtr = pages
+			b.writePtr = int32(pages)
 			for page := 0; page < pages; page++ {
 				if rng.Float64() < validFrac {
-					b.valid[page] = true
-					b.owners[page] = owner{tenant: coldTenant, lpn: lpn}
+					b.owners[page] = packOwner(Key{Tenant: coldTenant, LPN: lpn})
 					b.validCount++
 					lpn++
 				}
@@ -65,11 +71,10 @@ func (f *FTL) Season(validFrac float64, freeBlocks int, seed int64) error {
 }
 
 // seasonLayout is the memoized result of one seasoning parameterization: the
-// valid bitmap, page owners, and per-block valid counts for every filled
+// page owners (0 = invalid) and per-block valid counts for every filled
 // block, flattened plane-major in the exact order the rng loop visits them.
 // Layouts are immutable once built.
 type seasonLayout struct {
-	valid  []bool
 	owners []owner
 	counts []int32 // one per filled block
 }
@@ -83,7 +88,7 @@ type seasonKey struct {
 }
 
 // seasonLayoutCacheMax bounds how many pages of seasoning state a cached
-// layout may cover (~2M pages = 32MB of owners). Experiment geometries are
+// layout may cover (~2M pages = 16MB of owners). Experiment geometries are
 // far below it; full Table I seasoning skips the cache and pays the direct
 // loop instead of pinning hundreds of MB.
 const seasonLayoutCacheMax = 1 << 21
@@ -109,7 +114,6 @@ func seasonLayoutFor(planes, fill, pages int, validFrac float64, seed int64) *se
 		return l
 	}
 	l := &seasonLayout{
-		valid:  make([]bool, total),
 		owners: make([]owner, total),
 		counts: make([]int32, planes*fill),
 	}
@@ -120,8 +124,7 @@ func seasonLayoutFor(planes, fill, pages int, validFrac float64, seed int64) *se
 		var count int32
 		for page := 0; page < pages; page++ {
 			if rng.Float64() < validFrac {
-				l.valid[base+page] = true
-				l.owners[base+page] = owner{tenant: coldTenant, lpn: lpn}
+				l.owners[base+page] = packOwner(Key{Tenant: coldTenant, LPN: lpn})
 				count++
 				lpn++
 			}
@@ -148,11 +151,10 @@ func (f *FTL) applySeasonLayout(l *seasonLayout, fill int) error {
 				return fmt.Errorf("ftl: plane %d ran out of blocks while seasoning", planeID)
 			}
 			b := f.blockAt(p, id)
-			b.writePtr = pages
+			b.writePtr = int32(pages)
 			base := idx * pages
-			copy(b.valid, l.valid[base:base+pages])
 			copy(b.owners, l.owners[base:base+pages])
-			b.validCount = int(l.counts[idx])
+			b.validCount = l.counts[idx]
 			idx++
 			p.full = append(p.full, id)
 		}
@@ -172,8 +174,8 @@ func (f *FTL) LiveColdPages() int {
 			if b == nil {
 				continue
 			}
-			for page, v := range b.valid {
-				if v && b.owners[page].tenant == coldTenant {
+			for _, o := range b.owners {
+				if o != 0 && o.key().Tenant == coldTenant {
 					count++
 				}
 			}

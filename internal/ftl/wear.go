@@ -25,21 +25,21 @@ func (f *FTL) levelWear(planeID int) (moved int, dieTime sim.Time) {
 	// Spread is measured over all materialized blocks; the migration
 	// victim must be a closed block (the active block and free blocks
 	// are already in circulation).
-	maxErase := 0
+	var maxErase int32
 	for _, b := range p.blocks {
 		if b != nil && b.erases > maxErase {
 			maxErase = b.erases
 		}
 	}
 	victimIdx := -1
-	victimErase := 0
+	var victimErase int32
 	for i, id := range p.full {
 		e := f.blockAt(p, id).erases
 		if victimIdx == -1 || e < victimErase {
 			victimIdx, victimErase = i, e
 		}
 	}
-	if victimIdx == -1 || maxErase-victimErase < f.cfg.WearThreshold {
+	if victimIdx == -1 || int(maxErase-victimErase) < f.cfg.WearThreshold {
 		return 0, 0
 	}
 
@@ -47,7 +47,7 @@ func (f *FTL) levelWear(planeID int) (moved int, dieTime sim.Time) {
 	p.full = append(p.full[:victimIdx], p.full[victimIdx+1:]...)
 	victim := f.blockAt(p, victimID)
 	for page := 0; page < f.cfg.PagesPerBlock; page++ {
-		if !victim.valid[page] {
+		if victim.owners[page] == 0 {
 			continue
 		}
 		if err := f.relocate(planeID, victim, page); err != nil {

@@ -13,6 +13,10 @@ import (
 	"ssdkeeper/internal/sim"
 )
 
+// MaxTotalPages bounds a device's physical pages (inclusive): the FTL's
+// mapping table stores ppn+1 in 32 bits. Table I is 2^25 pages.
+const MaxTotalPages = 1<<32 - 1
+
 // Config describes the geometry and timing of a simulated SSD. The zero
 // value is invalid; start from DefaultConfig and adjust.
 type Config struct {
@@ -111,6 +115,7 @@ func (c Config) Validate() error {
 		{c.OverProvision >= 0 && c.OverProvision < 0.5, "OverProvision must be in [0, 0.5)"},
 		{c.GCThreshold >= 0 && c.GCThreshold < 1, "GCThreshold must be in [0, 1)"},
 		{c.WearThreshold >= 0, "WearThreshold must be non-negative"},
+		{c.TotalPages() <= MaxTotalPages, "TotalPages must not exceed MaxTotalPages (a 32-bit ppn+1)"},
 	}
 	for _, ck := range checks {
 		if !ck.ok {

@@ -1,6 +1,7 @@
 package nand
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -45,6 +46,7 @@ func TestConfigValidateRejectsBadFields(t *testing.T) {
 		func(c *Config) { c.XferLatency = 0 },
 		func(c *Config) { c.OverProvision = 0.9 },
 		func(c *Config) { c.GCThreshold = 1.5 },
+		func(c *Config) { c.BlocksPerPlane = 1 << 20 }, // 2^33 pages
 	}
 	for i, mut := range mutations {
 		c := DefaultConfig()
@@ -52,6 +54,25 @@ func TestConfigValidateRejectsBadFields(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("mutation %d: invalid config accepted", i)
 		}
+	}
+}
+
+// The FTL stores ppn+1 in 32 bits, so the largest device has 2^32-1 pages.
+func TestConfigValidateBoundsTotalPages(t *testing.T) {
+	c := DefaultConfig()
+	// 3 * 5 * 17 * 257 * 65537 = 2^32-1.
+	c.Channels, c.ChipsPerChannel, c.DiesPerChip, c.PlanesPerDie = 3, 5, 17, 257
+	c.BlocksPerPlane, c.PagesPerBlock = 65537, 1
+	if got := c.TotalPages(); got != MaxTotalPages {
+		t.Fatalf("TotalPages = %d, want %d", got, int64(MaxTotalPages))
+	}
+	if err := c.Validate(); err != nil {
+		t.Errorf("geometry of exactly MaxTotalPages refused: %v", err)
+	}
+	c.Channels, c.ChipsPerChannel, c.DiesPerChip, c.PlanesPerDie = 1, 1, 1, 1
+	c.BlocksPerPlane, c.PagesPerBlock = 1<<25, 128
+	if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "MaxTotalPages") {
+		t.Errorf("2^32-page geometry: err = %v, want one naming MaxTotalPages", err)
 	}
 }
 

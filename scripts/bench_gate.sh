@@ -28,7 +28,14 @@
 #      not exceed 16 B/op — the log's ~7 B delta-encoded record plus
 #      amortised keeper epochs; a log that regrows by copying or stores
 #      records unencoded, or a per-request closure or Pending, breaks one of
-#      the two (DESIGN.md §11, §13).
+#      the two (DESIGN.md §11, §13). BenchmarkFTLSeason holds a replay
+#      session's device set-up to exact allocation figures: a seasoned
+#      evaluation device restored by Reset allocates nothing, and one built
+#      by New allocates at most 644 times and 1328600 B — 8 B of reverse map
+#      per physical page plus slabs and lists (1328546 B measured; the slack
+#      is the few bytes per op the runtime's own allocations amortise to). A
+#      wider owner entry, a per-page valid flag back beside it, or a memo
+#      that stops being shared breaks the ceiling (DESIGN.md §9).
 #   5. Device-health overhead: BenchmarkSimulatorHealthOverhead interleaves
 #      no-fault and armed-but-empty-plan simulator runs in GC-isolated
 #      pairs and reports their time ratio; the median over 3 repetitions of
@@ -57,7 +64,7 @@ go test -run '^$' -bench 'BenchmarkWire(Encode|Parse)(Request|Reply)$' -benchmem
   -benchtime "$BENCHTIME" -cpu 1 ./internal/wire/ | tee -a "$RAW" >&2
 go test -run '^$' -bench 'BenchmarkProxyTransport$/^wire$' -benchmem -benchtime "$BENCHTIME" \
   -cpu 1 ./internal/fleet/ | tee -a "$RAW" >&2
-go test -run '^$' -bench 'BenchmarkFTLPagePath$' -benchmem -benchtime "$BENCHTIME" \
+go test -run '^$' -bench 'Benchmark(FTLPagePath|FTLSeason)$' -benchmem -benchtime "$BENCHTIME" \
   -cpu 1 ./internal/ftl/ | tee -a "$RAW" >&2
 go test -run '^$' -bench 'BenchmarkEngineHold$' -benchmem -benchtime "$BENCHTIME" \
   -cpu 1 ./internal/sim/ | tee -a "$RAW" >&2
@@ -105,6 +112,20 @@ for b in ServeIO/render/fast WireEncodeRequest WireParseRequest WireEncodeReply 
     echo "bench_gate: ok - Benchmark$b 0 allocs/op" >&2
   fi
 done
+
+# at_most <benchmark> <what> <got> <ceiling>: one exact allocation ceiling.
+at_most() {
+  if [ -z "$3" ] || [ "$3" -gt "$4" ]; then
+    echo "bench_gate: FAIL - $1 reports ${3:-?} $2, want <= $4" >&2
+    fail=1
+  else
+    echo "bench_gate: ok - $1 $3 $2 <= $4" >&2
+  fi
+}
+at_most BenchmarkFTLSeason/reset allocs/op "$(allocs BenchmarkFTLSeason/reset)" 0
+at_most BenchmarkFTLSeason/reset B/op "$(bytes BenchmarkFTLSeason/reset)" 0
+at_most BenchmarkFTLSeason/new allocs/op "$(allocs BenchmarkFTLSeason/new)" 644
+at_most BenchmarkFTLSeason/new B/op "$(bytes BenchmarkFTLSeason/new)" 1328600
 
 node_bytes=$(bytes "BenchmarkNodeSubmitTo")
 if [ -z "$node_bytes" ] || [ "$node_bytes" -gt 16 ]; then
