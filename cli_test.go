@@ -228,8 +228,8 @@ func TestCLIExperimentsFig2Quick(t *testing.T) {
 // TestCLIRemovedFlags: settings that shadowed a reader or had one value in
 // use are gone. Node health is judged when /readyz or /metrics is read (no
 // audit interval), the fleet probes and rebalances on one tick (no separate
-// rebalance interval), and keeperload makes one pass with one connection
-// pool (no direct replay, label or pool size).
+// rebalance interval), keeperload makes one pass with one connection pool
+// (no direct replay, label or pool size) over the one transport, wire.
 func TestCLIRemovedFlags(t *testing.T) {
 	bins := buildTools(t, "ssdkeeperd", "keeperfleet", "keeperload")
 	for _, c := range []struct{ tool, flag string }{
@@ -254,6 +254,11 @@ func TestCLIRemovedFlags(t *testing.T) {
 		// router has one migration gate: hold, then 503 after -gate-wait.
 		{"ssdkeeperd", "-model-dir"},
 		{"keeperfleet", "-gate-policy"},
+		// I/O reaches a node or a router only over wire: the HTTP request
+		// front's wait bound and keeperload's HTTP transport are gone.
+		{"ssdkeeperd", "-timeout"},
+		{"keeperload", "-wire"},
+		{"keeperload", "-timeout"},
 	} {
 		out, err := exec.Command(filepath.Join(bins, c.tool), c.flag, "1").CombinedOutput()
 		if err == nil || !strings.Contains(string(out), "flag provided but not defined: "+c.flag) {

@@ -3,25 +3,25 @@
 // to its tenant's owner over the persistent framed wire transport
 // (internal/wire) — the only router↔node data plane. HTTP to the nodes
 // (-nodes) is control plane: drain/handoff/release and the membership
-// probes. Clients talk to one address, over wire (-wire-listen) or through
-// the HTTP /io and /io/batch adaptors; the fleet behind it can be rebalanced
-// live — a tenant migration drains the tenant on its source node, replays
-// the handoff batch on the target, and flips the ring override, losing and
-// duplicating nothing.
+// probes. Clients send I/O to one address, the router's own wire listener
+// (-wire-listen), in the same protocol a node speaks; the fleet behind it can
+// be rebalanced live — a tenant migration drains the tenant on its source
+// node, replays the handoff batch on the target, and flips the ring override,
+// losing and duplicating nothing.
 //
-// Endpoints: /io and /io/batch (client-facing adaptors), /fleet/status (JSON
+// HTTP endpoints on -addr (the control plane): /fleet/status (JSON
 // placement), POST /fleet/migrate?tenant=N&to=URL (manual migration),
 // /metrics (fleet series), /healthz, /readyz.
 //
-// Usage (every node runs ssdkeeperd -wire-listen; -wire-nodes entry i is
-// the wire address of -nodes entry i):
+// Usage (-wire-nodes entry i is the ssdkeeperd -wire-listen address of
+// -nodes entry i):
 //
 //	keeperfleet -addr :8090 -nodes http://localhost:8081,http://localhost:8082 \
 //	    -wire-nodes localhost:9081,localhost:9082 -wire-listen :9090
 //	keeperfleet -addr :8090 -nodes ... -wire-nodes ... -rebalance   # auto-migrate hot tenants
 //
 // A migrating tenant's requests wait at the router for the handoff (at most
-// -gate-wait, then 503 + Retry-After) and go on to the new owner.
+// -gate-wait, then "rej migrating") and go on to the new owner.
 package main
 
 import (
@@ -48,11 +48,11 @@ func main() {
 		nodes      = flag.String("nodes", "", "comma-separated node base URLs (required; control plane)")
 		wireNodes  = flag.String("wire-nodes", "", "comma-separated node wire (host:port) addresses (required; the data plane): entry i is the -wire-listen address of -nodes entry i")
 		wireConns  = flag.Int("wire-conns", 4, "persistent wire connections per node")
-		wireListen = flag.String("wire-listen", "", "also serve the wire protocol to clients on this address (full wire path: client → router → node)")
+		wireListen = flag.String("wire-listen", ":9090", "client I/O listen address: the wire protocol, forwarded to each tenant's owner node")
 		vnodes     = flag.Int("vnodes", 64, "virtual nodes per node on the ring")
 		tenants    = flag.Int("tenants", 4, "tenant ID space routed")
 		gateWait   = flag.Duration("gate-wait", 15*time.Second, "max time a queued request waits for a migration")
-		timeout    = flag.Duration("timeout", 60*time.Second, "how long the HTTP adaptors wait for a forwarded request, and the control-plane call timeout")
+		timeout    = flag.Duration("timeout", 60*time.Second, "control-plane call timeout (drain, handoff, release)")
 		rebalance  = flag.Bool("rebalance", false, "enable the automatic rebalancer")
 		probeEvery = flag.Duration("probe-every", 2*time.Second, "membership probe interval; with -rebalance, each probe sweep is followed by one rebalancer decision on it")
 		hotFactor  = flag.Float64("hot-factor", 1.5, "node is hot when its load exceeds hot-factor x fleet mean")
@@ -105,32 +105,26 @@ func main() {
 		}
 	}
 
+	ln, err := net.Listen("tcp", *wireListen)
+	if err != nil {
+		fatal(err)
+	}
+	ws := wire.NewServer(router.WireBackend())
 	srv := &http.Server{Addr: *addr, Handler: router.Handler()}
-	errc := make(chan error, 1)
+	errc := make(chan error, 2)
 	go func() {
 		if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 			errc <- err
 		}
 	}()
-	var ws *wire.Server
-	if *wireListen != "" {
-		ln, err := net.Listen("tcp", *wireListen)
-		if err != nil {
-			fatal(err)
+	go func() {
+		if err := ws.Serve(ln); err != nil {
+			errc <- err
 		}
-		ws = wire.NewServer(router.WireBackend())
-		go func() {
-			if err := ws.Serve(ln); err != nil {
-				errc <- err
-			}
-		}()
-	}
+	}()
 	if !*quiet {
-		fmt.Fprintf(os.Stderr, "keeperfleet: routing %d tenants over %d nodes on %s (gate wait %v, rebalance %v)\n",
-			*tenants, len(list), *addr, *gateWait, *rebalance)
-		if *wireListen != "" {
-			fmt.Fprintf(os.Stderr, "keeperfleet: wire listener on %s\n", *wireListen)
-		}
+		fmt.Fprintf(os.Stderr, "keeperfleet: routing %d tenants over %d nodes on %s, wire %s (gate wait %v, rebalance %v)\n",
+			*tenants, len(list), *addr, *wireListen, *gateWait, *rebalance)
 		for t := 0; t < *tenants; t++ {
 			fmt.Fprintf(os.Stderr, "keeperfleet:   tenant %d → %s\n", t, router.Owner(t))
 		}
@@ -157,9 +151,7 @@ func main() {
 		case <-tick.C:
 		}
 	}
-	if ws != nil {
-		ws.Close()
-	}
+	ws.Close()
 	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(shutCtx); err != nil {

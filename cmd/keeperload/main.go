@@ -6,35 +6,29 @@
 // at a fixed aggregate rate regardless of completions — the mode that
 // exposes backpressure).
 //
-// -addr accepts one target or a comma-separated list: with several, requests
-// round-robin across them (each a node, or several fleet routers) and the
-// report breaks out per-node as well as aggregate percentiles.
-//
-// Two transports: the default is HTTP (POST /io, or /io/batch with -batch);
-// -wire speaks the persistent framed wire protocol instead, in which case
-// the -addr targets are wire listener host:port addresses (a node's
-// -wire-listen, or a router's). With -batch N over wire, each chunk of N
-// requests is pipelined onto one connection and the replies collected out
-// of band; a single request is a chunk of one on the same path.
+// It speaks the persistent framed wire protocol (internal/wire), the only
+// way I/O reaches a node or a router: each -addr target is a wire listener's
+// host:port (a node's -wire-listen, or a router's). -addr accepts one target
+// or a comma-separated list: with several, requests round-robin across them
+// (each a node, or several fleet routers) and the report breaks out per-node
+// as well as aggregate percentiles. With -batch N each chunk of N requests
+// is pipelined onto one connection and the replies collected out of band; a
+// single request is a chunk of one on the same path.
 //
 // Usage:
 //
-//	keeperload -addr http://localhost:8080 -n 1000 -concurrency 32
-//	keeperload -addr http://localhost:8081,http://localhost:8082 -n 5000
+//	keeperload -n 1000 -concurrency 32                   # node on localhost:9080
+//	keeperload -addr localhost:9081,localhost:9082 -n 5000
 //	keeperload -mode open -iops 2000 -n 5000 -write-ratios 0.9,0.1,0.8,0.2
-//	keeperload -wire -addr localhost:9090 -n 10000            # router wire listener
+//	keeperload -addr localhost:9090 -n 10000             # router wire listener
 //	keeperload -n 1000 -json > result.json
 package main
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"math/rand"
-	"net/http"
 	"os"
 	"strconv"
 	"strings"
@@ -70,7 +64,6 @@ type nodeReport struct {
 
 type report struct {
 	Mode        string         `json:"mode"`
-	Transport   string         `json:"transport"`
 	Batch       int            `json:"batch,omitempty"`
 	Requests    int            `json:"requests"`
 	OK          uint64         `json:"ok"`
@@ -98,13 +91,12 @@ type tenantStats struct {
 
 func main() {
 	var (
-		addr      = flag.String("addr", "http://localhost:8080", "target base URL (or wire host:port with -wire), comma-separated to round-robin")
+		addr      = flag.String("addr", "localhost:9080", "target wire listener host:port, comma-separated to round-robin")
 		mode      = flag.String("mode", "closed", "closed (worker pool) or open (fixed rate)")
 		n         = flag.Int("n", 1000, "total requests")
-		workers   = flag.Int("concurrency", 32, "closed-loop worker count (also bounds open-loop in-flight and the HTTP connection pool)")
-		useWire   = flag.Bool("wire", false, "drive the persistent framed wire protocol instead of HTTP (-addr entries are host:port)")
+		workers   = flag.Int("concurrency", 32, "closed-loop worker count (also bounds open-loop in-flight chunks)")
 		wireConns = flag.Int("wire-conns", 4, "persistent wire connections per target")
-		batch     = flag.Int("batch", 1, "requests per batch: >1 drives /io/batch (HTTP) or pipelined chunks (wire)")
+		batch     = flag.Int("batch", 1, "requests per pipelined chunk")
 		spread    = flag.Bool("spread", false, "set a distinct shard key per request, spreading tenants across daemon shards")
 		iops      = flag.Float64("iops", 2000, "open-loop aggregate arrival rate (req/s, wall)")
 		tenants   = flag.Int("tenants", 4, "tenant count")
@@ -112,7 +104,6 @@ func main() {
 		size      = flag.Int("size", 16*1024, "request size in bytes")
 		maxBytes  = flag.Int64("max-bytes", 64<<20, "per-tenant address space to spread offsets over")
 		seed      = flag.Int64("seed", 1, "workload seed")
-		timeout   = flag.Duration("timeout", 30*time.Second, "per-request HTTP timeout (a wire call waits for its reply or its connection's death)")
 		asJSON    = flag.Bool("json", false, "write the report as JSON to stdout")
 	)
 	flag.Parse()
@@ -154,27 +145,14 @@ func main() {
 		}
 	}
 
-	// A dedicated transport with a connection pool sized to the worker count:
-	// the default transport caps idle connections per host at 2, so a large
-	// -concurrency would otherwise churn through TCP handshakes mid-run.
 	r := &runner{
 		reqs:    reqs,
 		mode:    *mode,
 		workers: *workers,
 		iops:    *iops,
 		batch:   *batch,
-		useWire: *useWire,
 		wconns:  *wireConns,
 		tenants: *tenants,
-		client: &http.Client{
-			Timeout: *timeout,
-			Transport: &http.Transport{
-				MaxIdleConns:        *workers,
-				MaxIdleConnsPerHost: *workers,
-				MaxConnsPerHost:     *workers,
-				IdleConnTimeout:     90 * time.Second,
-			},
-		},
 	}
 
 	rep := r.run(addrs)
@@ -201,8 +179,8 @@ func printReport(rep *report) {
 	if rep.Batch > 1 {
 		batch = fmt.Sprintf(", batch %d", rep.Batch)
 	}
-	fmt.Printf("%s loop over %s%s: %d ok, %d rejected, %d failed in %.2fs (%.0f req/s)\n",
-		rep.Mode, rep.Transport, batch, rep.OK, rep.Rejected, rep.Failed, rep.WallSeconds, rep.Throughput)
+	fmt.Printf("%s loop over wire%s: %d ok, %d rejected, %d failed in %.2fs (%.0f req/s)\n",
+		rep.Mode, batch, rep.OK, rep.Rejected, rep.Failed, rep.WallSeconds, rep.Throughput)
 	fmt.Printf("  round trip: p50 %.3fms p99 %.3fms\n", rep.RTTP50Ms, rep.RTTP99Ms)
 	for _, tr := range rep.Tenants {
 		fmt.Printf("  tenant %d (w=%.2f): ok %d rej %d, p50 %.3fms p99 %.3fms max %.3fms\n",
@@ -221,10 +199,8 @@ type runner struct {
 	workers int
 	iops    float64
 	batch   int
-	useWire bool
 	wconns  int
 	tenants int
-	client  *http.Client
 }
 
 func (r *runner) run(addrs []string) report {
@@ -243,31 +219,19 @@ func (r *runner) run(addrs []string) report {
 	// unlike the simulated device latency in the per-tenant percentiles.
 	rtt := &tenantStats{}
 
-	var wcs []*wire.Client
-	if r.useWire {
-		wcs = make([]*wire.Client, len(addrs))
-		for i, a := range addrs {
-			wcs[i] = wire.NewClient(wireAddr(a), r.wconns)
-		}
-		defer func() {
-			for _, wc := range wcs {
-				wc.Close()
-			}
-		}()
+	wcs := make([]*wire.Client, len(addrs))
+	for i, a := range addrs {
+		wcs[i] = wire.NewClient(a, r.wconns)
 	}
+	defer func() {
+		for _, wc := range wcs {
+			wc.Close()
+		}
+	}()
 
 	submitChunk := func(lo, hi, k int) {
 		t0 := time.Now()
-		var anyOK bool
-		switch {
-		case r.useWire:
-			anyOK = r.wireBatch(wcs[k], lo, hi, perTenant, perNode[k])
-		case hi-lo == 1:
-			anyOK = r.httpOne(addrs[k], r.reqs[lo], perTenant, perNode[k])
-		default:
-			anyOK = r.httpBatch(addrs[k], lo, hi, perTenant, perNode[k])
-		}
-		if anyOK {
+		if r.wireBatch(wcs[k], lo, hi, perTenant, perNode[k]) {
 			recordRTT(rtt, time.Since(t0))
 		}
 	}
@@ -321,10 +285,7 @@ func (r *runner) run(addrs []string) report {
 	wg.Wait()
 	wall := time.Since(start)
 
-	rep := report{Mode: r.mode, Transport: "http", Requests: len(r.reqs), WallSeconds: wall.Seconds()}
-	if r.useWire {
-		rep.Transport = "wire"
-	}
+	rep := report{Mode: r.mode, Requests: len(r.reqs), WallSeconds: wall.Seconds()}
 	if r.batch > 1 {
 		rep.Batch = r.batch
 	}
@@ -363,112 +324,6 @@ func (r *runner) run(addrs []string) report {
 	return rep
 }
 
-// httpOne POSTs one request and records its outcome under both the tenant's
-// and the target node's accumulators. Reported latency is the daemon's
-// simulated response latency (queue wait included), not the HTTP round
-// trip, so percentiles describe the device under the configured
-// acceleration rather than loopback networking; the round trip lands in the
-// separate rtt histogram.
-func (r *runner) httpOne(base string, req serve.Request, perTenant []*tenantStats, ns *tenantStats) bool {
-	ts := perTenant[req.Tenant]
-	var body string
-	if req.Key != 0 {
-		body = fmt.Sprintf(`{"tenant":%d,"op":"%s","offset":%d,"size":%d,"key":%d}`,
-			req.Tenant, opName(req.Op), req.Offset, req.Size, req.Key)
-	} else {
-		body = fmt.Sprintf(`{"tenant":%d,"op":"%s","offset":%d,"size":%d}`,
-			req.Tenant, opName(req.Op), req.Offset, req.Size)
-	}
-	resp, err := r.client.Post(base+"/io", "application/json", strings.NewReader(body))
-	if err != nil {
-		recordFail(ts)
-		recordFail(ns)
-		return false
-	}
-	defer resp.Body.Close()
-	data, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-
-	switch {
-	case resp.StatusCode == http.StatusOK:
-		var jr struct {
-			LatencyNS int64 `json:"latency_ns"`
-		}
-		if err := json.Unmarshal(data, &jr); err != nil {
-			recordFail(ts)
-			recordFail(ns)
-			return false
-		}
-		lat := sim.Time(jr.LatencyNS)
-		recordOK(ts, lat, req.Op == trace.Write)
-		recordOK(ns, lat, req.Op == trace.Write)
-		return true
-	case resp.StatusCode == http.StatusTooManyRequests,
-		resp.StatusCode == http.StatusServiceUnavailable:
-		recordRej(ts)
-		recordRej(ns)
-	default:
-		recordFail(ts)
-		recordFail(ns)
-	}
-	return false
-}
-
-// httpBatch POSTs reqs[lo:hi] as one /io/batch body and records each reply
-// line against its request. Missing trailer lines (an upstream that died
-// mid-batch) count as failures.
-func (r *runner) httpBatch(base string, lo, hi int, perTenant []*tenantStats, ns *tenantStats) bool {
-	var sb strings.Builder
-	for i := lo; i < hi; i++ {
-		sb.WriteString(serve.EncodeLine(r.reqs[i]))
-		sb.WriteByte('\n')
-	}
-	resp, err := r.client.Post(base+"/io/batch", "text/plain", strings.NewReader(sb.String()))
-	if err != nil {
-		for i := lo; i < hi; i++ {
-			recordFail(perTenant[r.reqs[i].Tenant])
-			recordFail(ns)
-		}
-		return false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		for i := lo; i < hi; i++ {
-			recordFail(perTenant[r.reqs[i].Tenant])
-			recordFail(ns)
-		}
-		return false
-	}
-	anyOK := false
-	sc := bufio.NewScanner(resp.Body)
-	i := lo
-	for i < hi && sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		req := r.reqs[i]
-		ts := perTenant[req.Tenant]
-		if lat, ok := parseOKLine(line); ok {
-			recordOK(ts, lat, req.Op == trace.Write)
-			recordOK(ns, lat, req.Op == trace.Write)
-			anyOK = true
-		} else if reason, ok := parseRejLine(line); ok && rejection(reason) {
-			recordRej(ts)
-			recordRej(ns)
-		} else {
-			recordFail(ts)
-			recordFail(ns)
-		}
-		i++
-	}
-	for ; i < hi; i++ {
-		recordFail(perTenant[r.reqs[i].Tenant])
-		recordFail(ns)
-	}
-	return anyOK
-}
-
 // chunkOutcome is one pipelined call's result, written by the connection's
 // read goroutine at its own index (the WaitGroup is the publication
 // barrier).
@@ -489,9 +344,12 @@ func (o *chunkObs) Done(tag uint64, latencyNS, _ int64, reason string, err error
 }
 
 // wireBatch pipelines reqs[lo:hi] onto the client and waits for every
-// reply (a chunk of one is a single request). A dead connection fails the
-// remainder promptly through the client's sweep, so the wait cannot outlive
-// the transport.
+// reply (a chunk of one is a single request). Reported latency is the
+// daemon's simulated response latency (queue wait included), not the round
+// trip, so percentiles describe the device under the configured
+// acceleration rather than loopback networking; the round trip lands in the
+// separate rtt histogram. A dead connection fails the remainder promptly
+// through the client's sweep, so the wait cannot outlive the transport.
 func (r *runner) wireBatch(wc *wire.Client, lo, hi int, perTenant []*tenantStats, ns *tenantStats) bool {
 	n := hi - lo
 	obs := &chunkObs{res: make([]chunkOutcome, n)}
@@ -527,31 +385,10 @@ func (r *runner) wireBatch(wc *wire.Client, lo, hi int, perTenant []*tenantStats
 }
 
 // rejection reports whether a reply reason counts as a rejection (the
-// request reached a healthy admission path and was refused) rather than a
-// failure — mirroring the HTTP mapping of 429/503 to rejected and
-// everything else non-OK to failed.
+// request reached a healthy admission path and was refused and may be
+// retried) rather than a failure (invalid, upstream, or anything unknown).
 func rejection(reason string) bool {
 	return reason == "queue_full" || reason == "migrating" || reason == "draining"
-}
-
-// parseOKLine parses a batch reply "ok <latency_ns>".
-func parseOKLine(line []byte) (sim.Time, bool) {
-	if !bytes.HasPrefix(line, []byte("ok ")) {
-		return 0, false
-	}
-	v, err := strconv.ParseInt(string(bytes.TrimSpace(line[3:])), 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return sim.Time(v), true
-}
-
-// parseRejLine parses a batch reply "rej <reason>".
-func parseRejLine(line []byte) (string, bool) {
-	if !bytes.HasPrefix(line, []byte("rej ")) {
-		return "", false
-	}
-	return string(bytes.TrimSpace(line[4:])), true
 }
 
 func recordOK(s *tenantStats, lat sim.Time, isWrite bool) {
@@ -583,13 +420,6 @@ func recordRTT(s *tenantStats, d time.Duration) {
 	s.mu.Lock()
 	s.hist.Add(sim.Time(d.Nanoseconds()))
 	s.mu.Unlock()
-}
-
-func opName(op trace.Op) string {
-	if op == trace.Write {
-		return "write"
-	}
-	return "read"
 }
 
 func ms(t sim.Time) float64 { return float64(t) / 1e6 }
@@ -631,15 +461,6 @@ func parseAddrs(s string) []string {
 		}
 	}
 	return out
-}
-
-// wireAddr strips a URL scheme if the caller passed one, leaving the
-// host:port a wire client dials.
-func wireAddr(a string) string {
-	for _, scheme := range []string{"http://", "https://", "tcp://"} {
-		a = strings.TrimPrefix(a, scheme)
-	}
-	return a
 }
 
 func fatal(err error) {

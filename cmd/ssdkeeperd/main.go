@@ -1,10 +1,13 @@
 // Command ssdkeeperd is the live multi-tenant SSD service daemon: a
-// simulated device served over HTTP, with SSDKeeper's adaptation loop
-// running online. Tenants submit I/O to /io (JSON) or /io/batch (line
-// protocol); arrivals feed the keeper's sliding-window collector, and each
-// elapsed window triggers ANN inference and an epoch-based channel
-// re-allocation on the serving device. /metrics exposes Prometheus text,
-// /healthz liveness, /debug/pprof profiles. SIGINT/SIGTERM drains
+// simulated device with SSDKeeper's adaptation loop running online. Tenants
+// submit I/O over the framed wire protocol on -wire-listen (internal/wire:
+// one "<seq> <tenant> <R|W> <offset> <size> [key]" line per request,
+// answered "<seq> ok <latency_ns> <sim_ns>" or "<seq> rej <reason>");
+// arrivals feed the keeper's sliding-window collector, and each elapsed
+// window triggers ANN inference and an epoch-based channel re-allocation on
+// the serving device. HTTP on -addr is the control plane: /metrics exposes
+// Prometheus text, /healthz liveness, /readyz readiness, /tenant/* the
+// migration primitives, /debug/pprof profiles. SIGINT/SIGTERM drains
 // gracefully: admission stops, queued requests are rejected, in-flight
 // requests complete, and the daemon exits 0 with a final device summary.
 //
@@ -23,6 +26,7 @@
 //	ssdkeeperd -addr :8080 -model models/         # registry + hot reload
 //	ssdkeeperd -addr :8080 -train-workloads 12   # self-train a quick model
 //	ssdkeeperd -no-keeper                        # serve without adaptation
+//	printf '1 0 R 0 16384\n' | nc localhost 9080  # one read by hand
 package main
 
 import (
@@ -52,8 +56,8 @@ import (
 
 func main() {
 	var (
-		addr       = flag.String("addr", ":8080", "listen address")
-		wireListen = flag.String("wire-listen", "", "also serve the framed wire protocol on this address (persistent multiplexed connections; required for a node behind keeperfleet, whose only data plane it is)")
+		addr       = flag.String("addr", ":8080", "HTTP control-plane listen address")
+		wireListen = flag.String("wire-listen", ":9080", "I/O listen address: the framed wire protocol, persistent multiplexed connections (a keeperfleet router's -wire-nodes entry for this node)")
 		modelPath  = flag.String("model", "", "trained model checkpoint file, or a versioned checkpoint registry directory whose latest version is served and which enables POST /model/reload and SIGHUP hot reload (empty: self-train a quick model at startup)")
 		noKeeper   = flag.Bool("no-keeper", false, "serve without the online keeper (static shared allocation)")
 		accel      = flag.Float64("accel", 1.0, "simulated nanoseconds per wall nanosecond")
@@ -65,7 +69,6 @@ func main() {
 		queueLen   = flag.Int("queue-len", 64, "per-tenant admission queue bound")
 		queueDepth = flag.Int("queue-depth", 32, "per-tenant in-device command bound")
 		maxBytes   = flag.Int64("max-bytes", 64<<20, "per-tenant logical address space")
-		timeout    = flag.Duration("timeout", 30*time.Second, "per-request completion deadline (wall)")
 		fresh      = flag.Bool("fresh", false, "skip device seasoning (no GC pressure)")
 		faultPlan  = flag.String("fault-plan", "", `file holding a device fault-plan DSL (e.g. "die:ch2:die1@30s,retire:ch0:blk12@45s"; # comments and newlines allowed), injected into every serving shard`)
 		faultSeed  = flag.Int64("fault-seed", 1, "seed of the fault plan's read-retry hash")
@@ -164,33 +167,27 @@ func main() {
 		}()
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: s.Handler(*timeout)}
-	errc := make(chan error, 1)
+	ln, err := net.Listen("tcp", *wireListen)
+	if err != nil {
+		s.Drain()
+		fatal(err)
+	}
+	ws := wire.NewServer(s.Node)
+	srv := &http.Server{Addr: *addr, Handler: s.Handler(0)}
+	errc := make(chan error, 2)
 	go func() {
 		if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 			errc <- err
 		}
 	}()
-	var ws *wire.Server
-	if *wireListen != "" {
-		ln, err := net.Listen("tcp", *wireListen)
-		if err != nil {
-			s.Drain()
-			fatal(err)
+	go func() {
+		if err := ws.Serve(ln); err != nil {
+			errc <- err
 		}
-		ws = wire.NewServer(s.Node)
-		go func() {
-			if err := ws.Serve(ln); err != nil {
-				errc <- err
-			}
-		}()
-	}
+	}()
 	if !*quiet {
-		fmt.Fprintf(os.Stderr, "ssdkeeperd: serving on %s (accel %g, shards %d, keeper %v",
-			*addr, *accel, s.ShardCount(), k != nil)
-		if *wireListen != "" {
-			fmt.Fprintf(os.Stderr, ", wire %s", *wireListen)
-		}
+		fmt.Fprintf(os.Stderr, "ssdkeeperd: serving on %s, wire %s (accel %g, shards %d, keeper %v",
+			*addr, *wireListen, *accel, s.ShardCount(), k != nil)
 		if modelVersion != "" {
 			fmt.Fprintf(os.Stderr, ", model %s", modelVersion)
 		}
@@ -205,17 +202,15 @@ func main() {
 	}
 
 	// Graceful drain: reject what is queued, finish what is in flight, then
-	// close the listener once every blocked handler has been answered.
+	// close the listeners.
 	if !*quiet {
 		fmt.Fprintln(os.Stderr, "ssdkeeperd: draining...")
 	}
 	res := s.Drain()
-	if ws != nil {
-		// After the drain every admitted request has resolved, so closing
-		// the wire listener cannot orphan a completion.
-		ws.Close()
-	}
-	shutCtx, cancel := context.WithTimeout(context.Background(), *timeout)
+	// After the drain every admitted request has resolved, so closing the
+	// wire listener cannot orphan a completion.
+	ws.Close()
+	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(shutCtx); err != nil {
 		fatal(err)

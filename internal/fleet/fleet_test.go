@@ -95,134 +95,70 @@ func startFleet(t *testing.T, nodes int) ([]*testNode, *Router) {
 	return members, r
 }
 
-// front is one of the router's three client-facing fronts reduced to "send
-// one read and classify the answer": reason is "" for ok and the rejection
-// token otherwise; err is an outright failure.
-type front struct {
-	name string
-	do   func(tenant int, pageNo int64) (reason string, err error)
-}
-
-// startFronts serves the router on HTTP and on wire and returns the three
-// fronts over them: JSON /io, line-protocol /io/batch, and the wire listener.
-func startFronts(t *testing.T, r *Router) []front {
+// startClient serves the router on a wire listener, its one request front,
+// and returns a client of it.
+func startClient(t *testing.T, r *Router) *wire.Client {
 	t.Helper()
-	hs := httptest.NewServer(r.Handler())
-	t.Cleanup(hs.Close)
 	wc := wire.NewClient(startWireListener(t, r.WireBackend()), 4)
 	t.Cleanup(wc.Close)
-	client := &http.Client{Timeout: 30 * time.Second}
-	return []front{
-		{"io", func(tenant int, pageNo int64) (string, error) {
-			code, body := postIO(t, client, hs.URL, tenant, pageNo)
-			switch {
-			case code == http.StatusOK:
-				return "", nil
-			case code == http.StatusServiceUnavailable && strings.Contains(body, "migrating"):
-				return "migrating", nil
-			case code == http.StatusTooManyRequests:
-				return "queue_full", nil
-			}
-			return "", fmt.Errorf("/io = %d: %s", code, body)
-		}},
-		{"batch", func(tenant int, pageNo int64) (string, error) {
-			line := fmt.Sprintf("%d R %d 16384\n", tenant, pageNo*16384)
-			resp, err := client.Post(hs.URL+"/io/batch", "text/plain", strings.NewReader(line))
-			if err != nil {
-				return "", err
-			}
-			defer resp.Body.Close()
-			data, _ := io.ReadAll(resp.Body)
-			f := strings.Fields(string(data))
-			switch {
-			case resp.StatusCode == http.StatusOK && len(f) == 2 && f[0] == "ok":
-				return "", nil
-			case resp.StatusCode == http.StatusOK && len(f) == 2 && f[0] == "rej" && f[1] != "upstream":
-				return f[1], nil
-			}
-			return "", fmt.Errorf("/io/batch = %d: %q", resp.StatusCode, data)
-		}},
-		{"wire", func(tenant int, pageNo int64) (string, error) {
-			reason, err := wireCall(wc, serve.Request{
-				Tenant: tenant, Op: trace.Read, Offset: pageNo * 16384, Size: 16384,
-			})
-			if err == nil && reason == "upstream" {
-				err = fmt.Errorf("rej upstream")
-			}
-			return reason, err
-		}},
-	}
+	return wc
 }
 
 // wireReply is what a wire call's observer was handed.
 type wireReply struct {
-	reason string
-	err    error
+	latencyNS int64
+	reason    string
+	err       error
 }
 
 type wireObs chan wireReply
 
-func (o wireObs) Done(_ uint64, _, _ int64, reason string, err error) { o <- wireReply{reason, err} }
+func (o wireObs) Done(_ uint64, latencyNS, _ int64, reason string, err error) {
+	o <- wireReply{latencyNS, reason, err}
+}
 
 // wireCall issues one request through the wire client's one delivery path,
 // Start and its observer, and blocks for the reply. No deadline of its own:
-// the router answers every call, "upstream" when no owner did in time.
-func wireCall(c *wire.Client, req serve.Request) (reason string, err error) {
+// the router answers every call, "upstream" when its owner's connection died.
+func wireCall(c *wire.Client, req serve.Request) wireReply {
 	o := make(wireObs, 1)
 	if err := c.Start(req, 0, o); err != nil {
-		return "", err
+		return wireReply{err: err}
 	}
-	r := <-o
+	return <-o
+}
+
+// readVia sends one read through a wire client and classifies the answer:
+// reason is "" for ok and the rejection token otherwise; err is an outright
+// failure, "rej upstream" included.
+func readVia(c *wire.Client, tenant int, pageNo int64) (reason string, err error) {
+	r := wireCall(c, serve.Request{Tenant: tenant, Op: trace.Read, Offset: pageNo * 16384, Size: 16384})
+	if r.err == nil && r.reason == "upstream" {
+		r.err = fmt.Errorf("rej upstream")
+	}
 	return r.reason, r.err
 }
 
-func postIO(t *testing.T, client *http.Client, base string, tenant int, pageNo int64) (int, string) {
-	t.Helper()
-	body := fmt.Sprintf(`{"tenant":%d,"op":"read","offset":%d,"size":16384}`, tenant, pageNo*16384)
-	resp, err := client.Post(base+"/io", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatalf("POST /io: %v", err)
-	}
-	defer resp.Body.Close()
-	data, _ := io.ReadAll(resp.Body)
-	return resp.StatusCode, string(data)
-}
-
-// TestRouterProxiesIO: requests reach the owner node and answer 200; the
-// batch path splits by owner and reassembles line order.
+// TestRouterProxiesIO: reads and writes for every tenant, pipelined
+// through the router's wire listener with replies in completion order,
+// reach their owner nodes and answer ok with a simulated latency.
 func TestRouterProxiesIO(t *testing.T) {
 	_, router := startFleet(t, 2)
-	front := httptest.NewServer(router.Handler())
-	defer front.Close()
+	wc := startClient(t, router)
 
-	for tenant := 0; tenant < 4; tenant++ {
-		code, body := postIO(t, http.DefaultClient, front.URL, tenant, int64(tenant))
-		if code != http.StatusOK {
-			t.Fatalf("tenant %d: /io = %d: %s", tenant, code, body)
+	o := make(wireObs, 8)
+	for i := 0; i < cap(o); i++ {
+		req := serve.Request{Tenant: i % 4, Op: trace.Read, Offset: int64(i) * 16384, Size: 16384}
+		if i%2 == 1 {
+			req.Op = trace.Write
 		}
-		var jr struct {
-			LatencyNS int64 `json:"latency_ns"`
-		}
-		if err := json.Unmarshal([]byte(body), &jr); err != nil || jr.LatencyNS <= 0 {
-			t.Fatalf("tenant %d: bad response %q", tenant, body)
+		if err := wc.Start(req, uint64(i), o); err != nil {
+			t.Fatal(err)
 		}
 	}
-
-	// A batch mixing all tenants — owners differ per line, order must hold.
-	batch := "0 R 0 16384\n1 W 16384 16384\n2 R 32768 16384\n3 W 49152 16384\n"
-	resp, err := http.Post(front.URL+"/io/batch", "text/plain", strings.NewReader(batch))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("batch answered %d lines, want 4: %q", len(lines), data)
-	}
-	for i, ln := range lines {
-		if !strings.HasPrefix(ln, "ok ") {
-			t.Errorf("line %d = %q, want ok", i, ln)
+	for i := 0; i < cap(o); i++ {
+		if r := <-o; r.err != nil || r.reason != "" || r.latencyNS <= 0 {
+			t.Errorf("reply %+v, want ok with a latency", r)
 		}
 	}
 }
@@ -282,21 +218,20 @@ func TestRouterStatusAndMetrics(t *testing.T) {
 		}
 	}
 	// Post-migration traffic flows to the new owner.
-	if code, body := postIO(t, http.DefaultClient, front.URL, 0, 1); code != http.StatusOK {
-		t.Errorf("post-migration /io = %d: %s", code, body)
+	if reason, err := readVia(startClient(t, router), 0, 1); reason != "" || err != nil {
+		t.Errorf("post-migration read: reason %q err %v", reason, err)
 	}
 }
 
 // TestMigrationUnderLoad is the fleet's zero-loss/zero-duplication
-// guarantee under -race: clients spread over the router's three fronts
-// (/io, /io/batch, wire) hammer one tenant while that tenant is migrated
-// between nodes (twice — there and back). No request may fail — the queue
-// gate hides the handoff — and afterwards the client success count must
-// equal the sum of client completions across all nodes: nothing lost,
-// nothing double-counted, whichever front carried the request.
+// guarantee under -race: clients on the router's wire listener hammer one
+// tenant while that tenant is migrated between nodes (twice — there and
+// back). No request may fail — the queue gate hides the handoff — and
+// afterwards the client success count must equal the sum of client
+// completions across all nodes: nothing lost, nothing double-counted.
 func TestMigrationUnderLoad(t *testing.T) {
 	nodes, router := startFleet(t, 3)
-	fronts := startFronts(t, router)
+	wc := startClient(t, router)
 
 	const (
 		tenant  = 1
@@ -309,13 +244,12 @@ func TestMigrationUnderLoad(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			f := fronts[c%len(fronts)]
 			for i := 0; i < perEach; i++ {
-				reason, err := f.do(tenant, int64(c*perEach+i)%256)
+				reason, err := readVia(wc, tenant, int64(c*perEach+i)%256)
 				switch {
 				case err != nil:
 					failed.Add(1)
-					t.Errorf("%s client %d req %d: %v", f.name, c, i, err)
+					t.Errorf("client %d req %d: %v", c, i, err)
 				case reason == "":
 					ok.Add(1)
 				default:
@@ -365,8 +299,7 @@ func TestMigrationUnderLoad(t *testing.T) {
 }
 
 // TestGateWaitTimeout: a request gated by a migration that never finishes
-// must come back as a migrating rejection after GateWait — on every front —
-// not block forever.
+// must come back as a migrating rejection after GateWait, not block forever.
 func TestGateWaitTimeout(t *testing.T) {
 	n := startNode(t)
 	const gateWait = 150 * time.Millisecond
@@ -378,27 +311,23 @@ func TestGateWaitTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(r.Close)
-	fronts := startFronts(t, r)
+	wc := startClient(t, r)
 
 	gate := make(chan struct{})
 	r.publish(func(tab *routeTable) { tab.migrating[0] = gate })
-	for _, f := range fronts {
-		start := time.Now()
-		if reason, err := f.do(0, 0); err != nil || reason != "migrating" {
-			t.Fatalf("%s: gated request = reason %q err %v, want migrating", f.name, reason, err)
-		}
-		if e := time.Since(start); e < gateWait-10*time.Millisecond {
-			t.Errorf("%s answered in %v, before the %v gate wait expired", f.name, e, gateWait)
-		}
+	start := time.Now()
+	if reason, err := readVia(wc, 0, 0); err != nil || reason != "migrating" {
+		t.Fatalf("gated request = reason %q err %v, want migrating", reason, err)
+	}
+	if e := time.Since(start); e < gateWait-10*time.Millisecond {
+		t.Errorf("answered in %v, before the %v gate wait expired", e, gateWait)
 	}
 
-	// Release the gate: every front flows again.
+	// Release the gate: requests flow again.
 	r.publish(func(tab *routeTable) { delete(tab.migrating, 0) })
 	close(gate)
-	for _, f := range fronts {
-		if reason, err := f.do(0, 0); err != nil || reason != "" {
-			t.Fatalf("%s: ungated request = reason %q err %v", f.name, reason, err)
-		}
+	if reason, err := readVia(wc, 0, 0); err != nil || reason != "" {
+		t.Fatalf("ungated request = reason %q err %v", reason, err)
 	}
 }
 
@@ -415,35 +344,31 @@ func (b *migratingOnce) SubmitTo(req serve.Request, c serve.Completion) error {
 	return nil
 }
 
-// TestMigratingRetryEveryFront pins that the router has one forwarding path:
-// whichever front a request arrives on, a node's "migrating" rejection is
-// waited out and retried, and the request counts once in proxied_total
-// however many attempts it took. (/io/batch used to render "rej migrating",
-// and /io counted proxied only after a reply.)
+// TestMigratingRetryEveryFront pins the router's one forwarding path on its
+// one front, the wire listener: a node's "migrating" rejection is waited out
+// and retried, and the request counts once in proxied_total however many
+// attempts it took.
 func TestMigratingRetryEveryFront(t *testing.T) {
 	up := httptest.NewServer(http.NewServeMux()) // ring/control plane only
 	defer up.Close()
-	for i, name := range []string{"io", "batch", "wire"} {
-		t.Run("queue/"+name, func(t *testing.T) {
-			r, err := NewRouter(Config{
-				Nodes:     []string{up.URL},
-				WireNodes: []string{startWireListener(t, &migratingOnce{})},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer r.Close()
-			f := startFronts(t, r)[i]
-			if reason, err := f.do(0, 0); err != nil || reason != "" {
-				t.Fatalf("reason %q err %v, want the retry to succeed", reason, err)
-			}
-			var buf strings.Builder
-			r.WriteMetrics(&buf)
-			if !strings.Contains(buf.String(), "ssdkeeper_fleet_proxied_total 1\n") {
-				t.Errorf("one client request did not count once:\n%s", buf.String())
-			}
+	t.Run("queue/wire", func(t *testing.T) {
+		r, err := NewRouter(Config{
+			Nodes:     []string{up.URL},
+			WireNodes: []string{startWireListener(t, &migratingOnce{})},
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		if reason, err := readVia(startClient(t, r), 0, 0); err != nil || reason != "" {
+			t.Fatalf("reason %q err %v, want the retry to succeed", reason, err)
+		}
+		var buf strings.Builder
+		r.WriteMetrics(&buf)
+		if !strings.Contains(buf.String(), "ssdkeeper_fleet_proxied_total 1\n") {
+			t.Errorf("one client request did not count once:\n%s", buf.String())
+		}
+	})
 }
 
 // TestNewRouterRequiresWire: wire is the only data plane, so a fleet with a
@@ -458,37 +383,29 @@ func TestNewRouterRequiresWire(t *testing.T) {
 }
 
 // strandBackend completes the first limit requests inline and strands the
-// rest without answering; with kill set it tears the server down instead,
-// so in-flight requests die with their connection.
+// rest without answering.
 type strandBackend struct {
 	limit int64
 	n     atomic.Int64
-	kill  atomic.Bool
-	ws    *wire.Server
 }
 
 func (b *strandBackend) SubmitTo(req serve.Request, c serve.Completion) error {
-	if b.kill.Load() {
-		go b.ws.Close() // not inline: Close waits for this read loop
-		return nil
-	}
 	if b.n.Add(1) <= b.limit {
 		c.Complete(serve.Response{Latency: 1000, At: 1}, nil)
 	}
 	return nil
 }
 
-// TestBatchWireUpstreamDies: an owner that answers part of a batch and
-// strands or drops the rest must yield partial "ok" replies with the
-// remainder "rej upstream" — bounded by the request timeout, never a hang.
+// TestBatchWireUpstreamDies: an owner that answers part of a pipelined chunk
+// and strands the rest yields the partial "ok" replies; when it then dies,
+// the connection sweep answers the remainder "rej upstream" promptly, and a
+// request sent after the death is refused the same way — never a hang.
 func TestBatchWireUpstreamDies(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	bk := &strandBackend{limit: 4}
-	ws := wire.NewServer(bk)
-	bk.ws = ws
+	ws := wire.NewServer(&strandBackend{limit: 4})
 	go ws.Serve(ln)
 	defer ws.Close()
 	up := httptest.NewServer(http.NewServeMux()) // ring/control plane only
@@ -496,63 +413,45 @@ func TestBatchWireUpstreamDies(t *testing.T) {
 
 	r, err := NewRouter(Config{
 		Nodes: []string{up.URL}, WireNodes: []string{ln.Addr().String()},
-		WireConns:  1, // single conn: submissions reach the backend in line order
-		ReqTimeout: 400 * time.Millisecond,
+		WireConns: 1, // single conn: submissions reach the backend in order
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	front := httptest.NewServer(r.Handler())
-	defer front.Close()
+	wc := startClient(t, r)
 
-	postBatch := func() []string {
-		t.Helper()
-		resp, err := http.Post(front.URL+"/io/batch", "text/plain",
-			strings.NewReader(strings.Repeat("1 R 0 16384\n", 8)))
-		if err != nil {
+	o := make(wireObs, 8)
+	for i := 0; i < cap(o); i++ {
+		if err := wc.Start(serve.Request{Tenant: 1, Op: trace.Read, Size: 16384}, uint64(i), o); err != nil {
 			t.Fatal(err)
 		}
-		data, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-		if len(lines) != 8 {
-			t.Fatalf("batch answered %d lines, want 8: %q", len(lines), data)
+	}
+	for i := 0; i < 4; i++ {
+		if rep := <-o; rep != (wireReply{latencyNS: 1000}) {
+			t.Errorf("answered reply %d = %+v, want ok 1000", i, rep)
 		}
-		return lines
+	}
+	select {
+	case rep := <-o:
+		t.Fatalf("a stranded request answered %+v before its upstream died", rep)
+	case <-time.After(50 * time.Millisecond):
 	}
 
-	start := time.Now()
-	lines := postBatch()
-	elapsed := time.Since(start)
-	for i, ln := range lines {
-		want := "ok 1000"
-		if i >= 4 {
-			want = "rej upstream"
+	ws.Close()
+	deadline := time.After(5 * time.Second)
+	for i := 4; i < cap(o); i++ {
+		select {
+		case rep := <-o:
+			if rep.reason != "upstream" || rep.err != nil {
+				t.Errorf("stranded reply %d = %+v, want rej upstream", i, rep)
+			}
+		case <-deadline:
+			t.Fatalf("%d stranded requests still unanswered after the upstream died", cap(o)-i)
 		}
-		if ln != want {
-			t.Errorf("line %d = %q, want %q", i, ln, want)
-		}
 	}
-	if elapsed < 300*time.Millisecond {
-		t.Errorf("stranded batch answered in %v, before the %v deadline", elapsed, 400*time.Millisecond)
-	}
-	if elapsed > 5*time.Second {
-		t.Errorf("stranded batch took %v", elapsed)
-	}
-	// /io rides the same front: a request nobody answers is "upstream" there
-	// too, as a 502.
-	if code, body := postIO(t, http.DefaultClient, front.URL, 1, 0); code != http.StatusBadGateway {
-		t.Errorf("stranded /io = %d %q, want 502", code, body)
-	}
-
-	// Now the upstream dies under the batch: the connection sweep must fail
-	// every line promptly — no ok, no hang.
-	bk.kill.Store(true)
-	for i, ln := range postBatch() {
-		if ln != "rej upstream" {
-			t.Errorf("post-death line %d = %q, want rej upstream", i, ln)
-		}
+	if rep := wireCall(wc, serve.Request{Tenant: 1, Op: trace.Read, Size: 16384}); rep.reason != "upstream" || rep.err != nil {
+		t.Errorf("request after the upstream died = %+v, want rej upstream", rep)
 	}
 }
 
@@ -562,9 +461,10 @@ func TestMembershipProbe(t *testing.T) {
 	n := startNode(t)
 
 	// Complete one request so the metrics have a nonzero completion.
-	code, body := postIO(t, http.DefaultClient, n.ts.URL, 2, 0)
-	if code != http.StatusOK {
-		t.Fatalf("/io = %d: %s", code, body)
+	wc := wire.NewClient(n.wire, 1)
+	defer wc.Close()
+	if reason, err := readVia(wc, 2, 0); reason != "" || err != nil {
+		t.Fatalf("read: reason %q err %v", reason, err)
 	}
 
 	m := NewMembership([]string{n.ts.URL}, 5*time.Second)

@@ -14,8 +14,7 @@ import (
 func (r *Router) WireBackend() wire.Backend { return r }
 
 // SubmitTo implements wire.Backend and is the router's one forwarding path:
-// the wire listener calls it from its read goroutine, and the HTTP front
-// (serve.Front) calls it with a waiting completion. The fast path spawns
+// the wire listener calls it from its read goroutine. The fast path spawns
 // no goroutine and allocates nothing: one atomic table load resolves the
 // owner and the request is pipelined onto the owner's wire client; the
 // completion flows back through a pooled forwarder. Only the gated paths

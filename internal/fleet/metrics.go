@@ -15,7 +15,7 @@ type metrics struct {
 	proxied      atomic.Uint64 // client requests forwarded to owner nodes, counted once each
 	proxyErrs    atomic.Uint64 // forwards that failed at the transport
 	gateWaits    atomic.Uint64 // requests held at the router for a migration
-	gateRejects  atomic.Uint64 // requests answered 503 for a migration
+	gateRejects  atomic.Uint64 // requests refused "migrating" after GateWait
 	migStarted   atomic.Uint64
 	migCompleted atomic.Uint64
 	migAborted   atomic.Uint64

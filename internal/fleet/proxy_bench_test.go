@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -28,9 +27,7 @@ func (w benchWait) Complete(serve.Response, error) { w <- struct{}{} }
 // upstream that answers instantly, so the cost is pure proxy and transport.
 // wire drives SubmitTo the way the wire listener's read goroutine does —
 // one table load, a pooled forwarder, a pipelined frame — and bench_gate.sh
-// holds it at 0 allocs/op; io drives the same path through the JSON /io
-// adaptor (recorder + request construction included), which shows what the
-// compatibility front adds on top.
+// holds it at 0 allocs/op.
 func BenchmarkProxyTransport(b *testing.B) {
 	// The HTTP base URL must exist for the ring and control plane, but no
 	// data-plane request touches it.
@@ -56,23 +53,6 @@ func BenchmarkProxyTransport(b *testing.B) {
 					return
 				}
 				<-w
-			}
-		})
-	})
-
-	b.Run("io", func(b *testing.B) {
-		body := []byte(`{"tenant":1,"op":"read","offset":4096,"size":4096}`)
-		h := r.Handler()
-		b.ReportAllocs()
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				req := httptest.NewRequest(http.MethodPost, "/io", bytes.NewReader(body))
-				w := httptest.NewRecorder()
-				h.ServeHTTP(w, req)
-				if w.Code != http.StatusOK {
-					b.Errorf("status %d: %s", w.Code, w.Body.String())
-					return
-				}
 			}
 		})
 	})

@@ -28,12 +28,12 @@ type Config struct {
 	Tenants int
 	// GateWait bounds how long a migrating tenant's request is held at the
 	// router, waiting for the migration to complete so it can be forwarded
-	// to the new owner, before giving up with 503 (default 15s). Clients
-	// see added latency, not errors.
+	// to the new owner, before giving up with "rej migrating" (default 15s).
+	// Clients see added latency, not errors.
 	GateWait time.Duration
-	// ReqTimeout bounds how long the HTTP front waits for a forwarded
-	// request (a whole batch rides one budget) and each control-plane
-	// call (default 60s).
+	// ReqTimeout bounds each control-plane call: drain, handoff, release
+	// (default 60s). Forwarded I/O has no deadline of its own; a request
+	// ends with its reply or with its upstream connection's death.
 	ReqTimeout time.Duration
 	// WireNodes is the data plane, required: entry i is the wire
 	// (host:port) address of Nodes[i]. Every forwarded request rides a
@@ -202,14 +202,11 @@ func (r *Router) resolve(tenant int) (string, error) {
 	}
 }
 
-// Handler returns the router's HTTP surface: the client-facing request front
-// (serve.Front: /io and /io/batch, the same adaptor a node mounts, here over
-// the router's SubmitTo), the fleet control plane (/fleet/status,
-// /fleet/migrate), and the usual /metrics, /healthz, /readyz. A request no
-// owner answered within ReqTimeout is refused as serve.ErrUpstream.
+// Handler returns the router's HTTP surface, its control plane: placement
+// (/fleet/status, /fleet/migrate) and the usual /metrics, /healthz, /readyz.
+// Client I/O reaches the router only over its wire listener (WireBackend).
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	serve.NewFront(r, r.cfg.ReqTimeout, serve.ErrUpstream).Mount(mux)
 	mux.HandleFunc("/fleet/status", r.handleStatus)
 	mux.HandleFunc("/fleet/migrate", r.handleMigrate)
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
@@ -289,8 +286,8 @@ func (r *Router) handleMigrate(w http.ResponseWriter, req *http.Request) {
 // Migrate moves one tenant to the target node, live:
 //
 //  1. gate — publish the tenant as MIGRATING; new requests queue at the
-//     router (503 after GateWait) while everything already admitted at the
-//     source completes normally;
+//     router ("rej migrating" after GateWait) while everything already
+//     admitted at the source completes normally;
 //  2. drain — POST source /tenant/drain quiesces the tenant's queues across
 //     the source's shards and answers with its dispatched-record log;
 //  3. handoff — POST target /tenant/handoff, its body the drain body as it

@@ -1,17 +1,14 @@
 package serve
 
-import (
-	"testing"
+import "testing"
 
-	"ssdkeeper/internal/trace"
-)
-
-// FuzzDecode drives both daemon request decoders — the HTTP/JSON adaptor and
-// the line grammar — with arbitrary input: neither may panic, whatever
-// either accepts must classify under Validate, and whatever the line decoder
-// accepts must survive an encode/decode round trip. The seeds reuse the trace parser's fuzz corpus
-// shapes (MSR-style CSV rows) alongside native forms, since operators pipe
-// trace-derived files into /io/batch.
+// FuzzDecode drives the daemon's one request decoder, the line grammar that
+// is every wire frame's tail, with arbitrary input: it may not panic,
+// whatever it accepts must classify under Validate and survive an
+// encode/decode round trip. The seeds reuse the trace parser's fuzz corpus
+// shapes (MSR-style CSV rows) alongside native forms, since the grammar
+// takes comma-separated fields, and keep the JSON bodies the retired HTTP
+// front took as hostile input.
 func FuzzDecode(f *testing.F) {
 	// Native line-protocol forms.
 	f.Add("0 R 0 4096")
@@ -29,7 +26,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add("110,hostB,0,Write,4096,8192,0")
 	f.Add("100,h,0,Read,0,4096")
 	f.Add("0,,,R,0,0")
-	// JSON forms.
+	// JSON bodies, refused.
 	f.Add(`{"tenant":0,"op":"read","offset":0,"size":4096}`)
 	f.Add(`{"tenant":3,"op":"W","offset":16384,"size":1}`)
 	f.Add(`{"tenant":0,"op":"read","offset":0,"size":1,"extra":true}`)
@@ -58,12 +55,6 @@ func FuzzDecode(f *testing.F) {
 				t.Fatalf("line round trip changed %+v to %+v", req, back)
 			}
 			// Validation must classify, never panic, whatever was decoded.
-			_ = req.Validate(4, 64<<20)
-		}
-		if req, err := DecodeJSONRequest([]byte(in)); err == nil {
-			if req.Op != trace.Read && req.Op != trace.Write {
-				t.Fatalf("JSON decoder produced op %d from %q", req.Op, in)
-			}
 			_ = req.Validate(4, 64<<20)
 		}
 	})

@@ -1,9 +1,6 @@
 package serve
 
-import (
-	"context"
-	"fmt"
-)
+import "context"
 
 // outcome is what a submitted request resolved to.
 type outcome struct {
@@ -34,7 +31,7 @@ func (c submitted) wait(ctx context.Context) (Response, error) {
 	case out := <-c:
 		return out.resp, out.err
 	case <-ctx.Done():
-		return Response{}, fmt.Errorf("%w: %w", ErrCanceled, ctx.Err())
+		return Response{}, ctx.Err()
 	}
 }
 

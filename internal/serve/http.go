@@ -12,9 +12,9 @@ import (
 	"time"
 )
 
-// The daemon's HTTP surface:
+// The daemon's HTTP surface is its control plane; I/O arrives only over the
+// wire listener (internal/wire):
 //
-//	POST /io, /io/batch            the request front (front.go)
 //	POST /model/reload  hot-swap the active policy from the checkpoint
 //	                registry; see reload.go for the protocol
 //	POST /tenant/drain?tenant=N    quiesce one tenant; → 200 its record log
@@ -26,29 +26,17 @@ import (
 //	                (device health, judged by this read), or a tenant
 //	                handoff is in flight (fleet membership polls this)
 //	     /debug/pprof/*  standard profiles
-//
-// Backpressure: a full tenant queue answers 429 with a Retry-After hint; a
-// draining server answers 503, and so does a migrating tenant (the fleet
-// router retries once the migration completes). Each request's wait is
-// bounded by Handler's reqTimeout, so a stalled pacer cannot strand clients.
 
 // maxHandoffBytes bounds a tenant-handoff body without letting a bad client
 // exhaust memory. The body is the tenant log's own encoding, about 8 B per
 // dispatched request, so it admits some 30 M records.
 const maxHandoffBytes = 256 << 20
 
-// Handler returns the daemon's HTTP surface. reqTimeout bounds each
-// request's wait for simulated completion (0 means 30s); a request still
-// unanswered then is refused with ErrCanceled and counted in
-// ssdkeeper_rejected_total{reason="canceled"}.
-func (s *Server) Handler(reqTimeout time.Duration) http.Handler {
-	if reqTimeout <= 0 {
-		reqTimeout = 30 * time.Second
-	}
+// Handler returns the daemon's HTTP control plane. The duration is unused:
+// it bounded the retired HTTP request front's wait, and stays in the
+// signature for existing callers.
+func (s *Server) Handler(time.Duration) http.Handler {
 	mux := http.NewServeMux()
-	front := NewFront(s.Node, reqTimeout, ErrCanceled)
-	front.abandoned = &s.rejCanceled
-	front.Mount(mux)
 	mux.HandleFunc("/model/reload", s.handleReload)
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")

@@ -92,7 +92,6 @@ func (n *Node) WriteMetrics(w io.Writer) {
 	fmt.Fprintf(w, "ssdkeeper_rejected_total{reason=\"queue_full\"} %d\n", full)
 	fmt.Fprintf(w, "ssdkeeper_rejected_total{reason=\"draining\"} %d\n", n.rejDrain.Load())
 	fmt.Fprintf(w, "ssdkeeper_rejected_total{reason=\"invalid\"} %d\n", n.rejBad.Load())
-	fmt.Fprintf(w, "ssdkeeper_rejected_total{reason=\"canceled\"} %d\n", n.rejCanceled.Load())
 	fmt.Fprintf(w, "ssdkeeper_rejected_total{reason=\"migrating\"} %d\n", n.rejMigr.Load())
 
 	fmt.Fprintf(w, "# HELP ssdkeeper_tenants_parked Tenants whose admission gate is shut for drain/handoff.\n")

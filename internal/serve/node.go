@@ -18,10 +18,11 @@ import (
 // Node is the transport-free serving core: a stable-hash router over
 // ShardCount independent device shards, with per-tenant admission, online
 // keeper controllers, and per-tenant lifecycle (drain, handoff replay,
-// release). It knows nothing about HTTP — the Server front end binds it to
-// the wire, and the fleet router drives remote nodes through that same
-// binding. Build one with NewNode, start pacing with Start, submit with
-// SubmitTo, and stop it with Drain.
+// release). It knows nothing about transports: the wire listener
+// (internal/wire) feeds it requests, Server binds its control plane to HTTP,
+// and the fleet router drives remote nodes through those same two bindings.
+// Build one with NewNode, start pacing with Start, submit with SubmitTo, and
+// stop it with Drain.
 type Node struct {
 	cfg    Config
 	epoch  time.Time // wall anchor of sim time zero, shared by all shards
@@ -34,9 +35,6 @@ type Node struct {
 	rejBad   atomic.Uint64
 	rejDrain atomic.Uint64
 	rejMigr  atomic.Uint64
-	// rejCanceled counts requests the HTTP front stopped waiting for (they
-	// still ran; nobody read the reply).
-	rejCanceled atomic.Uint64
 
 	// degraded flips, for good, the first time a health read finds a
 	// shard's score below the configured threshold (audit.go), and holds the

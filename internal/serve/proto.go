@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 
 	"ssdkeeper/internal/sim"
@@ -54,42 +53,6 @@ func (r Request) Validate(tenants int, maxBytes int64) error {
 			r.Size, r.Offset, maxBytes)
 	}
 	return nil
-}
-
-// jsonRequest is the HTTP/JSON wire form of a request.
-type jsonRequest struct {
-	Tenant int    `json:"tenant"`
-	Op     string `json:"op"`
-	Offset int64  `json:"offset"`
-	Size   int    `json:"size"`
-	Key    uint64 `json:"key,omitempty"`
-}
-
-// jsonResponse is the HTTP/JSON wire form of a completion.
-type jsonResponse struct {
-	LatencyNS int64 `json:"latency_ns"`
-	SimNS     int64 `json:"sim_ns"`
-}
-
-// DecodeJSONRequest parses one JSON-encoded request with encoding/json.
-// Unknown fields are rejected so client typos fail loudly instead of silently
-// defaulting. JSON /io is a compatibility adaptor at the node and the router
-// (every benchmarked path rides the wire frame, whose tail is the line
-// grammar below), so it pays the stdlib decoder's ~2 µs and 9 allocations
-// rather than carrying a second hand-written codec; DESIGN.md §14 records
-// the measurement.
-func DecodeJSONRequest(data []byte) (Request, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var jr jsonRequest
-	if err := dec.Decode(&jr); err != nil {
-		return Request{}, fmt.Errorf("serve: bad JSON request: %w", err)
-	}
-	op, err := parseOpBytes([]byte(jr.Op))
-	if err != nil {
-		return Request{}, fmt.Errorf("serve: bad JSON request: %w", err)
-	}
-	return Request{Tenant: jr.Tenant, Op: op, Offset: jr.Offset, Size: jr.Size, Key: jr.Key}, nil
 }
 
 // lineSep reports whether b separates fields in the line protocol: any
@@ -187,8 +150,9 @@ func parseOpBytes(b []byte) (trace.Op, error) {
 //
 // Fields are separated by any run of spaces, tabs or commas; '#' starts a
 // comment; the optional fifth field is the shard-spreading key (see
-// Request.Key). This is the batch ingest hot path — callers hand it
-// bufio.Scanner.Bytes() directly and no intermediate strings are built.
+// Request.Key). It is the request tail of a wire frame, so this is the
+// ingest hot path: wire.ParseRequest hands it the frame straight off the
+// connection's read buffer and no intermediate strings are built.
 func DecodeLineBytes(line []byte) (Request, error) {
 	if i := bytes.IndexByte(line, '#'); i >= 0 {
 		line = line[:i]

@@ -72,35 +72,6 @@ func TestEncodeLineRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDecodeJSONRequest(t *testing.T) {
-	req, err := DecodeJSONRequest([]byte(`{"tenant":2,"op":"write","offset":8192,"size":4096}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := (Request{2, trace.Write, 8192, 4096, 0}); req != want {
-		t.Errorf("got %+v, want %+v", req, want)
-	}
-	keyed, err := DecodeJSONRequest([]byte(`{"tenant":1,"op":"read","offset":0,"size":512,"key":5}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if keyed.Key != 5 {
-		t.Errorf("key not decoded: got %+v", keyed)
-	}
-	bad := []string{
-		``,
-		`{`,
-		`{"tenant":0,"op":"transmogrify","offset":0,"size":1}`,
-		`{"tenant":0,"op":"read","offset":0,"size":1,"color":"red"}`, // unknown field
-		`{"tenant":"zero","op":"read","offset":0,"size":1}`,
-	}
-	for _, in := range bad {
-		if req, err := DecodeJSONRequest([]byte(in)); err == nil {
-			t.Errorf("DecodeJSONRequest(%q) accepted as %+v", in, req)
-		}
-	}
-}
-
 func TestRequestValidate(t *testing.T) {
 	ok := Request{Tenant: 1, Op: trace.Read, Offset: 4096, Size: 4096}
 	if err := ok.Validate(4, 64<<20); err != nil {
@@ -138,22 +109,5 @@ func TestParseOpSpellings(t *testing.T) {
 	}
 	if _, err := parseOpBytes([]byte("RR")); err == nil {
 		t.Error("parseOpBytes accepted RR")
-	}
-}
-
-// TestAppendIOResponse checks the manual renderer byte-for-byte against what
-// json.Encoder produces for jsonResponse, and that rendering allocates
-// nothing when the destination has capacity.
-func TestAppendIOResponse(t *testing.T) {
-	got := string(appendIOResponse(nil, 123456, -7))
-	want := "{\"latency_ns\":123456,\"sim_ns\":-7}\n"
-	if got != want {
-		t.Errorf("appendIOResponse = %q, want %q", got, want)
-	}
-	buf := make([]byte, 0, 64)
-	if n := testing.AllocsPerRun(200, func() {
-		buf = appendIOResponse(buf[:0], 987654321, 123456789)
-	}); n != 0 {
-		t.Errorf("appendIOResponse allocates %.1f objects per call, want 0", n)
 	}
 }

@@ -3,44 +3,38 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"net/http"
 )
 
 // reject is one row of the reject vocabulary: a refusal as the error the
-// serving path raises, the reason token the line and wire protocols carry,
-// and the HTTP status /io answers with.
+// serving path raises and the reason token the wire protocol carries.
 type reject struct {
 	err    error
 	reason string
-	status int
 }
 
-// rejects is the whole vocabulary. The HTTP front renders from it and the
-// wire frame codec writes and reads its tokens, so a node, a router and a
-// client agree on what a refusal is called by construction.
+// rejects is the whole vocabulary. The wire listener renders from it and the
+// frame codec reads its tokens back, so a node, a router and a client agree
+// on what a refusal is called by construction.
 var rejects = [...]reject{
-	{ErrQueueFull, "queue_full", http.StatusTooManyRequests},
-	{ErrTenantMigrating, "migrating", http.StatusServiceUnavailable},
-	{ErrDraining, "draining", http.StatusServiceUnavailable},
-	{ErrCanceled, "timeout", http.StatusGatewayTimeout},
-	{ErrUpstream, "upstream", http.StatusBadGateway},
+	{ErrQueueFull, "queue_full"},
+	{ErrTenantMigrating, "migrating"},
+	{ErrDraining, "draining"},
+	{ErrUpstream, "upstream"},
 }
 
-// invalid is what every other error is: a request refused for what it says.
-var invalid = reject{reason: "invalid", status: http.StatusBadRequest}
-
-// classify finds an error's row.
-func classify(err error) reject {
-	for _, r := range rejects {
-		if errors.Is(err, r.err) {
-			return r
-		}
-	}
-	return invalid
-}
+// invalidReason is what every other error is: a request refused for what it
+// says.
+const invalidReason = "invalid"
 
 // RejectReason renders an error as its reason token.
-func RejectReason(err error) string { return classify(err).reason }
+func RejectReason(err error) string {
+	for _, r := range rejects {
+		if errors.Is(err, r.err) {
+			return r.reason
+		}
+	}
+	return invalidReason
+}
 
 // ReasonString interns a reason token read off the wire: the vocabulary's
 // tokens come back as the table's own strings without allocating, so a caller
@@ -52,8 +46,8 @@ func ReasonString(b []byte) string {
 			return r.reason
 		}
 	}
-	if string(b) == invalid.reason {
-		return invalid.reason
+	if string(b) == invalidReason {
+		return invalidReason
 	}
 	return string(b)
 }
@@ -71,18 +65,4 @@ func ReasonError(reason string) error {
 		}
 	}
 	return fmt.Errorf("serve: rejected: %s", reason)
-}
-
-// retryAfterSeconds is the backoff hint sent with 429/503. One second spans
-// several pacer ticks and many device service times at any sane Accel.
-const retryAfterSeconds = "1"
-
-// writeReject answers a refused /io with its row's status, plus the
-// Retry-After hint where a retry can succeed.
-func writeReject(w http.ResponseWriter, err error) {
-	status := classify(err).status
-	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", retryAfterSeconds)
-	}
-	http.Error(w, err.Error(), status)
 }

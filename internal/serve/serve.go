@@ -4,11 +4,12 @@
 // admission, the online keeper controllers, and the per-tenant lifecycle —
 // including tenant-granular drain and handoff replay, the primitives the
 // fleet tier (internal/fleet) composes into live migration. Its one request
-// entry point is SubmitTo(request, Completion), the Backend surface; the
-// wire listener (internal/wire) and the HTTP front (Front, front.go) are
-// both adaptors over it, and because the fleet router is a Backend too, a
-// client cannot tell a router's fronts from a node's. Server (http.go) binds
-// a node to HTTP: the front plus the control, lifecycle and metrics routes.
+// entry point is SubmitTo(request, Completion), the Backend surface, and the
+// one way I/O reaches it from outside the process is the wire listener
+// (internal/wire); because the fleet router is a Backend too, a client cannot
+// tell a router's wire listener from a node's. Server (http.go) binds a node
+// to HTTP for the control plane only: the lifecycle, reload and metrics
+// routes.
 //
 // Concurrency model: a simulation engine is single-goroutine by design, so
 // each shard runs one goroutine that owns its engine, device, controller,
@@ -43,18 +44,13 @@ import (
 	"ssdkeeper/internal/ssd"
 )
 
-// Admission and lifecycle errors. reject.go maps each onto its reason token
-// and HTTP status.
+// Admission and lifecycle errors. reject.go maps each onto its reason token.
 var (
 	// ErrQueueFull is backpressure: the tenant's admission queue is at its
 	// bound. Clients should retry after backing off.
 	ErrQueueFull = errors.New("serve: tenant queue full")
 	// ErrDraining means the server is shutting down and admits nothing.
 	ErrDraining = errors.New("serve: draining")
-	// ErrCanceled means the node's HTTP front stopped waiting for the
-	// request (its timeout ended or the client went away). The request
-	// itself still runs to completion; only its reply is dropped.
-	ErrCanceled = errors.New("serve: request canceled")
 	// ErrTenantMigrating means the tenant's admission gate is closed for a
 	// drain/handoff: the tenant is being (or has been) migrated off this
 	// node. Clients should retry against the fleet router, which re-routes
@@ -192,6 +188,15 @@ func (p *Pending) resolve(resp Response, err error) {
 	pendingPool.Put(p)
 }
 
+// Backend is the request surface everything above a device submits through:
+// a synchronous error means the request was refused and c is never called;
+// otherwise c.Complete receives the outcome exactly once, on some other
+// goroutine. *Node implements it, and so does the fleet router, which is how
+// one wire listener serves both.
+type Backend interface {
+	SubmitTo(req Request, c Completion) error
+}
+
 // Completion receives an admitted request's outcome exactly once. Complete
 // is invoked from the owning shard's goroutine, so implementations must not
 // block (enqueue and return); err is non-nil when the request was rejected
@@ -200,9 +205,9 @@ type Completion interface {
 	Complete(resp Response, err error)
 }
 
-// Server is the HTTP front end over a node core: the node plus the HTTP
-// surface (Handler) and the model-reload hook. Everything transport-free
-// lives on the embedded Node; Server adds only what binds it to clients.
+// Server is a node core plus its HTTP control plane (Handler) and the
+// model-reload hook. Everything transport-free lives on the embedded Node;
+// Server adds only what binds it to operators and the fleet router.
 type Server struct {
 	*Node
 
@@ -210,7 +215,7 @@ type Server struct {
 	reloader Reloader
 }
 
-// New builds a server: a fresh node core wrapped in the HTTP front end.
+// New builds a server: a fresh node core wrapped in the HTTP control plane.
 // See NewNode for the core's semantics.
 func New(cfg Config, k *keeper.Keeper) (*Server, error) {
 	n, err := NewNode(cfg, k)

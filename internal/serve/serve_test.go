@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
@@ -229,74 +227,6 @@ func TestBackpressurePerTenant(t *testing.T) {
 	}
 	if _, err := submit(s, writeReq(1, 1)); !errors.Is(err, ErrDraining) {
 		t.Errorf("post-drain submit error = %v, want ErrDraining", err)
-	}
-}
-
-// TestAbandonedRequestCompletesOnce: the HTTP front stops waiting at its
-// timeout — 504 on /io, "rej timeout" on a batch line — but an admitted
-// request cannot be withdrawn. It keeps its slot, runs on the device exactly
-// once, and only then is the next submit admissible; the give-ups are what
-// ssdkeeper_rejected_total{reason="canceled"} counts. Run under -race: the
-// late completions land in waiters their handlers already left.
-func TestAbandonedRequestCompletesOnce(t *testing.T) {
-	clk := newFakeClock()
-	cfg := testConfig(clk)
-	cfg.QueueDepth = 1
-	cfg.QueueLen = 1
-	s := testServer(t, cfg, nil)
-	h := s.Handler(50 * time.Millisecond)
-	post := func(path, body string) *httptest.ResponseRecorder {
-		rr := httptest.NewRecorder()
-		h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
-		return rr
-	}
-
-	// The clock is frozen, so nothing completes: the /io request sits in the
-	// device, the batch's first line in the queue, and its second is refused.
-	rr := post("/io", `{"tenant":0,"op":"write","offset":0,"size":16384}`)
-	if rr.Code != http.StatusGatewayTimeout || rr.Body.String() != ErrCanceled.Error()+"\n" {
-		t.Fatalf("abandoned /io = %d %q, want 504 %q", rr.Code, rr.Body, ErrCanceled)
-	}
-	rr = post("/io/batch", "0 W 16384 16384\n0 W 32768 16384\n")
-	if rr.Code != http.StatusOK || rr.Body.String() != "rej timeout\nrej queue_full\n" {
-		t.Fatalf("abandoned batch = %d %q", rr.Code, rr.Body)
-	}
-	// Giving up withdrew nothing: both slots are still held.
-	occupancy := &s.shards[0].tenants[0].occupancy
-	if _, err := submit(s, writeReq(0, 3)); !errors.Is(err, ErrQueueFull) || occupancy.Load() != 2 {
-		t.Fatalf("submit behind two abandoned requests: err %v, occupancy %d; want ErrQueueFull, 2", err, occupancy.Load())
-	}
-
-	clk.Advance(time.Second)
-	s.SimNow()
-	if got := s.TenantCompleted(0); got != 2 || occupancy.Load() != 0 {
-		t.Fatalf("after the clock advanced: completed %d, occupancy %d; want 2, 0", got, occupancy.Load())
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	next, err := submit(s, writeReq(0, 3))
-	if err != nil {
-		t.Fatalf("submit after the abandoned requests completed: %v", err)
-	}
-	clk.Advance(time.Second)
-	s.SimNow()
-	if _, err := next.wait(ctx); err != nil {
-		t.Fatal(err)
-	}
-
-	var buf strings.Builder
-	s.WriteMetrics(&buf)
-	for _, want := range []string{
-		`ssdkeeper_rejected_total{reason="canceled"} 2`,
-		`ssdkeeper_completed_total{tenant="0",op="write"} 3`,
-	} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("metrics missing %q", want)
-		}
-	}
-	// Exactly once: the device saw each admitted request one time.
-	if res := s.Drain(); res.Requests != 3 {
-		t.Errorf("device executed %d requests, want 3", res.Requests)
 	}
 }
 

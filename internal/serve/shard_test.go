@@ -283,7 +283,7 @@ func TestShardedConcurrentServe(t *testing.T) {
 					okCount++
 				case errors.Is(err, ErrQueueFull), errors.Is(err, ErrDraining):
 					rejCount++
-				case errors.Is(err, ErrCanceled):
+				case errors.Is(err, context.DeadlineExceeded):
 					canceledCount++
 				default:
 					t.Errorf("worker %d: unexpected error %v", w, err)

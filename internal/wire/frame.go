@@ -9,7 +9,8 @@
 //	        | <seq> rej <reason>\n
 //
 // The request tail is exactly the serve line protocol (serve.DecodeLineBytes
-// parses it), so the wire format is the batch format plus a tag. Sequence
+// parses it), so the wire format is that line plus a tag. It is the only way
+// I/O enters a node or a router; HTTP carries their control planes. Sequence
 // numbers start at 1 and are unique per connection for the connection's
 // lifetime; seq 0 is invalid, which lets a listener distinguish "unparseable
 // frame" (close the connection) from "bad request" (reply rej invalid).
@@ -32,9 +33,9 @@ import (
 	"ssdkeeper/internal/trace"
 )
 
-// MaxFrameBytes bounds one frame (line) on both endpoints, aligned with the
-// serve layer's request-body bound so any line a node would accept over HTTP
-// batch also fits a wire frame.
+// MaxFrameBytes bounds one frame (line) on both endpoints. A listener that
+// reads a longer one closes that connection: nothing in a legal frame comes
+// near it, so such a peer is broken, and its replies could not be matched.
 const MaxFrameBytes = 4 << 20
 
 // AppendRequest renders a request frame. Append-style so callers reuse one

@@ -38,7 +38,7 @@ func NewServer(b Backend) *Server {
 
 // Serve accepts connections on ln until Close (which returns nil) or an
 // accept error (returned). Each connection is served until its peer closes
-// it or sends an unparseable frame.
+// it, sends an unparseable frame, or sends one longer than MaxFrameBytes.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	if s.closed {

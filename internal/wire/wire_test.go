@@ -95,7 +95,7 @@ func TestReasonStringInterns(t *testing.T) {
 // as its token and maps back onto the same error, so a proxy preserves error
 // identity end to end.
 func TestReasonErrorRoundTrip(t *testing.T) {
-	for _, err := range []error{serve.ErrQueueFull, serve.ErrTenantMigrating, serve.ErrDraining, serve.ErrCanceled, serve.ErrUpstream} {
+	for _, err := range []error{serve.ErrQueueFull, serve.ErrTenantMigrating, serve.ErrDraining, serve.ErrUpstream} {
 		buf := AppendRej(nil, 9, serve.RejectReason(err))
 		rep, perr := ParseReply(buf[:len(buf)-1])
 		if perr != nil {

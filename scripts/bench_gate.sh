@@ -7,10 +7,9 @@
 # (Numbered from 2: the docs cite these gates by number, and gate 1 was a
 # speed ratio between two inference kernels, of which one is left.)
 #
-#   2. Exact allocation counts: the /io response renderer both fronts share
-#      (BenchmarkServeIO render/fast) must report 0 allocs/op. Allocation
-#      counts are deterministic, not timing. (JSON decode is encoding/json
-#      on a compatibility adaptor and is not gated; DESIGN.md §14.)
+#   2. Retired with the HTTP request front: it held that front's /io
+#      response renderer at 0 allocs/op. Exact allocation counts (which are
+#      deterministic, not timing) gate the wire data plane under 4.
 #   3. Absolute ns/op vs scripts/bench_baseline.json x 1.5. This catches
 #      large regressions while leaving headroom for runner variance; the
 #      baseline records the machine it was measured on.
@@ -58,7 +57,7 @@ trap 'rm -f "$RAW" "$RAW.health"' EXIT
 
 echo "bench_gate: running gated benchmarks (benchtime=$BENCHTIME, -cpu 1)..." >&2
 go test -run '^$' -bench 'BenchmarkPredict$' -benchmem -benchtime "$BENCHTIME" -cpu 1 . | tee "$RAW" >&2
-go test -run '^$' -bench 'Benchmark(ServeIO|NodeSubmitTo)$' -benchmem -benchtime "$BENCHTIME" -cpu 1 \
+go test -run '^$' -bench 'BenchmarkNodeSubmitTo$' -benchmem -benchtime "$BENCHTIME" -cpu 1 \
   ./internal/serve/ | tee -a "$RAW" >&2
 go test -run '^$' -bench 'BenchmarkWire(Encode|Parse)(Request|Reply)$' -benchmem \
   -benchtime "$BENCHTIME" -cpu 1 ./internal/wire/ | tee -a "$RAW" >&2
@@ -83,12 +82,11 @@ bytes() {
 }
 
 f64_call=$(ns "BenchmarkPredict/float64/call")
-render_ns=$(ns "BenchmarkServeIO/render/fast")
 wire_enc_req=$(ns "BenchmarkWireEncodeRequest")
 wire_par_req=$(ns "BenchmarkWireParseRequest")
 wire_enc_rep=$(ns "BenchmarkWireEncodeReply")
 wire_par_rep=$(ns "BenchmarkWireParseReply")
-for v in "$f64_call" "$render_ns" \
+for v in "$f64_call" \
   "$wire_enc_req" "$wire_par_req" "$wire_enc_rep" "$wire_par_rep"; do
   if [ -z "$v" ]; then
     echo "bench_gate: FAIL - missing benchmark result" >&2
@@ -98,10 +96,10 @@ done
 
 fail=0
 
-# Gates 2 and 4: zero allocations in the shared /io renderer, the wire
-# codec, the router's forwarding path, the FTL's per-page path, the event
-# core's hold path, and the serve core's callback path.
-for b in ServeIO/render/fast WireEncodeRequest WireParseRequest WireEncodeReply \
+# Gate 4: zero allocations in the wire codec, the router's forwarding path,
+# the FTL's per-page path, the event core's hold path, and the serve core's
+# callback path.
+for b in WireEncodeRequest WireParseRequest WireEncodeReply \
   WireParseReply ProxyTransport/wire FTLPagePath EngineHold/idle EngineHold/contended \
   NodeSubmitTo; do
   got=$(allocs "Benchmark$b")
@@ -166,7 +164,6 @@ fi
 # Gate 3: absolute ns/op vs the committed baseline, scaled by the factor.
 for pair in \
   "BenchmarkPredict/float64/call:$f64_call" \
-  "BenchmarkServeIO/render/fast:$render_ns" \
   "BenchmarkWireEncodeRequest:$wire_enc_req" \
   "BenchmarkWireParseRequest:$wire_par_req" \
   "BenchmarkWireEncodeReply:$wire_enc_rep" \

@@ -11,13 +11,14 @@
 # control plane (drain/handoff/release, probes).
 #
 # The script boots the fleet, drives keeperload over wire through the
-# router's wire listener, and mid-load force-migrates hot tenant 0 from
-# :8082 to :8083; a short burst through the router's HTTP /io and /io/batch
-# adaptors follows. It asserts:
+# router's wire listener (the router's only I/O front, as a node's is), and
+# mid-load force-migrates hot tenant 0 from :8082 to :8083; a tenant-0 burst
+# in pipelined chunks follows, through the router again. It asserts:
 #   - every request is answered (ok + rejected == sent, zero failed; the
-#     documented 503 window during a handoff counts as answered),
+#     documented "rej migrating" window during a handoff counts as answered),
 #   - the router reports the migration completed and the new placement,
-#   - the target node replayed the handoff batch and serves tenant 0,
+#   - the target node replayed the handoff batch, and every request of the
+#     post-migration burst completes there,
 #   - the source node is ready again after the release,
 #   - router and nodes all shut down cleanly on SIGTERM.
 #
@@ -107,7 +108,7 @@ grep -q "$DST" "$BIN/status0.json" || fail "$DST missing from status"
 # and the migration one second in always lands mid-flight (closed-loop wire
 # load finishes 3000 requests before the sleep does).
 echo "driving load through the router's wire front, migrating tenant 0 mid-flight..." >&2
-"$BIN/keeperload" -wire -addr "$RWIRE" -mode open -iops 1000 -n 3000 -concurrency 32 \
+"$BIN/keeperload" -addr "$RWIRE" -mode open -iops 1000 -n 3000 -concurrency 32 \
   -write-ratios 0.9,0.1,0.8,0.2 -json > "$BIN/load.json" &
 LPID=$!
 sleep 1
@@ -139,28 +140,23 @@ curl -sf "$ROUTER/metrics" | grep 'ssdkeeper_tenant_node{tenant="0"' \
 replayed=$(metric "$DST" 'ssdkeeper_replayed_total{tenant="0"}')
 [ -n "$replayed" ] && [ "$replayed" -ge 1 ] \
   || fail "target replayed counter is '$replayed'"
-echo '{"tenant":0,"op":"read","offset":0,"size":16384}' \
-  | curl -sf -X POST --data-binary @- "$ROUTER/io" > "$BIN/post.json" \
-  || fail "post-migration /io through router failed"
-grep -q '"latency_ns"' "$BIN/post.json" || fail "bad /io reply: $(cat "$BIN/post.json")"
-post=$(metric "$DST" 'ssdkeeper_completed_total{tenant="0"')
-[ -n "$post" ] && [ "$post" -ge 1 ] \
-  || fail "target completed nothing for tenant 0 after the flip"
+tenant0_done() { # tenant0_done <base-url>: tenant 0's completions, reads and writes
+  curl -sf "$1/metrics" \
+    | awk '/^ssdkeeper_completed_total\{tenant="0"/ {s += $NF} END {print s + 0}'
+}
+pre=$(tenant0_done "$DST")
+"$BIN/keeperload" -addr "$RWIRE" -tenants 1 -n 200 -concurrency 8 -batch 8 \
+  -json > "$BIN/burst.json" || fail "post-migration burst through the router failed"
+bok=$(json_count ok "$BIN/burst.json")
+bfailed=$(json_count failed "$BIN/burst.json")
+[ "$bfailed" = "0" ] && [ "$bok" = "200" ] \
+  || fail "post-migration burst: $bok ok, $bfailed failed of 200"
+post=$(tenant0_done "$DST")
+[ $((post - pre)) -eq 200 ] \
+  || fail "target completed $((post - pre)) of the 200 tenant-0 requests sent after the flip"
 
 # The source released the parked tenant and is ready again.
 curl -sf "$SRC/readyz" >/dev/null || fail "source not ready after release"
-
-# The HTTP adaptors ride the same forwarding path: a short burst through
-# /io and another through /io/batch must be answered in full.
-for mode in "io:1" "batch:8"; do
-  "$BIN/keeperload" -addr "$ROUTER" -n 200 -concurrency 8 -batch "${mode##*:}" \
-    -write-ratios 0.9,0.1,0.8,0.2 -json > "$BIN/burst.json" \
-    || fail "/${mode%%:*} burst through the router failed"
-  bok=$(json_count ok "$BIN/burst.json")
-  bfailed=$(json_count failed "$BIN/burst.json")
-  [ "$bfailed" = "0" ] && [ "$bok" = "200" ] \
-    || fail "/${mode%%:*} burst: $bok ok, $bfailed failed of 200"
-done
 
 echo "shutting down..." >&2
 kill -TERM "$RPID"
@@ -216,7 +212,7 @@ RPID=$!
 wait_ready "$ROUTER" "$BIN/health-router.log"
 
 echo "driving load through the die failure..." >&2
-"$BIN/keeperload" -wire -addr "$RWIRE" -mode open -iops 5000 -n 30000 -concurrency 32 \
+"$BIN/keeperload" -addr "$RWIRE" -mode open -iops 5000 -n 30000 -concurrency 32 \
   -write-ratios 0.9,0.1,0.8,0.2 -json > "$BIN/health-load.json" &
 LPID=$!
 

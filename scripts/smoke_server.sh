@@ -1,6 +1,10 @@
 #!/usr/bin/env bash
 # smoke_server.sh — end-to-end smoke test of the serving daemon.
 #
+# Every request rides the wire protocol, the daemon's only I/O path (its
+# -wire-listen on port + 1000); HTTP is the control plane (/metrics,
+# /readyz, /model/reload).
+#
 # Phase 1 (adaptation): start ssdkeeperd with an accelerated clock and a
 # short keeper window, push 1k requests through keeperload, and assert that
 #   - every request is answered,
@@ -10,8 +14,10 @@
 #
 # Phase 2 (backpressure): restart with a decelerated clock (the device runs
 # 50x slower than wall time) and tight queues, overload one tenant with a
-# closed-loop worker pool, and assert 429s are produced and counted; then
-# post one over-sized /io/batch and assert a reply line per request line.
+# closed-loop worker pool, and assert keeperload counts rejections and the
+# node counts them as queue_full; then pipeline one 64-frame chunk on a raw
+# connection and assert a reply per frame, at least one ok, and the overflow
+# refused in band ("rej queue_full").
 #
 # Phase 3 (hot reload): train two versioned checkpoints with keeper-train,
 # boot with -model on a registry directory holding only v001, drop v002 in
@@ -31,6 +37,8 @@ cd "$(dirname "$0")/.."
 PORT="${1:-18098}"
 ADDR="127.0.0.1:$PORT"
 URL="http://$ADDR"
+WPORT=$((PORT + 1000))
+WADDR="127.0.0.1:$WPORT"
 BIN="$(mktemp -d)"
 LOG="$BIN/daemon.log"
 # xargs -r: a bare `kill` with no surviving jobs would fail the trap itself.
@@ -71,12 +79,12 @@ fail() {
 }
 
 echo "phase 1: online adaptation under load (accel 20)..." >&2
-"$BIN/ssdkeeperd" -addr "$ADDR" -accel 20 -window 50ms -adapt-every 50ms \
-  -train-workloads 8 2>"$LOG" &
+"$BIN/ssdkeeperd" -addr "$ADDR" -wire-listen "$WADDR" -accel 20 -window 50ms \
+  -adapt-every 50ms -train-workloads 8 2>"$LOG" &
 DPID=$!
 wait_ready
 
-"$BIN/keeperload" -addr "$URL" -n 1000 -concurrency 32 \
+"$BIN/keeperload" -addr "$WADDR" -n 1000 -concurrency 32 \
   -write-ratios 0.9,0.1,0.8,0.2 -json > "$BIN/load1.json"
 ok=$(json_count ok "$BIN/load1.json")
 [ "$ok" = "1000" ] || fail "phase 1: $ok/1000 requests answered"
@@ -97,13 +105,13 @@ grep -q "drained clean" "$LOG" || fail "phase 1: no clean-drain report in log"
 echo "phase 1 ok: $switches keeper switches, clean drain" >&2
 
 echo "phase 2: backpressure under overload (accel 0.02)..." >&2
-"$BIN/ssdkeeperd" -addr "$ADDR" -accel 0.02 -no-keeper \
-  -queue-len 4 -queue-depth 4 -timeout 30s 2>"$LOG" &
+"$BIN/ssdkeeperd" -addr "$ADDR" -wire-listen "$WADDR" -accel 0.02 -no-keeper \
+  -queue-len 4 -queue-depth 4 2>"$LOG" &
 DPID=$!
 wait_ready
 
-# One tenant, 32 closed-loop workers against 4+4 slots: must produce 429s.
-"$BIN/keeperload" -addr "$URL" -n 200 -concurrency 32 -tenants 1 \
+# One tenant, 32 closed-loop workers against 4+4 slots: must be refused.
+"$BIN/keeperload" -addr "$WADDR" -n 200 -concurrency 32 -tenants 1 \
   -json > "$BIN/load2.json" || true
 rejected=$(json_count rejected "$BIN/load2.json")
 [ -n "$rejected" ] && [ "$rejected" -ge 1 ] \
@@ -112,20 +120,27 @@ full=$(metric 'ssdkeeper_rejected_total{reason="queue_full"}')
 [ -n "$full" ] && [ "$full" -ge 1 ] \
   || fail "phase 2: queue_full counter is $full"
 
-# A batch burst straight at the node's front, 64 lines against the same 4+4
-# slots: every request line gets its reply line, the overflow refused in band.
-for i in $(seq 0 63); do echo "0 R $((i * 16384)) 16384"; done > "$BIN/batch.txt"
-curl -sf --data-binary @"$BIN/batch.txt" "$URL/io/batch" > "$BIN/batch.out" \
-  || fail "phase 2: POST /io/batch failed"
-lines=$(wc -l < "$BIN/batch.out")
-[ "$lines" -eq 64 ] || fail "phase 2: /io/batch answered $lines lines for 64"
-grep -q '^ok ' "$BIN/batch.out" || fail "phase 2: /io/batch completed nothing"
-grep -q '^rej queue_full$' "$BIN/batch.out" \
-  || fail "phase 2: /io/batch overflow was not refused in band"
+# A 64-frame chunk pipelined on one raw connection (what `nc` would send)
+# against the same 4+4 slots: every frame gets its reply, in completion
+# order, and the overflow is refused in band.
+exec 3<>"/dev/tcp/127.0.0.1/$WPORT"
+for i in $(seq 1 64); do echo "$i 0 R $(((i - 1) * 16384)) 16384"; done >&3
+for _ in $(seq 1 64); do
+  IFS= read -r -t 30 line <&3 || break
+  echo "$line"
+done > "$BIN/chunk.out"
+exec 3<&-
+lines=$(wc -l < "$BIN/chunk.out")
+[ "$lines" -eq 64 ] || fail "phase 2: the wire chunk got $lines replies for 64 frames"
+seqs=$(cut -d' ' -f1 "$BIN/chunk.out" | sort -un | wc -l)
+[ "$seqs" -eq 64 ] || fail "phase 2: the wire chunk's replies carry $seqs distinct seqs, want 64"
+grep -q '^[0-9]* ok ' "$BIN/chunk.out" || fail "phase 2: the wire chunk completed nothing"
+grep -q '^[0-9]* rej queue_full$' "$BIN/chunk.out" \
+  || fail "phase 2: the wire chunk's overflow was not refused in band"
 
 kill -TERM "$DPID"
 wait "$DPID" || fail "phase 2: daemon exited non-zero on SIGTERM"
-echo "phase 2 ok: $rejected rejected at the client, $full queue-full at the server, batch $lines/64 answered" >&2
+echo "phase 2 ok: $rejected rejected at the client, $full queue-full at the server, wire chunk $lines/64 answered" >&2
 
 echo "phase 3: live model reload (accel 20, -model <dir>)..." >&2
 MODELS="$BIN/models"
@@ -139,8 +154,8 @@ mkdir -p "$MODELS" "$STAGE"
 "$BIN/keeper-train" -inspect "$MODELS/v001.json" >/dev/null \
   || fail "phase 3: keeper-train -inspect rejected its own checkpoint"
 
-"$BIN/ssdkeeperd" -addr "$ADDR" -accel 20 -window 50ms -adapt-every 50ms \
-  -model "$MODELS" 2>"$LOG" &
+"$BIN/ssdkeeperd" -addr "$ADDR" -wire-listen "$WADDR" -accel 20 -window 50ms \
+  -adapt-every 50ms -model "$MODELS" 2>"$LOG" &
 DPID=$!
 wait_ready
 # `grep -q` straight off curl would SIGPIPE it under pipefail; snapshot first.
@@ -150,7 +165,7 @@ grep -q 'ssdkeeper_model_info{role="active",version="v001"}' "$BIN/metrics.txt" 
   || fail "phase 3: v001 not active at boot"
 
 # Load in flight across the swap.
-"$BIN/keeperload" -addr "$URL" -n 1000 -concurrency 32 \
+"$BIN/keeperload" -addr "$WADDR" -n 1000 -concurrency 32 \
   -write-ratios 0.9,0.1,0.8,0.2 -json > "$BIN/load3.json" &
 LPID=$!
 sleep 1
@@ -183,8 +198,8 @@ kill -TERM "$DPID"
 wait "$DPID" || fail "phase 3: daemon exited non-zero on SIGTERM"
 grep -q "drained clean" "$LOG" || fail "phase 3: no clean-drain report in log"
 
-"$BIN/ssdkeeperd" -addr "$ADDR" -accel 20 -window 50ms -adapt-every 50ms \
-  -model "$MODELS/v001.json" 2>"$LOG" &
+"$BIN/ssdkeeperd" -addr "$ADDR" -wire-listen "$WADDR" -accel 20 -window 50ms \
+  -adapt-every 50ms -model "$MODELS/v001.json" 2>"$LOG" &
 DPID=$!
 wait_ready
 scrape
