@@ -11,6 +11,7 @@ import (
 
 	"ssdkeeper/internal/alloc"
 	"ssdkeeper/internal/features"
+	"ssdkeeper/internal/ftl"
 	"ssdkeeper/internal/nand"
 	"ssdkeeper/internal/simrun"
 	"ssdkeeper/internal/ssd"
@@ -368,5 +369,50 @@ func TestLabelDeterministicAcrossWorkerCounts(t *testing.T) {
 					workers, i, got.Latencies[i], want.Latencies[i])
 			}
 		}
+	}
+}
+
+// Generate on one worker labels every workload on one runner, so most of its
+// simulations rewind a reused device to its checkpoint, and each workload
+// whose fault plan differs from the last one's rebuilds it. Every latency
+// must be what a fresh runner measures for that workload and strategy.
+func TestGenerateOneRunnerMatchesFreshRunners(t *testing.T) {
+	cfg := quickConfig()
+	cfg.Workloads = 8
+	cfg.Workers = 1
+	cfg.FaultFraction = 0.5
+	samples, err := Generate(context.Background(), cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulted := 0
+	for i, s := range samples {
+		opts := cfg.Options
+		if s.Fault != nil {
+			opts.FaultPlan = s.Fault
+			faulted++
+		}
+		tr, err := s.Spec.Build(cfg.Device.PageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for si, st := range cfg.Strategies {
+			res, err := simrun.NewRunner().Run(context.Background(), simrun.Config{
+				Device: cfg.Device, Options: opts, Strategy: st, Traits: s.Spec.Traits(),
+				Hybrid: cfg.Hybrid, Season: cfg.Season,
+			}, tr)
+			want := Infeasible
+			if err == nil {
+				want = workload.TotalLatency(res.Result)
+			} else if !errors.Is(err, ftl.ErrDeviceFull) {
+				t.Fatal(err)
+			}
+			if s.Latencies[si] != want {
+				t.Errorf("workload %d strategy %d: latency %v on the one runner, %v on a fresh one", i, si, s.Latencies[si], want)
+			}
+		}
+	}
+	if faulted == 0 || faulted == len(samples) {
+		t.Fatalf("%d of %d workloads drew a fault plan; the test needs both kinds", faulted, len(samples))
 	}
 }

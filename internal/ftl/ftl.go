@@ -14,6 +14,7 @@ package ftl
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 
 	"ssdkeeper/internal/nand"
 	"ssdkeeper/internal/sim"
@@ -88,6 +89,7 @@ type block struct {
 	writePtr   int32 // next page to program; == PagesPerBlock when full
 	validCount int32
 	erases     int32
+	dirty      bool    // mutated since the checkpoint; see mark
 	owners     []owner // per page; 0 = invalid
 }
 
@@ -161,6 +163,13 @@ type FTL struct {
 	// synchronously (the device charges its DieTime before the next mapping
 	// call), so one reusable record replaces a heap allocation per GC pass.
 	plan GCPlan
+
+	// rng draws seasoning validity. Season re-seeds it, so a reused FTL
+	// seasons without allocating.
+	rng *rand.Rand
+
+	// ckpt is the state Rewind returns to (checkpoint.go).
+	ckpt checkpoint
 }
 
 // New creates an FTL over the given geometry. load may be nil, in which case
@@ -197,10 +206,9 @@ func New(cfg nand.Config, load Load) (*FTL, error) {
 // Reset restores the FTL to its factory-fresh state — no mappings, no
 // tenant bindings, every block erased-and-never-used with zero wear — while
 // keeping all materialized block storage, mapping-table leaves, and slices
-// for reuse. An enabled CMT is emptied but stays enabled. A reset FTL behaves identically
-// to one just built by New over the same geometry; only the allocation
-// pattern differs. Run loops (internal/simrun) use it to rebuild a device
-// per session without re-materializing plane state.
+// for reuse. An enabled CMT is emptied but stays enabled, and a checkpoint
+// is dropped. A reset FTL behaves identically to one just built by New over
+// the same geometry; only the allocation pattern differs.
 func (f *FTL) Reset() {
 	for i := range f.planes {
 		p := &f.planes[i]
@@ -208,9 +216,7 @@ func (f *FTL) Reset() {
 			if b == nil {
 				continue
 			}
-			b.writePtr = 0
-			b.validCount = 0
-			b.erases = 0
+			*b = block{owners: b.owners}
 			clear(b.owners)
 		}
 		p.nextFresh = 0
@@ -218,6 +224,13 @@ func (f *FTL) Reset() {
 		p.active = -1
 		p.full = p.full[:0]
 	}
+	f.ckpt.drop()
+	f.resetRun()
+}
+
+// resetRun clears what a run builds on top of the block state: mappings,
+// tenant bindings, plane cursors, counters and the CMT.
+func (f *FTL) resetRun() {
 	f.table.reset()
 	clear(f.channels)
 	clear(f.modes)
@@ -462,6 +475,7 @@ func (f *FTL) appendPage(planeID int, k Key) (blockID, page int, err error) {
 		p.active = id
 	}
 	b := f.blockAt(p, p.active)
+	f.mark(b)
 	page = int(b.writePtr)
 	b.writePtr++
 	b.owners[page] = packOwner(k)
@@ -533,10 +547,17 @@ func (f *FTL) invalidate(ppn int64) {
 	planeID, blockID, page := f.cfg.SplitPPN(ppn)
 	b := f.blockAt(&f.planes[planeID], blockID)
 	if b.owners[page] != 0 {
-		b.owners[page] = 0
-		b.validCount--
+		f.clearPage(b, page)
 		f.invalidations++
 	}
+}
+
+// clearPage drops one valid page of b: the step an overwrite's invalidate
+// and a move's relocate share.
+func (f *FTL) clearPage(b *block, page int) {
+	f.mark(b)
+	b.owners[page] = 0
+	b.validCount--
 }
 
 // Counters is a snapshot of FTL activity, for tests and reports.

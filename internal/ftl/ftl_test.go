@@ -1,8 +1,6 @@
 package ftl
 
 import (
-	"math/rand"
-	"slices"
 	"testing"
 	"testing/quick"
 
@@ -471,96 +469,6 @@ func TestFTLResetClearsBindingsAndCMT(t *testing.T) {
 	}
 }
 
-// The memoized seasoning layout must reproduce the direct rng loop draw for
-// draw — this pins the cache's build order to the loop's visit order.
-func TestSeasonLayoutMatchesDirectDraws(t *testing.T) {
-	const planes, fill, pages = 3, 4, 8
-	const validFrac, seed = 0.5, 42
-	l := seasonLayoutFor(planes, fill, pages, validFrac, seed)
-	if l == nil {
-		t.Fatal("layout unexpectedly uncached")
-	}
-	rng := rand.New(rand.NewSource(seed))
-	var lpn int64
-	for b := 0; b < planes*fill; b++ {
-		var count int32
-		for page := 0; page < pages; page++ {
-			idx := b*pages + page
-			want := rng.Float64() < validFrac
-			if (l.owners[idx] != 0) != want {
-				t.Fatalf("block %d page %d: owner %#x, rng says valid=%v", b, page, l.owners[idx], want)
-			}
-			if want {
-				if l.owners[idx] != packOwner(Key{Tenant: coldTenant, LPN: lpn}) {
-					t.Fatalf("block %d page %d: owner %#x, want cold lpn %d", b, page, l.owners[idx], lpn)
-				}
-				lpn++
-				count++
-			}
-		}
-		if l.counts[b] != count {
-			t.Fatalf("block %d: count %d, want %d", b, l.counts[b], count)
-		}
-	}
-}
-
-func TestSeasonLayoutSkipsHugeGeometries(t *testing.T) {
-	if l := seasonLayoutFor(64, 4090, 128, 0.5, 1); l != nil {
-		t.Error("huge layout was cached; should fall back to the direct loop")
-	}
-}
-
-// The memo and the rng loop must leave identical device state: every block's
-// owners and counters, and each plane's free and full bookkeeping.
-func TestSeasonMemoMatchesDirectLoop(t *testing.T) {
-	cfg := nand.TinyConfig()
-	const validFrac, freeBlocks, seed = 0.5, 5, 1
-	memo := mustFTL(t, cfg, nil)
-	if err := memo.Season(validFrac, freeBlocks, seed); err != nil {
-		t.Fatal(err)
-	}
-	fill := cfg.BlocksPerPlane - freeBlocks
-	if freeBlocks <= memo.gcLowWater {
-		t.Fatalf("freeBlocks %d at or below the low-water mark %d: Season raised it", freeBlocks, memo.gcLowWater)
-	}
-	if seasonLayoutFor(len(memo.planes), fill, cfg.PagesPerBlock, validFrac, seed) == nil {
-		t.Fatal("TinyConfig's layout is not memoized; Season took the direct loop")
-	}
-	direct := mustFTL(t, cfg, nil)
-	if err := direct.seasonDirect(fill, validFrac, seed); err != nil {
-		t.Fatal(err)
-	}
-	if memo.LiveColdPages() == 0 {
-		t.Fatal("seasoning left no cold pages")
-	}
-	for i := range memo.planes {
-		m, d := &memo.planes[i], &direct.planes[i]
-		if m.nextFresh != d.nextFresh || m.active != d.active || !slices.Equal(m.recycled, d.recycled) {
-			t.Fatalf("plane %d: free state (%d %d %v) vs direct (%d %d %v)",
-				i, m.nextFresh, m.active, m.recycled, d.nextFresh, d.active, d.recycled)
-		}
-		if !slices.Equal(m.full, d.full) {
-			t.Fatalf("plane %d: full %v, direct %v", i, m.full, d.full)
-		}
-		for id := range m.blocks {
-			mb, db := m.blocks[id], d.blocks[id]
-			if (mb == nil) != (db == nil) {
-				t.Fatalf("plane %d block %d: materialized %v, direct %v", i, id, mb != nil, db != nil)
-			}
-			if mb == nil {
-				continue
-			}
-			if mb.writePtr != db.writePtr || mb.validCount != db.validCount || mb.erases != db.erases {
-				t.Fatalf("plane %d block %d: ptr/valid/erases %d/%d/%d, direct %d/%d/%d", i, id,
-					mb.writePtr, mb.validCount, mb.erases, db.writePtr, db.validCount, db.erases)
-			}
-			if !slices.Equal(mb.owners, db.owners) {
-				t.Fatalf("plane %d block %d: owners differ from the direct loop's", i, id)
-			}
-		}
-	}
-}
-
 // A page's owner packs into one word that is never 0 for a valid page and
 // unpacks to the key it was packed from, at every corner of the address space.
 func TestOwnerPacking(t *testing.T) {
@@ -587,9 +495,9 @@ func TestOwnerPacking(t *testing.T) {
 }
 
 // BenchmarkFTLSeason is the device set-up of every replay session: a seasoned
-// evaluation device built from New, and one restored by Reset. The seasoning
-// memo is warmed before timing, as a process's second session finds it.
-// scripts/bench_gate.sh holds both cases' B/op and allocs/op at ceilings.
+// evaluation device built from New, one restored by Reset and re-seasoned,
+// and one rewound to its checkpoint after a run dirtied some of its blocks.
+// scripts/bench_gate.sh holds every case's B/op and allocs/op at ceilings.
 func BenchmarkFTLSeason(b *testing.B) {
 	cfg := nand.EvalConfig()
 	season := func(b *testing.B, f *FTL) {
@@ -620,6 +528,33 @@ func BenchmarkFTLSeason(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			f.Reset()
 			season(b, f)
+		}
+	})
+	b.Run("rewind", func(b *testing.B) {
+		f := build(b)
+		if err := f.Checkpoint(); err != nil {
+			b.Fatal(err)
+		}
+		// A tenant overwriting one page on each of eight planes until
+		// their GC runs: the active blocks, the GC victims and the blocks
+		// the victims' pages move to go dirty.
+		dirty := func() {
+			for i := 0; i < 8*4*cfg.PagesPerBlock; i++ {
+				if _, _, err := f.MapWrite(Key{Tenant: 0, LPN: int64(i % 8)}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		dirty()
+		if f.Counters().GCRuns == 0 {
+			b.Fatal("the dirtying writes ran no GC")
+		}
+		f.Rewind()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			dirty()
+			f.Rewind()
 		}
 	})
 }

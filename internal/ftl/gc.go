@@ -105,14 +105,14 @@ func (f *FTL) relocate(planeID int, victim *block, page int) error {
 		return err
 	}
 	f.table.set(k, f.cfg.PlanePPN(planeID, blockID, newPage))
-	victim.owners[page] = 0
-	victim.validCount--
+	f.clearPage(victim, page)
 	return nil
 }
 
 // eraseBlock resets a block and returns it to the plane's recycled pool.
 func (f *FTL) eraseBlock(p *plane, id int) {
 	b := f.blockAt(p, id)
+	f.mark(b)
 	b.writePtr = 0
 	b.validCount = 0
 	clear(b.owners)

@@ -3,7 +3,6 @@ package ftl
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 )
 
 // coldTenant owns seasoning data: resident pages that belong to no real
@@ -35,127 +34,37 @@ func (f *FTL) Season(validFrac float64, freeBlocks int, seed int64) error {
 		return nil // nothing to fill
 	}
 	fill := f.cfg.BlocksPerPlane - freeBlocks
-	pages := f.cfg.PagesPerBlock
-	if layout := seasonLayoutFor(len(f.planes), fill, pages, validFrac, seed); layout != nil {
-		return f.applySeasonLayout(layout, fill)
+	if f.rng == nil {
+		f.rng = rand.New(rand.NewSource(seed))
+	} else {
+		f.rng.Seed(seed)
 	}
-	return f.seasonDirect(fill, validFrac, seed)
-}
-
-// seasonDirect fills fill blocks of every plane, drawing each page's
-// validity from the rng: the loop a memoized layout replays.
-func (f *FTL) seasonDirect(fill int, validFrac float64, seed int64) error {
-	pages := f.cfg.PagesPerBlock
-	rng := rand.New(rand.NewSource(seed))
 	var lpn int64
 	for planeID := range f.planes {
 		p := &f.planes[planeID]
+		if cap(p.full) < fill {
+			p.full = make([]int, 0, f.cfg.BlocksPerPlane)
+		}
 		for i := 0; i < fill; i++ {
 			id, ok := f.popFree(p, planeID)
 			if !ok {
 				return fmt.Errorf("ftl: plane %d ran out of blocks while seasoning", planeID)
 			}
 			b := f.blockAt(p, id)
-			b.writePtr = int32(pages)
-			for page := 0; page < pages; page++ {
-				if rng.Float64() < validFrac {
-					b.owners[page] = packOwner(Key{Tenant: coldTenant, LPN: lpn})
-					b.validCount++
-					lpn++
+			b.writePtr = int32(f.cfg.PagesPerBlock)
+			start := lpn
+			for page := range b.owners {
+				// Whether a page is live is a coin flip, so it is
+				// computed, not branched on: a branch would mispredict
+				// on every other page.
+				var live int64
+				if f.rng.Float64() < validFrac {
+					live = 1
 				}
+				b.owners[page] = owner(live) * packOwner(Key{Tenant: coldTenant, LPN: lpn})
+				lpn += live
 			}
-			p.full = append(p.full, id)
-		}
-	}
-	return nil
-}
-
-// seasonLayout is the memoized result of one seasoning parameterization: the
-// page owners (0 = invalid) and per-block valid counts for every filled
-// block, flattened plane-major in the exact order the rng loop visits them.
-// Layouts are immutable once built.
-type seasonLayout struct {
-	owners []owner
-	counts []int32 // one per filled block
-}
-
-// seasonKey identifies a seasoning layout: the geometry the loop iterates
-// over plus the distribution parameters.
-type seasonKey struct {
-	planes, fill, pages int
-	validFrac           float64
-	seed                int64
-}
-
-// seasonLayoutCacheMax bounds how many pages of seasoning state a cached
-// layout may cover (~2M pages = 16MB of owners). Experiment geometries are
-// far below it; full Table I seasoning skips the cache and pays the direct
-// loop instead of pinning hundreds of MB.
-const seasonLayoutCacheMax = 1 << 21
-
-var seasonLayouts struct {
-	sync.Mutex
-	m map[seasonKey]*seasonLayout
-}
-
-// seasonLayoutFor returns the cached layout for the parameters, building it
-// on first use, or nil when the layout is too large to cache. Building
-// replays exactly the rng draw sequence of the direct loop, so the applied
-// state is byte-for-byte identical.
-func seasonLayoutFor(planes, fill, pages int, validFrac float64, seed int64) *seasonLayout {
-	total := planes * fill * pages
-	if total <= 0 || total > seasonLayoutCacheMax {
-		return nil
-	}
-	k := seasonKey{planes: planes, fill: fill, pages: pages, validFrac: validFrac, seed: seed}
-	seasonLayouts.Lock()
-	defer seasonLayouts.Unlock()
-	if l, ok := seasonLayouts.m[k]; ok {
-		return l
-	}
-	l := &seasonLayout{
-		owners: make([]owner, total),
-		counts: make([]int32, planes*fill),
-	}
-	rng := rand.New(rand.NewSource(seed))
-	var lpn int64
-	for b := 0; b < planes*fill; b++ {
-		base := b * pages
-		var count int32
-		for page := 0; page < pages; page++ {
-			if rng.Float64() < validFrac {
-				l.owners[base+page] = packOwner(Key{Tenant: coldTenant, LPN: lpn})
-				count++
-				lpn++
-			}
-		}
-		l.counts[b] = count
-	}
-	if seasonLayouts.m == nil {
-		seasonLayouts.m = make(map[seasonKey]*seasonLayout)
-	}
-	seasonLayouts.m[k] = l
-	return l
-}
-
-// applySeasonLayout copies a memoized layout into the planes, replacing the
-// per-page rng loop with block-sized copies.
-func (f *FTL) applySeasonLayout(l *seasonLayout, fill int) error {
-	pages := f.cfg.PagesPerBlock
-	idx := 0
-	for planeID := range f.planes {
-		p := &f.planes[planeID]
-		for i := 0; i < fill; i++ {
-			id, ok := f.popFree(p, planeID)
-			if !ok {
-				return fmt.Errorf("ftl: plane %d ran out of blocks while seasoning", planeID)
-			}
-			b := f.blockAt(p, id)
-			b.writePtr = int32(pages)
-			base := idx * pages
-			copy(b.owners, l.owners[base:base+pages])
-			b.validCount = l.counts[idx]
-			idx++
+			b.validCount = int32(lpn - start)
 			p.full = append(p.full, id)
 		}
 	}

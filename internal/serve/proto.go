@@ -24,10 +24,11 @@ type Request struct {
 	Key uint64
 }
 
-// Record converts the request to a trace record arriving at the given
-// simulated time.
+// Record converts a validated request to a trace record arriving at the
+// given simulated time. Validate caps Size at maxRequestBytes, so it fits
+// the record's 32 bits.
 func (r Request) Record(at sim.Time) trace.Record {
-	return trace.Record{Time: at, Tenant: r.Tenant, Op: r.Op, Offset: r.Offset, Size: r.Size}
+	return trace.Record{Time: at, Tenant: r.Tenant, Op: r.Op, Offset: r.Offset, Size: int32(r.Size)}
 }
 
 // maxRequestBytes bounds a single request's extent; larger transfers should

@@ -182,7 +182,7 @@ func (n *Node) checkHandoffTenant(tenant int) error {
 // record passes before the first is replayed.
 func (n *Node) handoffCheck(tenant int) func(trace.Record) error {
 	return func(r trace.Record) error {
-		req := Request{Tenant: tenant, Op: r.Op, Offset: r.Offset, Size: r.Size}
+		req := Request{Tenant: tenant, Op: r.Op, Offset: r.Offset, Size: int(r.Size)}
 		return req.Validate(n.cfg.Tenants, n.cfg.MaxBytes)
 	}
 }

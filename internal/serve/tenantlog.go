@@ -41,9 +41,10 @@ func (c *logCursor) advance(t sim.Time, offset int64, size uint32) {
 	c.time, c.next, c.size = t, offset+int64(size), size
 }
 
-// encode appends r's encoding to b. A size is stored in 32 bits: admission
-// caps a request at maxRequestBytes, and ReplayTenant validates handoff
-// records against the same rule.
+// encode appends r's encoding to b. A size is stored in 32 bits: a trace
+// record's size is a positive int32, admission caps a request at
+// maxRequestBytes, and ReplayTenant validates handoff records against the
+// same rule.
 func (c *logCursor) encode(b []byte, r trace.Record) []byte {
 	size := uint32(r.Size)
 	var flag byte
@@ -90,13 +91,13 @@ func (c *logCursor) decode(b []byte) (trace.Record, int, error) {
 		if k <= 0 {
 			return trace.Record{}, 0, varintErr(k)
 		}
-		if v > math.MaxUint32 {
-			return trace.Record{}, 0, fmt.Errorf("record size %d overflows 32 bits", v)
+		if v > math.MaxInt32 {
+			return trace.Record{}, 0, fmt.Errorf("record size %d overflows a trace record's 31 bits", v)
 		}
 		i += k
 		size = uint32(v)
 	}
-	r := trace.Record{Time: c.time + sim.Time(dt), Offset: c.next + doff, Size: int(size)}
+	r := trace.Record{Time: c.time + sim.Time(dt), Offset: c.next + doff, Size: int32(size)}
 	if flag&flagWrite != 0 {
 		r.Op = trace.Write
 	}

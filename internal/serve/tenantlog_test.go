@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -148,6 +151,26 @@ func handoffBody(t testing.TB, records []trace.Record) []byte {
 	return buf.Bytes()
 }
 
+// oversizeBody is an intact handoff body whose one record has a size of
+// 2^31 bytes, which no trace record holds.
+func oversizeBody() []byte {
+	b := binary.AppendUvarint([]byte(handoffMagic), 1)
+	b = append(b, 0)              // flag: a read, its size stored
+	b = binary.AppendVarint(b, 0) // time delta
+	b = binary.AppendVarint(b, 0) // offset delta
+	b = binary.AppendUvarint(b, 1<<31)
+	b = append(b, handoffEnd)
+	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+}
+
+// A record size a trace record cannot hold is refused, not truncated.
+func TestHandoffRefusesOversizeRecord(t *testing.T) {
+	_, err := readHandoff(bytes.NewReader(oversizeBody()), func(trace.Record) error { return nil })
+	if err == nil || !strings.Contains(err.Error(), "size 2147483648") {
+		t.Fatalf("readHandoff = %v, want the record size refused", err)
+	}
+}
+
 func postTenant(s *Server, route string, tenant int, body []byte) *httptest.ResponseRecorder {
 	rr := httptest.NewRecorder()
 	s.Handler(0).ServeHTTP(rr, httptest.NewRequest(http.MethodPost,
@@ -266,6 +289,7 @@ func FuzzTenantLog(f *testing.F) {
 	f.Add(uint16(0), handoffBody(f, []trace.Record{
 		writeReq(1, 3).Record(1000), readReq(1, 4).Record(2000), readReq(1, 4).Record(2000),
 	}))
+	f.Add(uint16(0), oversizeBody())
 	f.Fuzz(func(t *testing.T, fill uint16, raw []byte) {
 		// Filler records put the fuzzed ones anywhere in the first chunks.
 		var want []trace.Record
@@ -278,7 +302,7 @@ func FuzzTenantLog(f *testing.F) {
 			want = append(want, trace.Record{
 				Time:   sim.Time(binary.LittleEndian.Uint64(b)),
 				Offset: int64(binary.LittleEndian.Uint64(b[8:])),
-				Size:   int(binary.LittleEndian.Uint32(b[16:])),
+				Size:   int32(binary.LittleEndian.Uint32(b[16:]) & math.MaxInt32),
 				Op:     trace.Op(b[20] & 1),
 			})
 		}
@@ -306,7 +330,7 @@ func FuzzTenantLog(f *testing.F) {
 		}
 
 		check := func(r trace.Record) error {
-			return Request{Tenant: 1, Op: r.Op, Offset: r.Offset, Size: r.Size}.Validate(4, 64<<20)
+			return Request{Tenant: 1, Op: r.Op, Offset: r.Offset, Size: int(r.Size)}.Validate(4, 64<<20)
 		}
 		decoded, err := readHandoff(bytes.NewReader(raw), check)
 		if err != nil {

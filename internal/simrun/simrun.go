@@ -96,13 +96,17 @@ type Runner struct {
 	col *stats.Collector
 
 	// dev caches the previous session's device. When the next session asks
-	// for the same geometry and options the device is Reset and reused —
-	// the FTL keeps its materialized plane storage, the resources their
-	// queues — instead of rebuilt, which removes nearly all per-session
-	// allocation from back-to-back run loops.
+	// for the same geometry and options the device is reused — the FTL keeps
+	// its materialized plane storage, the resources their queues — instead
+	// of rebuilt, which removes nearly all per-session allocation from
+	// back-to-back run loops.
 	dev     *ssd.Device
 	devCfg  nand.Config
 	devOpts ssd.Options
+	// ckptSeason is the seasoning dev is checkpointed at, when ckpt is set.
+	// A session asking for it rewinds the device instead of re-seasoning it.
+	ckptSeason Seasoning
+	ckpt       bool
 }
 
 // NewRunner returns a runner with a fresh engine and, unless WithProbe says
@@ -147,30 +151,21 @@ type Session struct {
 // NewSession resets the runner's engine and builds a device on it per cfg:
 // construct, season, bind the strategy. Counters accumulated by a counter
 // probe are zeroed, so each session reports its own run.
+//
+// A device with the previous session's geometry and options is reused. The
+// first reuse resets it, seasons it and checkpoints that state; later
+// sessions at the same seasoning rewind to the checkpoint, restoring only
+// the blocks the last run touched. A fresh device seasons once and keeps no
+// checkpoint.
 func (r *Runner) NewSession(cfg Config) (*Session, error) {
 	r.eng.Reset()
 	r.col.Reset()
 	if cs := r.Counters(); cs != nil {
 		cs.Reset()
 	}
-	var dev *ssd.Device
-	if r.dev != nil && cfg.Device == r.devCfg && cfg.Options == r.devOpts {
-		dev = r.dev
-		dev.Reset()
-	} else {
-		var err error
-		dev, err = ssd.NewOnCollector(r.eng, r.probe, r.col, cfg.Device, cfg.Options)
-		if err != nil {
-			return nil, err
-		}
-		r.dev = dev
-		r.devCfg = cfg.Device
-		r.devOpts = cfg.Options
-	}
-	if cfg.Season.Enabled() {
-		if err := dev.FTL().Season(cfg.Season.ValidFrac, cfg.Season.FreeBlocks, cfg.Season.Seed); err != nil {
-			return nil, err
-		}
+	dev, err := r.device(cfg)
+	if err != nil {
+		return nil, err
 	}
 	if len(cfg.Traits) > 0 {
 		if err := Apply(dev, cfg.Strategy, cfg.Traits, cfg.Hybrid); err != nil {
@@ -178,6 +173,42 @@ func (r *Runner) NewSession(cfg Config) (*Session, error) {
 		}
 	}
 	return &Session{r: r, dev: dev}, nil
+}
+
+// device returns a seasoned, unbound device for cfg: rewound, reset and
+// checkpointed, or built fresh.
+func (r *Runner) device(cfg Config) (*ssd.Device, error) {
+	if r.dev != nil && cfg.Device == r.devCfg && cfg.Options == r.devOpts {
+		dev := r.dev
+		if r.ckpt && cfg.Season == r.ckptSeason {
+			dev.Rewind()
+			return dev, nil
+		}
+		r.ckpt = false
+		dev.Reset()
+		if err := season(dev, cfg.Season); err != nil {
+			return nil, err
+		}
+		if err := dev.Checkpoint(); err != nil {
+			return nil, err
+		}
+		r.ckpt, r.ckptSeason = true, cfg.Season
+		return dev, nil
+	}
+	dev, err := ssd.NewOnCollector(r.eng, r.probe, r.col, cfg.Device, cfg.Options)
+	if err != nil {
+		return nil, err
+	}
+	r.dev, r.devCfg, r.devOpts, r.ckpt = dev, cfg.Device, cfg.Options, false
+	return dev, season(dev, cfg.Season)
+}
+
+// season ages dev per s, if s asks for any aging.
+func season(dev *ssd.Device, s Seasoning) error {
+	if !s.Enabled() {
+		return nil
+	}
+	return dev.FTL().Season(s.ValidFrac, s.FreeBlocks, s.Seed)
 }
 
 // Device exposes the session's device, for drivers that pump the engine

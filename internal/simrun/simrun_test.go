@@ -7,11 +7,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"ssdkeeper/internal/alloc"
 	"ssdkeeper/internal/ftl"
 	"ssdkeeper/internal/nand"
+	"ssdkeeper/internal/sim"
 	"ssdkeeper/internal/simrun"
 	"ssdkeeper/internal/ssd"
 	"ssdkeeper/internal/trace"
@@ -185,60 +187,56 @@ func TestRunnerCountersNilWithoutProbe(t *testing.T) {
 	}
 }
 
-// Device reuse contract: a runner that resets and reuses its cached device
-// (same geometry and options) must reproduce exactly what fresh runners
-// produce, across different strategies and seasonings; changing the config
-// mid-stream must transparently rebuild.
+// A reused device is rewound when the session asks for the seasoning it is
+// checkpointed at, and reset, re-seasoned and checkpointed again when it
+// asks for another; options that differ rebuild it. Whichever path a
+// session takes, its result must be a fresh runner's.
 func TestRunnerDeviceReuseMatchesFreshAcrossConfigs(t *testing.T) {
 	cfg := nand.EvalConfig()
 	tr, traits := testTrace(t, cfg, 1200)
-	runs := []simrun.Config{
-		testConfig(cfg, traits),
-		func() simrun.Config { // different strategy, same device
-			rc := testConfig(cfg, traits)
-			rc.Strategy = alloc.Strategy{Kind: alloc.Isolated}
-			return rc
-		}(),
-		func() simrun.Config { // no seasoning at all
-			rc := testConfig(cfg, traits)
-			rc.Season = simrun.Seasoning{}
-			return rc
-		}(),
-		func() simrun.Config { // different options: forces a rebuild
-			rc := testConfig(cfg, traits)
-			rc.Options.NoCacheRegister = true
-			return rc
-		}(),
-		testConfig(cfg, traits), // back to the first: rebuild again
+	a := testConfig(cfg, traits)
+	with := func(edit func(*simrun.Config)) simrun.Config {
+		rc := testConfig(cfg, traits)
+		edit(&rc)
+		return rc
+	}
+	plan := &nand.FaultPlan{Seed: 7, Events: []nand.FaultEvent{
+		{Kind: nand.FaultRetryTail, Prob: 0.1, At: 20 * sim.Millisecond},
+		{Kind: nand.FaultDieFail, Channel: 0, Die: 0, At: 50 * sim.Millisecond},
+		{Kind: nand.FaultRetireBlock, Channel: 1, Block: 3, At: 110 * sim.Millisecond},
+	}}
+	runs := []struct {
+		name string
+		rc   simrun.Config
+	}{
+		{"seasoned A (fresh device)", a},
+		{"A again (first reuse: reset, season, checkpoint)", a},
+		{"A again (rewind)", a},
+		{"A under another strategy (rewind)", with(func(rc *simrun.Config) { rc.Strategy = alloc.Strategy{Kind: alloc.Isolated} })},
+		{"unseasoned (reset)", with(func(rc *simrun.Config) { rc.Season = simrun.Seasoning{} })},
+		{"unseasoned again (rewind)", with(func(rc *simrun.Config) { rc.Season = simrun.Seasoning{} })},
+		{"seasoned at another seed (reset)", with(func(rc *simrun.Config) { rc.Season.Seed = 2 })},
+		{"A again (reset)", a},
+		{"A again (rewind)", a},
+		{"other options (rebuild)", with(func(rc *simrun.Config) { rc.Options.NoCacheRegister = true })},
+		{"A again (rebuild)", a},
+		{"A with a fault plan (rebuild)", with(func(rc *simrun.Config) { rc.Options.FaultPlan = plan })},
+		{"A with the fault plan again (reset)", with(func(rc *simrun.Config) { rc.Options.FaultPlan = plan })},
+		{"A with the fault plan again (rewind)", with(func(rc *simrun.Config) { rc.Options.FaultPlan = plan })},
 	}
 	reused := simrun.NewRunner()
-	for i, rc := range runs {
-		got, err := reused.Run(context.Background(), rc, tr)
+	for i, run := range runs {
+		got, err := reused.Run(context.Background(), run.rc, tr)
 		if err != nil {
-			t.Fatalf("run %d (reused): %v", i, err)
+			t.Fatalf("run %d, %s (reused): %v", i, run.name, err)
 		}
-		want, err := simrun.NewRunner().Run(context.Background(), rc, tr)
+		want, err := simrun.NewRunner().Run(context.Background(), run.rc, tr)
 		if err != nil {
-			t.Fatalf("run %d (fresh): %v", i, err)
+			t.Fatalf("run %d, %s (fresh): %v", i, run.name, err)
 		}
-		if got.Makespan != want.Makespan {
-			t.Errorf("run %d: makespan %v (reused) vs %v (fresh)", i, got.Makespan, want.Makespan)
-		}
-		if g, w := got.Device.Total(), want.Device.Total(); g != w {
-			t.Errorf("run %d: device total %v (reused) vs %v (fresh)", i, g, w)
-		}
-		if g, w := got.FTL, want.FTL; g != w {
-			t.Errorf("run %d: FTL counters %+v (reused) vs %+v (fresh)", i, g, w)
-		}
-		if g, w := got.Conflicts, want.Conflicts; g != w {
-			t.Errorf("run %d: conflicts %d (reused) vs %d (fresh)", i, g, w)
-		}
-		for id, wl := range want.PerTenant {
-			gl, ok := got.PerTenant[id]
-			if !ok || gl.Read.Count != wl.Read.Count || gl.Read.Mean() != wl.Read.Mean() ||
-				gl.Write.Count != wl.Write.Count || gl.Write.Mean() != wl.Write.Mean() {
-				t.Errorf("run %d tenant %d: latencies diverge (reused %+v vs fresh %+v)", i, id, gl, wl)
-			}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("run %d, %s: result differs from a fresh runner's (makespan %v vs %v, FTL %+v vs %+v)",
+				i, run.name, got.Makespan, want.Makespan, got.FTL, want.FTL)
 		}
 	}
 }

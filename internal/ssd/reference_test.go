@@ -102,7 +102,7 @@ func sparseTrace(cfg nand.Config, seed int64, n int, gap sim.Time) trace.Trace {
 		tr[i] = trace.Record{
 			Time: at, Tenant: rng.Intn(2), Op: op,
 			Offset: int64(rng.Intn(256)) * int64(cfg.PageSize),
-			Size:   (1 + rng.Intn(3)) * cfg.PageSize,
+			Size:   int32((1 + rng.Intn(3)) * cfg.PageSize),
 		}
 	}
 	return tr

@@ -166,9 +166,9 @@ func NewOnCollector(eng *sim.Engine, probe sim.Probe, col *stats.Collector, cfg 
 }
 
 // armFaults schedules every fault-plan event onto the engine. Called at
-// construction and again from Reset — both run against an engine at time
-// zero with the plan not yet fired, so a reused device replays its faults
-// bit-identically.
+// construction and again from Reset and Rewind — all run against an engine
+// at time zero with the plan not yet fired, so a reused device replays its
+// faults bit-identically.
 func (d *Device) armFaults() {
 	for _, ev := range d.opts.FaultPlan.Events {
 		ev := ev
@@ -218,6 +218,26 @@ func (d *Device) applyFault(ev nand.FaultEvent) {
 // options, and probes are unchanged.
 func (d *Device) Reset() {
 	d.ftl.Reset() // also empties the CMT, which stays enabled
+	d.idle()
+}
+
+// Checkpoint records the device's state — one that has served no traffic,
+// normally just reset and seasoned — for Rewind (ftl.FTL.Checkpoint).
+func (d *Device) Checkpoint() error { return d.ftl.Checkpoint() }
+
+// Rewind returns a checkpointed device to its checkpoint: the FTL writes
+// back only the blocks the last run dirtied, and the resources and fault
+// plan are restored as Reset restores them. As with Reset, the caller resets
+// the engine and collector.
+func (d *Device) Rewind() {
+	d.ftl.Rewind()
+	d.idle()
+}
+
+// idle idles every bus and die, and restores factory health with the fault
+// plan re-armed on the (caller-reset) engine so the next session replays it
+// identically.
+func (d *Device) idle() {
 	for _, b := range d.buses {
 		b.Reset()
 	}
@@ -225,8 +245,6 @@ func (d *Device) Reset() {
 		dr.Reset()
 	}
 	if d.health != nil {
-		// Factory health, and the fault plan re-armed on the (caller-
-		// reset) engine so the next session replays it identically.
 		d.health.Reset()
 		d.armFaults()
 	}

@@ -37,7 +37,7 @@ func TestSinglePageReadLatency(t *testing.T) {
 	cfg := testConfig()
 	d := mustDevice(t, cfg, DefaultOptions())
 	res := run(t, d, trace.Trace{
-		{Time: 0, Tenant: 0, Op: trace.Read, Offset: 0, Size: cfg.PageSize},
+		{Time: 0, Tenant: 0, Op: trace.Read, Offset: 0, Size: int32(cfg.PageSize)},
 	})
 	// Uncontended read: tR + tXfer = 20us + 40us.
 	want := (cfg.ReadLatency + cfg.XferLatency).Micros()
@@ -50,7 +50,7 @@ func TestSinglePageWriteLatency(t *testing.T) {
 	cfg := testConfig()
 	d := mustDevice(t, cfg, DefaultOptions())
 	res := run(t, d, trace.Trace{
-		{Time: 0, Tenant: 0, Op: trace.Write, Offset: 0, Size: cfg.PageSize},
+		{Time: 0, Tenant: 0, Op: trace.Write, Offset: 0, Size: int32(cfg.PageSize)},
 	})
 	// Uncontended write: tXfer + tPROG = 40us + 200us.
 	want := (cfg.XferLatency + cfg.WriteLatency).Micros()
@@ -66,7 +66,7 @@ func TestMultiPageRequestWaitsForSlowestPage(t *testing.T) {
 	// overlap, but each page still pays its own transfer; the request
 	// ends when the last page lands.
 	res := run(t, d, trace.Trace{
-		{Time: 0, Tenant: 0, Op: trace.Write, Offset: 0, Size: 4 * cfg.PageSize},
+		{Time: 0, Tenant: 0, Op: trace.Write, Offset: 0, Size: 4 * int32(cfg.PageSize)},
 	})
 	perPage := (cfg.XferLatency + cfg.WriteLatency).Micros()
 	got := res.Device.Write.Mean()
@@ -104,8 +104,8 @@ func TestSameDieWritesConflict(t *testing.T) {
 	// under static striping (8 channels * 2 dies * 4 planes).
 	stride := int64(cfg.Channels * cfg.DiesPerChannel() * cfg.PlanesPerDie)
 	res := run(t, d, trace.Trace{
-		{Time: 0, Tenant: 0, Op: trace.Write, Offset: 0, Size: cfg.PageSize},
-		{Time: 0, Tenant: 0, Op: trace.Write, Offset: stride * int64(cfg.PageSize), Size: cfg.PageSize},
+		{Time: 0, Tenant: 0, Op: trace.Write, Offset: 0, Size: int32(cfg.PageSize)},
+		{Time: 0, Tenant: 0, Op: trace.Write, Offset: stride * int64(cfg.PageSize), Size: int32(cfg.PageSize)},
 	})
 	if res.Conflicts == 0 {
 		t.Error("simultaneous same-die writes produced no conflicts")
@@ -128,8 +128,8 @@ func TestDisjointChannelsDoNotConflict(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := run(t, d, trace.Trace{
-		{Time: 0, Tenant: 0, Op: trace.Write, Offset: 0, Size: cfg.PageSize},
-		{Time: 0, Tenant: 1, Op: trace.Write, Offset: 0, Size: cfg.PageSize},
+		{Time: 0, Tenant: 0, Op: trace.Write, Offset: 0, Size: int32(cfg.PageSize)},
+		{Time: 0, Tenant: 1, Op: trace.Write, Offset: 0, Size: int32(cfg.PageSize)},
 	})
 	if res.Conflicts != 0 {
 		t.Errorf("isolated tenants conflicted %d times", res.Conflicts)
@@ -151,8 +151,8 @@ func TestSharedChannelTenantsInterfere(t *testing.T) {
 		}
 	}
 	res := run(t, d, trace.Trace{
-		{Time: 0, Tenant: 0, Op: trace.Write, Offset: 0, Size: cfg.PageSize},
-		{Time: 0, Tenant: 1, Op: trace.Write, Offset: 0, Size: cfg.PageSize},
+		{Time: 0, Tenant: 0, Op: trace.Write, Offset: 0, Size: int32(cfg.PageSize)},
+		{Time: 0, Tenant: 1, Op: trace.Write, Offset: 0, Size: int32(cfg.PageSize)},
 	})
 	if res.Conflicts == 0 {
 		t.Error("same-channel tenants did not conflict")
@@ -168,18 +168,18 @@ func TestReadPriorityJumpsWriteQueue(t *testing.T) {
 		// on channel 0, then saturate channel 0's bus with writes and
 		// issue the read last.
 		tr := trace.Trace{
-			{Time: 0, Tenant: 0, Op: trace.Write, Offset: 0, Size: cfg.PageSize},
+			{Time: 0, Tenant: 0, Op: trace.Write, Offset: 0, Size: int32(cfg.PageSize)},
 		}
 		at := sim.Time(400 * sim.Microsecond)
 		stride := int64(cfg.Channels*cfg.DiesPerChannel()*cfg.PlanesPerDie) * int64(cfg.PageSize)
 		for i := 1; i <= 6; i++ {
 			tr = append(tr, trace.Record{
 				Time: at, Tenant: 0, Op: trace.Write,
-				Offset: int64(i) * stride, Size: cfg.PageSize,
+				Offset: int64(i) * stride, Size: int32(cfg.PageSize),
 			})
 		}
 		tr = append(tr, trace.Record{
-			Time: at + 1, Tenant: 0, Op: trace.Read, Offset: 0, Size: cfg.PageSize,
+			Time: at + 1, Tenant: 0, Op: trace.Read, Offset: 0, Size: int32(cfg.PageSize),
 		})
 		res := run(t, d, tr)
 		return res.Device.Read.Mean()
@@ -212,9 +212,9 @@ func TestOnArrivalHookSeesEveryRecordInOrder(t *testing.T) {
 	cfg := testConfig()
 	d := mustDevice(t, cfg, DefaultOptions())
 	tr := trace.Trace{
-		{Time: 0, Tenant: 0, Op: trace.Write, Offset: 0, Size: cfg.PageSize},
-		{Time: 100, Tenant: 1, Op: trace.Read, Offset: 0, Size: cfg.PageSize},
-		{Time: 300, Tenant: 2, Op: trace.Read, Offset: 0, Size: cfg.PageSize},
+		{Time: 0, Tenant: 0, Op: trace.Write, Offset: 0, Size: int32(cfg.PageSize)},
+		{Time: 100, Tenant: 1, Op: trace.Read, Offset: 0, Size: int32(cfg.PageSize)},
+		{Time: 300, Tenant: 2, Op: trace.Read, Offset: 0, Size: int32(cfg.PageSize)},
 	}
 	var seen []int
 	_, err := d.Run(tr, func(i int, r trace.Record) {
@@ -235,8 +235,8 @@ func TestResultAccounting(t *testing.T) {
 	cfg := testConfig()
 	d := mustDevice(t, cfg, DefaultOptions())
 	tr := trace.Trace{
-		{Time: 0, Tenant: 0, Op: trace.Write, Offset: 0, Size: 2 * cfg.PageSize},
-		{Time: 50 * sim.Microsecond, Tenant: 1, Op: trace.Read, Offset: 1 << 20, Size: cfg.PageSize},
+		{Time: 0, Tenant: 0, Op: trace.Write, Offset: 0, Size: 2 * int32(cfg.PageSize)},
+		{Time: 50 * sim.Microsecond, Tenant: 1, Op: trace.Read, Offset: 1 << 20, Size: int32(cfg.PageSize)},
 	}
 	res := run(t, d, tr)
 	if res.Requests != 2 {
@@ -276,7 +276,7 @@ func TestGCChargeDelaysForegroundOps(t *testing.T) {
 		for lpn := int64(0); lpn < 8; lpn++ {
 			tr = append(tr, trace.Record{
 				Time: at, Tenant: 0, Op: trace.Write,
-				Offset: lpn * int64(cfg.PageSize), Size: cfg.PageSize,
+				Offset: lpn * int64(cfg.PageSize), Size: int32(cfg.PageSize),
 			})
 			at += 300 * sim.Microsecond // just above per-write service time
 		}
@@ -323,8 +323,8 @@ func TestNoCacheRegisterSerializesDieOps(t *testing.T) {
 			t.Fatal(err)
 		}
 		res := run(t, d, trace.Trace{
-			{Time: 0, Tenant: 0, Op: trace.Read, Offset: 0, Size: cfg.PageSize},
-			{Time: 0, Tenant: 0, Op: trace.Read, Offset: 0, Size: cfg.PageSize},
+			{Time: 0, Tenant: 0, Op: trace.Read, Offset: 0, Size: int32(cfg.PageSize)},
+			{Time: 0, Tenant: 0, Op: trace.Read, Offset: 0, Size: int32(cfg.PageSize)},
 		})
 		return res.Device.Read.Max
 	}
@@ -373,7 +373,7 @@ func assertSettled(t *testing.T, d *Device, free int, done *countingCompleter, r
 func TestSubmitAtAddressRangeOnSecondPageSettles(t *testing.T) {
 	cfg := testConfig()
 	d := mustDevice(t, cfg, DefaultOptions())
-	run(t, d, trace.Trace{{Op: trace.Read, Size: cfg.PageSize}}) // one record in the free list
+	run(t, d, trace.Trace{{Op: trace.Read, Size: int32(cfg.PageSize)}}) // one record in the free list
 	free := len(d.reqFree)
 	if free == 0 {
 		t.Fatal("no pooled request record to lose")
@@ -381,7 +381,7 @@ func TestSubmitAtAddressRangeOnSecondPageSettles(t *testing.T) {
 	recorded := d.col.Device().Read.Count
 	var done countingCompleter
 	last := int64(ftl.MaxLPN-1) * int64(cfg.PageSize)
-	err := d.Submit(trace.Record{Op: trace.Read, Offset: last, Size: 2 * cfg.PageSize}, &done)
+	err := d.Submit(trace.Record{Op: trace.Read, Offset: last, Size: 2 * int32(cfg.PageSize)}, &done)
 	if !errors.Is(err, ftl.ErrAddressRange) {
 		t.Fatalf("want ErrAddressRange, got %v", err)
 	}
@@ -392,7 +392,7 @@ func TestSubmitAtAddressRangeOnSecondPageSettles(t *testing.T) {
 
 	// With the very first page out of range nothing was issued: the record
 	// comes back before SubmitAt returns.
-	err = d.Submit(trace.Record{Op: trace.Write, Offset: last + int64(cfg.PageSize), Size: cfg.PageSize}, &done)
+	err = d.Submit(trace.Record{Op: trace.Write, Offset: last + int64(cfg.PageSize), Size: int32(cfg.PageSize)}, &done)
 	if !errors.Is(err, ftl.ErrAddressRange) {
 		t.Fatalf("want ErrAddressRange, got %v", err)
 	}
@@ -409,7 +409,7 @@ func TestSubmitAtDeviceFullSettles(t *testing.T) {
 	cfg.Channels, cfg.ChipsPerChannel, cfg.DiesPerChip, cfg.PlanesPerDie = 1, 1, 1, 1
 	cfg.BlocksPerPlane, cfg.PagesPerBlock = 8, 4
 	page := func(lpn int) trace.Record {
-		return trace.Record{Op: trace.Write, Offset: int64(lpn) * int64(cfg.PageSize), Size: cfg.PageSize}
+		return trace.Record{Op: trace.Write, Offset: int64(lpn) * int64(cfg.PageSize), Size: int32(cfg.PageSize)}
 	}
 	// Capacity in distinct pages, found by filling a scratch device.
 	probe := mustDevice(t, cfg, DefaultOptions())
@@ -438,7 +438,7 @@ func TestSubmitAtDeviceFullSettles(t *testing.T) {
 	recorded := d.col.Device().Write.Count
 	var done countingCompleter
 	two := page(capacity - 1)
-	two.Size = 2 * cfg.PageSize
+	two.Size = 2 * int32(cfg.PageSize)
 	if err := d.Submit(two, &done); !errors.Is(err, ftl.ErrDeviceFull) {
 		t.Fatalf("want ErrDeviceFull on the second page, got %v", err)
 	}

@@ -22,7 +22,7 @@ func TestTortureAllRequestsSamePage(t *testing.T) {
 		}
 		tr = append(tr, trace.Record{
 			Time: sim.Time(i) * 10 * sim.Microsecond, Tenant: 0,
-			Op: op, Offset: 0, Size: cfg.PageSize,
+			Op: op, Offset: 0, Size: int32(cfg.PageSize),
 		})
 	}
 	res := run(t, d, tr)
@@ -42,7 +42,7 @@ func TestTortureSimultaneousBurst(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		tr = append(tr, trace.Record{
 			Time: 0, Tenant: i % 3, Op: trace.Write,
-			Offset: int64(i) * int64(cfg.PageSize), Size: cfg.PageSize,
+			Offset: int64(i) * int64(cfg.PageSize), Size: int32(cfg.PageSize),
 		})
 	}
 	res := run(t, d, tr)
@@ -59,8 +59,8 @@ func TestTortureHugeRequests(t *testing.T) {
 	d := mustDevice(t, cfg, DefaultOptions())
 	// 256-page (4MB) requests fan out across every channel repeatedly.
 	tr := trace.Trace{
-		{Time: 0, Tenant: 0, Op: trace.Write, Offset: 0, Size: 256 * cfg.PageSize},
-		{Time: sim.Millisecond, Tenant: 0, Op: trace.Read, Offset: 0, Size: 256 * cfg.PageSize},
+		{Time: 0, Tenant: 0, Op: trace.Write, Offset: 0, Size: 256 * int32(cfg.PageSize)},
+		{Time: sim.Millisecond, Tenant: 0, Op: trace.Read, Offset: 0, Size: 256 * int32(cfg.PageSize)},
 	}
 	res := run(t, d, tr)
 	if res.FTL.Writes != 256 {
@@ -78,7 +78,7 @@ func TestTortureManyTenants(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		tr = append(tr, trace.Record{
 			Time: sim.Time(i) * sim.Microsecond, Tenant: i, // 64 distinct tenants
-			Op: trace.Write, Offset: 0, Size: cfg.PageSize,
+			Op: trace.Write, Offset: 0, Size: int32(cfg.PageSize),
 		})
 	}
 	res := run(t, d, tr)
@@ -97,7 +97,7 @@ func TestTortureUnalignedExtents(t *testing.T) {
 		// Starts and ends mid-page: one page.
 		{Time: sim.Microsecond, Tenant: 0, Op: trace.Read, Offset: ps + 100, Size: 10},
 		// Exactly one page, unaligned start: two pages.
-		{Time: 2 * sim.Microsecond, Tenant: 0, Op: trace.Write, Offset: ps / 2, Size: cfg.PageSize},
+		{Time: 2 * sim.Microsecond, Tenant: 0, Op: trace.Write, Offset: ps / 2, Size: int32(cfg.PageSize)},
 	}
 	res := run(t, d, tr)
 	if res.FTL.Writes != 2+2 {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"ssdkeeper/internal/sim"
@@ -41,6 +42,8 @@ func (p Profile) Validate() error {
 		return fmt.Errorf("trace: profile %q: PageSize must be positive", p.Name)
 	case p.MinPages <= 0 || p.MaxPages < p.MinPages:
 		return fmt.Errorf("trace: profile %q: bad page range [%d,%d]", p.Name, p.MinPages, p.MaxPages)
+	case p.MaxPages > math.MaxInt32/p.PageSize:
+		return fmt.Errorf("trace: profile %q: max request %d x %d B exceeds %d bytes", p.Name, p.MaxPages, p.PageSize, math.MaxInt32)
 	case p.Address < int64(p.MaxPages)*int64(p.PageSize):
 		return fmt.Errorf("trace: profile %q: address space smaller than max request", p.Name)
 	case p.SeqProb < 0 || p.SeqProb > 1:
@@ -99,7 +102,7 @@ func Generate(p Profile) (Trace, error) {
 			Time:   now,
 			Op:     op,
 			Offset: page * int64(p.PageSize),
-			Size:   n * p.PageSize,
+			Size:   int32(n * p.PageSize), // Validate bounds it
 		})
 	}
 	return out, nil

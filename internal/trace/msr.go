@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -82,12 +83,15 @@ func ReadMSR(r io.Reader) (Trace, map[string]int, error) {
 		if size <= 0 {
 			return nil, nil, fmt.Errorf("trace: line %d: non-positive size %d", line, size)
 		}
+		if size > math.MaxInt32 {
+			return nil, nil, fmt.Errorf("trace: line %d: size %d exceeds %d bytes", line, size, math.MaxInt32)
+		}
 		out = append(out, Record{
 			Time:   sim.Time(ts-base) * filetimeTick,
 			Tenant: tenant,
 			Op:     op,
 			Offset: off,
-			Size:   size,
+			Size:   int32(size),
 		})
 	}
 	if err := sc.Err(); err != nil {

@@ -33,13 +33,17 @@ func (o Op) String() string {
 
 // Record is one block-level I/O request. Offset and Size are in bytes;
 // Tenant identifies the workload that issued the request (the paper assumes
-// a workloadID is available inside the SSD, per FlashShare/MQSim).
+// a workloadID is available inside the SSD, per FlashShare/MQSim). A
+// request is at most math.MaxInt32 bytes — the MSR loader, the generator's
+// Profile.Validate and the serve tier's handoff decoder refuse larger ones —
+// so Size is 32 bits and a record is 32 bytes, which is what a replayed
+// trace costs per request.
 type Record struct {
 	Time   sim.Time
 	Tenant int
-	Op     Op
 	Offset int64
-	Size   int
+	Size   int32
+	Op     Op
 }
 
 // Trace is an ordered sequence of records. Invariant: non-decreasing Time.

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"ssdkeeper/internal/sim"
 )
@@ -158,7 +159,7 @@ func TestGenerateDeterministicAndWellFormed(t *testing.T) {
 		if r.Offset%int64(p.PageSize) != 0 {
 			t.Fatal("offset not page aligned")
 		}
-		if r.Size < p.PageSize || r.Size > p.MaxPages*p.PageSize {
+		if int(r.Size) < p.PageSize || int(r.Size) > p.MaxPages*p.PageSize {
 			t.Fatalf("size %d outside [1,8] pages", r.Size)
 		}
 	}
@@ -176,6 +177,7 @@ func TestGenerateRejectsBadProfiles(t *testing.T) {
 		func(p *Profile) { p.MaxPages = 0 },
 		func(p *Profile) { p.Address = 1 },
 		func(p *Profile) { p.SeqProb = 2 },
+		func(p *Profile) { p.MaxPages, p.Address = 1<<19, 1<<40 }, // 2 GiB requests
 	}
 	for i, mut := range muts {
 		p := base
@@ -183,6 +185,26 @@ func TestGenerateRejectsBadProfiles(t *testing.T) {
 		if _, err := Generate(p); err == nil {
 			t.Errorf("mutation %d accepted", i)
 		}
+	}
+}
+
+func TestRecordIs32Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Record{}); n != 32 {
+		t.Errorf("trace.Record is %d bytes, want 32", n)
+	}
+}
+
+// A record's size is 32 bits: a larger one is refused with its line, never
+// truncated.
+func TestReadMSRRefusesOversizeRequest(t *testing.T) {
+	in := "100,h,0,Read,0,4096,0\n200,h,0,Write,0,2147483648,0\n"
+	_, _, err := ReadMSR(strings.NewReader(in))
+	if err == nil || !strings.Contains(err.Error(), "line 2") || !strings.Contains(err.Error(), "2147483648") {
+		t.Fatalf("ReadMSR = %v, want line 2's size refused", err)
+	}
+	in = "100,h,0,Write,0,2147483647,0\n"
+	if tr, _, err := ReadMSR(strings.NewReader(in)); err != nil || tr[0].Size != 1<<31-1 {
+		t.Fatalf("ReadMSR of the largest size = %v, %v", tr, err)
 	}
 }
 
