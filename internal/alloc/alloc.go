@@ -11,6 +11,7 @@ package alloc
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -179,6 +180,48 @@ func (s Strategy) Bind(channels int, tenants []TenantTraits) (Binding, error) {
 		}
 	}
 	return Binding{Sets: sets}, nil
+}
+
+// Group is a set of tenants that share one channel set under a binding.
+type Group struct {
+	Tenants  []int // ascending
+	Channels []int
+}
+
+// Key identifies the group across bindings: two strategies whose bindings
+// both contain a group with this key give its tenants the same channels.
+func (g Group) Key() string {
+	return fmt.Sprint(g.Tenants, g.Channels)
+}
+
+// Groups splits the binding into its groups, ordered by their first tenant.
+// The binding is decomposable when distinct channel sets are disjoint: then
+// no two groups share a bus or a die, and ok is true. Overlapping distinct
+// sets (two tenants sharing some channels but not all) report ok false.
+func (b Binding) Groups() (groups []Group, ok bool) {
+	for t, set := range b.Sets {
+		i := 0
+		for i < len(groups) && !slices.Equal(groups[i].Channels, set) {
+			i++
+		}
+		if i == len(groups) {
+			groups = append(groups, Group{Channels: set})
+		}
+		groups[i].Tenants = append(groups[i].Tenants, t)
+	}
+	var used []bool
+	for _, g := range groups {
+		for _, c := range g.Channels {
+			for c >= len(used) {
+				used = append(used, false)
+			}
+			if used[c] {
+				return nil, false
+			}
+			used[c] = true
+		}
+	}
+	return groups, true
 }
 
 func seq(start, n int) []int {

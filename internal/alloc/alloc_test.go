@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -292,6 +293,53 @@ func TestSpacesGeneralizeToOtherChannelCounts(t *testing.T) {
 	for _, s := range big {
 		if _, err := s.Bind(12, traits); err != nil {
 			t.Fatalf("%s on 12 channels: %v", s.Name(12), err)
+		}
+	}
+}
+
+func TestBindingGroups(t *testing.T) {
+	mixed := []TenantTraits{{WriteDominated: true}, {}, {WriteDominated: true}, {}}
+	writers := []TenantTraits{{WriteDominated: true}, {WriteDominated: true}, {WriteDominated: true}, {WriteDominated: true}}
+	singletons := []string{"[0] [0 1]", "[1] [2 3]", "[2] [4 5]", "[3] [6 7]"}
+	cases := []struct {
+		name   string
+		s      Strategy
+		traits []TenantTraits
+		want   []string // group keys, by first tenant
+	}{
+		{"shared", Strategy{Kind: Shared}, mixed, []string{"[0 1 2 3] [0 1 2 3 4 5 6 7]"}},
+		{"degenerate two-group", Strategy{Kind: TwoGroup, WriteChannels: 5}, writers, []string{"[0 1 2 3] [0 1 2 3 4 5 6 7]"}},
+		{"two-group", Strategy{Kind: TwoGroup, WriteChannels: 5}, mixed, []string{"[0 2] [0 1 2 3 4]", "[1 3] [5 6 7]"}},
+		{"four-way", Strategy{Kind: FourWay, Parts: []int{2, 2, 2, 2}}, mixed, singletons},
+		{"isolated", Strategy{Kind: Isolated}, mixed, singletons},
+		{"four-way uneven", Strategy{Kind: FourWay, Parts: []int{5, 1, 1, 1}}, mixed, []string{"[0] [0 1 2 3 4]", "[1] [5]", "[2] [6]", "[3] [7]"}},
+	}
+	for _, c := range cases {
+		b, err := c.s.Bind(8, c.traits)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		groups, ok := b.Groups()
+		if !ok {
+			t.Fatalf("%s: not decomposable", c.name)
+		}
+		var got []string
+		for _, g := range groups {
+			got = append(got, g.Key())
+		}
+		if fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("%s: groups %q, want %q", c.name, got, c.want)
+		}
+	}
+
+	// Distinct channel sets that overlap share a bus: not decomposable.
+	for _, sets := range [][][]int{
+		{{0, 1, 2}, {2, 3}},
+		{{0, 1, 2, 3}, {0, 1}, {4, 5}},
+		{{0, 1}, {1, 0}},
+	} {
+		if groups, ok := (Binding{Sets: sets}).Groups(); ok {
+			t.Errorf("sets %v: decomposed into %v, want not decomposable", sets, groups)
 		}
 	}
 }

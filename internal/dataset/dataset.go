@@ -4,8 +4,10 @@
 // simulator, label it with the strategy that minimizes total response
 // latency, and emit a shuffled, split classification dataset.
 //
-// Label generation is embarrassingly parallel — every (workload, strategy)
-// simulation is independent — so it fans out across a worker pool.
+// Label generation is embarrassingly parallel — every workload's replays
+// are independent — so it fans out across a worker pool. Within a workload,
+// a channel group that recurs across strategies is replayed once and the
+// strategies are composed from their groups (Labeler.Costs).
 package dataset
 
 import (
@@ -30,6 +32,8 @@ import (
 	"ssdkeeper/internal/sim"
 	"ssdkeeper/internal/simrun"
 	"ssdkeeper/internal/ssd"
+	"ssdkeeper/internal/stats"
+	"ssdkeeper/internal/trace"
 	"ssdkeeper/internal/workload"
 )
 
@@ -115,8 +119,8 @@ func Generate(ctx context.Context, cfg Config, progress func(done, total int)) (
 	}
 	// Split the budget across the two parallel dimensions: outer workers
 	// take whole workloads; each one labels with inner workers fanning the
-	// per-strategy loop out. Many workloads → all-outer (one labeler per
-	// worker, serial strategy loop, minimal cross-goroutine traffic); few
+	// workload's replays out. Many workloads → all-outer (one labeler per
+	// worker, serial replays, minimal cross-goroutine traffic); few
 	// workloads → the spare budget parallelizes inside each label. Either
 	// split produces identical samples.
 	outer := workers
@@ -204,9 +208,9 @@ const Infeasible = math.MaxFloat64
 // simrun.Runners, so the simulation engines, devices, and collectors are
 // reused across the whole per-strategy loop instead of being reallocated per
 // simulation. With more than one worker (Config.Workers; 0 = GOMAXPROCS)
-// each Label call splits its per-strategy loop across the runners; the
-// strategies run concurrently but each result lands in its strategy's slot,
-// so the sample is identical for any worker count. A Labeler belongs to one
+// each Label call spreads its replays across the runners; each result lands
+// in its own slot and strategies are composed after every replay is done, so
+// the sample is identical for any worker count. A Labeler belongs to one
 // goroutine at a time; Generate gives each outer worker its own.
 type Labeler struct {
 	cfg     Config
@@ -248,83 +252,19 @@ func (l *Labeler) Label(ctx context.Context, spec workload.MixSpec) (Sample, err
 // identically to every strategy's replay. A nil plan is the immortal path.
 func (l *Labeler) LabelFaulted(ctx context.Context, spec workload.MixSpec, plan *nand.FaultPlan) (Sample, error) {
 	cfg := l.cfg
-	opts := cfg.Options
-	if plan != nil {
-		opts.FaultPlan = plan
-	}
 	tr, err := spec.Build(cfg.Device.PageSize)
 	if err != nil {
 		return Sample{}, err
 	}
-	traits := spec.Traits()
-	lat := make([]float64, len(cfg.Strategies))
-	errs := make([]error, len(cfg.Strategies))
-	// runOne replays the workload under strategy si on runner r. The trace
-	// and traits are shared read-only; the result lands in the strategy's
-	// own slot, so the outcome is independent of which worker ran it.
-	runOne := func(r *simrun.Runner, si int) {
-		res, err := r.Run(ctx, simrun.Config{
-			Device:   cfg.Device,
-			Options:  opts,
-			Strategy: cfg.Strategies[si],
-			Traits:   traits,
-			Hybrid:   cfg.Hybrid,
-			Season:   cfg.Season,
-		}, tr)
-		if errors.Is(err, ftl.ErrDeviceFull) {
-			lat[si] = Infeasible
-			return
-		}
-		if err != nil {
-			errs[si] = err
-			return
-		}
-		lat[si] = workload.TotalLatency(res.Result)
-	}
-	workers := l.workers
-	if workers > len(cfg.Strategies) {
-		workers = len(cfg.Strategies)
-	}
-	if workers <= 1 {
-		r := l.runnerFor(0)
-		for si := range cfg.Strategies {
-			if err := ctx.Err(); err != nil {
-				return Sample{}, err
-			}
-			runOne(r, si)
-		}
-	} else {
-		// Atomic dispenser over strategy indices: workers pull the next
-		// unclaimed strategy until the space is exhausted.
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			r := l.runnerFor(w)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					si := int(next.Add(1)) - 1
-					if si >= len(cfg.Strategies) || ctx.Err() != nil {
-						return
-					}
-					runOne(r, si)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	if err := ctx.Err(); err != nil {
+	costs, err := l.Costs(ctx, tr, spec.Traits(), plan)
+	if err != nil {
 		return Sample{}, err
 	}
-	// Report errors in strategy order so the failure surfaced does not
-	// depend on worker interleaving.
+	lat := make([]float64, len(costs))
 	feasible := 0
-	for si, err := range errs {
-		if err != nil {
-			return Sample{}, fmt.Errorf("strategy %s: %w", cfg.Strategies[si].Name(cfg.Device.Channels), err)
-		}
-		if lat[si] != Infeasible {
+	for si, c := range costs {
+		lat[si] = c.Total()
+		if !c.Infeasible {
 			feasible++
 		}
 	}
@@ -364,6 +304,221 @@ func (l *Labeler) LabelFaulted(ctx context.Context, spec workload.MixSpec, plan 
 		vec.DeadDieFrac, vec.RetryRate, vec.WearSpread = planHealthFeatures(cfg.Device, plan, spec)
 	}
 	return Sample{Spec: spec, Vector: vec, Label: best, Latencies: lat, Fault: plan}, nil
+}
+
+// Cost is one strategy's latency on one trace: the device-wide read and
+// write Count and Sum of a whole run, or the sums of its channel groups'
+// ones. Those integers are all Total and the means read, so a composed cost
+// computes the very float a whole run does.
+type Cost struct {
+	Device stats.Latency // only Count and Sum are set
+	// Infeasible marks a strategy whose channel partition cannot hold its
+	// tenants' live data (ftl.ErrDeviceFull).
+	Infeasible bool
+}
+
+// Total is the strategy's total response latency in microseconds
+// (stats.Latency.Total), or the package's Infeasible.
+func (c Cost) Total() float64 {
+	if c.Infeasible {
+		return Infeasible
+	}
+	return c.Device.Total()
+}
+
+// Costs replays the trace under every strategy of the labeler's space, on a
+// device with the labeler's geometry, options and seasoning (and plan, if
+// not nil), and returns the strategies' costs in space order.
+//
+// A partitioned strategy's channel groups share no bus, die, plane, GC or
+// wear state, so a group costs the same under every strategy that contains
+// it. Each distinct group is replayed once (ssd.Device.RunTenants) and a
+// strategy's cost is the sum of its groups' — when at least one of its
+// groups recurs in another strategy; otherwise it runs whole. Decomposition
+// needs no fault plan (a die failure rebuilds seasoning pages that GC moved
+// over every channel), no mapping cache (one LRU serves every tenant), every
+// record's tenant bound, and disjoint group channel sets; anything else runs
+// every strategy whole.
+// A group that fails with ftl.ErrDeviceFull makes its strategies
+// Infeasible; any other failure re-runs the strategy whole, so the error
+// returned is the one a whole run reports.
+func (l *Labeler) Costs(ctx context.Context, tr trace.Trace, traits []alloc.TenantTraits, plan *nand.FaultPlan) ([]Cost, error) {
+	cfg := l.cfg
+	opts := cfg.Options
+	if plan != nil {
+		opts.FaultPlan = plan
+	}
+	run := func(si int) simrun.Config {
+		return simrun.Config{
+			Device:   cfg.Device,
+			Options:  opts,
+			Strategy: cfg.Strategies[si],
+			Traits:   traits,
+			Hybrid:   cfg.Hybrid,
+			Season:   cfg.Season,
+		}
+	}
+	jobs, parts := replays(cfg.Strategies, cfg.Device.Channels, traits, tr, opts)
+	// do runs one replay on runner r; the trace and traits are shared
+	// read-only and the outcome lands in the job's own slot.
+	do := func(r *simrun.Runner, jb *replay) {
+		sess, err := r.NewSession(run(jb.strategy))
+		if err != nil {
+			jb.err = err
+			return
+		}
+		var res simrun.Result
+		if jb.only == nil {
+			res, err = sess.Run(ctx, tr)
+		} else {
+			res, err = sess.RunTenants(ctx, tr, jb.only)
+		}
+		jb.lat, jb.err = moments(res.Device), err
+	}
+	workers := l.workers
+	if workers > len(jobs) {
+		workers = len(jobs)
+	}
+	if workers <= 1 {
+		r := l.runnerFor(0)
+		for j := range jobs {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			do(r, &jobs[j])
+		}
+	} else {
+		// Atomic dispenser over the replays: workers pull the next
+		// unclaimed one until none is left.
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			r := l.runnerFor(w)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					j := int(next.Add(1)) - 1
+					if j >= len(jobs) || ctx.Err() != nil {
+						return
+					}
+					do(r, &jobs[j])
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	// Compose in strategy order, so the failure surfaced does not depend
+	// on worker interleaving.
+	costs := make([]Cost, len(cfg.Strategies))
+	for si, js := range parts {
+		c, failed := Cost{}, error(nil)
+		for _, j := range js {
+			switch err := jobs[j].err; {
+			case err == nil:
+				c.Device.Merge(jobs[j].lat)
+			case errors.Is(err, ftl.ErrDeviceFull):
+				c.Infeasible = true
+			default:
+				failed = err
+			}
+		}
+		if failed != nil && jobs[js[0]].only != nil {
+			// A group failed otherwise than by filling up: the whole
+			// strategy's replay decides what is reported.
+			res, err := l.runnerFor(0).Run(ctx, run(si), tr)
+			c, failed = Cost{Device: moments(res.Device)}, err
+			if errors.Is(err, ftl.ErrDeviceFull) {
+				c, failed = Cost{Infeasible: true}, nil
+			}
+		}
+		if failed != nil {
+			return nil, fmt.Errorf("strategy %s: %w", cfg.Strategies[si].Name(cfg.Device.Channels), failed)
+		}
+		costs[si] = c
+	}
+	return costs, nil
+}
+
+// replay is one simulation of Costs: a whole strategy (only nil) or one
+// channel group of the strategy's binding (only marks its tenants).
+type replay struct {
+	strategy int
+	only     []bool
+	lat      stats.Latency
+	err      error
+}
+
+// replays plans the simulations that cost every strategy of space on tr:
+// parts[si] lists the replays strategy si sums. A strategy runs whole unless
+// the device and trace allow decomposition (see Costs) and one of its groups
+// recurs in another strategy; every distinct group is replayed once.
+func replays(space []alloc.Strategy, channels int, traits []alloc.TenantTraits, tr trace.Trace, opts ssd.Options) (jobs []replay, parts [][]int) {
+	groups := make([][]alloc.Group, len(space))
+	recurs := map[string]int{} // group key -> strategies whose binding has it
+	if opts.FaultPlan == nil && opts.CMTEntries == 0 && bound(tr, len(traits)) {
+		for si, s := range space {
+			b, err := s.Bind(channels, traits)
+			if err != nil {
+				continue // the whole run reports it
+			}
+			if gs, ok := b.Groups(); ok {
+				groups[si] = gs
+				for _, g := range gs {
+					recurs[g.Key()]++
+				}
+			}
+		}
+	}
+	parts = make([][]int, len(space))
+	index := map[string]int{} // group key -> its replay
+	for si := range space {
+		shared := false
+		for _, g := range groups[si] {
+			shared = shared || recurs[g.Key()] > 1
+		}
+		if !shared {
+			parts[si] = []int{len(jobs)}
+			jobs = append(jobs, replay{strategy: si})
+			continue
+		}
+		for _, g := range groups[si] {
+			j, ok := index[g.Key()]
+			if !ok {
+				j = len(jobs)
+				index[g.Key()] = j
+				only := make([]bool, len(traits))
+				for _, t := range g.Tenants {
+					only[t] = true
+				}
+				jobs = append(jobs, replay{strategy: si, only: only})
+			}
+			parts[si] = append(parts[si], j)
+		}
+	}
+	return jobs, parts
+}
+
+// bound reports whether every record's tenant is one of the n the strategy
+// binds; an unbound tenant stripes over every channel and shares them all.
+func bound(tr trace.Trace, n int) bool {
+	for _, r := range tr {
+		if r.Tenant < 0 || r.Tenant >= n {
+			return false
+		}
+	}
+	return true
+}
+
+// moments keeps the Count and Sum of a latency's accumulators.
+func moments(l stats.Latency) stats.Latency {
+	return stats.Latency{
+		Read:  stats.Acc{Count: l.Read.Count, Sum: l.Read.Sum},
+		Write: stats.Acc{Count: l.Write.Count, Sum: l.Write.Sum},
+	}
 }
 
 // RandomFaultPlan synthesizes a training fault plan for one workload: a die

@@ -416,3 +416,114 @@ func TestGenerateOneRunnerMatchesFreshRunners(t *testing.T) {
 		t.Fatalf("%d of %d workloads drew a fault plan; the test needs both kinds", faulted, len(samples))
 	}
 }
+
+// TestCostsMatchWholeRuns labels over the full four-tenant space, where
+// channel groups recur across strategies and Costs replays each once and
+// composes the strategies from them. Every latency must be the one a fresh
+// runner measures replaying the strategy whole: at two seeds, with the
+// hybrid allocator, with several workers spreading the group replays, and
+// on the configs that must not decompose (fault plans, a mapping cache).
+func TestCostsMatchWholeRuns(t *testing.T) {
+	base := quickConfig()
+	base.Strategies = alloc.FourTenantSpace(base.Device.Channels)
+	base.Workloads = 3
+	base.Requests = 600
+	base.Workers = 1
+	cases := []struct {
+		name       string
+		mod        func(*Config)
+		decomposes bool
+	}{
+		{"seed2", func(c *Config) { c.Seed = 2 }, true},
+		{"seed3-workers4", func(c *Config) { c.Seed, c.Workloads, c.Workers = 3, 2, 4 }, true},
+		{"hybrid", func(c *Config) { c.Seed, c.Hybrid = 2, true }, true},
+		{"faults", func(c *Config) { c.Seed, c.Workloads, c.Requests, c.FaultFraction = 2, 4, 2000, 0.5 }, true},
+		{"cmt", func(c *Config) { c.Seed, c.Options.CMTEntries = 2, 64 }, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := base
+			c.mod(&cfg)
+			samples, err := Generate(context.Background(), cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			composed, faulted := 0, 0
+			for i, s := range samples {
+				if s.Fault != nil {
+					faulted++
+				}
+				n := checkWholeRuns(t, cfg, s)
+				if n > 0 && (!c.decomposes || s.Fault != nil) {
+					t.Errorf("workload %d: %d strategies composed from groups; this config must run every strategy whole", i, n)
+				}
+				if n > 0 {
+					composed++
+				}
+			}
+			if c.decomposes && composed == 0 {
+				t.Errorf("no workload was composed from groups")
+			}
+			if cfg.FaultFraction > 0 && (faulted == 0 || faulted == len(samples)) {
+				t.Errorf("%d of %d workloads drew a fault plan; the case needs both kinds", faulted, len(samples))
+			}
+		})
+	}
+
+	// The 40th workload Generate draws at seed 2 with 2000 requests puts an
+	// arrival of one tenant at the same nanosecond as a device event of
+	// another. A group replayed on a filtered sub-trace fires its arrivals
+	// in a different order against those events and moves five strategies'
+	// latencies by 0.064 us; the full arrival stream keeps them exact.
+	t.Run("arrival-tie", func(t *testing.T) {
+		cfg := base
+		cfg.Seed, cfg.Requests, cfg.Workers = 2, 2000, 2
+		rng := rand.New(rand.NewSource(cfg.Seed))
+		var spec workload.MixSpec
+		for i := 0; i < 40; i++ {
+			spec = workload.RandomMixSpec(rng, cfg.Requests, cfg.MaxIOPS)
+		}
+		s, err := NewLabeler(cfg).Label(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if checkWholeRuns(t, cfg, s) == 0 {
+			t.Error("no strategy was composed from groups")
+		}
+	})
+}
+
+// checkWholeRuns replays every strategy of cfg whole on the sample's
+// workload, each on a fresh runner, and reports each latency the sample
+// does not match. It returns how many strategies Costs composed from
+// channel-group replays.
+func checkWholeRuns(t *testing.T, cfg Config, s Sample) (composed int) {
+	t.Helper()
+	opts := cfg.Options
+	opts.FaultPlan = s.Fault
+	tr, err := s.Spec.Build(cfg.Device.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traits := s.Spec.Traits()
+	jobs, parts := replays(cfg.Strategies, cfg.Device.Channels, traits, tr, opts)
+	for si, st := range cfg.Strategies {
+		if jobs[parts[si][0]].only != nil {
+			composed++
+		}
+		res, err := simrun.NewRunner().Run(context.Background(), simrun.Config{
+			Device: cfg.Device, Options: opts, Strategy: st, Traits: traits,
+			Hybrid: cfg.Hybrid, Season: cfg.Season,
+		}, tr)
+		want := Infeasible
+		if err == nil {
+			want = workload.TotalLatency(res.Result)
+		} else if !errors.Is(err, ftl.ErrDeviceFull) {
+			t.Fatal(err)
+		}
+		if s.Latencies[si] != want {
+			t.Errorf("spec seed %d strategy %s: latency %v labelled, %v replayed whole", s.Spec.Seed, st.Name(cfg.Device.Channels), s.Latencies[si], want)
+		}
+	}
+	return composed
+}

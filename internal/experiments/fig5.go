@@ -2,18 +2,17 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 
 	"ssdkeeper/internal/alloc"
+	"ssdkeeper/internal/dataset"
 	"ssdkeeper/internal/features"
-	"ssdkeeper/internal/ftl"
 	"ssdkeeper/internal/keeper"
 	"ssdkeeper/internal/nn"
 	"ssdkeeper/internal/sim"
 	"ssdkeeper/internal/simrun"
-	"ssdkeeper/internal/ssd"
+	"ssdkeeper/internal/stats"
 	"ssdkeeper/internal/trace"
 )
 
@@ -29,11 +28,12 @@ type LatencyRow struct {
 	TotalUs float64
 }
 
-func toRow(r ssd.Result) LatencyRow {
+// toRow reads only the means, so a dataset.Cost's Count and Sum suffice.
+func toRow(l stats.Latency) LatencyRow {
 	return LatencyRow{
-		WriteUs: r.Device.Write.Mean(),
-		ReadUs:  r.Device.Read.Mean(),
-		TotalUs: r.Device.Total(),
+		WriteUs: l.Write.Mean(),
+		ReadUs:  l.Read.Mean(),
+		TotalUs: l.Total(),
 	}
 }
 
@@ -104,12 +104,12 @@ func Fig5Table5(ctx context.Context, env Env, scale Scale, model *nn.Network, or
 		if err != nil {
 			return nil, fmt.Errorf("%s shared: %w", report.Name, err)
 		}
-		report.Shared = toRow(sharedRes)
+		report.Shared = toRow(sharedRes.Device)
 		isoRes, err := env.runOne(ctx, runner, isolated, traits, false, mix)
 		if err != nil {
 			return nil, fmt.Errorf("%s isolated: %w", report.Name, err)
 		}
-		report.Isolated = toRow(isoRes)
+		report.Isolated = toRow(isoRes.Device)
 
 		// Observation pass: the real online mechanism collects the
 		// features and predicts (also yielding the online-adaptation
@@ -129,7 +129,7 @@ func Fig5Table5(ctx context.Context, env Env, scale Scale, model *nn.Network, or
 		if err != nil {
 			return nil, fmt.Errorf("%s keeper: %w", report.Name, err)
 		}
-		report.KeeperOnline = toRow(rep.Result)
+		report.KeeperOnline = toRow(rep.Result.Device)
 		chosen := rep.Chosen()
 		report.Chosen = chosen.Name(env.Device.Channels)
 		chosenTraits := traits
@@ -144,17 +144,17 @@ func Fig5Table5(ctx context.Context, env Env, scale Scale, model *nn.Network, or
 		if err != nil {
 			return nil, fmt.Errorf("%s chosen %s: %w", report.Name, report.Chosen, err)
 		}
-		report.Keeper = toRow(keeperRes)
+		report.Keeper = toRow(keeperRes.Device)
 		hybridRes, err := env.runOne(ctx, runner, chosen, chosenTraits, true, mix)
 		if err != nil {
 			return nil, fmt.Errorf("%s chosen %s hybrid: %w", report.Name, report.Chosen, err)
 		}
-		report.KeeperHybrid = toRow(hybridRes)
+		report.KeeperHybrid = toRow(hybridRes.Device)
 		report.ImprovementPct = 100 * (report.Shared.TotalUs - report.Keeper.TotalUs) / report.Shared.TotalUs
 		report.HybridDeltaPct = 100 * (report.Keeper.TotalUs - report.KeeperHybrid.TotalUs) / report.Keeper.TotalUs
 
 		if oracle {
-			bestName, bestRow, err := exhaustiveBest(ctx, runner, env, traits, mix)
+			bestName, bestRow, err := exhaustiveBest(ctx, env, scale.Workers, traits, mix)
 			if err != nil {
 				return nil, fmt.Errorf("%s oracle: %w", report.Name, err)
 			}
@@ -166,22 +166,29 @@ func Fig5Table5(ctx context.Context, env Env, scale Scale, model *nn.Network, or
 	return reports, nil
 }
 
-// exhaustiveBest replays the mix under every strategy and returns the one
-// with the lowest total latency. Infeasible partitions are skipped.
-func exhaustiveBest(ctx context.Context, runner *simrun.Runner, env Env, traits []alloc.TenantTraits, mix trace.Trace) (string, LatencyRow, error) {
+// exhaustiveBest costs the mix under every strategy (dataset.Labeler.Costs)
+// and returns the one with the lowest total latency. Infeasible partitions
+// are skipped.
+func exhaustiveBest(ctx context.Context, env Env, workers int, traits []alloc.TenantTraits, mix trace.Trace) (string, LatencyRow, error) {
+	costs, err := dataset.NewLabeler(dataset.Config{
+		Device:     env.Device,
+		Options:    env.Options,
+		Strategies: env.Strategies,
+		Season:     env.Season,
+		Workers:    workers,
+	}).Costs(ctx, mix, traits, nil)
+	if err != nil {
+		return "", LatencyRow{}, err
+	}
 	bestName := ""
 	var bestRow LatencyRow
-	for _, s := range env.Strategies {
-		res, err := env.runOne(ctx, runner, s, traits, false, mix)
-		if errors.Is(err, ftl.ErrDeviceFull) {
+	for si, c := range costs {
+		if c.Infeasible {
 			continue
 		}
-		if err != nil {
-			return "", LatencyRow{}, err
-		}
-		row := toRow(res)
+		row := toRow(c.Device)
 		if bestName == "" || row.TotalUs < bestRow.TotalUs {
-			bestName, bestRow = s.Name(env.Device.Channels), row
+			bestName, bestRow = env.Strategies[si].Name(env.Device.Channels), row
 		}
 	}
 	if bestName == "" {

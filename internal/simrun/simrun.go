@@ -233,6 +233,18 @@ func (s *Session) RunObserved(ctx context.Context, t trace.Trace, onArrival func
 	return Result{Result: res, Counters: s.r.Counters()}, nil
 }
 
+// RunTenants replays the trace submitting only the records of the tenants
+// marked in only (ssd.Device.RunTenants): the cost of one channel group of
+// the session's strategy, measured on the same seasoned, bound device as the
+// whole strategy.
+func (s *Session) RunTenants(ctx context.Context, t trace.Trace, only []bool) (Result, error) {
+	res, err := s.dev.RunTenants(ctx, t, only)
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{Result: res, Counters: s.r.Counters()}, nil
+}
+
 // Run builds a session for cfg and replays the trace on it — the whole
 // lifecycle in one call.
 func (r *Runner) Run(ctx context.Context, cfg Config, t trace.Trace) (Result, error) {

@@ -624,17 +624,64 @@ func (d *Device) RunContext(ctx context.Context, t trace.Trace, onArrival func(i
 			d.eng.ScheduleCall(t[i+1].Time, inject, arg+1)
 		}
 	}
+	makespan, err := d.replay(ctx, t, inject, &submitErr)
+	if err != nil {
+		return Result{}, err
+	}
+	return d.result(makespan, len(t)), nil
+}
+
+// RunTenants replays the trace as RunContext does but submits only the
+// records of tenants whose entry in only is true; every other record still
+// arrives, as an event that submits nothing. Keeping every arrival keeps the
+// firing order exact: at equal timestamps an arrival's order against device
+// events is set by when the previous record of any tenant arrived, so a
+// filtered trace would reorder ties. On a device whose submitted tenants
+// own channels no other tenant uses, the result is theirs in a whole run.
+// Result.Requests counts the records submitted.
+func (d *Device) RunTenants(ctx context.Context, t trace.Trace, only []bool) (Result, error) {
+	if err := t.Validate(); err != nil {
+		return Result{}, err
+	}
+	submitted := 0
+	var submitErr error
+	var inject func(arg uint64)
+	inject = func(arg uint64) {
+		i := int(arg)
+		if i >= len(t) || submitErr != nil {
+			return
+		}
+		r := t[i]
+		if uint(r.Tenant) < uint(len(only)) && only[r.Tenant] {
+			if err := d.SubmitAt(r, r.Time, nil); err != nil {
+				submitErr = err
+				return
+			}
+			submitted++
+		}
+		if i+1 < len(t) {
+			d.eng.ScheduleCall(t[i+1].Time, inject, arg+1)
+		}
+	}
+	makespan, err := d.replay(ctx, t, inject, &submitErr)
+	if err != nil {
+		return Result{}, err
+	}
+	return d.result(makespan, submitted), nil
+}
+
+// replay schedules the first arrival and runs the engine dry, returning the
+// makespan; inject schedules each next arrival and records a submit failure
+// in *submitErr, which wins over a cancellation.
+func (d *Device) replay(ctx context.Context, t trace.Trace, inject func(arg uint64), submitErr *error) (sim.Time, error) {
 	if len(t) > 0 {
 		d.eng.ScheduleCall(t[0].Time, inject, 0)
 	}
 	makespan, ctxErr := d.eng.RunContext(ctx)
-	if submitErr != nil {
-		return Result{}, submitErr
+	if *submitErr != nil {
+		return 0, *submitErr
 	}
-	if ctxErr != nil {
-		return Result{}, ctxErr
-	}
-	return d.result(makespan, len(t)), nil
+	return makespan, ctxErr
 }
 
 // Snapshot assembles a Result at the current simulated time, for drivers
