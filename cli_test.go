@@ -231,7 +231,7 @@ func TestCLIExperimentsFig2Quick(t *testing.T) {
 // rebalance interval), keeperload makes one pass with one connection pool
 // (no direct replay, label or pool size) over the one transport, wire.
 func TestCLIRemovedFlags(t *testing.T) {
-	bins := buildTools(t, "ssdkeeperd", "keeperfleet", "keeperload")
+	bins := buildTools(t, "ssdkeeperd", "keeperfleet", "keeperload", "experiments")
 	for _, c := range []struct{ tool, flag string }{
 		{"ssdkeeperd", "-audit-every"},
 		{"keeperfleet", "-rebalance-every"},
@@ -259,6 +259,8 @@ func TestCLIRemovedFlags(t *testing.T) {
 		{"ssdkeeperd", "-timeout"},
 		{"keeperload", "-wire"},
 		{"keeperload", "-timeout"},
+		// Figure 5 always reports the exhaustive optimum.
+		{"experiments", "-oracle"},
 	} {
 		out, err := exec.Command(filepath.Join(bins, c.tool), c.flag, "1").CombinedOutput()
 		if err == nil || !strings.Contains(string(out), "flag provided but not defined: "+c.flag) {

@@ -10,9 +10,12 @@
 //	experiments -run all -out results/       # write per-experiment files
 //	experiments -run fig4 -workloads 1000    # override dataset size
 //
-// Experiments that need the trained model (table5, fig5, fig6) build the
-// dataset and train it first; -samples/-model let you reuse artifacts
-// produced by keeper-train.
+// Experiments that need the trained model (table5, fig5, fig6, healthtraj)
+// build the dataset and train it first; -samples/-model let you reuse
+// artifacts produced by keeper-train. Under -run all the model is Figure 4's
+// Adam-logistic entry, so every model is trained once; -run adaptive costs
+// the Figure 2 sweep it evaluates against. Figure 5 always reports the
+// exhaustive optimum over all 42 strategies (its Oracle column).
 package main
 
 import (
@@ -39,7 +42,6 @@ func main() {
 		run       = flag.String("run", "all", "experiment: all, fig2, adaptive, fig4, table3, table5, fig5, fig6, healthtraj")
 		scaleName = flag.String("scale", "default", "scale preset: quick, default, paper")
 		outDir    = flag.String("out", "", "directory for result files (default: stdout only)")
-		oracle    = flag.Bool("oracle", false, "fig5: also sweep all 42 strategies per mix for the exhaustive optimum")
 		samples   = flag.String("samples", "", "reuse a dataset file written by keeper-train")
 		model     = flag.String("model", "", "reuse a model file written by keeper-train")
 		workloads = flag.Int("workloads", 0, "override dataset workload count")
@@ -111,30 +113,31 @@ func main() {
 		}
 	}
 
-	if which == "all" || which == "fig2" {
+	if which == "all" || which == "fig2" || which == "adaptive" {
 		if !*quiet {
 			fmt.Fprintln(os.Stderr, "running fig2 (9 write proportions x 8 strategies)...")
 		}
-		res, err := experiments.Fig2(ctx, env, scale)
+		fig2, err := experiments.Fig2(ctx, env, scale)
 		if err != nil {
 			fatal(err)
 		}
-		emit("fig2", res.Render(), res)
-	}
-
-	if which == "all" || which == "adaptive" {
-		if !*quiet {
-			fmt.Fprintln(os.Stderr, "running the self-adjusting two-tenant sweep...")
+		if which != "adaptive" {
+			emit("fig2", fig2.Render(), fig2)
 		}
-		res, err := experiments.Fig2Adaptive(ctx, env, scale, func(done, total int) {
-			if !*quiet && done%25 == 0 {
-				fmt.Fprintf(os.Stderr, "  labelled %d/%d two-tenant workloads\n", done, total)
+		if which != "fig2" {
+			if !*quiet {
+				fmt.Fprintln(os.Stderr, "running the self-adjusting two-tenant sweep...")
 			}
-		})
-		if err != nil {
-			fatal(err)
+			res, err := experiments.Fig2Adaptive(ctx, env, scale, fig2, func(done, total int) {
+				if !*quiet && done%25 == 0 {
+					fmt.Fprintf(os.Stderr, "  labelled %d/%d two-tenant workloads\n", done, total)
+				}
+			})
+			if err != nil {
+				fatal(err)
+			}
+			emit("fig2_adaptive", res.Render(), res)
 		}
-		emit("fig2_adaptive", res.Render(), res)
 	}
 
 	needModel := which == "all" || which == "fig4" || which == "table3" ||
@@ -176,6 +179,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, experiments.LabelBalance(ds, env))
 	}
 
+	// deployed is the model Table V and Figures 5-6 run: Figure 4's
+	// Adam-logistic entry under -run all, trained alone otherwise.
+	var deployed experiments.OptimizerRun
 	if which == "all" || which == "fig4" || which == "table3" {
 		if !*quiet {
 			fmt.Fprintln(os.Stderr, "training 4 optimizer configurations...")
@@ -187,6 +193,11 @@ func main() {
 		emit("fig4_table3", experiments.RenderFig4(runs), runs)
 		if which != "all" {
 			return
+		}
+		for _, r := range runs {
+			if r.Name == experiments.Deployed {
+				deployed = r
+			}
 		}
 	}
 
@@ -204,18 +215,21 @@ func main() {
 			fatal(err)
 		}
 	} else {
-		if !*quiet {
-			fmt.Fprintln(os.Stderr, "training the deployed model (Adam-logistic)...")
+		if deployed.Model == nil {
+			if !*quiet {
+				fmt.Fprintln(os.Stderr, "training the deployed model (Adam-logistic)...")
+			}
+			best, err := experiments.TrainBest(env, scale, ds)
+			if err != nil {
+				fatal(err)
+			}
+			deployed = experiments.OptimizerRun{History: best.History, Model: best.Model, TestSamples: best.TestSamples}
 		}
-		best, err := experiments.TrainBest(env, scale, ds)
-		if err != nil {
-			fatal(err)
-		}
-		net = best.Model
+		net = deployed.Model
 		if !*quiet {
 			fmt.Fprintf(os.Stderr, "model accuracy on held-out data: %.1f%% (paper: 94.5%%)\n",
-				100*best.History.FinalAcc)
-			if eval, err := experiments.EvaluateModel(best.Model, best.TestSamples); err == nil {
+				100*deployed.History.FinalAcc)
+			if eval, err := experiments.EvaluateModel(net, deployed.TestSamples); err == nil {
 				fmt.Fprintln(os.Stderr, eval.String())
 			}
 		}
@@ -223,9 +237,9 @@ func main() {
 
 	if which == "all" || which == "table5" || which == "fig5" {
 		if !*quiet {
-			fmt.Fprintln(os.Stderr, "replaying Mix1..Mix4 under Shared/Isolated/SSDKeeper...")
+			fmt.Fprintln(os.Stderr, "replaying Mix1..Mix4 under every strategy and SSDKeeper...")
 		}
-		reports, err := experiments.Fig5Table5(ctx, env, scale, net, *oracle)
+		reports, err := experiments.Fig5Table5(ctx, env, scale, net)
 		if err != nil {
 			fatal(err)
 		}

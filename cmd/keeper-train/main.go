@@ -49,7 +49,7 @@ func main() {
 		iterations = flag.Int("iterations", 200, "training iterations (epochs)")
 		batch      = flag.Int("batch", 32, "minibatch size")
 		hidden     = flag.Int("hidden", 64, "hidden layer width")
-		optName    = flag.String("optimizer", "adam", "adam, sgd, sgd-momentum, adagrad, rmsprop")
+		optName    = flag.String("optimizer", "adam", "adam, sgd, sgd-momentum, adagrad, rmsprop (the paper's learning rates, as in Figure 4)")
 		actName    = flag.String("activation", "logistic", "hidden activation: logistic, relu, tanh")
 		seed       = flag.Int64("seed", 1, "pipeline seed")
 		outModel   = flag.String("out", "model.json", "model output path")
@@ -76,8 +76,16 @@ func main() {
 	scale.FaultFraction = *faultFrac
 	scale.Seed = *seed
 
+	act, err := nn.ActivationByName(*actName)
+	if err != nil {
+		fatal(err)
+	}
+	opt, err := experiments.OptimizerByName(*optName)
+	if err != nil {
+		fatal(err)
+	}
+
 	var samples []dataset.Sample
-	var err error
 	if *reuse {
 		if *outDataset == "" {
 			fatal(fmt.Errorf("-reuse needs -dataset"))
@@ -127,33 +135,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, experiments.LabelBalance(samples, env))
 	}
 
-	act, err := nn.ActivationByName(*actName)
-	if err != nil {
-		fatal(err)
-	}
-	var opt nn.Optimizer
-	switch *optName {
-	case "adam":
-		opt = nn.NewAdam(0.02)
-	case "sgd":
-		opt = nn.NewSGD(0.2)
-	case "sgd-momentum":
-		opt = nn.NewMomentum(0.2, 0.9)
-	case "adagrad":
-		opt = nn.NewAdaGrad(0)
-	case "rmsprop":
-		opt = nn.NewRMSProp(0, 0)
-	default:
-		fatal(fmt.Errorf("unknown optimizer %q", *optName))
-	}
-
 	res, err := keeper.TrainOnSamples(keeper.TrainConfig{
-		Dataset: dataset.Config{
-			Device: env.Device, Options: env.Options, Strategies: env.Strategies,
-			Workloads: scale.DatasetWorkloads, Requests: scale.DatasetRequests,
-			MaxIOPS: env.SaturationIOPS, Season: env.Season,
-			FaultFraction: scale.FaultFraction, Seed: scale.Seed,
-		},
+		Dataset:    dataset.Config{Strategies: env.Strategies},
 		Hidden:     *hidden,
 		Activation: act,
 		Optimizer:  opt,

@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"ssdkeeper/internal/alloc"
+	"ssdkeeper/internal/dataset"
 	"ssdkeeper/internal/nand"
 	"ssdkeeper/internal/simrun"
 	"ssdkeeper/internal/ssd"
@@ -144,6 +145,18 @@ func (e Env) runOne(ctx context.Context, r *simrun.Runner, s alloc.Strategy, tra
 		return ssd.Result{}, err
 	}
 	return res.Result, nil
+}
+
+// labeler costs strategies of space on this environment's seasoned device
+// (dataset.Labeler.Costs), the one sweep every figure shares.
+func (e Env) labeler(space []alloc.Strategy, workers int) *dataset.Labeler {
+	return dataset.NewLabeler(dataset.Config{
+		Device:     e.Device,
+		Options:    e.Options,
+		Strategies: space,
+		Season:     e.Season,
+		Workers:    workers,
+	})
 }
 
 func validateScale(s Scale) error {

@@ -2,11 +2,17 @@ package experiments
 
 import (
 	"context"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 
+	"ssdkeeper/internal/alloc"
 	"ssdkeeper/internal/dataset"
 	"ssdkeeper/internal/features"
+	"ssdkeeper/internal/nn"
+	"ssdkeeper/internal/simrun"
+	"ssdkeeper/internal/trace"
 )
 
 // The experiment smoke tests run everything at QuickScale: small enough for
@@ -44,6 +50,83 @@ func TestFig2Quick(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q", want)
 		}
+	}
+}
+
+// TestFig2MatchesCommittedArtifact pins the default-scale Figure 2 to the
+// committed results/fig2.txt byte for byte.
+func TestFig2MatchesCommittedArtifact(t *testing.T) {
+	want, err := os.ReadFile("../../results/fig2.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Fig2(context.Background(), NewEnv(), DefaultScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Render(); got != string(want) {
+		t.Errorf("fig2 differs from results/fig2.txt:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestFig5BaselinesMatchWholeReplays checks that the Shared and Isolated
+// rows Fig5Table5 reads from dataset.Labeler.Costs equal whole-trace replays
+// of the same mix on the environment's seasoned device.
+func TestFig5BaselinesMatchWholeReplays(t *testing.T) {
+	env := NewEnv()
+	scale := QuickScale()
+	reports, err := Fig5Table5(context.Background(), env, scale, forcedClassModel(t, len(env.Strategies), 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	profiles := trace.TableII(scale.TableIIScale, env.Device.PageSize, scale.Seed)
+	runner := simrun.NewRunner()
+	for mi, names := range trace.Mixes() {
+		mix, err := trace.BuildMix(names, profiles, scale.MixHead)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := reports[mi]
+		for _, c := range []struct {
+			strategy alloc.Strategy
+			got      LatencyRow
+		}{{alloc.Strategy{Kind: alloc.Shared}, r.Shared}, {alloc.Strategy{Kind: alloc.Isolated}, r.Isolated}} {
+			res, err := runner.Run(context.Background(), simrun.Config{
+				Device:   env.Device,
+				Options:  env.Options,
+				Strategy: c.strategy,
+				Traits:   traitsOf(names, profiles),
+				Season:   env.Season,
+			}, mix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := toRow(res.Result.Device); c.got != want {
+				t.Errorf("%s %s: fig5 row %+v, whole replay %+v",
+					r.Name, c.strategy.Name(env.Device.Channels), c.got, want)
+			}
+		}
+	}
+}
+
+func TestOptimizerByName(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		want nn.Optimizer
+	}{
+		{"adam", nn.NewAdam(0.02)},
+		{"sgd", nn.NewSGD(0.2)},
+		{"sgd-momentum", nn.NewMomentum(0.2, 0.9)},
+		{"adagrad", nn.NewAdaGrad(0)},
+		{"rmsprop", nn.NewRMSProp(0, 0)},
+	} {
+		got, err := OptimizerByName(c.name)
+		if err != nil || !reflect.DeepEqual(got, c.want) {
+			t.Errorf("OptimizerByName(%q) = %#v, %v; want %#v", c.name, got, err, c.want)
+		}
+	}
+	if _, err := OptimizerByName("lbfgs"); err == nil {
+		t.Error("unknown optimizer accepted")
 	}
 }
 
@@ -96,6 +179,12 @@ func TestDatasetTrainingAndMapsQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Figure 4's Deployed entry is the model TrainBest trains alone.
+	deployed := runs[len(runs)-1]
+	if deployed.Name != Deployed || !reflect.DeepEqual(deployed.Model.Layers, best.Model.Layers) ||
+		!reflect.DeepEqual(deployed.TestSamples, best.TestSamples) {
+		t.Errorf("fig4 %s entry differs from TrainBest's model", deployed.Name)
+	}
 
 	eval, err := EvaluateModel(best.Model, best.TestSamples)
 	if err != nil {
@@ -111,7 +200,7 @@ func TestDatasetTrainingAndMapsQuick(t *testing.T) {
 		t.Error("eval string malformed")
 	}
 
-	reports, err := Fig5Table5(context.Background(), env, scale, best.Model, true)
+	reports, err := Fig5Table5(context.Background(), env, scale, best.Model)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +360,11 @@ func TestEvaluateModelRejectsShortLatencyTable(t *testing.T) {
 func TestFig2AdaptiveQuick(t *testing.T) {
 	env := NewEnv()
 	scale := QuickScale()
-	res, err := Fig2Adaptive(context.Background(), env, scale, nil)
+	fig2, err := Fig2(context.Background(), env, scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Fig2Adaptive(context.Background(), env, scale, fig2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,13 +2,10 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 
 	"ssdkeeper/internal/alloc"
-	"ssdkeeper/internal/ftl"
-	"ssdkeeper/internal/simrun"
 	"ssdkeeper/internal/workload"
 )
 
@@ -39,14 +36,15 @@ type Fig2Result struct {
 // Fig2 reproduces the motivation experiment (Section III, Figure 2): two
 // tenants — one write-only, one read-only — share the SSD; the write
 // proportion sweeps 10%..90% of a fixed total request count; every strategy
-// in the two-tenant space runs at each point. Latencies are reported raw and
-// normalized to Shared, exactly as the figure plots them.
+// in the two-tenant space is costed at each point (dataset.Labeler.Costs).
+// Latencies are reported raw and normalized to Shared, exactly as the figure
+// plots them.
 func Fig2(ctx context.Context, env Env, scale Scale) (Fig2Result, error) {
 	if err := validateScale(scale); err != nil {
 		return Fig2Result{}, err
 	}
 	space := alloc.TwoTenantSpace(env.Device.Channels)
-	runner := simrun.NewRunner()
+	labeler := env.labeler(space, scale.Workers)
 	var out Fig2Result
 	for i := 1; i <= 9; i++ {
 		wp := float64(i) / 10
@@ -63,41 +61,41 @@ func Fig2(ctx context.Context, env Env, scale Scale) (Fig2Result, error) {
 		if err != nil {
 			return Fig2Result{}, err
 		}
+		costs, err := labeler.Costs(ctx, tr, spec.Traits(), nil)
+		if err != nil {
+			return Fig2Result{}, fmt.Errorf("fig2 wp=%.1f: %w", wp, err)
+		}
 		point := Fig2Point{WriteProportion: wp}
-		var sharedW, sharedR, sharedT float64
+		var shared LatencyRow
 		bestTotal := 0.0
-		for _, s := range space {
-			name := s.Name(env.Device.Channels)
-			res, err := env.runOne(ctx, runner, s, spec.Traits(), false, tr)
-			if errors.Is(err, ftl.ErrDeviceFull) {
+		for si, c := range costs {
+			name := space[si].Name(env.Device.Channels)
+			if c.Infeasible {
 				point.Rows = append(point.Rows, Fig2Row{Strategy: name, Infeasible: true})
 				continue
 			}
-			if err != nil {
-				return Fig2Result{}, fmt.Errorf("fig2 wp=%.1f %s: %w", wp, name, err)
+			lat := toRow(c.Device)
+			if space[si].Kind == alloc.Shared {
+				shared = lat
 			}
-			row := Fig2Row{
+			if point.Best == "" || lat.TotalUs < bestTotal {
+				point.Best, bestTotal = name, lat.TotalUs
+			}
+			point.Rows = append(point.Rows, Fig2Row{
 				Strategy: name,
-				WriteUs:  res.Device.Write.Mean(),
-				ReadUs:   res.Device.Read.Mean(),
-				TotalUs:  res.Device.Total(),
-			}
-			if s.Kind == alloc.Shared {
-				sharedW, sharedR, sharedT = row.WriteUs, row.ReadUs, row.TotalUs
-			}
-			if point.Best == "" || row.TotalUs < bestTotal {
-				point.Best, bestTotal = name, row.TotalUs
-			}
-			point.Rows = append(point.Rows, row)
+				WriteUs:  lat.WriteUs,
+				ReadUs:   lat.ReadUs,
+				TotalUs:  lat.TotalUs,
+			})
 		}
 		for ri := range point.Rows {
 			r := &point.Rows[ri]
 			if r.Infeasible {
 				continue
 			}
-			r.NormWrite = safeDiv(r.WriteUs, sharedW)
-			r.NormRead = safeDiv(r.ReadUs, sharedR)
-			r.NormTotal = safeDiv(r.TotalUs, sharedT)
+			r.NormWrite = safeDiv(r.WriteUs, shared.WriteUs)
+			r.NormRead = safeDiv(r.ReadUs, shared.ReadUs)
+			r.NormTotal = safeDiv(r.TotalUs, shared.TotalUs)
 		}
 		out.Points = append(out.Points, point)
 	}

@@ -9,10 +9,7 @@ import (
 	"ssdkeeper/internal/alloc"
 	"ssdkeeper/internal/dataset"
 	"ssdkeeper/internal/features"
-	"ssdkeeper/internal/keeper"
-	"ssdkeeper/internal/nn"
 	"ssdkeeper/internal/policy"
-	"ssdkeeper/internal/simrun"
 	"ssdkeeper/internal/workload"
 )
 
@@ -67,12 +64,17 @@ func twoTenantSpec(rng *rand.Rand, requests int, maxIOPS float64) workload.MixSp
 }
 
 // Fig2Adaptive trains a two-tenant strategy model and evaluates it across
-// the Figure 2 write-proportion sweep.
-func Fig2Adaptive(ctx context.Context, env Env, scale Scale, progress func(done, total int)) (Fig2AdaptiveResult, error) {
+// the Figure 2 write-proportion sweep, reading every static strategy's
+// latency from fig2 (the Fig2 result at the same env and scale) rather than
+// simulating the sweep again.
+func Fig2Adaptive(ctx context.Context, env Env, scale Scale, fig2 Fig2Result, progress func(done, total int)) (Fig2AdaptiveResult, error) {
 	if err := validateScale(scale); err != nil {
 		return Fig2AdaptiveResult{}, err
 	}
 	space := alloc.TwoTenantSpace(env.Device.Channels)
+	if len(fig2.Points) == 0 || len(fig2.Points[0].Rows) != len(space) {
+		return Fig2AdaptiveResult{}, fmt.Errorf("fig2adaptive: fig2 is not this env's two-tenant sweep")
+	}
 
 	// Label a two-tenant dataset. dataset.Generate draws 4-tenant specs,
 	// so label the hand-drawn two-tenant specs directly.
@@ -101,15 +103,7 @@ func Fig2Adaptive(ctx context.Context, env Env, scale Scale, progress func(done,
 		}
 	}
 
-	trained, err := keeper.TrainOnSamples(keeper.TrainConfig{
-		Dataset:    cfg,
-		Hidden:     64,
-		Activation: nn.Logistic{},
-		Optimizer:  nn.NewAdam(0.02),
-		Iterations: scale.TrainIterations,
-		BatchSize:  scale.TrainBatch,
-		Seed:       scale.Seed,
-	}, samples)
+	trained, err := train(deployedRow, space, scale, samples)
 	if err != nil {
 		return Fig2AdaptiveResult{}, err
 	}
@@ -118,48 +112,33 @@ func Fig2Adaptive(ctx context.Context, env Env, scale Scale, progress func(done,
 		return Fig2AdaptiveResult{}, err
 	}
 
-	// Walk the Figure 2 sweep: at each write proportion, measure every
-	// static strategy, then the model's pick from ground-truth features.
-	runner := simrun.NewRunner()
+	// Walk the Figure 2 sweep: at each write proportion, compare the
+	// model's pick from ground-truth features with every static strategy.
 	var out Fig2AdaptiveResult
 	perStrategyRegret := make([]float64, len(space))
-	for i := 1; i <= 9; i++ {
-		wp := float64(i) / 10
-		spec := workload.MixSpec{
-			Tenants: []workload.TenantSpec{
-				{WriteRatio: 1, Share: wp},
-				{WriteRatio: 0, Share: 1 - wp},
-			},
-			Requests: scale.Fig2Requests,
-			IOPS:     scale.Fig2IOPS,
-			Seed:     scale.Seed,
-		}
-		tr, err := spec.Build(env.Device.PageSize)
-		if err != nil {
-			return Fig2AdaptiveResult{}, err
-		}
+	for _, p := range fig2.Points {
+		wp := p.WriteProportion
 		lat := make([]float64, len(space))
 		row := Fig2AdaptiveRow{WriteProportion: wp}
 		bestIdx, worst := 0, 0.0
-		for si, s := range space {
-			res, err := env.runOne(ctx, runner, s, spec.Traits(), false, tr)
-			if err != nil {
+		for si, r := range p.Rows {
+			if r.Infeasible {
 				lat[si] = dataset.Infeasible
 				continue
 			}
-			lat[si] = res.Device.Total()
-			if s.Kind == alloc.Shared {
+			lat[si] = r.TotalUs
+			if space[si].Kind == alloc.Shared {
 				row.SharedUs = lat[si]
 			}
 			if lat[si] < lat[bestIdx] {
 				bestIdx = si
 			}
-			if lat[si] > worst && lat[si] != dataset.Infeasible {
+			if lat[si] > worst {
 				worst = lat[si]
 			}
 		}
 		vec, err := features.FromSpecShares(
-			features.LevelOf(spec.IOPS, env.SaturationIOPS),
+			features.LevelOf(scale.Fig2IOPS, env.SaturationIOPS),
 			[]float64{1, 0}, []float64{wp, 1 - wp})
 		if err != nil {
 			return Fig2AdaptiveResult{}, err

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"ssdkeeper/internal/alloc"
 	"ssdkeeper/internal/dataset"
 	"ssdkeeper/internal/keeper"
 	"ssdkeeper/internal/nn"
@@ -34,81 +35,93 @@ func BuildDataset(ctx context.Context, env Env, scale Scale, progress func(done,
 type OptimizerRun struct {
 	Name    string
 	History nn.History
+	// Model and TestSamples are the trained network and its held-out
+	// split, so the deployed entry serves Table V and Figures 5-6
+	// without training again. Neither is part of the JSON artifact.
+	Model       *nn.Network      `json:"-"`
+	TestSamples []dataset.Sample `json:"-"`
 }
 
-// optimizerConfigs returns the paper's four configurations with its stated
+// Deployed names the configuration the paper deploys: Adam-logistic, the
+// Table III winner.
+const Deployed = "Adam-logistic"
+
+// trainings is the one training table: Figure 4's four configurations in
+// plotting order. Every model this package trains is one of its rows.
+var trainings = []struct {
+	name, optimizer string
+	act             nn.Activation
+}{
+	{"SGD", "sgd", nn.Logistic{}},
+	{"SGD-momentum", "sgd-momentum", nn.Logistic{}},
+	{"Adam-ReLU", "adam", nn.ReLU{}},
+	{Deployed, "adam", nn.Logistic{}},
+}
+
+// deployedRow is the Deployed row of trainings.
+const deployedRow = 3
+
+// OptimizerByName returns a fresh optimizer with the paper's stated
 // hyperparameters: SGD lr 0.2, momentum 0.9, Adam lr 0.02 (Section V.B).
-func optimizerConfigs() []struct {
-	name string
-	act  nn.Activation
-	opt  func() nn.Optimizer
-} {
-	return []struct {
-		name string
-		act  nn.Activation
-		opt  func() nn.Optimizer
-	}{
-		{"SGD", nn.Logistic{}, func() nn.Optimizer { return nn.NewSGD(0.2) }},
-		{"SGD-momentum", nn.Logistic{}, func() nn.Optimizer { return nn.NewMomentum(0.2, 0.9) }},
-		{"Adam-ReLU", nn.ReLU{}, func() nn.Optimizer { return nn.NewAdam(0.02) }},
-		{"Adam-logistic", nn.Logistic{}, func() nn.Optimizer { return nn.NewAdam(0.02) }},
+// adagrad and rmsprop, which the paper does not use, take nn's defaults.
+func OptimizerByName(name string) (nn.Optimizer, error) {
+	switch name {
+	case "adam":
+		return nn.NewAdam(0.02), nil
+	case "sgd":
+		return nn.NewSGD(0.2), nil
+	case "sgd-momentum":
+		return nn.NewMomentum(0.2, 0.9), nil
+	case "adagrad":
+		return nn.NewAdaGrad(0), nil
+	case "rmsprop":
+		return nn.NewRMSProp(0, 0), nil
 	}
+	return nil, fmt.Errorf("experiments: unknown optimizer %q", name)
 }
 
-// Fig4Table3 trains the paper's four optimizer configurations on one shared
-// dataset and returns their loss/accuracy histories (Figure 4) and final
-// metrics (Table III).
-func Fig4Table3(env Env, scale Scale, samples []dataset.Sample) ([]OptimizerRun, error) {
-	if err := validateScale(scale); err != nil {
-		return nil, err
+// train fits one row of the training table on samples over the given
+// label space (TrainOnSamples reads only its class count).
+func train(row int, space []alloc.Strategy, scale Scale, samples []dataset.Sample) (keeper.TrainResult, error) {
+	t := trainings[row]
+	opt, err := OptimizerByName(t.optimizer)
+	if err != nil {
+		return keeper.TrainResult{}, err
 	}
-	var runs []OptimizerRun
-	for _, cfg := range optimizerConfigs() {
-		res, err := keeper.TrainOnSamples(keeper.TrainConfig{
-			Dataset:    datasetConfig(env, scale),
-			Hidden:     64,
-			Activation: cfg.act,
-			Optimizer:  cfg.opt(),
-			Iterations: scale.TrainIterations,
-			BatchSize:  scale.TrainBatch,
-			Seed:       scale.Seed,
-		}, samples)
-		if err != nil {
-			return nil, fmt.Errorf("fig4 %s: %w", cfg.name, err)
-		}
-		runs = append(runs, OptimizerRun{Name: cfg.name, History: res.History})
-	}
-	return runs, nil
-}
-
-// datasetConfig mirrors BuildDataset's configuration for components that
-// need it without regenerating data.
-func datasetConfig(env Env, scale Scale) dataset.Config {
-	return dataset.Config{
-		Device:     env.Device,
-		Options:    env.Options,
-		Strategies: env.Strategies,
-		Workloads:  scale.DatasetWorkloads,
-		Requests:   scale.DatasetRequests,
-		MaxIOPS:    env.SaturationIOPS,
-		Season:     env.Season,
-		Seed:       scale.Seed,
-		Workers:    scale.Workers,
-	}
-}
-
-// TrainBest trains the configuration the paper deploys (Adam-logistic, the
-// Table III winner) and returns the result for use by Table V / Figures 5-6.
-func TrainBest(env Env, scale Scale, samples []dataset.Sample) (keeper.TrainResult, error) {
 	return keeper.TrainOnSamples(keeper.TrainConfig{
-		Dataset:    datasetConfig(env, scale),
+		Dataset:    dataset.Config{Strategies: space},
 		Hidden:     64,
-		Activation: nn.Logistic{},
-		Optimizer:  nn.NewAdam(0.02),
+		Activation: t.act,
+		Optimizer:  opt,
 		Iterations: scale.TrainIterations,
 		BatchSize:  scale.TrainBatch,
 		Seed:       scale.Seed,
 	}, samples)
+}
+
+// Fig4Table3 trains the paper's four optimizer configurations on one shared
+// dataset and returns their loss/accuracy histories (Figure 4), final
+// metrics (Table III) and models; the Deployed entry is the model Table V
+// and Figures 5-6 run.
+func Fig4Table3(env Env, scale Scale, samples []dataset.Sample) ([]OptimizerRun, error) {
+	if err := validateScale(scale); err != nil {
+		return nil, err
+	}
+	runs := make([]OptimizerRun, len(trainings))
+	for i, t := range trainings {
+		res, err := train(i, env.Strategies, scale, samples)
+		if err != nil {
+			return nil, fmt.Errorf("fig4 %s: %w", t.name, err)
+		}
+		runs[i] = OptimizerRun{Name: t.name, History: res.History, Model: res.Model, TestSamples: res.TestSamples}
+	}
+	return runs, nil
+}
+
+// TrainBest trains only the Deployed configuration, for callers that skip
+// Figure 4.
+func TrainBest(env Env, scale Scale, samples []dataset.Sample) (keeper.TrainResult, error) {
+	return train(deployedRow, env.Strategies, scale, samples)
 }
 
 // ModelEval summarizes how good a trained model's strategy choices are on

@@ -6,9 +6,8 @@ import (
 	"strings"
 
 	"ssdkeeper/internal/alloc"
-	"ssdkeeper/internal/dataset"
 	"ssdkeeper/internal/features"
-	"ssdkeeper/internal/keeper"
+	"ssdkeeper/internal/ftl"
 	"ssdkeeper/internal/nn"
 	"ssdkeeper/internal/sim"
 	"ssdkeeper/internal/simrun"
@@ -61,9 +60,8 @@ type MixReport struct {
 	// not charge.
 	KeeperOnline LatencyRow
 
-	// Oracle is the best static strategy found by exhaustive search
-	// (filled only when Fig5Table5 runs with oracle=true); OracleName
-	// names it. It bounds what any allocator could achieve.
+	// Oracle is the best static strategy found by exhaustive search;
+	// OracleName names it. It bounds what any allocator could achieve.
 	Oracle     LatencyRow
 	OracleName string
 
@@ -79,16 +77,17 @@ type MixReport struct {
 
 // Fig5Table5 reproduces the performance analysis (Section V.C): the four
 // Table IV mixes of synthetic Table II workloads replayed under Shared,
-// Isolated, SSDKeeper, and SSDKeeper with the hybrid page allocator. With
-// oracle set it additionally sweeps all 42 strategies per mix to report the
-// exhaustive optimum.
-func Fig5Table5(ctx context.Context, env Env, scale Scale, model *nn.Network, oracle bool) ([]MixReport, error) {
+// Isolated, SSDKeeper, and SSDKeeper with the hybrid page allocator, plus
+// the exhaustive optimum over all 42 strategies. One dataset.Labeler.Costs
+// call per mix prices Shared, Isolated and the optimum.
+func Fig5Table5(ctx context.Context, env Env, scale Scale, model *nn.Network) ([]MixReport, error) {
 	if err := validateScale(scale); err != nil {
 		return nil, err
 	}
 	profiles := trace.TableII(scale.TableIIScale, env.Device.PageSize, scale.Seed)
-	isolated := alloc.Strategy{Kind: alloc.Isolated}
-	shared := alloc.Strategy{Kind: alloc.Shared}
+	shared := alloc.Index(env.Strategies, alloc.Strategy{Kind: alloc.Shared})
+	isolated := alloc.Index(env.Strategies, alloc.Strategy{Kind: alloc.Isolated})
+	labeler := env.labeler(env.Strategies, scale.Workers)
 	runner := simrun.NewRunner()
 	var reports []MixReport
 	for mi, names := range trace.Mixes() {
@@ -98,30 +97,31 @@ func Fig5Table5(ctx context.Context, env Env, scale Scale, model *nn.Network, or
 		}
 		report := MixReport{Name: fmt.Sprintf("Mix%d", mi+1), Workloads: names}
 
-		// Baselines bind groups by the tenants' true dominance.
+		// Baselines and the optimum bind groups by the tenants' true
+		// dominance.
 		traits := traitsOf(names, profiles)
-		sharedRes, err := env.runOne(ctx, runner, shared, traits, false, mix)
+		costs, err := labeler.Costs(ctx, mix, traits, nil)
 		if err != nil {
-			return nil, fmt.Errorf("%s shared: %w", report.Name, err)
+			return nil, fmt.Errorf("%s: %w", report.Name, err)
 		}
-		report.Shared = toRow(sharedRes.Device)
-		isoRes, err := env.runOne(ctx, runner, isolated, traits, false, mix)
-		if err != nil {
-			return nil, fmt.Errorf("%s isolated: %w", report.Name, err)
+		if costs[shared].Infeasible || costs[isolated].Infeasible {
+			return nil, fmt.Errorf("%s baselines: %w", report.Name, ftl.ErrDeviceFull)
 		}
-		report.Isolated = toRow(isoRes.Device)
+		report.Shared = toRow(costs[shared].Device)
+		report.Isolated = toRow(costs[isolated].Device)
+		best := 0
+		for si, c := range costs {
+			if c.Total() < costs[best].Total() {
+				best = si
+			}
+		}
+		report.Oracle = toRow(costs[best].Device)
+		report.OracleName = env.Strategies[best].Name(env.Device.Channels)
 
 		// Observation pass: the real online mechanism collects the
 		// features and predicts (also yielding the online-adaptation
 		// number).
-		k, err := keeper.New(keeper.Config{
-			Device:         env.Device,
-			Options:        env.Options,
-			Strategies:     env.Strategies,
-			SaturationIOPS: env.SaturationIOPS,
-			Window:         keeperWindow,
-			Season:         env.Season,
-		}, model)
+		k, err := NewKeeper(env, model)
 		if err != nil {
 			return nil, err
 		}
@@ -152,49 +152,9 @@ func Fig5Table5(ctx context.Context, env Env, scale Scale, model *nn.Network, or
 		report.KeeperHybrid = toRow(hybridRes.Device)
 		report.ImprovementPct = 100 * (report.Shared.TotalUs - report.Keeper.TotalUs) / report.Shared.TotalUs
 		report.HybridDeltaPct = 100 * (report.Keeper.TotalUs - report.KeeperHybrid.TotalUs) / report.Keeper.TotalUs
-
-		if oracle {
-			bestName, bestRow, err := exhaustiveBest(ctx, env, scale.Workers, traits, mix)
-			if err != nil {
-				return nil, fmt.Errorf("%s oracle: %w", report.Name, err)
-			}
-			report.Oracle = bestRow
-			report.OracleName = bestName
-		}
 		reports = append(reports, report)
 	}
 	return reports, nil
-}
-
-// exhaustiveBest costs the mix under every strategy (dataset.Labeler.Costs)
-// and returns the one with the lowest total latency. Infeasible partitions
-// are skipped.
-func exhaustiveBest(ctx context.Context, env Env, workers int, traits []alloc.TenantTraits, mix trace.Trace) (string, LatencyRow, error) {
-	costs, err := dataset.NewLabeler(dataset.Config{
-		Device:     env.Device,
-		Options:    env.Options,
-		Strategies: env.Strategies,
-		Season:     env.Season,
-		Workers:    workers,
-	}).Costs(ctx, mix, traits, nil)
-	if err != nil {
-		return "", LatencyRow{}, err
-	}
-	bestName := ""
-	var bestRow LatencyRow
-	for si, c := range costs {
-		if c.Infeasible {
-			continue
-		}
-		row := toRow(c.Device)
-		if bestName == "" || row.TotalUs < bestRow.TotalUs {
-			bestName, bestRow = env.Strategies[si].Name(env.Device.Channels), row
-		}
-	}
-	if bestName == "" {
-		return "", LatencyRow{}, fmt.Errorf("no feasible strategy")
-	}
-	return bestName, bestRow, nil
 }
 
 // traitsOf derives each tenant's write dominance from its profile.
@@ -230,22 +190,14 @@ func RenderFig5(reports []MixReport) string {
 		{"(b) read latency (us)", func(l LatencyRow) float64 { return l.ReadUs }},
 		{"(c) total latency (us)", func(l LatencyRow) float64 { return l.TotalUs }},
 	}
-	withOracle := len(reports) > 0 && reports[0].OracleName != ""
 	for _, panel := range panels {
 		fmt.Fprintf(&b, "Figure 5%s\n", panel.title)
-		fmt.Fprintf(&b, "%-6s %10s %10s %10s %14s %13s", "Mix", "Shared", "Isolated", "SSDKeeper", "SSDKeeper+hyb", "(online)")
-		if withOracle {
-			fmt.Fprintf(&b, " %16s", "Oracle")
-		}
-		b.WriteString("\n")
+		fmt.Fprintf(&b, "%-6s %10s %10s %10s %14s %13s %16s\n",
+			"Mix", "Shared", "Isolated", "SSDKeeper", "SSDKeeper+hyb", "(online)", "Oracle")
 		for _, r := range reports {
-			fmt.Fprintf(&b, "%-6s %10.1f %10.1f %10.1f %14.1f %13.1f",
-				r.Name, panel.pick(r.Shared), panel.pick(r.Isolated),
-				panel.pick(r.Keeper), panel.pick(r.KeeperHybrid), panel.pick(r.KeeperOnline))
-			if withOracle {
-				fmt.Fprintf(&b, " %10.1f (%s)", panel.pick(r.Oracle), r.OracleName)
-			}
-			b.WriteString("\n")
+			fmt.Fprintf(&b, "%-6s %10.1f %10.1f %10.1f %14.1f %13.1f %10.1f (%s)\n",
+				r.Name, panel.pick(r.Shared), panel.pick(r.Isolated), panel.pick(r.Keeper),
+				panel.pick(r.KeeperHybrid), panel.pick(r.KeeperOnline), panel.pick(r.Oracle), r.OracleName)
 		}
 		b.WriteString("\n")
 	}

@@ -111,7 +111,7 @@ func RenderFig6(cells []Fig6Cell) string {
 		}
 		counts[k][c.Simplified]++
 	}
-	for level := 0; level < 20; level++ {
+	for level := 0; level < features.Levels; level++ {
 		low := dominant(counts[key{level, false}])
 		high := dominant(counts[key{level, true}])
 		fmt.Fprintf(&b, "level %2d: write<50%% -> %-10s write>=50%% -> %s\n", level, low, high)
