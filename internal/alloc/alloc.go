@@ -188,10 +188,27 @@ type Group struct {
 	Channels []int
 }
 
-// Key identifies the group across bindings: two strategies whose bindings
-// both contain a group with this key give its tenants the same channels.
-func (g Group) Key() string {
-	return fmt.Sprint(g.Tenants, g.Channels)
+// GroupKey identifies a group up to which channels it holds: its tenants,
+// as a bit set, and how many channels they share.
+type GroupKey struct {
+	Tenants  uint64 // bit t set for tenant t
+	Channels int
+}
+
+// MaxKeyTenants bounds the tenant ids a GroupKey can hold.
+const MaxKeyTenants = 64
+
+// Key returns the group's key; every tenant must be below MaxKeyTenants.
+// Two strategies whose bindings both contain a group with this key give its
+// tenants channel sets of one size. On a device whose channels are alike
+// (ftl.Season ages every plane the same way), the group costs the same
+// under both.
+func (g Group) Key() GroupKey {
+	k := GroupKey{Channels: len(g.Channels)}
+	for _, t := range g.Tenants {
+		k.Tenants |= 1 << t
+	}
+	return k
 }
 
 // Groups splits the binding into its groups, ordered by their first tenant.

@@ -305,7 +305,7 @@ func TestBindingGroups(t *testing.T) {
 		name   string
 		s      Strategy
 		traits []TenantTraits
-		want   []string // group keys, by first tenant
+		want   []string // tenants and channels, by first tenant
 	}{
 		{"shared", Strategy{Kind: Shared}, mixed, []string{"[0 1 2 3] [0 1 2 3 4 5 6 7]"}},
 		{"degenerate two-group", Strategy{Kind: TwoGroup, WriteChannels: 5}, writers, []string{"[0 1 2 3] [0 1 2 3 4 5 6 7]"}},
@@ -325,7 +325,7 @@ func TestBindingGroups(t *testing.T) {
 		}
 		var got []string
 		for _, g := range groups {
-			got = append(got, g.Key())
+			got = append(got, fmt.Sprint(g.Tenants, g.Channels))
 		}
 		if fmt.Sprint(got) != fmt.Sprint(c.want) {
 			t.Errorf("%s: groups %q, want %q", c.name, got, c.want)
@@ -341,5 +341,29 @@ func TestBindingGroups(t *testing.T) {
 		if groups, ok := (Binding{Sets: sets}).Groups(); ok {
 			t.Errorf("sets %v: decomposed into %v, want not decomposable", sets, groups)
 		}
+	}
+}
+
+// A group's key is its tenant set and channel count: tenant 1 alone on two
+// channels keys alike wherever the two channels are.
+func TestGroupKey(t *testing.T) {
+	traits := []TenantTraits{{WriteDominated: true}, {}, {WriteDominated: true}, {}}
+	tenant1 := func(parts ...int) GroupKey {
+		b, err := Strategy{Kind: FourWay, Parts: parts}.Bind(8, traits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		groups, _ := b.Groups()
+		return groups[1].Key()
+	}
+	if a, b := tenant1(1, 2, 2, 3), tenant1(3, 2, 2, 1); a != b || a != (GroupKey{Tenants: 1 << 1, Channels: 2}) {
+		t.Errorf("tenant 1 on channels [1 2] keys %+v, on [3 4] %+v; want both {Tenants:2 Channels:2}", a, b)
+	}
+	if a, b := tenant1(1, 2, 2, 3), tenant1(1, 3, 2, 2); a == b {
+		t.Errorf("tenant 1 on two and on three channels both key %+v", a)
+	}
+	g := Group{Tenants: []int{1, 3}, Channels: []int{5, 6, 7}}
+	if got, want := g.Key(), (GroupKey{Tenants: 0b1010, Channels: 3}); got != want {
+		t.Errorf("key of %v = %+v, want %+v", g, got, want)
 	}
 }

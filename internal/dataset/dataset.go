@@ -359,21 +359,18 @@ func (l *Labeler) Costs(ctx context.Context, tr trace.Trace, traits []alloc.Tena
 		}
 	}
 	jobs, parts := replays(cfg.Strategies, cfg.Device.Channels, traits, tr, opts)
-	// do runs one replay on runner r; the trace and traits are shared
-	// read-only and the outcome lands in the job's own slot.
-	do := func(r *simrun.Runner, jb *replay) {
-		sess, err := r.NewSession(run(jb.strategy))
+	// cost replays strategy si on runner r, submitting only's tenants (all
+	// when only is nil); the trace and traits are shared read-only.
+	cost := func(r *simrun.Runner, si int, only []bool) (stats.Latency, error) {
+		sess, err := r.NewSession(run(si))
 		if err != nil {
-			jb.err = err
-			return
+			return stats.Latency{}, err
 		}
-		var res simrun.Result
-		if jb.only == nil {
-			res, err = sess.Run(ctx, tr)
-		} else {
-			res, err = sess.RunTenants(ctx, tr, jb.only)
-		}
-		jb.lat, jb.err = moments(res.Device), err
+		return sess.RunTenants(ctx, tr, only)
+	}
+	// do runs one replay; its outcome lands in the job's own slot.
+	do := func(r *simrun.Runner, jb *replay) {
+		jb.lat, jb.err = cost(r, jb.strategy, jb.only)
 	}
 	workers := l.workers
 	if workers > len(jobs) {
@@ -429,8 +426,8 @@ func (l *Labeler) Costs(ctx context.Context, tr trace.Trace, traits []alloc.Tena
 		if failed != nil && jobs[js[0]].only != nil {
 			// A group failed otherwise than by filling up: the whole
 			// strategy's replay decides what is reported.
-			res, err := l.runnerFor(0).Run(ctx, run(si), tr)
-			c, failed = Cost{Device: moments(res.Device)}, err
+			lat, err := cost(l.runnerFor(0), si, nil)
+			c, failed = Cost{Device: lat}, err
 			if errors.Is(err, ftl.ErrDeviceFull) {
 				c, failed = Cost{Infeasible: true}, nil
 			}
@@ -458,8 +455,8 @@ type replay struct {
 // recurs in another strategy; every distinct group is replayed once.
 func replays(space []alloc.Strategy, channels int, traits []alloc.TenantTraits, tr trace.Trace, opts ssd.Options) (jobs []replay, parts [][]int) {
 	groups := make([][]alloc.Group, len(space))
-	recurs := map[string]int{} // group key -> strategies whose binding has it
-	if opts.FaultPlan == nil && opts.CMTEntries == 0 && bound(tr, len(traits)) {
+	recurs := map[alloc.GroupKey]int{} // group key -> strategies whose binding has it
+	if opts.FaultPlan == nil && opts.CMTEntries == 0 && len(traits) <= alloc.MaxKeyTenants && bound(tr, len(traits)) {
 		for si, s := range space {
 			b, err := s.Bind(channels, traits)
 			if err != nil {
@@ -474,7 +471,7 @@ func replays(space []alloc.Strategy, channels int, traits []alloc.TenantTraits, 
 		}
 	}
 	parts = make([][]int, len(space))
-	index := map[string]int{} // group key -> its replay
+	index := map[alloc.GroupKey]int{} // group key -> its replay
 	for si := range space {
 		shared := false
 		for _, g := range groups[si] {
@@ -511,14 +508,6 @@ func bound(tr trace.Trace, n int) bool {
 		}
 	}
 	return true
-}
-
-// moments keeps the Count and Sum of a latency's accumulators.
-func moments(l stats.Latency) stats.Latency {
-	return stats.Latency{
-		Read:  stats.Acc{Count: l.Read.Count, Sum: l.Read.Sum},
-		Write: stats.Acc{Count: l.Write.Count, Sum: l.Write.Sum},
-	}
 }
 
 // RandomFaultPlan synthesizes a training fault plan for one workload: a die

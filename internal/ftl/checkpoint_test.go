@@ -33,13 +33,12 @@ func rewindConfig() nand.Config {
 	return c
 }
 
-// A seasoned page is live with probability 1/4, so about one seasoned block
-// in ten holds no live page and GC erases it without a move: eraseBlock is
-// the only mark such a block gets.
+// Seasoned blocks hold the Binomial(8, 1/4) quantiles of live pages, so the
+// first of each plane's thirteen holds none and GC erases it without a move:
+// eraseBlock is the only mark such a block gets.
 const (
 	rewindValidFrac  = 0.25
 	rewindFreeBlocks = 3
-	rewindSeed       = 7
 	rewindLPNs       = 64 // each tenant's working set, in pages
 )
 
@@ -50,7 +49,7 @@ func seasonedDevice(t *testing.T, opts ssd.Options) *ssd.Device {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.FTL().Season(rewindValidFrac, rewindFreeBlocks, rewindSeed); err != nil {
+	if err := d.FTL().Season(rewindValidFrac, rewindFreeBlocks); err != nil {
 		t.Fatal(err)
 	}
 	return d

@@ -14,7 +14,6 @@ package ftl
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"ssdkeeper/internal/nand"
 	"ssdkeeper/internal/sim"
@@ -163,10 +162,6 @@ type FTL struct {
 	// synchronously (the device charges its DieTime before the next mapping
 	// call), so one reusable record replaces a heap allocation per GC pass.
 	plan GCPlan
-
-	// rng draws seasoning validity. Season re-seeds it, so a reused FTL
-	// seasons without allocating.
-	rng *rand.Rand
 
 	// ckpt is the state Rewind returns to (checkpoint.go).
 	ckpt checkpoint

@@ -1,6 +1,7 @@
 package ftl
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -414,7 +415,7 @@ func TestTenantDefaultsAllChannelsStatic(t *testing.T) {
 func TestFTLResetBehavesFresh(t *testing.T) {
 	cfg := gcConfig()
 	drive := func(f *FTL) (Counters, WearStats) {
-		if err := f.Season(0.5, 5, 1); err != nil {
+		if err := f.Season(0.5, 5); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 2000; i++ {
@@ -501,7 +502,7 @@ func TestOwnerPacking(t *testing.T) {
 func BenchmarkFTLSeason(b *testing.B) {
 	cfg := nand.EvalConfig()
 	season := func(b *testing.B, f *FTL) {
-		if err := f.Season(0.5, 5, 1); err != nil {
+		if err := f.Season(0.5, 5); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -557,4 +558,68 @@ func BenchmarkFTLSeason(b *testing.B) {
 			f.Rewind()
 		}
 	})
+}
+
+// Season's layout: block i of the fill blocks holds the binomial
+// (i+0.5)/fill quantile of live pages, first in the block, on every plane
+// alike, and a plane's live total is within a page per block of its mean.
+func TestSeasonLayout(t *testing.T) {
+	cfg := nand.EvalConfig()
+	for _, frac := range []float64{0, 0.25, 0.5, 0.9} {
+		f := mustFTL(t, cfg, nil)
+		if err := f.Season(frac, 5); err != nil {
+			t.Fatal(err)
+		}
+		fill := cfg.BlocksPerPlane - 5
+		var lpn int64
+		for planeID := range f.planes {
+			p := &f.planes[planeID]
+			if len(p.full) != fill {
+				t.Fatalf("frac %v plane %d: %d full blocks, want %d", frac, planeID, len(p.full), fill)
+			}
+			total := 0
+			for i, id := range p.full {
+				b := f.blockAt(p, id)
+				live := int(b.validCount)
+				if want := f.blockAt(&f.planes[0], f.planes[0].full[i]).validCount; int32(live) != want {
+					t.Fatalf("frac %v plane %d block %d: %d live pages, plane 0 has %d", frac, planeID, i, live, want)
+				}
+				if i > 0 && live < int(f.blockAt(p, p.full[i-1]).validCount) {
+					t.Errorf("frac %v plane %d: block %d has fewer live pages than block %d", frac, planeID, i, i-1)
+				}
+				if b.writePtr != int32(cfg.PagesPerBlock) {
+					t.Errorf("frac %v plane %d block %d: write pointer %d, want full", frac, planeID, i, b.writePtr)
+				}
+				for page, o := range b.owners {
+					want := owner(0)
+					if page < live {
+						want = packOwner(Key{Tenant: coldTenant, LPN: lpn})
+						lpn++
+					}
+					if o != want {
+						t.Fatalf("frac %v plane %d block %d page %d: owner %#x, want %#x", frac, planeID, i, page, uint64(o), uint64(want))
+					}
+				}
+				total += live
+			}
+			if mean := frac * float64(cfg.PagesPerBlock*fill); math.Abs(float64(total)-mean) > float64(fill) {
+				t.Errorf("frac %v plane %d: %d live pages, want within %d of %.1f", frac, planeID, total, fill, mean)
+			}
+		}
+		if got := f.LiveColdPages(); int64(got) != lpn {
+			t.Errorf("frac %v: %d live cold pages, layout holds %d", frac, got, lpn)
+		}
+	}
+	// Binomial(32, 0.5) at the 59 midpoints: the middle block holds the
+	// median, 16, and the extremes hold 9 and 23.
+	f := mustFTL(t, cfg, nil)
+	if err := f.Season(0.5, 5); err != nil {
+		t.Fatal(err)
+	}
+	p := &f.planes[0]
+	for _, c := range []struct{ block, live int }{{0, 9}, {29, 16}, {58, 23}} {
+		if got := f.blockAt(p, p.full[c.block]).validCount; int(got) != c.live {
+			t.Errorf("block %d of 59: %d live pages, want %d", c.block, got, c.live)
+		}
+	}
 }

@@ -239,7 +239,7 @@ func BenchmarkFTLPagePath(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := f.Season(0.5, 5, 1); err != nil {
+	if err := f.Season(0.5, 5); err != nil {
 		b.Fatal(err)
 	}
 	if err := f.SetTenantChannels(1, []int{4, 5, 6, 7}); err != nil {

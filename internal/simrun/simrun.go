@@ -34,7 +34,6 @@ import (
 type Seasoning struct {
 	ValidFrac  float64 // fraction of seasoned pages holding live cold data
 	FreeBlocks int     // free blocks left per plane
-	Seed       int64
 }
 
 // Enabled reports whether any aging is requested.
@@ -45,7 +44,7 @@ func (s Seasoning) Enabled() bool { return s.ValidFrac > 0 || s.FreeBlocks > 0 }
 // plane, garbage collection engages within the first few thousand requests
 // of a typical mix.
 func DefaultSeasoning() Seasoning {
-	return Seasoning{ValidFrac: 0.5, FreeBlocks: 5, Seed: 1}
+	return Seasoning{ValidFrac: 0.5, FreeBlocks: 5}
 }
 
 // Config bundles everything needed to build a device and replay a trace on
@@ -208,7 +207,7 @@ func season(dev *ssd.Device, s Seasoning) error {
 	if !s.Enabled() {
 		return nil
 	}
-	return dev.FTL().Season(s.ValidFrac, s.FreeBlocks, s.Seed)
+	return dev.FTL().Season(s.ValidFrac, s.FreeBlocks)
 }
 
 // Device exposes the session's device, for drivers that pump the engine
@@ -234,15 +233,12 @@ func (s *Session) RunObserved(ctx context.Context, t trace.Trace, onArrival func
 }
 
 // RunTenants replays the trace submitting only the records of the tenants
-// marked in only (ssd.Device.RunTenants): the cost of one channel group of
-// the session's strategy, measured on the same seasoned, bound device as the
-// whole strategy.
-func (s *Session) RunTenants(ctx context.Context, t trace.Trace, only []bool) (Result, error) {
-	res, err := s.dev.RunTenants(ctx, t, only)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Result: res, Counters: s.r.Counters()}, nil
+// marked in only, or every record when only is nil (ssd.Device.RunTenants),
+// and returns the device-wide latency moments: the cost of one channel group
+// of the session's strategy, or of the whole strategy, measured on the same
+// seasoned, bound device.
+func (s *Session) RunTenants(ctx context.Context, t trace.Trace, only []bool) (stats.Latency, error) {
+	return s.dev.RunTenants(ctx, t, only)
 }
 
 // Run builds a session for cfg and replays the trace on it — the whole

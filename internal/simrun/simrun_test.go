@@ -215,7 +215,7 @@ func TestRunnerDeviceReuseMatchesFreshAcrossConfigs(t *testing.T) {
 		{"A under another strategy (rewind)", with(func(rc *simrun.Config) { rc.Strategy = alloc.Strategy{Kind: alloc.Isolated} })},
 		{"unseasoned (reset)", with(func(rc *simrun.Config) { rc.Season = simrun.Seasoning{} })},
 		{"unseasoned again (rewind)", with(func(rc *simrun.Config) { rc.Season = simrun.Seasoning{} })},
-		{"seasoned at another seed (reset)", with(func(rc *simrun.Config) { rc.Season.Seed = 2 })},
+		{"seasoned at another valid fraction (reset)", with(func(rc *simrun.Config) { rc.Season.ValidFrac = 0.4 })},
 		{"A again (reset)", a},
 		{"A again (rewind)", a},
 		{"other options (rebuild)", with(func(rc *simrun.Config) { rc.Options.NoCacheRegister = true })},

@@ -236,7 +236,7 @@ func BenchmarkReferenceFloor(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := ref.ftl.Season(season.ValidFrac, season.FreeBlocks, season.Seed); err != nil {
+			if err := ref.ftl.Season(season.ValidFrac, season.FreeBlocks); err != nil {
 				b.Fatal(err)
 			}
 			b.StartTimer()
@@ -259,7 +259,7 @@ func BenchmarkReferenceFloor(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := d.FTL().Season(season.ValidFrac, season.FreeBlocks, season.Seed); err != nil {
+			if err := d.FTL().Season(season.ValidFrac, season.FreeBlocks); err != nil {
 				b.Fatal(err)
 			}
 			b.StartTimer()

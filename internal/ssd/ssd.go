@@ -599,13 +599,45 @@ func (d *Device) Run(t trace.Trace, onArrival func(i int, r trace.Record)) (Resu
 // stops between events and the context's error is returned. A background
 // context costs nothing on the event loop.
 func (d *Device) RunContext(ctx context.Context, t trace.Trace, onArrival func(i int, r trace.Record)) (Result, error) {
-	if err := t.Validate(); err != nil {
+	makespan, err := d.replay(ctx, t, nil, onArrival)
+	if err != nil {
 		return Result{}, err
+	}
+	return d.result(makespan, len(t)), nil
+}
+
+// RunTenants replays the trace as RunContext does but submits only the
+// records of tenants whose entry in only is true, or every record when only
+// is nil; every other record still arrives, as an event that submits
+// nothing. Keeping every arrival keeps the firing order exact: at equal
+// timestamps an arrival's order against device events is set by when the
+// previous record of any tenant arrived, so a filtered trace would reorder
+// ties. On a device whose submitted tenants own channels no other tenant
+// uses, the latency is theirs in a whole run.
+//
+// It returns only the device-wide latency moments (stats.Latency.Moments),
+// which is all a strategy's cost reads: no histogram is cloned and no
+// per-tenant or per-resource summary is built, as a Result would.
+func (d *Device) RunTenants(ctx context.Context, t trace.Trace, only []bool) (stats.Latency, error) {
+	if _, err := d.replay(ctx, t, only, nil); err != nil {
+		return stats.Latency{}, err
+	}
+	return d.col.Device().Moments(), nil
+}
+
+// replay validates the trace, injects its arrivals and runs the engine dry,
+// returning the makespan. Each record arrives at its time, is shown to
+// onArrival (may be nil) and is submitted when only is nil or marks its
+// tenant. A submit failure wins over a cancellation.
+func (d *Device) replay(ctx context.Context, t trace.Trace, only []bool, onArrival func(i int, r trace.Record)) (sim.Time, error) {
+	if err := t.Validate(); err != nil {
+		return 0, err
 	}
 	var submitErr error
 	// inject is scheduled through the typed fast path: one closure for the
 	// whole replay, with the record index as the event argument, instead of
-	// one capturing closure per trace record.
+	// one capturing closure per trace record. Record i+1 is scheduled when
+	// record i arrives.
 	var inject func(arg uint64)
 	inject = func(arg uint64) {
 		i := int(arg)
@@ -616,70 +648,22 @@ func (d *Device) RunContext(ctx context.Context, t trace.Trace, onArrival func(i
 		if onArrival != nil {
 			onArrival(i, r)
 		}
-		if err := d.SubmitAt(r, r.Time, nil); err != nil {
-			submitErr = err
-			return
-		}
-		if i+1 < len(t) {
-			d.eng.ScheduleCall(t[i+1].Time, inject, arg+1)
-		}
-	}
-	makespan, err := d.replay(ctx, t, inject, &submitErr)
-	if err != nil {
-		return Result{}, err
-	}
-	return d.result(makespan, len(t)), nil
-}
-
-// RunTenants replays the trace as RunContext does but submits only the
-// records of tenants whose entry in only is true; every other record still
-// arrives, as an event that submits nothing. Keeping every arrival keeps the
-// firing order exact: at equal timestamps an arrival's order against device
-// events is set by when the previous record of any tenant arrived, so a
-// filtered trace would reorder ties. On a device whose submitted tenants
-// own channels no other tenant uses, the result is theirs in a whole run.
-// Result.Requests counts the records submitted.
-func (d *Device) RunTenants(ctx context.Context, t trace.Trace, only []bool) (Result, error) {
-	if err := t.Validate(); err != nil {
-		return Result{}, err
-	}
-	submitted := 0
-	var submitErr error
-	var inject func(arg uint64)
-	inject = func(arg uint64) {
-		i := int(arg)
-		if i >= len(t) || submitErr != nil {
-			return
-		}
-		r := t[i]
-		if uint(r.Tenant) < uint(len(only)) && only[r.Tenant] {
+		if only == nil || uint(r.Tenant) < uint(len(only)) && only[r.Tenant] {
 			if err := d.SubmitAt(r, r.Time, nil); err != nil {
 				submitErr = err
 				return
 			}
-			submitted++
 		}
 		if i+1 < len(t) {
 			d.eng.ScheduleCall(t[i+1].Time, inject, arg+1)
 		}
 	}
-	makespan, err := d.replay(ctx, t, inject, &submitErr)
-	if err != nil {
-		return Result{}, err
-	}
-	return d.result(makespan, submitted), nil
-}
-
-// replay schedules the first arrival and runs the engine dry, returning the
-// makespan; inject schedules each next arrival and records a submit failure
-// in *submitErr, which wins over a cancellation.
-func (d *Device) replay(ctx context.Context, t trace.Trace, inject func(arg uint64), submitErr *error) (sim.Time, error) {
 	if len(t) > 0 {
 		d.eng.ScheduleCall(t[0].Time, inject, 0)
 	}
 	makespan, ctxErr := d.eng.RunContext(ctx)
-	if *submitErr != nil {
-		return 0, *submitErr
+	if submitErr != nil {
+		return 0, submitErr
 	}
 	return makespan, ctxErr
 }

@@ -118,7 +118,7 @@ func TestTortureDeterministicUnderStress(t *testing.T) {
 	}
 	runOnce := func() Result {
 		d := mustDevice(t, cfg, DefaultOptions())
-		if err := d.FTL().Season(0.5, 5, 1); err != nil {
+		if err := d.FTL().Season(0.5, 5); err != nil {
 			t.Fatal(err)
 		}
 		return run(t, d, tr)

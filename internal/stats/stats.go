@@ -150,6 +150,15 @@ func (l Latency) Snapshot() Latency {
 	return Latency{Read: l.Read.Snapshot(), Write: l.Write.Snapshot()}
 }
 
+// Moments keeps only the Count and Sum of both accumulators: all that Total,
+// the means and Merge of moments read, with no histogram to clone.
+func (l Latency) Moments() Latency {
+	return Latency{
+		Read:  Acc{Count: l.Read.Count, Sum: l.Read.Sum},
+		Write: Acc{Count: l.Write.Count, Sum: l.Write.Sum},
+	}
+}
+
 // Collector accumulates per-tenant latencies for one simulation run. A
 // collector is reusable: Reset clears it for the next run while keeping the
 // per-tenant accumulators (and their histogram storage) in place, so loops

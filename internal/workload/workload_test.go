@@ -206,7 +206,7 @@ func TestRunPropagatesDeviceFull(t *testing.T) {
 		Device: cfg, Options: ssd.DefaultOptions(),
 		Strategy: alloc.Strategy{Kind: alloc.TwoGroup, WriteChannels: 1},
 		Traits:   spec.Traits(),
-		Season:   simrun.Seasoning{ValidFrac: 0.9, FreeBlocks: 4, Seed: 1},
+		Season:   simrun.Seasoning{ValidFrac: 0.9, FreeBlocks: 4},
 	}, tr)
 	if !errors.Is(err, ftl.ErrDeviceFull) {
 		t.Errorf("want ErrDeviceFull, got %v", err)
