@@ -268,7 +268,7 @@ func BenchmarkPredictParallel(b *testing.B) {
 	}
 	k, err := keeper.New(keeper.Config{
 		Device: env.Device, Options: env.Options, Strategies: env.Strategies,
-		SaturationIOPS: env.SaturationIOPS, Window: 100 * Millisecond,
+		SaturationIOPS: env.SaturationIOPS, Window: 100 * sim.Millisecond,
 		Season: env.Season,
 	}, net)
 	if err != nil {
@@ -308,7 +308,7 @@ func BenchmarkPredict(b *testing.B) {
 	}
 	k, err := keeper.NewWithProvider(keeper.Config{
 		Device: env.Device, Options: env.Options, Strategies: env.Strategies,
-		SaturationIOPS: env.SaturationIOPS, Window: 100 * Millisecond,
+		SaturationIOPS: env.SaturationIOPS, Window: 100 * sim.Millisecond,
 		Season: env.Season,
 	}, m)
 	if err != nil {
@@ -596,7 +596,7 @@ func BenchmarkAblationWearLeveling(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := env.Device
 				cfg.WearThreshold = threshold
-				dev, err := NewDevice(simrun.Config{
+				sess, err := simrun.NewRunner().NewSession(simrun.Config{
 					Device: cfg, Options: env.Options,
 					Strategy: alloc.Strategy{Kind: alloc.Shared},
 					Traits:   traits, Season: env.Season,
@@ -604,6 +604,7 @@ func BenchmarkAblationWearLeveling(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
+				dev := sess.Device()
 				res, err := dev.Run(tr, nil)
 				if err != nil {
 					b.Fatal(err)

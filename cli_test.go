@@ -14,6 +14,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"ssdkeeper/internal/experiments"
+	"ssdkeeper/internal/policy"
 )
 
 // buildTools compiles the named cmd/ binaries (by default the offline
@@ -265,6 +268,44 @@ func TestCLIRemovedFlags(t *testing.T) {
 		out, err := exec.Command(filepath.Join(bins, c.tool), c.flag, "1").CombinedOutput()
 		if err == nil || !strings.Contains(string(out), "flag provided but not defined: "+c.flag) {
 			t.Errorf("%s %s: err %v, output %q; want the flag undefined", c.tool, c.flag, err, out)
+		}
+	}
+}
+
+// TestExamplesRun builds each example and runs it in a scratch directory:
+// every one must exit 0, and the model the training example saves must
+// load as a checkpoint, the one format keeper-train -inspect, ssdkeeperd
+// -model and experiments -model read.
+func TestExamplesRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping example runs in -short mode")
+	}
+	bins := t.TempDir()
+	for _, ex := range []string{"quickstart", "training", "multitenant", "onlineadaptation"} {
+		bin := filepath.Join(bins, ex)
+		build := exec.Command("go", "build", "-o", bin, "./examples/"+ex)
+		build.Dir = repoRoot(t)
+		if msg, err := build.CombinedOutput(); err != nil {
+			t.Fatalf("building %s: %v\n%s", ex, err, msg)
+		}
+		work := t.TempDir()
+		run := exec.Command(bin)
+		run.Dir = work
+		if out, err := run.CombinedOutput(); err != nil {
+			t.Fatalf("%s: %v\n%s", ex, err, out)
+		}
+		if ex != "training" {
+			continue
+		}
+		f, err := os.Open(filepath.Join(work, "ssdkeeper-model.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := experiments.NewEnv()
+		_, _, err = policy.LoadCheckpoint(f, env.Device.Channels, env.Strategies)
+		f.Close()
+		if err != nil {
+			t.Errorf("training example's model: %v", err)
 		}
 	}
 }

@@ -7,22 +7,27 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	"ssdkeeper"
+	"ssdkeeper/internal/alloc"
+	"ssdkeeper/internal/nand"
+	"ssdkeeper/internal/simrun"
+	"ssdkeeper/internal/ssd"
+	"ssdkeeper/internal/workload"
 )
 
 func main() {
 	// The SSD: Table I timing (16KB pages, 20us reads, 200us programs,
 	// 1.5ms erases) on the scaled evaluation geometry, aged so garbage
 	// collection is active — like a real device in steady state.
-	cfg := ssdkeeper.EvalConfig()
+	cfg := nand.EvalConfig()
 
 	// The tenants: a write-heavy database (70% of traffic) and a
 	// read-heavy analytics job (30%), arriving at 8000 requests/s.
-	spec := ssdkeeper.MixSpec{
-		Tenants: []ssdkeeper.TenantSpec{
+	spec := workload.MixSpec{
+		Tenants: []workload.TenantSpec{
 			{WriteRatio: 0.95, Share: 0.7},
 			{WriteRatio: 0.05, Share: 0.3},
 		},
@@ -36,26 +41,26 @@ func main() {
 	}
 	fmt.Printf("mixed workload: %d requests from %d tenants\n\n", len(mix), len(spec.Tenants))
 
-	strategies := []ssdkeeper.Strategy{
-		{Kind: ssdkeeper.Shared},
-		{Kind: ssdkeeper.Isolated},
-		{Kind: ssdkeeper.TwoGroup, WriteChannels: 6}, // 6 channels for the writer, 2 for the reader
+	strategies := []alloc.Strategy{
+		{Kind: alloc.Shared},
+		{Kind: alloc.Isolated},
+		{Kind: alloc.TwoGroup, WriteChannels: 6}, // 6 channels for the writer, 2 for the reader
 	}
 	fmt.Printf("%-10s %12s %12s %12s %12s\n",
 		"strategy", "write(us)", "read(us)", "total(us)", "conflicts")
 	var sharedTotal float64
 	for _, s := range strategies {
-		res, err := ssdkeeper.Run(ssdkeeper.RunConfig{
+		res, err := simrun.NewRunner().Run(context.Background(), simrun.Config{
 			Device:   cfg,
-			Options:  ssdkeeper.DefaultOptions(),
+			Options:  ssd.DefaultOptions(),
 			Strategy: s,
 			Traits:   spec.Traits(),
-			Season:   ssdkeeper.DefaultSeasoning(),
+			Season:   simrun.DefaultSeasoning(),
 		}, mix)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if s.Kind == ssdkeeper.Shared {
+		if s.Kind == alloc.Shared {
 			sharedTotal = res.Device.Total()
 		}
 		fmt.Printf("%-10s %12.1f %12.1f %12.1f %12d\n",
@@ -64,13 +69,13 @@ func main() {
 			res.Device.Total(), res.Conflicts)
 	}
 
-	res, err := ssdkeeper.Run(ssdkeeper.RunConfig{
+	res, err := simrun.NewRunner().Run(context.Background(), simrun.Config{
 		Device:   cfg,
-		Options:  ssdkeeper.DefaultOptions(),
-		Strategy: ssdkeeper.Strategy{Kind: ssdkeeper.TwoGroup, WriteChannels: 6},
+		Options:  ssd.DefaultOptions(),
+		Strategy: alloc.Strategy{Kind: alloc.TwoGroup, WriteChannels: 6},
 		Traits:   spec.Traits(),
 		Hybrid:   true, // dynamic page allocation for the writer, static for the reader
-		Season:   ssdkeeper.DefaultSeasoning(),
+		Season:   simrun.DefaultSeasoning(),
 	}, mix)
 	if err != nil {
 		log.Fatal(err)

@@ -334,11 +334,18 @@ func (c Cost) Total() float64 {
 // wear state, so a group costs the same under every strategy that contains
 // it. Each distinct group is replayed once (ssd.Device.RunTenants) and a
 // strategy's cost is the sum of its groups' — when at least one of its
-// groups recurs in another strategy; otherwise it runs whole. Decomposition
-// needs no fault plan (a die failure rebuilds seasoning pages that GC moved
-// over every channel), no mapping cache (one LRU serves every tenant), every
-// record's tenant bound, and disjoint group channel sets; anything else runs
-// every strategy whole.
+// groups recurs in another strategy; otherwise it runs whole. A group is
+// keyed by its tenants and channel count: seasoning ages every plane alike,
+// so on a fault-free device every channel set of one size costs the same.
+// Decomposition needs no fault plan, no mapping cache (one LRU serves every
+// tenant), every record's tenant bound, and disjoint group channel sets;
+// anything else runs every strategy whole. A fault plan breaks two things.
+// A die failure rebuilds seasoning pages that GC moved over every channel,
+// so groups stop being isolated. And the plan breaks channel symmetry: a die
+// failure names one die and read retries hash the physical page, so a group
+// measured on one channel set does not cost the same on another set of the
+// same size. Mending either alone still leaves mismatched latencies; faulted
+// labels compose only with both mended and a channel-set key under faults.
 // A group that fails with ftl.ErrDeviceFull makes its strategies
 // Infeasible; any other failure re-runs the strategy whole, so the error
 // returned is the one a whole run reports.
@@ -452,7 +459,10 @@ type replay struct {
 // replays plans the simulations that cost every strategy of space on tr:
 // parts[si] lists the replays strategy si sums. A strategy runs whole unless
 // the device and trace allow decomposition (see Costs) and one of its groups
-// recurs in another strategy; every distinct group is replayed once.
+// recurs in another strategy; every distinct (tenants, channel count) group
+// is replayed once. The count key holds only while channels are
+// interchangeable, which a fault plan's failed die and hashed read retries
+// are not — one of the two reasons a plan runs every strategy whole.
 func replays(space []alloc.Strategy, channels int, traits []alloc.TenantTraits, tr trace.Trace, opts ssd.Options) (jobs []replay, parts [][]int) {
 	groups := make([][]alloc.Group, len(space))
 	recurs := map[alloc.GroupKey]int{} // group key -> strategies whose binding has it
@@ -567,7 +577,8 @@ func planHealthFeatures(dev nand.Config, plan *nand.FaultPlan, spec workload.Mix
 	return deadFrac, retryRate, 0
 }
 
-// ToNN converts samples into an nn.Dataset of 9-D inputs and class labels.
+// ToNN converts samples into an nn.Dataset of features.Dim-wide inputs (the
+// paper's 9 plus 3 device-health inputs) and class labels.
 func ToNN(samples []Sample) nn.Dataset {
 	d := nn.Dataset{
 		X: make([][]float64, len(samples)),

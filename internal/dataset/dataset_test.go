@@ -437,6 +437,10 @@ func TestCostsMatchWholeRuns(t *testing.T) {
 		{"seed2", func(c *Config) { c.Seed = 2 }, true},
 		{"seed3-workers4", func(c *Config) { c.Seed, c.Workloads, c.Workers = 3, 2, 4 }, true},
 		{"hybrid", func(c *Config) { c.Seed, c.Hybrid = 2, true }, true},
+		// A workload that draws a fault plan must run whole: a die failure
+		// rebuilds seasoning pages across channels, and the failed die and
+		// the hashed read retries tie a group's cost to its channel set, not
+		// just its channel count.
 		{"faults", func(c *Config) { c.Seed, c.Workloads, c.Requests, c.FaultFraction = 2, 4, 2000, 0.5 }, true},
 		{"cmt", func(c *Config) { c.Seed, c.Options.CMTEntries = 2, 64 }, false},
 	}

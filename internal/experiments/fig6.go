@@ -31,13 +31,6 @@ func Fig6(env Env, scale Scale, model *nn.Network) ([]Fig6Cell, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Fig6Policy(env, scale, pol)
-}
-
-// Fig6Policy is Fig6 over any decision policy (a loaded checkpoint, a
-// pinned strategy): the probed strategy map shows whatever brain the policy
-// wraps.
-func Fig6Policy(env Env, scale Scale, pol policy.Policy) ([]Fig6Cell, error) {
 	if err := validateScale(scale); err != nil {
 		return nil, err
 	}

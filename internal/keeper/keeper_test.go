@@ -1,6 +1,7 @@
 package keeper
 
 import (
+	"bytes"
 	"context"
 	"testing"
 
@@ -252,8 +253,41 @@ func TestTrainOnSamplesProducesWorkingKeeper(t *testing.T) {
 	if len(res.History.Points) == 0 {
 		t.Error("no training history")
 	}
-	if _, err := New(cfg, res.Model); err != nil {
-		t.Errorf("trained model rejected by keeper: %v", err)
+	// The trained model survives persistence and drives a keeper that
+	// adapts once its window has been observed.
+	var buf bytes.Buffer
+	if err := res.Model.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	model, err := nn.Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := New(cfg, model)
+	if err != nil {
+		t.Fatalf("trained model rejected by keeper: %v", err)
+	}
+	spec := workload.MixSpec{
+		Tenants: []workload.TenantSpec{
+			{WriteRatio: 0.95, Share: 0.4},
+			{WriteRatio: 0.05, Share: 0.3},
+			{WriteRatio: 0.9, Share: 0.2},
+			{WriteRatio: 0.1, Share: 0.1},
+		},
+		Requests: 2000,
+		IOPS:     9000,
+		Seed:     5,
+	}
+	tr, err := spec.Build(cfg.Device.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := k.Run(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Switches) == 0 {
+		t.Error("keeper never adapted")
 	}
 }
 

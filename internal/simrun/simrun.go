@@ -2,8 +2,8 @@
 // construct-wire-replay lifecycle of a simulated SSD (nand geometry → ssd
 // controller → FTL → seasoning → strategy binding → trace replay → stats).
 // Every consumer — the figure drivers, the dataset labeler, the online
-// keeper, the CLIs and the root façade — runs simulations
-// through a Runner instead of wiring device + FTL + engine by hand.
+// keeper, the CLIs and the examples — runs simulations through a Runner
+// instead of wiring device + FTL + engine by hand.
 //
 // A Runner owns one simulation engine and one probe, and reuses both across
 // sessions: Engine.Reset keeps the event heap's capacity, so loops that run

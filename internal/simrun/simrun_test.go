@@ -60,6 +60,9 @@ func TestRunnerReuseIsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if fresh.Requests != len(tr) || fresh.Device.Total() <= 0 {
+		t.Fatalf("fresh run completed %d of %d requests, total %v", fresh.Requests, len(tr), fresh.Device.Total())
+	}
 	runner := simrun.NewRunner()
 	for round := 0; round < 3; round++ {
 		got, err := runner.Run(context.Background(), rc, tr)

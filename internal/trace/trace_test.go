@@ -287,6 +287,21 @@ func TestMSRRoundTrip(t *testing.T) {
 			t.Errorf("record %d: %+v != %+v", i, back[i], orig[i])
 		}
 	}
+
+	// A generated Table II trace survives the round trip whole.
+	gen, err := Generate(TableII(0.0001, 16384, 3)["web_2"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	if err := WriteMSR(&buf, gen); err != nil {
+		t.Fatal(err)
+	}
+	if back, _, err = ReadMSR(&buf); err != nil {
+		t.Fatal(err)
+	} else if len(back) != len(gen) {
+		t.Errorf("generated trace round trip %d vs %d records", len(back), len(gen))
+	}
 }
 
 func TestReadMSRRejectsGarbage(t *testing.T) {
