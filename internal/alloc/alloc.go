@@ -119,67 +119,81 @@ type TenantTraits struct {
 // may overlap (Shared, and group members inside TwoGroup share channels).
 type Binding struct {
 	Sets [][]int
+
+	arena []int // 0..channels-1; every set is a range of it
 }
 
 // Channels returns tenant t's channel set.
 func (b Binding) Channels(t int) []int { return b.Sets[t] }
 
 // Bind resolves the strategy into per-tenant channel sets for a device with
-// the given channel count. For TwoGroup, write-dominated tenants share the
-// first WriteChannels channels and the rest share the remainder; if either
-// group is empty the strategy degenerates to Shared (all channels to the
-// non-empty group), mirroring the paper's treatment of homogeneous mixes.
+// the given channel count; it is BindInto on a new Binding.
 func (s Strategy) Bind(channels int, tenants []TenantTraits) (Binding, error) {
+	var b Binding
+	err := s.BindInto(&b, channels, tenants)
+	return b, err
+}
+
+// BindInto resolves the strategy into b, reusing b's storage: every set is a
+// range of b's own arena, so a caller that re-binds each epoch allocates
+// nothing after the first call, and the sets stay valid until the next
+// BindInto on b. For TwoGroup, write-dominated tenants share the first
+// WriteChannels channels and the rest share the remainder; if either group
+// is empty the strategy degenerates to Shared (all channels to the
+// non-empty group), mirroring the paper's treatment of homogeneous mixes.
+func (s Strategy) BindInto(b *Binding, channels int, tenants []TenantTraits) error {
 	n := len(tenants)
 	if n == 0 {
-		return Binding{}, fmt.Errorf("alloc: no tenants")
+		return fmt.Errorf("alloc: no tenants")
 	}
 	if err := s.Validate(channels, n); err != nil {
-		return Binding{}, err
+		return err
 	}
-	all := seq(0, channels)
-	sets := make([][]int, n)
+	if len(b.arena) != channels {
+		b.arena = make([]int, channels)
+		for i := range b.arena {
+			b.arena[i] = i
+		}
+	}
+	span := func(start, count int) []int { return b.arena[start : start+count : start+count] }
+	b.Sets = slices.Grow(b.Sets[:0], n)[:n]
+	sets := b.Sets
 	switch s.Kind {
 	case Shared:
 		for i := range sets {
-			sets[i] = all
+			sets[i] = span(0, channels)
 		}
 	case Isolated:
 		per := channels / n
 		for i := range sets {
-			sets[i] = seq(i*per, per)
+			sets[i] = span(i*per, per)
 		}
 	case TwoGroup:
-		wset := seq(0, s.WriteChannels)
-		rset := seq(s.WriteChannels, channels-s.WriteChannels)
 		nw := 0
 		for _, t := range tenants {
 			if t.WriteDominated {
 				nw++
 			}
 		}
-		if nw == 0 || nw == n {
-			// Degenerate: one empty group; everyone shares all channels.
-			for i := range sets {
-				sets[i] = all
-			}
-			break
-		}
 		for i, t := range tenants {
-			if t.WriteDominated {
-				sets[i] = wset
-			} else {
-				sets[i] = rset
+			switch {
+			case nw == 0 || nw == n:
+				// Degenerate: one empty group; everyone shares all channels.
+				sets[i] = span(0, channels)
+			case t.WriteDominated:
+				sets[i] = span(0, s.WriteChannels)
+			default:
+				sets[i] = span(s.WriteChannels, channels-s.WriteChannels)
 			}
 		}
 	case FourWay:
 		start := 0
 		for i, p := range s.Parts {
-			sets[i] = seq(start, p)
+			sets[i] = span(start, p)
 			start += p
 		}
 	}
-	return Binding{Sets: sets}, nil
+	return nil
 }
 
 // Group is a set of tenants that share one channel set under a binding.
@@ -239,14 +253,6 @@ func (b Binding) Groups() (groups []Group, ok bool) {
 		}
 	}
 	return groups, true
-}
-
-func seq(start, n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = start + i
-	}
-	return out
 }
 
 // TwoTenantSpace returns the 8-strategy space of the paper's Figure 2 for a

@@ -367,3 +367,41 @@ func TestGroupKey(t *testing.T) {
 		t.Errorf("key of %v = %+v, want %+v", g, got, want)
 	}
 }
+
+// Each Binding owns its arena: binding a second one, or writing into its
+// sets, leaves the first one's sets as they were, and re-binding reuses the
+// storage without allocating.
+func TestBindIntoDoesNotAlias(t *testing.T) {
+	traits := []TenantTraits{{WriteDominated: true}, {}, {WriteDominated: true}, {}}
+	var a, b Binding
+	if err := (Strategy{Kind: FourWay, Parts: []int{5, 1, 1, 1}}).BindInto(&a, 8, traits); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprint(a.Sets)
+	if err := (Strategy{Kind: Isolated}).BindInto(&b, 8, traits); err != nil {
+		t.Fatal(err)
+	}
+	for _, set := range b.Sets {
+		for i := range set {
+			set[i] = -1
+		}
+	}
+	if got := fmt.Sprint(a.Sets); got != want {
+		t.Fatalf("binding b changed a's sets: %s, want %s", got, want)
+	}
+	_ = append(a.Sets[1], 99)
+	if got := fmt.Sprint(a.Sets); got != want {
+		t.Fatalf("appending to a set overwrote its neighbour: %s, want %s", got, want)
+	}
+	s := Strategy{Kind: TwoGroup, WriteChannels: 3}
+	if n := testing.AllocsPerRun(10, func() {
+		if err := s.BindInto(&a, 8, traits); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("re-binding a warm Binding allocates %v times, want 0", n)
+	}
+	if got := fmt.Sprint(a.Sets); got != "[[0 1 2] [3 4 5 6 7] [0 1 2] [3 4 5 6 7]]" {
+		t.Errorf("re-bound sets %s", got)
+	}
+}

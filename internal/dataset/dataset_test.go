@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"ssdkeeper/internal/alloc"
@@ -43,9 +44,9 @@ func quickConfig() Config {
 
 func TestGenerateShapesAndDeterminism(t *testing.T) {
 	cfg := quickConfig()
-	var calls int
+	var calls atomic.Int64 // progress runs on the worker goroutines
 	a, err := Generate(context.Background(), cfg, func(done, total int) {
-		calls++
+		calls.Add(1)
 		if total != cfg.Workloads {
 			t.Errorf("progress total %d", total)
 		}
@@ -56,8 +57,8 @@ func TestGenerateShapesAndDeterminism(t *testing.T) {
 	if len(a) != cfg.Workloads {
 		t.Fatalf("got %d samples", len(a))
 	}
-	if calls != cfg.Workloads {
-		t.Errorf("progress called %d times", calls)
+	if n := calls.Load(); n != int64(cfg.Workloads) {
+		t.Errorf("progress called %d times", n)
 	}
 	b, err := Generate(context.Background(), cfg, nil)
 	if err != nil {

@@ -94,7 +94,7 @@ func QuickScale() Scale {
 		DatasetRequests:  600,
 		TrainIterations:  40,
 		TrainBatch:       16,
-		MixHead:          2500,
+		MixHead:          6000, // Mix2, the densest, spans keeperWindow
 		TableIIScale:     0.0002,
 		Fig6PerLevel:     3,
 		Seed:             1,

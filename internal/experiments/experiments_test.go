@@ -211,6 +211,11 @@ func TestDatasetTrainingAndMapsQuick(t *testing.T) {
 		if r.Chosen == "" {
 			t.Errorf("%s has no chosen strategy", r.Name)
 		}
+		// Every mix outlasts the keeper's window, so Table V reports a
+		// decision, not the zero vector and the Shared default.
+		if r.Vector == (features.Vector{}) {
+			t.Errorf("%s: the keeper never adapted (its trace ends inside the window)", r.Name)
+		}
 		for _, row := range []LatencyRow{r.Shared, r.Isolated, r.Keeper, r.KeeperHybrid} {
 			if row.TotalUs <= 0 {
 				t.Errorf("%s has empty latency row", r.Name)

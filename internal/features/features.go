@@ -78,12 +78,15 @@ func (v Vector) AppendInput(dst []float64) []float64 {
 }
 
 // Traits converts the observed characteristics into strategy-binding traits.
-func (v Vector) Traits() []alloc.TenantTraits {
-	out := make([]alloc.TenantTraits, MaxTenants)
-	for i := range out {
-		out[i] = alloc.TenantTraits{WriteDominated: !v.ReadChar[i]}
+func (v Vector) Traits() []alloc.TenantTraits { return v.AppendTraits(nil) }
+
+// AppendTraits appends the MaxTenants strategy-binding traits to dst and
+// returns the extended slice, the allocation-free form of Traits.
+func (v Vector) AppendTraits(dst []alloc.TenantTraits) []alloc.TenantTraits {
+	for _, r := range v.ReadChar {
+		dst = append(dst, alloc.TenantTraits{WriteDominated: !r})
 	}
-	return out
+	return dst
 }
 
 // TotalWriteProportion returns the write fraction of the whole mix — the

@@ -14,6 +14,8 @@ import "errors"
 // Every site that changes a block's state — appendPage, clearPage (for
 // invalidate and relocate) and eraseBlock — calls mark first. Season writes
 // blocks directly and is not a mark site: it runs before the checkpoint.
+// An implicit block's pre-image is its flag, not its owners: Rewind sets the
+// flag back and the seasoning rule supplies the owners again.
 
 // ErrCheckpointTraffic reports a checkpoint asked of a device that has
 // served traffic. A checkpoint holds no mappings or counters, so it can only
@@ -25,7 +27,7 @@ type checkpoint struct {
 	on     bool
 	planes []planeMark
 	undo   []blockImage // one per block dirtied since the checkpoint
-	owners []owner      // undo[i]'s owners at [i*PagesPerBlock, (i+1)*PagesPerBlock)
+	owners []owner      // the saved owners of every image, back to back
 }
 
 // planeMark is a plane's bookkeeping at the checkpoint.
@@ -34,10 +36,14 @@ type planeMark struct {
 	full, recycled    []int
 }
 
-// blockImage is a block's counters before the run first mutated it.
+// blockImage is a block's state before the run first mutated it. An
+// explicit block's owners of pages below writePtr (the rest are 0) are
+// saved at owners[at:at+writePtr]; an implicit block saves none.
 type blockImage struct {
 	b                            *block
+	at                           int
 	writePtr, validCount, erases int32
+	implicit                     bool
 }
 
 // drop forgets the checkpoint and its pre-images, keeping their storage for
@@ -84,11 +90,12 @@ func (f *FTL) Rewind() {
 	if !c.on {
 		panic("ftl: Rewind without a Checkpoint")
 	}
-	pages := f.cfg.PagesPerBlock
-	for i, im := range c.undo {
+	for _, im := range c.undo {
 		b := im.b
-		b.writePtr, b.validCount, b.erases = im.writePtr, im.validCount, im.erases
-		copy(b.owners, c.owners[i*pages:(i+1)*pages])
+		b.writePtr, b.validCount, b.erases, b.implicit = im.writePtr, im.validCount, im.erases, im.implicit
+		if !im.implicit { // an implicit block's array is stale until materialize
+			clear(b.owners[copy(b.owners, c.owners[im.at:im.at+int(im.writePtr)]):])
+		}
 		b.dirty = false
 	}
 	c.undo = c.undo[:0]
@@ -110,6 +117,9 @@ func (f *FTL) mark(b *block) {
 		return
 	}
 	b.dirty = true
-	c.undo = append(c.undo, blockImage{b: b, writePtr: b.writePtr, validCount: b.validCount, erases: b.erases})
-	c.owners = append(c.owners, b.owners...)
+	c.undo = append(c.undo, blockImage{b: b, writePtr: b.writePtr, validCount: b.validCount,
+		erases: b.erases, at: len(c.owners), implicit: b.implicit})
+	if !b.implicit {
+		c.owners = append(c.owners, b.owners[:b.writePtr]...)
+	}
 }

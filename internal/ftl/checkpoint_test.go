@@ -185,6 +185,55 @@ func TestRewindMatchesFresh(t *testing.T) {
 	}
 }
 
+// An implicitly seasoned device must behave, block by block, as one whose
+// seasoned owners were written out page by page: after GC and wear-leveling
+// moves out of seasoned blocks, a block retirement, a die failure's rebuild
+// and each Rewind. Its owner storage must stay below the explicit one's.
+func TestImplicitSeasoningMatchesExplicit(t *testing.T) {
+	faults := &nand.FaultPlan{Seed: 1, Events: []nand.FaultEvent{
+		{Kind: nand.FaultRetireBlock, At: 20 * sim.Millisecond, Channel: 0, Block: 2},
+		{Kind: nand.FaultDieFail, At: 60 * sim.Millisecond, Channel: 1, Die: 0},
+	}}
+	for _, opts := range []ssd.Options{{}, {FaultPlan: faults}} {
+		implicit := seasonedDevice(t, opts)
+		explicit, err := ssd.New(rewindConfig(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ftl.SeasonExplicit(explicit.FTL(), rewindValidFrac, rewindFreeBlocks); err != nil {
+			t.Fatal(err)
+		}
+		if d := ftl.StateDiff(implicit.FTL(), explicit.FTL()); d != "" {
+			t.Fatalf("seasoned: implicit vs explicit: %s", d)
+		}
+		for _, d := range []*ssd.Device{implicit, explicit} {
+			if err := d.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for round, load := range []trace.Trace{writeHeavy(1, 3000), writeHeavy(2, 2000)} {
+			gi, ge := run(t, implicit, load), run(t, explicit, load)
+			if gi.FTL.GCMovedPages == 0 || gi.FTL.WLMovedPages == 0 {
+				t.Fatalf("fault plan %v round %d: no GC or wear-leveling moves", opts.FaultPlan != nil, round)
+			}
+			if !reflect.DeepEqual(gi, ge) {
+				t.Fatalf("fault plan %v round %d: results differ", opts.FaultPlan != nil, round)
+			}
+			if d := ftl.StateDiff(implicit.FTL(), explicit.FTL()); d != "" {
+				t.Fatalf("fault plan %v round %d: implicit vs explicit after the run: %s", opts.FaultPlan != nil, round, d)
+			}
+			if wi, we := ftl.OwnerWords(implicit.FTL()), ftl.OwnerWords(explicit.FTL()); wi >= we {
+				t.Errorf("fault plan %v round %d: implicit device holds %d owner words, explicit %d", opts.FaultPlan != nil, round, wi, we)
+			}
+			rewind(implicit)
+			rewind(explicit)
+			if d := ftl.StateDiff(implicit.FTL(), explicit.FTL()); d != "" {
+				t.Fatalf("fault plan %v round %d: implicit vs explicit after Rewind: %s", opts.FaultPlan != nil, round, d)
+			}
+		}
+	}
+}
+
 // Checkpoint holds no mappings or counters, so it refuses a device that has
 // served traffic.
 func TestCheckpointRefusesTraffic(t *testing.T) {

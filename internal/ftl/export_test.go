@@ -37,9 +37,9 @@ func StateDiff(a, b *FTL) string {
 					ba.writePtr, ba.validCount, ba.erases, bb.writePtr, bb.validCount, bb.erases)
 			}
 			for page := 0; page < a.cfg.PagesPerBlock; page++ {
-				if ownerAt(ba, page) != ownerAt(bb, page) {
+				if oa, ob := ba.ownerAt(page), bb.ownerAt(page); oa != ob {
 					return fmt.Sprintf("plane %d block %d page %d: owner %#x vs %#x", i, id, page,
-						uint64(ownerAt(ba, page)), uint64(ownerAt(bb, page)))
+						uint64(oa), uint64(ob))
 				}
 			}
 		}
@@ -47,13 +47,41 @@ func StateDiff(a, b *FTL) string {
 	return ""
 }
 
-// ownerAt is b's owner of page, 0 for the zero block (which has no owners).
-func ownerAt(b *block, page int) owner {
-	if b.owners == nil {
-		return 0
-	}
-	return b.owners[page]
-}
-
 // ColdKey is the key of the cold seasoning tenant's page lpn.
 func ColdKey(lpn int64) Key { return Key{Tenant: coldTenant, LPN: lpn} }
+
+// SeasonExplicit seasons f as Season does and then writes every seasoned
+// block's owners out page by page, numbering the cold LPNs itself: the
+// explicit fill Season's implicit blocks stand for.
+func SeasonExplicit(f *FTL, validFrac float64, freeBlocks int) error {
+	if err := f.Season(validFrac, freeBlocks); err != nil {
+		return err
+	}
+	var lpn int64
+	for i := range f.planes {
+		p := &f.planes[i]
+		for _, id := range p.full {
+			b := f.blockAt(p, id)
+			b.implicit = false
+			b.owners = make([]owner, f.cfg.PagesPerBlock)
+			for page := range b.owners[:b.validCount] {
+				b.owners[page] = packOwner(Key{Tenant: coldTenant, LPN: lpn})
+				lpn++
+			}
+		}
+	}
+	return nil
+}
+
+// OwnerWords counts the reverse-map words f has allocated.
+func OwnerWords(f *FTL) int {
+	n := 0
+	for i := range f.planes {
+		for _, b := range f.planes[i].blocks {
+			if b != nil {
+				n += len(b.owners)
+			}
+		}
+	}
+	return n
+}

@@ -84,21 +84,59 @@ func (o owner) key() Key {
 
 // block is the erase-unit state. Its page counters fit int32 because
 // nand.Config.Validate caps a device at 2^32-1 pages in at least two blocks.
+//
+// A seasoned block is implicit until something changes its pages: Season
+// writes only its counters and its first cold LPN, and ownerAt computes each
+// page's owner from the seasoning rule — pages 0..validCount-1 hold cold
+// LPNs firstCold, firstCold+1, ... and the rest hold nothing. materialize
+// writes that rule out into owners before the first change, so a device
+// stores reverse-map words only for the blocks its traffic touched.
 type block struct {
 	writePtr   int32 // next page to program; == PagesPerBlock when full
 	validCount int32
 	erases     int32
+	firstCold  uint32  // implicit blocks: the cold LPN in page 0
+	implicit   bool    // owners follow the seasoning rule, not the array
 	dirty      bool    // mutated since the checkpoint; see mark
-	owners     []owner // per page; 0 = invalid
+	owners     []owner // per page, 0 = invalid; nil until first written
+}
+
+// ownerAt returns the owner of one page of b, 0 when it holds no valid data.
+// Every read of a block's reverse map goes through it.
+func (b *block) ownerAt(page int) owner {
+	if b.implicit {
+		if page < int(b.validCount) {
+			return packOwner(Key{Tenant: coldTenant, LPN: int64(b.firstCold) + int64(page)})
+		}
+		return 0
+	}
+	if b.owners == nil {
+		return 0
+	}
+	return b.owners[page]
+}
+
+// materialize gives b an owner array holding its current owners: appendPage
+// and clearPage call it, after mark, before they change one. The array, once
+// allocated, stays with the block through erases, Reset and Rewind.
+func (f *FTL) materialize(b *block) {
+	if b.owners == nil {
+		b.owners = make([]owner, f.cfg.PagesPerBlock)
+	}
+	if b.implicit {
+		for page := range b.owners {
+			b.owners[page] = b.ownerAt(page)
+		}
+		b.implicit = false
+	}
 }
 
 // plane holds per-plane block bookkeeping. Blocks are materialized lazily:
 // with Table I geometry a device has 262144 blocks, almost all of which a
-// simulation never touches. Materialization is chunked: block structs and
-// their owner arrays are carved out of per-plane slabs of blockChunk blocks,
-// so touching a block costs 2 allocations per chunk instead of 2 per block —
-// seasoning a device (which touches every block of every plane) drops from
-// tens of thousands of allocations to a few hundred.
+// simulation never touches. Block structs are carved out of per-plane slabs
+// of blockChunk blocks, so touching a block costs one allocation per chunk
+// instead of one per block; a block's owner array is its own allocation,
+// made when the block is first written (see block).
 type plane struct {
 	blocks    []*block // lazily filled; nil = never used
 	nextFresh int      // first never-used block index
@@ -106,15 +144,12 @@ type plane struct {
 	active    int      // currently open block, -1 if none
 	full      []int    // closed blocks, candidates for GC
 
-	// Slab remainders for chunked block materialization.
-	slabBlocks []block
-	slabOwners []owner
+	slabBlocks []block // slab remainder for chunked block materialization
 }
 
 // blockChunk is how many blocks one slab materializes at a time. 64 covers
 // a whole EvalConfig plane in one chunk; for the full Table I geometry the
-// worst-case over-allocation per plane (63 unused blocks) is ~140KB, well
-// under the cost of the per-block garbage it replaces.
+// worst-case over-allocation per plane (63 unused blocks) is ~3KB.
 const blockChunk = 64
 
 func (p *plane) freeBlocks(total int) int {
@@ -137,7 +172,7 @@ type FTL struct {
 	planes []plane
 	table  pageTable // logical page -> PPN
 
-	channels    [][]int    // indexed by tenant; nil or absent = all channels
+	channels    [][]int    // indexed by tenant; empty or absent = all channels
 	modes       []PageMode // indexed by tenant; absent = static
 	allChannels []int      // 0..Channels-1, handed out read-only
 	rr          []int      // per-die round-robin plane cursor
@@ -227,7 +262,9 @@ func (f *FTL) Reset() {
 // tenant bindings, plane cursors, counters and the CMT.
 func (f *FTL) resetRun() {
 	f.table.reset()
-	clear(f.channels)
+	for i := range f.channels {
+		f.channels[i] = f.channels[i][:0]
+	}
 	clear(f.modes)
 	clear(f.rr)
 	f.writes = 0
@@ -258,9 +295,11 @@ func (f *FTL) SetProbe(p sim.Probe) {
 func (f *FTL) SetHealth(h *nand.Health) { f.health = h }
 
 // SetTenantChannels assigns the channel set a tenant's future writes may
-// use. Existing mappings are untouched: data already written stays where it
-// is and reads follow the mapping, exactly as a real re-allocation would
-// behave without migration.
+// use; an empty set restores all channels. The set is copied into storage
+// the tenant keeps across calls, so re-binding allocates nothing once each
+// tenant has held its largest set. Existing mappings are untouched: data
+// already written stays where it is and reads follow the mapping, exactly
+// as a real re-allocation would behave without migration.
 func (f *FTL) SetTenantChannels(tenant int, channels []int) error {
 	if tenant < 0 || tenant >= MaxTenants {
 		return fmt.Errorf("ftl: tenant %d: %w", tenant, ErrAddressRange)
@@ -270,16 +309,14 @@ func (f *FTL) SetTenantChannels(tenant int, channels []int) error {
 			return fmt.Errorf("ftl: channel %d outside device (%d channels)", c, f.cfg.Channels)
 		}
 	}
-	if len(channels) == 0 { // back to all channels
-		if tenant < len(f.channels) {
-			f.channels[tenant] = nil
-		}
-		return nil
-	}
 	if tenant >= len(f.channels) {
+		if len(channels) == 0 {
+			return nil // back to all channels
+		}
 		f.channels = append(f.channels, make([][]int, tenant+1-len(f.channels))...)
 	}
-	f.channels[tenant] = append([]int(nil), channels...)
+	// Copy into the tenant's own storage; an empty set means all channels.
+	f.channels[tenant] = append(f.channels[tenant][:0], channels...)
 	return nil
 }
 
@@ -300,7 +337,7 @@ func (f *FTL) SetTenantMode(tenant int, mode PageMode) {
 // unset). The result is the FTL's own slice, shared by every caller and by
 // the page path: it is read-only.
 func (f *FTL) TenantChannels(tenant int) []int {
-	if uint(tenant) < uint(len(f.channels)) && f.channels[tenant] != nil {
+	if uint(tenant) < uint(len(f.channels)) && len(f.channels[tenant]) > 0 {
 		return f.channels[tenant]
 	}
 	return f.allChannels
@@ -471,6 +508,7 @@ func (f *FTL) appendPage(planeID int, k Key) (blockID, page int, err error) {
 	}
 	b := f.blockAt(p, p.active)
 	f.mark(b)
+	f.materialize(b)
 	page = int(b.writePtr)
 	b.writePtr++
 	b.owners[page] = packOwner(k)
@@ -487,19 +525,10 @@ func (f *FTL) blockAt(p *plane, id int) *block {
 		return b
 	}
 	if len(p.slabBlocks) == 0 {
-		chunk := blockChunk
-		if chunk > f.cfg.BlocksPerPlane {
-			chunk = f.cfg.BlocksPerPlane
-		}
-		pages := f.cfg.PagesPerBlock
-		p.slabBlocks = make([]block, chunk)
-		p.slabOwners = make([]owner, chunk*pages)
+		p.slabBlocks = make([]block, min(blockChunk, f.cfg.BlocksPerPlane))
 	}
 	b := &p.slabBlocks[0]
 	p.slabBlocks = p.slabBlocks[1:]
-	pages := f.cfg.PagesPerBlock
-	b.owners = p.slabOwners[:pages:pages]
-	p.slabOwners = p.slabOwners[pages:]
 	p.blocks[id] = b
 	return b
 }
@@ -541,7 +570,7 @@ func (f *FTL) popFree(p *plane, planeID int) (int, bool) {
 func (f *FTL) invalidate(ppn int64) {
 	planeID, blockID, page := f.cfg.SplitPPN(ppn)
 	b := f.blockAt(&f.planes[planeID], blockID)
-	if b.owners[page] != 0 {
+	if b.ownerAt(page) != 0 {
 		f.clearPage(b, page)
 		f.invalidations++
 	}
@@ -551,6 +580,7 @@ func (f *FTL) invalidate(ppn int64) {
 // and a move's relocate share.
 func (f *FTL) clearPage(b *block, page int) {
 	f.mark(b)
+	f.materialize(b)
 	b.owners[page] = 0
 	b.validCount--
 }

@@ -560,6 +560,21 @@ func BenchmarkFTLSeason(b *testing.B) {
 	})
 }
 
+// Seasoning writes counters, not reverse-map words: a freshly seasoned
+// device holds no owner storage.
+func TestSeasonStoresNoOwners(t *testing.T) {
+	f := mustFTL(t, nand.EvalConfig(), nil)
+	if err := f.Season(0.5, 5); err != nil {
+		t.Fatal(err)
+	}
+	if n := OwnerWords(f); n != 0 {
+		t.Fatalf("freshly seasoned device holds %d owner words, want 0", n)
+	}
+	if got := f.LiveColdPages(); got == 0 {
+		t.Fatal("seasoned device has no live cold pages")
+	}
+}
+
 // Season's layout: block i of the fill blocks holds the binomial
 // (i+0.5)/fill quantile of live pages, first in the block, on every plane
 // alike, and a plane's live total is within a page per block of its mean.
@@ -590,8 +605,8 @@ func TestSeasonLayout(t *testing.T) {
 				if b.writePtr != int32(cfg.PagesPerBlock) {
 					t.Errorf("frac %v plane %d block %d: write pointer %d, want full", frac, planeID, i, b.writePtr)
 				}
-				for page, o := range b.owners {
-					want := owner(0)
+				for page := 0; page < cfg.PagesPerBlock; page++ {
+					o, want := b.ownerAt(page), owner(0)
 					if page < live {
 						want = packOwner(Key{Tenant: coldTenant, LPN: lpn})
 						lpn++

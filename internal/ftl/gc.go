@@ -43,7 +43,7 @@ func (f *FTL) collect(planeID int) *GCPlan {
 	moved := 0
 	aborted := false
 	for page := 0; page < f.cfg.PagesPerBlock; page++ {
-		if victim.owners[page] == 0 {
+		if victim.ownerAt(page) == 0 {
 			continue
 		}
 		if err := f.relocate(planeID, victim, page); err != nil {
@@ -99,7 +99,7 @@ func (f *FTL) collect(planeID int) *GCPlan {
 // plane and remaps it: the step GC, wear leveling and block retirement
 // share. On error (the plane is out of free blocks) nothing has changed.
 func (f *FTL) relocate(planeID int, victim *block, page int) error {
-	k := victim.owners[page].key()
+	k := victim.ownerAt(page).key()
 	blockID, newPage, err := f.appendPage(planeID, k)
 	if err != nil {
 		return err
@@ -115,6 +115,7 @@ func (f *FTL) eraseBlock(p *plane, id int) {
 	f.mark(b)
 	b.writePtr = 0
 	b.validCount = 0
+	b.implicit = false
 	clear(b.owners)
 	b.erases++
 	p.recycled = append(p.recycled, id)

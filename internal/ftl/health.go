@@ -146,7 +146,7 @@ func (f *FTL) RetireBlock(planeID, blockID int) (moved int, dieTime sim.Time) {
 
 	victim := p.blocks[blockID]
 	for page := 0; page < f.cfg.PagesPerBlock && victim.validCount > 0; page++ {
-		if victim.owners[page] == 0 {
+		if victim.ownerAt(page) == 0 {
 			continue
 		}
 		if err := f.relocate(planeID, victim, page); err != nil {

@@ -24,6 +24,9 @@ const coldTenant = -1
 // and is written to its end. Every plane gets the same counts, so no
 // channel, die or plane is older than another: a tenant bound to one
 // channel set costs what it costs on any other set of the same size.
+// Cold LPNs run consecutively through the blocks, plane by plane, so Season
+// stores only each block's counters and first cold LPN and leaves the block
+// implicit (see block): seasoning writes no reverse-map words.
 //
 // freeBlocks is the number of blocks left free per plane; values at or below
 // the GC low-water mark are raised just above it so the first tenant write
@@ -65,10 +68,9 @@ func (f *FTL) Season(validFrac float64, freeBlocks int) error {
 			b := f.blockAt(p, id)
 			b.writePtr = int32(f.cfg.PagesPerBlock)
 			b.validCount = live
-			for page := range b.owners[:live] {
-				b.owners[page] = packOwner(Key{Tenant: coldTenant, LPN: lpn})
-				lpn++
-			}
+			b.implicit = true
+			b.firstCold = uint32(lpn)
+			lpn += int64(live)
 			p.full = append(p.full, id)
 		}
 	}
@@ -115,8 +117,8 @@ func (f *FTL) LiveColdPages() int {
 			if b == nil {
 				continue
 			}
-			for _, o := range b.owners {
-				if o != 0 && o.key().Tenant == coldTenant {
+			for page := 0; page < f.cfg.PagesPerBlock; page++ {
+				if o := b.ownerAt(page); o != 0 && o.key().Tenant == coldTenant {
 					count++
 				}
 			}

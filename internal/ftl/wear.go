@@ -47,7 +47,7 @@ func (f *FTL) levelWear(planeID int) (moved int, dieTime sim.Time) {
 	p.full = append(p.full[:victimIdx], p.full[victimIdx+1:]...)
 	victim := f.blockAt(p, victimID)
 	for page := 0; page < f.cfg.PagesPerBlock; page++ {
-		if victim.owners[page] == 0 {
+		if victim.ownerAt(page) == 0 {
 			continue
 		}
 		if err := f.relocate(planeID, victim, page); err != nil {

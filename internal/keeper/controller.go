@@ -67,6 +67,10 @@ type Controller struct {
 	// count of the window being adapted on (advance resets c.observed before
 	// later boundaries fire).
 	lastRetries int64
+
+	// Epoch scratch, reused so a warm adaptation allocates nothing.
+	traits []alloc.TenantTraits
+	bind   alloc.Binding
 }
 
 // Controller returns an online controller bound to dev, with the first
@@ -102,7 +106,8 @@ func (c *Controller) adapt(now sim.Time) error {
 	if err != nil {
 		return err
 	}
-	if err := simrun.Apply(c.dev, strat, vec.Traits(), c.k.cfg.Hybrid); err != nil {
+	c.traits = vec.AppendTraits(c.traits[:0])
+	if err := simrun.Apply(c.dev, &c.bind, strat, c.traits, c.k.cfg.Hybrid); err != nil {
 		return err
 	}
 	c.last = Switch{
@@ -184,8 +189,20 @@ func (c *Controller) Observe(now sim.Time, r trace.Record) {
 
 // Tick fires any epoch boundaries at or before now without recording an
 // arrival. Live traffic pauses between requests; the daemon's pacer ticks
-// the controller so adaptation epochs track time, not just arrivals.
+// the controller at Due so adaptation epochs track time, not just arrivals.
 func (c *Controller) Tick(now sim.Time) { c.advance(now) }
+
+// Due returns the next epoch boundary at which Tick would act, and false
+// when none would: once the controller has failed or finished its single
+// adaptation, and in live mode while the window has no arrivals (idle
+// boundaries only slide the window, which the next Observe or Tick does as
+// well). A pacer need not wake for time to pass while Due is false.
+func (c *Controller) Due() (sim.Time, bool) {
+	if c.err != nil || c.done || (c.SkipIdle && c.observed == 0) {
+		return 0, false
+	}
+	return c.next, true
+}
 
 // DetachTenant removes a departing tenant's contributions from the current
 // feature window: after a tenant-granular drain the workload is gone, and

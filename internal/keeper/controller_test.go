@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"ssdkeeper/internal/alloc"
 	"ssdkeeper/internal/features"
 	"ssdkeeper/internal/sim"
 	"ssdkeeper/internal/simrun"
@@ -74,7 +75,7 @@ func TestControllerTraceParity(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if err := simrun.Apply(dev, strat, vec.Traits(), cfg.Hybrid); err != nil {
+		if err := simrun.Apply(dev, new(alloc.Binding), strat, vec.Traits(), cfg.Hybrid); err != nil {
 			return err
 		}
 		want.Switches = append(want.Switches, Switch{At: now, Vector: vec, Strategy: strat, Index: idx})
@@ -393,5 +394,77 @@ func TestControllerLiveHistoryBounded(t *testing.T) {
 	}
 	if sw := c.Switches(); len(sw) != 0 {
 		t.Errorf("live controller Switches() returned %d entries, want none", len(sw))
+	}
+}
+
+// A warm adaptation epoch allocates nothing: the controller keeps its traits
+// and binding as scratch, the binding's sets are ranges of its own arena,
+// and the FTL copies them into each tenant's existing storage.
+func TestControllerAdaptAllocatesNothing(t *testing.T) {
+	cfg := testConfig()
+	cfg.Hybrid = true
+	for _, class := range []int{0, 1, len(cfg.Strategies) - 1} {
+		k, err := New(cfg, forcedModel(t, len(cfg.Strategies), class))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := simrun.NewRunner().NewSession(simrun.Config{Device: cfg.Device, Options: cfg.Options})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := k.Controller(sess.Device())
+		c.SkipIdle = true
+		for tenant := 0; tenant < features.MaxTenants; tenant++ {
+			c.Observe(sim.Microsecond, trace.Record{Tenant: tenant, Op: trace.Op(tenant % 2), Size: 4096})
+		}
+		now := cfg.Window
+		if err := c.adapt(now); err != nil { // warm: policy instance, scratch, FTL storage
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			now += cfg.Window
+			if err := c.adapt(now); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("class %d (%v): a warm adapt allocates %v times, want 0", class, cfg.Strategies[class], allocs)
+		}
+	}
+}
+
+// Due names the next boundary that would act: always in trace mode, in live
+// mode only once the window holds an arrival, and never after a single-shot
+// controller has adapted.
+func TestControllerDue(t *testing.T) {
+	cfg := testConfig()
+	cfg.Window = 10 * sim.Millisecond
+	k, err := New(cfg, forcedModel(t, len(cfg.Strategies), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := simrun.NewRunner().NewSession(simrun.Config{Device: cfg.Device, Options: cfg.Options})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if at, ok := k.Controller(sess.Device()).Due(); !ok || at != cfg.Window {
+		t.Errorf("trace controller Due = %v %v, want %v true", at, ok, cfg.Window)
+	}
+	c := k.Controller(sess.Device())
+	c.SkipIdle = true
+	if at, ok := c.Due(); ok {
+		t.Errorf("idle live controller Due = %v true, want none", at)
+	}
+	c.Tick(25 * sim.Millisecond) // idle boundaries slide the window
+	c.Observe(26*sim.Millisecond, trace.Record{Tenant: 0, Op: trace.Write, Size: 4096})
+	if at, ok := c.Due(); !ok || at != 30*sim.Millisecond {
+		t.Errorf("live controller with an arrival Due = %v %v, want 30ms true", at, ok)
+	}
+	c.Tick(30 * sim.Millisecond)
+	if c.SwitchCount() != 1 {
+		t.Fatalf("%d switches at the due boundary, want 1", c.SwitchCount())
+	}
+	if at, ok := c.Due(); ok {
+		t.Errorf("single-shot controller after adapting Due = %v true, want none", at)
 	}
 }

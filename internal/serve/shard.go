@@ -38,18 +38,17 @@ const (
 
 // Shard loop bounds. mailboxLen is each shard's submission mailbox
 // capacity; batchMax bounds the mailbox messages one wakeup processes before
-// re-arming the pacing timer; tickEvery caps the pacer sleep, so keeper
-// epochs and the wall target go no staler than that when no events are
-// pending. Below the cap the pacer sleeps until the engine's next event is
-// due in wall time, but on a time.Timer, and Go's netpoller waits for timers
-// in epoll_wait with millisecond resolution: a sub-millisecond sleep lasts
-// about a millisecond (a 100 µs timer fires ~1.08 ms after it is armed on
-// Linux). A busy shard is woken by its mailbox first; an idle one surfaces
-// a due completion up to ~1 ms late (DESIGN.md §11).
+// re-arming the pacing timer. The pacer sleeps until the engine's next event
+// or the keeper's next acting epoch boundary is due in wall time, and with
+// neither pending it waits on the mailbox alone. The sleep is a time.Timer,
+// and Go's netpoller waits for timers in epoll_wait with millisecond
+// resolution: a sub-millisecond sleep lasts about a millisecond (a 100 µs
+// timer fires ~1.08 ms after it is armed on Linux). A busy shard is woken
+// by its mailbox first; an idle one surfaces a due completion up to ~1 ms
+// late (DESIGN.md §11).
 const (
 	mailboxLen = 1024
 	batchMax   = 256
-	tickEvery  = 2 * time.Millisecond
 )
 
 type msgKind uint8
@@ -248,7 +247,7 @@ func (sd *shard) sendMsg(msg shardMsg) (shardReply, bool) {
 
 // minWake floors the pacing timer so float rounding near a due event cannot
 // busy-spin the loop. It is not the pacer's resolution: the timer rounds any
-// wait up to the netpoller's millisecond (see tickEvery).
+// wait up to the netpoller's millisecond (see the shard loop bounds).
 const minWake = 100 * time.Microsecond
 
 // loop is the shard goroutine: the only code that touches the engine,
@@ -281,7 +280,11 @@ func (sd *shard) loop() {
 			return
 		}
 		if paced && !sd.draining {
-			timer.Reset(sd.nextWake())
+			if d, ok := sd.nextWake(); ok {
+				timer.Reset(d)
+			} else {
+				timer.Stop()
+			}
 		}
 	}
 }
@@ -313,20 +316,21 @@ func (sd *shard) sweepMailbox() {
 	}
 }
 
-// nextWake sleeps until the earlier of the next engine event's wall due
-// time and one pacer tick (keeper epoch boundaries are not engine events,
-// so the tick cap keeps adaptation tracking time across idle gaps).
-func (sd *shard) nextWake() time.Duration {
-	d := tickEvery
-	if at, ok := sd.eng.NextAt(); ok {
-		if w := sd.node.wallUntil(at); w < d {
-			d = w
+// nextWake returns how long the pacer sleeps: until the earlier of the
+// engine's next event and the keeper's next epoch boundary that would act
+// (keeper.Controller.Due), in wall time. ok is false when neither is
+// pending; the shard then sleeps until its mailbox wakes it.
+func (sd *shard) nextWake() (d time.Duration, ok bool) {
+	at, ok := sd.eng.NextAt()
+	if sd.ctrl != nil {
+		if due, act := sd.ctrl.Due(); act && (!ok || due < at) {
+			at, ok = due, true
 		}
 	}
-	if d < minWake {
-		d = minWake
+	if !ok {
+		return 0, false
 	}
-	return d
+	return max(sd.node.wallUntil(at), minWake), true
 }
 
 func (sd *shard) handle(msg shardMsg) {

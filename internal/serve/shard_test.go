@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"ssdkeeper/internal/keeper"
 	"ssdkeeper/internal/nand"
 	"ssdkeeper/internal/simrun"
 	"ssdkeeper/internal/ssd"
@@ -404,5 +405,55 @@ func TestPendingFIFOBoundedByLiveEntries(t *testing.T) {
 		if p != nil && !live[p] {
 			t.Errorf("slot %d still references a dequeued request", i)
 		}
+	}
+}
+
+// The pacer sleeps only for pending work: an engine event, or a keeper
+// epoch boundary whose window saw arrivals. With neither it arms no timer
+// and the shard waits on its mailbox alone, so an idle node never wakes.
+func TestPacerSleepsOnlyForPendingWork(t *testing.T) {
+	clk := newFakeClock()
+	kCfg := keeperConfig()
+	k, err := keeper.New(kCfg, forcedModel(t, len(kCfg.Strategies), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := testServer(t, testConfig(clk), k)
+	defer s.Drain()
+	sd := s.shards[0]
+	// SimNow is a mailbox round trip: after it the shard touches nothing
+	// until the next message, so its pacing state can be read here.
+	wake := func() (time.Duration, bool) {
+		s.SimNow()
+		return sd.nextWake()
+	}
+	if d, ok := wake(); ok {
+		t.Fatalf("idle shard sleeps %v, want no timer", d)
+	}
+	c, err := submit(s, writeReq(0, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := wake(); !ok {
+		t.Fatal("a request in flight armed no timer")
+	}
+	clk.Advance(10 * time.Millisecond)
+	s.SimNow()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := c.wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	// The device is idle, but the window holds an arrival: sleep until the
+	// epoch boundary (Accel 1: 50 ms of sim time is 50 ms of wall time).
+	if d, ok := wake(); !ok || d != 40*time.Millisecond {
+		t.Fatalf("after the completion the shard sleeps %v (armed %v), want 40ms to the epoch", d, ok)
+	}
+	clk.Advance(45 * time.Millisecond)
+	if d, ok := wake(); ok {
+		t.Fatalf("after the epoch the shard sleeps %v, want no timer", d)
+	}
+	if n := sd.ctrl.SwitchCount(); n != 1 {
+		t.Fatalf("%d switches, want the one epoch", n)
 	}
 }

@@ -106,6 +106,7 @@ type Runner struct {
 	// A session asking for it rewinds the device instead of re-seasoning it.
 	ckptSeason Seasoning
 	ckpt       bool
+	bind       alloc.Binding // NewSession's scratch for Apply
 }
 
 // NewRunner returns a runner with a fresh engine and, unless WithProbe says
@@ -167,7 +168,7 @@ func (r *Runner) NewSession(cfg Config) (*Session, error) {
 		return nil, err
 	}
 	if len(cfg.Traits) > 0 {
-		if err := Apply(dev, cfg.Strategy, cfg.Traits, cfg.Hybrid); err != nil {
+		if err := Apply(dev, &r.bind, cfg.Strategy, cfg.Traits, cfg.Hybrid); err != nil {
 			return nil, err
 		}
 	}
@@ -252,13 +253,14 @@ func (r *Runner) Run(ctx context.Context, cfg Config, t trace.Trace) (Result, er
 }
 
 // Apply binds a strategy onto a device's FTL: channel sets for every tenant
-// and, when hybrid is set, the per-tenant page allocation mode.
-func Apply(dev *ssd.Device, s alloc.Strategy, traits []alloc.TenantTraits, hybrid bool) error {
-	binding, err := s.Bind(dev.Config().Channels, traits)
-	if err != nil {
+// and, when hybrid is set, the per-tenant page allocation mode. b is the
+// caller's scratch binding (Strategy.BindInto); the FTL copies the sets, so
+// b may be re-bound as soon as Apply returns.
+func Apply(dev *ssd.Device, b *alloc.Binding, s alloc.Strategy, traits []alloc.TenantTraits, hybrid bool) error {
+	if err := s.BindInto(b, dev.Config().Channels, traits); err != nil {
 		return err
 	}
-	for tenant, set := range binding.Sets {
+	for tenant, set := range b.Sets {
 		if err := dev.FTL().SetTenantChannels(tenant, set); err != nil {
 			return err
 		}

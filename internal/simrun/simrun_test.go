@@ -173,7 +173,7 @@ func TestApplyHybridModes(t *testing.T) {
 	}
 	dev := sess.Device()
 	traits := []alloc.TenantTraits{{WriteDominated: true}, {WriteDominated: false}}
-	if err := simrun.Apply(dev, alloc.Strategy{Kind: alloc.Isolated}, traits, true); err != nil {
+	if err := simrun.Apply(dev, new(alloc.Binding), alloc.Strategy{Kind: alloc.Isolated}, traits, true); err != nil {
 		t.Fatal(err)
 	}
 	if dev.FTL().TenantMode(0) != ftl.DynamicAlloc {

@@ -152,7 +152,7 @@ func (cc *clientConn) dialLocked() error {
 // frames to pending calls by seq and delivers outcomes.
 func (cc *clientConn) read(conn net.Conn) {
 	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 64<<10), MaxFrameBytes)
+	sc.Buffer(make([]byte, readBufBytes), MaxFrameBytes)
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {

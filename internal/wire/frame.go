@@ -38,6 +38,11 @@ import (
 // near it, so such a peer is broken, and its replies could not be matched.
 const MaxFrameBytes = 4 << 20
 
+// readBufBytes is the initial read buffer of each endpoint's line scanner.
+// A frame is tens of bytes, so a connection's buffer holds hundreds of them
+// per read; the scanner doubles it on demand, up to MaxFrameBytes.
+const readBufBytes = 8 << 10
+
 // AppendRequest renders a request frame. Append-style so callers reuse one
 // scratch buffer across frames; it never allocates beyond dst's growth.
 func AppendRequest(dst []byte, seq uint64, req serve.Request) []byte {

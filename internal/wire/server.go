@@ -106,7 +106,7 @@ func (s *Server) serveConn(conn net.Conn) {
 
 	var scratch []byte // rej frames for synchronous decode failures
 	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 64<<10), MaxFrameBytes)
+	sc.Buffer(make([]byte, readBufBytes), MaxFrameBytes)
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {

@@ -149,7 +149,7 @@ func TestApplyHybridSetsModes(t *testing.T) {
 		t.Fatal(err)
 	}
 	traits := []alloc.TenantTraits{{WriteDominated: true}, {WriteDominated: false}}
-	if err := simrun.Apply(dev, alloc.Strategy{Kind: alloc.Isolated}, traits, true); err != nil {
+	if err := simrun.Apply(dev, new(alloc.Binding), alloc.Strategy{Kind: alloc.Isolated}, traits, true); err != nil {
 		t.Fatal(err)
 	}
 	if got := dev.FTL().TenantMode(0); got != ftl.DynamicAlloc {
@@ -159,7 +159,7 @@ func TestApplyHybridSetsModes(t *testing.T) {
 		t.Errorf("read-dominated tenant mode %v, want static", got)
 	}
 	// Non-hybrid: everything static.
-	if err := simrun.Apply(dev, alloc.Strategy{Kind: alloc.Isolated}, traits, false); err != nil {
+	if err := simrun.Apply(dev, new(alloc.Binding), alloc.Strategy{Kind: alloc.Isolated}, traits, false); err != nil {
 		t.Fatal(err)
 	}
 	if got := dev.FTL().TenantMode(0); got != ftl.StaticAlloc {

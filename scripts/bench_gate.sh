@@ -31,12 +31,13 @@
 #      session's device set-up to exact allocation figures: a seasoned
 #      evaluation device restored by Reset and seasoned again allocates
 #      nothing, nor does one rewound to its checkpoint after a run dirtied
-#      some of its blocks, and one built by New allocates at most 642 times
-#      and 1323200 B — 8 B of reverse map per physical page plus slabs and
-#      lists (1296384 B and 260 allocations measured; seasoning draws no
-#      random numbers, so no PRNG is allocated). A wider owner entry, a
-#      per-page valid flag back beside it, per-seasoning scratch, or an undo
-#      log that stops reusing its storage breaks a ceiling (DESIGN.md §9).
+#      some of its blocks, and one built by New allocates at most 200 times
+#      and 284000 B — block slabs and lists, and no reverse map: seasoned
+#      blocks compute their owners until traffic touches them (279296 B
+#      and 196 allocations measured; seasoning draws no random numbers, so
+#      no PRNG is allocated). Owner words stored for seasoned blocks again,
+#      per-seasoning scratch, or an undo log that stops reusing its storage
+#      breaks a ceiling (DESIGN.md §9).
 #   5. Device-health overhead: BenchmarkSimulatorHealthOverhead interleaves
 #      no-fault and armed-but-empty-plan simulator runs in GC-isolated
 #      pairs and reports their time ratio; the median over 3 repetitions of
@@ -126,8 +127,8 @@ at_most BenchmarkFTLSeason/reset allocs/op "$(allocs BenchmarkFTLSeason/reset)" 
 at_most BenchmarkFTLSeason/reset B/op "$(bytes BenchmarkFTLSeason/reset)" 0
 at_most BenchmarkFTLSeason/rewind allocs/op "$(allocs BenchmarkFTLSeason/rewind)" 0
 at_most BenchmarkFTLSeason/rewind B/op "$(bytes BenchmarkFTLSeason/rewind)" 0
-at_most BenchmarkFTLSeason/new allocs/op "$(allocs BenchmarkFTLSeason/new)" 642
-at_most BenchmarkFTLSeason/new B/op "$(bytes BenchmarkFTLSeason/new)" 1323200
+at_most BenchmarkFTLSeason/new allocs/op "$(allocs BenchmarkFTLSeason/new)" 200
+at_most BenchmarkFTLSeason/new B/op "$(bytes BenchmarkFTLSeason/new)" 284000
 
 node_bytes=$(bytes "BenchmarkNodeSubmitTo")
 if [ -z "$node_bytes" ] || [ "$node_bytes" -gt 16 ]; then
