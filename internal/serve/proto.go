@@ -1,8 +1,8 @@
 package serve
 
 import (
-	"bytes"
 	"fmt"
+	"math"
 
 	"ssdkeeper/internal/sim"
 	"ssdkeeper/internal/trace"
@@ -56,75 +56,117 @@ func (r Request) Validate(tenants int, maxBytes int64) error {
 	return nil
 }
 
-// lineSep reports whether b separates fields in the line protocol: any
-// whitespace strings.Fields would split on (minus newline, which frames
-// lines) plus comma, so trace-derived CSV corpora feed straight in.
-func lineSep(b byte) bool {
-	switch b {
-	case ' ', '\t', '\r', '\v', '\f', ',':
-		return true
-	}
-	return false
+// Byte classes of the line grammar, as bits of byteClass. The scanners
+// below skip separator classes between tokens and end a token at any of
+// their stop classes.
+const (
+	// frameSep: space, tab and carriage return separate a wire frame's seq
+	// tag from the rest and a reply's fields from each other.
+	frameSep uint8 = 1 << iota
+	// lineSep: a request line's fields are separated by any whitespace
+	// strings.Fields would split on (minus newline, which frames lines)
+	// plus comma, so trace-derived CSV corpora feed straight in.
+	lineSep
+	// comment: '#' ends a request line.
+	comment
+)
+
+var byteClass = [256]uint8{
+	' ': frameSep | lineSep, '\t': frameSep | lineSep, '\r': frameSep | lineSep,
+	',': lineSep, '\v': lineSep, '\f': lineSep,
+	'#': comment,
 }
 
-// ParseIntBytes is strconv.ParseInt(string(b), 10, 64) without the string
-// conversion. Overflow-safe: accumulates negated so int64 min parses.
-// Exported, with ParseUintBytes, because the wire frame codec parses its seq
-// tag and reply numbers with the same two functions.
-func ParseIntBytes(b []byte) (int64, error) {
-	if len(b) == 0 {
-		return 0, fmt.Errorf("empty number")
+// The scanners read a line's tokens in one left-to-right pass, without
+// allocating: a number's digits are accumulated as its token is found, and
+// overflow is checked only on digits past those that always fit (18 for a
+// signed number, 19 for an unsigned one). The exported ones serve the wire
+// codec and split tokens at frame separators: runs of spaces, tabs and
+// carriage returns, with every other byte, '#' included, part of a token.
+// DecodeLineBytes runs the same code over the request line's separators.
+
+// SkipFrameSeps returns the index of the first byte at or after i that is
+// not a frame separator.
+func SkipFrameSeps(line []byte, i int) int { return skipSeps(line, i, frameSep) }
+
+// FrameTokenEnd returns the end of the token that starts at i.
+func FrameTokenEnd(line []byte, i int) int { return tokenEnd(line, i, frameSep) }
+
+// ScanFrameUint reads the token at i as an unsigned decimal. It returns the
+// value, the token's end, and whether the token was such a number in range.
+func ScanFrameUint(line []byte, i int) (uint64, int, bool) {
+	return scanNumber(line, i, frameSep, false)
+}
+
+// ScanFrameInt reads the token at i as a decimal with an optional '+' or
+// '-' sign, as ScanFrameUint does.
+func ScanFrameInt(line []byte, i int) (int64, int, bool) {
+	n, end, ok := scanNumber(line, i, frameSep, true)
+	return int64(n), end, ok
+}
+
+func skipSeps(line []byte, i int, sep uint8) int {
+	for i < len(line) && byteClass[line[i]]&sep != 0 {
+		i++
 	}
-	neg := false
-	switch b[0] {
-	case '-':
-		neg = true
-		b = b[1:]
-	case '+':
-		b = b[1:]
+	return i
+}
+
+func tokenEnd(line []byte, i int, stop uint8) int {
+	for i < len(line) && byteClass[line[i]]&stop == 0 {
+		i++
 	}
-	if len(b) == 0 {
-		return 0, fmt.Errorf("sign without digits")
-	}
-	var n int64 // accumulated negative
-	for _, c := range b {
-		if c < '0' || c > '9' {
-			return 0, fmt.Errorf("bad digit %q", c)
+	return i
+}
+
+func scanInt(line []byte, i int, stop uint8) (int64, int, bool) {
+	n, end, ok := scanNumber(line, i, stop, true)
+	return int64(n), end, ok
+}
+
+// scanNumber reads the token at i as a decimal number that fits a uint64,
+// or, when signed, one with an optional '+' or '-' sign that fits an int64,
+// returned in two's complement. It returns the token's end, even when the
+// token is no such number, and whether it was one. The first digits cannot
+// overflow, so only the digits past them pay for the check.
+func scanNumber(line []byte, i int, stop uint8, signed bool) (n uint64, end int, ok bool) {
+	neg, safe, limit := false, 19, uint64(math.MaxUint64)
+	if signed && i < len(line) {
+		safe, limit = 18, math.MaxInt64
+		switch line[i] {
+		case '-':
+			neg, limit = true, 1<<63
+			i++
+		case '+':
+			i++
 		}
-		d := int64(c - '0')
-		if n < (minInt64+d)/10 {
-			return 0, fmt.Errorf("overflows int64")
+	}
+	first := i
+	for _, c := range line[i:min(len(line), i+safe)] {
+		d := c - '0'
+		if d > 9 {
+			break
 		}
-		n = n*10 - d
+		n = n*10 + uint64(d)
+		i++
+	}
+	for ; i < len(line); i++ {
+		d := line[i] - '0'
+		if d > 9 {
+			break
+		}
+		if n > (limit-uint64(d))/10 {
+			return 0, tokenEnd(line, i, stop), false
+		}
+		n = n*10 + uint64(d)
+	}
+	if i == first || i < len(line) && byteClass[line[i]]&stop == 0 {
+		return 0, tokenEnd(line, i, stop), false
 	}
 	if neg {
-		return n, nil
+		n = -n // int64 min's magnitude is its own two's complement
 	}
-	if n == minInt64 {
-		return 0, fmt.Errorf("overflows int64")
-	}
-	return -n, nil
-}
-
-const minInt64 = -1 << 63
-
-// ParseUintBytes parses an unsigned decimal (no sign) without allocating.
-func ParseUintBytes(b []byte) (uint64, error) {
-	if len(b) == 0 {
-		return 0, fmt.Errorf("empty number")
-	}
-	var n uint64
-	for _, c := range b {
-		if c < '0' || c > '9' {
-			return 0, fmt.Errorf("bad digit %q", c)
-		}
-		d := uint64(c - '0')
-		if n > (^uint64(0)-d)/10 {
-			return 0, fmt.Errorf("overflows uint64")
-		}
-		n = n*10 + d
-	}
-	return n, nil
+	return n, i, true
 }
 
 // parseOpBytes accepts the op spellings used across the repo's trace
@@ -153,74 +195,64 @@ func parseOpBytes(b []byte) (trace.Op, error) {
 // comment; the optional fifth field is the shard-spreading key (see
 // Request.Key). It is the request tail of a wire frame, so this is the
 // ingest hot path: wire.ParseRequest hands it the frame straight off the
-// connection's read buffer and no intermediate strings are built.
+// connection's read buffer, and it reads the line in one pass with the
+// scanners above, over the line's own separators.
 func DecodeLineBytes(line []byte) (Request, error) {
-	if i := bytes.IndexByte(line, '#'); i >= 0 {
-		line = line[:i]
+	const stop = lineSep | comment
+	i := skipSeps(line, 0, lineSep)
+	if !atToken(line, i) {
+		return Request{}, fieldCount("0")
 	}
-	var fields [6][]byte
-	n := 0
-	i := 0
-	for i < len(line) {
-		for i < len(line) && lineSep(line[i]) {
-			i++
-		}
-		if i >= len(line) {
-			break
-		}
-		start := i
-		for i < len(line) && !lineSep(line[i]) {
-			i++
-		}
-		if n < len(fields) {
-			fields[n] = line[start:i]
-		}
-		n++
+	start := i
+	tenant, i, ok := scanInt(line, i, stop)
+	if !ok {
+		return Request{}, badField("tenant", line[start:i])
 	}
-	if n != 4 && n != 5 {
-		return Request{}, fmt.Errorf("serve: line has %d fields, want 4 or 5 (tenant op offset size [key])", n)
+	if i = skipSeps(line, i, lineSep); !atToken(line, i) {
+		return Request{}, fieldCount("1")
 	}
-	tenant, err := ParseIntBytes(fields[0])
-	if err != nil {
-		return Request{}, fmt.Errorf("serve: bad tenant %q: %w", fields[0], err)
-	}
-	op, err := parseOpBytes(fields[1])
+	start, i = i, tokenEnd(line, i, stop)
+	op, err := parseOpBytes(line[start:i])
 	if err != nil {
 		return Request{}, fmt.Errorf("serve: %w", err)
 	}
-	offset, err := ParseIntBytes(fields[2])
-	if err != nil {
-		return Request{}, fmt.Errorf("serve: bad offset %q: %w", fields[2], err)
+	if i = skipSeps(line, i, lineSep); !atToken(line, i) {
+		return Request{}, fieldCount("2")
 	}
-	size, err := ParseIntBytes(fields[3])
-	if err != nil {
-		return Request{}, fmt.Errorf("serve: bad size %q: %w", fields[3], err)
+	start = i
+	offset, i, ok := scanInt(line, i, stop)
+	if !ok {
+		return Request{}, badField("offset", line[start:i])
+	}
+	if i = skipSeps(line, i, lineSep); !atToken(line, i) {
+		return Request{}, fieldCount("3")
+	}
+	start = i
+	size, i, ok := scanInt(line, i, stop)
+	if !ok {
+		return Request{}, badField("size", line[start:i])
 	}
 	var key uint64
-	if n == 5 {
-		key, err = ParseUintBytes(fields[4])
-		if err != nil {
-			return Request{}, fmt.Errorf("serve: bad key %q: %w", fields[4], err)
+	if i = skipSeps(line, i, lineSep); atToken(line, i) {
+		start = i
+		if key, i, ok = scanNumber(line, i, stop, false); !ok {
+			return Request{}, badField("key", line[start:i])
+		}
+		if i = skipSeps(line, i, lineSep); atToken(line, i) {
+			return Request{}, fieldCount("more than 5")
 		}
 	}
 	return Request{Tenant: int(tenant), Op: op, Offset: offset, Size: int(size), Key: key}, nil
 }
 
-// DecodeLine parses one line of the compact load-generator protocol; see
-// DecodeLineBytes for the grammar.
-func DecodeLine(line string) (Request, error) {
-	return DecodeLineBytes([]byte(line))
+// atToken reports whether a request line has a field at i, past its
+// separators: not at the line's end nor at a comment.
+func atToken(line []byte, i int) bool { return i < len(line) && line[i] != '#' }
+
+func fieldCount(n string) error {
+	return fmt.Errorf("serve: line has %s fields, want 4 or 5 (tenant op offset size [key])", n)
 }
 
-// EncodeLine renders the canonical line form DecodeLine parses. The key
-// field is emitted only when nonzero, so encode∘decode round-trips.
-func EncodeLine(r Request) string {
-	op := "R"
-	if r.Op == trace.Write {
-		op = "W"
-	}
-	if r.Key != 0 {
-		return fmt.Sprintf("%d %s %d %d %d", r.Tenant, op, r.Offset, r.Size, r.Key)
-	}
-	return fmt.Sprintf("%d %s %d %d", r.Tenant, op, r.Offset, r.Size)
+func badField(name string, tok []byte) error {
+	return fmt.Errorf("serve: bad %s %q: not a decimal integer in range", name, tok)
 }

@@ -1,11 +1,31 @@
 package serve
 
 import (
+	"fmt"
 	"testing"
 
 	"ssdkeeper/internal/sim"
 	"ssdkeeper/internal/trace"
 )
+
+// DecodeLine parses one line of the compact load-generator protocol; see
+// DecodeLineBytes for the grammar.
+func DecodeLine(line string) (Request, error) {
+	return DecodeLineBytes([]byte(line))
+}
+
+// EncodeLine renders the canonical line form DecodeLine parses. The key
+// field is emitted only when nonzero, so encode∘decode round-trips.
+func EncodeLine(r Request) string {
+	op := "R"
+	if r.Op == trace.Write {
+		op = "W"
+	}
+	if r.Key != 0 {
+		return fmt.Sprintf("%d %s %d %d %d", r.Tenant, op, r.Offset, r.Size, r.Key)
+	}
+	return fmt.Sprintf("%d %s %d %d", r.Tenant, op, r.Offset, r.Size)
+}
 
 func TestDecodeLine(t *testing.T) {
 	cases := []struct {

@@ -83,9 +83,9 @@ func (c *Client) pick() *clientConn {
 }
 
 // clientConn is one persistent connection: a lazily-dialed net.Conn, the
-// coalescing outbox its requests leave through, and the pending map its
+// coalescing outbox its requests leave through, and the pending table its
 // read goroutine resolves replies against. The mutex guards conn identity,
-// seq, and the map; it is never held across network I/O (send holds it
+// seq, and the table; it is never held across network I/O (send holds it
 // across the outbox append, which is a bounded memcpy).
 type clientConn struct {
 	addr string
@@ -93,7 +93,7 @@ type clientConn struct {
 	mu      sync.Mutex
 	conn    net.Conn
 	out     *outbox
-	pending map[uint64]*call
+	pending pendingTable
 	seq     uint64
 	closed  bool
 }
@@ -112,7 +112,7 @@ func (cc *clientConn) send(req serve.Request, cl *call) error {
 	}
 	cc.seq++
 	cl.seq = cc.seq
-	cc.pending[cl.seq] = cl
+	cc.pending.put(cl.seq, cl)
 	// Render and enqueue while still holding cc.mu: the moment the call is
 	// registered in pending, a connection failure may sweep it — delivering
 	// its outcome and returning it to the pool — so touching cl after an
@@ -142,7 +142,6 @@ func (cc *clientConn) dialLocked() error {
 	}
 	cc.conn = conn
 	cc.out = newOutbox()
-	cc.pending = make(map[uint64]*call)
 	go cc.out.run(conn)
 	go cc.read(conn)
 	return nil
@@ -164,11 +163,10 @@ func (cc *clientConn) read(conn net.Conn) {
 			return
 		}
 		cc.mu.Lock()
-		cl := cc.pending[rep.Seq]
-		delete(cc.pending, rep.Seq)
+		cl := cc.pending.take(rep.Seq)
 		cc.mu.Unlock()
 		if cl == nil {
-			continue // a seq this connection never sent
+			continue // a seq this connection never sent, or already answered
 		}
 		cl.latNS, cl.simNS = rep.LatencyNS, rep.SimNS
 		if !rep.OK {
@@ -195,13 +193,13 @@ func (cc *clientConn) fail(conn net.Conn, err error) {
 	cc.out.close()
 	cc.out = nil
 	p := cc.pending
-	cc.pending = nil
+	cc.pending = pendingTable{}
 	cc.mu.Unlock()
 	conn.Close()
-	for _, cl := range p {
+	p.each(func(cl *call) {
 		cl.err = fmt.Errorf("wire: %s: %w", cc.addr, err)
 		cl.deliver()
-	}
+	})
 }
 
 func (cc *clientConn) shutdown() {

@@ -82,24 +82,18 @@ func AppendRej(dst []byte, seq uint64, reason string) []byte {
 	return append(dst, '\n')
 }
 
-// ParseRequest parses a request frame (line, no trailing newline). On a bad
+// ParseRequest parses a request frame (line, no trailing newline) in one
+// pass: the seq tag, then the tail through serve.DecodeLineBytes. On a bad
 // sequence tag it returns seq 0 — the connection is unrecoverable because
 // replies could not be matched; on a bad request tail it returns the parsed
 // seq with the error, so the listener can answer "rej invalid" in band.
 func ParseRequest(line []byte) (uint64, serve.Request, error) {
-	i := 0
-	for i < len(line) && !wireSep(line[i]) {
-		i++
-	}
-	seq, err := serve.ParseUintBytes(line[:i])
-	if err != nil || seq == 0 {
+	seq, i, ok := serve.ScanFrameUint(line, 0)
+	if !ok || seq == 0 {
 		return 0, serve.Request{}, fmt.Errorf("wire: bad request seq %q", line[:i])
 	}
-	req, err := serve.DecodeLineBytes(line[i:])
-	if err != nil {
-		return seq, serve.Request{}, err
-	}
-	return seq, req, nil
+	req, err := serve.DecodeLineBytes(line[i:]) // the zero Request on error
+	return seq, req, err
 }
 
 // Reply is one parsed reply frame. Reason aliases the input line — it is
@@ -113,52 +107,43 @@ type Reply struct {
 	Reason    []byte
 }
 
-// ParseReply parses a reply frame (line, no trailing newline).
+// ParseReply parses a reply frame (line, no trailing newline) in one pass.
+// Fields past the fourth are ignored.
 func ParseReply(line []byte) (Reply, error) {
-	var f [4][]byte
-	n := 0
-	i := 0
-	for i < len(line) && n < len(f) {
-		for i < len(line) && wireSep(line[i]) {
-			i++
-		}
-		if i >= len(line) {
-			break
-		}
-		start := i
-		for i < len(line) && !wireSep(line[i]) {
-			i++
-		}
-		f[n] = line[start:i]
-		n++
+	start := serve.SkipFrameSeps(line, 0)
+	if start == len(line) {
+		return Reply{}, replyFields(0)
 	}
-	if n < 3 {
-		return Reply{}, fmt.Errorf("wire: reply has %d fields, want 3 or 4", n)
+	seq, i, ok := serve.ScanFrameUint(line, start)
+	if !ok || seq == 0 {
+		return Reply{}, fmt.Errorf("wire: bad reply seq %q", line[start:i])
 	}
-	seq, err := serve.ParseUintBytes(f[0])
-	if err != nil || seq == 0 {
-		return Reply{}, fmt.Errorf("wire: bad reply seq %q", f[0])
+	if start = serve.SkipFrameSeps(line, i); start == len(line) {
+		return Reply{}, replyFields(1)
 	}
-	switch string(f[1]) {
+	i = serve.FrameTokenEnd(line, start)
+	verb := line[start:i]
+	if start = serve.SkipFrameSeps(line, i); start == len(line) {
+		return Reply{}, replyFields(2)
+	}
+	switch string(verb) {
 	case "ok":
-		if n != 4 {
-			return Reply{}, fmt.Errorf("wire: ok reply has %d fields, want 4", n)
+		lat, i, ok := serve.ScanFrameInt(line, start)
+		if !ok {
+			return Reply{}, fmt.Errorf("wire: bad latency %q", line[start:i])
 		}
-		lat, err := serve.ParseIntBytes(f[2])
-		if err != nil {
-			return Reply{}, fmt.Errorf("wire: bad latency %q: %w", f[2], err)
-		}
-		at, err := serve.ParseIntBytes(f[3])
-		if err != nil {
-			return Reply{}, fmt.Errorf("wire: bad sim time %q: %w", f[3], err)
+		start = serve.SkipFrameSeps(line, i)
+		at, i, ok := serve.ScanFrameInt(line, start) // fails on a missing field too
+		if !ok {
+			return Reply{}, fmt.Errorf("wire: bad sim time %q", line[start:i])
 		}
 		return Reply{Seq: seq, OK: true, LatencyNS: lat, SimNS: at}, nil
 	case "rej":
-		return Reply{Seq: seq, Reason: f[2]}, nil
+		return Reply{Seq: seq, Reason: line[start:serve.FrameTokenEnd(line, start)]}, nil
 	}
-	return Reply{}, fmt.Errorf("wire: bad reply verb %q", f[1])
+	return Reply{}, fmt.Errorf("wire: bad reply verb %q", verb)
 }
 
-// wireSep matches the separators frames use (space or tab; the request tail
-// additionally accepts the full serve line-protocol separator set).
-func wireSep(b byte) bool { return b == ' ' || b == '\t' || b == '\r' }
+func replyFields(n int) error {
+	return fmt.Errorf("wire: reply has %d fields, want 3 or 4", n)
+}
