@@ -1,8 +1,7 @@
-// Package ssdkeeper's root benchmark harness measures the simulator, the
-// inference path and the ablations called out in DESIGN.md. Custom metrics
-// carry the results: latencies in us, accuracies in percent — so
-// `go test -bench=. -benchmem` both exercises and reports them.
-// cmd/experiments regenerates the paper's tables and figures.
+// Package ssdkeeper's root benchmark harness measures the simulator and the
+// inference path; scripts/bench_gate.sh gates BenchmarkPredict and
+// BenchmarkSimulatorHealthOverhead. cmd/experiments regenerates the paper's
+// tables and figures, and the design ablations (results/ablations.txt).
 package ssdkeeper
 
 import (
@@ -17,7 +16,6 @@ import (
 	"ssdkeeper/internal/dataset"
 	"ssdkeeper/internal/experiments"
 	"ssdkeeper/internal/features"
-	"ssdkeeper/internal/ftl"
 	"ssdkeeper/internal/keeper"
 	"ssdkeeper/internal/nand"
 	"ssdkeeper/internal/nn"
@@ -341,308 +339,5 @@ func BenchmarkNNTrainingEpoch(b *testing.B) {
 		}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// --- Ablations (DESIGN.md section 6) ---
-
-// ablationMix builds the standard write-heavy two-tenant mix the ablations
-// share.
-func ablationMix(b *testing.B, cfg nand.Config) (trace.Trace, []alloc.TenantTraits) {
-	b.Helper()
-	spec := workload.MixSpec{
-		Tenants: []workload.TenantSpec{
-			{WriteRatio: 0.95, Share: 0.6},
-			{WriteRatio: 0.05, Share: 0.4},
-		},
-		Requests: 6000, IOPS: 8000, Seed: 5,
-	}
-	tr, err := spec.Build(cfg.PageSize)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return tr, spec.Traits()
-}
-
-// BenchmarkAblationReadPriority compares FIFO (the paper's substrate) with
-// strict read-priority arbitration under Shared. Read priority collapses
-// read latency but the report shows what it does to writes.
-func BenchmarkAblationReadPriority(b *testing.B) {
-	env, _ := quickEnvScale()
-	tr, traits := ablationMix(b, env.Device)
-	for _, prio := range []bool{false, true} {
-		name := "fifo"
-		if prio {
-			name = "readpriority"
-		}
-		b.Run(name, func(b *testing.B) {
-			var total float64
-			for i := 0; i < b.N; i++ {
-				res, err := replay(simrun.Config{
-					Device: env.Device, Options: ssd.Options{ReadPriority: prio},
-					Strategy: alloc.Strategy{Kind: alloc.Shared},
-					Traits:   traits, Season: env.Season,
-				}, tr)
-				if err != nil {
-					b.Fatal(err)
-				}
-				total = res.Device.Total()
-			}
-			b.ReportMetric(total, "us-total")
-		})
-	}
-}
-
-// BenchmarkAblationPageAlloc compares the page allocation modes under a 6:2
-// split on both a fresh and a seasoned device. On fresh flash dynamic
-// allocation wins by spreading write bursts; on a seasoned device it
-// scatters overwrites across planes, raising GC write amplification — the
-// regime where the paper's hybrid allocator inverts.
-func BenchmarkAblationPageAlloc(b *testing.B) {
-	env, _ := quickEnvScale()
-	tr, traits := ablationMix(b, env.Device)
-	strategy := alloc.Strategy{Kind: alloc.TwoGroup, WriteChannels: 6}
-	for _, seasoned := range []bool{false, true} {
-		for _, mode := range []string{"static", "hybrid"} {
-			name := "fresh/" + mode
-			if seasoned {
-				name = "seasoned/" + mode
-			}
-			b.Run(name, func(b *testing.B) {
-				var total float64
-				var moved uint64
-				for i := 0; i < b.N; i++ {
-					rc := simrun.Config{
-						Device: env.Device, Options: env.Options,
-						Strategy: strategy, Traits: traits,
-						Hybrid: mode == "hybrid",
-					}
-					if seasoned {
-						rc.Season = simrun.DefaultSeasoning()
-					}
-					res, err := replay(rc, tr)
-					if err != nil {
-						b.Fatal(err)
-					}
-					total = res.Device.Total()
-					moved = res.FTL.GCMovedPages
-				}
-				b.ReportMetric(total, "us-total")
-				b.ReportMetric(float64(moved), "gc-pages-moved")
-			})
-		}
-	}
-}
-
-// BenchmarkAblationHidden varies the classifier's hidden width around the
-// paper's 64 neurons and reports held-out regret.
-func BenchmarkAblationHidden(b *testing.B) {
-	env, scale := quickEnvScale()
-	samples := benchSamples(b)
-	for _, hidden := range []int{16, 64, 256} {
-		b.Run(map[int]string{16: "h16", 64: "h64", 256: "h256"}[hidden], func(b *testing.B) {
-			var regret float64
-			for i := 0; i < b.N; i++ {
-				res, err := keeper.TrainOnSamples(keeper.TrainConfig{
-					Dataset: dataset.Config{
-						Device: env.Device, Options: env.Options,
-						Strategies: env.Strategies,
-						Workloads:  scale.DatasetWorkloads,
-						Requests:   scale.DatasetRequests,
-						MaxIOPS:    env.SaturationIOPS,
-						Season:     env.Season, Seed: scale.Seed,
-					},
-					Hidden:     hidden,
-					Iterations: scale.TrainIterations,
-					BatchSize:  scale.TrainBatch,
-					Seed:       scale.Seed,
-				}, samples)
-				if err != nil {
-					b.Fatal(err)
-				}
-				ev, err := experiments.EvaluateModel(res.Model, res.TestSamples)
-				if err != nil {
-					b.Fatal(err)
-				}
-				regret = ev.MeanRegretPct
-			}
-			b.ReportMetric(regret, "%regret")
-		})
-	}
-}
-
-// BenchmarkAblationFeatures drops feature groups from the 9-D vector (by
-// zeroing them at train and test time) and reports held-out regret,
-// quantifying how much each of the paper's three feature groups matters.
-func BenchmarkAblationFeatures(b *testing.B) {
-	env, scale := quickEnvScale()
-	samples := benchSamples(b)
-	masks := []struct {
-		name string
-		keep func(v features.Vector) features.Vector
-	}{
-		{"full", func(v features.Vector) features.Vector { return v }},
-		{"no-intensity", func(v features.Vector) features.Vector { v.Intensity = 0; return v }},
-		{"no-proportions", func(v features.Vector) features.Vector { v.Prop = [4]float64{}; return v }},
-		{"no-characteristics", func(v features.Vector) features.Vector { v.ReadChar = [4]bool{}; return v }},
-	}
-	for _, m := range masks {
-		b.Run(m.name, func(b *testing.B) {
-			masked := make([]dataset.Sample, len(samples))
-			for i, s := range samples {
-				s.Vector = m.keep(s.Vector)
-				masked[i] = s
-			}
-			var regret float64
-			for i := 0; i < b.N; i++ {
-				res, err := keeper.TrainOnSamples(keeper.TrainConfig{
-					Dataset: dataset.Config{
-						Device: env.Device, Options: env.Options,
-						Strategies: env.Strategies,
-						Workloads:  scale.DatasetWorkloads,
-						Requests:   scale.DatasetRequests,
-						MaxIOPS:    env.SaturationIOPS,
-						Season:     env.Season, Seed: scale.Seed,
-					},
-					Iterations: scale.TrainIterations,
-					BatchSize:  scale.TrainBatch,
-					Seed:       scale.Seed,
-				}, masked)
-				if err != nil {
-					b.Fatal(err)
-				}
-				ev, err := experiments.EvaluateModel(res.Model, res.TestSamples)
-				if err != nil {
-					b.Fatal(err)
-				}
-				regret = ev.MeanRegretPct
-			}
-			b.ReportMetric(regret, "%regret")
-		})
-	}
-}
-
-// BenchmarkGCPressure isolates garbage collection: overwrite churn on one
-// plane, reporting pages moved per erase (write-amplification proxy).
-func BenchmarkGCPressure(b *testing.B) {
-	cfg := nand.EvalConfig()
-	cfg.Channels, cfg.ChipsPerChannel, cfg.PlanesPerDie = 1, 1, 1
-	runner := simrun.NewRunner()
-	for i := 0; i < b.N; i++ {
-		sess, err := runner.NewSession(simrun.Config{
-			Device: cfg, Season: simrun.DefaultSeasoning(),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		f := sess.Device().FTL()
-		for round := 0; round < 20; round++ {
-			for lpn := int64(0); lpn < 256; lpn++ {
-				if _, _, err := f.MapWrite(ftl.Key{Tenant: 0, LPN: lpn}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		c := f.Counters()
-		if c.GCErases > 0 {
-			b.ReportMetric(float64(c.GCMovedPages)/float64(c.GCErases), "moved/erase")
-		}
-	}
-}
-
-// BenchmarkAblationCacheRegister removes the per-plane cache register
-// (Figure 1), serializing array time and bus transfer on each die.
-func BenchmarkAblationCacheRegister(b *testing.B) {
-	env, _ := quickEnvScale()
-	tr, traits := ablationMix(b, env.Device)
-	for _, noCache := range []bool{false, true} {
-		name := "cached"
-		if noCache {
-			name = "uncached"
-		}
-		b.Run(name, func(b *testing.B) {
-			var total float64
-			for i := 0; i < b.N; i++ {
-				opts := env.Options
-				opts.NoCacheRegister = noCache
-				res, err := replay(simrun.Config{
-					Device: env.Device, Options: opts,
-					Strategy: alloc.Strategy{Kind: alloc.Shared},
-					Traits:   traits, Season: env.Season,
-				}, tr)
-				if err != nil {
-					b.Fatal(err)
-				}
-				total = res.Device.Total()
-			}
-			b.ReportMetric(total, "us-total")
-		})
-	}
-}
-
-// BenchmarkAblationWearLeveling measures static wear leveling's effect on
-// erase-count spread and on foreground latency.
-func BenchmarkAblationWearLeveling(b *testing.B) {
-	env, _ := quickEnvScale()
-	tr, traits := ablationMix(b, env.Device)
-	for _, threshold := range []int{0, 16} {
-		name := "off"
-		if threshold > 0 {
-			name = "on"
-		}
-		b.Run(name, func(b *testing.B) {
-			var total float64
-			var spread int
-			for i := 0; i < b.N; i++ {
-				cfg := env.Device
-				cfg.WearThreshold = threshold
-				sess, err := simrun.NewRunner().NewSession(simrun.Config{
-					Device: cfg, Options: env.Options,
-					Strategy: alloc.Strategy{Kind: alloc.Shared},
-					Traits:   traits, Season: env.Season,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				dev := sess.Device()
-				res, err := dev.Run(tr, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				total = res.Device.Total()
-				w := dev.FTL().Wear()
-				spread = w.MaxErases - w.MinErases
-			}
-			b.ReportMetric(total, "us-total")
-			b.ReportMetric(float64(spread), "erase-spread")
-		})
-	}
-}
-
-// BenchmarkAblationCMT bounds the FTL's mapping cache (DFTL-style) and
-// reports the latency cost of translation misses versus unlimited mapping
-// SRAM.
-func BenchmarkAblationCMT(b *testing.B) {
-	env, _ := quickEnvScale()
-	tr, traits := ablationMix(b, env.Device)
-	for _, entries := range []int{0, 1024, 16384} {
-		name := map[int]string{0: "unlimited", 1024: "cmt1k", 16384: "cmt16k"}[entries]
-		b.Run(name, func(b *testing.B) {
-			var total float64
-			for i := 0; i < b.N; i++ {
-				opts := env.Options
-				opts.CMTEntries = entries
-				res, err := replay(simrun.Config{
-					Device: env.Device, Options: opts,
-					Strategy: alloc.Strategy{Kind: alloc.Shared},
-					Traits:   traits, Season: env.Season,
-				}, tr)
-				if err != nil {
-					b.Fatal(err)
-				}
-				total = res.Device.Total()
-			}
-			b.ReportMetric(total, "us-total")
-		})
 	}
 }

@@ -6,6 +6,7 @@
 //	experiments -run all                     # everything, laptop scale
 //	experiments -run fig2                    # one experiment
 //	experiments -run adaptive                # the self-adjusting two-tenant sweep
+//	experiments -run ablations               # read priority and page allocation
 //	experiments -run fig5 -scale quick       # smoke scale
 //	experiments -run all -out results/       # write per-experiment files
 //	experiments -run fig4 -workloads 1000    # override dataset size
@@ -39,7 +40,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	var (
-		run       = flag.String("run", "all", "experiment: all, fig2, adaptive, fig4, table3, table5, fig5, fig6, healthtraj")
+		run       = flag.String("run", "all", "experiment: all, fig2, adaptive, ablations, fig4, table3, table5, fig5, fig6, healthtraj")
 		scaleName = flag.String("scale", "default", "scale preset: quick, default, paper")
 		outDir    = flag.String("out", "", "directory for result files (default: stdout only)")
 		samples   = flag.String("samples", "", "reuse a dataset file written by keeper-train")
@@ -76,7 +77,7 @@ func main() {
 	env := experiments.NewEnv()
 
 	which := strings.ToLower(*run)
-	valid := map[string]bool{"all": true, "fig2": true, "adaptive": true, "fig4": true,
+	valid := map[string]bool{"all": true, "fig2": true, "adaptive": true, "ablations": true, "fig4": true,
 		"table3": true, "table5": true, "fig5": true, "fig6": true, "healthtraj": true}
 	if !valid[which] {
 		fatal(fmt.Errorf("unknown experiment %q", which))
@@ -138,6 +139,14 @@ func main() {
 			}
 			emit("fig2_adaptive", res.Render(), res)
 		}
+	}
+
+	if which == "all" || which == "ablations" {
+		res, err := experiments.Ablations(ctx, env)
+		if err != nil {
+			fatal(err)
+		}
+		emit("ablations", res.Render(), res)
 	}
 
 	needModel := which == "all" || which == "fig4" || which == "table3" ||

@@ -337,9 +337,9 @@ func (c Cost) Total() float64 {
 // groups recurs in another strategy; otherwise it runs whole. A group is
 // keyed by its tenants and channel count: seasoning ages every plane alike,
 // so on a fault-free device every channel set of one size costs the same.
-// Decomposition needs no fault plan, no mapping cache (one LRU serves every
-// tenant), every record's tenant bound, and disjoint group channel sets;
-// anything else runs every strategy whole. A fault plan breaks two things.
+// Decomposition needs no fault plan, every record's tenant bound, and
+// disjoint group channel sets; anything else runs every strategy whole. A
+// fault plan breaks two things.
 // A die failure rebuilds seasoning pages that GC moved over every channel,
 // so groups stop being isolated. And the plan breaks channel symmetry: a die
 // failure names one die and read retries hash the physical page, so a group
@@ -466,7 +466,7 @@ type replay struct {
 func replays(space []alloc.Strategy, channels int, traits []alloc.TenantTraits, tr trace.Trace, opts ssd.Options) (jobs []replay, parts [][]int) {
 	groups := make([][]alloc.Group, len(space))
 	recurs := map[alloc.GroupKey]int{} // group key -> strategies whose binding has it
-	if opts.FaultPlan == nil && opts.CMTEntries == 0 && len(traits) <= alloc.MaxKeyTenants && bound(tr, len(traits)) {
+	if opts.FaultPlan == nil && len(traits) <= alloc.MaxKeyTenants && bound(tr, len(traits)) {
 		for si, s := range space {
 			b, err := s.Bind(channels, traits)
 			if err != nil {

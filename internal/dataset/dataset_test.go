@@ -422,8 +422,9 @@ func TestGenerateOneRunnerMatchesFreshRunners(t *testing.T) {
 // channel groups recur across strategies and Costs replays each once and
 // composes the strategies from them. Every latency must be the one a fresh
 // runner measures replaying the strategy whole: at two seeds, with the
-// hybrid allocator, with several workers spreading the group replays, and
-// on the configs that must not decompose (fault plans, a mapping cache).
+// hybrid allocator, under read-priority arbitration, with several workers
+// spreading the group replays, and on workloads that must not decompose
+// (fault plans).
 func TestCostsMatchWholeRuns(t *testing.T) {
 	base := quickConfig()
 	base.Strategies = alloc.FourTenantSpace(base.Device.Channels)
@@ -431,19 +432,18 @@ func TestCostsMatchWholeRuns(t *testing.T) {
 	base.Requests = 600
 	base.Workers = 1
 	cases := []struct {
-		name       string
-		mod        func(*Config)
-		decomposes bool
+		name string
+		mod  func(*Config)
 	}{
-		{"seed2", func(c *Config) { c.Seed = 2 }, true},
-		{"seed3-workers4", func(c *Config) { c.Seed, c.Workloads, c.Workers = 3, 2, 4 }, true},
-		{"hybrid", func(c *Config) { c.Seed, c.Hybrid = 2, true }, true},
+		{"seed2", func(c *Config) { c.Seed = 2 }},
+		{"seed3-workers4", func(c *Config) { c.Seed, c.Workloads, c.Workers = 3, 2, 4 }},
+		{"hybrid", func(c *Config) { c.Seed, c.Hybrid = 2, true }},
 		// A workload that draws a fault plan must run whole: a die failure
 		// rebuilds seasoning pages across channels, and the failed die and
 		// the hashed read retries tie a group's cost to its channel set, not
 		// just its channel count.
-		{"faults", func(c *Config) { c.Seed, c.Workloads, c.Requests, c.FaultFraction = 2, 4, 2000, 0.5 }, true},
-		{"cmt", func(c *Config) { c.Seed, c.Options.CMTEntries = 2, 64 }, false},
+		{"faults", func(c *Config) { c.Seed, c.Workloads, c.Requests, c.FaultFraction = 2, 4, 2000, 0.5 }},
+		{"readpriority", func(c *Config) { c.Seed, c.Options.ReadPriority = 2, true }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -459,14 +459,14 @@ func TestCostsMatchWholeRuns(t *testing.T) {
 					faulted++
 				}
 				n := checkWholeRuns(t, cfg, s)
-				if n > 0 && (!c.decomposes || s.Fault != nil) {
-					t.Errorf("workload %d: %d strategies composed from groups; this config must run every strategy whole", i, n)
+				if n > 0 && s.Fault != nil {
+					t.Errorf("workload %d: %d strategies composed from groups; a faulted workload must run every strategy whole", i, n)
 				}
 				if n > 0 {
 					composed++
 				}
 			}
-			if c.decomposes && composed == 0 {
+			if composed == 0 {
 				t.Errorf("no workload was composed from groups")
 			}
 			if cfg.FaultFraction > 0 && (faulted == 0 || faulted == len(samples)) {

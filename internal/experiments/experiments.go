@@ -2,7 +2,7 @@
 // evaluation (Section V) on the simulated substrate: the Figure 2 motivation
 // sweep, the Figure 4 / Table III optimizer comparison, the Table V mixed-
 // workload characterization, the Figure 5 end-to-end latency comparison and
-// the Figure 6 strategy map.
+// the Figure 6 strategy map, plus the design ablations the findings cite.
 //
 // Everything is parameterized by a Scale so the same code runs laptop-sized
 // by default and paper-sized with flags. Results carry raw microseconds plus

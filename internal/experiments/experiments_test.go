@@ -53,19 +53,33 @@ func TestFig2Quick(t *testing.T) {
 	}
 }
 
-// TestFig2MatchesCommittedArtifact pins the default-scale Figure 2 to the
-// committed results/fig2.txt byte for byte.
+// TestFig2MatchesCommittedArtifact pins the default-scale Figure 2 and the
+// ablations to their committed results/ files byte for byte.
 func TestFig2MatchesCommittedArtifact(t *testing.T) {
-	want, err := os.ReadFile("../../results/fig2.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Fig2(context.Background(), NewEnv(), DefaultScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.Render(); got != string(want) {
-		t.Errorf("fig2 differs from results/fig2.txt:\n%s\nwant:\n%s", got, want)
+	for _, c := range []struct {
+		file   string
+		render func() (string, error)
+	}{
+		{"fig2.txt", func() (string, error) {
+			res, err := Fig2(context.Background(), NewEnv(), DefaultScale())
+			return res.Render(), err
+		}},
+		{"ablations.txt", func() (string, error) {
+			res, err := Ablations(context.Background(), NewEnv())
+			return res.Render(), err
+		}},
+	} {
+		want, err := os.ReadFile("../../results/" + c.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.render()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != string(want) {
+			t.Errorf("%s differs from results/%s:\n%s\nwant:\n%s", c.file, c.file, got, want)
+		}
 	}
 }
 

@@ -59,8 +59,8 @@ func (c *checkpoint) drop() {
 
 // Checkpoint records the FTL's current state — a device that has served no
 // traffic, normally one just reset and seasoned — as the state Rewind
-// returns to. Tenant bindings, mappings, counters and the CMT are not part
-// of it: Rewind leaves them as Reset does.
+// returns to. Tenant bindings, mappings and counters are not part of it:
+// Rewind leaves them as Reset does.
 func (f *FTL) Checkpoint() error {
 	if f.Counters() != (Counters{}) {
 		return ErrCheckpointTraffic
@@ -82,9 +82,9 @@ func (f *FTL) Checkpoint() error {
 
 // Rewind returns the FTL to its checkpoint: each block the run dirtied gets
 // its pre-image back, every plane its lists and cursors, and mappings,
-// bindings, counters and the CMT are cleared as Reset clears them. The
-// checkpoint stays, so the next run can rewind again. Rewind panics without
-// a checkpoint.
+// bindings and counters are cleared as Reset clears them. The checkpoint
+// stays, so the next run can rewind again. Rewind panics without a
+// checkpoint.
 func (f *FTL) Rewind() {
 	c := &f.ckpt
 	if !c.on {

@@ -188,10 +188,6 @@ type FTL struct {
 	gcErases      uint64
 	wlRuns        uint64
 	wlMoved       uint64
-	cmtMisses     uint64
-
-	// cmt is the optional cached mapping table (nil = unlimited SRAM).
-	cmt *CMT
 
 	// plan is the scratch GC plan collect returns. Callers consume the plan
 	// synchronously (the device charges its DieTime before the next mapping
@@ -236,9 +232,9 @@ func New(cfg nand.Config, load Load) (*FTL, error) {
 // Reset restores the FTL to its factory-fresh state — no mappings, no
 // tenant bindings, every block erased-and-never-used with zero wear — while
 // keeping all materialized block storage, mapping-table leaves, and slices
-// for reuse. An enabled CMT is emptied but stays enabled, and a checkpoint
-// is dropped. A reset FTL behaves identically to one just built by New over
-// the same geometry; only the allocation pattern differs.
+// for reuse; a checkpoint is dropped. A reset FTL behaves identically to one
+// just built by New over the same geometry; only the allocation pattern
+// differs.
 func (f *FTL) Reset() {
 	for i := range f.planes {
 		p := &f.planes[i]
@@ -259,7 +255,7 @@ func (f *FTL) Reset() {
 }
 
 // resetRun clears what a run builds on top of the block state: mappings,
-// tenant bindings, plane cursors, counters and the CMT.
+// tenant bindings, plane cursors and counters.
 func (f *FTL) resetRun() {
 	f.table.reset()
 	for i := range f.channels {
@@ -275,12 +271,10 @@ func (f *FTL) resetRun() {
 	f.gcErases = 0
 	f.wlRuns = 0
 	f.wlMoved = 0
-	f.cmtMisses = 0
-	f.cmt.Reset()
 }
 
-// SetProbe attaches a probe notified of garbage-collection passes and
-// mapping-cache outcomes. A nil probe restores the no-op default.
+// SetProbe attaches a probe notified of garbage-collection passes, die
+// failures and block retirements. A nil probe restores the no-op default.
 func (f *FTL) SetProbe(p sim.Probe) {
 	if p == nil {
 		p = sim.NopProbe{}

@@ -446,27 +446,19 @@ func TestFTLResetBehavesFresh(t *testing.T) {
 	}
 }
 
-func TestFTLResetClearsBindingsAndCMT(t *testing.T) {
+func TestFTLResetClearsBindings(t *testing.T) {
 	cfg := nand.TinyConfig()
 	f := mustFTL(t, cfg, nil)
-	f.EnableCMT(4)
 	if err := f.SetTenantChannels(1, []int{2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	f.SetTenantMode(1, DynamicAlloc)
-	f.MapPenalty(Key{Tenant: 1, LPN: 9}) // populate the CMT
 	f.Reset()
 	if got := f.TenantChannels(1); len(got) != cfg.Channels {
 		t.Errorf("tenant channels after reset = %v, want all %d", got, cfg.Channels)
 	}
 	if f.TenantMode(1) != StaticAlloc {
 		t.Error("tenant mode survived reset")
-	}
-	if f.cmt.Len() != 0 {
-		t.Errorf("CMT entries after reset = %d, want 0 (still enabled)", f.cmt.Len())
-	}
-	if hits, misses := f.CMTStats(); hits != 0 || misses != 0 {
-		t.Errorf("CMT counters after reset = %d/%d", hits, misses)
 	}
 }
 

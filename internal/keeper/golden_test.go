@@ -77,13 +77,13 @@ func goldenOf(r ssd.Result, sw []Switch) goldenResult {
 
 // TestGoldenReplay pins "simulated results are bit-identical" as a tier-1
 // fact: the paper's canonical mix (write ratios 0.9/0.1/0.8/0.2) on the
-// seasoned evaluation geometry, under the keeper and under static Shared —
-// plain, through a die failure, and with a bounded mapping cache (the last two
-// stretch die holds, so their events take the engine's heap fallback rather
-// than its constant-hold lanes) — must reproduce testdata/golden_replay.json —
-// the whole ssd.Result, including ftl.Counters.Mapped and every bus and die
-// counter. A change to the simulator's host-side data structures must leave
-// the file untouched; a change to the model regenerates it on purpose with
+// seasoned evaluation geometry, under the keeper and under static Shared,
+// plain and through a die failure (whose rebuild stretches die holds, so its
+// events take the engine's heap fallback rather than its constant-hold lanes),
+// must reproduce testdata/golden_replay.json — the whole ssd.Result,
+// including ftl.Counters.Mapped and every bus and die counter. A change to
+// the simulator's host-side data structures must leave the file untouched; a
+// change to the model regenerates it on purpose with
 //
 //	go test ./internal/keeper -run TestGoldenReplay -update
 func TestGoldenReplay(t *testing.T) {
@@ -114,12 +114,10 @@ func TestGoldenReplay(t *testing.T) {
 	for _, c := range []struct {
 		name  string
 		fault *nand.FaultPlan
-		cmt   int
-	}{{name: ""}, {name: "_diefail", fault: plan}, {name: "_cmt", cmt: 1024}} {
+	}{{name: ""}, {name: "_diefail", fault: plan}} {
 		name := c.name
 		opts := ssd.DefaultOptions()
 		opts.FaultPlan = c.fault
-		opts.CMTEntries = c.cmt
 
 		k, err := New(Config{
 			Device: dev, Options: opts, Strategies: strategies, SaturationIOPS: 16000,
@@ -151,8 +149,8 @@ func TestGoldenReplay(t *testing.T) {
 		// Where the engine queued this replay's events changes nothing
 		// above, only host time; the split is pinned so a change that sends
 		// the common event back to the heap is seen. The plain replay has
-		// three hold lengths and GC; the other two stretch holds, so they
-		// also pin that the heap fallback fires in (at, seq) order.
+		// three hold lengths and GC; the die failure stretches holds, so it
+		// also pins that the heap fallback fires in (at, seq) order.
 		src := sess.Device().Engine().Sources()
 		fired := src.Lane + src.InOrder + src.Heap
 		t.Logf("shared%s: %d events, %+v, %.1f%% from the heap", name, fired, src, 100*float64(src.Heap)/float64(fired))

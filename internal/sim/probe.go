@@ -14,8 +14,8 @@ const (
 
 // Probe receives fine-grained observations from inside a simulation run:
 // every event the engine fires, every queue/grant transition on an
-// instrumented resource, and the FTL-level garbage-collection and mapping
-// cache outcomes. Implementations must be cheap — probe methods sit on the
+// instrumented resource, and the FTL-level garbage-collection and fault
+// outcomes. Implementations must be cheap — probe methods sit on the
 // simulation hot path and are called once per event or per flash operation.
 //
 // Probes are wired in by internal/simrun; NopProbe is the default and keeps
@@ -37,9 +37,6 @@ type Probe interface {
 	// leveling, blocks erased, and the total die time the cleaning
 	// occupies (the erase stall seen by the die).
 	GC(plane, moved, wearMoved, erases int, dieTime Time)
-	// CMT is called for each mapping lookup against a configured cached
-	// mapping table, with the hit/miss outcome.
-	CMT(hit bool)
 	// DieFailed is called once when an injected fault kills a die, with
 	// the device-wide die index and the valid pages rebuilt onto live
 	// dies.
@@ -70,9 +67,6 @@ func (NopProbe) ResourceGranted(ResourceKind, int, Time, Time) {}
 
 // GC implements Probe.
 func (NopProbe) GC(int, int, int, int, Time) {}
-
-// CMT implements Probe.
-func (NopProbe) CMT(bool) {}
 
 // DieFailed implements Probe.
 func (NopProbe) DieFailed(int, int) {}

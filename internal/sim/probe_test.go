@@ -8,14 +8,13 @@ import (
 
 // recordingProbe captures every probe callback for assertions.
 type recordingProbe struct {
-	events   int
-	queued   []int // queue lengths reported
-	granted  []Time
-	waits    []Time
-	kinds    []ResourceKind
-	indexes  []int
-	gcCalls  int
-	cmtCalls int
+	events  int
+	queued  []int // queue lengths reported
+	granted []Time
+	waits   []Time
+	kinds   []ResourceKind
+	indexes []int
+	gcCalls int
 }
 
 func (p *recordingProbe) EventFired(Time) { p.events++ }
@@ -29,7 +28,6 @@ func (p *recordingProbe) ResourceGranted(kind ResourceKind, index int, hold, wai
 	p.waits = append(p.waits, wait)
 }
 func (p *recordingProbe) GC(plane int, moved, wearMoved, erases int, dieTime Time) { p.gcCalls++ }
-func (p *recordingProbe) CMT(hit bool)                                             { p.cmtCalls++ }
 func (p *recordingProbe) DieFailed(die, rebuilt int)                               {}
 func (p *recordingProbe) BlockRetired(plane, moved int)                            {}
 func (p *recordingProbe) ReadRetry(die, passes int)                                {}

@@ -22,8 +22,6 @@ import (
 //	ftl.gc.erases            blocks erased
 //	ftl.gc.stall_ns          die time consumed by GC passes (erase stalls)
 //	ftl.wl.moved_pages       pages migrated by static wear leveling
-//	ftl.cmt.hits             cached-mapping-table hits
-//	ftl.cmt.misses           cached-mapping-table misses
 //	health.die_failures      dies killed by injected faults
 //	health.rebuilt_pages     valid pages rebuilt off dead dies
 //	health.blocks_retired    blocks retired by injected faults
@@ -49,7 +47,6 @@ type CounterProbe struct {
 
 	gcRuns, gcMoved, gcErases, gcStall *stats.Counter
 	wlMoved                            *stats.Counter
-	cmtHits, cmtMisses                 *stats.Counter
 
 	dieFailures, rebuiltPages   *stats.Counter
 	blocksRetired, retiredMoved *stats.Counter
@@ -82,8 +79,6 @@ func NewCounterProbe(cfg nand.Config) *CounterProbe {
 	p.gcErases = cs.Counter("ftl.gc.erases")
 	p.gcStall = cs.Counter("ftl.gc.stall_ns")
 	p.wlMoved = cs.Counter("ftl.wl.moved_pages")
-	p.cmtHits = cs.Counter("ftl.cmt.hits")
-	p.cmtMisses = cs.Counter("ftl.cmt.misses")
 	p.dieFailures = cs.Counter("health.die_failures")
 	p.rebuiltPages = cs.Counter("health.rebuilt_pages")
 	p.blocksRetired = cs.Counter("health.blocks_retired")
@@ -129,15 +124,6 @@ func (p *CounterProbe) GC(plane, moved, wearMoved, erases int, dieTime sim.Time)
 	p.gcErases.Add(int64(erases))
 	p.gcStall.Add(int64(dieTime))
 	p.wlMoved.Add(int64(wearMoved))
-}
-
-// CMT implements sim.Probe.
-func (p *CounterProbe) CMT(hit bool) {
-	if hit {
-		p.cmtHits.Add(1)
-	} else {
-		p.cmtMisses.Add(1)
-	}
 }
 
 // DieFailed implements sim.Probe.

@@ -221,7 +221,7 @@ func TestRunnerDeviceReuseMatchesFreshAcrossConfigs(t *testing.T) {
 		{"seasoned at another valid fraction (reset)", with(func(rc *simrun.Config) { rc.Season.ValidFrac = 0.4 })},
 		{"A again (reset)", a},
 		{"A again (rewind)", a},
-		{"other options (rebuild)", with(func(rc *simrun.Config) { rc.Options.NoCacheRegister = true })},
+		{"other options (rebuild)", with(func(rc *simrun.Config) { rc.Options.ReadPriority = true })},
 		{"A again (rebuild)", a},
 		{"A with a fault plan (rebuild)", with(func(rc *simrun.Config) { rc.Options.FaultPlan = plan })},
 		{"A with the fault plan again (reset)", with(func(rc *simrun.Config) { rc.Options.FaultPlan = plan })},

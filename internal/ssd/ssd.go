@@ -41,23 +41,10 @@ type Options struct {
 	// writes. SSDSim — and therefore the paper's evaluation — arbitrates
 	// FIFO (the paper's "reads have priority to respond" refers to their
 	// shorter service time, not a scheduler), so the default is false.
-	// The ablation benchmark flips it to show that strict read priority
-	// collapses the benefit of channel isolation: once reads can no
-	// longer be delayed by queued writes, Shared dominates everywhere.
+	// The read-priority ablation (results/ablations.txt) flips it: on its
+	// write-heavy mix, Shared gets 5 % faster and the best split's lead
+	// over Shared narrows from 18.7 % to 15.0 %, but does not vanish.
 	ReadPriority bool
-	// NoCacheRegister removes the per-plane cache register of Figure 1.
-	// With the register (default), a die is free as soon as its array
-	// operation ends — the register holds the data while the channel
-	// streams it, so array time and bus transfer pipeline. Without it
-	// the die stays reserved through the transfer window as well
-	// (approximated as an extended die hold), serializing back-to-back
-	// operations on the same die.
-	NoCacheRegister bool
-	// CMTEntries bounds the FTL's cached mapping table (DFTL-style):
-	// page accesses whose translation entry is not cached pay one
-	// translation-page read on the die before the operation. Zero
-	// models unlimited mapping SRAM (the SSDSim default).
-	CMTEntries int
 	// FaultPlan schedules deterministic health events — die failures,
 	// block retirements, read-retry tails, wear-dependent program
 	// slowdown — onto the device's engine. nil (the default) keeps the
@@ -151,9 +138,6 @@ func NewOnCollector(eng *sim.Engine, probe sim.Probe, col *stats.Collector, cfg 
 		d.dies[i] = sim.NewResource(eng, fmt.Sprintf("die%d", i))
 		d.dies[i].Instrument(probe, sim.KindDie, i)
 	}
-	if opts.CMTEntries > 0 {
-		d.ftl.EnableCMT(opts.CMTEntries)
-	}
 	if opts.FaultPlan != nil {
 		if err := opts.FaultPlan.Validate(cfg); err != nil {
 			return nil, err
@@ -217,7 +201,7 @@ func (d *Device) applyFault(ev nand.FaultEvent) {
 // the caller (internal/simrun) and must be Reset separately; geometry,
 // options, and probes are unchanged.
 func (d *Device) Reset() {
-	d.ftl.Reset() // also empties the CMT, which stays enabled
+	d.ftl.Reset()
 	d.idle()
 }
 
@@ -486,21 +470,20 @@ func (d *Device) SubmitAt(r trace.Record, arrival sim.Time, done Completer) erro
 	rq.done = done
 	for i := 0; i < n; i++ {
 		k := ftl.Key{Tenant: r.Tenant, LPN: startLPN + int64(i)}
-		pen := d.ftl.MapPenalty(k)
 		if r.Op == trace.Read {
 			addr, err := d.ftl.MapRead(k)
 			if err != nil {
 				d.failRequest(rq, i)
 				return err
 			}
-			d.readPage(addr, pen, rq)
+			d.readPage(addr, rq)
 		} else {
 			addr, gc, err := d.ftl.MapWrite(k)
 			if err != nil {
 				d.failRequest(rq, i)
 				return err
 			}
-			d.writePage(addr, pen, rq)
+			d.writePage(addr, rq)
 			if gc != nil {
 				d.chargeGC(gc)
 			}
@@ -509,40 +492,36 @@ func (d *Device) SubmitAt(r trace.Record, arrival sim.Time, done Completer) erro
 	return nil
 }
 
-// readPage models: optional translation read, die sensing, then bus
-// transfer to the host. Without a cache register the die also covers the
-// transfer window.
-func (d *Device) readPage(a nand.Addr, mapPenalty sim.Time, rq *request) {
+// readPage models: die sensing, then bus transfer to the host. The plane's
+// cache register (Figure 1) holds the page during the transfer, so the die
+// is free once sensing ends.
+func (d *Device) readPage(a nand.Addr, rq *request) {
 	op := d.newPageOp()
 	op.rq = rq
 	op.die = d.dies[d.cfg.DieID(a)]
 	op.bus = d.buses[a.Channel]
 	op.prio = d.prio(trace.Read)
 	op.second = d.cfg.XferLatency
-	dieHold := d.cfg.ReadLatency + mapPenalty
+	dieHold := d.cfg.ReadLatency
 	if d.health != nil {
 		if passes := d.health.RetriesFor(d.cfg.PlaneID(a), a.Block, a.Page); passes > 0 {
 			dieHold += sim.Time(passes) * d.cfg.ReadLatency
 			d.probe.ReadRetry(d.cfg.DieID(a), passes)
 		}
 	}
-	if d.opts.NoCacheRegister {
-		dieHold += d.cfg.XferLatency
-	}
 	op.die.UseCompletion(op.prio, dieHold, op)
 }
 
-// writePage models: bus transfer from the host, then an optional
-// translation read and the die program. Without a cache register the die is
-// reserved for the transfer window too.
-func (d *Device) writePage(a nand.Addr, mapPenalty sim.Time, rq *request) {
+// writePage models: bus transfer from the host into the plane's cache
+// register, then the die program.
+func (d *Device) writePage(a nand.Addr, rq *request) {
 	op := d.newPageOp()
 	op.rq = rq
 	op.die = d.dies[d.cfg.DieID(a)]
 	op.bus = d.buses[a.Channel]
 	op.prio = d.prio(trace.Write)
 	op.write = true
-	op.second = d.cfg.WriteLatency + mapPenalty
+	op.second = d.cfg.WriteLatency
 	if d.health != nil {
 		if f := d.health.SlowFactor(); f > 1 {
 			worn := d.cfg.WearThreshold
@@ -556,9 +535,6 @@ func (d *Device) writePage(a nand.Addr, mapPenalty sim.Time, rq *request) {
 				d.probe.ProgramSlowdown(d.cfg.DieID(a), extra)
 			}
 		}
-	}
-	if d.opts.NoCacheRegister {
-		op.second += d.cfg.XferLatency
 	}
 	op.bus.UseCompletion(op.prio, d.cfg.XferLatency, op)
 }

@@ -312,30 +312,6 @@ func TestDeterministicResults(t *testing.T) {
 	}
 }
 
-func TestNoCacheRegisterSerializesDieOps(t *testing.T) {
-	cfg := testConfig()
-	// Two reads of the same die back to back: with the cache register
-	// the second sensing overlaps the first transfer; without it the die
-	// serializes sensing+transfer.
-	runPair := func(opts Options) sim.Time {
-		d := mustDevice(t, cfg, opts)
-		if err := d.FTL().SetTenantChannels(0, []int{0}); err != nil {
-			t.Fatal(err)
-		}
-		res := run(t, d, trace.Trace{
-			{Time: 0, Tenant: 0, Op: trace.Read, Offset: 0, Size: int32(cfg.PageSize)},
-			{Time: 0, Tenant: 0, Op: trace.Read, Offset: 0, Size: int32(cfg.PageSize)},
-		})
-		return res.Device.Read.Max
-	}
-	withReg := runPair(Options{})
-	withoutReg := runPair(Options{NoCacheRegister: true})
-	if withoutReg <= withReg {
-		t.Errorf("removing the cache register did not slow same-die reads: %v vs %v",
-			withoutReg, withReg)
-	}
-}
-
 func TestSubmitAtRejectsFutureArrival(t *testing.T) {
 	cfg := testConfig()
 	d := mustDevice(t, cfg, DefaultOptions())
