@@ -6,6 +6,7 @@ package ssdkeeper_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"os"
@@ -15,6 +16,7 @@ import (
 	"strings"
 	"testing"
 
+	"ssdkeeper/internal/dataset"
 	"ssdkeeper/internal/experiments"
 	"ssdkeeper/internal/policy"
 )
@@ -160,12 +162,13 @@ func TestCLITrainAndReuse(t *testing.T) {
 		}
 	}
 
-	// Retrain from the saved dataset with another optimizer.
+	// Retrain from the saved dataset.
 	_, errOut = runTool(t, filepath.Join(bins, "keeper-train"),
-		"-reuse", "-dataset", dataPath, "-optimizer", "sgd-momentum",
-		"-iterations", "10", "-out", modelPath)
-	if !strings.Contains(errOut, "sgd-momentum") {
-		t.Errorf("retrain stderr: %q", errOut)
+		"-reuse", "-dataset", dataPath, "-iterations", "10", "-out", modelPath)
+	for _, want := range []string{"loaded 6 samples", "trained adam/logistic"} {
+		if !strings.Contains(errOut, want) {
+			t.Errorf("retrain stderr missing %q:\n%s", want, errOut)
+		}
 	}
 
 	// keeper-train -inspect reads only the checkpoint envelope it writes: the
@@ -217,6 +220,67 @@ func TestCLITrainAndReuse(t *testing.T) {
 	}
 }
 
+// TestKeeperTrainIsTrainBest: keeper-train's checkpoint holds the model
+// experiments.TrainBest fits on the same samples and scale, weight for
+// weight, and records the deployed row's optimizer and activation.
+func TestKeeperTrainIsTrainBest(t *testing.T) {
+	bins := buildTools(t, "keeper-train")
+	work := t.TempDir()
+	env := experiments.NewEnv()
+	scale := experiments.QuickScale()
+	scale.DatasetWorkloads = 48 // several minibatches per epoch
+	samples, err := experiments.BuildDataset(context.Background(), env, scale, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var data bytes.Buffer
+	if err := dataset.Save(&data, samples); err != nil {
+		t.Fatal(err)
+	}
+	dataPath := filepath.Join(work, "data.jsonl")
+	if err := os.WriteFile(dataPath, data.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// Train on the samples as keeper-train reads them back.
+	samples, err = dataset.LoadSamples(&data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := experiments.TrainBest(env, scale, samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	modelPath := filepath.Join(work, "model.json")
+	runTool(t, filepath.Join(bins, "keeper-train"), "-reuse", "-dataset", dataPath,
+		"-iterations", strconv.Itoa(scale.TrainIterations), "-batch", strconv.Itoa(scale.TrainBatch),
+		"-seed", strconv.FormatInt(scale.Seed, 10), "-out", modelPath, "-q")
+	f, err := os.Open(modelPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	got, meta, err := policy.LoadCheckpoint(f, env.Device.Channels, env.Strategies)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gotW, wantW bytes.Buffer
+	if err := got.Save(&gotW); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.Model.Save(&wantW); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotW.Bytes(), wantW.Bytes()) {
+		t.Error("keeper-train -reuse wrote weights other than experiments.TrainBest's")
+	}
+	opt, act := experiments.DeployedConfig()
+	if meta.Optimizer != opt || meta.Activation != act || meta.Samples != len(samples) {
+		t.Errorf("checkpoint meta %s/%s over %d samples, want %s/%s over %d",
+			meta.Optimizer, meta.Activation, meta.Samples, opt, act, len(samples))
+	}
+}
+
 func TestCLIExperimentsFig2Quick(t *testing.T) {
 	bins := buildTools(t)
 	stdout, _ := runTool(t, filepath.Join(bins, "experiments"),
@@ -234,7 +298,7 @@ func TestCLIExperimentsFig2Quick(t *testing.T) {
 // rebalance interval), keeperload makes one pass with one connection pool
 // (no direct replay, label or pool size) over the one transport, wire.
 func TestCLIRemovedFlags(t *testing.T) {
-	bins := buildTools(t, "ssdkeeperd", "keeperfleet", "keeperload", "experiments")
+	bins := buildTools(t, "ssdkeeperd", "keeperfleet", "keeperload", "experiments", "keeper-train")
 	for _, c := range []struct{ tool, flag string }{
 		{"ssdkeeperd", "-audit-every"},
 		{"keeperfleet", "-rebalance-every"},
@@ -264,6 +328,14 @@ func TestCLIRemovedFlags(t *testing.T) {
 		{"keeperload", "-timeout"},
 		// Figure 5 always reports the exhaustive optimum.
 		{"experiments", "-oracle"},
+		// Every model comes from keeper-train's one configuration, the
+		// training table's deployed row; the daemon never trains at boot
+		// and serves without a keeper when it has no -model.
+		{"ssdkeeperd", "-no-keeper"},
+		{"ssdkeeperd", "-train-workloads"},
+		{"keeper-train", "-hidden"},
+		{"keeper-train", "-optimizer"},
+		{"keeper-train", "-activation"},
 	} {
 		out, err := exec.Command(filepath.Join(bins, c.tool), c.flag, "1").CombinedOutput()
 		if err == nil || !strings.Contains(string(out), "flag provided but not defined: "+c.flag) {

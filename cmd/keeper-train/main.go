@@ -1,8 +1,10 @@
 // Command keeper-train runs SSDKeeper's offline pipeline (Algorithm 1):
 // synthesize mixed workloads, label each with the channel-allocation
 // strategy that minimizes total latency on the simulator, train the
-// classifier, and write the dataset and model artifacts that cmd/experiments
-// and applications can reuse.
+// classifier the paper deploys (Table III's winner, Adam-logistic, the same
+// row of experiments' training table that Figures 4-6 run), and write the
+// dataset and model artifacts that cmd/experiments and applications can
+// reuse.
 //
 // Models are written as versioned checkpoints: the nn serialization wrapped
 // in an envelope carrying the format version, training metadata, a
@@ -15,7 +17,6 @@
 //
 //	keeper-train -workloads 250 -requests 5000 -out model.json -dataset data.jsonl
 //	keeper-train -dataset data.jsonl -reuse -out model.json   # retrain only
-//	keeper-train -optimizer sgd-momentum -iterations 300 ...
 //	keeper-train -inspect model.json                          # verify a checkpoint
 //
 // The serving daemon loads what this writes and never retrains on live
@@ -34,8 +35,6 @@ import (
 
 	"ssdkeeper/internal/dataset"
 	"ssdkeeper/internal/experiments"
-	"ssdkeeper/internal/keeper"
-	"ssdkeeper/internal/nn"
 	"ssdkeeper/internal/policy"
 )
 
@@ -48,9 +47,6 @@ func main() {
 		requests   = flag.Int("requests", 5000, "requests per workload")
 		iterations = flag.Int("iterations", 200, "training iterations (epochs)")
 		batch      = flag.Int("batch", 32, "minibatch size")
-		hidden     = flag.Int("hidden", 64, "hidden layer width")
-		optName    = flag.String("optimizer", "adam", "adam, sgd, sgd-momentum, adagrad, rmsprop (the paper's learning rates, as in Figure 4)")
-		actName    = flag.String("activation", "logistic", "hidden activation: logistic, relu, tanh")
 		seed       = flag.Int64("seed", 1, "pipeline seed")
 		outModel   = flag.String("out", "model.json", "model output path")
 		outDataset = flag.String("dataset", "", "dataset path (written, or read with -reuse)")
@@ -76,16 +72,8 @@ func main() {
 	scale.FaultFraction = *faultFrac
 	scale.Seed = *seed
 
-	act, err := nn.ActivationByName(*actName)
-	if err != nil {
-		fatal(err)
-	}
-	opt, err := experiments.OptimizerByName(*optName)
-	if err != nil {
-		fatal(err)
-	}
-
 	var samples []dataset.Sample
+	var err error
 	if *reuse {
 		if *outDataset == "" {
 			fatal(fmt.Errorf("-reuse needs -dataset"))
@@ -135,20 +123,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, experiments.LabelBalance(samples, env))
 	}
 
-	res, err := keeper.TrainOnSamples(keeper.TrainConfig{
-		Dataset:    dataset.Config{Strategies: env.Strategies},
-		Hidden:     *hidden,
-		Activation: act,
-		Optimizer:  opt,
-		Iterations: scale.TrainIterations,
-		BatchSize:  scale.TrainBatch,
-		Seed:       scale.Seed,
-	}, samples)
+	res, err := experiments.TrainBest(env, scale, samples)
 	if err != nil {
 		fatal(err)
 	}
+	optName, actName := experiments.DeployedConfig()
 	fmt.Fprintf(os.Stderr, "trained %s/%s: loss %.3f, test accuracy %.1f%%, %dms\n",
-		*optName, *actName, res.History.FinalLoss, 100*res.History.FinalAcc,
+		optName, actName, res.History.FinalLoss, 100*res.History.FinalAcc,
 		res.History.TrainingTime.Milliseconds())
 	if eval, err := experiments.EvaluateModel(res.Model, res.TestSamples); err == nil {
 		fmt.Fprintln(os.Stderr, eval.String())
@@ -163,8 +144,8 @@ func main() {
 		TrainedAt:  time.Now().UTC().Format(time.RFC3339),
 		Samples:    len(samples),
 		Iterations: scale.TrainIterations,
-		Optimizer:  *optName,
-		Activation: *actName,
+		Optimizer:  optName,
+		Activation: actName,
 		Loss:       res.History.FinalLoss,
 		Accuracy:   res.History.FinalAcc,
 	}

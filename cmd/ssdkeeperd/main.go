@@ -12,11 +12,12 @@
 // requests complete, and the daemon exits 0 with a final device summary.
 //
 // Models come from -model — a versioned checkpoint registry directory (newest
-// version wins) or a single checkpoint file — or a quick self-training run.
-// With a registry directory the daemon supports drain-free hot reload: POST
-// /model/reload?version=vNNN (or SIGHUP for the latest version) atomically
-// publishes the new policy, and every shard picks it up at its next
-// adaptation epoch.
+// version wins) or a single checkpoint file written by keeper-train. Without
+// -model the daemon serves without a keeper: a static shared allocation,
+// never re-bound. With a registry directory the daemon supports drain-free
+// hot reload: POST /model/reload?version=vNNN (or SIGHUP for the latest
+// version) atomically publishes the new policy, and every shard picks it up
+// at its next adaptation epoch.
 // The daemon never retrains on live traffic: new models come from
 // keeper-train, offline, as in the paper.
 //
@@ -24,8 +25,7 @@
 //
 //	ssdkeeperd -addr :8080 -model model.json -accel 1.0
 //	ssdkeeperd -addr :8080 -model models/         # registry + hot reload
-//	ssdkeeperd -addr :8080 -train-workloads 12   # self-train a quick model
-//	ssdkeeperd -no-keeper                        # serve without adaptation
+//	ssdkeeperd -addr :8080                        # serve without adaptation
 //	printf '1 0 R 0 16384\n' | nc localhost 9080  # one read by hand
 package main
 
@@ -43,7 +43,6 @@ import (
 	"syscall"
 	"time"
 
-	"ssdkeeper/internal/dataset"
 	"ssdkeeper/internal/experiments"
 	"ssdkeeper/internal/keeper"
 	"ssdkeeper/internal/nand"
@@ -58,8 +57,7 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "HTTP control-plane listen address")
 		wireListen = flag.String("wire-listen", ":9080", "I/O listen address: the framed wire protocol, persistent multiplexed connections (a keeperfleet router's -wire-nodes entry for this node)")
-		modelPath  = flag.String("model", "", "trained model checkpoint file, or a versioned checkpoint registry directory whose latest version is served and which enables POST /model/reload and SIGHUP hot reload (empty: self-train a quick model at startup)")
-		noKeeper   = flag.Bool("no-keeper", false, "serve without the online keeper (static shared allocation)")
+		modelPath  = flag.String("model", "", "trained model checkpoint file, or a versioned checkpoint registry directory whose latest version is served and which enables POST /model/reload and SIGHUP hot reload (empty: serve without the online keeper, a static shared allocation)")
 		accel      = flag.Float64("accel", 1.0, "simulated nanoseconds per wall nanosecond")
 		shards     = flag.Int("shards", 1, "independent device shards (each with its own engine and keeper)")
 		window     = flag.Duration("window", 100*time.Millisecond, "keeper observation window T (simulated)")
@@ -73,7 +71,6 @@ func main() {
 		faultPlan  = flag.String("fault-plan", "", `file holding a device fault-plan DSL (e.g. "die:ch2:die1@30s,retire:ch0:blk12@45s"; # comments and newlines allowed), injected into every serving shard`)
 		faultSeed  = flag.Int64("fault-seed", 1, "seed of the fault plan's read-retry hash")
 		degraded   = flag.Float64("degraded-score", 0.5, "device-health score in [0,1] below which the node flips degraded (/readyz 503), judged whenever /readyz or /metrics is read; 0 disables it")
-		trainWork  = flag.Int("train-workloads", 12, "workloads to label when self-training")
 		quiet      = flag.Bool("q", false, "suppress startup progress output")
 	)
 	flag.Parse()
@@ -86,9 +83,8 @@ func main() {
 		env.Season = simrun.Seasoning{} // factory-fresh device, GC idle
 	}
 
-	// The fault plan applies to the serving shards only — self-training and
-	// the keeper's offline runner keep the immortal environment, so a sick
-	// daemon still trains on healthy labels.
+	// The fault plan applies to the serving shards only; the keeper's
+	// offline runner keeps the immortal environment.
 	servOpts := env.Options
 	if *faultPlan != "" {
 		plan, err := loadFaultPlan(*faultPlan, *faultSeed)
@@ -104,8 +100,8 @@ func main() {
 	var k *keeper.Keeper
 	var reg *policy.Registry
 	var modelVersion string
-	if !*noKeeper {
-		prov, r, err := loadProvider(ctx, env, *modelPath, *trainWork, *quiet)
+	if *modelPath != "" {
+		prov, r, err := loadProvider(env, *modelPath, *quiet)
 		if err != nil {
 			fatal(err)
 		}
@@ -186,12 +182,12 @@ func main() {
 		}
 	}()
 	if !*quiet {
-		fmt.Fprintf(os.Stderr, "ssdkeeperd: serving on %s, wire %s (accel %g, shards %d, keeper %v",
-			*addr, *wireListen, *accel, s.ShardCount(), k != nil)
-		if modelVersion != "" {
-			fmt.Fprintf(os.Stderr, ", model %s", modelVersion)
+		keeperState := "off"
+		if k != nil {
+			keeperState = "on, model " + modelVersion
 		}
-		fmt.Fprintln(os.Stderr, ")")
+		fmt.Fprintf(os.Stderr, "ssdkeeperd: serving on %s, wire %s (accel %g, shards %d, keeper %s)\n",
+			*addr, *wireListen, *accel, s.ShardCount(), keeperState)
 	}
 
 	select {
@@ -225,73 +221,38 @@ func main() {
 }
 
 // loadProvider resolves the policy provider the daemon starts with: the
-// -model path's latest version when it is a registry directory, the
-// checkpoint it names when it is a file, or a quick self-training run so the
-// daemon is usable out of the box (smoke tests and demos; real deployments
-// train with keeper-train). The registry (non-nil only for a directory) also
-// backs the hot-reload endpoint.
-func loadProvider(ctx context.Context, env experiments.Env, path string, workloads int, quiet bool) (*policy.Model, *policy.Registry, error) {
-	if path != "" {
-		info, err := os.Stat(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		if info.IsDir() {
-			reg, err := policy.NewRegistry(path, env.Device.Channels, env.Strategies)
-			if err != nil {
-				return nil, nil, err
-			}
-			m, err := reg.Latest()
-			if err != nil {
-				return nil, nil, err
-			}
-			if !quiet {
-				fmt.Fprintf(os.Stderr, "ssdkeeperd: loaded model %s from %s\n", m.Version(), path)
-			}
-			return m, reg, nil
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer f.Close()
-		net, _, err := policy.LoadCheckpoint(f, env.Device.Channels, env.Strategies)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", path, err)
-		}
-		m, err := policy.NewModel(filepath.Base(path), net, env.Strategies)
-		if err != nil {
-			return nil, nil, err
-		}
-		return m, nil, nil
-	}
-	scale := experiments.QuickScale()
-	if workloads > 0 {
-		scale.DatasetWorkloads = workloads
-	}
-	if !quiet {
-		fmt.Fprintf(os.Stderr, "ssdkeeperd: no -model; self-training on %d quick workloads...\n",
-			scale.DatasetWorkloads)
-	}
-	res, err := keeper.Train(ctx, keeper.TrainConfig{
-		Dataset: dataset.Config{
-			Device: env.Device, Options: env.Options, Strategies: env.Strategies,
-			Workloads: scale.DatasetWorkloads, Requests: scale.DatasetRequests,
-			MaxIOPS: env.SaturationIOPS, Season: env.Season, Seed: scale.Seed,
-		},
-		Hidden:     16,
-		Iterations: scale.TrainIterations,
-		BatchSize:  scale.TrainBatch,
-		Seed:       scale.Seed,
-	}, nil)
+// -model path's latest version when it is a registry directory, or the
+// checkpoint it names when it is a file. The registry (non-nil only for a
+// directory) also backs the hot-reload endpoint.
+func loadProvider(env experiments.Env, path string, quiet bool) (*policy.Model, *policy.Registry, error) {
+	info, err := os.Stat(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	if !quiet {
-		fmt.Fprintf(os.Stderr, "ssdkeeperd: self-trained model: loss %.3f, test accuracy %.1f%%\n",
-			res.History.FinalLoss, 100*res.History.FinalAcc)
+	if info.IsDir() {
+		reg, err := policy.NewRegistry(path, env.Device.Channels, env.Strategies)
+		if err != nil {
+			return nil, nil, err
+		}
+		m, err := reg.Latest()
+		if err != nil {
+			return nil, nil, err
+		}
+		if !quiet {
+			fmt.Fprintf(os.Stderr, "ssdkeeperd: loaded model %s from %s\n", m.Version(), path)
+		}
+		return m, reg, nil
 	}
-	m, err := policy.NewModel("self-trained", res.Model, env.Strategies)
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer f.Close()
+	net, _, err := policy.LoadCheckpoint(f, env.Device.Channels, env.Strategies)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
+	}
+	m, err := policy.NewModel(filepath.Base(path), net, env.Strategies)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -15,10 +15,7 @@ import (
 	"os"
 	"time"
 
-	"ssdkeeper/internal/dataset"
 	"ssdkeeper/internal/experiments"
-	"ssdkeeper/internal/keeper"
-	"ssdkeeper/internal/nn"
 	"ssdkeeper/internal/policy"
 )
 
@@ -41,42 +38,20 @@ func main() {
 	}
 	fmt.Println(experiments.LabelBalance(samples, env))
 
-	// Compare the paper's optimizers on the same dataset.
-	configs := []struct {
-		name string
-		act  nn.Activation
-		opt  nn.Optimizer
-	}{
-		{"SGD", nn.Logistic{}, nn.NewSGD(0.2)},
-		{"SGD-momentum", nn.Logistic{}, nn.NewMomentum(0.2, 0.9)},
-		{"Adam-ReLU", nn.ReLU{}, nn.NewAdam(0.02)},
-		{"Adam-logistic", nn.Logistic{}, nn.NewAdam(0.02)},
+	// Compare the paper's optimizers on the same dataset: Figure 4's four
+	// configurations, the same training table the experiments run.
+	runs, err := experiments.Fig4Table3(env, scale, samples)
+	if err != nil {
+		log.Fatal(err)
 	}
 	fmt.Printf("\n%-14s %8s %10s %12s\n", "optimizer", "loss", "accuracy", "time(ms)")
-	var best *keeper.TrainResult
-	for _, c := range configs {
-		res, err := keeper.TrainOnSamples(keeper.TrainConfig{
-			Dataset: dataset.Config{
-				Device: env.Device, Options: env.Options, Strategies: env.Strategies,
-				Workloads: scale.DatasetWorkloads, Requests: scale.DatasetRequests,
-				MaxIOPS: env.SaturationIOPS, Season: env.Season, Seed: scale.Seed,
-			},
-			Hidden:     64,
-			Activation: c.act,
-			Optimizer:  c.opt,
-			Iterations: scale.TrainIterations,
-			BatchSize:  16,
-			Seed:       scale.Seed,
-		}, samples)
-		if err != nil {
-			log.Fatal(err)
-		}
+	var best experiments.OptimizerRun
+	for _, r := range runs {
 		fmt.Printf("%-14s %8.3f %9.1f%% %12d\n",
-			c.name, res.History.FinalLoss, 100*res.History.FinalAcc,
-			res.History.TrainingTime.Milliseconds())
-		if c.name == "Adam-logistic" {
-			r := res
-			best = &r
+			r.Name, r.History.FinalLoss, 100*r.History.FinalAcc,
+			r.History.TrainingTime.Milliseconds())
+		if r.Name == experiments.Deployed {
+			best = r
 		}
 	}
 
@@ -96,13 +71,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	optName, actName := experiments.DeployedConfig()
 	meta := policy.Meta{
 		Name:       "ssdkeeper-model",
 		TrainedAt:  time.Now().UTC().Format(time.RFC3339),
 		Samples:    len(samples),
 		Iterations: scale.TrainIterations,
-		Optimizer:  "adam",
-		Activation: "logistic",
+		Optimizer:  optName,
+		Activation: actName,
 		Loss:       best.History.FinalLoss,
 		Accuracy:   best.History.FinalAcc,
 	}
@@ -112,7 +88,7 @@ func main() {
 	if err := f.Close(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("saved the Adam-logistic model to %s as a checkpoint (%d parameters)\n",
-		path, best.Model.ParamCount())
+	fmt.Printf("saved the %s model to %s as a checkpoint (%d parameters)\n",
+		experiments.Deployed, path, best.Model.ParamCount())
 	fmt.Printf("verify it with keeper-train -inspect %s; serve it with ssdkeeperd -model %s\n", path, path)
 }

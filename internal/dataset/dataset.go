@@ -37,6 +37,13 @@ import (
 	"ssdkeeper/internal/workload"
 )
 
+// tieTolerance denoises labels: among strategies whose total latency is
+// within this fraction of the minimum, the earliest strategy in the space
+// wins. Simulated latencies of near-equivalent strategies differ by sampling
+// noise; without a tolerance the argmin flips arbitrarily between them and
+// the classifier learns that noise.
+const tieTolerance = 0.02
+
 // Config controls dataset generation.
 type Config struct {
 	Device     nand.Config
@@ -47,13 +54,6 @@ type Config struct {
 	MaxIOPS    float64          // intensity sampling range / level-19 rate
 	Hybrid     bool             // run label simulations with hybrid page allocation
 	Season     simrun.Seasoning
-	// TieTolerance denoises labels: among strategies whose total latency
-	// is within this fraction of the minimum, the earliest strategy in
-	// the space wins. Simulated latencies of near-equivalent strategies
-	// differ by sampling noise; without a tolerance the argmin flips
-	// arbitrarily between them and the classifier learns that noise.
-	// Negative disables; zero applies the 2% default.
-	TieTolerance float64
 	// FaultFraction is the share of workloads labelled under a randomly
 	// synthesized nand.FaultPlan (die failure, retry tail, program
 	// slowdown), so the trained model sees the health features populated
@@ -277,17 +277,11 @@ func (l *Labeler) LabelFaulted(ctx context.Context, spec workload.MixSpec, plan 
 			best = i
 		}
 	}
-	tol := cfg.TieTolerance
-	if tol == 0 {
-		tol = 0.02
-	}
-	if tol > 0 {
-		cutoff := lat[best] * (1 + tol)
-		for i, v := range lat {
-			if v <= cutoff {
-				best = i
-				break
-			}
+	cutoff := lat[best] * (1 + tieTolerance)
+	for i, v := range lat {
+		if v <= cutoff {
+			best = i
+			break
 		}
 	}
 	ratios := make([]float64, len(spec.Tenants))

@@ -61,9 +61,15 @@ var trainings = []struct {
 // deployedRow is the Deployed row of trainings.
 const deployedRow = 3
 
+// DeployedConfig names the Deployed row's optimizer and hidden activation,
+// as a checkpoint's metadata records them.
+func DeployedConfig() (optimizer, activation string) {
+	t := trainings[deployedRow]
+	return t.optimizer, t.act.Name()
+}
+
 // OptimizerByName returns a fresh optimizer with the paper's stated
 // hyperparameters: SGD lr 0.2, momentum 0.9, Adam lr 0.02 (Section V.B).
-// adagrad and rmsprop, which the paper does not use, take nn's defaults.
 func OptimizerByName(name string) (nn.Optimizer, error) {
 	switch name {
 	case "adam":
@@ -72,10 +78,6 @@ func OptimizerByName(name string) (nn.Optimizer, error) {
 		return nn.NewSGD(0.2), nil
 	case "sgd-momentum":
 		return nn.NewMomentum(0.2, 0.9), nil
-	case "adagrad":
-		return nn.NewAdaGrad(0), nil
-	case "rmsprop":
-		return nn.NewRMSProp(0, 0), nil
 	}
 	return nil, fmt.Errorf("experiments: unknown optimizer %q", name)
 }

@@ -165,16 +165,9 @@ func (c *Collector) Vector(now sim.Time) Vector {
 	if span <= 0 {
 		span = c.now - c.start
 	}
-	if span > 0 && c.SaturationIOPS > 0 {
+	if span > 0 {
 		iops := float64(c.total) / (float64(span) / float64(sim.Second))
-		level := int(float64(Levels) * iops / c.SaturationIOPS)
-		if level >= Levels {
-			level = Levels - 1
-		}
-		if level < 0 {
-			level = 0
-		}
-		v.Intensity = level
+		v.Intensity = LevelOf(iops, c.SaturationIOPS)
 	}
 	var perTenant [MaxTenants]uint64
 	var counted uint64

@@ -19,7 +19,7 @@ import (
 // The controller is single-goroutine, like the engine of the device it
 // re-binds: callers serialize Observe/Tick with the simulation they pace.
 // It sees arrivals only, never completions: an adaptation epoch is Decide,
-// re-bind, record the switch. Models are trained offline (keeper.Train,
+// re-bind, record the switch. Models are trained offline (TrainOnSamples,
 // keeper-train), as in the paper.
 //
 // Epoch semantics (Algorithm 2, generalized): the first window covers

@@ -204,7 +204,8 @@ func (k *Keeper) RunContext(ctx context.Context, t trace.Trace) (Report, error) 
 	return Report{Result: res.Result, Switches: ctrl.switches}, nil
 }
 
-// TrainConfig bundles the dataset and optimization settings for Train.
+// TrainConfig bundles the dataset and optimization settings for
+// TrainOnSamples.
 type TrainConfig struct {
 	Dataset dataset.Config
 	// Hidden is the hidden-layer width (paper: 64).
@@ -214,9 +215,12 @@ type TrainConfig struct {
 	Optimizer  nn.Optimizer
 	Iterations int
 	BatchSize  int
-	TrainFrac  float64 // paper: 0.7
 	Seed       int64
 }
+
+// trainFrac is the share of samples trained on; the rest is held out
+// (the paper's 7:3 split).
+const trainFrac = 0.7
 
 // TrainResult carries the trained model and its evaluation.
 type TrainResult struct {
@@ -229,19 +233,10 @@ type TrainResult struct {
 	TestSamples []dataset.Sample
 }
 
-// Train runs the full offline pipeline of Algorithm 1: generate labelled
-// mixed workloads, split 7:3, and fit the classifier. progress is forwarded
-// to dataset generation (may be nil); cancelling ctx aborts generation.
-func Train(ctx context.Context, cfg TrainConfig, progress func(done, total int)) (TrainResult, error) {
-	samples, err := dataset.Generate(ctx, cfg.Dataset, progress)
-	if err != nil {
-		return TrainResult{}, err
-	}
-	return TrainOnSamples(cfg, samples)
-}
-
-// TrainOnSamples fits the classifier on pre-generated samples (so callers
-// can reuse one dataset across optimizer comparisons, as Figure 4 does).
+// TrainOnSamples fits the classifier on labelled samples, split 7:3 (the
+// offline half of Algorithm 1; dataset.Generate is the labelling half), so
+// callers can reuse one dataset across optimizer comparisons, as Figure 4
+// does.
 func TrainOnSamples(cfg TrainConfig, samples []dataset.Sample) (TrainResult, error) {
 	if cfg.Hidden <= 0 {
 		cfg.Hidden = 64
@@ -255,16 +250,13 @@ func TrainOnSamples(cfg TrainConfig, samples []dataset.Sample) (TrainResult, err
 	if cfg.Iterations <= 0 {
 		cfg.Iterations = 200
 	}
-	if cfg.TrainFrac <= 0 || cfg.TrainFrac >= 1 {
-		cfg.TrainFrac = 0.7
-	}
 	// Shuffle the samples themselves (not just the tensors) so the
 	// held-out split can be returned alongside the model.
 	shuffled := append([]dataset.Sample(nil), samples...)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 	ds := dataset.ToNN(shuffled)
-	train, test := ds.Split(cfg.TrainFrac)
+	train, test := ds.Split(trainFrac)
 	cut := train.Len()
 	net, err := nn.NewMLP([]int{features.Dim, cfg.Hidden, len(cfg.Dataset.Strategies)},
 		cfg.Activation, cfg.Seed)

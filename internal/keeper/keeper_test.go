@@ -293,26 +293,31 @@ func TestTrainOnSamplesProducesWorkingKeeper(t *testing.T) {
 
 func TestTrainEndToEnd(t *testing.T) {
 	cfg := testConfig()
-	res, err := Train(context.Background(), TrainConfig{
-		Dataset: dataset.Config{
-			Device:     cfg.Device,
-			Options:    cfg.Options,
-			Strategies: cfg.Strategies,
-			Workloads:  4,
-			Requests:   400,
-			MaxIOPS:    cfg.SaturationIOPS,
-			Season:     simrun.DefaultSeasoning(),
-			Seed:       2,
-		},
-		Hidden:     8,
-		Iterations: 10,
-		BatchSize:  4,
-		Seed:       1,
-	}, func(done, total int) {
+	dsCfg := dataset.Config{
+		Device:     cfg.Device,
+		Options:    cfg.Options,
+		Strategies: cfg.Strategies,
+		Workloads:  4,
+		Requests:   400,
+		MaxIOPS:    cfg.SaturationIOPS,
+		Season:     simrun.DefaultSeasoning(),
+		Seed:       2,
+	}
+	samples, err := dataset.Generate(context.Background(), dsCfg, func(done, total int) {
 		if total != 4 {
 			t.Errorf("progress total %d", total)
 		}
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := TrainOnSamples(TrainConfig{
+		Dataset:    dsCfg,
+		Hidden:     8,
+		Iterations: 10,
+		BatchSize:  4,
+		Seed:       1,
+	}, samples)
 	if err != nil {
 		t.Fatal(err)
 	}

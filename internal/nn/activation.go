@@ -1,8 +1,7 @@
 // Package nn is a small, dependency-free neural-network library sufficient
 // to reproduce the paper's strategy learner: dense feed-forward networks,
-// ReLU/logistic/tanh activations, softmax cross-entropy classification, and
-// the SGD, SGD-momentum, AdaGrad, RMSProp and Adam optimizers compared in
-// Figure 4 and Table III.
+// ReLU/logistic activations, softmax cross-entropy classification, and the
+// SGD, SGD-momentum and Adam optimizers compared in Figure 4 and Table III.
 package nn
 
 import (
@@ -49,18 +48,6 @@ func (Logistic) Deriv(_, y float64) float64 { return y * (1 - y) }
 // Name returns "logistic".
 func (Logistic) Name() string { return "logistic" }
 
-// Tanh is the hyperbolic tangent.
-type Tanh struct{}
-
-// F returns tanh(x).
-func (Tanh) F(x float64) float64 { return math.Tanh(x) }
-
-// Deriv returns 1-y².
-func (Tanh) Deriv(_, y float64) float64 { return 1 - y*y }
-
-// Name returns "tanh".
-func (Tanh) Name() string { return "tanh" }
-
 // Identity passes values through; used for the output layer, whose softmax
 // is folded into the loss.
 type Identity struct{}
@@ -81,8 +68,6 @@ func ActivationByName(name string) (Activation, error) {
 		return ReLU{}, nil
 	case "logistic":
 		return Logistic{}, nil
-	case "tanh":
-		return Tanh{}, nil
 	case "identity":
 		return Identity{}, nil
 	default:

@@ -114,18 +114,6 @@ func (n *Network) Predict(x []float64) (int, error) {
 	return argmax(logits), nil
 }
 
-// Probs returns the softmax class distribution for one input in a fresh
-// slice.
-func (n *Network) Probs(x []float64) ([]float64, error) {
-	logits, err := n.Forward(x)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(logits))
-	Softmax(logits, out)
-	return out, nil
-}
-
 // lossGrad runs forward+backward for one sample, accumulating parameter
 // gradients into the layers and returning the cross-entropy loss.
 func (n *Network) lossGrad(x []float64, label int) (float64, error) {

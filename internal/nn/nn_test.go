@@ -52,7 +52,7 @@ func TestSoftmaxStableForLargeLogits(t *testing.T) {
 }
 
 func TestActivationDerivatives(t *testing.T) {
-	acts := []Activation{ReLU{}, Logistic{}, Tanh{}, Identity{}}
+	acts := []Activation{ReLU{}, Logistic{}, Identity{}}
 	for _, act := range acts {
 		for _, x := range []float64{-2, -0.5, 0.3, 1.7} {
 			y := act.F(x)
@@ -67,7 +67,7 @@ func TestActivationDerivatives(t *testing.T) {
 }
 
 func TestActivationByName(t *testing.T) {
-	for _, name := range []string{"relu", "logistic", "tanh", "identity"} {
+	for _, name := range []string{"relu", "logistic", "identity"} {
 		act, err := ActivationByName(name)
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
@@ -77,15 +77,17 @@ func TestActivationByName(t *testing.T) {
 			t.Errorf("round trip %s -> %s", name, act.Name())
 		}
 	}
-	if _, err := ActivationByName("swish"); err == nil {
-		t.Error("unknown activation accepted")
+	for _, name := range []string{"swish", "tanh"} {
+		if _, err := ActivationByName(name); err == nil {
+			t.Errorf("unknown activation %q accepted", name)
+		}
 	}
 }
 
 // TestGradientCheck verifies backprop against numerical differentiation on a
 // small network — the canonical correctness test for an NN implementation.
 func TestGradientCheck(t *testing.T) {
-	for _, act := range []Activation{Logistic{}, Tanh{}, ReLU{}} {
+	for _, act := range []Activation{Logistic{}, ReLU{}} {
 		net, err := NewMLP([]int{3, 5, 4}, act, 7)
 		if err != nil {
 			t.Fatal(err)
@@ -213,8 +215,6 @@ func TestTrainingLearnsToyProblemWithEveryOptimizer(t *testing.T) {
 	opts := []Optimizer{
 		NewSGD(0.2),
 		NewMomentum(0.2, 0.9),
-		NewAdaGrad(0.05),
-		NewRMSProp(0.01, 0.9),
 		NewAdam(0.02),
 	}
 	for _, opt := range opts {
@@ -303,8 +303,6 @@ func TestOptimizersConvergeOnQuadratic(t *testing.T) {
 	opts := []Optimizer{
 		NewSGD(0.1),
 		NewMomentum(0.05, 0.8),
-		NewAdaGrad(0.9),
-		NewRMSProp(0.1, 0.9),
 		NewAdam(0.3),
 	}
 	for _, opt := range opts {
@@ -399,21 +397,6 @@ func TestLoadRejectsCorruptModels(t *testing.T) {
 		if _, err := Load(bytes.NewReader([]byte(c))); err == nil {
 			t.Errorf("case %d: corrupt model accepted", i)
 		}
-	}
-}
-
-func TestProbsSumToOne(t *testing.T) {
-	net, _ := NewMLP([]int{4, 8, 5}, Tanh{}, 2)
-	p, err := net.Probs([]float64{0.1, 0.2, 0.3, 0.4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := 0.0
-	for _, v := range p {
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("probs sum %v", sum)
 	}
 }
 

@@ -70,73 +70,6 @@ func (m *Momentum) Step(id int, params, grads []float64) {
 // Name returns "sgd-momentum".
 func (m *Momentum) Name() string { return "sgd-momentum" }
 
-// AdaGrad accumulates squared gradients and scales the step by their inverse
-// square root; it "works well with sparse gradients" (Section II.B).
-type AdaGrad struct {
-	LR, Eps float64
-	acc     map[int][]float64
-}
-
-// NewAdaGrad returns AdaGrad with lr defaulting to 0.05.
-func NewAdaGrad(lr float64) *AdaGrad {
-	if lr <= 0 {
-		lr = 0.05
-	}
-	return &AdaGrad{LR: lr, Eps: 1e-8, acc: make(map[int][]float64)}
-}
-
-// Step applies the AdaGrad update.
-func (a *AdaGrad) Step(id int, params, grads []float64) {
-	acc, ok := a.acc[id]
-	if !ok {
-		acc = make([]float64, len(params))
-		a.acc[id] = acc
-	}
-	for i := range params {
-		g := grads[i]
-		acc[i] += g * g
-		params[i] -= a.LR * g / (math.Sqrt(acc[i]) + a.Eps)
-	}
-}
-
-// Name returns "adagrad".
-func (a *AdaGrad) Name() string { return "adagrad" }
-
-// RMSProp keeps an exponential moving average of squared gradients; it
-// "works well in on-line and non-stationary settings" (Section II.B).
-type RMSProp struct {
-	LR, Rho, Eps float64
-	acc          map[int][]float64
-}
-
-// NewRMSProp returns RMSProp with lr 0.01 and rho 0.9 defaults.
-func NewRMSProp(lr, rho float64) *RMSProp {
-	if lr <= 0 {
-		lr = 0.01
-	}
-	if rho <= 0 {
-		rho = 0.9
-	}
-	return &RMSProp{LR: lr, Rho: rho, Eps: 1e-8, acc: make(map[int][]float64)}
-}
-
-// Step applies the RMSProp update.
-func (r *RMSProp) Step(id int, params, grads []float64) {
-	acc, ok := r.acc[id]
-	if !ok {
-		acc = make([]float64, len(params))
-		r.acc[id] = acc
-	}
-	for i := range params {
-		g := grads[i]
-		acc[i] = r.Rho*acc[i] + (1-r.Rho)*g*g
-		params[i] -= r.LR * g / (math.Sqrt(acc[i]) + r.Eps)
-	}
-}
-
-// Name returns "rmsprop".
-func (r *RMSProp) Name() string { return "rmsprop" }
-
 // Adam combines momentum (first moment) and RMSProp (second moment) with
 // bias correction, per Kingma & Ba. The paper's initial learning rate is
 // 0.02.

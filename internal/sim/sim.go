@@ -105,9 +105,9 @@ const heapArity = 4
 
 // numLanes is the number of delay-keyed lanes. The device model has three
 // hot hold lengths (bus transfer, read, program); the fourth lane takes a
-// mapping-cache-stretched hold or a one-off such as a GC stall. Every lane
-// adds a comparison to Step, so the set stays this small; a delay that finds
-// no lane costs what it always did, a heap push.
+// one-off hold such as a GC stall. Every lane adds a comparison to Step, so
+// the set stays this small; a delay that finds no lane costs what it always
+// did, a heap push.
 const numLanes = 4
 
 // rekeyAfter is how many delays must have gone without a lane since a lane's

@@ -82,7 +82,7 @@ WIRE_NODES=""
 for addr in "${NODES[@]}"; do
   port="${addr##*:}"
   "$BIN/ssdkeeperd" -addr "$addr" -wire-listen "127.0.0.1:$((port + 1000))" \
-    -accel 20 -no-keeper 2>"$BIN/node-$port.log" &
+    -accel 20 2>"$BIN/node-$port.log" &
   NPIDS+=($!)
   NODE_URLS="$NODE_URLS,http://$addr"
   WIRE_NODES="$WIRE_NODES,127.0.0.1:$((port + 1000))"
@@ -193,8 +193,7 @@ for addr in "${NODES[@]}"; do
     hflag=(-fault-plan "$BIN/faults.plan" -degraded-score 0.95)
   fi
   "$BIN/ssdkeeperd" -addr "$addr" -wire-listen "127.0.0.1:$((port + 1000))" \
-    -accel 20 -no-keeper \
-    ${hflag[@]+"${hflag[@]}"} 2>"$BIN/health-node-$port.log" &
+    -accel 20 ${hflag[@]+"${hflag[@]}"} 2>"$BIN/health-node-$port.log" &
   NPIDS+=($!)
 done
 for addr in "${NODES[@]}"; do

@@ -5,23 +5,26 @@
 # -wire-listen on port + 1000); HTTP is the control plane (/metrics,
 # /readyz, /model/reload).
 #
-# Phase 1 (adaptation): start ssdkeeperd with an accelerated clock and a
-# short keeper window, push 1k requests through keeperload, and assert that
+# Phase 1 (adaptation): train a quick checkpoint with keeper-train, start
+# ssdkeeperd on it with an accelerated clock and a short keeper window, push
+# 1k requests through keeperload, and assert that
 #   - every request is answered,
 #   - at least one online re-allocation epoch is visible in /metrics,
 #   - /healthz is healthy under load,
 #   - SIGTERM drains cleanly (exit 0, "drained clean" in the log).
 #
-# Phase 2 (backpressure): restart with a decelerated clock (the device runs
-# 50x slower than wall time) and tight queues, overload one tenant with a
+# Phase 2 (backpressure): restart without -model (the keeper is off, and the
+# startup log must say so) on a decelerated clock (the device runs 50x
+# slower than wall time) and tight queues, overload one tenant with a
 # closed-loop worker pool, and assert keeperload counts rejections and the
 # node counts them as queue_full; then pipeline one 64-frame chunk on a raw
 # connection and assert a reply per frame, at least one ok, and the overflow
 # refused in band ("rej queue_full").
 #
-# Phase 3 (hot reload): train two versioned checkpoints with keeper-train,
-# boot with -model on a registry directory holding only v001, drop v002 in
-# mid-run, POST /model/reload while load is in flight, and assert that
+# Phase 3 (hot reload): reuse phase 1's checkpoint as v001, retrain v002 on
+# its dataset, boot with -model on a registry directory holding only v001,
+# drop v002 in mid-run, POST /model/reload while load is in flight, and
+# assert that
 #   - the reload response and /metrics both report v002 active,
 #   - a reload carrying the retired role parameter (role=shadow) is refused
 #     with 400, leaves v002 active, and /metrics has no shadow series,
@@ -79,8 +82,14 @@ fail() {
 }
 
 echo "phase 1: online adaptation under load (accel 20)..." >&2
+MODELS="$BIN/models"
+STAGE="$BIN/stage"
+mkdir -p "$MODELS" "$STAGE"
+# One quick checkpoint: phase 1 boots on it, and phase 3 serves it as v001.
+"$BIN/keeper-train" -workloads 8 -requests 600 -iterations 40 -batch 16 \
+  -dataset "$BIN/data.jsonl" -out "$MODELS/v001.json" -q
 "$BIN/ssdkeeperd" -addr "$ADDR" -wire-listen "$WADDR" -accel 20 -window 50ms \
-  -adapt-every 50ms -train-workloads 8 2>"$LOG" &
+  -adapt-every 50ms -model "$MODELS/v001.json" 2>"$LOG" &
 DPID=$!
 wait_ready
 
@@ -105,10 +114,13 @@ grep -q "drained clean" "$LOG" || fail "phase 1: no clean-drain report in log"
 echo "phase 1 ok: $switches keeper switches, clean drain" >&2
 
 echo "phase 2: backpressure under overload (accel 0.02)..." >&2
-"$BIN/ssdkeeperd" -addr "$ADDR" -wire-listen "$WADDR" -accel 0.02 -no-keeper \
+"$BIN/ssdkeeperd" -addr "$ADDR" -wire-listen "$WADDR" -accel 0.02 \
   -queue-len 4 -queue-depth 4 2>"$LOG" &
 DPID=$!
 wait_ready
+# The startup line follows the listeners' start, so /readyz can answer first.
+for _ in $(seq 1 50); do grep -q "keeper off)" "$LOG" && break; sleep 0.1; done
+grep -q "keeper off)" "$LOG" || fail "phase 2: the startup log does not say the keeper is off"
 
 # One tenant, 32 closed-loop workers against 4+4 slots: must be refused.
 "$BIN/keeperload" -addr "$WADDR" -n 200 -concurrency 32 -tenants 1 \
@@ -143,14 +155,9 @@ wait "$DPID" || fail "phase 2: daemon exited non-zero on SIGTERM"
 echo "phase 2 ok: $rejected rejected at the client, $full queue-full at the server, wire chunk $lines/64 answered" >&2
 
 echo "phase 3: live model reload (accel 20, -model <dir>)..." >&2
-MODELS="$BIN/models"
-STAGE="$BIN/stage"
-mkdir -p "$MODELS" "$STAGE"
-# Two quick checkpoints off one shared dataset; v002 lands mid-run.
-"$BIN/keeper-train" -workloads 8 -requests 600 -iterations 40 -batch 16 \
-  -hidden 16 -dataset "$BIN/data.jsonl" -out "$MODELS/v001.json" -q
+# A second checkpoint off phase 1's dataset; v002 lands mid-run.
 "$BIN/keeper-train" -dataset "$BIN/data.jsonl" -reuse -seed 7 -iterations 40 \
-  -batch 16 -hidden 16 -out "$STAGE/v002.json" -q
+  -batch 16 -out "$STAGE/v002.json" -q
 "$BIN/keeper-train" -inspect "$MODELS/v001.json" >/dev/null \
   || fail "phase 3: keeper-train -inspect rejected its own checkpoint"
 
