@@ -123,8 +123,11 @@ func TestNodeAndRouterWireAnswerIdentically(t *testing.T) {
 		{"router", startWireListener(t, r.WireBackend())},
 	}
 
-	// counters reads what the node admitted and refused as full so far.
-	counters := func() (admitted, full float64) {
+	// counters reads what the node admitted and refused as full so far, and
+	// how many requests its shard holds, queued or in the device. A wire
+	// listener admits a read's frames before it hands them to the shard, so
+	// only held says the admitted requests are there for the clock to move.
+	counters := func() (admitted, full, held float64) {
 		var buf strings.Builder
 		s.WriteMetrics(&buf)
 		for _, smp := range promSamples(buf.String(), "ssdkeeper_admitted_total") {
@@ -135,7 +138,12 @@ func TestNodeAndRouterWireAnswerIdentically(t *testing.T) {
 				full += smp.value
 			}
 		}
-		return admitted, full
+		for _, name := range []string{"ssdkeeper_inflight", "ssdkeeper_queue_length"} {
+			for _, smp := range promSamples(buf.String(), name) {
+				held += smp.value
+			}
+		}
+		return admitted, full, held
 	}
 	flush := func() {
 		clk.Advance(time.Second)
@@ -160,10 +168,9 @@ func TestNodeAndRouterWireAnswerIdentically(t *testing.T) {
 		}
 		bad.Close() // unblocks the writer if the listener kept reading
 		<-wrote
-		admitted0, _ := counters()
 		fmt.Fprintf(good, "1 0 R 0 16384\n")
 		deadline := time.Now().Add(10 * time.Second)
-		for admitted, _ := counters(); admitted == admitted0 && time.Now().Before(deadline); admitted, _ = counters() {
+		for _, _, held := counters(); held == 0 && time.Now().Before(deadline); _, _, held = counters() {
 			time.Sleep(time.Millisecond)
 		}
 		flush()
@@ -211,7 +218,7 @@ func TestNodeAndRouterWireAnswerIdentically(t *testing.T) {
 		var got [2][]string
 		for i, tg := range targets {
 			conn, rd := dialFrames(t, tg.addr)
-			admitted0, full0 := counters()
+			admitted0, full0, _ := counters()
 			if _, err := conn.Write([]byte(tc.frames)); err != nil {
 				t.Fatal(err)
 			}
@@ -222,13 +229,13 @@ func TestNodeAndRouterWireAnswerIdentically(t *testing.T) {
 				// frame is supposed to find taken.
 				deadline := time.Now().Add(10 * time.Second)
 				for {
-					admitted, full := counters()
-					if int(admitted-admitted0) == tc.admits && int(full-full0) == tc.full {
+					admitted, full, held := counters()
+					if int(admitted-admitted0) == tc.admits && int(full-full0) == tc.full && int(held) == tc.admits {
 						break
 					}
 					if time.Now().After(deadline) {
-						t.Fatalf("%s via %s: node admitted %v and refused %v as full, want %d and %d",
-							tc.name, tg.name, admitted-admitted0, full-full0, tc.admits, tc.full)
+						t.Fatalf("%s via %s: node admitted %v, refused %v as full and holds %v, want %d, %d and %d",
+							tc.name, tg.name, admitted-admitted0, full-full0, held, tc.admits, tc.full, tc.admits)
 					}
 					time.Sleep(time.Millisecond)
 				}
@@ -239,7 +246,7 @@ func TestNodeAndRouterWireAnswerIdentically(t *testing.T) {
 				t.Fatalf("%s via %s: %v", tc.name, tg.name, err)
 			}
 			got[i] = replies
-			if admitted, full := counters(); int(admitted-admitted0) != tc.admits || int(full-full0) != tc.full {
+			if admitted, full, _ := counters(); int(admitted-admitted0) != tc.admits || int(full-full0) != tc.full {
 				t.Errorf("%s via %s: node admitted %v and refused %v as full, want %d and %d",
 					tc.name, tg.name, admitted-admitted0, full-full0, tc.admits, tc.full)
 			}

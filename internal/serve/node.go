@@ -155,22 +155,40 @@ func (n *Node) ShardFor(req Request) int {
 // tenant migration) are synchronous errors, after which c is never called:
 // the bounded slot is reserved with one atomic before the mailbox, so
 // ErrQueueFull never needs a shard round trip. An admitted request cannot be
-// withdrawn; it resolves at completion or at drain.
+// withdrawn; it resolves at completion or at drain. It is a batch of one.
 func (n *Node) SubmitTo(req Request, c Completion) error {
+	sd, err := n.reserve(req)
+	if err != nil {
+		return err
+	}
+	if !sd.enter() {
+		// The shard closed between the draining check and here.
+		n.unreserve(sd, req, ErrDraining)
+		return ErrDraining
+	}
+	sd.mailbox <- shardMsg{kind: msgSubmit, p: newPending(req, sd, n.wallTarget(), c)}
+	sd.leave()
+	return nil
+}
+
+// reserve is the synchronous admission every request passes: validation,
+// the drain, gate and poison checks, and the CAS on the tenant's per-shard
+// occupancy. It returns the owning shard with the slot held.
+func (n *Node) reserve(req Request) (*shard, error) {
 	if err := req.Validate(n.cfg.Tenants, n.cfg.MaxBytes); err != nil {
 		n.rejBad.Add(1)
-		return fmt.Errorf("serve: invalid request: %w", err)
+		return nil, fmt.Errorf("serve: invalid request: %w", err)
 	}
 	if n.draining.Load() {
 		n.rejDrain.Add(1)
-		return ErrDraining
+		return nil, ErrDraining
 	}
 	if n.gates[req.Tenant].Load() != tenantActive {
 		n.rejMigr.Add(1)
-		return ErrTenantMigrating
+		return nil, ErrTenantMigrating
 	}
 	if n.poisoned.Load() {
-		return n.Err()
+		return nil, n.Err()
 	}
 	sd := n.shards[shardIndex(req.Tenant, req.Key, len(n.shards))]
 	ts := &sd.tenants[req.Tenant]
@@ -179,25 +197,86 @@ func (n *Node) SubmitTo(req Request, c Completion) error {
 		occ := ts.occupancy.Load()
 		if occ >= bound {
 			ts.rejFull.Add(1)
-			return ErrQueueFull
+			return nil, ErrQueueFull
 		}
 		if ts.occupancy.CompareAndSwap(occ, occ+1) {
 			break
 		}
 	}
 	ts.admitted[req.Op].Add(1)
-	if !sd.enter() {
-		// The shard closed between the draining check and here.
-		ts.occupancy.Add(-1)
-		ts.admitted[req.Op].Add(^uint64(0))
+	return sd, nil
+}
+
+// unreserve undoes reserve for a request refused after it with err:
+// ErrDraining, or ErrTenantMigrating from a shard whose gate shut behind it.
+func (n *Node) unreserve(sd *shard, req Request, err error) {
+	ts := &sd.tenants[req.Tenant]
+	ts.occupancy.Add(-1)
+	ts.admitted[req.Op].Add(^uint64(0))
+	if err == ErrDraining {
 		n.rejDrain.Add(1)
-		return ErrDraining
+	} else {
+		n.rejMigr.Add(1)
 	}
-	p := pendingPool.Get().(*Pending)
-	p.req, p.shard, p.stamp, p.arrival, p.notify = req, sd, n.wallTarget(), 0, c
-	sd.mailbox <- shardMsg{kind: msgSubmit, p: p}
-	sd.leave()
+}
+
+// Batch is one connection's admission batch: SubmitTo admits as
+// Node.SubmitTo does, and Flush hands what it admitted to the shards, one
+// mailbox message per shard. A batch's requests share one stamp, read at
+// its first admitted request. A Batch is not safe for concurrent use.
+type Batch struct {
+	n          *Node
+	stamp      sim.Time
+	stamped    bool
+	head, tail []*Pending // by shard index: its run, linked in admission order
+}
+
+// NewBatch returns an empty batch over the node.
+func (n *Node) NewBatch() *Batch {
+	return &Batch{n: n, head: make([]*Pending, len(n.shards)), tail: make([]*Pending, len(n.shards))}
+}
+
+// SubmitTo admits req as Node.SubmitTo does; c hears the outcome after Flush.
+func (b *Batch) SubmitTo(req Request, c Completion) error {
+	sd, err := b.n.reserve(req)
+	if err != nil {
+		return err
+	}
+	if !b.stamped {
+		b.stamp, b.stamped = b.n.wallTarget(), true
+	}
+	p := newPending(req, sd, b.stamp, c)
+	if b.head[sd.id] == nil {
+		b.head[sd.id] = p
+	} else {
+		b.tail[sd.id].next = p
+	}
+	b.tail[sd.id] = p
 	return nil
+}
+
+// Flush sends each shard its run. A shard that has closed since admission
+// resolves the run's requests with ErrDraining through their Completions.
+func (b *Batch) Flush() {
+	b.stamped = false
+	for i, head := range b.head {
+		if head == nil {
+			continue
+		}
+		b.head[i], b.tail[i] = nil, nil
+		sd := b.n.shards[i]
+		if sd.enter() {
+			sd.mailbox <- shardMsg{kind: msgSubmit, p: head}
+			sd.leave()
+			continue
+		}
+		for p := head; p != nil; {
+			next := p.next
+			b.n.unreserve(sd, p.req, ErrDraining)
+			p.resolve(Response{}, ErrDraining)
+			p = next
+		}
+	}
 }
 
 // Drain stops admission, rejects everything still queued, completes all

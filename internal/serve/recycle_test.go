@@ -34,11 +34,14 @@ func (c *taggedCompletion) Complete(resp Response, err error) {
 }
 
 // TestCallbackPendingsUnderLifecycleChurn hammers the recycled-Pending path:
-// several goroutines SubmitTo tagged completions while tenants are drained,
+// several goroutines submit tagged completions while tenants are drained,
 // re-seated by handoff replay and released, and the node is finally drained
-// under load. Every admitted request's completion must fire exactly once,
-// with its own outcome; every synchronously rejected one never. Run under
-// -race (CI serve-race job).
+// under load. Half the goroutines call SubmitTo; the other half admit
+// through a Batch each and flush every few requests, so runs of Pendings
+// cross the mailbox and meet the gates and the drain between admission and
+// Flush. Every admitted request's completion must fire exactly once, with
+// its own outcome; every synchronously rejected one never. Run under -race
+// (CI serve-race job).
 func TestCallbackPendingsUnderLifecycleChurn(t *testing.T) {
 	dev := nand.EvalConfig()
 	cfg := Config{
@@ -67,19 +70,29 @@ func TestCallbackPendingsUnderLifecycleChurn(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			submitTo, flush := s.SubmitTo, func() {}
+			if w%2 == 1 {
+				b := s.NewBatch()
+				submitTo, flush = b.SubmitTo, b.Flush
+				defer b.Flush()
+			}
 			for i := range tags[w] {
+				if i%(w+3) == 0 {
+					flush()
+				}
 				req := Request{
 					Tenant: (w + i) % 4, Op: trace.Op(i % 2),
 					Offset: int64(i%256) * page, Size: page, Key: uint64(i%3 + 1),
 				}
 				c := &tags[w][i]
 				c.op = req.Op
-				err := s.SubmitTo(req, c)
+				err := submitTo(req, c)
 				// Backpressure and a shut gate pass; give them a few turns
 				// so most of the load is admitted, not bounced.
 				for try := 0; try < 100 && (errors.Is(err, ErrQueueFull) || errors.Is(err, ErrTenantMigrating)); try++ {
+					flush()
 					runtime.Gosched()
-					err = s.SubmitTo(req, c)
+					err = submitTo(req, c)
 				}
 				switch {
 				case err == nil:
@@ -110,8 +123,8 @@ func TestCallbackPendingsUnderLifecycleChurn(t *testing.T) {
 			t.Fatalf("ReleaseTenant(%d): %v", tenant, err)
 		}
 	}
-	s.Drain() // every admitted request is resolved when this returns
-	wg.Wait()
+	s.Drain()
+	wg.Wait() // every admitted request is resolved once its batch is flushed
 	if err := s.Err(); err != nil {
 		t.Fatalf("node poisoned: %v", err)
 	}

@@ -16,17 +16,17 @@
 // and queues outright (see shard.go). A submitter validates, reserves a
 // bounded admission slot with one atomic, and pushes the request into the
 // shard's mailbox; from that send on the request belongs to the shard, which
-// calls its Completion exactly once. One shard wakeup drains a batch of
-// submissions, so the cost of waking the actor amortizes across bursts, and
-// no lock is ever held across the engine.
+// calls its Completion exactly once. A Batch sends a socket read's requests
+// as one message per shard, and one wakeup drains a batch of messages, so
+// waking the actor amortizes across bursts; no lock is held across the engine.
 //
 // Pacing model: simulated time is a linear image of wall time,
 // sim = (wall - start) * Accel, shared by all shards. Each shard goroutine
 // sleeps until the earlier of its next engine event's wall due time and one
 // pacer tick, so completions surface on time without polling. Requests are
-// stamped with the wall-derived sim time at admission and arrive at that
-// stamp regardless of mailbox lag. Accel > 1 runs the devices faster than
-// real time; Accel < 1 slows them down, which is how overload (and a
+// stamped with the wall-derived sim time at admission (a Batch's share one)
+// and arrive at it regardless of mailbox lag. Accel > 1 runs the devices faster
+// than real time; Accel < 1 slows them down, which is how overload (and a
 // device-bound, shard-scalable regime) is produced on demand.
 package serve
 
@@ -163,28 +163,36 @@ type Response struct {
 
 // Pending is one admitted request between admission and completion, and the
 // request's own device completion (Done, shard.go). It is owned by exactly
-// one goroutine at a time: the submitter fills it in and gives it up with the
-// mailbox send; from then on only the shard goroutine touches it (mailbox
-// message, tenant queue slot, the device's completion reference), and the
-// shard resolves it exactly once — which is all that exactly-once delivery
-// rests on. Every Pending comes from pendingPool and goes back in resolve.
+// one goroutine at a time: the submitter (a Batch until Flush) fills it in
+// and gives it up with the mailbox send; from then on only the shard
+// goroutine touches it (mailbox message, tenant queue slot, the device's
+// completion reference), and the shard resolves it exactly once (or a Flush
+// that finds it closed) — which is all that exactly-once delivery rests on.
+// Every Pending comes from pendingPool and goes back in resolve.
 type Pending struct {
 	req     Request
 	shard   *shard
 	stamp   sim.Time // wall-derived sim time at admission; the arrival target
 	arrival sim.Time // sim time the shard admitted it; latency measures from here
 	notify  Completion
+	next    *Pending // the next request of the same mailbox message
 }
 
 var pendingPool = sync.Pool{New: func() any { return new(Pending) }}
 
+func newPending(req Request, sd *shard, stamp sim.Time, c Completion) *Pending {
+	p := pendingPool.Get().(*Pending)
+	p.req, p.shard, p.stamp, p.arrival, p.notify = req, sd, stamp, 0, c
+	return p
+}
+
 // resolve delivers the outcome and returns the Pending to the pool, dropping
 // what it points at so an idle pool pins neither a connection's Completion
-// nor a drained shard. The caller (the shard goroutine) holds the last
-// reference and must not touch p afterwards.
+// nor a drained shard. The caller (the shard goroutine, or a Flush whose
+// shard closed) holds the last reference and must not touch p afterwards.
 func (p *Pending) resolve(resp Response, err error) {
 	p.notify.Complete(resp, err)
-	p.shard, p.notify = nil, nil
+	p.shard, p.notify, p.next = nil, nil, nil
 	pendingPool.Put(p)
 }
 

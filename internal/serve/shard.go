@@ -16,9 +16,9 @@ import (
 // seasoned device, its engine, its keeper controller, its admission queues —
 // and a single goroutine is the only code that touches any of it.
 // Submitters never lock a shard; they push a message into the shard's bounded
-// mailbox, and the shard calls the request's Completion when it resolves.
-// One wakeup drains up to batchMax messages, so a burst of submissions costs
-// one scheduler round trip, not one per request.
+// mailbox (one per shard per Batch flush), and the shard calls each request's
+// Completion when it resolves. One wakeup drains up to batchMax messages, so
+// a burst of submissions costs one scheduler round trip, not one per request.
 //
 // The only state shared between submitting goroutines and the shard
 // goroutine is atomic: the per-tenant occupancy counter (admission bounds
@@ -38,14 +38,14 @@ const (
 
 // Shard loop bounds. mailboxLen is each shard's submission mailbox
 // capacity; batchMax bounds the mailbox messages one wakeup processes before
-// re-arming the pacing timer. The pacer sleeps until the engine's next event
-// or the keeper's next acting epoch boundary is due in wall time, and with
-// neither pending it waits on the mailbox alone. The sleep is a time.Timer,
-// and Go's netpoller waits for timers in epoll_wait with millisecond
-// resolution: a sub-millisecond sleep lasts about a millisecond (a 100 µs
-// timer fires ~1.08 ms after it is armed on Linux). A busy shard is woken
-// by its mailbox first; an idle one surfaces a due completion up to ~1 ms
-// late (DESIGN.md §11).
+// the shard advances to the wall clock and re-arms the pacing timer. The
+// pacer sleeps until the engine's next event or the keeper's next acting
+// epoch boundary is due in wall time, and with neither pending it waits on
+// the mailbox alone. The sleep is a time.Timer, and Go's netpoller waits for
+// timers in epoll_wait with millisecond resolution: a sub-millisecond sleep
+// lasts about a millisecond (a 100 µs timer fires ~1.08 ms after it is armed
+// on Linux). A busy shard is woken by its mailbox first; an idle one
+// surfaces a due completion up to ~1 ms late (DESIGN.md §11).
 const (
 	mailboxLen = 1024
 	batchMax   = 256
@@ -54,7 +54,7 @@ const (
 type msgKind uint8
 
 const (
-	msgSubmit        msgKind = iota // p: an admitted request
+	msgSubmit        msgKind = iota // p: a run of admitted requests
 	msgAdvance                      // advance to the wall target; reply sim now
 	msgSnapshot                     // advance and reply a metrics snapshot
 	msgDrain                        // reject queued, run dry, reply final result
@@ -63,9 +63,9 @@ const (
 	msgReleaseTenant                // reopen one tenant's shard-side gate
 )
 
-// shardMsg is one mailbox entry. Submissions carry only p; control messages
-// carry a kind and a buffered reply channel; tenant-lifecycle messages add
-// the tenant (and, for replay, the checked handoff log).
+// shardMsg is one mailbox entry. Submissions carry only p (a run's head);
+// control messages carry a kind and a buffered reply channel; tenant-lifecycle
+// messages add the tenant (and, for replay, the checked handoff log).
 type shardMsg struct {
 	kind   msgKind
 	p      *Pending
@@ -267,7 +267,12 @@ func (sd *shard) loop() {
 		select {
 		case msg := <-sd.mailbox:
 			sd.handle(msg)
-			sd.drainMailbox()
+			sd.drainMailbox(batchMax - 1)
+			// Admission walks the engine only to each batch's stamp; catch
+			// up, or the completions a client waits on sit until the timer.
+			if paced && !sd.draining {
+				sd.advanceTo(sd.node.wallTarget())
+			}
 		case <-startc:
 			startc = nil
 			paced = true
@@ -276,7 +281,7 @@ func (sd *shard) loop() {
 				sd.advanceTo(sd.node.wallTarget())
 			}
 		case <-sd.stop:
-			sd.sweepMailbox()
+			sd.drainMailbox(mailboxLen)
 			return
 		}
 		if paced && !sd.draining {
@@ -289,24 +294,12 @@ func (sd *shard) loop() {
 	}
 }
 
-// drainMailbox batches: having woken for one message, consume whatever else
-// is already queued (up to batchMax) before going back to sleep.
-func (sd *shard) drainMailbox() {
-	for i := 1; i < batchMax; i++ {
-		select {
-		case msg := <-sd.mailbox:
-			sd.handle(msg)
-		default:
-			return
-		}
-	}
-}
-
-// sweepMailbox answers stragglers after stop: messages already in the
-// mailbox when the shard closed (drain has run, so submissions reject and
-// control messages reply from the frozen final state).
-func (sd *shard) sweepMailbox() {
-	for {
+// drainMailbox batches: having woken for one message, consume up to n more
+// that are already queued before going back to sleep. After stop it answers
+// the stragglers (drain has run, so submissions reject and control messages
+// reply from the frozen final state).
+func (sd *shard) drainMailbox(n int) {
+	for i := 0; i < n; i++ {
 		select {
 		case msg := <-sd.mailbox:
 			sd.handle(msg)
@@ -336,7 +329,11 @@ func (sd *shard) nextWake() (d time.Duration, ok bool) {
 func (sd *shard) handle(msg shardMsg) {
 	switch msg.kind {
 	case msgSubmit:
-		sd.admit(msg.p)
+		for p := msg.p; p != nil; {
+			next := p.next
+			sd.admit(p)
+			p = next
+		}
 	case msgAdvance:
 		if !sd.draining {
 			sd.advanceTo(sd.node.wallTarget())
@@ -382,18 +379,13 @@ func (sd *shard) advanceTo(target sim.Time) {
 func (sd *shard) admit(p *Pending) {
 	ts := &sd.tenants[p.req.Tenant]
 	if sd.draining || ts.gated {
-		// Raced past SubmitTo's draining/gate check; undo the optimistic
-		// admission accounting and reject.
-		ts.admitted[p.req.Op].Add(^uint64(0))
-		ts.occupancy.Add(-1)
-		rejErr := ErrDraining
-		if !sd.draining {
-			rejErr = ErrTenantMigrating
-			sd.node.rejMigr.Add(1)
-		} else {
-			sd.node.rejDrain.Add(1)
+		// Raced past SubmitTo's draining/gate check.
+		err := ErrTenantMigrating
+		if sd.draining {
+			err = ErrDraining
 		}
-		p.resolve(Response{}, rejErr)
+		sd.node.unreserve(sd, p.req, err)
+		p.resolve(Response{}, err)
 		return
 	}
 	target := p.stamp

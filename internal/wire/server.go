@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bufio"
+	"io"
 	"net"
 	"sync"
 
@@ -17,10 +18,10 @@ type Backend = serve.Backend
 // Server accepts persistent wire connections and feeds decoded requests
 // straight into the backend. There is no per-request goroutine: the
 // connection's read loop decodes a frame, reserves a pooled completion
-// handle, and submits; the owning shard's goroutine later renders the reply
-// frame into the connection's coalescing outbox. Per connection the server
-// runs exactly two goroutines (read loop, outbox writer) regardless of how
-// many requests are in flight.
+// handle, and submits (to a node, through a serve.Batch flushed per read);
+// the owning shard's goroutine renders the reply frame into the connection's
+// coalescing outbox. Per connection the server runs exactly two goroutines
+// (read loop, outbox writer) regardless of how many requests are in flight.
 type Server struct {
 	backend Backend
 
@@ -105,7 +106,15 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 
 	var scratch []byte // rej frames for synchronous decode failures
-	sc := bufio.NewScanner(conn)
+	var rd io.Reader = conn
+	submit, flush := s.backend.SubmitTo, func() {}
+	if nb, ok := s.backend.(interface{ NewBatch() *serve.Batch }); ok {
+		// The Scanner reads only once no complete frame is left, so
+		// flushing before each Read sends a read's requests together.
+		b := nb.NewBatch()
+		rd, submit, flush = flushReader{conn, b}, b.SubmitTo, b.Flush
+	}
+	sc := bufio.NewScanner(rd)
 	sc.Buffer(make([]byte, readBufBytes), MaxFrameBytes)
 	for sc.Scan() {
 		line := sc.Bytes()
@@ -123,17 +132,29 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		d := donePool.Get().(*Done)
 		d.seq, d.out = seq, out
-		if err := s.backend.SubmitTo(req, d); err != nil {
+		if err := submit(req, d); err != nil {
 			// Synchronous rejection: the backend never calls Complete.
 			d.Complete(serve.Response{}, err)
 		}
 	}
+	flush()
 	out.close()
 	conn.Close()
 	writers.Wait()
 	s.mu.Lock()
 	delete(s.conns, conn)
 	s.mu.Unlock()
+}
+
+// flushReader flushes the connection's batch before each socket read.
+type flushReader struct {
+	conn  net.Conn
+	batch *serve.Batch
+}
+
+func (f flushReader) Read(p []byte) (int, error) {
+	f.batch.Flush()
+	return f.conn.Read(p)
 }
 
 // donePool recycles completion handles so the steady-state request path

@@ -27,7 +27,11 @@
 #      not exceed 16 B/op — the log's ~7 B delta-encoded record plus
 #      amortised keeper epochs; a log that regrows by copying or stores
 #      records unencoded, or a per-request closure or Pending, breaks one of
-#      the two (DESIGN.md §11, §13). BenchmarkFTLSeason holds a replay
+#      the two (DESIGN.md §11, §13). BenchmarkNodeBatch, the same load
+#      admitted through a serve.Batch flushed every 64 requests (the wire
+#      listener's path into a node), is held to the same 0 allocs/op and
+#      16 B/op: a per-batch allocation or a run that stops reusing its
+#      Pendings breaks one of them. BenchmarkFTLSeason holds a replay
 #      session's device set-up to exact allocation figures: a seasoned
 #      evaluation device restored by Reset and seasoned again allocates
 #      nothing, nor does one rewound to its checkpoint after a run dirtied
@@ -60,7 +64,7 @@ trap 'rm -f "$RAW" "$RAW.health"' EXIT
 
 echo "bench_gate: running gated benchmarks (benchtime=$BENCHTIME, -cpu 1)..." >&2
 go test -run '^$' -bench 'BenchmarkPredict$' -benchmem -benchtime "$BENCHTIME" -cpu 1 . | tee "$RAW" >&2
-go test -run '^$' -bench 'BenchmarkNodeSubmitTo$' -benchmem -benchtime "$BENCHTIME" -cpu 1 \
+go test -run '^$' -bench 'BenchmarkNode(SubmitTo|Batch)$' -benchmem -benchtime "$BENCHTIME" -cpu 1 \
   ./internal/serve/ | tee -a "$RAW" >&2
 go test -run '^$' -bench 'BenchmarkWire(Encode|Parse)(Request|Reply)$' -benchmem \
   -benchtime "$BENCHTIME" -cpu 1 ./internal/wire/ | tee -a "$RAW" >&2
@@ -104,7 +108,7 @@ fail=0
 # callback path.
 for b in WireEncodeRequest WireParseRequest WireEncodeReply \
   WireParseReply ProxyTransport/wire FTLPagePath EngineHold/idle EngineHold/contended \
-  NodeSubmitTo; do
+  NodeSubmitTo NodeBatch; do
   got=$(allocs "Benchmark$b")
   if [ "${got:-1}" != "0" ]; then
     echo "bench_gate: FAIL - Benchmark$b reports ${got:-?} allocs/op, want 0" >&2
@@ -130,13 +134,15 @@ at_most BenchmarkFTLSeason/rewind B/op "$(bytes BenchmarkFTLSeason/rewind)" 0
 at_most BenchmarkFTLSeason/new allocs/op "$(allocs BenchmarkFTLSeason/new)" 200
 at_most BenchmarkFTLSeason/new B/op "$(bytes BenchmarkFTLSeason/new)" 284000
 
-node_bytes=$(bytes "BenchmarkNodeSubmitTo")
-if [ -z "$node_bytes" ] || [ "$node_bytes" -gt 16 ]; then
-  echo "bench_gate: FAIL - BenchmarkNodeSubmitTo allocates ${node_bytes:-?} B/op, want <= 16" >&2
-  fail=1
-else
-  echo "bench_gate: ok - BenchmarkNodeSubmitTo ${node_bytes} B/op <= 16" >&2
-fi
+for b in NodeSubmitTo NodeBatch; do
+  node_bytes=$(bytes "Benchmark$b")
+  if [ -z "$node_bytes" ] || [ "$node_bytes" -gt 16 ]; then
+    echo "bench_gate: FAIL - Benchmark$b allocates ${node_bytes:-?} B/op, want <= 16" >&2
+    fail=1
+  else
+    echo "bench_gate: ok - Benchmark$b ${node_bytes} B/op <= 16" >&2
+  fi
+done
 
 # Gate 5: no-fault health overhead. The benchmark reports a same-run
 # interleaved ratio, so runner speed cancels; the median over HEALTH_COUNT
