@@ -336,6 +336,11 @@ func TestCLIRemovedFlags(t *testing.T) {
 		{"keeper-train", "-hidden"},
 		{"keeper-train", "-optimizer"},
 		{"keeper-train", "-activation"},
+		// One daemon serves one device; more devices are more daemons
+		// behind a router, so there are no in-process shards to spread
+		// keys over.
+		{"ssdkeeperd", "-shards"},
+		{"keeperload", "-spread"},
 	} {
 		out, err := exec.Command(filepath.Join(bins, c.tool), c.flag, "1").CombinedOutput()
 		if err == nil || !strings.Contains(string(out), "flag provided but not defined: "+c.flag) {

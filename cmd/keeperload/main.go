@@ -97,7 +97,6 @@ func main() {
 		workers   = flag.Int("concurrency", 32, "closed-loop worker count (also bounds open-loop in-flight chunks)")
 		wireConns = flag.Int("wire-conns", 4, "persistent wire connections per target")
 		batch     = flag.Int("batch", 1, "requests per pipelined chunk")
-		spread    = flag.Bool("spread", false, "set a distinct shard key per request, spreading tenants across daemon shards")
 		iops      = flag.Float64("iops", 2000, "open-loop aggregate arrival rate (req/s, wall)")
 		tenants   = flag.Int("tenants", 4, "tenant count")
 		ratios    = flag.String("write-ratios", "", "per-tenant write ratios, comma-separated (default 0.5 each)")
@@ -139,9 +138,6 @@ func main() {
 			Op:     op,
 			Offset: rng.Int63n(pages) * int64(*size),
 			Size:   *size,
-		}
-		if *spread {
-			reqs[i].Key = uint64(i + 1)
 		}
 	}
 

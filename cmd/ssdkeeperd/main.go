@@ -16,8 +16,9 @@
 // -model the daemon serves without a keeper: a static shared allocation,
 // never re-bound. With a registry directory the daemon supports drain-free
 // hot reload: POST /model/reload?version=vNNN (or SIGHUP for the latest
-// version) atomically publishes the new policy, and every shard picks it up
-// at its next adaptation epoch.
+// version) atomically publishes the new policy, and the keeper picks it up
+// at its next adaptation epoch. One daemon serves one device; more devices
+// are more daemons behind a keeperfleet router.
 // The daemon never retrains on live traffic: new models come from
 // keeper-train, offline, as in the paper.
 //
@@ -59,7 +60,6 @@ func main() {
 		wireListen = flag.String("wire-listen", ":9080", "I/O listen address: the framed wire protocol, persistent multiplexed connections (a keeperfleet router's -wire-nodes entry for this node)")
 		modelPath  = flag.String("model", "", "trained model checkpoint file, or a versioned checkpoint registry directory whose latest version is served and which enables POST /model/reload and SIGHUP hot reload (empty: serve without the online keeper, a static shared allocation)")
 		accel      = flag.Float64("accel", 1.0, "simulated nanoseconds per wall nanosecond")
-		shards     = flag.Int("shards", 1, "independent device shards (each with its own engine and keeper)")
 		window     = flag.Duration("window", 100*time.Millisecond, "keeper observation window T (simulated)")
 		adaptEvery = flag.Duration("adapt-every", 100*time.Millisecond, "re-adaptation period (simulated; 0 = single shot)")
 		hybrid     = flag.Bool("hybrid", true, "switch page-allocation mode with each epoch (hybrid allocator)")
@@ -68,7 +68,7 @@ func main() {
 		queueDepth = flag.Int("queue-depth", 32, "per-tenant in-device command bound")
 		maxBytes   = flag.Int64("max-bytes", 64<<20, "per-tenant logical address space")
 		fresh      = flag.Bool("fresh", false, "skip device seasoning (no GC pressure)")
-		faultPlan  = flag.String("fault-plan", "", `file holding a device fault-plan DSL (e.g. "die:ch2:die1@30s,retire:ch0:blk12@45s"; # comments and newlines allowed), injected into every serving shard`)
+		faultPlan  = flag.String("fault-plan", "", `file holding a device fault-plan DSL (e.g. "die:ch2:die1@30s,retire:ch0:blk12@45s"; # comments and newlines allowed), injected into the served device`)
 		faultSeed  = flag.Int64("fault-seed", 1, "seed of the fault plan's read-retry hash")
 		degraded   = flag.Float64("degraded-score", 0.5, "device-health score in [0,1] below which the node flips degraded (/readyz 503), judged whenever /readyz or /metrics is read; 0 disables it")
 		quiet      = flag.Bool("q", false, "suppress startup progress output")
@@ -83,7 +83,7 @@ func main() {
 		env.Season = simrun.Seasoning{} // factory-fresh device, GC idle
 	}
 
-	// The fault plan applies to the serving shards only; the keeper's
+	// The fault plan applies to the served device only; the keeper's
 	// offline runner keeps the immortal environment.
 	servOpts := env.Options
 	if *faultPlan != "" {
@@ -136,7 +136,6 @@ func main() {
 		QueueDepth:    *queueDepth,
 		MaxBytes:      *maxBytes,
 		Accel:         *accel,
-		ShardCount:    *shards,
 		DegradedScore: *degraded,
 		AuditLog:      auditLog,
 	}, k)
@@ -186,8 +185,8 @@ func main() {
 		if k != nil {
 			keeperState = "on, model " + modelVersion
 		}
-		fmt.Fprintf(os.Stderr, "ssdkeeperd: serving on %s, wire %s (accel %g, shards %d, keeper %s)\n",
-			*addr, *wireListen, *accel, s.ShardCount(), keeperState)
+		fmt.Fprintf(os.Stderr, "ssdkeeperd: serving on %s, wire %s (accel %g, keeper %s)\n",
+			*addr, *wireListen, *accel, keeperState)
 	}
 
 	select {

@@ -19,7 +19,7 @@ type NodeStatus struct {
 	Ready             bool
 	Err               error
 	CompletedByTenant map[int]uint64
-	// HealthScore is the node's worst shard device-health score from
+	// HealthScore is the node's device-health score from
 	// ssdkeeper_health_score (1 healthy, 0 dead; 1 when the series is
 	// absent, e.g. an older node). Degraded mirrors ssdkeeper_degraded: the
 	// node has quarantined itself for device health, so the rebalancer

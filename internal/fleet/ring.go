@@ -26,12 +26,12 @@ import (
 const defaultVNodes = 64
 
 // fnv1a hashes a byte string (FNV-1a, 64-bit) and then finalizes with an
-// avalanche mixer. The stable, seedless FNV family matches what the serving
-// layer uses for tenant→shard routing — placement must survive restarts and
-// rebuilds — but raw FNV-1a of short keys differing only in a trailing
-// digit ("tenant:0".."tenant:7", "addr#0".."addr#63") clusters badly on the
-// ring: the last bytes barely diffuse. The multiply-xorshift finalizer
-// (splitmix64's) spreads those keys uniformly around the 64-bit circle.
+// avalanche mixer. The stable, seedless FNV family keeps placement across
+// restarts and rebuilds, but raw FNV-1a of short keys differing only in a
+// trailing digit ("tenant:0".."tenant:7", "addr#0".."addr#63") clusters
+// badly on the ring: the last bytes barely diffuse. The multiply-xorshift
+// finalizer (splitmix64's) spreads those keys uniformly around the 64-bit
+// circle.
 func fnv1a(s string) uint64 {
 	const (
 		offset64 = 14695981039346656037

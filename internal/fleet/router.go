@@ -288,8 +288,8 @@ func (r *Router) handleMigrate(w http.ResponseWriter, req *http.Request) {
 //  1. gate — publish the tenant as MIGRATING; new requests queue at the
 //     router ("rej migrating" after GateWait) while everything already
 //     admitted at the source completes normally;
-//  2. drain — POST source /tenant/drain quiesces the tenant's queues across
-//     the source's shards and answers with its dispatched-record log;
+//  2. drain — POST source /tenant/drain quiesces the tenant's queues on the
+//     source and answers with its dispatched-record log;
 //  3. handoff — POST target /tenant/handoff, its body the drain body as it
 //     streams in, replays the log there, so the tenant's device footprint
 //     exists on the target before traffic does;

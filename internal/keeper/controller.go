@@ -57,8 +57,8 @@ type Controller struct {
 	// published version changes. The controller owns them outright (they
 	// carry the ANN's forward-pass scratch), so prediction takes no lock —
 	// and because every controller re-checks at its own next boundary, a
-	// SetActive on the source is an atomic, drain-free hot swap across all
-	// serving shards.
+	// SetActive on the source is an atomic, drain-free hot swap across
+	// every controller that shares it.
 	pol    policy.Policy
 	polVer string
 

@@ -219,23 +219,16 @@ func TestANNPolicyMatchesNetworkPredict(t *testing.T) {
 	}
 }
 
-func TestStaticPolicy(t *testing.T) {
-	strategies := testStrategies()
-	sp := StaticProvider{Strategy: strategies[1]}
-	if sp.Version() != "static" {
-		t.Errorf("static version %q", sp.Version())
-	}
-	got, err := sp.NewPolicy().Decide(features.Vector{})
-	if err != nil || !alloc.Equal(got, strategies[1]) {
-		t.Errorf("static decide = %v, %v", got, err)
-	}
-
-}
-
 func TestSourceSwap(t *testing.T) {
 	strategies := testStrategies()
-	a := StaticProvider{Ver: "a", Strategy: strategies[0]}
-	b := StaticProvider{Ver: "b", Strategy: strategies[1]}
+	a, err := NewModel("a", testNet(t, len(strategies), 1), strategies)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewModel("b", testNet(t, len(strategies), 2), strategies)
+	if err != nil {
+		t.Fatal(err)
+	}
 	src, err := NewSource(a)
 	if err != nil {
 		t.Fatal(err)

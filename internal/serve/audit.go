@@ -2,22 +2,21 @@ package serve
 
 // Node health is judged where it is read. Every read that reports it —
 // Ready and Degraded (and so /readyz), WriteMetrics (ssdkeeper_degraded) and
-// Audit — pulls every shard's device health snapshot (through the shard
-// mailbox, so the counters are read in the owning goroutine; the snapshot
-// also advances the engine to the wall target, so due fault events fire
-// first) and folds it into a score in [0,1], where 1.0 is a fully healthy
-// device. Once any shard's score falls below Config.DegradedScore the node
-// flips to degraded: Ready() goes false, /readyz answers 503 "degraded", and
-// the fleet prober sees it on its next probe so the rebalancer can migrate
-// tenants away. Degraded is sticky — dead dies do not resurrect, so a sick
+// Audit — pulls the device health snapshot (through the shard mailbox, so
+// the counters are read in the owning goroutine; the snapshot also advances
+// the engine to the wall target, so due fault events fire first) and folds
+// it into a score in [0,1], where 1.0 is a fully healthy device. Once the
+// score falls below Config.DegradedScore the node flips to degraded:
+// Ready() goes false, /readyz answers 503 "degraded", and the fleet prober
+// sees it on its next probe so the rebalancer can migrate tenants away. Degraded is sticky — dead dies do not resurrect, so a sick
 // unit stays quarantined until it is drained and replaced — and once flipped
 // the readiness reads stop sweeping.
 
-// shardHealthScore folds one shard's health snapshot into a score in [0,1].
-// Dead dies dominate (full weight), read-retry pressure is normalized by the
-// shard's completed client requests (weight 0.2), and wear imbalance
-// contributes a small tail (weight 0.1). An immortal device scores 1.0.
-func shardHealthScore(snap *shardSnapshot) float64 {
+// healthScore folds a health snapshot into a score in [0,1]. Dead dies
+// dominate (full weight), read-retry pressure is normalized by the completed
+// client requests (weight 0.2), and wear imbalance contributes a small tail
+// (weight 0.1). An immortal device scores 1.0.
+func healthScore(snap *shardSnapshot) float64 {
 	hs := snap.health
 	score := 1.0 - hs.DeadDieFrac
 	var completed uint64
@@ -42,33 +41,22 @@ func shardHealthScore(snap *shardSnapshot) float64 {
 	return score
 }
 
-// worstHealth is the minimum shard health score (1 for no shards).
-func worstHealth(snaps []*shardSnapshot) float64 {
-	worst := 1.0
-	for _, snap := range snaps {
-		if s := shardHealthScore(snap); s < worst {
-			worst = s
-		}
-	}
-	return worst
-}
-
-// judge flips the node to degraded when the worst shard score is below the
+// judge flips the node to degraded when the health score is below the
 // threshold. The compare-and-swap makes the flip happen, and log, exactly
 // once however many reads race to it; a zero threshold never flips.
-func (n *Node) judge(worst float64) {
-	if worst < n.cfg.DegradedScore && n.degraded.CompareAndSwap(false, true) && n.cfg.AuditLog != nil {
-		n.cfg.AuditLog("serve: node degraded: worst shard health score %.3f below threshold %.3f",
-			worst, n.cfg.DegradedScore)
+func (n *Node) judge(score float64) {
+	if score < n.cfg.DegradedScore && n.degraded.CompareAndSwap(false, true) && n.cfg.AuditLog != nil {
+		n.cfg.AuditLog("serve: node degraded: device health score %.3f below threshold %.3f",
+			score, n.cfg.DegradedScore)
 	}
 }
 
-// Audit snapshots every shard, judges the worst score against the threshold
-// and returns it. Safe to call at any time.
+// Audit snapshots the device, judges its health score against the
+// threshold and returns it. Safe to call at any time.
 func (n *Node) Audit() float64 {
-	worst := worstHealth(n.snapshots())
-	n.judge(worst)
-	return worst
+	score := healthScore(n.snapshot())
+	n.judge(score)
+	return score
 }
 
 // Degraded reports whether the node is quarantined for device health,

@@ -8,30 +8,21 @@ import (
 	"time"
 )
 
-// occupancy sums a tenant's admitted-but-unfinished requests over shards.
+// occupancy is a tenant's admitted-but-unfinished requests.
 func (n *Node) occupancy(tenant int) int64 {
-	var occ int64
-	for _, sd := range n.shards {
-		occ += sd.tenants[tenant].occupancy.Load()
-	}
-	return occ
+	return n.sd.tenants[tenant].occupancy.Load()
 }
 
 // A Batch whose node drains between SubmitTo and Flush resolves every
 // request it admitted exactly once, with ErrDraining, and gives back the
 // admission slots they held.
 func TestBatchFlushAfterDrain(t *testing.T) {
-	cfg := testConfig(newFakeClock())
-	cfg.ShardCount = 2
-	s := testServer(t, cfg, nil)
+	s := testServer(t, testConfig(newFakeClock()), nil)
 	b := s.NewBatch()
 	tags := make([]taggedCompletion, 12)
 	for i := range tags {
-		// Several requests per tenant and per shard, so each run is longer
-		// than its head.
-		req := writeReq(i%4, int64(i))
-		req.Key = uint64(i%3 + 1)
-		if err := b.SubmitTo(req, &tags[i]); err != nil {
+		// Several requests per tenant, so the run is longer than its head.
+		if err := b.SubmitTo(writeReq(i%4, int64(i)), &tags[i]); err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
 	}
@@ -106,31 +97,35 @@ func (c *countingClock) Now() time.Time {
 	return c.fakeClock.Now()
 }
 
-// On a 4-shard node one Batch sends each request to its shardIndex shard,
-// and every request of the batch arrives at the one stamp the batch read.
-func TestBatchRoutesByShardIndexWithOneStamp(t *testing.T) {
+// Every request of a Batch arrives at the one stamp the batch read at its
+// first admitted request; after a Flush the next request reads a new one.
+func TestBatchSharesOneStamp(t *testing.T) {
 	clk := &countingClock{fakeClock: newFakeClock()}
 	cfg := testConfig(clk.fakeClock)
 	cfg.Now = clk.Now
-	cfg.ShardCount = 4
 	s := testServer(t, cfg, nil)
 	clk.Advance(time.Millisecond)
 	stamp := s.wallSim(clk.fakeClock.Now())
-	want := make([]int, cfg.ShardCount)
 	b := s.NewBatch()
 	reads := clk.reads.Load()
 	cs := make([]submitted, 40)
 	for i := range cs {
-		req := readReq(i%4, int64(i))
-		req.Key = uint64(i / 4)
-		want[shardIndex(req.Tenant, req.Key, cfg.ShardCount)]++
 		cs[i] = make(submitted, 1)
-		if err := b.SubmitTo(req, cs[i]); err != nil {
+		if err := b.SubmitTo(readReq(i%4, int64(i)), cs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if got := clk.reads.Load() - reads; got != 1 {
 		t.Errorf("a batch of %d read the clock %d times, want once", len(cs), got)
+	}
+	b.Flush()
+	reads = clk.reads.Load()
+	cs = append(cs, make(submitted, 1))
+	if err := b.SubmitTo(readReq(0, 40), cs[40]); err != nil {
+		t.Fatal(err)
+	}
+	if got := clk.reads.Load() - reads; got != 1 {
+		t.Errorf("the first request after a Flush read the clock %d times, want once", got)
 	}
 	b.Flush()
 	clk.Advance(10 * time.Millisecond)
@@ -146,9 +141,7 @@ func TestBatchRoutesByShardIndexWithOneStamp(t *testing.T) {
 			t.Errorf("request %d arrived at %v, want the batch stamp %v", i, arrival, stamp)
 		}
 	}
-	for i, r := range s.DrainResults() {
-		if r.Requests != want[i] {
-			t.Errorf("shard %d served %d requests, want %d", i, r.Requests, want[i])
-		}
+	if res := s.Drain(); res.Requests != len(cs) {
+		t.Errorf("the device served %d requests, want %d", res.Requests, len(cs))
 	}
 }

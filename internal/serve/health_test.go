@@ -199,7 +199,7 @@ func TestAuditHealthyNode(t *testing.T) {
 }
 
 // TestHealthJudgedOnRead: health is judged by the reads that report it. A
-// started node whose devices lose a die runs no goroutine besides its shards;
+// started node whose device loses a die runs no goroutine besides its shard;
 // once simulated time passes the failure, the very first Ready() is false,
 // /readyz answers 503 naming the state, ssdkeeper_degraded reads 1, and the
 // flip logs exactly once however many reads follow. The same node with a
@@ -209,7 +209,6 @@ func TestHealthJudgedOnRead(t *testing.T) {
 		t.Run(fmt.Sprint(threshold), func(t *testing.T) {
 			clk := newFakeClock()
 			cfg := testConfig(clk)
-			cfg.ShardCount = 2
 			cfg.Options.FaultPlan = &nand.FaultPlan{
 				Seed: 7,
 				Events: []nand.FaultEvent{
@@ -226,8 +225,8 @@ func TestHealthJudgedOnRead(t *testing.T) {
 			s.Start()
 			defer s.Drain()
 			// Goroutines left over from earlier tests can only exit meanwhile.
-			if extra := runtime.NumGoroutine() - before; extra > cfg.ShardCount {
-				t.Errorf("started node runs %d goroutines, want at most its %d shards", extra, cfg.ShardCount)
+			if extra := runtime.NumGoroutine() - before; extra > 1 {
+				t.Errorf("started node runs %d goroutines, want at most its shard's one", extra)
 			}
 			if !s.Ready() {
 				t.Fatal("node not ready before the die failure")
@@ -265,7 +264,7 @@ func TestHealthJudgedOnRead(t *testing.T) {
 			if degrade {
 				wantDegraded = "ssdkeeper_degraded 1"
 			}
-			for _, want := range []string{"ssdkeeper_die_failures_total 2", wantDegraded} {
+			for _, want := range []string{"ssdkeeper_die_failures_total 1", wantDegraded} {
 				if !strings.Contains(metrics, want) {
 					t.Errorf("metrics missing %q", want)
 				}

@@ -2,43 +2,41 @@ package serve
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"ssdkeeper/internal/ftl"
 	"ssdkeeper/internal/keeper"
 	"ssdkeeper/internal/policy"
 	"ssdkeeper/internal/sim"
 	"ssdkeeper/internal/ssd"
-	"ssdkeeper/internal/stats"
 )
 
-// Node is the transport-free serving core: a stable-hash router over
-// ShardCount independent device shards, with per-tenant admission, online
-// keeper controllers, and per-tenant lifecycle (drain, handoff replay,
-// release). It knows nothing about transports: the wire listener
-// (internal/wire) feeds it requests, Server binds its control plane to HTTP,
-// and the fleet router drives remote nodes through those same two bindings.
-// Build one with NewNode, start pacing with Start, submit with SubmitTo, and
-// stop it with Drain.
+// Node is the transport-free serving core: one simulated device served by
+// one actor goroutine (the shard, shard.go), with per-tenant admission, an
+// online keeper controller, and per-tenant lifecycle (drain, handoff replay,
+// release). Several devices are several nodes, which the fleet tier
+// (internal/fleet) places tenants across. A node knows nothing about
+// transports: the wire listener (internal/wire) feeds it requests, Server
+// binds its control plane to HTTP, and the fleet router drives remote nodes
+// through those same two bindings. Build one with NewNode, start pacing with
+// Start, submit with SubmitTo, and stop it with Drain.
 type Node struct {
-	cfg    Config
-	epoch  time.Time // wall anchor of sim time zero, shared by all shards
-	shards []*shard
+	cfg   Config
+	epoch time.Time // wall anchor of sim time zero
+	sd    *shard
 
 	started atomic.Bool
-	startc  chan struct{} // closed by Start; shards arm their pacers on it
+	startc  chan struct{} // closed by Start; the shard arms its pacer on it
 
 	draining atomic.Bool
 	rejBad   atomic.Uint64
 	rejDrain atomic.Uint64
 	rejMigr  atomic.Uint64
 
-	// degraded flips, for good, the first time a health read finds a
-	// shard's score below the configured threshold (audit.go), and holds the
-	// node out of readiness.
+	// degraded flips, for good, the first time a health read finds the
+	// device's score below the configured threshold (audit.go), and holds
+	// the node out of readiness.
 	degraded atomic.Bool
 
 	// gates is the per-tenant admission lifecycle (tenantActive /
@@ -56,16 +54,15 @@ type Node struct {
 	submitErr error       // first device submit failure; poisons the node
 	poisoned  atomic.Bool // set once submitErr is; the per-request check
 
-	drainMu  sync.Mutex
-	drained  bool
-	perShard []ssd.Result
-	merged   ssd.Result
+	drainMu sync.Mutex
+	drained bool
+	final   ssd.Result
 }
 
-// NewNode builds a node over ShardCount fresh seasoned shards. k (may be
-// nil) enables the online keeper — one controller per shard over the shared
-// model; its device geometry must match cfg.Device so channel strategies
-// bind onto the same channel count.
+// NewNode builds a node over a fresh seasoned device. k (may be nil) enables
+// the online keeper — a controller over the keeper's model; its device
+// geometry must match cfg.Device so channel strategies bind onto the same
+// channel count.
 func NewNode(cfg Config, k *keeper.Keeper) (*Node, error) {
 	cfg.fillDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -84,24 +81,15 @@ func NewNode(cfg Config, k *keeper.Keeper) (*Node, error) {
 	if k != nil {
 		n.ksrc = k.Source()
 	}
-	for i := 0; i < cfg.ShardCount; i++ {
-		sd, err := newShard(i, n, k)
-		if err != nil {
-			for _, prev := range n.shards {
-				prev.sendMu.Lock()
-				prev.closed = true
-				prev.sendMu.Unlock()
-				close(prev.stop)
-				<-prev.done
-			}
-			return nil, err
-		}
-		n.shards = append(n.shards, sd)
+	sd, err := newShard(n, k)
+	if err != nil {
+		return nil, err
 	}
+	n.sd = sd
 	return n, nil
 }
 
-// Start arms the shard pacers. (Simulated time zero was anchored when the
+// Start arms the shard's pacer. (Simulated time zero was anchored when the
 // node was built; an un-started node still paces correctly on every entry
 // point, it just never advances between requests on its own.)
 func (n *Node) Start() {
@@ -139,31 +127,22 @@ func (n *Node) poison(err error) {
 	n.errMu.Unlock()
 }
 
-// ShardCount returns the number of shards serving.
-func (n *Node) ShardCount() int { return len(n.shards) }
-
-// ShardFor returns the shard index the request routes to: stable hash of
-// the tenant, mixed with the request key when one is set.
-func (n *Node) ShardFor(req Request) int {
-	return shardIndex(req.Tenant, req.Key, len(n.shards))
-}
-
 // SubmitTo validates and admits a request: c.Complete receives the outcome
-// exactly once, from the owning shard's goroutine. Admission stamps the
-// request with the current wall-derived simulated time — it arrives "now"
+// exactly once, from the shard's goroutine. Admission stamps the request
+// with the current wall-derived simulated time — it arrives "now"
 // regardless of mailbox lag. Rejections (validation, backpressure, draining,
 // tenant migration) are synchronous errors, after which c is never called:
 // the bounded slot is reserved with one atomic before the mailbox, so
 // ErrQueueFull never needs a shard round trip. An admitted request cannot be
 // withdrawn; it resolves at completion or at drain. It is a batch of one.
 func (n *Node) SubmitTo(req Request, c Completion) error {
-	sd, err := n.reserve(req)
-	if err != nil {
+	if err := n.reserve(req); err != nil {
 		return err
 	}
+	sd := n.sd
 	if !sd.enter() {
 		// The shard closed between the draining check and here.
-		n.unreserve(sd, req, ErrDraining)
+		n.unreserve(req, ErrDraining)
 		return ErrDraining
 	}
 	sd.mailbox <- shardMsg{kind: msgSubmit, p: newPending(req, sd, n.wallTarget(), c)}
@@ -172,45 +151,45 @@ func (n *Node) SubmitTo(req Request, c Completion) error {
 }
 
 // reserve is the synchronous admission every request passes: validation,
-// the drain, gate and poison checks, and the CAS on the tenant's per-shard
-// occupancy. It returns the owning shard with the slot held.
-func (n *Node) reserve(req Request) (*shard, error) {
+// the drain, gate and poison checks, and the CAS on the tenant's occupancy.
+// On success the tenant's slot is held.
+func (n *Node) reserve(req Request) error {
 	if err := req.Validate(n.cfg.Tenants, n.cfg.MaxBytes); err != nil {
 		n.rejBad.Add(1)
-		return nil, fmt.Errorf("serve: invalid request: %w", err)
+		return fmt.Errorf("serve: invalid request: %w", err)
 	}
 	if n.draining.Load() {
 		n.rejDrain.Add(1)
-		return nil, ErrDraining
+		return ErrDraining
 	}
 	if n.gates[req.Tenant].Load() != tenantActive {
 		n.rejMigr.Add(1)
-		return nil, ErrTenantMigrating
+		return ErrTenantMigrating
 	}
 	if n.poisoned.Load() {
-		return nil, n.Err()
+		return n.Err()
 	}
-	sd := n.shards[shardIndex(req.Tenant, req.Key, len(n.shards))]
-	ts := &sd.tenants[req.Tenant]
+	ts := &n.sd.tenants[req.Tenant]
 	bound := int64(n.cfg.QueueDepth + n.cfg.QueueLen)
 	for {
 		occ := ts.occupancy.Load()
 		if occ >= bound {
 			ts.rejFull.Add(1)
-			return nil, ErrQueueFull
+			return ErrQueueFull
 		}
 		if ts.occupancy.CompareAndSwap(occ, occ+1) {
 			break
 		}
 	}
 	ts.admitted[req.Op].Add(1)
-	return sd, nil
+	return nil
 }
 
 // unreserve undoes reserve for a request refused after it with err:
-// ErrDraining, or ErrTenantMigrating from a shard whose gate shut behind it.
-func (n *Node) unreserve(sd *shard, req Request, err error) {
-	ts := &sd.tenants[req.Tenant]
+// ErrDraining, or ErrTenantMigrating from the shard-side gate that shut
+// behind it.
+func (n *Node) unreserve(req Request, err error) {
+	ts := &n.sd.tenants[req.Tenant]
 	ts.occupancy.Add(-1)
 	ts.admitted[req.Op].Add(^uint64(0))
 	if err == ErrDraining {
@@ -221,165 +200,85 @@ func (n *Node) unreserve(sd *shard, req Request, err error) {
 }
 
 // Batch is one connection's admission batch: SubmitTo admits as
-// Node.SubmitTo does, and Flush hands what it admitted to the shards, one
-// mailbox message per shard. A batch's requests share one stamp, read at
-// its first admitted request. A Batch is not safe for concurrent use.
+// Node.SubmitTo does, and Flush hands what it admitted to the shard as one
+// mailbox message. A batch's requests share one stamp, read at its first
+// admitted request. A Batch is not safe for concurrent use.
 type Batch struct {
 	n          *Node
 	stamp      sim.Time
-	stamped    bool
-	head, tail []*Pending // by shard index: its run, linked in admission order
+	head, tail *Pending // the run, linked in admission order; nil when empty
 }
 
 // NewBatch returns an empty batch over the node.
-func (n *Node) NewBatch() *Batch {
-	return &Batch{n: n, head: make([]*Pending, len(n.shards)), tail: make([]*Pending, len(n.shards))}
-}
+func (n *Node) NewBatch() *Batch { return &Batch{n: n} }
 
 // SubmitTo admits req as Node.SubmitTo does; c hears the outcome after Flush.
 func (b *Batch) SubmitTo(req Request, c Completion) error {
-	sd, err := b.n.reserve(req)
-	if err != nil {
+	if err := b.n.reserve(req); err != nil {
 		return err
 	}
-	if !b.stamped {
-		b.stamp, b.stamped = b.n.wallTarget(), true
+	if b.head == nil {
+		b.stamp = b.n.wallTarget()
 	}
-	p := newPending(req, sd, b.stamp, c)
-	if b.head[sd.id] == nil {
-		b.head[sd.id] = p
+	p := newPending(req, b.n.sd, b.stamp, c)
+	if b.head == nil {
+		b.head = p
 	} else {
-		b.tail[sd.id].next = p
+		b.tail.next = p
 	}
-	b.tail[sd.id] = p
+	b.tail = p
 	return nil
 }
 
-// Flush sends each shard its run. A shard that has closed since admission
-// resolves the run's requests with ErrDraining through their Completions.
+// Flush sends the shard the run. If the shard has closed since admission,
+// the run's requests resolve with ErrDraining through their Completions.
 func (b *Batch) Flush() {
-	b.stamped = false
-	for i, head := range b.head {
-		if head == nil {
-			continue
-		}
-		b.head[i], b.tail[i] = nil, nil
-		sd := b.n.shards[i]
-		if sd.enter() {
-			sd.mailbox <- shardMsg{kind: msgSubmit, p: head}
-			sd.leave()
-			continue
-		}
-		for p := head; p != nil; {
-			next := p.next
-			b.n.unreserve(sd, p.req, ErrDraining)
-			p.resolve(Response{}, ErrDraining)
-			p = next
-		}
+	head := b.head
+	if head == nil {
+		return
+	}
+	b.head, b.tail = nil, nil
+	sd := b.n.sd
+	if sd.enter() {
+		sd.mailbox <- shardMsg{kind: msgSubmit, p: head}
+		sd.leave()
+		return
+	}
+	for p := head; p != nil; {
+		next := p.next
+		b.n.unreserve(p.req, ErrDraining)
+		p.resolve(Response{}, ErrDraining)
+		p = next
 	}
 }
 
 // Drain stops admission, rejects everything still queued, completes all
-// in-flight device work on every shard (each shard's simulated time jumps
-// to its last completion), and stops the shard goroutines. It returns the
-// merged final device result; calling it twice returns the same snapshot.
-// The guarantee holds per shard: after Drain, every dispatched request has
-// been answered, every queued one was rejected with ErrDraining, and each
-// shard's device counters equal those of a batch replay of its dispatched
-// records (see DrainResults).
+// in-flight device work (simulated time jumps to the last completion), and
+// stops the shard goroutine. It returns the final device result; calling it
+// twice returns the same snapshot. After Drain every dispatched request has
+// been answered, every queued one was rejected with ErrDraining, and the
+// device counters equal those of a batch replay of the dispatched records
+// (TestDrainMatchesBatchReplay).
 func (n *Node) Drain() ssd.Result {
 	n.drainMu.Lock()
 	defer n.drainMu.Unlock()
 	if !n.drained {
 		n.draining.Store(true)
-		n.perShard = make([]ssd.Result, len(n.shards))
 		// The drain message queues FIFO behind in-flight submissions, so
 		// every admitted request is either dispatched or drain-rejected —
 		// never lost.
-		for i, sd := range n.shards {
-			if r, ok := sd.send(msgDrain); ok {
-				n.perShard[i] = r.res
-			}
+		sd := n.sd
+		if r, ok := sd.send(msgDrain); ok {
+			n.final = r.res
 		}
-		for _, sd := range n.shards {
-			sd.sendMu.Lock()
-			sd.closed = true
-			sd.sendMu.Unlock()
-			close(sd.stop)
-			<-sd.done
-		}
-		n.merged = mergeResults(n.perShard)
+		sd.sendMu.Lock()
+		sd.closed = true
+		sd.sendMu.Unlock()
+		close(sd.stop)
+		<-sd.done
 		n.drained = true
 	}
-	return n.merged
-}
-
-// DrainResults drains (if not already drained) and returns the per-shard
-// final results, indexed by shard. Shard i's result equals a batch replay
-// of the records ShardFor routed to it that reached its device.
-func (n *Node) DrainResults() []ssd.Result {
-	n.Drain()
-	n.drainMu.Lock()
-	defer n.drainMu.Unlock()
-	return append([]ssd.Result(nil), n.perShard...)
-}
-
-// mergeResults folds per-shard results into one serving-level summary:
-// counters and latency accumulators sum, makespan is the max (shards run
-// concurrently in wall time), bus/die stats concatenate in shard order, and
-// fairness is recomputed with the collector's definition
-// (stats.Collector.Fairness): Jain's index over each merged tenant's mean
-// read plus mean write latency, in tenant order.
-func mergeResults(rs []ssd.Result) ssd.Result {
-	if len(rs) == 0 {
-		return ssd.Result{}
-	}
-	if len(rs) == 1 {
-		return rs[0]
-	}
-	var m ssd.Result
-	m.PerTenant = make(map[int]stats.Latency)
-	for _, r := range rs {
-		if r.Makespan > m.Makespan {
-			m.Makespan = r.Makespan
-		}
-		m.Requests += r.Requests
-		m.Device.Merge(r.Device)
-		for t, l := range r.PerTenant {
-			cur := m.PerTenant[t]
-			cur.Merge(l)
-			m.PerTenant[t] = cur
-		}
-		m.BusStats = append(m.BusStats, r.BusStats...)
-		m.DieStats = append(m.DieStats, r.DieStats...)
-		m.FTL = addFTL(m.FTL, r.FTL)
-		m.Conflicts += r.Conflicts
-		m.ConflictWait += r.ConflictWait
-	}
-	ids := make([]int, 0, len(m.PerTenant))
-	for id := range m.PerTenant {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	totals := make([]float64, len(ids))
-	for i, id := range ids {
-		totals[i] = m.PerTenant[id].Total()
-	}
-	m.Fairness = stats.JainIndex(totals)
-	return m
-}
-
-func addFTL(a, b ftl.Counters) ftl.Counters {
-	a.Writes += b.Writes
-	a.Preloads += b.Preloads
-	a.Invalidations += b.Invalidations
-	a.GCRuns += b.GCRuns
-	a.GCMovedPages += b.GCMovedPages
-	a.GCErases += b.GCErases
-	a.WLRuns += b.WLRuns
-	a.WLMovedPages += b.WLMovedPages
-	a.Mapped += b.Mapped
-	return a
+	return n.final
 }
 
 // Draining reports whether Drain has begun.
@@ -404,68 +303,45 @@ func (n *Node) Err() error {
 	return n.submitErr
 }
 
-// Device exposes shard 0's device for tests that inspect FTL state.
-func (n *Node) Device() *ssd.Device { return n.shards[0].dev }
+// Device exposes the node's device for tests that inspect FTL state.
+func (n *Node) Device() *ssd.Device { return n.sd.dev }
 
-// Controller exposes shard 0's online keeper controller (nil without a
-// keeper). Tests drive a single-shard node through it; multi-shard
-// observability goes through the metrics snapshot.
-func (n *Node) Controller() *keeper.Controller { return n.shards[0].ctrl }
+// Controller exposes the online keeper controller (nil without a keeper).
+func (n *Node) Controller() *keeper.Controller { return n.sd.ctrl }
 
-// KeeperSwitches sums the online re-allocations across shards. Safe at any
-// time; after Drain it reads the frozen final snapshots.
-func (n *Node) KeeperSwitches() int {
-	total := 0
-	for _, snap := range n.snapshots() {
-		total += snap.switches
+// KeeperSwitches returns the online re-allocations so far. Safe at any
+// time; after Drain it reads the frozen final snapshot.
+func (n *Node) KeeperSwitches() int { return n.snapshot().switches }
+
+// snapshot copies the shard's state: a live shard advances to the wall
+// target and snapshots in its own goroutine (one mailbox round trip); a
+// drained one answers with its frozen final state.
+func (n *Node) snapshot() *shardSnapshot {
+	if r, ok := n.sd.send(msgSnapshot); ok {
+		return r.snap
 	}
-	return total
-}
-
-// snapshots copies every shard's state, in shard order: a live shard
-// advances to the wall target and snapshots in its own goroutine (one
-// mailbox round trip); a drained one answers with its frozen final state.
-func (n *Node) snapshots() []*shardSnapshot {
-	snaps := make([]*shardSnapshot, len(n.shards))
-	for i, sd := range n.shards {
-		if r, ok := sd.send(msgSnapshot); ok {
-			snaps[i] = r.snap
-		} else {
-			snaps[i] = sd.final
-		}
-	}
-	return snaps
+	return n.sd.final
 }
 
 // TenantCompleted returns the number of client requests this node has
-// completed for the tenant, summed across shards. Handoff replays are
-// excluded — they are device-state transfer, not client completions — so a
-// fleet can assert zero lost/duplicated completions by comparing the sum of
-// this across nodes against the clients' success count.
+// completed for the tenant. Handoff replays are excluded — they are
+// device-state transfer, not client completions — so a fleet can assert
+// zero lost/duplicated completions by comparing the sum of this across
+// nodes against the clients' success count.
 func (n *Node) TenantCompleted(tenant int) uint64 {
-	var total uint64
-	for _, snap := range n.snapshots() {
-		if tenant >= 0 && tenant < len(snap.tenants) {
-			total += snap.tenants[tenant].completed[0] + snap.tenants[tenant].completed[1]
-		}
+	snap := n.snapshot()
+	if tenant < 0 || tenant >= len(snap.tenants) {
+		return 0
 	}
-	return total
+	return snap.tenants[tenant].completed[0] + snap.tenants[tenant].completed[1]
 }
 
-// SimNow returns the current simulated time — the max across shards —
-// advancing each shard to the wall target first. The mailbox round trip
-// doubles as a barrier: every submission enqueued before this call has been
-// processed when it returns.
+// SimNow returns the current simulated time, advancing the shard to the
+// wall target first. The mailbox round trip doubles as a barrier: every
+// submission enqueued before this call has been processed when it returns.
 func (n *Node) SimNow() sim.Time {
-	var now sim.Time
-	for _, sd := range n.shards {
-		r, ok := sd.send(msgAdvance)
-		if !ok {
-			r = shardReply{now: sd.final.simNow}
-		}
-		if r.now > now {
-			now = r.now
-		}
+	if r, ok := n.sd.send(msgAdvance); ok {
+		return r.now
 	}
-	return now
+	return n.sd.final.simNow
 }

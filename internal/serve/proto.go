@@ -16,11 +16,11 @@ type Request struct {
 	Op     trace.Op
 	Offset int64
 	Size   int
-	// Key selects the shard within the tenant's hash ring. Zero (the
-	// default) routes every request of a tenant to one shard; a nonzero
-	// key spreads the tenant's traffic across shards — useful for load
-	// generators that want to exercise all devices. Routing is stable:
-	// the same (tenant, key) pair always lands on the same shard.
+	// Key is a client tag the node carries and ignores: it routes nothing
+	// and reaches neither the device nor the tenant log, so keyed and
+	// unkeyed copies of one request stream are served identically. Zero
+	// (the default) means untagged; a load generator may set it to follow
+	// one request across layers.
 	Key uint64
 }
 
@@ -192,8 +192,7 @@ func parseOpBytes(b []byte) (trace.Op, error) {
 //	<tenant> <R|W> <offset> <size> [key]
 //
 // Fields are separated by any run of spaces, tabs or commas; '#' starts a
-// comment; the optional fifth field is the shard-spreading key (see
-// Request.Key). It is the request tail of a wire frame, so this is the
+// comment; the optional fifth field is the client tag (see Request.Key). It is the request tail of a wire frame, so this is the
 // ingest hot path: wire.ParseRequest hands it the frame straight off the
 // connection's read buffer, and it reads the line in one pass with the
 // scanners above, over the line's own separators.

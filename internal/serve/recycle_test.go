@@ -49,7 +49,6 @@ func TestCallbackPendingsUnderLifecycleChurn(t *testing.T) {
 		Options:    ssd.DefaultOptions(),
 		Accel:      2000,
 		Now:        time.Now,
-		ShardCount: 2,
 		QueueDepth: 4,
 		QueueLen:   8,
 	}
@@ -82,7 +81,7 @@ func TestCallbackPendingsUnderLifecycleChurn(t *testing.T) {
 				}
 				req := Request{
 					Tenant: (w + i) % 4, Op: trace.Op(i % 2),
-					Offset: int64(i%256) * page, Size: page, Key: uint64(i%3 + 1),
+					Offset: int64(i%256) * page, Size: page,
 				}
 				c := &tags[w][i]
 				c.op = req.Op

@@ -15,8 +15,8 @@ import (
 // cannot turn into a promotion.
 //
 // The swap is atomic and drain-free: the handler loads and verifies the
-// checkpoint, then swaps the provider on the keeper's policy.Source. Each
-// shard controller notices the new version at its own next adaptation epoch
+// checkpoint, then swaps the provider on the keeper's policy.Source. The
+// node's controller notices the new version at its next adaptation epoch
 // and re-instantiates its private policy instance there — in-flight requests
 // are untouched and no request is ever rejected by a reload. The daemon's
 // SIGHUP handler drives the same path as POST /model/reload.

@@ -15,28 +15,6 @@ import (
 	"ssdkeeper/internal/policy"
 )
 
-// tenantsCoveringShards picks one tenant per shard (key 0 routing) so a test
-// can deterministically drive every shard's adaptation window.
-func tenantsCoveringShards(t *testing.T, tenants, shards int) []int {
-	t.Helper()
-	byShard := make([]int, shards)
-	for i := range byShard {
-		byShard[i] = -1
-	}
-	for tn := 0; tn < tenants; tn++ {
-		idx := shardIndex(tn, 0, shards)
-		if byShard[idx] == -1 {
-			byShard[idx] = tn
-		}
-	}
-	for i, tn := range byShard {
-		if tn == -1 {
-			t.Skipf("no tenant in [0,%d) routes to shard %d", tenants, i)
-		}
-	}
-	return byShard
-}
-
 // sourceReloader is a test stand-in for the daemon's registry-backed
 // reloader: "versions" it can serve are pinned providers.
 func sourceReloader(src *policy.Source, providers map[string]policy.Provider) Reloader {
@@ -53,14 +31,13 @@ func sourceReloader(src *policy.Source, providers map[string]policy.Provider) Re
 	}
 }
 
-// TestReloadSwapsPolicyAcrossShards pins the acceptance criterion: a reload
-// on a running sharded server swaps every shard's policy at its next
-// adaptation epoch — no drain, no rejected requests, no lost completions —
-// and the new version shows up in /metrics.
-func TestReloadSwapsPolicyAcrossShards(t *testing.T) {
+// TestReloadSwapsPolicy pins the acceptance criterion: a reload on a running
+// node swaps its policy at the next adaptation epoch — no drain, no rejected
+// requests, no lost completions — and /metrics shows the new version as
+// published at once and as applied after that epoch.
+func TestReloadSwapsPolicy(t *testing.T) {
 	clk := newFakeClock()
 	cfg := testConfig(clk)
-	cfg.ShardCount = 2
 	kCfg := keeperConfig() // Window/AdaptEvery 50ms
 	k, err := keeper.New(kCfg, forcedModel(t, len(kCfg.Strategies), 1))
 	if err != nil {
@@ -74,10 +51,9 @@ func TestReloadSwapsPolicyAcrossShards(t *testing.T) {
 	defer s.Drain()
 	s.SetReloader(sourceReloader(k.Source(), map[string]policy.Provider{"v2": v2}))
 
-	cover := tenantsCoveringShards(t, s.cfg.Tenants, len(s.shards))
 	var pending []submitted
 	submitAll := func(pageNo int64) {
-		for _, tn := range cover {
+		for tn := 0; tn < s.cfg.Tenants; tn++ {
 			p, err := submit(s, writeReq(tn, pageNo))
 			if err != nil {
 				t.Fatalf("submit rejected during reload window: %v", err)
@@ -86,19 +62,18 @@ func TestReloadSwapsPolicyAcrossShards(t *testing.T) {
 		}
 	}
 
-	// Epoch 1: traffic in [0,50)ms on every shard, boundary at 50ms.
+	// Epoch 1: traffic in [0,50)ms, boundary at 50ms.
 	for i := 0; i < 4; i++ {
 		submitAll(int64(i))
 		clk.Advance(10 * time.Millisecond)
 	}
 	clk.Advance(15 * time.Millisecond)
-	s.SimNow() // ticks every shard past the 50ms boundary
-	// A shard's controller is live (SkipIdle): it keeps the last switch, not
-	// the history, so each epoch's decision is read as it lands.
-	for i, sd := range s.shards {
-		if last, ok := sd.ctrl.LastSwitch(); !ok || last.Index != 1 {
-			t.Errorf("shard %d pre-reload epoch decided class %d (fired %v), want 1", i, last.Index, ok)
-		}
+	s.SimNow() // ticks the controller past the 50ms boundary
+	// The node's controller is live (SkipIdle): it keeps the last switch,
+	// not the history, so each epoch's decision is read as it lands.
+	ctrl := s.Controller()
+	if last, ok := ctrl.LastSwitch(); !ok || last.Index != 1 {
+		t.Errorf("pre-reload epoch decided class %d (fired %v), want 1", last.Index, ok)
 	}
 
 	// Hot reload mid-run, between epochs.
@@ -109,15 +84,21 @@ func TestReloadSwapsPolicyAcrossShards(t *testing.T) {
 	if st.Version != "v2" || st.Previous != "in-memory" {
 		t.Errorf("reload status = %+v", st)
 	}
-	// Immediately visible as the published version...
+	// Immediately visible as the published version, applied only at the
+	// next epoch...
 	var buf strings.Builder
 	s.WriteMetrics(&buf)
-	if !strings.Contains(buf.String(), `ssdkeeper_model_info{role="active",version="v2"} 1`) {
-		t.Errorf("metrics missing published v2:\n%s", buf.String())
+	for _, want := range []string{
+		`ssdkeeper_model_info{role="active",version="v2"} 1`,
+		`ssdkeeper_model_applied_info{version="in-memory"} 1`,
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("metrics missing %q:\n%s", want, buf.String())
+		}
 	}
 
-	// Epoch 2: traffic in [55,100)ms, boundary at 100ms. Every shard must
-	// decide with v2 now.
+	// Epoch 2: traffic in [55,100)ms, boundary at 100ms. The controller
+	// must decide with v2 now.
 	for i := 0; i < 4; i++ {
 		submitAll(int64(10 + i))
 		clk.Advance(10 * time.Millisecond)
@@ -125,21 +106,16 @@ func TestReloadSwapsPolicyAcrossShards(t *testing.T) {
 	clk.Advance(10 * time.Millisecond)
 	s.SimNow()
 
-	for i, sd := range s.shards {
-		if n := sd.ctrl.SwitchCount(); n < 2 {
-			t.Fatalf("shard %d fired %d epochs, want >= 2", i, n)
-		}
-		if last, _ := sd.ctrl.LastSwitch(); last.Index != 2 {
-			t.Errorf("shard %d post-reload epoch decided class %d, want 2", i, last.Index)
-		}
+	if n := ctrl.SwitchCount(); n < 2 {
+		t.Fatalf("fired %d epochs, want >= 2", n)
+	}
+	if last, _ := ctrl.LastSwitch(); last.Index != 2 {
+		t.Errorf("post-reload epoch decided class %d, want 2", last.Index)
 	}
 	buf.Reset()
 	s.WriteMetrics(&buf)
-	for i := range s.shards {
-		want := fmt.Sprintf("ssdkeeper_shard_model_version{shard=\"%d\",version=\"v2\"} 1", i)
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("metrics missing %q:\n%s", want, buf.String())
-		}
+	if want := `ssdkeeper_model_applied_info{version="v2"} 1`; !strings.Contains(buf.String(), want) {
+		t.Errorf("metrics missing %q:\n%s", want, buf.String())
 	}
 
 	// No lost completions: everything submitted across the swap resolves.

@@ -1,7 +1,7 @@
 // Package serve is the serving layer: a long-running multi-tenant SSD
-// service sharded over independent simulated devices. It is split into two
-// layers. The transport-free node core (Node, node.go) owns the shard set,
-// admission, the online keeper controllers, and the per-tenant lifecycle —
+// service over one simulated device per node. It is split into two layers.
+// The transport-free node core (Node, node.go) owns the device's actor,
+// admission, the online keeper controller, and the per-tenant lifecycle —
 // including tenant-granular drain and handoff replay, the primitives the
 // fleet tier (internal/fleet) composes into live migration. Its one request
 // entry point is SubmitTo(request, Completion), the Backend surface, and the
@@ -12,22 +12,24 @@
 // routes.
 //
 // Concurrency model: a simulation engine is single-goroutine by design, so
-// each shard runs one goroutine that owns its engine, device, controller,
-// and queues outright (see shard.go). A submitter validates, reserves a
-// bounded admission slot with one atomic, and pushes the request into the
-// shard's mailbox; from that send on the request belongs to the shard, which
-// calls its Completion exactly once. A Batch sends a socket read's requests
-// as one message per shard, and one wakeup drains a batch of messages, so
-// waking the actor amortizes across bursts; no lock is held across the engine.
+// the node runs one goroutine, the shard, that owns its engine, device,
+// controller, and queues outright (see shard.go). A submitter validates,
+// reserves a bounded admission slot with one atomic, and pushes the request
+// into the shard's mailbox; from that send on the request belongs to the
+// shard, which calls its Completion exactly once. A Batch sends a socket
+// read's requests as one message, and one wakeup drains a batch of
+// messages, so waking the actor amortizes across bursts; no lock is held
+// across the engine. More devices are more nodes: the fleet router places
+// tenants across them.
 //
 // Pacing model: simulated time is a linear image of wall time,
-// sim = (wall - start) * Accel, shared by all shards. Each shard goroutine
-// sleeps until the earlier of its next engine event's wall due time and one
-// pacer tick, so completions surface on time without polling. Requests are
+// sim = (wall - start) * Accel. The shard goroutine sleeps until the
+// earlier of its next engine event's and its keeper's next epoch's wall due
+// time, so completions surface on time without polling. Requests are
 // stamped with the wall-derived sim time at admission (a Batch's share one)
-// and arrive at it regardless of mailbox lag. Accel > 1 runs the devices faster
-// than real time; Accel < 1 slows them down, which is how overload (and a
-// device-bound, shard-scalable regime) is produced on demand.
+// and arrive at it regardless of mailbox lag. Accel > 1 runs the device
+// faster than real time; Accel < 1 slows it down, which is how overload (a
+// device-bound regime) is produced on demand.
 package serve
 
 import (
@@ -68,22 +70,15 @@ type Config struct {
 	Options ssd.Options
 	Season  simrun.Seasoning
 
-	// ShardCount is the number of independent device shards (default 1).
-	// Each shard owns a full device/engine/keeper stack driven by its own
-	// goroutine; tenants route to shards by stable hash, optionally spread
-	// across all shards by a per-request key.
-	ShardCount int
-
 	// Tenants is the tenant-ID space served (default features.MaxTenants
 	// via the keeper; 4). Requests outside it are rejected as invalid.
 	Tenants int
-	// QueueLen bounds each tenant's admission queue per shard (default
-	// 64). A full queue rejects with ErrQueueFull instead of queueing
-	// unboundedly.
+	// QueueLen bounds each tenant's admission queue (default 64). A full
+	// queue rejects with ErrQueueFull instead of queueing unboundedly.
 	QueueLen int
-	// QueueDepth bounds each tenant's in-device commands per shard
-	// (default 32). It is the only host-side queue depth: the device itself
-	// accepts every request it is given, as SSDSim's host queue does.
+	// QueueDepth bounds each tenant's in-device commands (default 32). It
+	// is the only host-side queue depth: the device itself accepts every
+	// request it is given, as SSDSim's host queue does.
 	QueueDepth int
 	// MaxBytes bounds each tenant's logical address space (default 64MB,
 	// the working-set size the keeper's training mixes use).
@@ -97,10 +92,10 @@ type Config struct {
 
 	// DegradedScore is the device-health readiness threshold in [0,1]. The
 	// reads that report health — Ready, Degraded (/readyz), WriteMetrics,
-	// Audit — judge it: the first to find a shard scoring below the
+	// Audit — judge it: the first to find the device scoring below the
 	// threshold flips the node to degraded for good (Ready() false, /readyz
 	// 503 "degraded"). A healthy device scores 1.0; dead dies, read-retry
-	// storms, and wear spread pull the score down (see shardHealthScore).
+	// storms, and wear spread pull the score down (see healthScore).
 	// Zero never degrades.
 	DegradedScore float64
 	// AuditLog, when set, receives the one line the degraded flip logs.
@@ -108,9 +103,6 @@ type Config struct {
 }
 
 func (c *Config) fillDefaults() {
-	if c.ShardCount == 0 {
-		c.ShardCount = 1
-	}
 	if c.Tenants == 0 {
 		c.Tenants = 4
 	}
@@ -137,8 +129,6 @@ func (c Config) Validate() error {
 		return err
 	}
 	switch {
-	case c.ShardCount < 0:
-		return fmt.Errorf("serve: negative shard count %d", c.ShardCount)
 	case c.Tenants < 0, c.QueueLen < 0, c.QueueDepth < 0, c.MaxBytes < 0:
 		return fmt.Errorf("serve: negative bounds in %+v", c)
 	case c.Tenants > ftl.MaxTenants || c.MaxBytes > ftl.MaxLPN*int64(c.Device.PageSize):
@@ -206,7 +196,7 @@ type Backend interface {
 }
 
 // Completion receives an admitted request's outcome exactly once. Complete
-// is invoked from the owning shard's goroutine, so implementations must not
+// is invoked from the node's shard goroutine, so implementations must not
 // block (enqueue and return); err is non-nil when the request was rejected
 // after admission (drain, a gate that shut behind it).
 type Completion interface {

@@ -12,13 +12,13 @@ import (
 	"ssdkeeper/internal/stats"
 )
 
-// Per-shard actor model: each shard owns a complete serving stack — a
-// seasoned device, its engine, its keeper controller, its admission queues —
-// and a single goroutine is the only code that touches any of it.
-// Submitters never lock a shard; they push a message into the shard's bounded
-// mailbox (one per shard per Batch flush), and the shard calls each request's
-// Completion when it resolves. One wakeup drains up to batchMax messages, so
-// a burst of submissions costs one scheduler round trip, not one per request.
+// Actor model: a node's shard owns its complete serving stack — a seasoned
+// device, its engine, its keeper controller, its admission queues — and one
+// goroutine is the only code that touches any of it. Submitters never lock
+// the shard; they push a message into its bounded mailbox (one per Batch
+// flush), and the shard calls each request's Completion when it resolves.
+// One wakeup drains up to batchMax messages, so a burst of submissions costs
+// one scheduler round trip, not one per request.
 //
 // The only state shared between submitting goroutines and the shard
 // goroutine is atomic: the per-tenant occupancy counter (admission bounds
@@ -36,9 +36,9 @@ const (
 	tenantParked
 )
 
-// Shard loop bounds. mailboxLen is each shard's submission mailbox
-// capacity; batchMax bounds the mailbox messages one wakeup processes before
-// the shard advances to the wall clock and re-arms the pacing timer. The
+// Shard loop bounds. mailboxLen is the shard's submission mailbox capacity;
+// batchMax bounds the mailbox messages one wakeup processes before the
+// shard advances to the wall clock and re-arms the pacing timer. The
 // pacer sleeps until the engine's next event or the keeper's next acting
 // epoch boundary is due in wall time, and with neither pending it waits on
 // the mailbox alone. The sleep is a time.Timer, and Go's netpoller waits for
@@ -84,9 +84,9 @@ type shardReply struct {
 	err      error
 }
 
-// tenantState is one tenant's serving state on one shard. The first group
-// is handler-side bookkeeping (atomics, updated before the mailbox); the
-// second is owned by the shard goroutine.
+// tenantState is one tenant's serving state. The first group is
+// handler-side bookkeeping (atomics, updated before the mailbox); the second
+// is owned by the shard goroutine.
 type tenantState struct {
 	// occupancy counts admitted-but-unfinished requests; admission CASes
 	// it below QueueDepth+QueueLen so ErrQueueFull stays a synchronous
@@ -152,10 +152,9 @@ func (q *pendingFIFO) pop() *Pending {
 	return p
 }
 
-// shard is one independent serving slice: device, engine, controller,
-// queues, goroutine.
+// shard is a node's serving actor: device, engine, controller, queues,
+// goroutine.
 type shard struct {
-	id   int
 	node *Node
 
 	runner *simrun.Runner
@@ -182,7 +181,7 @@ type shard struct {
 	finalRes   ssd.Result
 }
 
-func newShard(id int, n *Node, k *keeper.Keeper) (*shard, error) {
+func newShard(n *Node, k *keeper.Keeper) (*shard, error) {
 	runner := simrun.NewInstrumentedRunner(n.cfg.Device)
 	// Empty traits leave the device unbound — every tenant on all channels
 	// with static allocation — the state the online keeper adapts from.
@@ -194,7 +193,6 @@ func newShard(id int, n *Node, k *keeper.Keeper) (*shard, error) {
 	}
 	dev := sess.Device()
 	sd := &shard{
-		id:      id,
 		node:    n,
 		runner:  runner,
 		dev:     dev,
@@ -384,7 +382,7 @@ func (sd *shard) admit(p *Pending) {
 		if sd.draining {
 			err = ErrDraining
 		}
-		sd.node.unreserve(sd, p.req, err)
+		sd.node.unreserve(p.req, err)
 		p.resolve(Response{}, err)
 		return
 	}
@@ -447,15 +445,15 @@ func (sd *shard) dispatchQueued(ts *tenantState) {
 	}
 }
 
-// drainTenant quiesces exactly one tenant on this shard: everything already
-// admitted — queued or in flight — is dispatched and completed through the
-// normal engine path (the engine steps forward event by event, which may
-// surface other tenants' completions early relative to wall time; their
-// sim-time latencies are unaffected). It then gates the tenant inside the
-// shard, detaches it from the keeper's feature window, and returns a copy of
-// its dispatched-record log plus a summary. The log replayed as a batch
-// reproduces the tenant's device footprint — the tenant-granular face of
-// the drain==batch-replay invariant.
+// drainTenant quiesces exactly one tenant: everything already admitted —
+// queued or in flight — is dispatched and completed through the normal
+// engine path (the engine steps forward event by event, which may surface
+// other tenants' completions early relative to wall time; their sim-time
+// latencies are unaffected). It then gates the tenant inside the shard,
+// detaches it from the keeper's feature window, and returns a copy of its
+// dispatched-record log plus a summary. The log replayed as a batch
+// reproduces the tenant's device footprint — the tenant-granular face of the
+// drain==batch-replay invariant.
 func (sd *shard) drainTenant(tenant int) (*tenantLog, tenantSummary) {
 	ts := &sd.tenants[tenant]
 	if sd.draining {
@@ -480,15 +478,15 @@ func (sd *shard) drainTenant(tenant int) (*tenantLog, tenantSummary) {
 	return ts.log.clone(), sd.summarize(ts)
 }
 
-// replayTenant re-dispatches a checked handoff log into this shard's device
-// for one tenant, at the current simulated instant (arrival order
-// preserved, original timestamps discarded: the target's own admission
-// times are what its invariant replays). Replayed records share the
-// tenant's in-device capacity with live traffic but bypass the admission
-// queue bound — a handoff is state transfer, not client load — and they do
-// not feed the keeper's feature window or the serving histograms. The call
-// returns once every replayed record has completed, so the tenant's
-// footprint is fully materialized before the router flips traffic over.
+// replayTenant re-dispatches a checked handoff log into the device for one
+// tenant, at the current simulated instant (arrival order preserved,
+// original timestamps discarded: the target's own admission times are what
+// its invariant replays). Replayed records share the tenant's in-device
+// capacity with live traffic but bypass the admission queue bound — a
+// handoff is state transfer, not client load — and they do not feed the
+// keeper's feature window or the serving histograms. The call returns once
+// every replayed record has completed, so the tenant's footprint is fully
+// materialized before the router flips traffic over.
 func (sd *shard) replayTenant(tenant int, log *tenantLog) (int, error) {
 	ts := &sd.tenants[tenant]
 	if sd.draining {
@@ -575,7 +573,7 @@ type tenantSnapshot struct {
 	hist      [2]stats.Histogram
 }
 
-// shardSnapshot is everything the metrics renderer needs from one shard,
+// shardSnapshot is everything the metrics renderer needs from the shard,
 // copied inside the shard goroutine so rendering holds no locks.
 type shardSnapshot struct {
 	simNow       sim.Time
@@ -618,35 +616,4 @@ func (sd *shard) snapshot() *shardSnapshot {
 		}
 	}
 	return snap
-}
-
-// fnv1a64 folds v into h one byte at a time (FNV-1a), the stable hash
-// behind tenant→shard routing. Stability matters: the routing test pins
-// assignments so restarts and rebuilds keep tenants on their shards.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-func fnv1a64(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= fnvPrime64
-		v >>= 8
-	}
-	return h
-}
-
-// shardIndex routes (tenant, key) to a shard. Key zero pins the tenant to
-// one shard; a nonzero key spreads the tenant's requests across all shards
-// while staying deterministic per key.
-func shardIndex(tenant int, key uint64, shards int) int {
-	if shards <= 1 {
-		return 0
-	}
-	h := fnv1a64(fnvOffset64, uint64(tenant))
-	if key != 0 {
-		h = fnv1a64(h, key)
-	}
-	return int(h % uint64(shards))
 }

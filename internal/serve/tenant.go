@@ -1,11 +1,9 @@
 package serve
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 
 	"ssdkeeper/internal/trace"
 )
@@ -24,8 +22,8 @@ import (
 // tenant log. Nothing was replayed.
 var ErrBadHandoff = errors.New("serve: invalid handoff")
 
-// tenantSummary is one shard's view of a tenant's serving state, copied
-// inside the shard goroutine at drain time.
+// tenantSummary is a tenant's serving state, copied inside the shard
+// goroutine at drain time.
 type tenantSummary struct {
 	Completed [2]uint64
 	Replayed  uint64
@@ -33,8 +31,8 @@ type tenantSummary struct {
 }
 
 // TenantDrain is the handoff package DrainTenant returns: the tenant's
-// merged dispatched-record log (time-ordered across shards) plus a summary
-// of the device state it represents. Over HTTP the log alone travels, in
+// dispatched-record log, in dispatch order, plus a summary of the device
+// state it represents. Over HTTP the log alone travels, in
 // the tenant log's own encoding (see writeHandoff).
 type TenantDrain struct {
 	Tenant  int
@@ -48,18 +46,17 @@ type TenantDrain struct {
 	Replayed        uint64
 }
 
-// DrainTenant quiesces exactly one tenant across the node's shards:
-// everything the tenant has admitted — queued or in flight — completes
+// DrainTenant quiesces exactly one tenant: everything the tenant has admitted — queued or in flight — completes
 // through the normal engine path, the tenant's admission gate closes
 // (subsequent submissions reject with ErrTenantMigrating), its feature
-// contributions detach from the keeper windows, and its dispatched-record
+// contributions detach from the keeper window, and its dispatched-record
 // log is returned. Other tenants are untouched. After DrainTenant the
 // tenant is parked: the node reports not-ready until ReleaseTenant (or a
 // ReplayTenant re-seating it) reopens the gate.
 //
 // The tenant-granular invariant mirrors the whole-node one: the returned
 // log, replayed as a batch at its recorded arrival times, reproduces the
-// tenant's footprint on this node's devices (see TestDrainTenantMatchesBatchReplay).
+// tenant's footprint on this node's device (see TestDrainTenantMatchesBatchReplay).
 func (n *Node) DrainTenant(tenant int) (*TenantDrain, error) {
 	td, log, err := n.drainLog(tenant)
 	if err != nil {
@@ -80,7 +77,7 @@ func (n *Node) drainLog(tenant int) (*TenantDrain, *tenantLog, error) {
 	}
 	// The gate flip is the linearization point: from here on SubmitTo
 	// rejects the tenant, so the quiesce below sees a finite workload.
-	// (A submission that raced past the gate check lands in a shard
+	// (A submission that raced past the gate check lands in the shard's
 	// mailbox behind msgDrainTenant and is rejected by the shard-local
 	// gate instead.)
 	if !n.gates[tenant].CompareAndSwap(tenantActive, tenantDraining) {
@@ -89,56 +86,27 @@ func (n *Node) drainLog(tenant int) (*TenantDrain, *tenantLog, error) {
 	n.parked.Add(1)
 
 	td := &TenantDrain{Tenant: tenant}
-	var logs []*tenantLog
-	for _, sd := range n.shards {
-		r, ok := sd.sendMsg(shardMsg{kind: msgDrainTenant, tenant: tenant})
-		if !ok {
-			continue // shard closed under a concurrent whole-node drain
-		}
-		if r.log != nil && r.log.n > 0 {
-			logs = append(logs, r.log)
-		}
-		td.CompletedReads += r.tenant.Completed[trace.Read]
-		td.CompletedWrites += r.tenant.Completed[trace.Write]
-		td.Replayed += r.tenant.Replayed
-	}
-	// A tenant without spread keys lives on one shard: that shard's copy is
-	// the handoff as is.
 	log := &tenantLog{}
-	switch {
-	case len(logs) == 1:
-		log = logs[0]
-	case len(logs) > 1:
-		// Shard logs are each dispatch-ordered; a stable merge by arrival
-		// time yields one fleet-wide order a target can replay directly.
-		var recs []trace.Record
-		for _, l := range logs {
-			recs = append(recs, l.records(tenant)...)
-		}
-		slices.SortStableFunc(recs, func(a, b trace.Record) int {
-			return cmp.Compare(a.Time, b.Time)
-		})
-		for _, r := range recs {
-			log.append(r)
-		}
+	// The shard answers nothing once a concurrent whole-node drain has
+	// begun: the handoff is then empty.
+	if r, ok := n.sd.sendMsg(shardMsg{kind: msgDrainTenant, tenant: tenant}); ok && r.log != nil {
+		log = r.log
+		td.CompletedReads = r.tenant.Completed[trace.Read]
+		td.CompletedWrites = r.tenant.Completed[trace.Write]
+		td.Replayed = r.tenant.Replayed
 	}
 	n.gates[tenant].Store(tenantParked)
 	return td, log, nil
 }
 
 // ReplayTenant seats a handoff record log on this node: the records are
-// re-dispatched into the tenant's home shard at the current simulated
-// instant, order preserved, so the tenant's device footprint (FTL mappings,
-// wear, feature-relevant state) is materialized here before the router
-// flips traffic over. Replay is state transfer: it produces no client
+// re-dispatched into the device at the current simulated instant, order
+// preserved, so the tenant's device footprint (FTL mappings, wear,
+// feature-relevant state) is materialized here before the router flips
+// traffic over. Replay is state transfer: it produces no client
 // completions and feeds no keeper features, so completions are neither
 // lost nor duplicated across a migration. The tenant's gate is (re)opened
 // on success.
-//
-// Spread keys collapse on replay: a tenant that spread across the source's
-// shards via per-request keys is replayed onto its single home shard here,
-// a documented simplification (the footprint is preserved; the spreading
-// re-establishes itself as live traffic arrives).
 func (n *Node) ReplayTenant(tenant int, records []trace.Record) (int, error) {
 	if err := n.checkHandoffTenant(tenant); err != nil {
 		return 0, err
@@ -187,7 +155,7 @@ func (n *Node) handoffCheck(tenant int) func(trace.Record) error {
 	}
 }
 
-// replayLog replays a checked log into the tenant's home shard.
+// replayLog replays a checked log into the device.
 func (n *Node) replayLog(tenant int, log *tenantLog) (int, error) {
 	// Accept the handoff whether the tenant is live here (fresh target) or
 	// parked (returning to a node it once drained from). Either way the
@@ -200,10 +168,7 @@ func (n *Node) replayLog(tenant int, log *tenantLog) (int, error) {
 	if wasActive {
 		n.parked.Add(1)
 	}
-	home := shardIndex(tenant, 0, len(n.shards))
-	r, ok := n.shards[home].sendMsg(shardMsg{
-		kind: msgReplayTenant, tenant: tenant, log: log,
-	})
+	r, ok := n.sd.sendMsg(shardMsg{kind: msgReplayTenant, tenant: tenant, log: log})
 	if !ok {
 		n.gates[tenant].Store(tenantParked)
 		return 0, ErrDraining
@@ -211,15 +176,6 @@ func (n *Node) replayLog(tenant int, log *tenantLog) (int, error) {
 	if r.err != nil {
 		n.gates[tenant].Store(tenantParked)
 		return r.replayed, r.err
-	}
-	// Clear any residual shard-local gates (the home shard's was cleared
-	// by the replay handler; others matter only for a returning tenant
-	// that had spread across shards before draining).
-	for i, sd := range n.shards {
-		if i == home {
-			continue
-		}
-		sd.sendMsg(shardMsg{kind: msgReleaseTenant, tenant: tenant})
 	}
 	n.gates[tenant].Store(tenantActive)
 	n.parked.Add(-1)
@@ -236,9 +192,7 @@ func (n *Node) ReleaseTenant(tenant int) error {
 	if !n.gates[tenant].CompareAndSwap(tenantParked, tenantActive) {
 		return fmt.Errorf("serve: tenant %d is not parked", tenant)
 	}
-	for _, sd := range n.shards {
-		sd.sendMsg(shardMsg{kind: msgReleaseTenant, tenant: tenant})
-	}
+	n.sd.sendMsg(shardMsg{kind: msgReleaseTenant, tenant: tenant})
 	n.parked.Add(-1)
 	return nil
 }

@@ -9,11 +9,13 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"ssdkeeper/internal/sim"
+	"ssdkeeper/internal/ssd"
 	"ssdkeeper/internal/trace"
 )
 
@@ -219,38 +221,42 @@ func TestHandoffBodyRefusedWhole(t *testing.T) {
 }
 
 // TestDrainBodyEqualsDrainTenant: the records a /tenant/drain body decodes
-// to are DrainTenant's, record for record — for a tenant on one shard and
-// for one spread over two shards by keys, whose shard logs merge by time.
+// to are DrainTenant's, record for record. The request key is a client tag
+// the node ignores, so keyed and unkeyed copies of one request stream give
+// the same DrainTenant records, the same body and the same drained device.
 func TestDrainBodyEqualsDrainTenant(t *testing.T) {
-	for _, shards := range []int{1, 2} {
+	type run struct {
+		body    []byte
+		records []trace.Record
+		res     ssd.Result
+	}
+	var runs [2]run
+	for k, keyed := range []bool{false, true} {
 		clk := newFakeClock()
-		cfg := testConfig(clk)
-		cfg.ShardCount = shards
-		s := testServer(t, cfg, nil)
+		s := testServer(t, testConfig(clk), nil)
 		reqs := make([]Request, 300)
-		hit := map[int]bool{}
 		for i := range reqs {
 			reqs[i] = Request{
 				Tenant: 2, Op: trace.Op(i % 2), Offset: int64(i%97) * page,
-				Size: (1 + i%3) * page, Key: uint64(i % 5),
+				Size: (1 + i%3) * page,
 			}
-			hit[shardIndex(2, reqs[i].Key, shards)] = true
-		}
-		if len(hit) != shards {
-			t.Fatalf("%d shards: the keys reach %d of them", shards, len(hit))
+			if keyed {
+				reqs[i].Key = uint64(i%5 + 1)
+			}
 		}
 		submitLogged(t, s, clk, reqs)
 
 		rr := postTenant(s, "drain", 2, nil)
 		if rr.Code != http.StatusOK {
-			t.Fatalf("%d shards: /tenant/drain answered %d: %s", shards, rr.Code, rr.Body)
+			t.Fatalf("keyed %v: /tenant/drain answered %d: %s", keyed, rr.Code, rr.Body)
 		}
 		if cl := rr.Header().Get("Content-Length"); cl != fmt.Sprint(rr.Body.Len()) {
-			t.Errorf("%d shards: Content-Length %s for a %d B body", shards, cl, rr.Body.Len())
+			t.Errorf("keyed %v: Content-Length %s for a %d B body", keyed, cl, rr.Body.Len())
 		}
-		log, err := readHandoff(rr.Body, s.handoffCheck(2))
+		body := bytes.Clone(rr.Body.Bytes())
+		log, err := readHandoff(bytes.NewReader(body), s.handoffCheck(2))
 		if err != nil {
-			t.Fatalf("%d shards: decoding the drain body: %v", shards, err)
+			t.Fatalf("keyed %v: decoding the drain body: %v", keyed, err)
 		}
 		got := log.records(2)
 		if err := s.ReleaseTenant(2); err != nil {
@@ -260,16 +266,25 @@ func TestDrainBodyEqualsDrainTenant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.Drain()
+		runs[k] = run{body: body, records: td.Records, res: s.Drain()}
 		if len(got) != len(reqs) || len(td.Records) != len(reqs) {
-			t.Fatalf("%d shards: body has %d records, DrainTenant %d, want %d",
-				shards, len(got), len(td.Records), len(reqs))
+			t.Fatalf("keyed %v: body has %d records, DrainTenant %d, want %d",
+				keyed, len(got), len(td.Records), len(reqs))
 		}
 		for i := range got {
 			if got[i] != td.Records[i] {
-				t.Fatalf("%d shards: record %d: body %+v, DrainTenant %+v", shards, i, got[i], td.Records[i])
+				t.Fatalf("keyed %v: record %d: body %+v, DrainTenant %+v", keyed, i, got[i], td.Records[i])
 			}
 		}
+	}
+	if !reflect.DeepEqual(runs[0].records, runs[1].records) {
+		t.Error("keyed requests drained to other DrainTenant records than unkeyed ones")
+	}
+	if !bytes.Equal(runs[0].body, runs[1].body) {
+		t.Error("keyed requests drained to another /tenant/drain body than unkeyed ones")
+	}
+	if !reflect.DeepEqual(runs[0].res, runs[1].res) {
+		t.Errorf("keyed requests left another device result than unkeyed ones:\n%+v\n%+v", runs[1].res, runs[0].res)
 	}
 }
 

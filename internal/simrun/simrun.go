@@ -121,7 +121,7 @@ func NewRunner(opts ...Option) *Runner {
 
 // NewInstrumentedRunner returns a runner whose sessions are instrumented
 // with a CounterProbe for the given geometry — the standard shape for
-// serving shards and drain-replay verification, which both want the probe's
+// serving nodes and drain-replay verification, which both want the probe's
 // counter registry alongside the device result.
 func NewInstrumentedRunner(cfg nand.Config) *Runner {
 	return NewRunner(WithProbe(NewCounterProbe(cfg)))
@@ -212,7 +212,7 @@ func season(dev *ssd.Device, s Seasoning) error {
 }
 
 // Device exposes the session's device, for drivers that pump the engine
-// themselves (the serve tier's shards) or rebind strategies mid-run (the
+// themselves (a serving node) or rebind strategies mid-run (the
 // keeper).
 func (s *Session) Device() *ssd.Device { return s.dev }
 

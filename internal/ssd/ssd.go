@@ -645,7 +645,7 @@ func (d *Device) replay(ctx context.Context, t trace.Trace, only []bool, onArriv
 }
 
 // Snapshot assembles a Result at the current simulated time, for drivers
-// that pump the engine themselves (e.g. the serve tier's shards at drain).
+// that pump the engine themselves (e.g. a serving node at drain).
 func (d *Device) Snapshot(requests int) Result {
 	return d.result(d.eng.Now(), requests)
 }

@@ -19,7 +19,7 @@ type Backend = serve.Backend
 // straight into the backend. There is no per-request goroutine: the
 // connection's read loop decodes a frame, reserves a pooled completion
 // handle, and submits (to a node, through a serve.Batch flushed per read);
-// the owning shard's goroutine renders the reply frame into the connection's
+// the node's shard goroutine renders the reply frame into the connection's
 // coalescing outbox. Per connection the server runs exactly two goroutines
 // (read loop, outbox writer) regardless of how many requests are in flight.
 type Server struct {
@@ -164,8 +164,8 @@ func (f flushReader) Read(p []byte) (int, error) {
 var donePool = sync.Pool{New: func() any { return new(Done) }}
 
 // Done is the wire server's serve.Completion: it renders the outcome as a
-// reply frame into the connection's outbox. Complete runs on the owning
-// shard's goroutine and does not block (the outbox append is a bounded
+// reply frame into the connection's outbox. Complete runs on the node's
+// shard goroutine and does not block (the outbox append is a bounded
 // copy under a short-held lock).
 type Done struct {
 	seq     uint64
