@@ -32,7 +32,7 @@ func loadTenant(t *testing.T, s *serve.Server, clk *manualClock, tenant, n int) 
 		if err := s.SubmitTo(req, nopCompletion{}); err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
-		s.SimNow() // mailbox barrier: the shard admits each before the next
+		s.SimNow() // mailbox barrier: the node admits each before the next
 	}
 }
 

@@ -9,7 +9,7 @@ import "errors"
 // block the run mutates, the first time it mutates it. Rewind writes back
 // only those blocks, so what a checkpoint holds follows the blocks a run
 // touched, not the size of the device. A device that never takes a
-// checkpoint (every serving shard) keeps no pre-images at all.
+// checkpoint (every serving node's) keeps no pre-images at all.
 //
 // Every site that changes a block's state — appendPage, clearPage (for
 // invalidate and relocate) and eraseBlock — calls mark first. Season writes

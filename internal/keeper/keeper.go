@@ -72,7 +72,7 @@ func (c Config) Validate() error {
 // simulation engine. The policy is consumed through a policy.Source, so the
 // active provider can be hot-swapped while controllers are running; each
 // controller owns its per-instance policy (and with it, the ANN's inference
-// scratch), which is what lets every serving shard predict concurrently with
+// scratch), which is what lets every serving node predict concurrently with
 // no shared lock.
 type Keeper struct {
 	cfg    Config

@@ -6,7 +6,7 @@ import "fmt"
 // network. Many Inference instances may run concurrently against the same
 // Network as long as nobody trains it: each owns its activation scratch, so
 // Forward/Predict here never touch the network's own buffers and need no
-// locking. This is what lets every serving shard (and every pooled Predict
+// locking. This is what lets every serving node (and every pooled Predict
 // caller) run the classifier contention-free.
 type Inference struct {
 	net *Network

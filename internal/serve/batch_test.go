@@ -10,7 +10,7 @@ import (
 
 // occupancy is a tenant's admitted-but-unfinished requests.
 func (n *Node) occupancy(tenant int) int64 {
-	return n.sd.tenants[tenant].occupancy.Load()
+	return n.act.tenants[tenant].occupancy.Load()
 }
 
 // A Batch whose node drains between SubmitTo and Flush resolves every
@@ -48,7 +48,7 @@ func TestBatchFlushAfterDrain(t *testing.T) {
 }
 
 // A DrainTenant between SubmitTo and Flush closes the tenant's gate in the
-// shard before the batch arrives: the shard refuses the tenant's requests
+// actor before the batch arrives: the actor refuses the tenant's requests
 // through their Completions with ErrTenantMigrating and serves the rest of
 // the batch.
 func TestBatchGateClosesBeforeFlush(t *testing.T) {

@@ -22,7 +22,7 @@ import (
 // tenant log. Nothing was replayed.
 var ErrBadHandoff = errors.New("serve: invalid handoff")
 
-// tenantSummary is a tenant's serving state, copied inside the shard
+// tenantSummary is a tenant's serving state, copied inside the actor
 // goroutine at drain time.
 type tenantSummary struct {
 	Completed [2]uint64
@@ -77,8 +77,8 @@ func (n *Node) drainLog(tenant int) (*TenantDrain, *tenantLog, error) {
 	}
 	// The gate flip is the linearization point: from here on SubmitTo
 	// rejects the tenant, so the quiesce below sees a finite workload.
-	// (A submission that raced past the gate check lands in the shard's
-	// mailbox behind msgDrainTenant and is rejected by the shard-local
+	// (A submission that raced past the gate check lands in the actor's
+	// mailbox behind msgDrainTenant and is rejected by the actor-local
 	// gate instead.)
 	if !n.gates[tenant].CompareAndSwap(tenantActive, tenantDraining) {
 		return nil, nil, ErrTenantMigrating
@@ -87,9 +87,9 @@ func (n *Node) drainLog(tenant int) (*TenantDrain, *tenantLog, error) {
 
 	td := &TenantDrain{Tenant: tenant}
 	log := &tenantLog{}
-	// The shard answers nothing once a concurrent whole-node drain has
+	// The actor answers nothing once a concurrent whole-node drain has
 	// begun: the handoff is then empty.
-	if r, ok := n.sd.sendMsg(shardMsg{kind: msgDrainTenant, tenant: tenant}); ok && r.log != nil {
+	if r, ok := n.act.sendMsg(actorMsg{kind: msgDrainTenant, tenant: tenant}); ok && r.log != nil {
 		log = r.log
 		td.CompletedReads = r.tenant.Completed[trace.Read]
 		td.CompletedWrites = r.tenant.Completed[trace.Write]
@@ -123,7 +123,7 @@ func (n *Node) ReplayTenant(tenant int, records []trace.Record) (int, error) {
 }
 
 // replayHandoff is ReplayTenant fed a /tenant/handoff body: the body is
-// decoded once, every record checked, into the log the shard replays.
+// decoded once, every record checked, into the log the actor replays.
 func (n *Node) replayHandoff(tenant int, body io.Reader) (int, error) {
 	if err := n.checkHandoffTenant(tenant); err != nil {
 		return 0, err
@@ -168,7 +168,7 @@ func (n *Node) replayLog(tenant int, log *tenantLog) (int, error) {
 	if wasActive {
 		n.parked.Add(1)
 	}
-	r, ok := n.sd.sendMsg(shardMsg{kind: msgReplayTenant, tenant: tenant, log: log})
+	r, ok := n.act.sendMsg(actorMsg{kind: msgReplayTenant, tenant: tenant, log: log})
 	if !ok {
 		n.gates[tenant].Store(tenantParked)
 		return 0, ErrDraining
@@ -192,7 +192,7 @@ func (n *Node) ReleaseTenant(tenant int) error {
 	if !n.gates[tenant].CompareAndSwap(tenantParked, tenantActive) {
 		return fmt.Errorf("serve: tenant %d is not parked", tenant)
 	}
-	n.sd.sendMsg(shardMsg{kind: msgReleaseTenant, tenant: tenant})
+	n.act.sendMsg(actorMsg{kind: msgReleaseTenant, tenant: tenant})
 	n.parked.Add(-1)
 	return nil
 }

@@ -63,10 +63,10 @@ func TestDrainTenantMatchesBatchReplay(t *testing.T) {
 	if td.Replayed != 0 {
 		t.Errorf("replayed = %d on a never-migrated tenant", td.Replayed)
 	}
-	// Every control round trip buffers one shardReply in its reply channel:
+	// Every control round trip buffers one actorReply in its reply channel:
 	// the drain summary carries counts, not latency histograms.
-	if size := unsafe.Sizeof(shardReply{}); size > 512 {
-		t.Errorf("shardReply is %d B, want <= 512", size)
+	if size := unsafe.Sizeof(actorReply{}); size > 512 {
+		t.Errorf("actorReply is %d B, want <= 512", size)
 	}
 
 	// Tenant 1 only ever touched the device, so the node's whole-drain

@@ -19,10 +19,10 @@ import (
 	"ssdkeeper/internal/trace"
 )
 
-// arrivalTag records, at submission index i, the arrival instant the shard
+// arrivalTag records, at submission index i, the arrival instant the actor
 // admitted the request at (completion time minus latency) — what a plain
 // []trace.Record log of the same dispatches would have stamped it with.
-// Completions run on the shard goroutine; the test reads arrivals only after
+// Completions run on the device goroutine; the test reads arrivals only after
 // Drain has joined it.
 type arrivalTag struct {
 	arrivals []sim.Time

@@ -23,8 +23,8 @@ func (c *stepClock) Now() time.Time {
 // TestWireBatchAnswersEachRead drives a started node the way a closed-loop
 // client does: one write carries a window of frames, and the next write
 // waits for every reply. The node admits a socket read's frames as one
-// batch, so the read loop must hand the batch to the shard before it blocks
-// in the next Read, and the shard must advance its engine to the wall clock
+// batch, so the read loop must hand the batch to the node before it blocks
+// in the next Read, and the node must advance its engine to the wall clock
 // once it has drained its mailbox: the batch's requests share one stamp,
 // and nothing else moves the engine while the client waits. Without the
 // first the client stalls until the deadline; without the second each

@@ -6,7 +6,7 @@ import (
 )
 
 // outbox is the write-coalescing half of a connection. Concurrent producers
-// (shard-goroutine completions on a listener, client goroutines on a
+// (device-goroutine completions on a listener, client goroutines on a
 // router) append rendered frames into the active buffer under a mutex held
 // only for the copy; a single writer goroutine swaps the active buffer with
 // a spare and issues one Write for everything accumulated since its last

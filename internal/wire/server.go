@@ -19,7 +19,7 @@ type Backend = serve.Backend
 // straight into the backend. There is no per-request goroutine: the
 // connection's read loop decodes a frame, reserves a pooled completion
 // handle, and submits (to a node, through a serve.Batch flushed per read);
-// the node's shard goroutine renders the reply frame into the connection's
+// the node's device goroutine renders the reply frame into the connection's
 // coalescing outbox. Per connection the server runs exactly two goroutines
 // (read loop, outbox writer) regardless of how many requests are in flight.
 type Server struct {
@@ -158,14 +158,14 @@ func (f flushReader) Read(p []byte) (int, error) {
 }
 
 // donePool recycles completion handles so the steady-state request path
-// allocates nothing: one Done is reserved at decode, rides the shard
+// allocates nothing: one Done is reserved at decode, rides the node's
 // mailbox as the request's serve.Completion, renders the reply frame into
 // its own scratch buffer, and returns to the pool.
 var donePool = sync.Pool{New: func() any { return new(Done) }}
 
 // Done is the wire server's serve.Completion: it renders the outcome as a
 // reply frame into the connection's outbox. Complete runs on the node's
-// shard goroutine and does not block (the outbox append is a bounded
+// device goroutine and does not block (the outbox append is a bounded
 // copy under a short-held lock).
 type Done struct {
 	seq     uint64
