@@ -293,10 +293,11 @@ func TestCLIExperimentsFig2Quick(t *testing.T) {
 }
 
 // TestCLIRemovedFlags: settings that shadowed a reader or had one value in
-// use are gone. Node health is judged when /readyz or /metrics is read (no
-// audit interval), the fleet probes and rebalances on one tick (no separate
-// rebalance interval), keeperload makes one pass with one connection pool
-// (no direct replay, label or pool size) over the one transport, wire.
+// use are gone. Node health is judged when /readyz, /status or /metrics is
+// read (no audit interval), the fleet probes and rebalances on one tick (no
+// separate rebalance interval), keeperload makes one pass with one
+// connection pool (no direct replay, label or pool size) over the one
+// transport, wire.
 func TestCLIRemovedFlags(t *testing.T) {
 	bins := buildTools(t, "ssdkeeperd", "keeperfleet", "keeperload", "experiments", "keeper-train")
 	for _, c := range []struct{ tool, flag string }{

@@ -6,10 +6,11 @@
 // arrivals feed the keeper's sliding-window collector, and each elapsed
 // window triggers ANN inference and an epoch-based channel re-allocation on
 // the serving device. HTTP on -addr is the control plane: /metrics exposes
-// Prometheus text, /healthz liveness, /readyz readiness, /tenant/* the
-// migration primitives, /debug/pprof profiles. SIGINT/SIGTERM drains
-// gracefully: admission stops, queued requests are rejected, in-flight
-// requests complete, and the daemon exits 0 with a final device summary.
+// Prometheus text, /healthz liveness, /readyz readiness, /status the node's
+// status record as JSON, /tenant/* the migration primitives, /debug/pprof
+// profiles. SIGINT/SIGTERM drains gracefully: admission stops, queued
+// requests are rejected, in-flight requests complete, and the daemon exits 0
+// with a final device summary.
 //
 // Models come from -model — a versioned checkpoint registry directory (newest
 // version wins) or a single checkpoint file written by keeper-train. Without
@@ -70,7 +71,7 @@ func main() {
 		fresh      = flag.Bool("fresh", false, "skip device seasoning (no GC pressure)")
 		faultPlan  = flag.String("fault-plan", "", `file holding a device fault-plan DSL (e.g. "die:ch2:die1@30s,retire:ch0:blk12@45s"; # comments and newlines allowed), injected into the served device`)
 		faultSeed  = flag.Int64("fault-seed", 1, "seed of the fault plan's read-retry hash")
-		degraded   = flag.Float64("degraded-score", 0.5, "device-health score in [0,1] below which the node flips degraded (/readyz 503), judged whenever /readyz or /metrics is read; 0 disables it")
+		degraded   = flag.Float64("degraded-score", 0.5, "device-health score in [0,1] below which the node flips degraded (/readyz 503), judged whenever /readyz, /status or /metrics is read; 0 disables it")
 		quiet      = flag.Bool("q", false, "suppress startup progress output")
 	)
 	flag.Parse()
@@ -210,10 +211,9 @@ func main() {
 	if err := srv.Shutdown(shutCtx); err != nil {
 		fatal(err)
 	}
-	switches := s.KeeperSwitches()
 	fmt.Fprintf(os.Stderr,
 		"ssdkeeperd: drained clean: %d requests, makespan %v, %d keeper switches, fairness %.3f\n",
-		res.Requests, res.Makespan, switches, res.Fairness)
+		res.Requests, res.Makespan, s.Status().KeeperSwitches, res.Fairness)
 	if err := s.Err(); err != nil {
 		fatal(err)
 	}

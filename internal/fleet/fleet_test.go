@@ -15,6 +15,7 @@ import (
 
 	"ssdkeeper/internal/nand"
 	"ssdkeeper/internal/serve"
+	"ssdkeeper/internal/sim"
 	"ssdkeeper/internal/ssd"
 	"ssdkeeper/internal/trace"
 	"ssdkeeper/internal/wire"
@@ -455,63 +456,68 @@ func TestBatchWireUpstreamDies(t *testing.T) {
 	}
 }
 
-// TestMembershipProbe: the prober reads readiness and per-tenant load from
-// a live node's real endpoints.
+// TestMembershipProbe: one Poll reads each node's GET /status. A live
+// node reports readiness and per-tenant completions; a node whose die has
+// failed reports itself degraded and not ready, with its health score; a
+// node that answers a 500 or a body that is not a status record is an Err
+// and not ready.
 func TestMembershipProbe(t *testing.T) {
 	n := startNode(t)
 
-	// Complete one request so the metrics have a nonzero completion.
+	// Complete one request so the status has a nonzero completion.
 	wc := wire.NewClient(n.wire, 1)
 	defer wc.Close()
 	if reason, err := readVia(wc, 2, 0); reason != "" || err != nil {
 		t.Fatalf("read: reason %q err %v", reason, err)
 	}
 
-	m := NewMembership([]string{n.ts.URL}, 5*time.Second)
+	// An un-started node on a manual clock: the probe's own read advances
+	// it past the die failure.
+	clk := &manualClock{t: time.Unix(1000, 0)}
+	cfg := serve.Config{
+		Device: nand.EvalConfig(), Options: ssd.DefaultOptions(), Now: clk.Now,
+		DegradedScore: 0.95, // one dead die of 16 scores 0.9375
+	}
+	cfg.Options.FaultPlan = &nand.FaultPlan{Seed: 7, Events: []nand.FaultEvent{
+		{Kind: nand.FaultDieFail, At: sim.Millisecond, Channel: 0, Die: 0},
+	}}
+	sick := newTestNode(t, cfg, nil)
+	clk.Advance(100 * time.Millisecond)
+
+	listen := func(h http.HandlerFunc) string {
+		ts := httptest.NewServer(h)
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	garbage := listen(func(w http.ResponseWriter, r *http.Request) { fmt.Fprintln(w, "ssdkeeper_up 1") })
+	failing := listen(func(w http.ResponseWriter, r *http.Request) { http.Error(w, "boom", http.StatusInternalServerError) })
+
+	var requests atomic.Int64
+	counted := listen(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		n.ts.Config.Handler.ServeHTTP(w, r)
+	})
+
+	m := NewMembership([]string{counted, sick.ts.URL, garbage, failing}, 5*time.Second)
 	m.Poll()
 	snap := m.Snapshot()
-	if len(snap) != 1 {
+	if len(snap) != 4 {
 		t.Fatalf("snapshot has %d nodes", len(snap))
 	}
-	st := snap[0]
-	if !st.Ready || st.Err != nil {
-		t.Fatalf("node status %+v", st)
+	if live := snap[0]; !live.Ready || live.Err != nil || live.HealthScore != 1 || live.Degraded {
+		t.Errorf("live node status %+v", live)
+	} else if got := live.Tenants[2].CompletedTotal(); got != 1 {
+		t.Errorf("completed[2] = %d, want 1 (%+v)", got, live.Tenants)
 	}
-	if st.CompletedByTenant[2] != 1 {
-		t.Errorf("completed[2] = %d, want 1 (%v)", st.CompletedByTenant[2], st.CompletedByTenant)
+	if got := requests.Load(); got != 1 {
+		t.Errorf("one sweep made %d requests to the node, want 1", got)
 	}
-}
-
-func TestPromSamples(t *testing.T) {
-	text := strings.Join([]string{
-		`# HELP ssdkeeper_completed_total x`,
-		`# TYPE ssdkeeper_completed_total counter`,
-		`ssdkeeper_completed_total{tenant="0",op="read"} 3`,
-		`ssdkeeper_completed_total{tenant="0",op="write"} 2`,
-		`ssdkeeper_completed_total{tenant="1",op="read"} 7`,
-		`ssdkeeper_completed_totals_bogus{tenant="9"} 99`,
-		`ssdkeeper_latency_seconds{tenant="1",op="read",quantile="0.99"} 0.004`,
-		`ssdkeeper_latency_seconds_count{tenant="1",op="read"} 7`,
-		`ssdkeeper_up 1`,
-	}, "\n")
-	got := promSamples(text, "ssdkeeper_completed_total")
-	if len(got) != 3 {
-		t.Fatalf("parsed %d samples, want 3: %+v", len(got), got)
+	if st := snap[1]; st.Err != nil || !st.Degraded || st.Ready || st.HealthScore >= 1 {
+		t.Errorf("node with a dead die: %+v, want degraded, not ready, health below 1", st)
 	}
-	var t0 float64
-	for _, s := range got {
-		if s.labels["tenant"] == "0" {
-			t0 += s.value
+	for _, st := range snap[2:] {
+		if st.Err == nil || st.Ready {
+			t.Errorf("%s: err %v ready %v, want an error and not ready", st.Addr, st.Err, st.Ready)
 		}
-	}
-	if t0 != 5 {
-		t.Errorf("tenant 0 total = %v, want 5", t0)
-	}
-	if up := promSamples(text, "ssdkeeper_up"); len(up) != 1 || up[0].value != 1 {
-		t.Errorf("ssdkeeper_up parse: %+v", up)
-	}
-	lat := promSamples(text, "ssdkeeper_latency_seconds")
-	if len(lat) != 1 || lat[0].labels["quantile"] != "0.99" {
-		t.Errorf("latency parse picked up suffix series: %+v", lat)
 	}
 }

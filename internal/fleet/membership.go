@@ -1,31 +1,27 @@
 package fleet
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
+
+	"ssdkeeper/internal/serve"
 )
 
-// NodeStatus is one probe sweep's view of a node. CompletedByTenant comes
-// from the node's /metrics; Ready from /readyz (which a node holds false
-// while draining, while degraded, or while a tenant handoff is in flight, so
-// the rebalancer never targets a node mid-migration).
+// NodeStatus is one probe sweep's view of a node: the status record its
+// GET /status answered (serve.Status: readiness, which a node holds false
+// while draining, degraded or mid tenant handoff, so the rebalancer never
+// targets a node mid-migration; the degraded verdict and health score; and
+// per-tenant completions). Err is set when the probe failed — no answer, a
+// status other than 200, or a body that is not a status record — and the
+// record is then zero: not ready, with no counts.
 type NodeStatus struct {
-	Addr              string
-	Ready             bool
-	Err               error
-	CompletedByTenant map[int]uint64
-	// HealthScore is the node's device-health score from
-	// ssdkeeper_health_score (1 healthy, 0 dead; 1 when the series is
-	// absent, e.g. an older node). Degraded mirrors ssdkeeper_degraded: the
-	// node has quarantined itself for device health, so the rebalancer
-	// should evacuate its tenants rather than merely avoid placing new ones.
-	HealthScore float64
-	Degraded    bool
+	Addr string
+	Err  error
+	serve.Status
 }
 
 // Membership probes fleet nodes for readiness and load. Snapshots are
@@ -79,129 +75,26 @@ func (m *Membership) Snapshot() []NodeStatus {
 	return out
 }
 
+// maxStatusBytes bounds a /status body; a node's is a few hundred bytes.
+const maxStatusBytes = 1 << 20
+
+// probe makes the sweep's one request to a node, GET /status.
 func (m *Membership) probe(addr string) NodeStatus {
-	st := NodeStatus{
-		Addr:              addr,
-		CompletedByTenant: map[int]uint64{},
-		HealthScore:       1,
-	}
-	resp, err := m.client.Get(addr + "/readyz")
+	st := NodeStatus{Addr: addr}
+	resp, err := m.client.Get(addr + "/status")
 	if err != nil {
 		st.Err = err
 		return st
 	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	resp.Body.Close()
-	st.Ready = resp.StatusCode == http.StatusOK
-
-	mresp, err := m.client.Get(addr + "/metrics")
-	if err != nil {
-		st.Err = err
-		return st
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		st.Err = fmt.Errorf("GET %s/status: %s", addr, resp.Status)
+	} else if err := json.NewDecoder(io.LimitReader(resp.Body, maxStatusBytes)).Decode(&st.Status); err != nil {
+		st.Err = fmt.Errorf("GET %s/status: %w", addr, err)
+		st.Status = serve.Status{}
 	}
-	body, err := io.ReadAll(io.LimitReader(mresp.Body, 8<<20))
-	mresp.Body.Close()
-	if err != nil {
-		st.Err = err
-		return st
-	}
-	for _, s := range promSamples(string(body), "ssdkeeper_completed_total") {
-		if t, ok := s.tenant(); ok {
-			st.CompletedByTenant[t] += uint64(s.value)
-		}
-	}
-	if ss := promSamples(string(body), "ssdkeeper_health_score"); len(ss) > 0 {
-		st.HealthScore = ss[0].value
-	}
-	if ss := promSamples(string(body), "ssdkeeper_degraded"); len(ss) > 0 {
-		st.Degraded = ss[0].value != 0
-	}
+	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096)) // reuse the connection
 	return st
-}
-
-// promSample is one parsed exposition line.
-type promSample struct {
-	labels map[string]string
-	value  float64
-}
-
-func (s promSample) tenant() (int, bool) {
-	t, err := strconv.Atoi(s.labels["tenant"])
-	if err != nil {
-		return 0, false
-	}
-	return t, true
-}
-
-// promSamples extracts every sample of one metric from Prometheus text
-// exposition. It is a deliberately small parser — enough for the repo's own
-// /metrics output (no escaping inside label values beyond \" handling, no
-// exemplars), so the fleet stays dependency-free.
-func promSamples(text, name string) []promSample {
-	var out []promSample
-	for _, line := range strings.Split(text, "\n") {
-		if !strings.HasPrefix(line, name) {
-			continue
-		}
-		rest := line[len(name):]
-		// Reject longer names sharing the prefix (e.g. _count suffixes).
-		if len(rest) == 0 || (rest[0] != '{' && rest[0] != ' ') {
-			continue
-		}
-		labels := map[string]string{}
-		if rest[0] == '{' {
-			end := strings.Index(rest, "}")
-			if end < 0 {
-				continue
-			}
-			parseLabels(rest[1:end], labels)
-			rest = rest[end+1:]
-		}
-		v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
-		if err != nil {
-			continue
-		}
-		out = append(out, promSample{labels: labels, value: v})
-	}
-	return out
-}
-
-// parseLabels fills dst from `k="v",k2="v2"`.
-func parseLabels(s string, dst map[string]string) {
-	for len(s) > 0 {
-		eq := strings.Index(s, "=")
-		if eq < 0 {
-			return
-		}
-		key := strings.TrimSpace(s[:eq])
-		s = s[eq+1:]
-		if len(s) == 0 || s[0] != '"' {
-			return
-		}
-		s = s[1:]
-		var val strings.Builder
-		i := 0
-		for i < len(s) {
-			if s[i] == '\\' && i+1 < len(s) {
-				val.WriteByte(s[i+1])
-				i += 2
-				continue
-			}
-			if s[i] == '"' {
-				break
-			}
-			val.WriteByte(s[i])
-			i++
-		}
-		dst[key] = val.String()
-		s = s[i:]
-		if len(s) > 0 && s[0] == '"' {
-			s = s[1:]
-		}
-		if len(s) > 0 && s[0] == ',' {
-			s = s[1:]
-		}
-	}
 }
 
 // String renders a one-line summary for logs.
@@ -217,8 +110,8 @@ func (s NodeStatus) String() string {
 		return fmt.Sprintf("%s %s (%v)", s.Addr, ready, s.Err)
 	}
 	var total uint64
-	for _, c := range s.CompletedByTenant {
-		total += c
+	for _, t := range s.Tenants {
+		total += t.CompletedTotal()
 	}
 	return fmt.Sprintf("%s %s completed=%d", s.Addr, ready, total)
 }

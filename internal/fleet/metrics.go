@@ -39,7 +39,7 @@ func (r *Router) WriteMetrics(w io.Writer) {
 				ready++
 			}
 		}
-		fmt.Fprintf(w, "# HELP ssdkeeper_fleet_nodes_ready Nodes whose /readyz answered ok at the last probe.\n")
+		fmt.Fprintf(w, "# HELP ssdkeeper_fleet_nodes_ready Nodes whose /status read ready at the last probe.\n")
 		fmt.Fprintf(w, "# TYPE ssdkeeper_fleet_nodes_ready gauge\n")
 		fmt.Fprintf(w, "ssdkeeper_fleet_nodes_ready %d\n", ready)
 	}

@@ -57,7 +57,9 @@ func (rb *Rebalancer) logf(format string, args ...any) {
 
 // Step runs one rebalancing decision over the latest membership sweep. It
 // returns the migrated tenant and target, or tenant -1 when it chose not to
-// act. The first sweep only establishes the completion baseline. A failed
+// act. The first sweep only establishes the completion baseline; a node's
+// first good probe is its own baseline, and a node whose probe failed keeps
+// its baseline, so neither carries load that sweep. A failed
 // migration aborts cleanly (the router rolls the tenant back to its
 // source), so the caller logs the error and the next sweep retries.
 func (rb *Rebalancer) Step() (tenant int, target string, err error) {
@@ -83,12 +85,22 @@ func (rb *Rebalancer) Step() (tenant int, target string, err error) {
 			health:   st.HealthScore,
 			tenants:  map[int]uint64{},
 		}
-		prev := rb.last[st.Addr]
-		cur := map[int]uint64{}
-		for t, c := range st.CompletedByTenant {
+		if st.Err != nil {
+			// Unknown is not zero: keep the baseline, so the next good probe
+			// counts one interval's completions, not the node's lifetime.
+			loads = append(loads, nl)
+			continue
+		}
+		prev, seen := rb.last[st.Addr]
+		cur := make(map[int]uint64, len(st.Tenants))
+		for t := range st.Tenants {
+			c := st.Tenants[t].CompletedTotal()
 			cur[t] = c
 			d := c - prev[t]
-			if c < prev[t] {
+			switch {
+			case !seen:
+				d = 0 // a node's first good probe is its baseline
+			case c < prev[t]:
 				d = c // node restarted; counter reset
 			}
 			nl.tenants[t] = d

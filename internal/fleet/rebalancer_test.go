@@ -1,24 +1,29 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 	"time"
+
+	"ssdkeeper/internal/serve"
+	"ssdkeeper/internal/trace"
 )
 
 // nodeSweep is one node's line in a probe sweep: readiness, the degraded
-// verdict, and cumulative client completions by tenant.
+// verdict, and cumulative client completions by tenant; or, with err, a
+// failed probe, which carries none of them.
 type nodeSweep struct {
-	ready, degraded bool
-	completed       map[int]uint64
+	ready, degraded, err bool
+	completed            map[int]uint64
 }
 
 // TestRebalancerStep drives Rebalancer.Step over a prefilled membership on
-// a live three-node fleet: every case places the four tenants, decides once
-// on a zero baseline sweep (unless it tests the first step itself), then
-// once on its own sweep, and checks the decision, the resulting owner, and
-// the decision log.
+// a live three-node fleet: every case places the four tenants, decides on
+// its warm-up sweeps (a zero baseline unless it names others, none when it
+// tests the first step itself) without migrating, then once on its own
+// sweep, and checks the decision, the resulting owner, and the decision log.
 func TestRebalancerStep(t *testing.T) {
 	nodes, router := startFleet(t, 3)
 	addrs := make([]string, len(nodes))
@@ -32,10 +37,19 @@ func TestRebalancerStep(t *testing.T) {
 		{ready: true, completed: map[int]uint64{2: 150}},
 		{ready: true, completed: map[int]uint64{3: 50}},
 	}
+	// lifetime: node 0 has served 15 000 completions, the others 5 000 each.
+	lifetime := [3]nodeSweep{
+		{ready: true, completed: map[int]uint64{0: 10000, 1: 5000}},
+		{ready: true, completed: map[int]uint64{2: 5000}},
+		{ready: true, completed: map[int]uint64{3: 5000}},
+	}
+	lifetimeErr := lifetime
+	lifetimeErr[0] = nodeSweep{err: true}
 
 	for _, tc := range []struct {
 		name      string
-		owners    [4]int // tenant → node index
+		owners    [4]int         // tenant → node index
+		warmup    [][3]nodeSweep // sweeps before sweep; nil means one idle sweep
 		sweep     [3]nodeSweep
 		firstStep bool // decide on the very first Step (no baseline)
 		recent    bool // a migration just happened (Cooldown 1h)
@@ -120,6 +134,24 @@ func TestRebalancerStep(t *testing.T) {
 			firstStep: true,
 			tenant:    -1,
 		},
+		{
+			name:   "a failed probe keeps the node's baseline, so a small delta after it stays",
+			owners: [4]int{0, 0, 1, 2},
+			warmup: [][3]nodeSweep{lifetime, lifetimeErr},
+			sweep: [3]nodeSweep{
+				{ready: true, completed: map[int]uint64{0: 10010, 1: 5005}},
+				{ready: true, completed: map[int]uint64{2: 5050}},
+				{ready: true, completed: map[int]uint64{3: 5050}},
+			},
+			tenant: -1,
+		},
+		{
+			name:   "a node's first good probe after the baseline is its baseline, not its load",
+			owners: [4]int{0, 0, 1, 2},
+			warmup: [][3]nodeSweep{lifetimeErr},
+			sweep:  lifetime,
+			tenant: -1,
+		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			router.publish(func(tab *routeTable) {
@@ -131,13 +163,19 @@ func TestRebalancerStep(t *testing.T) {
 			install := func(sweep [3]nodeSweep) {
 				status := map[string]NodeStatus{}
 				for i, ns := range sweep {
-					st := NodeStatus{Addr: addrs[i], Ready: ns.ready, Degraded: ns.degraded,
-						HealthScore: 1, CompletedByTenant: map[int]uint64{}}
+					st := NodeStatus{Addr: addrs[i]}
+					if ns.err {
+						st.Err = errors.New("probe failed")
+						status[st.Addr] = st
+						continue
+					}
+					st.Ready, st.Degraded, st.HealthScore = ns.ready, ns.degraded, 1
 					if ns.degraded {
 						st.HealthScore = 0.9
 					}
+					st.Tenants = make([]serve.TenantStatus, len(tc.owners))
 					for tenant, c := range ns.completed {
-						st.CompletedByTenant[tenant] = c
+						st.Tenants[tenant].Completed[trace.Read] = c
 					}
 					status[st.Addr] = st
 				}
@@ -152,10 +190,14 @@ func TestRebalancerStep(t *testing.T) {
 				rb.Cooldown = time.Hour
 				rb.lastMigrate = time.Now()
 			}
-			if !tc.firstStep {
-				install(idle)
+			warmup := tc.warmup
+			if warmup == nil && !tc.firstStep {
+				warmup = [][3]nodeSweep{idle}
+			}
+			for _, sweep := range warmup {
+				install(sweep)
 				if tenant, _, err := rb.Step(); tenant != -1 || err != nil {
-					t.Fatalf("baseline step migrated tenant %d (err %v)", tenant, err)
+					t.Fatalf("warm-up step migrated tenant %d (err %v)", tenant, err)
 				}
 			}
 			install(tc.sweep)

@@ -3,7 +3,7 @@
 // I/O to each tenant's owner node over the persistent framed transport of
 // internal/wire (the only router↔node data plane; HTTP to a node is
 // control plane), a membership prober tracks node readiness and load from
-// /readyz and /metrics, and a rebalancer migrates hot tenants live —
+// each node's GET /status, and a rebalancer migrates hot tenants live —
 // using the node core's tenant-granular drain/handoff primitives — without
 // losing or duplicating a single completion.
 //

@@ -24,7 +24,9 @@ import (
 //	GET  /healthz   liveness: "ok" | 503 "draining"/device error
 //	GET  /readyz    readiness: "ok" | 503 while draining, poisoned, degraded
 //	                (device health, judged by this read), or a tenant
-//	                handoff is in flight (fleet membership polls this)
+//	                handoff is in flight
+//	GET  /status    the node's status record (Node.Status) as JSON; fleet
+//	                membership polls this
 //	     /debug/pprof/*  standard profiles
 
 // maxHandoffBytes bounds a tenant-handoff body without letting a bad client
@@ -53,18 +55,14 @@ func (s *Server) Handler(time.Duration) http.Handler {
 		}
 	})
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		switch {
-		case s.Err() != nil:
-			http.Error(w, fmt.Sprintf("device error: %v", s.Err()), http.StatusServiceUnavailable)
-		case s.Draining():
-			http.Error(w, "draining", http.StatusServiceUnavailable)
-		case s.Degraded():
-			http.Error(w, "degraded: device health below threshold", http.StatusServiceUnavailable)
-		case !s.Ready():
-			http.Error(w, "tenant handoff in flight", http.StatusServiceUnavailable)
-		default:
-			fmt.Fprintln(w, "ok")
+		if st := s.Status(); !st.Ready {
+			http.Error(w, st.NotReady, http.StatusServiceUnavailable)
+			return
 		}
+		fmt.Fprintln(w, "ok")
+	})
+	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, s.Status())
 	})
 	mux.HandleFunc("/tenant/drain", s.handleTenantDrain)
 	mux.HandleFunc("/tenant/handoff", s.handleTenantHandoff)
@@ -78,8 +76,8 @@ func (s *Server) Handler(time.Duration) http.Handler {
 }
 
 // jsonEnc pairs a growth buffer with a json.Encoder bound to it, so the
-// status endpoints (/model/reload, /tenant/handoff) render through a pooled
-// encoder instead of allocating one per response.
+// JSON endpoints (/status, /model/reload, /tenant/handoff) render through a
+// pooled encoder instead of allocating one per response.
 type jsonEnc struct {
 	buf bytes.Buffer
 	enc *json.Encoder

@@ -2,9 +2,11 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -96,5 +98,77 @@ func TestHTTPPprofExposed(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("GET /debug/pprof/cmdline = %d", resp.StatusCode)
+	}
+}
+
+// TestStatusEndpoint: GET /status serves Node.Status as JSON, and /readyz
+// answers from the same record: per-tenant counts after completions, the
+// parked-tenant and draining reasons, and after Drain the frozen counts.
+func TestStatusEndpoint(t *testing.T) {
+	clk := newFakeClock()
+	s := testServer(t, testConfig(clk), nil)
+	ts := httptest.NewServer(s.Handler(0))
+	defer ts.Close()
+	get := func(path string) (int, string) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode, string(body)
+	}
+	status := func() Status {
+		t.Helper()
+		code, body := get("/status")
+		var st Status
+		if err := json.Unmarshal([]byte(body), &st); code != http.StatusOK || err != nil {
+			t.Fatalf("GET /status = %d %q (%v)", code, body, err)
+		}
+		if !reflect.DeepEqual(st, s.Status()) {
+			t.Errorf("/status %+v != Node.Status %+v", st, s.Status())
+		}
+		return st
+	}
+
+	var pending []submitted
+	for _, req := range []Request{readReq(1, 0), writeReq(1, 1)} {
+		c, err := submit(s, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pending = append(pending, c)
+	}
+	clk.Advance(time.Second)
+	s.SimNow()
+	for _, c := range pending {
+		if _, err := c.wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := status()
+	want := TenantStatus{Admitted: [2]uint64{1, 1}, Completed: [2]uint64{1, 1}}
+	if !st.Ready || st.NotReady != "" || st.HealthScore != 1 || st.SimNow <= 0 ||
+		len(st.Tenants) != 4 || st.Tenants[1] != want {
+		t.Errorf("status %+v, want ready, health 1, tenant 1 %+v", st, want)
+	}
+
+	if _, err := s.DrainTenant(2); err != nil {
+		t.Fatal(err)
+	}
+	if st := status(); st.Ready || st.NotReady != "tenant handoff in flight" {
+		t.Errorf("with a parked tenant: ready %v %q", st.Ready, st.NotReady)
+	}
+	if code, body := get("/readyz"); code != http.StatusServiceUnavailable || body != "tenant handoff in flight\n" {
+		t.Errorf("/readyz with a parked tenant = %d %q", code, body)
+	}
+	if err := s.ReleaseTenant(2); err != nil {
+		t.Fatal(err)
+	}
+
+	s.Drain()
+	if st := status(); st.Ready || st.NotReady != "draining" || st.Tenants[1] != want {
+		t.Errorf("drained status %+v, want not ready (draining), tenant 1 %+v", st, want)
 	}
 }

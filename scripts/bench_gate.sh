@@ -31,7 +31,14 @@
 #      admitted through a serve.Batch flushed every 64 requests (the wire
 #      listener's path into a node), is held to the same 0 allocs/op and
 #      16 B/op: a per-batch allocation or a run that stops reusing its
-#      Pendings breaks one of them. BenchmarkFTLSeason holds a replay
+#      Pendings breaks one of them. BenchmarkNodeStatus (TenantCompleted on
+#      an idle 4-tenant node, health judgement on) may make at most 3
+#      allocations and 1024 B/op, and BenchmarkReadyz (GET /readyz into an
+#      httptest recorder) at most 13 and 3072 B/op: a status read is one
+#      mailbox round trip that copies counters — the reply channel and the
+#      per-tenant slice — and a read that copies the latency histograms
+#      again (~43 KB), or a /readyz that reads the node twice, breaks them
+#      (DESIGN.md §11). BenchmarkFTLSeason holds a replay
 #      session's device set-up to exact allocation figures: a seasoned
 #      evaluation device restored by Reset and seasoned again allocates
 #      nothing, nor does one rewound to its checkpoint after a run dirtied
@@ -64,8 +71,8 @@ trap 'rm -f "$RAW" "$RAW.health"' EXIT
 
 echo "bench_gate: running gated benchmarks (benchtime=$BENCHTIME, -cpu 1)..." >&2
 go test -run '^$' -bench 'BenchmarkPredict$' -benchmem -benchtime "$BENCHTIME" -cpu 1 . | tee "$RAW" >&2
-go test -run '^$' -bench 'BenchmarkNode(SubmitTo|Batch)$' -benchmem -benchtime "$BENCHTIME" -cpu 1 \
-  ./internal/serve/ | tee -a "$RAW" >&2
+go test -run '^$' -bench 'Benchmark(Node(SubmitTo|Batch|Status)|Readyz)$' -benchmem -benchtime "$BENCHTIME" \
+  -cpu 1 ./internal/serve/ | tee -a "$RAW" >&2
 go test -run '^$' -bench 'BenchmarkWire(Encode|Parse)(Request|Reply)$' -benchmem \
   -benchtime "$BENCHTIME" -cpu 1 ./internal/wire/ | tee -a "$RAW" >&2
 go test -run '^$' -bench 'BenchmarkProxyTransport$/^wire$' -benchmem -benchtime "$BENCHTIME" \
@@ -133,6 +140,10 @@ at_most BenchmarkFTLSeason/rewind allocs/op "$(allocs BenchmarkFTLSeason/rewind)
 at_most BenchmarkFTLSeason/rewind B/op "$(bytes BenchmarkFTLSeason/rewind)" 0
 at_most BenchmarkFTLSeason/new allocs/op "$(allocs BenchmarkFTLSeason/new)" 200
 at_most BenchmarkFTLSeason/new B/op "$(bytes BenchmarkFTLSeason/new)" 284000
+at_most BenchmarkNodeStatus allocs/op "$(allocs BenchmarkNodeStatus)" 3
+at_most BenchmarkNodeStatus B/op "$(bytes BenchmarkNodeStatus)" 1024
+at_most BenchmarkReadyz allocs/op "$(allocs BenchmarkReadyz)" 13
+at_most BenchmarkReadyz B/op "$(bytes BenchmarkReadyz)" 3072
 
 for b in NodeSubmitTo NodeBatch; do
   node_bytes=$(bytes "Benchmark$b")
